@@ -1,16 +1,17 @@
 """Bilevel knapsack toolkit.
 
-Instance generation, an exact branch-and-bound oracle, a graph-network
+Instance generation, an exact dynamic-programming oracle, a graph-network
 heuristic trained by supervised learning, a sampling-based solution
 search, and a benchmark harness.
 """
 
-from .exact import ExactResult, SearchLimits, collect_labels, solve_exact
+from .exact import ExactResult, collect_labels, solve_exact
 from .graphrep import NormalizationScheme, TripartiteGraph, build_graph
 from .instance import (BlkpInstance, GenConfig, InstanceError, generate,
                        read_instance, write_instance)
-from .knapsack import (BilevelEvaluation, FollowerResponse, InfeasibleLeader,
-                       Mode, evaluate_bilevel, follower_response, knapsack_max)
+from .knapsack import (BilevelEvaluation, DpTooLarge, FollowerResponse,
+                       InfeasibleLeader, Mode, evaluate_bilevel, follower_response,
+                       knapsack_max)
 from .pnanet import (CheckpointError, ModelParams, PnaConfig, forward,
                      load_checkpoint, save_checkpoint)
 from .search import SearchConfig, SearchResult, solution_search, solve_heuristic
@@ -23,7 +24,7 @@ __all__ = [
     "read_instance", "write_instance",
     "knapsack_max", "follower_response", "evaluate_bilevel",
     "Mode", "FollowerResponse", "BilevelEvaluation", "InfeasibleLeader",
-    "solve_exact", "collect_labels", "ExactResult", "SearchLimits",
+    "DpTooLarge", "solve_exact", "collect_labels", "ExactResult",
     "build_graph", "TripartiteGraph", "NormalizationScheme",
     "PnaConfig", "ModelParams", "forward", "save_checkpoint",
     "load_checkpoint", "CheckpointError",

@@ -97,10 +97,8 @@ def _exact_record(name, inst, result):
 
 
 def _solve_exact_all(args):
-    limits = exact_mod.SearchLimits(max_nodes=args.max_nodes,
-                                    time_budget=args.time_budget)
     for name, inst in _load_instances(args.instances):
-        yield name, inst, exact_mod.solve_exact(inst, Mode(args.mode), limits)
+        yield name, inst, exact_mod.solve_exact(inst, Mode(args.mode))
 
 
 def cmd_exact(args):
@@ -217,8 +215,7 @@ def compute_gaps(heuristic_values: dict, exact_values: dict):
     return float(np.mean(gaps)), float(np.max(gaps))
 
 
-def run_benchmark(named_instances, params, norm, theta, n_samples, mode, seed,
-                  limits=None):
+def run_benchmark(named_instances, params, norm, theta, n_samples, mode, seed):
     """Compare no_sampling / sampling / exact; returns report row dicts."""
     mode = Mode(mode)
     groups = {}
@@ -239,7 +236,7 @@ def run_benchmark(named_instances, params, norm, theta, n_samples, mode, seed,
         exact_vals = {}
         exact_times = []
         for name, inst in members:
-            res = exact_mod.solve_exact(inst, mode, limits)
+            res = exact_mod.solve_exact(inst, mode)
             exact_vals[name] = res.opt_value
             exact_times.append(res.elapsed)
         for method, scfg in methods.items():
@@ -273,11 +270,9 @@ def run_benchmark(named_instances, params, norm, theta, n_samples, mode, seed,
 def cmd_bench(args):
     named = _load_instances(args.instances)
     params, norm, _meta = pnanet.load_checkpoint(args.checkpoint)
-    limits = exact_mod.SearchLimits(max_nodes=args.max_nodes,
-                                    time_budget=args.time_budget)
     rows = run_benchmark(named, params, norm, theta=args.theta,
                          n_samples=args.n_samples, mode=Mode(args.mode),
-                         seed=args.seed, limits=limits)
+                         seed=args.seed)
     ckpt_hash = _config_hash(params.cfg.to_dict())
     for r in rows:
         r["checkpoint_hash"] = ckpt_hash
@@ -295,11 +290,9 @@ def _add_common(p):
     p.add_argument("--format", choices=["tsv", "json"], default="tsv")
 
 
-def _add_exact_flags(p):
+def _add_mode(p):
     p.add_argument("--mode", choices=[m.value for m in Mode],
                    default=Mode.OPTIMISTIC.value)
-    p.add_argument("--max-nodes", type=int, default=None)
-    p.add_argument("--time-budget", type=float, default=None)
 
 
 def build_parser():
@@ -320,15 +313,15 @@ def build_parser():
 
     p = sub.add_parser("exact", help="solve instances exactly")
     p.add_argument("--instances", required=True)
-    _add_exact_flags(p)
+    _add_mode(p)
     _add_common(p)
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("label", help="write supervised labels from the exact pool")
     p.add_argument("--instances", required=True)
     p.add_argument("--k", type=int, default=10,
-                   help="extra feasible solutions per instance")
-    _add_exact_flags(p)
+                   help="labels beyond the optimum: best vectors of the next k leader weights")
+    _add_mode(p)
     _add_common(p)
     p.set_defaults(func=cmd_label)
 
@@ -354,8 +347,7 @@ def build_parser():
     p.add_argument("--n-samples", type=int, default=10)
     p.add_argument("--no-sampling", action="store_true",
                    help="deterministic rounding instead of sampling")
-    p.add_argument("--mode", choices=[m.value for m in Mode],
-                   default=Mode.OPTIMISTIC.value)
+    _add_mode(p)
     _add_common(p)
     p.set_defaults(func=cmd_solve)
 
@@ -364,7 +356,7 @@ def build_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--theta", type=float, default=0.2)
     p.add_argument("--n-samples", type=int, default=10)
-    _add_exact_flags(p)
+    _add_mode(p)
     _add_common(p)
     p.set_defaults(func=cmd_bench)
 

@@ -1,24 +1,29 @@
-"""Exact bilevel oracle: branch-and-bound over the leader's variables.
+"""Exact bilevel oracle: a two-phase dynamic program.
 
-Every complete leader assignment is completed by the follower-response
-solver, so every leaf yields a bilevel-feasible solution. Partial
-assignments are pruned with a fractional-knapsack bound over the
-remaining leader items plus all follower items, valued at leader profits;
-the bound relaxes both integrality and the follower's rationality, so it
-is always valid.
+The follower reacts to the leader only through the residual capacity
+r = b - a1 . x (Brotcorne, Hanafi & Mansi, Oper. Res. Lett. 2009):
 
-The feasible solutions found along the way form a pool that doubles as a
-source of supervised training labels.
+1. One follower DP at capacity b, over the combined profits of
+   `blkp.knapsack`, gives for every residual r the leader profit L(r) of
+   the follower's tie-broken reply.
+2. An exact-weight leader DP gives G(W) = max d1 . x subject to a1 . x = W.
+
+Every reachable leader weight W yields the bilevel value G(W) + L(b - W);
+the optimum is the best of them. The pool holds one entry per reachable
+weight, the best leader vector of that weight, best value first. Training
+labels are the optimum plus the best vectors of the next k best leader
+weights, a definition that depends on the instance alone.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .knapsack import Mode, follower_response
+from .knapsack import (Mode, check_dp_size, combined_profits, follower_response,
+                       knapsack_row, tie_break_profit)
 
 
 @dataclass
@@ -26,164 +31,55 @@ class ExactResult:
     opt_x: np.ndarray
     opt_y: np.ndarray
     opt_value: int
-    pool: list = field(default_factory=list)  # (x, y, leader_value), descending value
-    node_count: int = 0
-    elapsed: float = 0.0
-    proven_optimal: bool = True
-    mode: Mode = Mode.OPTIMISTIC
+    pool: np.ndarray         # (R, n1) int8 leader vectors, one per reachable weight
+    pool_values: np.ndarray  # (R,) int64 bilevel values, descending
+    node_count: int          # DP cells, (n1 + n2) * (b + 1)
+    elapsed: float
+    mode: Mode
+    proven_optimal = True    # the DP is exact; kept for callers that check it
 
 
-@dataclass(frozen=True)
-class SearchLimits:
-    max_nodes: int | None = None
-    time_budget: float | None = None
-
-
-class _FractionalBound:
-    """Greedy fractional upper bound, reusable across capacities.
-
-    Items (weights, leader profits) are sorted once by profit density;
-    each query is a prefix-sum lookup plus one fractional item.
-    """
-
-    def __init__(self, weights, profits):
-        weights = np.asarray(weights, dtype=np.float64)
-        profits = np.asarray(profits, dtype=np.float64)
-        order = np.argsort(-(profits / weights), kind="stable")
-        self.w = weights[order]
-        self.p = profits[order]
-        self.cum_w = np.concatenate(([0.0], np.cumsum(self.w)))
-        self.cum_p = np.concatenate(([0.0], np.cumsum(self.p)))
-
-    def bound(self, capacity: float, active: np.ndarray | None = None) -> float:
-        if active is None:
-            cum_w, cum_p, w, p = self.cum_w, self.cum_p, self.w, self.p
-        else:
-            w = self.w[active]
-            p = self.p[active]
-            cum_w = np.concatenate(([0.0], np.cumsum(w)))
-            cum_p = np.concatenate(([0.0], np.cumsum(p)))
-        k = int(np.searchsorted(cum_w, capacity, side="right")) - 1
-        val = cum_p[k]
-        if k < len(w):
-            val += (capacity - cum_w[k]) * p[k] / w[k]
-        return float(val)
-
-
-def solve_exact(inst, mode: Mode = Mode.OPTIMISTIC,
-                limits: SearchLimits | None = None) -> ExactResult:
-    """Depth-first branch-and-bound over leader assignments.
-
-    Branching order is decreasing d1/a1 density, trying x_i = 1 first.
-    If the node or time limit is hit the incumbent is returned with
-    proven_optimal = False.
-    """
+def solve_exact(inst, mode: Mode = Mode.OPTIMISTIC) -> ExactResult:
+    """Bilevel optimum and the per-weight pool in O((n1 + n2) * b)."""
     mode = Mode(mode)
-    limits = limits or SearchLimits()
     start = time.perf_counter()
+    b = inst.b
+    check_dp_size(inst.n1 + inst.n2, b)
 
-    order = np.argsort(-(inst.d1.astype(np.float64) / inst.a1), kind="stable")
-    a1o = inst.a1[order].astype(int)
-    n1 = inst.n1
+    # phase 1: L(r) for every residual r
+    combined, m = combined_profits(inst, mode)
+    follower = np.zeros(b + 1, dtype=np.int64)
+    knapsack_row(combined, inst.a2, follower)
+    leader_part = tie_break_profit(follower, m, mode)
 
-    # Bound items: leader items in branch order followed by all follower items.
-    bound_calc = _FractionalBound(
-        np.concatenate([inst.a1[order], inst.a2]),
-        np.concatenate([inst.d1[order], inst.d2]),
-    )
-    # position of each branch-order leader item inside the sorted bound arrays
-    n_total = n1 + inst.n2
-    comb_w = np.concatenate([inst.a1[order], inst.a2]).astype(np.float64)
-    comb_p = np.concatenate([inst.d1[order], inst.d2]).astype(np.float64)
-    comb_order = np.argsort(-(comb_p / comb_w), kind="stable")
-    pos_of = np.empty(n_total, dtype=int)
-    pos_of[comb_order] = np.arange(n_total)
-    leader_pos = pos_of[:n1]
+    # phase 2: G(W); unreachable weights stay below zero
+    best_d1 = np.full(b + 1, -1 - sum(inst.d1.tolist()), dtype=np.int64)
+    best_d1[0] = 0
+    take = np.zeros((inst.n1, b + 1), dtype=bool)
+    knapsack_row(inst.d1, inst.a1, best_d1, take)
 
-    d1o = inst.d1[order].astype(int)
-    pool: dict[tuple, tuple] = {}
-    best_value = None
-    best_x = best_y = None
-    node_count = 0
-    truncated = False
+    weights = np.flatnonzero(best_d1 >= 0)
+    values = best_d1[weights] + leader_part[b - weights]
+    order = np.argsort(-values, kind="stable")  # ties toward the lighter leader
+    caps = weights[order]
+    pool = np.zeros((len(caps), inst.n1), dtype=np.int8)
+    for i in range(inst.n1 - 1, -1, -1):
+        taken = take[i, caps]
+        pool[:, i] = taken
+        caps = caps - taken * inst.a1[i]
 
-    x_assign = np.zeros(n1, dtype=np.int64)
-
-    def out_of_budget():
-        if limits.max_nodes is not None and node_count >= limits.max_nodes:
-            return True
-        if limits.time_budget is not None and time.perf_counter() - start > limits.time_budget:
-            return True
-        return False
-
-    def recurse(depth: int, used_weight: int, fixed_profit: int, active: np.ndarray):
-        nonlocal best_value, best_x, best_y, node_count, truncated
-        if truncated:
-            return
-        node_count += 1
-        if out_of_budget():
-            truncated = True
-            return
-        if depth == n1:
-            x = np.zeros(n1, dtype=np.int64)
-            x[order] = x_assign
-            resp = follower_response(inst, x, mode)
-            key = tuple(int(v) for v in x)
-            if key not in pool:
-                pool[key] = (x, resp.y, resp.leader_value)
-            if best_value is None or resp.leader_value > best_value:
-                best_value = resp.leader_value
-                best_x, best_y = x, resp.y
-            return
-        # prune: fixed profit + fractional relaxation of everything undecided
-        if best_value is not None:
-            ub = fixed_profit + bound_calc.bound(inst.b - used_weight, active)
-            if ub <= best_value:
-                return
-        w = a1o[depth]
-        sub_active = active.copy()
-        sub_active[leader_pos[depth]] = False
-        if used_weight + w <= inst.b:
-            x_assign[depth] = 1
-            recurse(depth + 1, used_weight + w, fixed_profit + d1o[depth], sub_active)
-        x_assign[depth] = 0
-        recurse(depth + 1, used_weight, fixed_profit, sub_active)
-
-    recurse(0, 0, 0, np.ones(n_total, dtype=bool))
-
-    if best_value is None:
-        # budget exhausted before any leaf: fall back to the all-zeros leader
-        x = np.zeros(n1, dtype=np.int64)
-        resp = follower_response(inst, x, mode)
-        best_value, best_x, best_y = resp.leader_value, x, resp.y
-        pool[tuple(x)] = (x, resp.y, resp.leader_value)
-        truncated = True
-
-    entries = sorted(pool.values(), key=lambda e: (-e[2], tuple(e[0])))
+    opt_x = pool[0].astype(np.int64)
     return ExactResult(
-        opt_x=best_x, opt_y=best_y, opt_value=int(best_value),
-        pool=entries, node_count=node_count,
-        elapsed=time.perf_counter() - start,
-        proven_optimal=not truncated, mode=mode,
-    )
+        opt_x=opt_x, opt_y=follower_response(inst, opt_x, mode).y,
+        opt_value=int(values[order[0]]), pool=pool, pool_values=values[order],
+        node_count=(inst.n1 + inst.n2) * (b + 1),
+        elapsed=time.perf_counter() - start, mode=mode)
 
 
 def collect_labels(result: ExactResult, k: int = 10) -> list:
-    """Pick the optimal leader vector plus up to k best distinct others.
+    """The optimal leader vector plus the best of the next k leader weights.
 
     Returns (x, leader_value) pairs, best first; fewer when the pool is
     small.
     """
-    if not result.pool:
-        raise ValueError("result pool is empty")
-    labels = [(result.opt_x, result.opt_value)]
-    seen = {tuple(int(v) for v in result.opt_x)}
-    for x, _y, value in result.pool:
-        if len(labels) >= k + 1:
-            break
-        key = tuple(int(v) for v in x)
-        if key in seen:
-            continue
-        seen.add(key)
-        labels.append((x, value))
-    return labels
+    return [(x, int(v)) for x, v in zip(result.pool[:k + 1], result.pool_values[:k + 1])]

@@ -3,7 +3,9 @@
 The follower's reaction to a fixed leader vector is computed in a single
 knapsack call with lexicographically combined profits: the primary term
 ranks by follower profit, the secondary term breaks ties by leader profit
-(maximized in optimistic mode, minimized in pessimistic mode).
+(maximized in optimistic mode, minimized in pessimistic mode). The
+encoding, its decode and the DP recurrence are shared with the exact
+bilevel oracle in `blkp.exact`.
 """
 
 from __future__ import annotations
@@ -14,6 +16,10 @@ from enum import Enum
 import numpy as np
 
 INT64_MAX = np.iinfo(np.int64).max
+
+# Largest DP table (items x capacity cells) any solver here allocates:
+# 1e8 cells is about 100 MB of take table.
+MAX_DP_CELLS = 10 ** 8
 
 
 class Mode(str, Enum):
@@ -29,6 +35,10 @@ class InfeasibleLeader(ValueError):
     """The leader's selection alone exceeds the knapsack capacity."""
 
 
+class DpTooLarge(ValueError):
+    """A DP table would exceed MAX_DP_CELLS."""
+
+
 @dataclass
 class FollowerResponse:
     y: np.ndarray
@@ -36,6 +46,34 @@ class FollowerResponse:
     leader_value: int
     mode: Mode
     residual_capacity: int
+
+
+def check_dp_size(n: int, capacity: int) -> None:
+    """Refuse a DP over n items and capacities 0..capacity above the cell budget."""
+    if n * (capacity + 1) > MAX_DP_CELLS:
+        raise DpTooLarge(f"DP table for n={n} items and capacity b={capacity} needs "
+                         f"{n * (capacity + 1):.3g} cells, above the budget of "
+                         f"{MAX_DP_CELLS:.0e}")
+
+
+def knapsack_row(profits, weights, row: np.ndarray, take: np.ndarray | None = None) -> None:
+    """The 0/1 knapsack recurrence, in place over row[0..capacity].
+
+    On entry row[c] is the value of capacity c with no items (zeros for
+    "weight at most c", a negative sentinel off row[0] for "weight exactly
+    c"); on exit it is the best value over all items. take[i, c] records
+    whether item i improved cell c; ties keep the cell, so they are broken
+    toward not taking the item.
+    """
+    capacity = len(row) - 1
+    for i, (w, p) in enumerate(zip(weights.tolist(), profits.tolist())):
+        if w > capacity:
+            continue
+        cand = row[: capacity + 1 - w] + p
+        better = cand > row[w:]
+        row[w:] = np.where(better, cand, row[w:])
+        if take is not None:
+            take[i, w:] = better
 
 
 def knapsack_max(profits, weights, capacity: int):
@@ -57,18 +95,11 @@ def knapsack_max(profits, weights, capacity: int):
     n = len(profits)
     if sum(int(p) for p in profits) > INT64_MAX:
         raise OverflowRiskError("sum of profits exceeds the 64-bit accumulator bound")
+    check_dp_size(n, capacity)
 
     dp = np.zeros(capacity + 1, dtype=np.int64)
     take = np.zeros((n, capacity + 1), dtype=bool)
-    for i in range(n):
-        w = int(weights[i])
-        p = int(profits[i])
-        if w > capacity:
-            continue
-        cand = dp[: capacity + 1 - w] + p
-        better = cand > dp[w:]
-        dp[w:] = np.where(better, cand, dp[w:])
-        take[i, w:] = better
+    knapsack_row(profits, weights, dp, take)
 
     selection = np.zeros(n, dtype=np.int64)
     cap = capacity
@@ -79,14 +110,41 @@ def knapsack_max(profits, weights, capacity: int):
     return int(dp[capacity]), selection
 
 
+def combined_profits(inst, mode: Mode):
+    """Follower profits M * c_j + sign * d2_j, and M.
+
+    A knapsack over these ranks follower selections by c first and breaks
+    ties by the leader profit d2 of the selection, maximized (sign +1,
+    optimistic) or minimized (sign -1, pessimistic). M exceeds any
+    attainable d2 sum. A per-item offset (e.g. max(d2) - d2) would bias
+    the tie-break toward larger selections, so the signed value is used;
+    the combined profit stays positive because c_j >= 1 and M > d2_j.
+    """
+    sign = 1 if mode is Mode.OPTIMISTIC else -1
+    m = 1 + sum(int(v) for v in inst.d2)
+    combined = [m * int(cj) + sign * int(dj) for cj, dj in zip(inst.c, inst.d2)]
+    if sum(combined) > INT64_MAX:
+        raise OverflowRiskError("combined lexicographic profits exceed 64-bit range")
+    return np.asarray(combined, dtype=np.int64), m
+
+
+def tie_break_profit(value, m: int, mode: Mode):
+    """The d2 sum of a follower selection whose combined value is `value`.
+
+    value = M * z + d2_sum (optimistic) or M * z - d2_sum (pessimistic),
+    with 0 <= d2_sum < M: floor division recovers it in the first case,
+    ceiling division in the second. Works on ints and int64 arrays.
+    """
+    return value % m if mode is Mode.OPTIMISTIC else -value % m
+
+
 def follower_response(inst, x_bar, mode: Mode = Mode.OPTIMISTIC) -> FollowerResponse:
     """Solve the follower's problem for a fixed leader vector.
 
     Primary objective: maximize follower profit under the residual
     capacity. Among the follower-optimal selections, the leader profit of
     follower items is maximized (optimistic) or minimized (pessimistic).
-    Both stages collapse into one knapsack with combined profits
-    M * c_j + secondary_j, where M exceeds any attainable secondary sum.
+    Both stages collapse into one knapsack with `combined_profits`.
     """
     mode = Mode(mode)
     x_bar = np.asarray(x_bar, dtype=np.int64)
@@ -96,19 +154,10 @@ def follower_response(inst, x_bar, mode: Mode = Mode.OPTIMISTIC) -> FollowerResp
     if residual < 0:
         raise InfeasibleLeader(f"leader weight exceeds capacity by {-residual}")
 
-    # Secondary term: +d2 maximizes, -d2 minimizes the leader profit among
-    # follower optima. A per-item offset (e.g. max(d2) - d2) would bias the
-    # tie-break toward larger selections, so the signed value is used; the
-    # combined profit stays positive because c_j >= 1 and M > d2_j.
-    sign = 1 if mode is Mode.OPTIMISTIC else -1
-    m = 1 + sum(int(v) for v in inst.d2)
-    combined = [m * int(cj) + sign * int(dj) for cj, dj in zip(inst.c, inst.d2)]
-    if sum(combined) > INT64_MAX:
-        raise OverflowRiskError("combined lexicographic profits exceed 64-bit range")
-
-    _, y = knapsack_max(np.asarray(combined, dtype=np.int64), inst.a2, residual)
+    combined, m = combined_profits(inst, mode)
+    best, y = knapsack_max(combined, inst.a2, residual)
     z_star = int(inst.c @ y)
-    leader_value = int(inst.d1 @ x_bar) + int(inst.d2 @ y)
+    leader_value = int(inst.d1 @ x_bar) + tie_break_profit(best, m, mode)
     return FollowerResponse(y=y, z_star=z_star, leader_value=leader_value,
                             mode=mode, residual_capacity=residual)
 

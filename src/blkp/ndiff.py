@@ -240,12 +240,6 @@ def tsum(t: Tensor) -> Tensor:
                   lambda g: np.full_like(t.data, float(g)))
 
 
-def tmean(t: Tensor) -> Tensor:
-    n = t.data.size
-    return _unary(t, np.array(t.data.mean()),
-                  lambda g: np.full_like(t.data, float(g) / n))
-
-
 BCE_EPS = 1e-7
 
 

@@ -130,7 +130,6 @@ class ModelParams:
 class NodeEmbeddings:
     leader: Tensor    # (n1, embed_dim)
     follower: Tensor  # (n2, embed_dim)
-    iteration: int = 0
 
 
 def pna_aggregate(messages, cfg: PnaConfig) -> np.ndarray:
@@ -177,7 +176,7 @@ def encode(graph: TripartiteGraph, params: ModelParams,
     agg_f = _aggregate_groups(msgs_f, n2, cfg)
     y1 = params.mlps["upd_follower_enc"](concat_cols([ff, cap_f, agg_f]))
 
-    return NodeEmbeddings(leader=x1, follower=y1, iteration=1)
+    return NodeEmbeddings(leader=x1, follower=y1)
 
 
 def message_pass(emb: NodeEmbeddings, params: ModelParams,
@@ -199,7 +198,7 @@ def message_pass(emb: NodeEmbeddings, params: ModelParams,
         x_next = params.mlps["upd_leader_mp"](concat_cols([x, agg_l]))
         y_next = params.mlps["upd_follower_mp"](concat_cols([y, agg_f]))
         x, y = x_next, y_next
-    return NodeEmbeddings(leader=x, follower=y, iteration=emb.iteration + rounds)
+    return NodeEmbeddings(leader=x, follower=y)
 
 
 def decode(emb: NodeEmbeddings, params: ModelParams) -> Tensor:
@@ -271,4 +270,10 @@ def load_checkpoint(source):
             params.mlps[name].load_state_arrays(state)
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint weights invalid: {exc}") from exc
+    # JSON admits NaN and Infinity; a non-finite weight would silently turn
+    # every prediction into NaN, and the search into an all-zeros leader
+    for name in MLP_NAMES:
+        if not all(np.isfinite(a).all() for layer in params.mlps[name].state_arrays()
+                   for a in layer):
+            raise CheckpointError(f"checkpoint weights of {name} are not finite")
     return params, norm, doc.get("metadata", {})

@@ -1,7 +1,8 @@
 """Supervised training of the leader-solution predictor.
 
-Labels come from the exact oracle's solution pool (optimum plus up to k
-runner-up leader vectors per instance). The train/validation split is at
+Labels come from the exact oracle's pool: per instance, the optimal
+leader vector plus the best vectors of the next k best leader weights
+(`blkp.exact.collect_labels`). The train/validation split is at
 the instance level so no instance contributes to both sides. Each batch
 loss is the mean binary cross-entropy over every leader-variable term in
 the batch; one forward pass per distinct instance is shared by all of its
@@ -33,7 +34,6 @@ class TrainConfig:
     weight_decay: float = 1e-6
     split: float = 0.8
     seed: int = 0
-    labels_per_instance: int = 10
 
     def __post_init__(self):
         if not (0.0 < self.split < 1.0):
@@ -48,7 +48,6 @@ class TrainConfig:
 class LabeledSample:
     instance_id: int
     x_label: np.ndarray
-    weight: float = 1.0
 
 
 @dataclass

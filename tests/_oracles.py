@@ -1,7 +1,7 @@
 """Independent brute-force oracles used to check the fast paths.
 
 Everything here enumerates subsets explicitly (vectorized with numpy for
-speed) and never calls the DP or branch-and-bound code under test.
+speed) and never calls the DP code under test.
 """
 
 import numpy as np
@@ -63,6 +63,21 @@ def bilevel_brute(inst, mode):
         _y, _z, value = follower_brute(inst, x, mode)
         if best is None or value > best[2]:
             best = (x, _y, value)
+    return best
+
+
+def pool_brute(inst, mode):
+    """Best bilevel value per reachable leader weight, by double enumeration.
+
+    Returns {leader weight a1 . x: max leader value over x of that weight}.
+    """
+    best = {}
+    for x in all_subsets(inst.n1):
+        weight = int(inst.a1 @ x)
+        if weight > inst.b:
+            continue
+        value = follower_brute(inst, x, mode)[2]
+        best[weight] = max(value, best.get(weight, value))
     return best
 
 

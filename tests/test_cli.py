@@ -136,6 +136,16 @@ def test_missing_file_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_oversized_instance_errors(tmp_path, capsys):
+    from blkp.instance import BlkpInstance, write_instance
+    big = 10 ** 9
+    write_instance(BlkpInstance(1, 1, [big], [1], [big], [1], [1], big),
+                   tmp_path / "big.json")
+    rc = main(["exact", "--instances", str(tmp_path / "big.json")])
+    assert rc == 1
+    assert f"b={big}" in capsys.readouterr().err
+
+
 def test_bad_checkpoint_errors(instance_dir, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{}")

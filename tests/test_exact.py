@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from blkp.exact import SearchLimits, collect_labels, solve_exact
+from blkp.exact import collect_labels, solve_exact
 from blkp.instance import BlkpInstance
-from blkp.knapsack import Mode, evaluate_bilevel
+from blkp.knapsack import DpTooLarge, MAX_DP_CELLS, Mode, evaluate_bilevel, follower_response
 
-from _oracles import bilevel_brute, random_instance
+from _oracles import bilevel_brute, pool_brute, random_instance
 
 
 def test_tiny_instance_optimum():
@@ -44,36 +44,65 @@ def test_pool_entries_feasible_sorted_distinct():
     rng = np.random.default_rng(6)
     inst = random_instance(rng, 6, 6)
     res = solve_exact(inst)
-    values = [v for _, _, v in res.pool]
-    assert values == sorted(values, reverse=True)
-    assert all(v <= res.opt_value for v in values)
-    keys = {tuple(x) for x, _, _ in res.pool}
-    assert len(keys) == len(res.pool)
-    for x, y, v in res.pool[:5]:
-        ev = evaluate_bilevel(inst, x, y)
+    assert res.pool.shape == (len(res.pool_values), inst.n1)
+    assert res.pool_values[0] == res.opt_value
+    assert list(res.pool_values) == sorted(res.pool_values, reverse=True)
+    assert np.array_equal(res.pool[0], res.opt_x)
+    weights = res.pool @ inst.a1
+    assert len(set(weights.tolist())) == len(res.pool)  # one entry per leader weight
+    for x, v in zip(res.pool[:5], res.pool_values[:5]):
+        resp = follower_response(inst, x, res.mode)
+        ev = evaluate_bilevel(inst, x, resp.y)
         assert ev.bilevel_feasible
         assert ev.leader_obj == v
 
 
-def test_root_bound_dominates_optimum():
-    # the fractional relaxation bound at the empty assignment must be >= opt
-    from blkp.exact import _FractionalBound
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        inst = random_instance(rng, 5, 5)
-        bound = _FractionalBound(
-            np.concatenate([inst.a1, inst.a2]),
-            np.concatenate([inst.d1, inst.d2]))
-        assert bound.bound(inst.b) >= solve_exact(inst).opt_value - 1e-9
+def _edge_case_instance(rng, case):
+    """Small random instance with one of the DP's edge cases forced."""
+    n1, n2 = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+    inst = random_instance(rng, n1, n2, value_max=12)
+    a1, d1, a2, d2, c, b = inst.a1, inst.d1, inst.a2, inst.d2, inst.c, inst.b
+    if case == "b=0":
+        b = 0
+    elif case == "leader too heavy":
+        a1 = b + 1 + rng.integers(0, 5, n1)
+    elif case == "ties in c":
+        c = np.full(n2, int(rng.integers(1, 4)))
+    elif case == "equal d2":
+        d2 = np.full(n2, int(rng.integers(1, 4)))
+    return BlkpInstance(n1, n2, a1, d1, a2, d2, c, b)
 
 
-def test_limits_produce_flagged_incumbent():
-    rng = np.random.default_rng(8)
-    inst = random_instance(rng, 10, 10)
-    res = solve_exact(inst, limits=SearchLimits(max_nodes=3))
-    assert not res.proven_optimal
-    ev = evaluate_bilevel(inst, res.opt_x, res.opt_y)
-    assert ev.bilevel_feasible
+@pytest.mark.parametrize("mode", list(Mode))
+def test_pool_matches_per_weight_enumeration(mode):
+    rng = np.random.default_rng(11)
+    cases = ["random", "b=0", "leader too heavy", "ties in c", "equal d2"]
+    for k in range(100):
+        inst = _edge_case_instance(rng, cases[k % len(cases)])
+        res = solve_exact(inst, mode)
+        expected = pool_brute(inst, mode)
+        weights = (res.pool @ inst.a1).tolist()
+        assert dict(zip(weights, res.pool_values.tolist())) == expected
+        assert res.opt_value == max(expected.values())
+        assert list(res.pool_values) == sorted(res.pool_values, reverse=True)
+        for x, v in zip(res.pool, res.pool_values):
+            assert follower_response(inst, x, mode).leader_value == v
+
+
+def test_pool_ties_prefer_lighter_leader():
+    # both leader vectors are worth 5; the empty one (weight 0) comes first
+    inst = BlkpInstance(1, 1, a1=[1], d1=[5], a2=[1], d2=[5], c=[1], b=1)
+    res = solve_exact(inst)
+    assert res.pool_values.tolist() == [5, 5]
+    assert res.pool.tolist() == [[0], [1]]
+
+
+def test_table_size_guard():
+    big = 10 ** 9
+    inst = BlkpInstance(1, 1, a1=[big], d1=[1], a2=[big], d2=[1], c=[1], b=big)
+    assert 2 * (big + 1) > MAX_DP_CELLS
+    with pytest.raises(DpTooLarge, match=f"n=2 .*b={big}"):
+        solve_exact(inst)
 
 
 def test_collect_labels_small_pool():

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from blkp.instance import BlkpInstance
-from blkp.knapsack import (InfeasibleLeader, Mode, OverflowRiskError,
-                           evaluate_bilevel, follower_response, knapsack_max)
+from blkp.knapsack import (MAX_DP_CELLS, DpTooLarge, InfeasibleLeader, Mode,
+                           OverflowRiskError, evaluate_bilevel, follower_response,
+                           knapsack_max)
 
 from _oracles import follower_brute, knapsack_brute, random_instance
 
@@ -55,6 +56,13 @@ def test_knapsack_matches_enumeration():
 def test_knapsack_overflow_guard():
     with pytest.raises(OverflowRiskError):
         knapsack_max([2 ** 62, 2 ** 62], [1, 1], 2)
+
+
+def test_knapsack_table_size_guard():
+    # one cell over the budget is refused before any table is allocated
+    with pytest.raises(DpTooLarge, match=f"n=1 .*b={MAX_DP_CELLS}"):
+        knapsack_max([1], [1], MAX_DP_CELLS)
+    assert knapsack_max([1], [1], 10) == (1, np.array([1]))
 
 
 def test_follower_residual_zero():

@@ -189,3 +189,17 @@ def test_checkpoint_version_mismatch(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(CheckpointError, match="version"):
         load_checkpoint(path)
+
+
+def test_checkpoint_non_finite_weight_rejected(tmp_path):
+    import json
+    params = ModelParams(PnaConfig(), seed=9)
+    from blkp.graphrep import DEFAULT_NORM
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(params, DEFAULT_NORM, {}, path)
+    doc = json.loads(path.read_text())
+    doc["weights"]["decoder"][0]["w"][0][0] = float("nan")
+    path.write_text(json.dumps(doc))  # json writes the value as NaN
+    assert "NaN" in path.read_text()
+    with pytest.raises(CheckpointError, match="not finite"):
+        load_checkpoint(path)
