@@ -3,9 +3,9 @@
 The follower reacts to the leader only through the residual capacity
 r = b - a1 . x (Brotcorne, Hanafi & Mansi, Oper. Res. Lett. 2009):
 
-1. One follower DP at capacity b, over the combined profits of
-   `blkp.knapsack`, gives for every residual r the leader profit L(r) of
-   the follower's tie-broken reply.
+1. `blkp.knapsack.reply_leader_profits`, one follower DP at capacity b,
+   gives for every residual r the leader profit L(r) of the follower's
+   tie-broken reply.
 2. An exact-weight leader DP gives G(W) = max d1 . x subject to a1 . x = W.
 
 Every reachable leader weight W yields the bilevel value G(W) + L(b - W);
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .knapsack import (Mode, check_dp_size, combined_profits, follower_response,
-                       knapsack_row, tie_break_profit)
+from .knapsack import (Mode, check_dp_size, follower_response, knapsack_row,
+                       reply_leader_profits)
 
 
 @dataclass
@@ -46,11 +46,7 @@ def solve_exact(inst, mode: Mode = Mode.OPTIMISTIC) -> ExactResult:
     b = inst.b
     check_dp_size(inst.n1 + inst.n2, b)
 
-    # phase 1: L(r) for every residual r
-    combined, m = combined_profits(inst, mode)
-    follower = np.zeros(b + 1, dtype=np.int64)
-    knapsack_row(combined, inst.a2, follower)
-    leader_part = tie_break_profit(follower, m, mode)
+    leader_part = reply_leader_profits(inst, mode)  # phase 1: L(r)
 
     # phase 2: G(W); unreachable weights stay below zero
     best_d1 = np.full(b + 1, -1 - sum(inst.d1.tolist()), dtype=np.int64)

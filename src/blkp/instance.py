@@ -156,20 +156,33 @@ def instance_to_dict(inst: BlkpInstance) -> dict:
     }
 
 
+_FIELDS = ("n1", "n2", "a1", "d1", "a2", "d2", "c", "b")
+_INT64 = np.iinfo(np.int64)
+
+
+def _integers(name: str, value):
+    """A JSON integer or integer list; int64 would truncate or overflow on others."""
+    for v in value if isinstance(value, list) else [value]:
+        if isinstance(v, float) and v.is_integer():
+            v = int(v)
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise InstanceError(f"{name}: entry {v!r} is not an integer")
+        if not _INT64.min <= v <= _INT64.max:
+            raise InstanceError(f"{name}: entry {v} is outside the 64-bit integer range")
+    return value
+
+
 def instance_from_dict(doc: dict) -> BlkpInstance:
     if not isinstance(doc, dict) or doc.get("format") != "blkp-instance":
         raise InstanceError("format: not a blkp-instance document")
     if doc.get("format_version") != FORMAT_VERSION:
         raise InstanceError(f"format_version: expected {FORMAT_VERSION}, got {doc.get('format_version')}")
-    missing = [k for k in ("n1", "n2", "a1", "d1", "a2", "d2", "c", "b") if k not in doc]
+    missing = [k for k in _FIELDS if k not in doc]
     if missing:
         raise InstanceError(f"{missing[0]}: field missing")
+    fields = {k: _integers(k, doc[k]) for k in _FIELDS}
     try:
-        return BlkpInstance(
-            int(doc["n1"]), int(doc["n2"]),
-            doc["a1"], doc["d1"], doc["a2"], doc["d2"], doc["c"],
-            int(doc["b"]), meta=dict(doc.get("meta", {})),
-        )
+        return BlkpInstance(**fields, meta=dict(doc.get("meta", {})))
     except (TypeError, ValueError) as exc:
         if isinstance(exc, InstanceError):
             raise

@@ -4,8 +4,8 @@ The follower's reaction to a fixed leader vector is computed in a single
 knapsack call with lexicographically combined profits: the primary term
 ranks by follower profit, the secondary term breaks ties by leader profit
 (maximized in optimistic mode, minimized in pessimistic mode). The
-encoding, its decode and the DP recurrence are shared with the exact
-bilevel oracle in `blkp.exact`.
+encoding, its decode and the DP recurrence also give
+`reply_leader_profits`, the reply table `blkp.exact` and `blkp.search` read.
 """
 
 from __future__ import annotations
@@ -136,6 +136,19 @@ def tie_break_profit(value, m: int, mode: Mode):
     ceiling division in the second. Works on ints and int64 arrays.
     """
     return value % m if mode is Mode.OPTIMISTIC else -value % m
+
+
+def reply_leader_profits(inst, mode: Mode) -> np.ndarray:
+    """L(r) = d2 . y of the follower's tie-broken reply y, for r = 0..b.
+
+    The follower sees the leader only through r = b - a1 . x.
+    """
+    mode = Mode(mode)
+    check_dp_size(inst.n2, inst.b)
+    combined, m = combined_profits(inst, mode)
+    row = np.zeros(inst.b + 1, dtype=np.int64)
+    knapsack_row(combined, inst.a2, row)
+    return tie_break_profit(row, m, mode)
 
 
 def follower_response(inst, x_bar, mode: Mode = Mode.OPTIMISTIC) -> FollowerResponse:

@@ -132,16 +132,6 @@ class NodeEmbeddings:
     follower: Tensor  # (n2, embed_dim)
 
 
-def pna_aggregate(messages, cfg: PnaConfig) -> np.ndarray:
-    """Pool a non-empty collection of message vectors into one vector."""
-    msgs = [np.asarray(v, dtype=np.float64) for v in messages]
-    if not msgs:
-        raise ValueError("message set must be non-empty")
-    t = Tensor(np.stack(msgs, axis=0))
-    out = _aggregate_groups(t, 1, cfg)
-    return out.data[0]
-
-
 def _aggregate_groups(messages: Tensor, n_groups: int, cfg: PnaConfig) -> Tensor:
     base = concat_cols([ndiff.GROUP_REDUCERS[a](messages, n_groups)
                         for a in cfg.aggregators])

@@ -3,9 +3,9 @@
 Each of N samples rounds the leader vector from the per-item
 probabilities: values in [0, theta] are fixed to 0, values in
 [1 - theta, 1] are fixed to 1, the rest are Bernoulli draws. Every
-distinct feasible leader vector is completed by the follower-response
-solver once (memoized) and the best leader objective wins. The all-zeros
-leader vector is always evaluated as a feasible fallback.
+feasible candidate x scores d1 . x + L(b - a1 . x), L from
+`reply_leader_profits`; the follower's reply is traced back once, for
+the winner. The all-zeros leader is always scored as a fallback.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .knapsack import Mode, follower_response
+from .knapsack import Mode, follower_response, reply_leader_profits
 from .pnanet import forward
 
 
@@ -54,68 +54,45 @@ class SearchResult:
     elapsed: float = 0.0
 
 
-def _round_deterministic(values: np.ndarray, theta: float) -> np.ndarray:
-    # fix-to-1 interval checked first, so a value of exactly 0.5 at
-    # theta = 0.5 rounds to 1
-    x = np.zeros(len(values), dtype=np.int64)
-    x[values >= 1.0 - theta] = 1
-    return x
-
-
 def solution_search(inst, final_values, cfg: SearchConfig) -> SearchResult:
+    """Best of the rounded samples and the all-zeros leader.
+
+    The scoring row's DP size guard checks n2 * (b + 1) cells, whatever
+    the candidates' residuals. Non-finite final values raise ValueError.
+    """
     final_values = np.asarray(final_values, dtype=np.float64).ravel()
     if final_values.shape != (inst.n1,):
         raise ValueError(f"final_values must have length {inst.n1}")
+    if not np.isfinite(final_values).all():
+        raise ValueError("final_values must be finite")
     start = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     mode = Mode(cfg.mode)
 
-    fix0 = final_values <= cfg.theta
+    # the fix-to-1 interval is checked first, so a value of exactly 0.5 at
+    # theta = 0.5 rounds to 1; deterministic rounding sends free values to 0
     fix1 = final_values >= 1.0 - cfg.theta
-    free = ~(fix0 | fix1)
-    base = np.zeros(inst.n1, dtype=np.int64)
-    base[fix1] = 1
+    n_samples = 1 if cfg.deterministic_rounding else cfg.n_samples
+    samples = np.tile(fix1.astype(np.int64), (n_samples, 1))
+    if not cfg.deterministic_rounding:
+        free = ~fix1 & (final_values > cfg.theta)
+        samples[:, free] = rng.random((n_samples, int(free.sum()))) < final_values[free]
 
-    if cfg.deterministic_rounding:
-        candidates = [_round_deterministic(final_values, cfg.theta)]
-    else:
-        candidates = []
-        probs = final_values[free]
-        for _ in range(cfg.n_samples):
-            x = base.copy()
-            if probs.size:
-                x[free] = (rng.random(probs.size) < probs).astype(np.int64)
-            candidates.append(x)
-
-    memo = {}
-    best = None
-    evaluated = 0
-    infeasible = 0
-    for x in candidates:
-        evaluated += 1
-        if int(inst.a1 @ x) > inst.b:
-            infeasible += 1
-            continue
-        key = tuple(int(v) for v in x)
-        if key not in memo:
-            memo[key] = follower_response(inst, x, mode)
-        resp = memo[key]
-        if best is None or resp.leader_value > best[2]:
-            best = (x, resp.y, resp.leader_value)
-
-    # guaranteed-feasible fallback
-    zeros = np.zeros(inst.n1, dtype=np.int64)
-    zkey = tuple(zeros)
-    if zkey not in memo:
-        memo[zkey] = follower_response(inst, zeros, mode)
-    resp = memo[zkey]
-    if best is None or resp.leader_value > best[2]:
-        best = (zeros, resp.y, resp.leader_value)
-
+    # the all-zeros leader goes last: it always fits, and argmax keeps the
+    # first best row, so earlier samples win ties and it wins only when
+    # strictly better than every sample
+    xs = np.vstack([samples, np.zeros((1, inst.n1), dtype=np.int64)])
+    weights = xs @ inst.a1
+    feasible = weights <= inst.b
+    xs, weights = xs[feasible], weights[feasible]
+    scores = xs @ inst.d1 + reply_leader_profits(inst, mode)[inst.b - weights]
+    best = int(np.argmax(scores))
     return SearchResult(
-        best_x=best[0], best_y=best[1], best_value=int(best[2]),
-        samples_evaluated=evaluated, samples_infeasible=infeasible,
-        distinct_x_count=len(memo), elapsed=time.perf_counter() - start,
+        best_x=xs[best], best_y=follower_response(inst, xs[best], mode).y,
+        best_value=int(scores[best]), samples_evaluated=len(samples),
+        samples_infeasible=int((~feasible).sum()),
+        distinct_x_count=len(np.unique(xs, axis=0)),
+        elapsed=time.perf_counter() - start,
     )
 
 

@@ -81,6 +81,38 @@ def pool_brute(inst, mode):
     return best
 
 
+def search_brute(inst, final_values, cfg):
+    """The sampling search by its written rule, each candidate scored by
+    `follower_brute`.
+
+    Sample k rounds the free items (theta < v < 1 - theta) with the k-th
+    draw of rng.random over them; the all-zeros leader comes last, and the
+    first candidate with the best value wins. Returns (best value, best x,
+    samples evaluated, samples infeasible, distinct feasible x including
+    the all-zeros leader).
+    """
+    values = np.asarray(final_values, dtype=np.float64)
+    rng = np.random.default_rng(cfg.seed)
+    fix1 = values >= 1.0 - cfg.theta
+    free = (values > cfg.theta) & ~fix1
+    samples = []
+    for _ in range(1 if cfg.deterministic_rounding else cfg.n_samples):
+        x = fix1.astype(np.int64)
+        if not cfg.deterministic_rounding:
+            x[free] = rng.random(int(free.sum())) < values[free]
+        samples.append(x)
+    best, seen, infeasible = None, set(), 0
+    for x in samples + [np.zeros(inst.n1, dtype=np.int64)]:
+        if int(inst.a1 @ x) > inst.b:
+            infeasible += 1
+            continue
+        seen.add(tuple(x.tolist()))
+        value = follower_brute(inst, x, cfg.mode)[2]
+        if best is None or value > best[0]:
+            best = (value, x)
+    return best[0], best[1], len(samples), infeasible, len(seen)
+
+
 def random_instance(rng, n1, n2, value_max=30, alpha=(0.4, 0.9)):
     """Small random instance for oracle comparisons."""
     from blkp.instance import BlkpInstance

@@ -153,3 +153,11 @@ def test_bad_checkpoint_errors(instance_dir, tmp_path, capsys):
                "--checkpoint", str(bad)])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_non_finite_predictions_error(instance_dir, checkpoint, monkeypatch, capsys):
+    from blkp import search
+    monkeypatch.setattr(search, "forward", lambda inst, *a, **k: np.full(inst.n1, np.nan))
+    rc = main(["solve", "--instance", str(instance_dir), "--checkpoint", str(checkpoint)])
+    assert rc == 1
+    assert "error: final_values must be finite" in capsys.readouterr().err

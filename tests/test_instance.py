@@ -78,6 +78,20 @@ def test_read_rejects_zero_weight():
         instance_from_dict(doc)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("a1", [1.7, 1, 1]),      # would be truncated to 1
+    ("b", 10.5),
+    ("c", [2 ** 70, 1, 1]),   # beyond int64
+    ("n1", 2 ** 64),
+    ("d2", ["3", 1, 1]),
+])
+def test_read_rejects_non_int64_entries(field, value):
+    doc = instance_to_dict(generate(GenConfig(3, 3, seed=5)))
+    doc[field] = value
+    with pytest.raises(InstanceError, match=field):
+        instance_from_dict(doc)
+
+
 def test_read_rejects_garbage():
     with pytest.raises(InstanceError, match="malformed"):
         read_instance(io.StringIO("not json {"))

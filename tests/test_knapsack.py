@@ -4,7 +4,7 @@ import pytest
 from blkp.instance import BlkpInstance
 from blkp.knapsack import (MAX_DP_CELLS, DpTooLarge, InfeasibleLeader, Mode,
                            OverflowRiskError, evaluate_bilevel, follower_response,
-                           knapsack_max)
+                           knapsack_max, reply_leader_profits)
 
 from _oracles import follower_brute, knapsack_brute, random_instance
 
@@ -145,3 +145,24 @@ def test_evaluate_overweight():
     inst = BlkpInstance(1, 1, [2], [3], [2], [5], [4], 2)
     ev = evaluate_bilevel(inst, [1], [1])
     assert not ev.bilevel_feasible
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_reply_leader_profits_match_brute_force(mode):
+    rng = np.random.default_rng(21)
+    cases = [
+        BlkpInstance(1, 2, [1], [1], [1, 1], [3, 3], [2, 2], 0),          # b = 0
+        BlkpInstance(1, 3, [1], [1], [2, 1, 1], [4, 1, 1], [2, 1, 1], 3),  # ties in c
+        BlkpInstance(1, 3, [1], [1], [1, 2, 1], [2, 2, 2], [5, 5, 5], 2),  # equal d2
+    ]
+    cases += [random_instance(rng, 2, int(rng.integers(1, 7)),
+                              value_max=int(rng.choice([2, 3, 30])))
+              for _ in range(60)]
+    for inst in cases:
+        table = reply_leader_profits(inst, mode)
+        zeros = np.zeros(inst.n1, dtype=np.int64)
+        # the follower at residual r faces the same items under capacity r
+        expected = [follower_brute(BlkpInstance(inst.n1, inst.n2, inst.a1, inst.d1, inst.a2,
+                                                inst.d2, inst.c, r), zeros, mode)[2]
+                    for r in range(inst.b + 1)]
+        assert table.tolist() == expected

@@ -8,7 +8,7 @@ from blkp.graphrep import build_graph
 from blkp.instance import BlkpInstance, GenConfig, generate
 from blkp.pnanet import (CheckpointError, ModelParams, PnaConfig, decode,
                          encode, forward, forward_tensor, load_checkpoint,
-                         message_pass, pna_aggregate, save_checkpoint)
+                         _aggregate_groups, message_pass, save_checkpoint)
 
 
 def permute_followers(inst, perm):
@@ -21,9 +21,14 @@ def permute_leaders(inst, perm):
                         inst.a2, inst.d2, inst.c, inst.b)
 
 
+def aggregate(msgs, cfg):
+    """One group of messages pooled into one row, as the network pools them."""
+    return _aggregate_groups(ndiff.Tensor(np.asarray(msgs, dtype=np.float64)), 1, cfg).data[0]
+
+
 def test_aggregate_default_layout():
     cfg = PnaConfig(msg_dim=2)
-    out = pna_aggregate([[1.0, 2.0], [3.0, 4.0]], cfg)
+    out = aggregate([[1.0, 2.0], [3.0, 4.0]], cfg)
     base = np.array([2.0, 3.0, 3.0, 4.0, 1.0, 2.0])  # mean, max, min
     expected = np.concatenate([base, 0.7 * base, base / 0.7])
     assert np.allclose(out, expected)
@@ -31,21 +36,21 @@ def test_aggregate_default_layout():
 
 def test_aggregate_single_message_unit_scalers():
     cfg = PnaConfig(msg_dim=1, scalers=(1.0, 1.0, 1.0))
-    out = pna_aggregate([[5.0]], cfg)
+    out = aggregate([[5.0]], cfg)
     assert np.allclose(out, np.full(9, 5.0))
 
 
 def test_aggregate_permutation_invariant():
     cfg = PnaConfig(msg_dim=3)
     msgs = [np.arange(3) + i for i in range(5)]
-    a = pna_aggregate(msgs, cfg)
-    b = pna_aggregate(msgs[::-1], cfg)
+    a = aggregate(msgs, cfg)
+    b = aggregate(msgs[::-1], cfg)
     assert np.allclose(a, b)
 
 
 def test_aggregate_empty_rejected():
     with pytest.raises(ValueError):
-        pna_aggregate([], PnaConfig())
+        aggregate([], PnaConfig())
 
 
 def test_encode_shapes_and_symmetry():

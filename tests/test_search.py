@@ -7,7 +7,7 @@ from blkp.knapsack import Mode, evaluate_bilevel
 from blkp.pnanet import ModelParams, PnaConfig
 from blkp.search import SearchConfig, solution_search, solve_heuristic
 
-from _oracles import random_instance
+from _oracles import random_instance, search_brute
 
 
 def tiny_instance():
@@ -125,3 +125,42 @@ def test_invalid_config():
         SearchConfig(theta=0.6)
     with pytest.raises(ValueError):
         SearchConfig(n_samples=0)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_matches_brute_force_search(mode):
+    # small value ranges give ties between candidates, in c and in d2
+    rng = np.random.default_rng(12)
+    for k in range(150):
+        inst = random_instance(rng, int(rng.integers(1, 7)), int(rng.integers(1, 6)),
+                               value_max=int(rng.choice([3, 30])))
+        values = (rng.choice([0.0, 0.2, 0.5, 0.8, 1.0], inst.n1) if k % 3 == 0
+                  else rng.uniform(0, 1, inst.n1))
+        cfg = SearchConfig(theta=float(rng.choice([0.0, 0.2, 0.5])),
+                           n_samples=int(rng.integers(1, 20)), mode=mode, seed=k,
+                           deterministic_rounding=k % 5 == 0)
+        res = solution_search(inst, values, cfg)
+        value, x, evaluated, infeasible, distinct = search_brute(inst, values, cfg)
+        assert res.best_value == value
+        assert res.best_x.tolist() == x.tolist()
+        assert (res.samples_evaluated, res.samples_infeasible,
+                res.distinct_x_count) == (evaluated, infeasible, distinct)
+        ev = evaluate_bilevel(inst, res.best_x, res.best_y, mode)
+        assert ev.rational_and_mode_consistent and ev.leader_obj == value
+
+
+def test_ties_go_to_the_first_drawn_sample():
+    # x = [1, 0] and x = [0, 1] both score 5; the pair does not fit
+    inst = BlkpInstance(2, 1, a1=[1, 1], d1=[5, 5], a2=[1], d2=[1], c=[1], b=1)
+    for seed in range(20):
+        cfg = SearchConfig(theta=0.0, n_samples=4, seed=seed)
+        res = solution_search(inst, [0.5, 0.5], cfg)
+        value, x, *_ = search_brute(inst, [0.5, 0.5], cfg)
+        assert (res.best_value, res.best_x.tolist()) == (value, x.tolist())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_final_values_rejected(bad):
+    inst = tiny_instance()
+    with pytest.raises(ValueError, match="finite"):
+        solution_search(inst, [bad], SearchConfig())
