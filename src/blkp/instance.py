@@ -23,6 +23,9 @@ UNCORRELATED = "UC"
 CORRELATED = "C"
 
 
+_INT64 = np.iinfo(np.int64)
+
+
 class InstanceError(ValueError):
     """Raised when instance data violates the model invariants."""
 
@@ -83,9 +86,16 @@ def validate_instance(inst: BlkpInstance) -> None:
             raise InstanceError(f"{name}: length {arr.shape} does not match count {n}")
         if (arr < 1).any():
             raise InstanceError(f"{name}: entries must be >= 1")
+    # exact sums: bounding the totals keeps every subset sum of weights or
+    # leader profits that the solvers form in int64 from wrapping
+    total_weight = sum(inst.a1.tolist()) + sum(inst.a2.tolist())
+    if total_weight > _INT64.max:
+        raise InstanceError("a1, a2: total weight exceeds the 64-bit integer range")
+    if sum(inst.d1.tolist()) + sum(inst.d2.tolist()) > _INT64.max:
+        raise InstanceError("d1, d2: total leader profit exceeds the 64-bit integer range")
     if inst.b < 0:
         raise InstanceError("b: must be >= 0")
-    if inst.b > inst.total_weight:
+    if inst.b > total_weight:
         raise InstanceError("b: exceeds total item weight")
 
 
@@ -157,7 +167,6 @@ def instance_to_dict(inst: BlkpInstance) -> dict:
 
 
 _FIELDS = ("n1", "n2", "a1", "d1", "a2", "d2", "c", "b")
-_INT64 = np.iinfo(np.int64)
 
 
 def _integers(name: str, value):

@@ -3,10 +3,10 @@
 Rank <= 2 tensors, exactly the operations the graph network needs:
 affine layers, pointwise activations, column concatenation, row
 repetition/tiling to form all leader-follower pairs, and grouped
-mean/max/min/std reductions. Plus binary cross-entropy and Adam.
+mean/max/min reductions. Plus binary cross-entropy and Adam.
 
 Gradients accumulate additively, so a tensor may feed several downstream
-ops (e.g. one forward pass scored against multiple label vectors).
+ops.
 """
 
 from __future__ import annotations
@@ -120,8 +120,9 @@ def mul_const(t: Tensor, arr) -> Tensor:
 
 
 def relu(t: Tensor) -> Tensor:
+    # NaN passes through, so an overflowing network yields non-finite output
     mask = t.data > 0
-    return _unary(t, np.where(mask, t.data, 0.0), lambda g: g * mask)
+    return _unary(t, np.where(t.data <= 0, 0.0, t.data), lambda g: g * mask)
 
 
 def leaky_relu(t: Tensor, slope: float = 0.01) -> Tensor:
@@ -210,28 +211,10 @@ def group_min(t: Tensor, n_groups: int) -> Tensor:
     return _group_extreme(t, n_groups, np.argmin)
 
 
-def group_std(t: Tensor, n_groups: int, eps: float = 1e-12) -> Tensor:
-    """Population standard deviation per group."""
-    r, k, d = _grouped(t, n_groups)
-    m = r.mean(axis=1, keepdims=True)
-    var = ((r - m) ** 2).mean(axis=1)
-    s = np.sqrt(var)
-
-    def back(g):
-        denom = np.maximum(s, eps)[:, None, :]
-        gr = g[:, None, :] * (r - m) / (k * denom)
-        t._accumulate(gr.reshape(t.data.shape))
-
-    tt = Tensor(s, parents=(t,))
-    tt._backward = back
-    return tt
-
-
 GROUP_REDUCERS = {
     "mean": group_mean,
     "max": group_max,
     "min": group_min,
-    "std": group_std,
 }
 
 
@@ -244,14 +227,18 @@ BCE_EPS = 1e-7
 
 
 def bce_sum(predictions: Tensor, labels) -> Tensor:
-    """Sum of per-element binary cross-entropy terms.
+    """Sum of per-element binary cross-entropy terms over one or more labels.
 
+    `labels` is one label vector or a stack of K of them, each as long as
+    `predictions`. BCE is linear in the label, so a stack is scored through
+    its column sums S: -sum_i [S_i log h_i + (K - S_i) log(1 - h_i)].
     Predictions are clamped to [eps, 1 - eps] before the logarithm.
     """
-    labels = np.asarray(labels, dtype=np.float64).reshape(predictions.data.shape)
+    stack = np.asarray(labels, dtype=np.float64).reshape(-1, predictions.data.size)
+    s = stack.sum(axis=0).reshape(predictions.data.shape)
     h = clip(predictions, BCE_EPS, 1.0 - BCE_EPS)
-    pos = mul_const(log(h), labels)
-    neg = mul_const(log(affine_const(h, -1.0, 1.0)), 1.0 - labels)
+    pos = mul_const(log(h), s)
+    neg = mul_const(log(affine_const(h, -1.0, 1.0)), stack.shape[0] - s)
     return affine_const(tsum(add(pos, neg)), -1.0)
 
 

@@ -1,9 +1,13 @@
 """Graph network predicting the leader's solution.
 
-Encode-process-decode over the tripartite graph: two group-specific
-encoder blocks (message MLP + update MLP with multi-aggregator pooling),
-the capacity node dropped after encoding, T weight-shared message-passing
-iterations with two more blocks, and a per-leader-node sigmoid decoder.
+Encode-process-decode over the tripartite graph. Every block is one
+half-round: a message MLP over all (own, other) node pairs, multi-aggregator
+pooling of each node's messages, and an update MLP. Encoding runs one
+half-round per group on the raw features (the capacity node enters both
+updates as an extra column and is dropped afterwards); then `iterations`
+weight-shared rounds run both groups' half-rounds from the same input
+generation; a per-leader-node sigmoid decoder follows. The network reads
+its configuration from `ModelParams.cfg`.
 
 The multi-aggregator pooling concatenates mean/max/min of the incoming
 messages and repeats the block once per intensity scaler, scaler-major:
@@ -15,7 +19,7 @@ contract.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +45,6 @@ class PnaConfig:
     scalers: tuple = (1.0, DEFAULT_ALPHA, 1.0 / DEFAULT_ALPHA)
     iterations: int = 2  # message-passing rounds sharing one parameter set
     decoder_hidden_layers: int = 3
-    leaky_slope: float = 0.01
 
     def __post_init__(self):
         if not self.aggregators or not self.scalers:
@@ -67,11 +70,12 @@ class PnaConfig:
             "scalers": list(self.scalers),
             "iterations": self.iterations,
             "decoder_hidden_layers": self.decoder_hidden_layers,
-            "leaky_slope": self.leaky_slope,
         }
 
     @classmethod
     def from_dict(cls, doc):
+        # older checkpoints also carry "leaky_slope"; every one was written
+        # with the decoder's fixed slope 0.01, so the key is ignored
         return cls(
             embed_dim=int(doc["embed_dim"]),
             msg_dim=int(doc["msg_dim"]),
@@ -80,7 +84,6 @@ class PnaConfig:
             scalers=tuple(float(s) for s in doc["scalers"]),
             iterations=int(doc["iterations"]),
             decoder_hidden_layers=int(doc["decoder_hidden_layers"]),
-            leaky_slope=float(doc["leaky_slope"]),
         )
 
 
@@ -145,49 +148,38 @@ def _const(arr) -> Tensor:
     return Tensor(np.asarray(arr, dtype=np.float64))
 
 
-def encode(graph: TripartiteGraph, params: ModelParams,
-           cfg: PnaConfig | None = None) -> NodeEmbeddings:
+def _half_round(own: Tensor, other: Tensor, params: ModelParams, block: str,
+                extra=()) -> Tensor:
+    """Update every `own` node from its messages over all (own, other) pairs.
+
+    `block` names the MLP pair `msg_<block>`/`upd_<block>`. Pair rows are
+    own-major, so each own node's messages form one group.
+    """
+    n_own, n_other = own.data.shape[0], other.data.shape[0]
+    pairs = concat_cols([repeat_rows(own, n_other), tile_rows(other, n_own)])
+    agg = _aggregate_groups(params.mlps["msg_" + block](pairs), n_own, params.cfg)
+    return params.mlps["upd_" + block](concat_cols([own, *extra, agg]))
+
+
+def encode(graph: TripartiteGraph, params: ModelParams) -> NodeEmbeddings:
     """First embeddings; the capacity node is consumed here and dropped."""
-    cfg = cfg or params.cfg
-    n1, n2 = graph.n1, graph.n2
     lf = _const(graph.leader_feats)
     ff = _const(graph.follower_feats)
-    cap_l = _const(np.full((n1, 1), graph.cap_feat))
-    cap_f = _const(np.full((n2, 1), graph.cap_feat))
-
-    # leader side: one message per (leader, follower) pair, leader-major rows
-    pair_l = concat_cols([repeat_rows(lf, n2), tile_rows(ff, n1)])
-    msgs_l = params.mlps["msg_leader_enc"](pair_l)
-    agg_l = _aggregate_groups(msgs_l, n1, cfg)
-    x1 = params.mlps["upd_leader_enc"](concat_cols([lf, cap_l, agg_l]))
-
-    pair_f = concat_cols([repeat_rows(ff, n1), tile_rows(lf, n2)])
-    msgs_f = params.mlps["msg_follower_enc"](pair_f)
-    agg_f = _aggregate_groups(msgs_f, n2, cfg)
-    y1 = params.mlps["upd_follower_enc"](concat_cols([ff, cap_f, agg_f]))
-
-    return NodeEmbeddings(leader=x1, follower=y1)
+    cap_l = _const(np.full((graph.n1, 1), graph.cap_feat))
+    cap_f = _const(np.full((graph.n2, 1), graph.cap_feat))
+    return NodeEmbeddings(leader=_half_round(lf, ff, params, "leader_enc", (cap_l,)),
+                          follower=_half_round(ff, lf, params, "follower_enc", (cap_f,)))
 
 
-def message_pass(emb: NodeEmbeddings, params: ModelParams,
-                 cfg: PnaConfig | None = None, rounds: int | None = None) -> NodeEmbeddings:
-    """Apply the shared message-passing block `rounds` times.
+def message_pass(emb: NodeEmbeddings, params: ModelParams) -> NodeEmbeddings:
+    """Apply the shared message-passing block `cfg.iterations` times.
 
     Both groups update synchronously from the same input generation.
     """
-    cfg = cfg or params.cfg
-    rounds = cfg.iterations if rounds is None else rounds
     x, y = emb.leader, emb.follower
-    n1 = x.data.shape[0]
-    n2 = y.data.shape[0]
-    for _ in range(rounds):
-        pair_l = concat_cols([repeat_rows(x, n2), tile_rows(y, n1)])
-        agg_l = _aggregate_groups(params.mlps["msg_leader_mp"](pair_l), n1, cfg)
-        pair_f = concat_cols([repeat_rows(y, n1), tile_rows(x, n2)])
-        agg_f = _aggregate_groups(params.mlps["msg_follower_mp"](pair_f), n2, cfg)
-        x_next = params.mlps["upd_leader_mp"](concat_cols([x, agg_l]))
-        y_next = params.mlps["upd_follower_mp"](concat_cols([y, agg_f]))
-        x, y = x_next, y_next
+    for _ in range(params.cfg.iterations):
+        x, y = (_half_round(x, y, params, "leader_mp"),
+                _half_round(y, x, params, "follower_mp"))
     return NodeEmbeddings(leader=x, follower=y)
 
 
@@ -196,19 +188,15 @@ def decode(emb: NodeEmbeddings, params: ModelParams) -> Tensor:
     return params.mlps["decoder"](emb.leader)  # (n1, 1) in (0, 1)
 
 
-def forward_tensor(graph: TripartiteGraph, params: ModelParams,
-                   cfg: PnaConfig | None = None) -> Tensor:
-    cfg = cfg or params.cfg
-    emb = encode(graph, params, cfg)
-    emb = message_pass(emb, params, cfg)
-    return decode(emb, params)
+def forward_tensor(graph: TripartiteGraph, params: ModelParams) -> Tensor:
+    return decode(message_pass(encode(graph, params), params), params)
 
 
-def forward(inst, params: ModelParams, cfg: PnaConfig | None = None,
+def forward(inst, params: ModelParams,
             norm: NormalizationScheme = DEFAULT_NORM) -> np.ndarray:
     """Full pipeline on a raw instance; returns the n1 final values."""
     graph = build_graph(inst, norm)
-    return forward_tensor(graph, params, cfg).data.ravel().copy()
+    return forward_tensor(graph, params).data.ravel().copy()
 
 
 def save_checkpoint(params: ModelParams, norm: NormalizationScheme,

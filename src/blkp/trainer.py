@@ -5,8 +5,8 @@ leader vector plus the best vectors of the next k best leader weights
 (`blkp.exact.collect_labels`). The train/validation split is at
 the instance level so no instance contributes to both sides. Each batch
 loss is the mean binary cross-entropy over every leader-variable term in
-the batch; one forward pass per distinct instance is shared by all of its
-labels in the batch.
+the batch. Each distinct instance of the batch gets one forward pass and
+one loss term, which scores all of its labels in the batch at once.
 """
 
 from __future__ import annotations
@@ -90,27 +90,25 @@ def build_dataset(instances, labels_per_instance, cfg: TrainConfig):
     return expand(train_ids), expand(val_ids)
 
 
-def _batch_loss(samples, graphs, params, cfg):
+def _batch_loss(samples, graphs, params):
     """Mean BCE over all leader-variable terms of the batch (as a Tensor)."""
     by_instance = {}
     for s in samples:
-        by_instance.setdefault(s.instance_id, []).append(s)
+        by_instance.setdefault(s.instance_id, []).append(s.x_label)
     parts = []
     total_terms = 0
-    for iid, group in by_instance.items():
-        pred = forward_tensor(graphs[iid], params, cfg)
-        for s in group:
-            parts.append(ndiff.bce_sum(pred, s.x_label))
-            total_terms += s.x_label.size
+    for iid, labels in by_instance.items():
+        stack = np.stack(labels)
+        parts.append(ndiff.bce_sum(forward_tensor(graphs[iid], params), stack))
+        total_terms += stack.size
     acc = parts[0]
     for p in parts[1:]:
         acc = ndiff.add(acc, p)
     return ndiff.affine_const(acc, 1.0 / total_terms)
 
 
-def evaluate_loss(samples, graphs, params, cfg=None) -> float:
-    cfg = cfg or params.cfg
-    return float(_batch_loss(samples, graphs, params, cfg).data)
+def evaluate_loss(samples, graphs, params) -> float:
+    return float(_batch_loss(samples, graphs, params).data)
 
 
 def train(instances, train_set, val_set, model_cfg: PnaConfig,
@@ -131,7 +129,7 @@ def train(instances, train_set, val_set, model_cfg: PnaConfig,
 
     result = TrainResult(params=params)
     if val_set:
-        result.initial_val_loss = evaluate_loss(val_set, graphs, params, model_cfg)
+        result.initial_val_loss = evaluate_loss(val_set, graphs, params)
     best_snapshot = params.snapshot()
     best_val = result.initial_val_loss if val_set else float("inf")
     best_epoch = -1
@@ -144,7 +142,7 @@ def train(instances, train_set, val_set, model_cfg: PnaConfig,
         n_batches = 0
         for lo in range(0, len(train_list), train_cfg.batch_size):
             batch = train_list[lo:lo + train_cfg.batch_size]
-            loss = _batch_loss(batch, graphs, params, model_cfg)
+            loss = _batch_loss(batch, graphs, params)
             if not np.isfinite(loss.data):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
             opt.zero_grad()
@@ -154,7 +152,7 @@ def train(instances, train_set, val_set, model_cfg: PnaConfig,
             n_batches += 1
         train_loss = epoch_loss / n_batches
         if val_set:
-            val_loss = evaluate_loss(val_set, graphs, params, model_cfg)
+            val_loss = evaluate_loss(val_set, graphs, params)
         else:
             val_loss = train_loss
         result.history.append((train_loss, val_loss))

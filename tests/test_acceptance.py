@@ -1,8 +1,8 @@
 """Acceptance suite: one test per release criterion.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-pass/fail lines. The desk-scale model (criteria 6, 7, 9) is trained once
-per session and reused.
+pass/fail lines. The desk-scale model (criteria 6-10, marked `slow`) is
+trained once per session and reused.
 """
 
 import time
@@ -160,6 +160,7 @@ def test_criterion_5_permutation_properties():
            f"permutation invariance/equivariance, worst deviation {worst:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_6_training_sanity(desk_model):
     # overfit: one instance, one label
     inst = generate(GenConfig(5, 5, seed=600))
@@ -178,6 +179,7 @@ def test_criterion_6_training_sanity(desk_model):
            f"({100 * reduction:.1f}% reduction) in {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_7_desk_scale_gap(desk_model):
     desk, _ = desk_model
     gaps = []
@@ -200,6 +202,7 @@ def test_criterion_7_desk_scale_gap(desk_model):
            f"avg time {avg_time * 1000:.1f}ms, all solutions feasible")
 
 
+@pytest.mark.slow
 def test_criterion_8_monotonicity_and_rounding(desk_model):
     desk, _ = desk_model
     for i in range(10):
@@ -222,6 +225,7 @@ def test_criterion_8_monotonicity_and_rounding(desk_model):
                     "feasible with non-negative gap")
 
 
+@pytest.mark.slow
 def test_criterion_9_size_generalization(desk_model):
     desk, _ = desk_model
     details = []
@@ -241,6 +245,7 @@ def test_criterion_9_size_generalization(desk_model):
                     + "; ".join(details))
 
 
+@pytest.mark.slow
 def test_criterion_10_round_trip_integrity(tmp_path, desk_model):
     desk, _ = desk_model
     from blkp.graphrep import DEFAULT_NORM

@@ -161,3 +161,16 @@ def test_non_finite_predictions_error(instance_dir, checkpoint, monkeypatch, cap
     rc = main(["solve", "--instance", str(instance_dir), "--checkpoint", str(checkpoint)])
     assert rc == 1
     assert "error: final_values must be finite" in capsys.readouterr().err
+
+
+def test_overflowing_checkpoint_errors(instance_dir, tmp_path, capsys):
+    # finite weights whose hidden layers overflow must not predict 0.5
+    params = ModelParams(PnaConfig(), seed=0)
+    for p in params.parameters():
+        p.data = p.data * 1e306
+    path = tmp_path / "huge.json"
+    save_checkpoint(params, DEFAULT_NORM, {}, path)
+    with np.errstate(all="ignore"):
+        rc = main(["solve", "--instance", str(instance_dir), "--checkpoint", str(path)])
+    assert rc == 1
+    assert "error: final_values must be finite" in capsys.readouterr().err

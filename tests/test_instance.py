@@ -109,3 +109,13 @@ def test_invalid_config():
 def test_capacity_over_total_weight_rejected():
     with pytest.raises(InstanceError, match="b"):
         BlkpInstance(1, 1, [2], [3], [2], [5], [4], 100)
+
+
+@pytest.mark.parametrize("fields,args", [
+    # every entry fits int64 but the total does not
+    ("a1, a2", (2, 1, [2 ** 62, 2 ** 62], [1, 1], [2 ** 62], [1], [1], 5)),
+    ("d1, d2", (2, 1, [1, 1], [2 ** 62, 2 ** 62], [1], [2 ** 62], [1], 2)),
+])
+def test_totals_beyond_int64_rejected(fields, args):
+    with pytest.raises(InstanceError, match=fields):
+        BlkpInstance(*args)

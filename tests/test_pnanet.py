@@ -68,20 +68,21 @@ def test_encode_shapes_and_symmetry():
 
 
 def test_message_pass_zero_rounds_identity():
-    params = ModelParams(PnaConfig(), seed=1)
+    params = ModelParams(PnaConfig(iterations=0), seed=1)
     inst = generate(GenConfig(3, 4, seed=5))
     emb = encode(build_graph(inst), params)
-    out = message_pass(emb, params, rounds=0)
+    out = message_pass(emb, params)
     assert np.array_equal(out.leader.data, emb.leader.data)
 
 
 def test_message_pass_weight_sharing():
-    params = ModelParams(PnaConfig(), seed=2)
+    # iterations changes neither weight shapes nor draw order: same weights
+    params = ModelParams(PnaConfig(iterations=2), seed=2)
+    once = ModelParams(PnaConfig(iterations=1), seed=2)
     inst = generate(GenConfig(3, 3, seed=6))
     emb = encode(build_graph(inst), params)
-    two = message_pass(emb, params, rounds=2)
-    once_twice = message_pass(message_pass(emb, params, rounds=1),
-                              params, rounds=1)
+    two = message_pass(emb, params)
+    once_twice = message_pass(message_pass(emb, once), once)
     assert np.allclose(two.leader.data, once_twice.leader.data)
 
 
@@ -207,4 +208,31 @@ def test_checkpoint_non_finite_weight_rejected(tmp_path):
     path.write_text(json.dumps(doc))  # json writes the value as NaN
     assert "NaN" in path.read_text()
     with pytest.raises(CheckpointError, match="not finite"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_legacy_leaky_slope_ignored(tmp_path):
+    import json
+    params = ModelParams(PnaConfig(), seed=10)
+    from blkp.graphrep import DEFAULT_NORM
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(params, DEFAULT_NORM, {}, path)
+    doc = json.loads(path.read_text())
+    doc["config"]["leaky_slope"] = 0.01  # written by older versions
+    path.write_text(json.dumps(doc))
+    loaded, norm, _ = load_checkpoint(path)
+    inst = generate(GenConfig(5, 4, seed=11))
+    assert np.array_equal(forward(inst, params), forward(inst, loaded, norm=norm))
+
+
+def test_checkpoint_std_aggregator_rejected(tmp_path):
+    import json
+    params = ModelParams(PnaConfig(), seed=10)
+    from blkp.graphrep import DEFAULT_NORM
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(params, DEFAULT_NORM, {}, path)
+    doc = json.loads(path.read_text())
+    doc["config"]["aggregators"] = ["mean", "max", "std"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match="std"):
         load_checkpoint(path)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from blkp import ndiff
 from blkp.exact import collect_labels, solve_exact
 from blkp.instance import GenConfig, generate
-from blkp.pnanet import PnaConfig
-from blkp.trainer import (TrainConfig, TrainingDiverged, build_dataset,
-                          evaluate_loss, train)
+from blkp.pnanet import ModelParams, PnaConfig, forward_tensor
+from blkp.trainer import (TrainConfig, TrainingDiverged, _batch_loss,
+                          build_dataset, evaluate_loss, train)
 from blkp.graphrep import build_graph
 
 
@@ -119,3 +120,33 @@ def test_invalid_config():
         TrainConfig(split=0.0)
     with pytest.raises(ValueError):
         TrainConfig(epochs=10, early_stop_patience=20)
+
+
+def test_batch_loss_matches_per_label_reference():
+    instances, labels = make_labeled(5, n1=5, n2=4, seed=10)
+    cfg = TrainConfig(epochs=1, early_stop_patience=0, split=0.6, seed=9)
+    train_set, _ = build_dataset(instances, labels, cfg)
+    graphs = {i: build_graph(inst) for i, inst in enumerate(instances)}
+    params = ModelParams(PnaConfig(), seed=11)
+    assert len({s.instance_id for s in train_set}) < len(train_set)
+
+    def grads(loss):
+        for p in params.parameters():
+            p.grad = None
+        loss.backward()
+        return [p.grad.copy() for p in params.parameters()]
+
+    loss = _batch_loss(train_set, graphs, params)
+    got = grads(loss)
+    # one bce_sum per label, the sum divided by the number of terms
+    preds = {i: forward_tensor(graphs[i], params)
+             for i in {s.instance_id for s in train_set}}
+    ref = ndiff.bce_sum(preds[train_set[0].instance_id], train_set[0].x_label)
+    for s in train_set[1:]:
+        ref = ndiff.add(ref, ndiff.bce_sum(preds[s.instance_id], s.x_label))
+    terms = sum(s.x_label.size for s in train_set)
+    ref = ndiff.affine_const(ref, 1.0 / terms)
+    want = grads(ref)
+    assert float(loss.data) == pytest.approx(float(ref.data), rel=1e-12)
+    for g, w in zip(got, want):
+        assert np.allclose(g, w, rtol=1e-12, atol=0.0)
