@@ -125,16 +125,18 @@ def _read_labels(path):
     """Label file written by `blkp label` (TSV or JSON)."""
     text = Path(path).read_text()
     by_instance = {}
-    if text.lstrip().startswith("{"):
-        for rec in json.loads(text)["labels"]:
-            by_instance.setdefault(rec["instance"], []).append(rec["x"])
-    else:
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        for ln in lines[1:]:
-            name, _value, xs = ln.split("\t")
-            by_instance.setdefault(name, []).append(xs)
-    return {k: [np.array([int(ch) for ch in xs], dtype=np.float64) for xs in v]
-            for k, v in by_instance.items()}
+    try:
+        if text.lstrip().startswith("{"):
+            records = [(rec["instance"], rec["x"]) for rec in json.loads(text)["labels"]]
+        else:
+            rows = [ln.split("\t") for ln in text.splitlines() if ln.strip()][1:]
+            records = [(name, xs) for name, _value, xs in rows]
+        for name, xs in records:
+            by_instance.setdefault(name, []).append(
+                np.array([int(ch) for ch in xs], dtype=np.float64))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CliError(f"{path}: malformed label record ({type(exc).__name__}: {exc})") from exc
+    return by_instance
 
 
 def cmd_train(args):

@@ -3,9 +3,9 @@
 The follower reacts to the leader only through the residual capacity
 r = b - a1 . x (Brotcorne, Hanafi & Mansi, Oper. Res. Lett. 2009):
 
-1. `blkp.knapsack.reply_leader_profits`, one follower DP at capacity b,
-   gives for every residual r the leader profit L(r) of the follower's
-   tie-broken reply.
+1. One follower DP at capacity b, `blkp.knapsack.follower_response` to
+   the all-zeros leader, gives for every residual r the follower's
+   tie-broken reply and its leader profit L(r).
 2. An exact-weight leader DP gives G(W) = max d1 . x subject to a1 . x = W.
 
 Every reachable leader weight W yields the bilevel value G(W) + L(b - W);
@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .knapsack import (Mode, check_dp_size, follower_response, knapsack_row,
-                       reply_leader_profits)
+from .knapsack import Mode, check_dp_size, follower_response, knapsack_row, trace
 
 
 @dataclass
@@ -46,27 +45,21 @@ def solve_exact(inst, mode: Mode = Mode.OPTIMISTIC) -> ExactResult:
     b = inst.b
     check_dp_size(inst.n1 + inst.n2, b)
 
-    leader_part = reply_leader_profits(inst, mode)  # phase 1: L(r)
+    # phase 1: L(r) and the reply for every residual r
+    follower = follower_response(inst, np.zeros(inst.n1, dtype=np.int64), mode)
 
     # phase 2: G(W); unreachable weights stay below zero
     best_d1 = np.full(b + 1, -1 - sum(inst.d1.tolist()), dtype=np.int64)
     best_d1[0] = 0
-    take = np.zeros((inst.n1, b + 1), dtype=bool)
-    knapsack_row(inst.d1, inst.a1, best_d1, take)
+    take = knapsack_row(inst.d1, inst.a1, best_d1)
 
     weights = np.flatnonzero(best_d1 >= 0)
-    values = best_d1[weights] + leader_part[b - weights]
+    values = best_d1[weights] + follower.leader_profits[b - weights]
     order = np.argsort(-values, kind="stable")  # ties toward the lighter leader
-    caps = weights[order]
-    pool = np.zeros((len(caps), inst.n1), dtype=np.int8)
-    for i in range(inst.n1 - 1, -1, -1):
-        taken = take[i, caps]
-        pool[:, i] = taken
-        caps = caps - taken * inst.a1[i]
+    pool = trace(take, inst.a1, weights[order])
 
-    opt_x = pool[0].astype(np.int64)
     return ExactResult(
-        opt_x=opt_x, opt_y=follower_response(inst, opt_x, mode).y,
+        opt_x=pool[0].astype(np.int64), opt_y=follower.reply(b - int(weights[order[0]])),
         opt_value=int(values[order[0]]), pool=pool, pool_values=values[order],
         node_count=(inst.n1 + inst.n2) * (b + 1),
         elapsed=time.perf_counter() - start, mode=mode)

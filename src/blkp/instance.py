@@ -99,6 +99,14 @@ def validate_instance(inst: BlkpInstance) -> None:
         raise InstanceError("b: exceeds total item weight")
 
 
+def binary_vector(v, n: int, name: str) -> np.ndarray:
+    """v as an int64 0/1 vector of length n; anything else raises ValueError."""
+    v = np.asarray(v)
+    if v.shape != (n,) or not ((v == 0) | (v == 1)).all():
+        raise ValueError(f"{name} must be a 0/1 vector of length {n}")
+    return v.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class GenConfig:
     n1: int

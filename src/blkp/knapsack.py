@@ -3,17 +3,20 @@
 The follower's reaction to a fixed leader vector is computed in a single
 knapsack call with lexicographically combined profits: the primary term
 ranks by follower profit, the secondary term breaks ties by leader profit
-(maximized in optimistic mode, minimized in pessimistic mode). The
-encoding, its decode and the DP recurrence also give
-`reply_leader_profits`, the reply table `blkp.exact` and `blkp.search` read.
+(maximized in optimistic mode, minimized in pessimistic mode). Its DP
+at capacity r also holds the reply at every r' < r: cell c reads only
+cells <= c, and an item heavier than r' writes only cells above r'. So
+one `follower_response` is the reply table `blkp.exact` and `blkp.search` read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+
+from .instance import binary_vector
 
 INT64_MAX = np.iinfo(np.int64).max
 
@@ -46,6 +49,15 @@ class FollowerResponse:
     leader_value: int
     mode: Mode
     residual_capacity: int
+    leader_profits: np.ndarray  # L(r) = d2 . reply(r), for r = 0..residual_capacity
+    take: np.ndarray = field(repr=False)     # (n2, residual_capacity + 1) DP take table
+    weights: np.ndarray = field(repr=False)  # a2
+
+    def reply(self, r: int) -> np.ndarray:
+        """The tie-broken reply y at residual capacity r <= residual_capacity."""
+        if not 0 <= r <= self.residual_capacity:
+            raise ValueError(f"r must lie in [0, {self.residual_capacity}]")
+        return trace(self.take, self.weights, [r])[0].astype(np.int64)
 
 
 def check_dp_size(n: int, capacity: int) -> None:
@@ -56,24 +68,36 @@ def check_dp_size(n: int, capacity: int) -> None:
                          f"{MAX_DP_CELLS:.0e}")
 
 
-def knapsack_row(profits, weights, row: np.ndarray, take: np.ndarray | None = None) -> None:
+def knapsack_row(profits, weights, row: np.ndarray) -> np.ndarray:
     """The 0/1 knapsack recurrence, in place over row[0..capacity].
 
     On entry row[c] is the value of capacity c with no items (zeros for
     "weight at most c", a negative sentinel off row[0] for "weight exactly
-    c"); on exit it is the best value over all items. take[i, c] records
-    whether item i improved cell c; ties keep the cell, so they are broken
-    toward not taking the item.
+    c"); on exit it is the best value over all items. Returns the take
+    table: take[i, c] records whether item i improved cell c; ties keep
+    the cell, so they are broken toward not taking the item.
     """
     capacity = len(row) - 1
+    take = np.zeros((len(weights), capacity + 1), dtype=bool)
     for i, (w, p) in enumerate(zip(weights.tolist(), profits.tolist())):
         if w > capacity:
             continue
         cand = row[: capacity + 1 - w] + p
         better = cand > row[w:]
         row[w:] = np.where(better, cand, row[w:])
-        if take is not None:
-            take[i, w:] = better
+        take[i, w:] = better
+    return take
+
+
+def trace(take, weights, caps) -> np.ndarray:
+    """The (len(caps), n) int8 selections a take table holds at capacities caps."""
+    caps = np.asarray(caps, dtype=np.int64)
+    selections = np.zeros((len(caps), len(take)), dtype=np.int8)
+    for i, w in reversed(list(enumerate(weights.tolist()))):
+        taken = take[i][caps]
+        selections[:, i] = taken
+        caps = caps - taken * w
+    return selections
 
 
 def knapsack_max(profits, weights, capacity: int):
@@ -92,22 +116,13 @@ def knapsack_max(profits, weights, capacity: int):
         raise ValueError("profits must be non-negative")
     if (weights < 1).any():
         raise ValueError("weights must be positive")
-    n = len(profits)
     if sum(int(p) for p in profits) > INT64_MAX:
         raise OverflowRiskError("sum of profits exceeds the 64-bit accumulator bound")
-    check_dp_size(n, capacity)
+    check_dp_size(len(profits), capacity)
 
     dp = np.zeros(capacity + 1, dtype=np.int64)
-    take = np.zeros((n, capacity + 1), dtype=bool)
-    knapsack_row(profits, weights, dp, take)
-
-    selection = np.zeros(n, dtype=np.int64)
-    cap = capacity
-    for i in range(n - 1, -1, -1):
-        if take[i, cap]:
-            selection[i] = 1
-            cap -= int(weights[i])
-    return int(dp[capacity]), selection
+    take = knapsack_row(profits, weights, dp)
+    return int(dp[capacity]), trace(take, weights, [capacity])[0].astype(np.int64)
 
 
 def combined_profits(inst, mode: Mode):
@@ -138,41 +153,32 @@ def tie_break_profit(value, m: int, mode: Mode):
     return value % m if mode is Mode.OPTIMISTIC else -value % m
 
 
-def reply_leader_profits(inst, mode: Mode) -> np.ndarray:
-    """L(r) = d2 . y of the follower's tie-broken reply y, for r = 0..b.
-
-    The follower sees the leader only through r = b - a1 . x.
-    """
-    mode = Mode(mode)
-    check_dp_size(inst.n2, inst.b)
-    combined, m = combined_profits(inst, mode)
-    row = np.zeros(inst.b + 1, dtype=np.int64)
-    knapsack_row(combined, inst.a2, row)
-    return tie_break_profit(row, m, mode)
-
-
 def follower_response(inst, x_bar, mode: Mode = Mode.OPTIMISTIC) -> FollowerResponse:
     """Solve the follower's problem for a fixed leader vector.
 
     Primary objective: maximize follower profit under the residual
     capacity. Among the follower-optimal selections, the leader profit of
     follower items is maximized (optimistic) or minimized (pessimistic).
-    Both stages collapse into one knapsack with `combined_profits`.
+    Both stages collapse into one knapsack with `combined_profits`. The
+    result also answers every residual r up to its own (`reply(r)`).
     """
     mode = Mode(mode)
-    x_bar = np.asarray(x_bar, dtype=np.int64)
-    if x_bar.shape != (inst.n1,):
-        raise ValueError(f"x_bar must have length {inst.n1}")
+    x_bar = binary_vector(x_bar, inst.n1, "x_bar")
     residual = inst.b - int(inst.a1 @ x_bar)
     if residual < 0:
         raise InfeasibleLeader(f"leader weight exceeds capacity by {-residual}")
+    check_dp_size(inst.n2, residual)
 
     combined, m = combined_profits(inst, mode)
-    best, y = knapsack_max(combined, inst.a2, residual)
-    z_star = int(inst.c @ y)
-    leader_value = int(inst.d1 @ x_bar) + tie_break_profit(best, m, mode)
-    return FollowerResponse(y=y, z_star=z_star, leader_value=leader_value,
-                            mode=mode, residual_capacity=residual)
+    row = np.zeros(residual + 1, dtype=np.int64)
+    take = knapsack_row(combined, inst.a2, row)
+    leader_profits = tie_break_profit(row, m, mode)
+    y = trace(take, inst.a2, [residual])[0].astype(np.int64)
+    return FollowerResponse(
+        y=y, z_star=int(inst.c @ y),
+        leader_value=int(inst.d1 @ x_bar) + int(leader_profits[residual]),
+        mode=mode, residual_capacity=residual, leader_profits=leader_profits,
+        take=take, weights=inst.a2)
 
 
 @dataclass
@@ -190,10 +196,8 @@ def evaluate_bilevel(inst, x, y, mode: Mode = Mode.OPTIMISTIC) -> BilevelEvaluat
     profit. Consistent: additionally y matches the mode's tie-break
     optimum on the leader profit of follower items.
     """
-    x = np.asarray(x, dtype=np.int64)
-    y = np.asarray(y, dtype=np.int64)
-    if x.shape != (inst.n1,) or y.shape != (inst.n2,):
-        raise ValueError("x/y length mismatch")
+    x = binary_vector(x, inst.n1, "x")
+    y = binary_vector(y, inst.n2, "y")
     leader_obj = int(inst.d1 @ x) + int(inst.d2 @ y)
     follower_obj = int(inst.c @ y)
     weight = int(inst.a1 @ x) + int(inst.a2 @ y)

@@ -54,8 +54,10 @@ class PnaConfig:
                 raise ValueError(f"unknown aggregator {a!r}")
         if any(s <= 0 for s in self.scalers):
             raise ValueError("scalers must be positive")
-        if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
+        if min(self.embed_dim, self.msg_dim, self.hidden) < 1:
+            raise ValueError("embed_dim, msg_dim and hidden must be >= 1")
+        if self.iterations < 0 or self.decoder_hidden_layers < 0:
+            raise ValueError("iterations and decoder_hidden_layers must be >= 0")
 
     @property
     def aggregated_width(self) -> int:

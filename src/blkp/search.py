@@ -3,9 +3,9 @@
 Each of N samples rounds the leader vector from the per-item
 probabilities: values in [0, theta] are fixed to 0, values in
 [1 - theta, 1] are fixed to 1, the rest are Bernoulli draws. Every
-feasible candidate x scores d1 . x + L(b - a1 . x), L from
-`reply_leader_profits`; the follower's reply is traced back once, for
-the winner. The all-zeros leader is always scored as a fallback.
+feasible candidate x scores d1 . x + L(b - a1 . x); L and the winner's
+reply come from one `follower_response` to the all-zeros leader, which
+is always scored as a fallback.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .knapsack import Mode, follower_response, reply_leader_profits
+from .knapsack import Mode, follower_response
 from .pnanet import forward
 
 
@@ -67,7 +67,6 @@ def solution_search(inst, final_values, cfg: SearchConfig) -> SearchResult:
         raise ValueError("final_values must be finite")
     start = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
-    mode = Mode(cfg.mode)
 
     # the fix-to-1 interval is checked first, so a value of exactly 0.5 at
     # theta = 0.5 rounds to 1; deterministic rounding sends free values to 0
@@ -85,10 +84,11 @@ def solution_search(inst, final_values, cfg: SearchConfig) -> SearchResult:
     weights = xs @ inst.a1
     feasible = weights <= inst.b
     xs, weights = xs[feasible], weights[feasible]
-    scores = xs @ inst.d1 + reply_leader_profits(inst, mode)[inst.b - weights]
+    follower = follower_response(inst, np.zeros(inst.n1, dtype=np.int64), cfg.mode)
+    scores = xs @ inst.d1 + follower.leader_profits[inst.b - weights]
     best = int(np.argmax(scores))
     return SearchResult(
-        best_x=xs[best], best_y=follower_response(inst, xs[best], mode).y,
+        best_x=xs[best], best_y=follower.reply(inst.b - int(weights[best])),
         best_value=int(scores[best]), samples_evaluated=len(samples),
         samples_infeasible=int((~feasible).sum()),
         distinct_x_count=len(np.unique(xs, axis=0)),

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import ndiff
 from .graphrep import DEFAULT_NORM, NormalizationScheme, build_graph
+from .instance import binary_vector
 from .ndiff import Adam
 from .pnanet import ModelParams, PnaConfig, forward_tensor
 
@@ -73,8 +74,7 @@ def build_dataset(instances, labels_per_instance, cfg: TrainConfig):
         if not labels:
             raise ValueError(f"instance {i} has no labels")
         for lab in labels:
-            if np.asarray(lab).shape != (instances[i].n1,):
-                raise ValueError(f"instance {i}: label length mismatch")
+            binary_vector(lab, instances[i].n1, f"instance {i}: label")
     rng = np.random.default_rng(cfg.seed)
     order = rng.permutation(len(instances))
     n_train = int(round(cfg.split * len(instances)))

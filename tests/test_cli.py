@@ -81,6 +81,34 @@ def test_label_and_train_and_solve(instance_dir, tmp_path):
     assert all(r["best_value"] >= 0 for r in results)
 
 
+@pytest.mark.parametrize("text", [
+    '{"labels": [{"instance": "a"}]}',                       # record without "x"
+    '{"records": []}',                                       # no "labels" list
+    "instance\tleader_value\tx\nuc_4x4_000100\t5\n",       # missing field
+    "instance\tleader_value\tx\nuc_4x4_000100\t5\t01x1\n",  # not a digit
+])
+def test_malformed_label_file_errors(instance_dir, tmp_path, capsys, text):
+    path = tmp_path / "labels.txt"
+    path.write_text(text)
+    rc = main(["train", "--instances", str(instance_dir), "--labels", str(path)])
+    assert rc == 1
+    assert f"error: {path}: malformed label record" in capsys.readouterr().err
+
+
+def test_non_binary_label_errors(instance_dir, tmp_path, capsys):
+    labels = tmp_path / "labels.tsv"
+    assert main(["label", "--instances", str(instance_dir), "--k", "2",
+                 "--out", str(labels)]) == 0
+    lines = labels.read_text().splitlines()
+    name, value, xs = lines[1].split("\t")
+    lines[1] = "\t".join([name, value, "2" + xs[1:]])  # a label entry of 2
+    labels.write_text("\n".join(lines) + "\n")
+    rc = main(["train", "--instances", str(instance_dir), "--labels", str(labels),
+               "--epochs", "1", "--patience", "1"])
+    assert rc == 1
+    assert "label must be a 0/1 vector" in capsys.readouterr().err
+
+
 def test_bench_report(instance_dir, checkpoint, tmp_path):
     out = tmp_path / "report.json"
     rc = main(["bench", "--instances", str(instance_dir),

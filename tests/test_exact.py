@@ -85,6 +85,7 @@ def test_pool_matches_per_weight_enumeration(mode):
         assert dict(zip(weights, res.pool_values.tolist())) == expected
         assert res.opt_value == max(expected.values())
         assert list(res.pool_values) == sorted(res.pool_values, reverse=True)
+        assert np.array_equal(res.opt_y, follower_response(inst, res.opt_x, mode).y)
         for x, v in zip(res.pool, res.pool_values):
             assert follower_response(inst, x, mode).leader_value == v
 

@@ -4,7 +4,7 @@ import pytest
 from blkp.instance import BlkpInstance
 from blkp.knapsack import (MAX_DP_CELLS, DpTooLarge, InfeasibleLeader, Mode,
                            OverflowRiskError, evaluate_bilevel, follower_response,
-                           knapsack_max, reply_leader_profits)
+                           knapsack_max)
 
 from _oracles import follower_brute, knapsack_brute, random_instance
 
@@ -148,7 +148,7 @@ def test_evaluate_overweight():
 
 
 @pytest.mark.parametrize("mode", list(Mode))
-def test_reply_leader_profits_match_brute_force(mode):
+def test_follower_reply_table_matches_brute_force(mode):
     rng = np.random.default_rng(21)
     cases = [
         BlkpInstance(1, 2, [1], [1], [1, 1], [3, 3], [2, 2], 0),          # b = 0
@@ -159,10 +159,37 @@ def test_reply_leader_profits_match_brute_force(mode):
                               value_max=int(rng.choice([2, 3, 30])))
               for _ in range(60)]
     for inst in cases:
-        table = reply_leader_profits(inst, mode)
         zeros = np.zeros(inst.n1, dtype=np.int64)
-        # the follower at residual r faces the same items under capacity r
-        expected = [follower_brute(BlkpInstance(inst.n1, inst.n2, inst.a1, inst.d1, inst.a2,
-                                                inst.d2, inst.c, r), zeros, mode)[2]
-                    for r in range(inst.b + 1)]
-        assert table.tolist() == expected
+        resp = follower_response(inst, zeros, mode)
+        assert resp.residual_capacity == inst.b
+        assert len(resp.leader_profits) == inst.b + 1
+        for r in range(inst.b + 1):
+            # the follower at residual r faces the same items under capacity r
+            at_r = BlkpInstance(inst.n1, inst.n2, inst.a1, inst.d1, inst.a2, inst.d2,
+                                inst.c, r)
+            _, z, leader_value = follower_brute(at_r, zeros, mode)
+            y = resp.reply(r)
+            assert resp.leader_profits[r] == leader_value
+            assert int(inst.c @ y) == z
+            assert int(inst.d2 @ y) == leader_value
+            assert int(inst.a2 @ y) <= r
+        assert np.array_equal(resp.reply(inst.b), resp.y)
+        for r in (-1, inst.b + 1):
+            with pytest.raises(ValueError, match="r must lie"):
+                resp.reply(r)
+
+
+@pytest.mark.parametrize("x", [[-1], [2], [0.5]])
+def test_follower_rejects_non_binary_leader(x):
+    # x = [-1] used to give a residual above b and a reply heavier than b
+    inst = BlkpInstance(1, 2, [5], [7], [3, 4], [1, 1], [2, 2], 6)
+    with pytest.raises(ValueError, match="0/1 vector"):
+        follower_response(inst, x)
+
+
+@pytest.mark.parametrize("x, y", [([2], [0]), ([0], [2]), ([-1], [1])])
+def test_evaluate_rejects_non_binary_vectors(x, y):
+    # x = [2] used to pass as feasible and consistent with leader_obj 14
+    inst = BlkpInstance(1, 1, [1], [7], [3], [1], [1], 3)
+    with pytest.raises(ValueError, match="0/1 vector"):
+        evaluate_bilevel(inst, x, y)

@@ -236,3 +236,19 @@ def test_checkpoint_std_aggregator_rejected(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(CheckpointError, match="std"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key, value", [("embed_dim", 0), ("embed_dim", -1), ("msg_dim", 0),
+                                        ("hidden", 0), ("decoder_hidden_layers", -1)])
+def test_checkpoint_bad_widths_rejected(tmp_path, key, value):
+    # embed_dim 0 used to escape as a ZeroDivisionError, -1 as a numpy error
+    import json
+    params = ModelParams(PnaConfig(), seed=10)
+    from blkp.graphrep import DEFAULT_NORM
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(params, DEFAULT_NORM, {}, path)
+    doc = json.loads(path.read_text())
+    doc["config"][key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match=key):
+        load_checkpoint(path)

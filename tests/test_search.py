@@ -3,7 +3,7 @@ import pytest
 
 from blkp.exact import solve_exact
 from blkp.instance import BlkpInstance, GenConfig, generate
-from blkp.knapsack import Mode, evaluate_bilevel
+from blkp.knapsack import Mode, evaluate_bilevel, follower_response
 from blkp.pnanet import ModelParams, PnaConfig
 from blkp.search import SearchConfig, solution_search, solve_heuristic
 
@@ -147,6 +147,7 @@ def test_matches_brute_force_search(mode):
                 res.distinct_x_count) == (evaluated, infeasible, distinct)
         ev = evaluate_bilevel(inst, res.best_x, res.best_y, mode)
         assert ev.rational_and_mode_consistent and ev.leader_obj == value
+        assert np.array_equal(res.best_y, follower_response(inst, res.best_x, mode).y)
 
 
 def test_ties_go_to_the_first_drawn_sample():

@@ -52,6 +52,15 @@ def test_single_label_instance_contributes_one_sample():
     assert len(train_set) + len(val_set) == 3
 
 
+@pytest.mark.parametrize("bad", [2.0, -1.0, 0.5])
+def test_non_binary_labels_rejected(bad):
+    instances, labels = make_labeled(3)
+    labels[1][0] = labels[1][0].copy()
+    labels[1][0][0] = bad
+    with pytest.raises(ValueError, match="instance 1: label must be a 0/1 vector"):
+        build_dataset(instances, labels, TrainConfig(epochs=1, early_stop_patience=0))
+
+
 def test_missing_labels_rejected():
     instances, labels = make_labeled(3)
     labels[1] = []
