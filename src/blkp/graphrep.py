@@ -3,14 +3,19 @@
 Connectivity is implicit and never materialized: every leader node is
 adjacent to every follower node, the capacity node is adjacent to all item
 nodes, and there are no intra-group edges or edge features. Only the
-normalized node features are stored.
+normalized node features are stored. A batch of graphs is their disjoint
+union: the rows of every graph stacked, with per-graph sizes, so one
+network pass serves the whole batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+from .ndiff import Segments
 
 
 @dataclass(frozen=True)
@@ -38,9 +43,18 @@ DEFAULT_NORM = NormalizationScheme()
 
 @dataclass
 class TripartiteGraph:
-    leader_feats: np.ndarray    # (n1, 2): weight, leader profit
-    follower_feats: np.ndarray  # (n2, 3): weight, leader profit, follower profit
-    cap_feat: float
+    """The disjoint union of K >= 1 instance graphs.
+
+    Leader rows and follower rows of every graph are stacked in graph
+    order; `n1s`/`n2s` hold the per-graph sizes and `cap_feats` the
+    capacity feature of each graph. `build_graph` makes a union of one.
+    """
+
+    leader_feats: np.ndarray    # (N1, 2): weight, leader profit
+    follower_feats: np.ndarray  # (N2, 3): weight, leader profit, follower profit
+    cap_feats: np.ndarray       # (K,)
+    n1s: np.ndarray             # (K,) leader rows per graph
+    n2s: np.ndarray             # (K,) follower rows per graph
     norm: NormalizationScheme
 
     @property
@@ -53,7 +67,33 @@ class TripartiteGraph:
 
     @property
     def node_count(self) -> int:
-        return self.n1 + self.n2 + 1
+        return self.n1 + self.n2 + len(self.cap_feats)
+
+    @cached_property
+    def leader_pairs(self):
+        """(leader rows, follower rows, Segments) of the leader-major pairs."""
+        return own_major_pairs(self.n1s, self.n2s)
+
+    @cached_property
+    def follower_pairs(self):
+        """(follower rows, leader rows, Segments) of the follower-major pairs."""
+        return own_major_pairs(self.n2s, self.n1s)
+
+
+def own_major_pairs(n_own, n_other):
+    """Row indices of every (own, other) node pair within each graph of a union.
+
+    Pairs run over the graphs in order and are own-major inside each
+    graph, so the messages of one own node are consecutive, one per other
+    node of its graph in row order. Returns the own row and the other row
+    of each pair, and the Segments of the own nodes' messages.
+    """
+    per_own = np.repeat(n_other, n_own)
+    seg = Segments(per_own)
+    other_first = np.repeat(np.cumsum(n_other) - n_other, n_own)
+    own_rows = np.repeat(np.arange(len(per_own)), per_own)
+    other_rows = np.arange(seg.rows) - np.repeat(seg.starts - other_first, per_own)
+    return own_rows, other_rows, seg
 
 
 def build_graph(inst, norm: NormalizationScheme = DEFAULT_NORM) -> TripartiteGraph:
@@ -62,4 +102,19 @@ def build_graph(inst, norm: NormalizationScheme = DEFAULT_NORM) -> TripartiteGra
     follower = np.stack([inst.a2 / s, inst.d2 / s, inst.c / s], axis=1)
     cap = inst.b / inst.total_weight
     return TripartiteGraph(leader_feats=leader, follower_feats=follower,
-                           cap_feat=float(cap), norm=norm)
+                           cap_feats=np.array([cap], dtype=np.float64),
+                           n1s=np.array([inst.n1]), n2s=np.array([inst.n2]), norm=norm)
+
+
+def graph_union(graphs) -> TripartiteGraph:
+    """The disjoint union of graphs (themselves unions) in the given order."""
+    graphs = list(graphs)
+    norm = graphs[0].norm
+    if any(g.norm != norm for g in graphs):
+        raise ValueError("graphs of a union must share one normalization scheme")
+    return TripartiteGraph(
+        leader_feats=np.concatenate([g.leader_feats for g in graphs]),
+        follower_feats=np.concatenate([g.follower_feats for g in graphs]),
+        cap_feats=np.concatenate([g.cap_feats for g in graphs]),
+        n1s=np.concatenate([g.n1s for g in graphs]),
+        n2s=np.concatenate([g.n2s for g in graphs]), norm=norm)

@@ -44,7 +44,6 @@ class DpTooLarge(ValueError):
 
 @dataclass
 class FollowerResponse:
-    y: np.ndarray
     z_star: int
     leader_value: int
     mode: Mode
@@ -52,6 +51,11 @@ class FollowerResponse:
     leader_profits: np.ndarray  # L(r) = d2 . reply(r), for r = 0..residual_capacity
     take: np.ndarray = field(repr=False)     # (n2, residual_capacity + 1) DP take table
     weights: np.ndarray = field(repr=False)  # a2
+
+    @property
+    def y(self) -> np.ndarray:
+        """The tie-broken reply at the response's own residual, traced when read."""
+        return self.reply(self.residual_capacity)
 
     def reply(self, r: int) -> np.ndarray:
         """The tie-broken reply y at residual capacity r <= residual_capacity."""
@@ -173,9 +177,10 @@ def follower_response(inst, x_bar, mode: Mode = Mode.OPTIMISTIC) -> FollowerResp
     row = np.zeros(residual + 1, dtype=np.int64)
     take = knapsack_row(combined, inst.a2, row)
     leader_profits = tie_break_profit(row, m, mode)
-    y = trace(take, inst.a2, [residual])[0].astype(np.int64)
+    best = int(row[residual])  # M * z* +- the d2 sum of the reply
+    z_star = best // m if mode is Mode.OPTIMISTIC else -(-best // m)
     return FollowerResponse(
-        y=y, z_star=int(inst.c @ y),
+        z_star=z_star,
         leader_value=int(inst.d1 @ x_bar) + int(leader_profits[residual]),
         mode=mode, residual_capacity=residual, leader_profits=leader_profits,
         take=take, weights=inst.a2)

@@ -1,9 +1,11 @@
 """Minimal reverse-mode autodiff over dense float64 arrays.
 
 Rank <= 2 tensors, exactly the operations the graph network needs:
-affine layers, pointwise activations, column concatenation, row
-repetition/tiling to form all leader-follower pairs, and grouped
-mean/max/min reductions. Plus binary cross-entropy and Adam.
+affine layers, pointwise activations, column concatenation, a row
+gather (`take_rows`) that forms the leader-follower pairs of a batch of
+graphs, and mean/max/min reductions over consecutive row segments
+(`Segments`, one per node's messages, of any mix of lengths) built on
+`np.add/maximum/minimum.reduceat`. Plus binary cross-entropy and Adam.
 
 Gradients accumulate additively, so a tensor may feed several downstream
 ops.
@@ -159,62 +161,76 @@ def concat_cols(tensors) -> Tensor:
     return t
 
 
-def repeat_rows(t: Tensor, k: int) -> Tensor:
-    """Each row repeated k times in place: rows i*k..i*k+k-1 copy row i."""
-    n, d = t.data.shape
-    out = np.repeat(t.data, k, axis=0)
-    return _unary(t, out, lambda g: g.reshape(n, k, d).sum(axis=1))
-
-
-def tile_rows(t: Tensor, k: int) -> Tensor:
-    """Whole matrix stacked k times."""
-    n, d = t.data.shape
-    out = np.tile(t.data, (k, 1))
-    return _unary(t, out, lambda g: g.reshape(k, n, d).sum(axis=0))
-
-
-def _grouped(t: Tensor, n_groups: int):
-    n, d = t.data.shape
-    if n % n_groups != 0:
-        raise ValueError("row count not divisible by group count")
-    k = n // n_groups
-    return t.data.reshape(n_groups, k, d), k, d
-
-
-def group_mean(t: Tensor, n_groups: int) -> Tensor:
-    r, k, d = _grouped(t, n_groups)
-    out = r.mean(axis=1)
-    return _unary(t, out,
-                  lambda g: np.repeat(g / k, k, axis=0))
-
-
-def _group_extreme(t: Tensor, n_groups: int, argfn):
-    r, k, d = _grouped(t, n_groups)
-    idx = argfn(r, axis=1)  # (g, d); ties go to the first row
-    out = np.take_along_axis(r, idx[:, None, :], axis=1)[:, 0, :]
+def take_rows(t: Tensor, rows) -> Tensor:
+    """Rows of t picked by index, in order; a row may be picked any number of times."""
+    rows = np.asarray(rows, dtype=np.intp)
 
     def back(g):
-        gr = np.zeros_like(r)
-        np.put_along_axis(gr, idx[:, None, :], g[:, None, :], axis=1)
-        t._accumulate(gr.reshape(t.data.shape))
+        # sum the gradient of every copy of a row, in pick order
+        order = np.argsort(rows, kind="stable")
+        picked = rows[order]
+        firsts = np.flatnonzero(np.diff(picked, prepend=-1))
+        grad = np.zeros_like(t.data)
+        grad[picked[firsts]] = np.add.reduceat(g[order], firsts, axis=0)
+        return grad
 
-    tt = Tensor(out, parents=(t,))
-    tt._backward = back
-    return tt
-
-
-def group_max(t: Tensor, n_groups: int) -> Tensor:
-    return _group_extreme(t, n_groups, np.argmax)
+    return _unary(t, np.take(t.data, rows, axis=0), back)
 
 
-def group_min(t: Tensor, n_groups: int) -> Tensor:
-    return _group_extreme(t, n_groups, np.argmin)
+class Segments:
+    """A partition of a matrix's rows into consecutive non-empty runs."""
+
+    __slots__ = ("counts", "starts", "rows")
+
+    def __init__(self, counts):
+        counts = np.asarray(counts, dtype=np.intp)
+        if counts.ndim != 1 or counts.size == 0 or (counts < 1).any():
+            raise ValueError("segments need one or more positive row counts")
+        self.counts = counts
+        self.starts = np.cumsum(counts) - counts
+        self.rows = int(counts.sum())
+
+    def check(self, t: Tensor):
+        if t.data.ndim != 2 or t.data.shape[0] != self.rows:
+            raise ValueError(f"segments cover {self.rows} rows, tensor has shape {t.data.shape}")
 
 
-GROUP_REDUCERS = {
-    "mean": group_mean,
-    "max": group_max,
-    "min": group_min,
+def segment_mean(t: Tensor, seg: Segments) -> Tensor:
+    seg.check(t)
+    counts = seg.counts[:, None]
+    out = np.add.reduceat(t.data, seg.starts, axis=0) / counts
+    return _unary(t, out, lambda g: np.repeat(g / counts, seg.counts, axis=0))
+
+
+def _segment_extreme(t: Tensor, seg: Segments, reducer, beaten):
+    seg.check(t)
+    out = reducer.reduceat(t.data, seg.starts, axis=0)
+
+    def back(g):
+        # the first row of each segment not beaten by the extreme gets the
+        # gradient, so ties go to the first row
+        hit = ~beaten(t.data, np.repeat(out, seg.counts, axis=0))
+        rows = np.where(hit, np.arange(seg.rows)[:, None], seg.rows)
+        first = np.minimum.reduceat(rows, seg.starts, axis=0)
+        grad = np.zeros_like(t.data)
+        np.put_along_axis(grad, first, g, axis=0)
+        return grad
+
+    return _unary(t, out, back)
+
+
+def segment_max(t: Tensor, seg: Segments) -> Tensor:
+    return _segment_extreme(t, seg, np.maximum, np.less)
+
+
+def segment_min(t: Tensor, seg: Segments) -> Tensor:
+    return _segment_extreme(t, seg, np.minimum, np.greater)
+
+
+SEGMENT_REDUCERS = {
+    "mean": segment_mean,
+    "max": segment_max,
+    "min": segment_min,
 }
 
 
@@ -226,20 +242,33 @@ def tsum(t: Tensor) -> Tensor:
 BCE_EPS = 1e-7
 
 
+def bce_counts(predictions: Tensor, positives, totals) -> Tensor:
+    """Sum of binary cross-entropy terms of K_i labels per prediction h_i.
+
+    BCE is linear in the label, so the K_i labels of row i are scored
+    through their sum S_i (`positives`), with K_i from `totals` (one count
+    per row, or one for all rows):
+    -sum_i [S_i log h_i + (K_i - S_i) log(1 - h_i)]. Predictions are
+    clamped to [eps, 1 - eps] before the logarithm.
+    """
+    s = np.asarray(positives, dtype=np.float64).reshape(predictions.data.shape)
+    k = np.asarray(totals, dtype=np.float64)
+    if k.ndim:
+        k = k.reshape(predictions.data.shape)
+    h = clip(predictions, BCE_EPS, 1.0 - BCE_EPS)
+    pos = mul_const(log(h), s)
+    neg = mul_const(log(affine_const(h, -1.0, 1.0)), k - s)
+    return affine_const(tsum(add(pos, neg)), -1.0)
+
+
 def bce_sum(predictions: Tensor, labels) -> Tensor:
     """Sum of per-element binary cross-entropy terms over one or more labels.
 
     `labels` is one label vector or a stack of K of them, each as long as
-    `predictions`. BCE is linear in the label, so a stack is scored through
-    its column sums S: -sum_i [S_i log h_i + (K - S_i) log(1 - h_i)].
-    Predictions are clamped to [eps, 1 - eps] before the logarithm.
+    `predictions`; the stack is scored through its column sums.
     """
     stack = np.asarray(labels, dtype=np.float64).reshape(-1, predictions.data.size)
-    s = stack.sum(axis=0).reshape(predictions.data.shape)
-    h = clip(predictions, BCE_EPS, 1.0 - BCE_EPS)
-    pos = mul_const(log(h), s)
-    neg = mul_const(log(affine_const(h, -1.0, 1.0)), stack.shape[0] - s)
-    return affine_const(tsum(add(pos, neg)), -1.0)
+    return bce_counts(predictions, stack.sum(axis=0), stack.shape[0])
 
 
 def bce_loss(predictions: Tensor, labels) -> Tensor:

@@ -9,6 +9,12 @@ weight-shared rounds run both groups' half-rounds from the same input
 generation; a per-leader-node sigmoid decoder follows. The network reads
 its configuration from `ModelParams.cfg`.
 
+The network runs on a disjoint union of graphs (`graphrep.graph_union`):
+pairs form only within a graph, gathered by precomputed row indices, and
+each node's messages are pooled over its own segment. One pass thus
+serves a whole batch of mixed sizes, and a single instance is a union of
+one.
+
 The multi-aggregator pooling concatenates mean/max/min of the incoming
 messages and repeats the block once per intensity scaler, scaler-major:
 for the defaults the layout is [mean, max, min, a*mean, a*max, a*min,
@@ -25,7 +31,7 @@ import numpy as np
 
 from . import ndiff
 from .graphrep import DEFAULT_NORM, NormalizationScheme, TripartiteGraph, build_graph
-from .ndiff import Mlp, Tensor, concat_cols, repeat_rows, tile_rows
+from .ndiff import Mlp, Segments, Tensor, concat_cols, take_rows
 
 CHECKPOINT_VERSION = 1
 
@@ -50,7 +56,7 @@ class PnaConfig:
         if not self.aggregators or not self.scalers:
             raise ValueError("aggregators and scalers must be non-empty")
         for a in self.aggregators:
-            if a not in ndiff.GROUP_REDUCERS:
+            if a not in ndiff.SEGMENT_REDUCERS:
                 raise ValueError(f"unknown aggregator {a!r}")
         if any(s <= 0 for s in self.scalers):
             raise ValueError("scalers must be positive")
@@ -133,13 +139,13 @@ class ModelParams:
 
 @dataclass
 class NodeEmbeddings:
-    leader: Tensor    # (n1, embed_dim)
-    follower: Tensor  # (n2, embed_dim)
+    leader: Tensor    # (N1, embed_dim)
+    follower: Tensor  # (N2, embed_dim)
+    graph: TripartiteGraph
 
 
-def _aggregate_groups(messages: Tensor, n_groups: int, cfg: PnaConfig) -> Tensor:
-    base = concat_cols([ndiff.GROUP_REDUCERS[a](messages, n_groups)
-                        for a in cfg.aggregators])
+def _aggregate(messages: Tensor, seg: Segments, cfg: PnaConfig) -> Tensor:
+    base = concat_cols([ndiff.SEGMENT_REDUCERS[a](messages, seg) for a in cfg.aggregators])
     blocks = []
     for s in cfg.scalers:
         blocks.append(base if s == 1.0 else ndiff.affine_const(base, s))
@@ -150,16 +156,18 @@ def _const(arr) -> Tensor:
     return Tensor(np.asarray(arr, dtype=np.float64))
 
 
-def _half_round(own: Tensor, other: Tensor, params: ModelParams, block: str,
+def _half_round(own: Tensor, other: Tensor, pairs, params: ModelParams, block: str,
                 extra=()) -> Tensor:
-    """Update every `own` node from its messages over all (own, other) pairs.
+    """Update every `own` node from its messages over its graph's (own, other) pairs.
 
-    `block` names the MLP pair `msg_<block>`/`upd_<block>`. Pair rows are
-    own-major, so each own node's messages form one group.
+    `block` names the MLP pair `msg_<block>`/`upd_<block>`. `pairs` is
+    `graphrep.own_major_pairs` of the union: each own node's messages
+    form one segment.
     """
-    n_own, n_other = own.data.shape[0], other.data.shape[0]
-    pairs = concat_cols([repeat_rows(own, n_other), tile_rows(other, n_own)])
-    agg = _aggregate_groups(params.mlps["msg_" + block](pairs), n_own, params.cfg)
+    own_rows, other_rows, seg = pairs
+    msgs = params.mlps["msg_" + block](concat_cols([take_rows(own, own_rows),
+                                                    take_rows(other, other_rows)]))
+    agg = _aggregate(msgs, seg, params.cfg)
     return params.mlps["upd_" + block](concat_cols([own, *extra, agg]))
 
 
@@ -167,10 +175,12 @@ def encode(graph: TripartiteGraph, params: ModelParams) -> NodeEmbeddings:
     """First embeddings; the capacity node is consumed here and dropped."""
     lf = _const(graph.leader_feats)
     ff = _const(graph.follower_feats)
-    cap_l = _const(np.full((graph.n1, 1), graph.cap_feat))
-    cap_f = _const(np.full((graph.n2, 1), graph.cap_feat))
-    return NodeEmbeddings(leader=_half_round(lf, ff, params, "leader_enc", (cap_l,)),
-                          follower=_half_round(ff, lf, params, "follower_enc", (cap_f,)))
+    cap_l = _const(np.repeat(graph.cap_feats, graph.n1s)[:, None])
+    cap_f = _const(np.repeat(graph.cap_feats, graph.n2s)[:, None])
+    return NodeEmbeddings(
+        leader=_half_round(lf, ff, graph.leader_pairs, params, "leader_enc", (cap_l,)),
+        follower=_half_round(ff, lf, graph.follower_pairs, params, "follower_enc", (cap_f,)),
+        graph=graph)
 
 
 def message_pass(emb: NodeEmbeddings, params: ModelParams) -> NodeEmbeddings:
@@ -178,25 +188,26 @@ def message_pass(emb: NodeEmbeddings, params: ModelParams) -> NodeEmbeddings:
 
     Both groups update synchronously from the same input generation.
     """
-    x, y = emb.leader, emb.follower
+    x, y, graph = emb.leader, emb.follower, emb.graph
     for _ in range(params.cfg.iterations):
-        x, y = (_half_round(x, y, params, "leader_mp"),
-                _half_round(y, x, params, "follower_mp"))
-    return NodeEmbeddings(leader=x, follower=y)
+        x, y = (_half_round(x, y, graph.leader_pairs, params, "leader_mp"),
+                _half_round(y, x, graph.follower_pairs, params, "follower_mp"))
+    return NodeEmbeddings(leader=x, follower=y, graph=graph)
 
 
 def decode(emb: NodeEmbeddings, params: ModelParams) -> Tensor:
     """Per-leader-node probability that the item enters the solution."""
-    return params.mlps["decoder"](emb.leader)  # (n1, 1) in (0, 1)
+    return params.mlps["decoder"](emb.leader)  # (N1, 1) in (0, 1)
 
 
 def forward_tensor(graph: TripartiteGraph, params: ModelParams) -> Tensor:
+    """Predictions of every leader row of a graph union, in row order."""
     return decode(message_pass(encode(graph, params), params), params)
 
 
 def forward(inst, params: ModelParams,
             norm: NormalizationScheme = DEFAULT_NORM) -> np.ndarray:
-    """Full pipeline on a raw instance; returns the n1 final values."""
+    """Full pipeline on a raw instance, a union of one; returns the n1 final values."""
     graph = build_graph(inst, norm)
     return forward_tensor(graph, params).data.ravel().copy()
 

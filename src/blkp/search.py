@@ -54,6 +54,11 @@ class SearchResult:
     elapsed: float = 0.0
 
 
+def distinct_row_count(xs) -> int:
+    """The number of distinct rows of a 2-D array, len(np.unique(xs, axis=0))."""
+    return len({row.tobytes() for row in xs})
+
+
 def solution_search(inst, final_values, cfg: SearchConfig) -> SearchResult:
     """Best of the rounded samples and the all-zeros leader.
 
@@ -91,7 +96,7 @@ def solution_search(inst, final_values, cfg: SearchConfig) -> SearchResult:
         best_x=xs[best], best_y=follower.reply(inst.b - int(weights[best])),
         best_value=int(scores[best]), samples_evaluated=len(samples),
         samples_infeasible=int((~feasible).sum()),
-        distinct_x_count=len(np.unique(xs, axis=0)),
+        distinct_x_count=distinct_row_count(xs),
         elapsed=time.perf_counter() - start,
     )
 

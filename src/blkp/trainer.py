@@ -5,8 +5,10 @@ leader vector plus the best vectors of the next k best leader weights
 (`blkp.exact.collect_labels`). The train/validation split is at
 the instance level so no instance contributes to both sides. Each batch
 loss is the mean binary cross-entropy over every leader-variable term in
-the batch. Each distinct instance of the batch gets one forward pass and
-one loss term, which scores all of its labels in the batch at once.
+the batch. Each batch makes one forward and one backward pass, over the
+disjoint union of the graphs of its distinct instances
+(`graphrep.graph_union`), and one loss term: every leader row is scored
+through the sum and the count of its instance's labels in the batch.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ndiff
-from .graphrep import DEFAULT_NORM, NormalizationScheme, build_graph
+from .graphrep import DEFAULT_NORM, NormalizationScheme, build_graph, graph_union
 from .instance import binary_vector
 from .ndiff import Adam
 from .pnanet import ModelParams, PnaConfig, forward_tensor
@@ -95,16 +97,12 @@ def _batch_loss(samples, graphs, params):
     by_instance = {}
     for s in samples:
         by_instance.setdefault(s.instance_id, []).append(s.x_label)
-    parts = []
-    total_terms = 0
-    for iid, labels in by_instance.items():
-        stack = np.stack(labels)
-        parts.append(ndiff.bce_sum(forward_tensor(graphs[iid], params), stack))
-        total_terms += stack.size
-    acc = parts[0]
-    for p in parts[1:]:
-        acc = ndiff.add(acc, p)
-    return ndiff.affine_const(acc, 1.0 / total_terms)
+    union = graph_union(graphs[i] for i in by_instance)
+    positives = np.concatenate([np.sum(labels, axis=0) for labels in by_instance.values()])
+    totals = np.concatenate([np.full(len(labels[0]), len(labels))
+                             for labels in by_instance.values()])
+    loss = ndiff.bce_counts(forward_tensor(union, params), positives, totals)
+    return ndiff.affine_const(loss, 1.0 / totals.sum())
 
 
 def evaluate_loss(samples, graphs, params) -> float:

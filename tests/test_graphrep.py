@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from blkp.graphrep import NormalizationScheme, build_graph
+from blkp.graphrep import NormalizationScheme, build_graph, graph_union, own_major_pairs
 from blkp.instance import BlkpInstance, GenConfig, generate
 
 
@@ -10,7 +11,7 @@ def test_scheme_arithmetic():
     g = build_graph(inst)
     assert np.allclose(g.leader_feats[0], [0.5, 0.25])
     assert np.allclose(g.follower_feats[0], [0.1, 0.2, 0.3])
-    assert g.cap_feat == 400 / 600
+    assert g.cap_feats.tolist() == [400 / 600]
 
 
 def test_cap_feat_equals_alpha_without_rounding():
@@ -18,7 +19,7 @@ def test_cap_feat_equals_alpha_without_rounding():
     inst = BlkpInstance(2, 2, a1=[100, 100], d1=[1, 1], a2=[100, 100],
                         d2=[1, 1], c=[1, 1], b=300)
     g = build_graph(inst)
-    assert g.cap_feat == 0.75
+    assert g.cap_feats.tolist() == [0.75]
 
 
 def test_node_count():
@@ -46,5 +47,30 @@ def test_invertible_up_to_normalization():
     g = build_graph(inst, norm)
     a1 = np.rint(g.leader_feats[:, 0] * norm.value_scale).astype(int)
     assert np.array_equal(a1, inst.a1)
-    b = np.rint(g.cap_feat * inst.total_weight).astype(int)
+    b = np.rint(g.cap_feats[0] * inst.total_weight).astype(int)
     assert b == inst.b
+
+
+def test_union_stacks_graphs_in_order():
+    insts = [generate(GenConfig(n1, n2, seed=20 + n1)) for n1, n2 in ((2, 3), (1, 1), (4, 2))]
+    graphs = [build_graph(inst) for inst in insts]
+    u = graph_union(graphs)
+    assert (u.n1, u.n2, u.node_count) == (7, 6, 16)
+    assert u.n1s.tolist() == [2, 1, 4] and u.n2s.tolist() == [3, 1, 2]
+    assert np.array_equal(u.leader_feats, np.concatenate([g.leader_feats for g in graphs]))
+    assert np.array_equal(u.follower_feats, np.concatenate([g.follower_feats for g in graphs]))
+    assert u.cap_feats.tolist() == [g.cap_feats[0] for g in graphs]
+
+
+def test_union_rejects_mixed_normalization():
+    inst = generate(GenConfig(2, 2, seed=1))
+    with pytest.raises(ValueError, match="normalization"):
+        graph_union([build_graph(inst), build_graph(inst, NormalizationScheme(value_scale=10.0))])
+
+
+def test_own_major_pairs_stay_within_each_graph():
+    own_rows, other_rows, seg = own_major_pairs(np.array([2, 1]), np.array([3, 2]))
+    # graph 0: own 0-1 x other 0-2; graph 1: own 2 x other 3-4
+    assert own_rows.tolist() == [0, 0, 0, 1, 1, 1, 2, 2]
+    assert other_rows.tolist() == [0, 1, 2, 0, 1, 2, 3, 4]
+    assert seg.counts.tolist() == [3, 3, 2] and seg.starts.tolist() == [0, 3, 6]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from blkp import ndiff
-from blkp.ndiff import Adam, Mlp, Tensor
+from blkp.ndiff import Adam, Mlp, Segments, Tensor
 
 
 def finite_diff(fn, params, h=1e-5):
@@ -36,16 +36,19 @@ def test_pointwise_examples():
 
 def test_group_reductions():
     t = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    assert ndiff.group_mean(t, 1).data.tolist() == [[2.0, 3.0]]
-    assert ndiff.group_max(t, 1).data.tolist() == [[3.0, 4.0]]
-    assert ndiff.group_min(t, 1).data.tolist() == [[1.0, 2.0]]
+    one = Segments([2])
+    assert ndiff.segment_mean(t, one).data.tolist() == [[2.0, 3.0]]
+    assert ndiff.segment_max(t, one).data.tolist() == [[3.0, 4.0]]
+    assert ndiff.segment_min(t, one).data.tolist() == [[1.0, 2.0]]
 
 
 def test_shape_mismatch_raises():
     with pytest.raises(ValueError):
         ndiff.mul(Tensor([[1.0]]), Tensor([[1.0, 2.0]]))
+    with pytest.raises(ValueError):  # two segments of 2 rows do not cover 5 rows
+        ndiff.segment_mean(Tensor(np.ones((5, 2))), Segments([2, 2]))
     with pytest.raises(ValueError):
-        ndiff.group_mean(Tensor(np.ones((5, 2))), 2)
+        Segments([2, 0, 3])
 
 
 def test_backward_requires_scalar():
@@ -144,11 +147,17 @@ def test_pair_expansion_gradients():
     rng = np.random.default_rng(3)
     x = Tensor(rng.normal(size=(3, 2)))
     y = Tensor(rng.normal(size=(4, 2)))
-    pairs = ndiff.concat_cols([ndiff.repeat_rows(x, 4), ndiff.tile_rows(y, 3)])
+    # every (x row, y row) pair, x-major
+    x_rows, y_rows = np.repeat(np.arange(3), 4), np.tile(np.arange(4), 3)
+
+    def expand():
+        return ndiff.concat_cols([ndiff.take_rows(x, x_rows), ndiff.take_rows(y, y_rows)])
+
+    pairs = expand()
     loss = ndiff.tsum(ndiff.mul(pairs, pairs))
 
     def loss_value():
-        p = ndiff.concat_cols([ndiff.repeat_rows(x, 4), ndiff.tile_rows(y, 3)])
+        p = expand()
         return float(ndiff.tsum(ndiff.mul(p, p)).data)
 
     loss.backward()
@@ -159,16 +168,93 @@ def test_pair_expansion_gradients():
 def test_group_reduction_gradients():
     rng = np.random.default_rng(4)
     t = Tensor(rng.normal(size=(6, 3)))
-    for name, op in ndiff.GROUP_REDUCERS.items():
+    two = Segments([3, 3])
+    for name, op in ndiff.SEGMENT_REDUCERS.items():
         t.zero_grad()
-        loss = ndiff.tsum(ndiff.mul(op(t, 2), op(t, 2)))
+        loss = ndiff.tsum(ndiff.mul(op(t, two), op(t, two)))
 
         def loss_value():
-            return float(ndiff.tsum(ndiff.mul(op(t, 2), op(t, 2))).data)
+            return float(ndiff.tsum(ndiff.mul(op(t, two), op(t, two))).data)
 
         loss.backward()
         fd = finite_diff(loss_value, [t])[0]
         assert np.allclose(t.grad, fd, rtol=1e-5, atol=1e-7), name
+
+
+def test_take_rows_gradient_finite_differences():
+    # rows picked out of order, some twice, one never
+    rng = np.random.default_rng(5)
+    t = Tensor(rng.normal(size=(5, 3)))
+    rows = np.array([3, 0, 3, 1, 0, 3, 4])
+    weights = rng.normal(size=(len(rows), 3))
+
+    def loss_of():
+        return ndiff.tsum(ndiff.mul_const(ndiff.take_rows(t, rows), weights))
+
+    out = ndiff.take_rows(t, rows)
+    assert np.array_equal(out.data, t.data[rows])
+    loss_of().backward()
+    fd = finite_diff(lambda: float(loss_of().data), [t])[0]
+    assert np.allclose(t.grad, fd, rtol=1e-6, atol=1e-8)
+    assert np.array_equal(t.grad[2], np.zeros(3))
+
+
+def test_segment_reductions_unequal_segments():
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(7, 3))
+    seg = Segments([1, 4, 2])
+    parts = np.split(x, [1, 5])
+    expected = {"mean": [p.mean(axis=0) for p in parts],
+                "max": [p.max(axis=0) for p in parts],
+                "min": [p.min(axis=0) for p in parts]}
+    t = Tensor(x)
+    weights = rng.normal(size=(3, 3))
+    for name, op in ndiff.SEGMENT_REDUCERS.items():
+        assert np.allclose(op(t, seg).data, expected[name], rtol=1e-15, atol=0.0), name
+        t.zero_grad()
+        ndiff.tsum(ndiff.mul_const(op(t, seg), weights)).backward()
+
+        def loss_value():
+            return float(ndiff.tsum(ndiff.mul_const(op(t, seg), weights)).data)
+
+        fd = finite_diff(loss_value, [t])[0]
+        assert np.allclose(t.grad, fd, rtol=1e-5, atol=1e-7), name
+
+
+@pytest.mark.parametrize("op", ["max", "min"])
+def test_segment_extreme_ties_go_to_first_row(op):
+    # rows 1 and 3 tie for the extreme of segment [1, 4) in column 0;
+    # rows 4 and 5 tie in both columns of segment [4, 6)
+    x = np.array([[9.0, 0.0], [5.0, 1.0], [2.0, 7.0], [5.0, 3.0], [4.0, 4.0], [4.0, 4.0]])
+    if op == "min":
+        x = -x
+    t = Tensor(x)
+    seg = Segments([1, 3, 2])
+    out = ndiff.SEGMENT_REDUCERS[op](t, seg)
+    ndiff.tsum(ndiff.mul_const(out, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])).backward()
+    expected = np.zeros((6, 2))
+    expected[0] = [1.0, 2.0]
+    expected[1, 0] = 3.0
+    expected[2, 1] = 4.0
+    expected[4] = [5.0, 6.0]
+    assert np.array_equal(t.grad, expected)
+
+
+def test_bce_counts_equals_bce_sum_per_stack():
+    rng = np.random.default_rng(8)
+    h = rng.uniform(0.05, 0.95, (5, 1))
+    first = rng.integers(0, 2, (3, 2)).astype(float)   # 3 labels of rows 0-1
+    second = rng.integers(0, 2, (1, 3)).astype(float)  # 1 label of rows 2-4
+    pooled = Tensor(h)
+    total = ndiff.bce_counts(pooled, np.concatenate([first.sum(axis=0), second.sum(axis=0)]),
+                             [3, 3, 1, 1, 1])
+    total.backward()
+    apart = Tensor(h)
+    ref = ndiff.add(ndiff.bce_sum(ndiff.take_rows(apart, [0, 1]), first),
+                    ndiff.bce_sum(ndiff.take_rows(apart, [2, 3, 4]), second))
+    ref.backward()
+    assert float(total.data) == pytest.approx(float(ref.data), rel=1e-12)
+    assert np.allclose(pooled.grad, apart.grad, rtol=1e-12, atol=0.0)
 
 
 def test_adam_zero_gradient_no_decay():

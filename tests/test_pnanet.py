@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from blkp import ndiff
-from blkp.graphrep import build_graph
+from blkp.graphrep import build_graph, graph_union
 from blkp.instance import BlkpInstance, GenConfig, generate
 from blkp.pnanet import (CheckpointError, ModelParams, PnaConfig, decode,
                          encode, forward, forward_tensor, load_checkpoint,
-                         _aggregate_groups, message_pass, save_checkpoint)
+                         _aggregate, message_pass, save_checkpoint)
 
 
 def permute_followers(inst, perm):
@@ -22,8 +22,9 @@ def permute_leaders(inst, perm):
 
 
 def aggregate(msgs, cfg):
-    """One group of messages pooled into one row, as the network pools them."""
-    return _aggregate_groups(ndiff.Tensor(np.asarray(msgs, dtype=np.float64)), 1, cfg).data[0]
+    """One segment of messages pooled into one row, as the network pools them."""
+    msgs = ndiff.Tensor(np.asarray(msgs, dtype=np.float64))
+    return _aggregate(msgs, ndiff.Segments([len(msgs.data)]), cfg).data[0]
 
 
 def test_aggregate_default_layout():
@@ -120,6 +121,33 @@ def test_permutation_properties(seed):
     lperm = rng.permutation(inst.n1)
     assert np.allclose(forward(permute_leaders(inst, lperm), params),
                        base[lperm], atol=1e-9)
+
+
+# ragged sizes, including a single leader and a single follower
+UNION_SIZES = [(1, 4), (5, 1), (1, 1), (7, 3), (3, 9), (6, 6)]
+
+
+def test_union_forward_equals_single_forwards():
+    params = ModelParams(PnaConfig(), seed=12)
+    insts = [generate(GenConfig(n1, n2, data_type="UC" if i % 2 else "C", seed=30 + i))
+             for i, (n1, n2) in enumerate(UNION_SIZES)]
+    union = graph_union(build_graph(inst) for inst in insts)
+    assert (union.n1, union.n2) == (23, 24)
+    out = forward_tensor(union, params).data.ravel()
+    single = np.concatenate([forward(inst, params) for inst in insts])
+    assert np.allclose(out, single, rtol=0.0, atol=1e-12)
+
+
+def test_union_order_permutes_outputs():
+    params = ModelParams(PnaConfig(), seed=13)
+    graphs = [build_graph(generate(GenConfig(n1, n2, seed=40 + i)))
+              for i, (n1, n2) in enumerate(UNION_SIZES)]
+    order = np.random.default_rng(0).permutation(len(graphs))
+    out = forward_tensor(graph_union(graphs), params).data.ravel()
+    reordered = forward_tensor(graph_union(graphs[k] for k in order), params).data.ravel()
+    bounds = np.cumsum([0] + [g.n1 for g in graphs])
+    expected = np.concatenate([out[bounds[k]:bounds[k + 1]] for k in order])
+    assert np.allclose(reordered, expected, rtol=0.0, atol=1e-12)
 
 
 def test_size_generalization():

@@ -5,7 +5,7 @@ from blkp.exact import solve_exact
 from blkp.instance import BlkpInstance, GenConfig, generate
 from blkp.knapsack import Mode, evaluate_bilevel, follower_response
 from blkp.pnanet import ModelParams, PnaConfig
-from blkp.search import SearchConfig, solution_search, solve_heuristic
+from blkp.search import SearchConfig, distinct_row_count, solution_search, solve_heuristic
 
 from _oracles import random_instance, search_brute
 
@@ -165,3 +165,12 @@ def test_non_finite_final_values_rejected(bad):
     inst = tiny_instance()
     with pytest.raises(ValueError, match="finite"):
         solution_search(inst, [bad], SearchConfig())
+
+
+def test_distinct_row_count_matches_unique():
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        rows, n = int(rng.integers(1, 12)), int(rng.integers(1, 9))
+        xs = rng.integers(0, 2, (rows, n))
+        xs = xs[rng.integers(0, rows, rows + int(rng.integers(0, 6)))]  # duplicate rows
+        assert distinct_row_count(xs) == len(np.unique(xs, axis=0))

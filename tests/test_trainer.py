@@ -159,3 +159,41 @@ def test_batch_loss_matches_per_label_reference():
     assert float(loss.data) == pytest.approx(float(ref.data), rel=1e-12)
     for g, w in zip(got, want):
         assert np.allclose(g, w, rtol=1e-12, atol=0.0)
+
+
+def test_batch_loss_ragged_matches_per_instance_reference():
+    # one forward pass over the union against one per instance
+    sizes = [(1, 3), (4, 1), (6, 5), (2, 2), (5, 7), (3, 4)]
+    instances = [generate(GenConfig(n1, n2, data_type="UC" if i % 2 else "C", seed=20 + i))
+                 for i, (n1, n2) in enumerate(sizes)]
+    labels = [[x.astype(float) for x, _ in collect_labels(solve_exact(inst), k=4)]
+              for inst in instances]
+    cfg = TrainConfig(epochs=1, early_stop_patience=0, split=0.5, seed=12)
+    train_set, val_set = build_dataset(instances, labels, cfg)
+    graphs = {i: build_graph(inst) for i, inst in enumerate(instances)}
+    params = ModelParams(PnaConfig(), seed=13)
+
+    def grads(loss):
+        for p in params.parameters():
+            p.grad = None
+        loss.backward()
+        return [p.grad.copy() for p in params.parameters()]
+
+    for samples in (train_set, val_set, train_set[:3] + val_set[:2]):
+        loss = _batch_loss(samples, graphs, params)
+        got = grads(loss)
+        stacks = {}
+        for s in samples:
+            stacks.setdefault(s.instance_id, []).append(s.x_label)
+        parts = [ndiff.bce_sum(forward_tensor(graphs[i], params), np.stack(stack))
+                 for i, stack in stacks.items()]
+        ref = parts[0]
+        for part in parts[1:]:
+            ref = ndiff.add(ref, part)
+        ref = ndiff.affine_const(ref, 1.0 / sum(s.x_label.size for s in samples))
+        want = grads(ref)
+        assert float(loss.data) == pytest.approx(float(ref.data), rel=1e-12)
+        # the union sums in another order, so compare whole tensors: an
+        # entry near zero can differ by more than 1e-12 of itself
+        for g, w in zip(got, want):
+            assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w)
