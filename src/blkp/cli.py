@@ -21,7 +21,7 @@ from . import exact as exact_mod
 from . import instance as inst_mod
 from . import pnanet, search, trainer
 from .graphrep import DEFAULT_NORM
-from .knapsack import Mode
+from .knapsack import DpTooLarge, Mode, check_dp_size
 
 
 class CliError(Exception):
@@ -45,13 +45,30 @@ def _instance_files(path: str):
     raise CliError(f"no such file or directory: {path}")
 
 
-def _load_instances(path: str):
+def _exact_dp_items(inst):
+    return inst.n1 + inst.n2
+
+
+def _follower_dp_items(inst):
+    return inst.n2
+
+
+def _load_instances(path: str, dp_items=None):
+    """(name, instance) of every instance file, all read before any is solved.
+
+    `dp_items(inst)` is the item count of the largest DP over capacities
+    0..b that the command runs on an instance; one above the cell budget
+    is refused here, naming its file.
+    """
     out = []
     for f in _instance_files(path):
         try:
-            out.append((f.stem, inst_mod.read_instance(f)))
-        except inst_mod.InstanceError as exc:
+            inst = inst_mod.read_instance(f)
+            if dp_items is not None:
+                check_dp_size(dp_items(inst), inst.b)
+        except (inst_mod.InstanceError, DpTooLarge) as exc:
             raise CliError(f"{f}: {exc}") from exc
+        out.append((f.stem, inst))
     return out
 
 
@@ -97,7 +114,7 @@ def _exact_record(name, inst, result):
 
 
 def _solve_exact_all(args):
-    for name, inst in _load_instances(args.instances):
+    for name, inst in _load_instances(args.instances, _exact_dp_items):
         yield name, inst, exact_mod.solve_exact(inst, Mode(args.mode))
 
 
@@ -184,7 +201,7 @@ def cmd_solve(args):
         theta=args.theta, n_samples=args.n_samples, mode=Mode(args.mode),
         seed=args.seed, deterministic_rounding=args.no_sampling)
     records = []
-    for name, inst in _load_instances(args.instance):
+    for name, inst in _load_instances(args.instance, _follower_dp_items):
         res = search.solve_heuristic(inst, params, scfg, norm=norm)
         records.append({
             "instance": name,
@@ -270,7 +287,7 @@ def run_benchmark(named_instances, params, norm, theta, n_samples, mode, seed):
 
 
 def cmd_bench(args):
-    named = _load_instances(args.instances)
+    named = _load_instances(args.instances, _exact_dp_items)
     params, norm, _meta = pnanet.load_checkpoint(args.checkpoint)
     rows = run_benchmark(named, params, norm, theta=args.theta,
                          n_samples=args.n_samples, mode=Mode(args.mode),

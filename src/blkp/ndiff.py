@@ -2,16 +2,31 @@
 
 Rank <= 2 tensors, exactly the operations the graph network needs:
 affine layers, pointwise activations, column concatenation, a row
-gather (`take_rows`) that forms the leader-follower pairs of a batch of
-graphs, and mean/max/min reductions over consecutive row segments
-(`Segments`, one per node's messages, of any mix of lengths) built on
-`np.add/maximum/minimum.reduceat`. Plus binary cross-entropy and Adam.
+gather (`take_rows`), and mean/max/min reductions over consecutive row
+segments (`Segments`, one per node's messages, of any mix of lengths)
+built on `np.add/maximum/minimum.reduceat`. Plus binary cross-entropy
+and Adam.
+
+Three fused ops make one tape node each where the network would
+otherwise chain several:
+- `linear(x, w, b)`: `x @ w + b`, one node per MLP layer;
+- `pair_linear(own, other, pairs, w, b)`: the first message layer over
+  every (own, other) pair of a graph union, `[own; other] @ w + b`,
+  computed by projecting each node once and expanding the projections
+  to the pairs;
+- `segment_pna(t, seg, aggregators, scalers)`: the whole multi-aggregator
+  pooling of each segment, scaler-major.
+Each aggregator's forward and gradient rule is defined once, in
+`AGGREGATORS`; `segment_mean/max/min` are `segment_pna` with one
+aggregator and scaler 1.
 
 Gradients accumulate additively, so a tensor may feed several downstream
 ops.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -33,8 +48,11 @@ class Tensor:
 
     def _accumulate(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a copy: g may be a view of another node's gradient, or be
+            # handed to several parents at once
+            self.grad = np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
 
     def backward(self):
         """Reverse-mode accumulation from a scalar tensor."""
@@ -84,6 +102,19 @@ def matmul(x: Tensor, w: Tensor) -> Tensor:
     return _binary(x, w, x.data @ w.data,
                    lambda g: g @ w.data.T,
                    lambda g: x.data.T @ g)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b with the bias vector b broadcast over rows, as one node."""
+    t = Tensor(x.data @ w.data + b.data, parents=(x, w, b))
+
+    def back(g):
+        x._accumulate(g @ w.data.T)
+        w._accumulate(x.data.T @ g)
+        b._accumulate(g.sum(axis=0))
+
+    t._backward = back
+    return t
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -149,8 +180,7 @@ def clip(t: Tensor, lo: float, hi: float) -> Tensor:
 def concat_cols(tensors) -> Tensor:
     tensors = list(tensors)
     out = np.concatenate([t.data for t in tensors], axis=1)
-    widths = [t.data.shape[1] for t in tensors]
-    offsets = np.cumsum([0] + widths)
+    offsets = list(accumulate((t.data.shape[1] for t in tensors), initial=0))
     t = Tensor(out, parents=tuple(tensors))
 
     def back(g):
@@ -161,20 +191,22 @@ def concat_cols(tensors) -> Tensor:
     return t
 
 
+def _sum_picked_rows(g, rows, n):
+    """Gradient of gathering `rows` out of n rows: g's rows summed per picked row."""
+    # sum the gradient of every copy of a row, in pick order
+    order = np.argsort(rows, kind="stable")
+    picked = rows[order]
+    firsts = np.flatnonzero(np.diff(picked, prepend=-1))
+    grad = np.zeros((n,) + g.shape[1:])
+    grad[picked[firsts]] = np.add.reduceat(g[order], firsts, axis=0)
+    return grad
+
+
 def take_rows(t: Tensor, rows) -> Tensor:
     """Rows of t picked by index, in order; a row may be picked any number of times."""
     rows = np.asarray(rows, dtype=np.intp)
-
-    def back(g):
-        # sum the gradient of every copy of a row, in pick order
-        order = np.argsort(rows, kind="stable")
-        picked = rows[order]
-        firsts = np.flatnonzero(np.diff(picked, prepend=-1))
-        grad = np.zeros_like(t.data)
-        grad[picked[firsts]] = np.add.reduceat(g[order], firsts, axis=0)
-        return grad
-
-    return _unary(t, np.take(t.data, rows, axis=0), back)
+    return _unary(t, np.take(t.data, rows, axis=0),
+                  lambda g: _sum_picked_rows(g, rows, t.data.shape[0]))
 
 
 class Segments:
@@ -195,36 +227,105 @@ class Segments:
             raise ValueError(f"segments cover {self.rows} rows, tensor has shape {t.data.shape}")
 
 
-def segment_mean(t: Tensor, seg: Segments) -> Tensor:
-    seg.check(t)
-    counts = seg.counts[:, None]
-    out = np.add.reduceat(t.data, seg.starts, axis=0) / counts
-    return _unary(t, out, lambda g: np.repeat(g / counts, seg.counts, axis=0))
+def pair_linear(own: Tensor, other: Tensor, pairs, w: Tensor, b: Tensor) -> Tensor:
+    """[own[i]; other[j]] @ w + b for every own-major (i, j) pair, as one node.
 
-
-def _segment_extreme(t: Tensor, seg: Segments, reducer, beaten):
-    seg.check(t)
-    out = reducer.reduceat(t.data, seg.starts, axis=0)
+    `pairs` is (own_rows, other_rows, seg) as `graphrep.own_major_pairs`
+    gives it: the pairs of own row i form the i-th segment of `seg`. The
+    layer is affine, so w splits by rows into the own part w[:k] (k =
+    own's width) and the other part w[k:]: each node is projected once,
+    and the projections are expanded to the pairs, the own side by
+    repeating row i over its segment and the other side by gathering
+    other_rows.
+    """
+    _, other_rows, seg = pairs
+    k = own.data.shape[1]
+    w_own, w_other = w.data[:k], w.data[k:]
+    out = (np.repeat(own.data @ w_own, seg.counts, axis=0)
+           + (other.data @ w_other)[other_rows] + b.data)
+    t = Tensor(out, parents=(own, other, w, b))
 
     def back(g):
+        g_own = np.add.reduceat(g, seg.starts, axis=0)
+        g_other = _sum_picked_rows(g, other_rows, other.data.shape[0])
+        own._accumulate(g_own @ w_own.T)
+        other._accumulate(g_other @ w_other.T)
+        w._accumulate(np.concatenate([own.data.T @ g_own, other.data.T @ g_other]))
+        b._accumulate(g.sum(axis=0))
+
+    t._backward = back
+    return t
+
+
+def _mean(x, seg):
+    return np.add.reduceat(x, seg.starts, axis=0) / seg.counts[:, None]
+
+
+def _add_mean_grad(grad, x, out, g, seg):
+    grad += np.repeat(g / seg.counts[:, None], seg.counts, axis=0)
+
+
+def _extreme(reducer, beaten):
+    def forward(x, seg):
+        return reducer.reduceat(x, seg.starts, axis=0)
+
+    def add_grad(grad, x, out, g, seg):
         # the first row of each segment not beaten by the extreme gets the
         # gradient, so ties go to the first row
-        hit = ~beaten(t.data, np.repeat(out, seg.counts, axis=0))
+        hit = ~beaten(x, np.repeat(out, seg.counts, axis=0))
         rows = np.where(hit, np.arange(seg.rows)[:, None], seg.rows)
         first = np.minimum.reduceat(rows, seg.starts, axis=0)
+        grad[first, np.arange(x.shape[1])] += g  # one row per segment and column
+
+    return forward, add_grad
+
+
+# name -> (forward(x, seg), add_grad(grad, x, out, g, seg)): the segment
+# reduction of x's rows, and the step that adds its gradient into grad
+AGGREGATORS = {
+    "mean": (_mean, _add_mean_grad),
+    "max": _extreme(np.maximum, np.less),
+    "min": _extreme(np.minimum, np.greater),
+}
+
+
+def segment_pna(t: Tensor, seg: Segments, aggregators, scalers) -> Tensor:
+    """Multi-aggregator pooling of each segment of t's rows, as one node.
+
+    Each aggregator (`AGGREGATORS`) reduces a segment to one row; the row
+    of a segment is these reductions side by side, repeated once per
+    scaler times that scaler, scaler-major. For (mean, max, min) and
+    scalers (1, a, 1/a): [mean, max, min, a*mean, a*max, a*min,
+    mean/a, max/a, min/a].
+    """
+    seg.check(t)
+    rules = [AGGREGATORS[a] for a in aggregators]
+    scalers = np.asarray(scalers, dtype=np.float64)
+    width = t.data.shape[1]
+    parts = [forward(t.data, seg) for forward, _ in rules]
+    base = np.concatenate(parts, axis=1)
+    out = (base[:, None, :] * scalers[:, None]).reshape(len(base), -1)
+
+    def back(g):
+        g_base = scalers @ g.reshape(len(base), len(scalers), -1)
         grad = np.zeros_like(t.data)
-        np.put_along_axis(grad, first, g, axis=0)
+        for k, ((_, add_grad), part) in enumerate(zip(rules, parts)):
+            add_grad(grad, t.data, part, g_base[:, k * width:(k + 1) * width], seg)
         return grad
 
     return _unary(t, out, back)
 
 
+def segment_mean(t: Tensor, seg: Segments) -> Tensor:
+    return segment_pna(t, seg, ("mean",), (1.0,))
+
+
 def segment_max(t: Tensor, seg: Segments) -> Tensor:
-    return _segment_extreme(t, seg, np.maximum, np.less)
+    return segment_pna(t, seg, ("max",), (1.0,))
 
 
 def segment_min(t: Tensor, seg: Segments) -> Tensor:
-    return _segment_extreme(t, seg, np.minimum, np.greater)
+    return segment_pna(t, seg, ("min",), (1.0,))
 
 
 SEGMENT_REDUCERS = {
@@ -302,9 +403,19 @@ class Mlp:
             self.layers.append((w, b, act))
 
     def __call__(self, x: Tensor) -> Tensor:
-        for w, b, act in self.layers:
-            x = add(matmul(x, w), b)
-            x = self.ACTIVATIONS[act](x)
+        return self._apply(x, self.layers)
+
+    def on_pairs(self, own: Tensor, other: Tensor, pairs) -> Tensor:
+        """The MLP over the row [own[i]; other[j]] of every own-major pair.
+
+        The first layer is `pair_linear`, so the pair rows are never formed.
+        """
+        (w, b, act), *rest = self.layers
+        return self._apply(self.ACTIVATIONS[act](pair_linear(own, other, pairs, w, b)), rest)
+
+    def _apply(self, x: Tensor, layers) -> Tensor:
+        for w, b, act in layers:
+            x = self.ACTIVATIONS[act](linear(x, w, b))
         return x
 
     def parameters(self):

@@ -10,10 +10,15 @@ generation; a per-leader-node sigmoid decoder follows. The network reads
 its configuration from `ModelParams.cfg`.
 
 The network runs on a disjoint union of graphs (`graphrep.graph_union`):
-pairs form only within a graph, gathered by precomputed row indices, and
-each node's messages are pooled over its own segment. One pass thus
-serves a whole batch of mixed sizes, and a single instance is a union of
-one.
+pairs form only within a graph, and each node's messages are pooled over
+its own segment. One pass thus serves a whole batch of mixed sizes, and a
+single instance is a union of one.
+
+Each half-round is a handful of fused `ndiff` nodes. The first message
+layer is affine over [own; other], so `ndiff.pair_linear` projects every
+node once and expands the projections to the pairs, without forming the
+pair rows. `ndiff.segment_pna` pools all messages of a node in one node,
+and every other MLP layer is one `ndiff.linear`.
 
 The multi-aggregator pooling concatenates mean/max/min of the incoming
 messages and repeats the block once per intensity scaler, scaler-major:
@@ -31,7 +36,7 @@ import numpy as np
 
 from . import ndiff
 from .graphrep import DEFAULT_NORM, NormalizationScheme, TripartiteGraph, build_graph
-from .ndiff import Mlp, Segments, Tensor, concat_cols, take_rows
+from .ndiff import Mlp, Tensor, concat_cols, segment_pna
 
 CHECKPOINT_VERSION = 1
 
@@ -56,7 +61,7 @@ class PnaConfig:
         if not self.aggregators or not self.scalers:
             raise ValueError("aggregators and scalers must be non-empty")
         for a in self.aggregators:
-            if a not in ndiff.SEGMENT_REDUCERS:
+            if a not in ndiff.AGGREGATORS:
                 raise ValueError(f"unknown aggregator {a!r}")
         if any(s <= 0 for s in self.scalers):
             raise ValueError("scalers must be positive")
@@ -144,14 +149,6 @@ class NodeEmbeddings:
     graph: TripartiteGraph
 
 
-def _aggregate(messages: Tensor, seg: Segments, cfg: PnaConfig) -> Tensor:
-    base = concat_cols([ndiff.SEGMENT_REDUCERS[a](messages, seg) for a in cfg.aggregators])
-    blocks = []
-    for s in cfg.scalers:
-        blocks.append(base if s == 1.0 else ndiff.affine_const(base, s))
-    return concat_cols(blocks)
-
-
 def _const(arr) -> Tensor:
     return Tensor(np.asarray(arr, dtype=np.float64))
 
@@ -164,10 +161,9 @@ def _half_round(own: Tensor, other: Tensor, pairs, params: ModelParams, block: s
     `graphrep.own_major_pairs` of the union: each own node's messages
     form one segment.
     """
-    own_rows, other_rows, seg = pairs
-    msgs = params.mlps["msg_" + block](concat_cols([take_rows(own, own_rows),
-                                                    take_rows(other, other_rows)]))
-    agg = _aggregate(msgs, seg, params.cfg)
+    _, _, seg = pairs
+    msgs = params.mlps["msg_" + block].on_pairs(own, other, pairs)
+    agg = segment_pna(msgs, seg, params.cfg.aggregators, params.cfg.scalers)
     return params.mlps["upd_" + block](concat_cols([own, *extra, agg]))
 
 

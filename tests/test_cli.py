@@ -174,6 +174,30 @@ def test_oversized_instance_errors(tmp_path, capsys):
     assert f"b={big}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["exact", "solve", "bench"])
+def test_oversized_instance_in_directory_refused_before_any_solve(tmp_path, checkpoint, capsys,
+                                                                  monkeypatch, command):
+    from blkp import cli, instance
+    d = tmp_path / "mixed"
+    d.mkdir()
+    big = 10 ** 9
+    instance.write_instance(instance.generate(instance.GenConfig(3, 3, seed=1)), d / "a_good.json")
+    instance.write_instance(instance.BlkpInstance(1, 1, [big], [1], [big], [1], [1], big),
+                            d / "b_big.json")
+    solved = []
+    monkeypatch.setattr(cli.exact_mod, "solve_exact", lambda *a, **k: solved.append(a))
+    monkeypatch.setattr(cli.search, "solve_heuristic", lambda *a, **k: solved.append(a))
+    out = tmp_path / "out.tsv"
+    flag = "--instance" if command == "solve" else "--instances"
+    args = [command, flag, str(d), "--out", str(out)]
+    if command != "exact":
+        args += ["--checkpoint", str(checkpoint)]
+    assert main(args) == 1
+    assert f"error: {d / 'b_big.json'}: DP table" in capsys.readouterr().err
+    assert not out.exists()
+    assert solved == []
+
+
 def test_bad_checkpoint_errors(instance_dir, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{}")

@@ -295,3 +295,121 @@ def test_forward_determinism():
     a = mlp(Tensor(x)).data
     b = mlp(Tensor(x)).data
     assert np.array_equal(a, b)
+
+
+def test_first_gradient_is_copied_not_aliased():
+    # p's first gradient is a column view of the concat's gradient, which
+    # `add` also hands to q; p's second gradient must not reach q or the concat
+    p, q, r = (Tensor(np.full((2, 2), v)) for v in (1.0, 2.0, 3.0))
+    cat = ndiff.concat_cols([ndiff.add(p, q), r])
+    weights = np.arange(8.0).reshape(2, 4)
+    loss = ndiff.add(ndiff.tsum(ndiff.mul_const(cat, weights)),
+                     ndiff.tsum(ndiff.mul_const(p, [[10.0, 20.0], [30.0, 40.0]])))
+    loss.backward()
+    assert np.array_equal(cat.grad, weights)
+    assert np.array_equal(q.grad, weights[:, :2])
+    assert np.array_equal(r.grad, weights[:, 2:])
+    assert np.array_equal(p.grad, weights[:, :2] + [[10.0, 20.0], [30.0, 40.0]])
+
+
+# a ragged union of three graphs: own sizes 1, 2, 3 against other sizes
+# 4, 1, 2, so the own nodes' message segments have 4, 1, 1, 2, 2, 2 rows
+# and the graphs include one with n1 = 1 and one with n2 = 1
+RAGGED_OWN, RAGGED_OTHER = [1, 2, 3], [4, 1, 2]
+
+
+def _check_fused_op(fused, reference, tensors, weights, tol):
+    """Check a fused op against its reference and against finite differences.
+
+    Outputs and the gradients of sum(weights * output) must agree with
+    the reference's within tol.
+    """
+    from _gradcheck import check_params
+
+    def loss_of(build):
+        return ndiff.tsum(ndiff.mul_const(build(), weights))
+
+    results = []
+    for build in (fused, reference):
+        for t in tensors:
+            t.zero_grad()
+        loss_of(build).backward()
+        results.append([build().data] + [t.grad for t in tensors])
+    for got, ref in zip(*results):
+        assert np.allclose(got, ref, rtol=tol, atol=tol)
+    for t in tensors:
+        t.zero_grad()
+    loss_of(fused).backward()
+    check_params(lambda: float(loss_of(fused).data), tensors, np.random.default_rng(0),
+                 per_param=10 ** 6)
+
+
+def test_linear_matches_matmul_add_and_finite_differences():
+    rng = np.random.default_rng(10)
+    x, w, b = (Tensor(rng.normal(size=s)) for s in ((5, 3), (3, 4), (4,)))
+    weights = rng.normal(size=(5, 4))
+    _check_fused_op(lambda: ndiff.linear(x, w, b),
+                    lambda: ndiff.add(ndiff.matmul(x, w), b), [x, w, b], weights, tol=0.0)
+
+
+@pytest.mark.parametrize("own_sizes, other_sizes", [(RAGGED_OWN, RAGGED_OTHER),
+                                                    (RAGGED_OTHER, RAGGED_OWN)])
+def test_pair_linear_matches_gathered_pairs(own_sizes, other_sizes):
+    from blkp.graphrep import own_major_pairs
+    rng = np.random.default_rng(11)
+    pairs = own_major_pairs(np.array(own_sizes), np.array(other_sizes))
+    own_rows, other_rows, seg = pairs
+    own = Tensor(rng.normal(size=(sum(own_sizes), 3)))
+    other = Tensor(rng.normal(size=(sum(other_sizes), 2)))
+    w, b = Tensor(rng.normal(size=(5, 4))), Tensor(rng.normal(size=4))
+    weights = rng.normal(size=(seg.rows, 4))
+
+    def fused():
+        return ndiff.pair_linear(own, other, pairs, w, b)
+
+    def reference():
+        gathered = ndiff.concat_cols([ndiff.take_rows(own, own_rows),
+                                      ndiff.take_rows(other, other_rows)])
+        return ndiff.add(ndiff.matmul(gathered, w), b)
+
+    _check_fused_op(fused, reference, [own, other, w, b], weights, tol=1e-12)
+
+
+@pytest.mark.parametrize("aggregators, scalers", [
+    (("mean", "max", "min"), (1.0, 0.7, 1.0 / 0.7)),
+    (("min", "mean"), (2.5, 0.3)),
+    (("max",), (1.0,)),
+])
+def test_segment_pna_matches_per_aggregator_ops(aggregators, scalers):
+    rng = np.random.default_rng(12)
+    t = Tensor(rng.normal(size=(7, 3)))
+    seg = Segments([1, 4, 2])
+    weights = rng.normal(size=(3, 3 * len(aggregators) * len(scalers)))
+
+    def fused():
+        return ndiff.segment_pna(t, seg, aggregators, scalers)
+
+    def reference():
+        base = ndiff.concat_cols([ndiff.SEGMENT_REDUCERS[a](t, seg) for a in aggregators])
+        return ndiff.concat_cols([base if s == 1.0 else ndiff.affine_const(base, s)
+                                  for s in scalers])
+
+    _check_fused_op(fused, reference, [t], weights, tol=1e-12)
+
+
+def test_segment_pna_ties_go_to_first_row():
+    # the data of test_segment_extreme_ties_go_to_first_row: max and min
+    # pick the same rows in the 1-row segment and in the all-tied segment
+    x = np.array([[9.0, 0.0], [5.0, 1.0], [2.0, 7.0], [5.0, 3.0], [4.0, 4.0], [4.0, 4.0]])
+    t = Tensor(x)
+    out = ndiff.segment_pna(t, Segments([1, 3, 2]), ("max", "min"), (1.0, 2.0))
+    weights = np.arange(24.0).reshape(3, 8)
+    ndiff.tsum(ndiff.mul_const(out, weights)).backward()
+    g_max = weights[:, 0:2] + 2.0 * weights[:, 4:6]
+    g_min = weights[:, 2:4] + 2.0 * weights[:, 6:8]
+    expected = np.zeros((6, 2))
+    expected[0] = g_max[0] + g_min[0]
+    expected[1] = [g_max[1, 0], g_min[1, 1]]  # max of column 0 ties rows 1 and 3
+    expected[2] = [g_min[1, 0], g_max[1, 1]]
+    expected[4] = g_max[2] + g_min[2]
+    assert np.array_equal(t.grad, expected)

@@ -8,7 +8,7 @@ from blkp.graphrep import build_graph, graph_union
 from blkp.instance import BlkpInstance, GenConfig, generate
 from blkp.pnanet import (CheckpointError, ModelParams, PnaConfig, decode,
                          encode, forward, forward_tensor, load_checkpoint,
-                         _aggregate, message_pass, save_checkpoint)
+                         message_pass, save_checkpoint)
 
 
 def permute_followers(inst, perm):
@@ -24,7 +24,8 @@ def permute_leaders(inst, perm):
 def aggregate(msgs, cfg):
     """One segment of messages pooled into one row, as the network pools them."""
     msgs = ndiff.Tensor(np.asarray(msgs, dtype=np.float64))
-    return _aggregate(msgs, ndiff.Segments([len(msgs.data)]), cfg).data[0]
+    seg = ndiff.Segments([len(msgs.data)])
+    return ndiff.segment_pna(msgs, seg, cfg.aggregators, cfg.scalers).data[0]
 
 
 def test_aggregate_default_layout():
@@ -280,3 +281,24 @@ def test_checkpoint_bad_widths_rejected(tmp_path, key, value):
     path.write_text(json.dumps(doc))
     with pytest.raises(CheckpointError, match=key):
         load_checkpoint(path)
+
+
+# Non-parameter tape nodes of one default-config forward: 4 input
+# constants, 8 per half-round (pair_linear, relu, linear, segment_pna,
+# concat_cols, then linear, relu, linear) over the 5 half-rounds the
+# decoder reads, and 8 in the decoder. Un-fusing a layer or the pooling
+# raises the count.
+FORWARD_TAPE_NODES = 52
+
+
+def test_forward_tape_stays_fused():
+    params = ModelParams(PnaConfig(), seed=14)
+    out = forward_tensor(build_graph(generate(GenConfig(10, 10, seed=15))), params)
+    parameters = {id(p) for p in params.parameters()}
+    seen, stack = set(), [out]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    assert len(seen - parameters) <= FORWARD_TAPE_NODES
