@@ -72,6 +72,13 @@ def _load_instances(path: str, dp_items=None):
     return out
 
 
+def _timed(fn, *args, **kwargs):
+    """fn's result and the wall-clock seconds the whole call took."""
+    t0 = time.perf_counter()
+    result = fn(*args, **kwargs)
+    return result, time.perf_counter() - t0
+
+
 def _emit(doc, out, fmt, tsv_rows=None):
     """Write a JSON document or TSV rows to a path or stdout."""
     if fmt == "tsv" and tsv_rows is not None:
@@ -99,7 +106,7 @@ def cmd_generate(args):
     return 0
 
 
-def _exact_record(name, inst, result):
+def _exact_record(name, result, elapsed):
     return {
         "instance": name,
         "mode": result.mode.value,
@@ -108,18 +115,19 @@ def _exact_record(name, inst, result):
         "opt_y": result.opt_y.tolist(),
         "proven_optimal": result.proven_optimal,
         "node_count": result.node_count,
-        "elapsed": result.elapsed,
+        "elapsed": elapsed,
         "pool_size": len(result.pool),
     }
 
 
 def _solve_exact_all(args):
+    """(name, result, seconds) of every instance, solved exactly."""
     for name, inst in _load_instances(args.instances, _exact_dp_items):
-        yield name, inst, exact_mod.solve_exact(inst, Mode(args.mode))
+        yield (name, *_timed(exact_mod.solve_exact, inst, Mode(args.mode)))
 
 
 def cmd_exact(args):
-    records = [_exact_record(n, i, r) for n, i, r in _solve_exact_all(args)]
+    records = [_exact_record(*solved) for solved in _solve_exact_all(args)]
     header = ["instance", "mode", "opt_value", "proven_optimal", "node_count", "elapsed"]
     rows = [header] + [[r[h] for h in header] for r in records]
     _emit({"records": records}, args.out, args.format, rows)
@@ -129,7 +137,7 @@ def cmd_exact(args):
 def cmd_label(args):
     rows = [["instance", "leader_value", "x"]]
     records = []
-    for name, inst, result in _solve_exact_all(args):
+    for name, result, _ in _solve_exact_all(args):
         for x, value in exact_mod.collect_labels(result, k=args.k):
             xs = "".join(str(int(v)) for v in x)
             rows.append([name, value, xs])
@@ -202,7 +210,7 @@ def cmd_solve(args):
         seed=args.seed, deterministic_rounding=args.no_sampling)
     records = []
     for name, inst in _load_instances(args.instance, _follower_dp_items):
-        res = search.solve_heuristic(inst, params, scfg, norm=norm)
+        res, elapsed = _timed(search.solve_heuristic, inst, params, scfg, norm=norm)
         records.append({
             "instance": name,
             "best_value": res.best_value,
@@ -211,7 +219,7 @@ def cmd_solve(args):
             "samples_evaluated": res.samples_evaluated,
             "samples_infeasible": res.samples_infeasible,
             "distinct_x_count": res.distinct_x_count,
-            "elapsed": res.elapsed,
+            "elapsed": elapsed,
         })
     header = ["instance", "best_value", "samples_evaluated", "samples_infeasible",
               "distinct_x_count", "elapsed"]
@@ -255,16 +263,15 @@ def run_benchmark(named_instances, params, norm, theta, n_samples, mode, seed):
         exact_vals = {}
         exact_times = []
         for name, inst in members:
-            res = exact_mod.solve_exact(inst, mode)
+            res, elapsed = _timed(exact_mod.solve_exact, inst, mode)
             exact_vals[name] = res.opt_value
-            exact_times.append(res.elapsed)
+            exact_times.append(elapsed)
         for method, scfg in methods.items():
             heur_vals = {}
             times = []
             for name, inst in members:
-                t0 = time.perf_counter()
-                res = search.solve_heuristic(inst, params, scfg, norm=norm)
-                times.append(time.perf_counter() - t0)
+                res, elapsed = _timed(search.solve_heuristic, inst, params, scfg, norm=norm)
+                times.append(elapsed)
                 heur_vals[name] = res.best_value
             avg_gap, max_gap = compute_gaps(heur_vals, exact_vals)
             rows.append({

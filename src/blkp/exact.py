@@ -17,7 +17,6 @@ weights, a definition that depends on the instance alone.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,6 @@ class ExactResult:
     pool: np.ndarray         # (R, n1) int8 leader vectors, one per reachable weight
     pool_values: np.ndarray  # (R,) int64 bilevel values, descending
     node_count: int          # DP cells, (n1 + n2) * (b + 1)
-    elapsed: float
     mode: Mode
     proven_optimal = True    # the DP is exact; kept for callers that check it
 
@@ -41,7 +39,6 @@ class ExactResult:
 def solve_exact(inst, mode: Mode = Mode.OPTIMISTIC) -> ExactResult:
     """Bilevel optimum and the per-weight pool in O((n1 + n2) * b)."""
     mode = Mode(mode)
-    start = time.perf_counter()
     b = inst.b
     check_dp_size(inst.n1 + inst.n2, b)
 
@@ -61,8 +58,7 @@ def solve_exact(inst, mode: Mode = Mode.OPTIMISTIC) -> ExactResult:
     return ExactResult(
         opt_x=pool[0].astype(np.int64), opt_y=follower.reply(b - int(weights[order[0]])),
         opt_value=int(values[order[0]]), pool=pool, pool_values=values[order],
-        node_count=(inst.n1 + inst.n2) * (b + 1),
-        elapsed=time.perf_counter() - start, mode=mode)
+        node_count=(inst.n1 + inst.n2) * (b + 1), mode=mode)
 
 
 def collect_labels(result: ExactResult, k: int = 10) -> list:

@@ -206,26 +206,16 @@ def instance_from_dict(doc: dict) -> BlkpInstance:
         raise InstanceError(f"malformed field: {exc}") from exc
 
 
-def write_instance(inst: BlkpInstance, sink) -> None:
-    """Write a single instance as a self-describing JSON document.
-
-    `sink` is a path or an open text file.
-    """
-    doc = instance_to_dict(inst)
-    if hasattr(sink, "write"):
-        json.dump(doc, sink, indent=1)
-    else:
-        with open(sink, "w") as fh:
-            json.dump(doc, fh, indent=1)
+def write_instance(inst: BlkpInstance, path) -> None:
+    """Write a single instance to `path` as a self-describing JSON document."""
+    with open(path, "w") as fh:
+        json.dump(instance_to_dict(inst), fh, indent=1)
 
 
-def read_instance(source) -> BlkpInstance:
+def read_instance(path) -> BlkpInstance:
     try:
-        if hasattr(source, "read"):
-            doc = json.load(source)
-        else:
-            with open(source) as fh:
-                doc = json.load(fh)
+        with open(path) as fh:
+            doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InstanceError(f"malformed document: {exc}") from exc
     return instance_from_dict(doc)

@@ -1,24 +1,22 @@
 """Minimal reverse-mode autodiff over dense float64 arrays.
 
-Rank <= 2 tensors, exactly the operations the graph network needs:
-affine layers, pointwise activations, column concatenation, a row
-gather (`take_rows`), and mean/max/min reductions over consecutive row
-segments (`Segments`, one per node's messages, of any mix of lengths)
-built on `np.add/maximum/minimum.reduceat`. Plus binary cross-entropy
-and Adam.
-
-Three fused ops make one tape node each where the network would
-otherwise chain several:
+Rank <= 2 tensors, the operations the graph network and its loss run:
+pointwise activations, column concatenation, constant affine and
+elementwise scaling, a sum, the binary cross-entropy of label counts
+(`bce_counts`), and Adam. Three fused ops make one tape node each where
+the network would otherwise chain several:
 - `linear(x, w, b)`: `x @ w + b`, one node per MLP layer;
 - `pair_linear(own, other, pairs, w, b)`: the first message layer over
   every (own, other) pair of a graph union, `[own; other] @ w + b`,
   computed by projecting each node once and expanding the projections
   to the pairs;
 - `segment_pna(t, seg, aggregators, scalers)`: the whole multi-aggregator
-  pooling of each segment, scaler-major.
-Each aggregator's forward and gradient rule is defined once, in
-`AGGREGATORS`; `segment_mean/max/min` are `segment_pna` with one
-aggregator and scaler 1.
+  pooling of each run of consecutive rows (`Segments`, one per node's
+  messages, of any mix of lengths), scaler-major, built on
+  `np.add/maximum/minimum.reduceat`. Each aggregator's forward and
+  gradient rule is defined once, in `AGGREGATORS`.
+`matmul`, `add` and the row gather `take_rows` are the unfused
+equivalents; `add` also sums the loss terms.
 
 Gradients accumulate additively, so a tensor may feed several downstream
 ops.
@@ -131,14 +129,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _binary(a, b, out,
                    lambda g: reduce_to(g, a.data.shape),
                    lambda g: reduce_to(g, b.data.shape))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ValueError("elementwise mul requires matching shapes")
-    return _binary(a, b, a.data * b.data,
-                   lambda g: g * b.data,
-                   lambda g: g * a.data)
 
 
 def affine_const(t: Tensor, scale: float, shift: float = 0.0) -> Tensor:
@@ -316,25 +306,6 @@ def segment_pna(t: Tensor, seg: Segments, aggregators, scalers) -> Tensor:
     return _unary(t, out, back)
 
 
-def segment_mean(t: Tensor, seg: Segments) -> Tensor:
-    return segment_pna(t, seg, ("mean",), (1.0,))
-
-
-def segment_max(t: Tensor, seg: Segments) -> Tensor:
-    return segment_pna(t, seg, ("max",), (1.0,))
-
-
-def segment_min(t: Tensor, seg: Segments) -> Tensor:
-    return segment_pna(t, seg, ("min",), (1.0,))
-
-
-SEGMENT_REDUCERS = {
-    "mean": segment_mean,
-    "max": segment_max,
-    "min": segment_min,
-}
-
-
 def tsum(t: Tensor) -> Tensor:
     return _unary(t, np.array(t.data.sum()),
                   lambda g: np.full_like(t.data, float(g)))
@@ -360,24 +331,6 @@ def bce_counts(predictions: Tensor, positives, totals) -> Tensor:
     pos = mul_const(log(h), s)
     neg = mul_const(log(affine_const(h, -1.0, 1.0)), k - s)
     return affine_const(tsum(add(pos, neg)), -1.0)
-
-
-def bce_sum(predictions: Tensor, labels) -> Tensor:
-    """Sum of per-element binary cross-entropy terms over one or more labels.
-
-    `labels` is one label vector or a stack of K of them, each as long as
-    `predictions`; the stack is scored through its column sums.
-    """
-    stack = np.asarray(labels, dtype=np.float64).reshape(-1, predictions.data.size)
-    return bce_counts(predictions, stack.sum(axis=0), stack.shape[0])
-
-
-def bce_loss(predictions: Tensor, labels) -> Tensor:
-    """Mean binary cross-entropy."""
-    labels = np.asarray(labels, dtype=np.float64)
-    if labels.size != predictions.data.size:
-        raise ValueError("prediction/label length mismatch")
-    return affine_const(bce_sum(predictions, labels), 1.0 / labels.size)
 
 
 class Mlp:

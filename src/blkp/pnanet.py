@@ -6,8 +6,10 @@ pooling of each node's messages, and an update MLP. Encoding runs one
 half-round per group on the raw features (the capacity node enters both
 updates as an extra column and is dropped afterwards); then `iterations`
 weight-shared rounds run both groups' half-rounds from the same input
-generation; a per-leader-node sigmoid decoder follows. The network reads
-its configuration from `ModelParams.cfg`.
+generation; a per-leader-node sigmoid decoder follows. Only the leader
+embeddings reach the decoder, so the last round skips the followers'
+half-round. `forward_tensor` is the whole network; it reads its
+configuration from `ModelParams.cfg`.
 
 The network runs on a disjoint union of graphs (`graphrep.graph_union`):
 pairs form only within a graph, and each node's messages are pooled over
@@ -142,13 +144,6 @@ class ModelParams:
             self.mlps[name].load_state_arrays(snap[name])
 
 
-@dataclass
-class NodeEmbeddings:
-    leader: Tensor    # (N1, embed_dim)
-    follower: Tensor  # (N2, embed_dim)
-    graph: TripartiteGraph
-
-
 def _const(arr) -> Tensor:
     return Tensor(np.asarray(arr, dtype=np.float64))
 
@@ -167,38 +162,32 @@ def _half_round(own: Tensor, other: Tensor, pairs, params: ModelParams, block: s
     return params.mlps["upd_" + block](concat_cols([own, *extra, agg]))
 
 
-def encode(graph: TripartiteGraph, params: ModelParams) -> NodeEmbeddings:
-    """First embeddings; the capacity node is consumed here and dropped."""
-    lf = _const(graph.leader_feats)
-    ff = _const(graph.follower_feats)
-    cap_l = _const(np.repeat(graph.cap_feats, graph.n1s)[:, None])
-    cap_f = _const(np.repeat(graph.cap_feats, graph.n2s)[:, None])
-    return NodeEmbeddings(
-        leader=_half_round(lf, ff, graph.leader_pairs, params, "leader_enc", (cap_l,)),
-        follower=_half_round(ff, lf, graph.follower_pairs, params, "follower_enc", (cap_f,)),
-        graph=graph)
-
-
-def message_pass(emb: NodeEmbeddings, params: ModelParams) -> NodeEmbeddings:
-    """Apply the shared message-passing block `cfg.iterations` times.
-
-    Both groups update synchronously from the same input generation.
-    """
-    x, y, graph = emb.leader, emb.follower, emb.graph
-    for _ in range(params.cfg.iterations):
-        x, y = (_half_round(x, y, graph.leader_pairs, params, "leader_mp"),
-                _half_round(y, x, graph.follower_pairs, params, "follower_mp"))
-    return NodeEmbeddings(leader=x, follower=y, graph=graph)
-
-
-def decode(emb: NodeEmbeddings, params: ModelParams) -> Tensor:
-    """Per-leader-node probability that the item enters the solution."""
-    return params.mlps["decoder"](emb.leader)  # (N1, 1) in (0, 1)
+def _cap_column(graph: TripartiteGraph, counts) -> Tensor:
+    """Each graph's capacity feature repeated over its `counts` nodes, as a column."""
+    return _const(np.repeat(graph.cap_feats, counts)[:, None])
 
 
 def forward_tensor(graph: TripartiteGraph, params: ModelParams) -> Tensor:
-    """Predictions of every leader row of a graph union, in row order."""
-    return decode(message_pass(encode(graph, params), params), params)
+    """Predictions of every leader row of a graph union, in row order.
+
+    The encoder round updates both groups from the raw features, then
+    `cfg.iterations` weight-shared rounds update both from the same input
+    generation. Only the leader embeddings reach the decoder, so the last
+    round skips the followers' update.
+    """
+    rounds = params.cfg.iterations
+    lf, ff = _const(graph.leader_feats), _const(graph.follower_feats)
+    x = _half_round(lf, ff, graph.leader_pairs, params, "leader_enc",
+                    (_cap_column(graph, graph.n1s),))
+    if rounds:
+        y = _half_round(ff, lf, graph.follower_pairs, params, "follower_enc",
+                        (_cap_column(graph, graph.n2s),))
+    for r in range(rounds):
+        x_next = _half_round(x, y, graph.leader_pairs, params, "leader_mp")
+        if r < rounds - 1:
+            y = _half_round(y, x, graph.follower_pairs, params, "follower_mp")
+        x = x_next
+    return params.mlps["decoder"](x)  # (N1, 1) in (0, 1)
 
 
 def forward(inst, params: ModelParams,
@@ -209,7 +198,7 @@ def forward(inst, params: ModelParams,
 
 
 def save_checkpoint(params: ModelParams, norm: NormalizationScheme,
-                    metadata: dict | None, sink) -> None:
+                    metadata: dict | None, path) -> None:
     """Write weights + config as JSON; float64 values round-trip exactly."""
     doc = {
         "format": "blkp-checkpoint",
@@ -223,21 +212,15 @@ def save_checkpoint(params: ModelParams, norm: NormalizationScheme,
             for name in MLP_NAMES
         },
     }
-    if hasattr(sink, "write"):
-        json.dump(doc, sink)
-    else:
-        with open(sink, "w") as fh:
-            json.dump(doc, fh)
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
 
 
-def load_checkpoint(source):
+def load_checkpoint(path):
     """Returns (params, norm, metadata)."""
     try:
-        if hasattr(source, "read"):
-            doc = json.load(source)
-        else:
-            with open(source) as fh:
-                doc = json.load(fh)
+        with open(path) as fh:
+            doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"corrupt checkpoint: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != "blkp-checkpoint":

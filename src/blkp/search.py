@@ -10,11 +10,11 @@ is always scored as a fallback.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from .graphrep import DEFAULT_NORM, NormalizationScheme
 from .knapsack import Mode, follower_response
 from .pnanet import forward
 
@@ -51,7 +51,6 @@ class SearchResult:
     samples_evaluated: int = 0
     samples_infeasible: int = 0
     distinct_x_count: int = 0
-    elapsed: float = 0.0
 
 
 def distinct_row_count(xs) -> int:
@@ -70,7 +69,6 @@ def solution_search(inst, final_values, cfg: SearchConfig) -> SearchResult:
         raise ValueError(f"final_values must have length {inst.n1}")
     if not np.isfinite(final_values).all():
         raise ValueError("final_values must be finite")
-    start = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
 
     # the fix-to-1 interval is checked first, so a value of exactly 0.5 at
@@ -97,12 +95,11 @@ def solution_search(inst, final_values, cfg: SearchConfig) -> SearchResult:
         best_value=int(scores[best]), samples_evaluated=len(samples),
         samples_infeasible=int((~feasible).sum()),
         distinct_x_count=distinct_row_count(xs),
-        elapsed=time.perf_counter() - start,
     )
 
 
-def solve_heuristic(inst, params, cfg: SearchConfig, norm=None) -> SearchResult:
+def solve_heuristic(inst, params, cfg: SearchConfig,
+                    norm: NormalizationScheme = DEFAULT_NORM) -> SearchResult:
     """Forward pass plus sampling search; the end-to-end entry point."""
-    from .graphrep import DEFAULT_NORM
-    values = forward(inst, params, norm=norm or DEFAULT_NORM)
+    values = forward(inst, params, norm=norm)
     return solution_search(inst, values, cfg)

@@ -41,8 +41,8 @@ class TrainConfig:
     def __post_init__(self):
         if not (0.0 < self.split < 1.0):
             raise ValueError("split must be in (0, 1)")
-        if self.early_stop_patience > self.epochs:
-            raise ValueError("patience must not exceed epochs")
+        if self.early_stop_patience < 0:  # patience >= epochs never stops early
+            raise ValueError("patience must be >= 0")
         if self.batch_size < 1 or self.epochs < 0:
             raise ValueError("invalid batch_size/epochs")
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -79,6 +80,36 @@ def test_label_and_train_and_solve(instance_dir, tmp_path):
     results = json.loads(out.read_text())["results"]
     assert len(results) == 6
     assert all(r["best_value"] >= 0 for r in results)
+
+
+def test_train_default_patience_beyond_epochs(instance_dir, tmp_path):
+    # --patience defaults to 50: more than 3 epochs just never stops early
+    labels = tmp_path / "labels.tsv"
+    assert main(["label", "--instances", str(instance_dir), "--k", "2",
+                 "--out", str(labels)]) == 0
+    ckpt = tmp_path / "model.json"
+    hist = tmp_path / "history.tsv"
+    rc = main(["train", "--instances", str(instance_dir), "--labels", str(labels),
+               "--epochs", "3", "--out", str(ckpt), "--history", str(hist)])
+    assert rc == 0
+    assert len(hist.read_text().splitlines()) == 1 + 3
+
+
+def test_solve_elapsed_includes_forward(instance_dir, checkpoint, tmp_path, monkeypatch):
+    from blkp import search
+    forward = search.forward
+
+    def slow_forward(*args, **kwargs):
+        time.sleep(0.05)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(search, "forward", slow_forward)
+    out = tmp_path / "solve.json"
+    rc = main(["solve", "--instance", str(sorted(instance_dir.glob("*.json"))[0]),
+               "--checkpoint", str(checkpoint), "--format", "json", "--out", str(out)])
+    assert rc == 0
+    [record] = json.loads(out.read_text())["results"]
+    assert record["elapsed"] >= 0.05
 
 
 @pytest.mark.parametrize("text", [

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -49,12 +47,11 @@ def test_different_seeds_differ():
     assert same == 0
 
 
-def test_round_trip():
+def test_round_trip(tmp_path):
     inst = generate(GenConfig(6, 3, data_type=CORRELATED, seed=9))
-    buf = io.StringIO()
-    write_instance(inst, buf)
-    buf.seek(0)
-    assert read_instance(buf) == inst
+    path = tmp_path / "inst.json"
+    write_instance(inst, path)
+    assert read_instance(path) == inst
 
 
 def test_round_trip_file(tmp_path):
@@ -92,9 +89,11 @@ def test_read_rejects_non_int64_entries(field, value):
         instance_from_dict(doc)
 
 
-def test_read_rejects_garbage():
+def test_read_rejects_garbage(tmp_path):
+    path = tmp_path / "inst.json"
+    path.write_text("not json {")
     with pytest.raises(InstanceError, match="malformed"):
-        read_instance(io.StringIO("not json {"))
+        read_instance(path)
 
 
 def test_invalid_config():

@@ -26,6 +26,17 @@ def finite_diff(fn, params, h=1e-5):
     return grads
 
 
+def reduce_segments(t, seg, name):
+    """One aggregator of `segment_pna` at scaler 1: each segment's mean, max or min."""
+    return ndiff.segment_pna(t, seg, (name,), (1.0,))
+
+
+def mean_bce(predictions, labels):
+    """Mean binary cross-entropy of one label per prediction."""
+    labels = np.asarray(labels, dtype=np.float64)
+    return ndiff.affine_const(ndiff.bce_counts(predictions, labels, 1), 1.0 / labels.size)
+
+
 def test_pointwise_examples():
     assert ndiff.sigmoid(Tensor([0.0])).data[0] == 0.5
     assert ndiff.leaky_relu(Tensor([-2.0]), 0.01).data[0] == pytest.approx(-0.02)
@@ -37,16 +48,16 @@ def test_pointwise_examples():
 def test_group_reductions():
     t = Tensor([[1.0, 2.0], [3.0, 4.0]])
     one = Segments([2])
-    assert ndiff.segment_mean(t, one).data.tolist() == [[2.0, 3.0]]
-    assert ndiff.segment_max(t, one).data.tolist() == [[3.0, 4.0]]
-    assert ndiff.segment_min(t, one).data.tolist() == [[1.0, 2.0]]
+    assert reduce_segments(t, one, "mean").data.tolist() == [[2.0, 3.0]]
+    assert reduce_segments(t, one, "max").data.tolist() == [[3.0, 4.0]]
+    assert reduce_segments(t, one, "min").data.tolist() == [[1.0, 2.0]]
 
 
 def test_shape_mismatch_raises():
     with pytest.raises(ValueError):
-        ndiff.mul(Tensor([[1.0]]), Tensor([[1.0, 2.0]]))
+        Tensor(np.ones((2, 2, 2)))
     with pytest.raises(ValueError):  # two segments of 2 rows do not cover 5 rows
-        ndiff.segment_mean(Tensor(np.ones((5, 2))), Segments([2, 2]))
+        reduce_segments(Tensor(np.ones((5, 2))), Segments([2, 2]), "mean")
     with pytest.raises(ValueError):
         Segments([2, 0, 3])
 
@@ -83,11 +94,11 @@ def test_repeated_subgraph_accumulates():
 
 def test_bce_examples():
     eps = ndiff.BCE_EPS
-    near_perfect = float(ndiff.bce_loss(Tensor([1.0 - eps]), [1.0]).data)
+    near_perfect = float(mean_bce(Tensor([1.0 - eps]), [1.0]).data)
     assert near_perfect <= 1e-6
-    half = float(ndiff.bce_loss(Tensor([0.5]), [1.0]).data)
+    half = float(mean_bce(Tensor([0.5]), [1.0]).data)
     assert half == pytest.approx(math.log(2), abs=1e-12)
-    sym = float(ndiff.bce_loss(Tensor([0.5, 0.5]), [1.0, 0.0]).data)
+    sym = float(mean_bce(Tensor([0.5, 0.5]), [1.0, 0.0]).data)
     assert sym == pytest.approx(math.log(2), abs=1e-12)
 
 
@@ -96,12 +107,12 @@ def test_bce_nonnegative():
     for _ in range(50):
         h = Tensor(rng.uniform(0.01, 0.99, 6))
         y = rng.integers(0, 2, 6).astype(float)
-        assert float(ndiff.bce_loss(h, y).data) >= 0.0
+        assert float(mean_bce(h, y).data) >= 0.0
 
 
 def test_bce_length_mismatch():
     with pytest.raises(ValueError):
-        ndiff.bce_loss(Tensor([0.5, 0.5]), [1.0])
+        ndiff.bce_counts(Tensor([0.5, 0.5]), [1.0], 1)
 
 
 @pytest.mark.parametrize("k", [1, 2, 7])
@@ -111,9 +122,9 @@ def test_bce_sum_stack_equals_loop(k):
     h[0, 0] = 1.0  # clamped at 1 - eps
     stack = rng.integers(0, 2, (k, 5)).astype(float)
     stacked, looped = Tensor(h), Tensor(h)
-    total = ndiff.bce_sum(stacked, stack)
+    total = ndiff.bce_counts(stacked, stack.sum(axis=0), k)
     total.backward()
-    parts = [ndiff.bce_sum(looped, y) for y in stack]
+    parts = [ndiff.bce_counts(looped, y, 1) for y in stack]
     ref = parts[0]
     for p in parts[1:]:
         ref = ndiff.add(ref, p)
@@ -131,10 +142,10 @@ def test_mlp_gradient_matches_finite_differences(seed):
 
     def loss_value():
         out = ndiff.sigmoid(mlp(Tensor(x)))
-        return float(ndiff.bce_loss(out, y).data)
+        return float(mean_bce(out, y).data)
 
     out = ndiff.sigmoid(mlp(Tensor(x)))
-    loss = ndiff.bce_loss(out, y)
+    loss = mean_bce(out, y)
     loss.backward()
     params = list(mlp.parameters())
     fd = finite_diff(loss_value, params)
@@ -153,12 +164,11 @@ def test_pair_expansion_gradients():
     def expand():
         return ndiff.concat_cols([ndiff.take_rows(x, x_rows), ndiff.take_rows(y, y_rows)])
 
-    pairs = expand()
-    loss = ndiff.tsum(ndiff.mul(pairs, pairs))
+    weights = rng.normal(size=(12, 4))
+    loss = ndiff.tsum(ndiff.mul_const(expand(), weights))
 
     def loss_value():
-        p = expand()
-        return float(ndiff.tsum(ndiff.mul(p, p)).data)
+        return float(ndiff.tsum(ndiff.mul_const(expand(), weights)).data)
 
     loss.backward()
     for p, g in zip([x, y], finite_diff(loss_value, [x, y])):
@@ -169,12 +179,14 @@ def test_group_reduction_gradients():
     rng = np.random.default_rng(4)
     t = Tensor(rng.normal(size=(6, 3)))
     two = Segments([3, 3])
-    for name, op in ndiff.SEGMENT_REDUCERS.items():
+    weights = rng.normal(size=(2, 3))
+    for name in ndiff.AGGREGATORS:
         t.zero_grad()
-        loss = ndiff.tsum(ndiff.mul(op(t, two), op(t, two)))
+        loss = ndiff.tsum(ndiff.mul_const(reduce_segments(t, two, name), weights))
 
         def loss_value():
-            return float(ndiff.tsum(ndiff.mul(op(t, two), op(t, two))).data)
+            return float(ndiff.tsum(ndiff.mul_const(reduce_segments(t, two, name),
+                                                    weights)).data)
 
         loss.backward()
         fd = finite_diff(loss_value, [t])[0]
@@ -209,13 +221,15 @@ def test_segment_reductions_unequal_segments():
                 "min": [p.min(axis=0) for p in parts]}
     t = Tensor(x)
     weights = rng.normal(size=(3, 3))
-    for name, op in ndiff.SEGMENT_REDUCERS.items():
-        assert np.allclose(op(t, seg).data, expected[name], rtol=1e-15, atol=0.0), name
+    for name in ndiff.AGGREGATORS:
+        out = reduce_segments(t, seg, name)
+        assert np.allclose(out.data, expected[name], rtol=1e-15, atol=0.0), name
         t.zero_grad()
-        ndiff.tsum(ndiff.mul_const(op(t, seg), weights)).backward()
+        ndiff.tsum(ndiff.mul_const(out, weights)).backward()
 
         def loss_value():
-            return float(ndiff.tsum(ndiff.mul_const(op(t, seg), weights)).data)
+            return float(ndiff.tsum(ndiff.mul_const(reduce_segments(t, seg, name),
+                                                    weights)).data)
 
         fd = finite_diff(loss_value, [t])[0]
         assert np.allclose(t.grad, fd, rtol=1e-5, atol=1e-7), name
@@ -230,7 +244,7 @@ def test_segment_extreme_ties_go_to_first_row(op):
         x = -x
     t = Tensor(x)
     seg = Segments([1, 3, 2])
-    out = ndiff.SEGMENT_REDUCERS[op](t, seg)
+    out = reduce_segments(t, seg, op)
     ndiff.tsum(ndiff.mul_const(out, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])).backward()
     expected = np.zeros((6, 2))
     expected[0] = [1.0, 2.0]
@@ -250,8 +264,9 @@ def test_bce_counts_equals_bce_sum_per_stack():
                              [3, 3, 1, 1, 1])
     total.backward()
     apart = Tensor(h)
-    ref = ndiff.add(ndiff.bce_sum(ndiff.take_rows(apart, [0, 1]), first),
-                    ndiff.bce_sum(ndiff.take_rows(apart, [2, 3, 4]), second))
+    ref = ndiff.bce_counts(ndiff.take_rows(apart, [2, 3, 4]), second[0], 1)
+    for y in first:  # one term per label
+        ref = ndiff.add(ref, ndiff.bce_counts(ndiff.take_rows(apart, [0, 1]), y, 1))
     ref.backward()
     assert float(total.data) == pytest.approx(float(ref.data), rel=1e-12)
     assert np.allclose(pooled.grad, apart.grad, rtol=1e-12, atol=0.0)
@@ -381,20 +396,29 @@ def test_pair_linear_matches_gathered_pairs(own_sizes, other_sizes):
     (("max",), (1.0,)),
 ])
 def test_segment_pna_matches_per_aggregator_ops(aggregators, scalers):
+    from _gradcheck import check_params
     rng = np.random.default_rng(12)
     t = Tensor(rng.normal(size=(7, 3)))
     seg = Segments([1, 4, 2])
     weights = rng.normal(size=(3, 3 * len(aggregators) * len(scalers)))
 
-    def fused():
-        return ndiff.segment_pna(t, seg, aggregators, scalers)
+    # each segment's rows reduced by plain numpy, scaler-major
+    reducers = {"mean": np.mean, "max": np.max, "min": np.min}
+    expected = []
+    for lo, n in zip(seg.starts, seg.counts):
+        rows = t.data[lo:lo + n]
+        base = np.concatenate([reducers[a](rows, axis=0) for a in aggregators])
+        expected.append(np.concatenate([s * base for s in scalers]))
 
-    def reference():
-        base = ndiff.concat_cols([ndiff.SEGMENT_REDUCERS[a](t, seg) for a in aggregators])
-        return ndiff.concat_cols([base if s == 1.0 else ndiff.affine_const(base, s)
-                                  for s in scalers])
+    def loss_of():
+        return ndiff.tsum(ndiff.mul_const(ndiff.segment_pna(t, seg, aggregators, scalers),
+                                          weights))
 
-    _check_fused_op(fused, reference, [t], weights, tol=1e-12)
+    assert np.allclose(ndiff.segment_pna(t, seg, aggregators, scalers).data, expected,
+                       rtol=1e-12, atol=1e-12)
+    loss_of().backward()
+    check_params(lambda: float(loss_of().data), [t], np.random.default_rng(0),
+                 per_param=10 ** 6)
 
 
 def test_segment_pna_ties_go_to_first_row():

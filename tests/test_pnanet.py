@@ -1,14 +1,11 @@
-import io
-
 import numpy as np
 import pytest
 
 from blkp import ndiff
 from blkp.graphrep import build_graph, graph_union
 from blkp.instance import BlkpInstance, GenConfig, generate
-from blkp.pnanet import (CheckpointError, ModelParams, PnaConfig, decode,
-                         encode, forward, forward_tensor, load_checkpoint,
-                         message_pass, save_checkpoint)
+from blkp.pnanet import (CheckpointError, ModelParams, PnaConfig, forward,
+                         forward_tensor, load_checkpoint, save_checkpoint)
 
 
 def permute_followers(inst, perm):
@@ -55,37 +52,70 @@ def test_aggregate_empty_rejected():
         aggregate([], PnaConfig())
 
 
-def test_encode_shapes_and_symmetry():
-    cfg = PnaConfig()
-    params = ModelParams(cfg, seed=0)
-    inst = BlkpInstance(1, 1, [2], [3], [2], [5], [4], 2)
-    emb = encode(build_graph(inst), params)
-    assert emb.leader.data.shape == (1, cfg.embed_dim)
-    assert emb.follower.data.shape == (1, cfg.embed_dim)
+def reference_leader_embeddings(graph, params):
+    """Leader embeddings of the network with every round updating both groups.
 
-    # identical follower items get identical embeddings
-    inst2 = BlkpInstance(2, 2, [2, 3], [3, 4], [5, 5], [6, 6], [7, 7], 10)
-    emb2 = encode(build_graph(inst2), params)
-    assert np.allclose(emb2.follower.data[0], emb2.follower.data[1])
+    The network written out half-round by half-round from public ops:
+    the encoder round, then `iterations` rounds of the shared blocks,
+    each reading the previous generation of both groups.
+    """
+    cfg = params.cfg
+
+    def half_round(own, other, pairs, block, extra=()):
+        msgs = params.mlps["msg_" + block].on_pairs(own, other, pairs)
+        agg = ndiff.segment_pna(msgs, pairs[2], cfg.aggregators, cfg.scalers)
+        return params.mlps["upd_" + block](ndiff.concat_cols([own, *extra, agg]))
+
+    lf, ff = ndiff.Tensor(graph.leader_feats), ndiff.Tensor(graph.follower_feats)
+    cap_l = ndiff.Tensor(np.repeat(graph.cap_feats, graph.n1s)[:, None])
+    cap_f = ndiff.Tensor(np.repeat(graph.cap_feats, graph.n2s)[:, None])
+    x = half_round(lf, ff, graph.leader_pairs, "leader_enc", (cap_l,))
+    y = half_round(ff, lf, graph.follower_pairs, "follower_enc", (cap_f,))
+    for _ in range(cfg.iterations):
+        x, y = (half_round(x, y, graph.leader_pairs, "leader_mp"),
+                half_round(y, x, graph.follower_pairs, "follower_mp"))
+    return x
+
+
+def test_encode_shapes_and_symmetry():
+    # one prediction per leader; identical items get identical embeddings
+    # in every round, hence identical predictions
+    for iterations in (0, 2):
+        params = ModelParams(PnaConfig(iterations=iterations), seed=0)
+        inst = BlkpInstance(1, 1, [2], [3], [2], [5], [4], 2)
+        assert forward_tensor(build_graph(inst), params).data.shape == (1, 1)
+        inst2 = BlkpInstance(2, 2, [3, 3], [4, 4], [5, 5], [6, 6], [7, 7], 10)
+        out = forward(inst2, params)
+        assert np.allclose(out[0], out[1])
 
 
 def test_message_pass_zero_rounds_identity():
+    # no round: the decoder reads the encoder's leader embeddings, and the
+    # message-passing blocks are never run
     params = ModelParams(PnaConfig(iterations=0), seed=1)
-    inst = generate(GenConfig(3, 4, seed=5))
-    emb = encode(build_graph(inst), params)
-    out = message_pass(emb, params)
-    assert np.array_equal(out.leader.data, emb.leader.data)
+    graph = build_graph(generate(GenConfig(3, 4, seed=5)))
+    leader = reference_leader_embeddings(graph, params)
+    expected = params.mlps["decoder"](leader).data
+    for name in ("msg_leader_mp", "upd_leader_mp", "msg_follower_mp", "upd_follower_mp"):
+        for w, b, _ in params.mlps[name].layers:
+            w.data[:] = np.nan
+            b.data[:] = np.nan
+    assert np.array_equal(forward_tensor(graph, params).data, expected)
 
 
 def test_message_pass_weight_sharing():
-    # iterations changes neither weight shapes nor draw order: same weights
-    params = ModelParams(PnaConfig(iterations=2), seed=2)
+    # iterations changes neither weight shapes nor draw order: same
+    # weights, run once per round; skipping the followers' last update
+    # leaves the output bit-identical
     once = ModelParams(PnaConfig(iterations=1), seed=2)
-    inst = generate(GenConfig(3, 3, seed=6))
-    emb = encode(build_graph(inst), params)
-    two = message_pass(emb, params)
-    once_twice = message_pass(message_pass(emb, once), once)
-    assert np.allclose(two.leader.data, once_twice.leader.data)
+    graph = build_graph(generate(GenConfig(3, 3, seed=6)))
+    for iterations in (1, 2, 3):
+        params = ModelParams(PnaConfig(iterations=iterations), seed=2)
+        for got, want in zip(params.parameters(), once.parameters()):
+            assert np.array_equal(got.data, want.data)
+        leader = reference_leader_embeddings(graph, params)
+        expected = params.mlps["decoder"](leader).data
+        assert np.array_equal(forward_tensor(graph, params).data, expected)
 
 
 def test_decode_zero_parameters_give_half():
@@ -95,8 +125,7 @@ def test_decode_zero_parameters_give_half():
         w.data[:] = 0.0
         b.data[:] = 0.0
     inst = generate(GenConfig(4, 4, seed=7))
-    emb = message_pass(encode(build_graph(inst), params), params)
-    out = decode(emb, params)
+    out = forward_tensor(build_graph(inst), params)
     assert np.allclose(out.data, 0.5)
 
 
@@ -167,25 +196,24 @@ def test_end_to_end_gradient_finite_differences():
     graph = build_graph(inst)
     labels = rng.integers(0, 2, 4).astype(float)
 
-    loss = ndiff.bce_loss(forward_tensor(graph, params), labels)
+    loss = ndiff.bce_counts(forward_tensor(graph, params), labels, 1)
     loss.backward()
 
     def loss_value():
-        return float(ndiff.bce_loss(forward_tensor(graph, params), labels).data)
+        return float(ndiff.bce_counts(forward_tensor(graph, params), labels, 1).data)
 
     from _gradcheck import check_params
     checked = check_params(loss_value, params.parameters(), rng, per_param=2)
     assert checked >= 30
 
 
-def test_checkpoint_round_trip():
+def test_checkpoint_round_trip(tmp_path):
     params = ModelParams(PnaConfig(), seed=7)
     inst = generate(GenConfig(5, 5, seed=10))
     from blkp.graphrep import DEFAULT_NORM
-    buf = io.StringIO()
-    save_checkpoint(params, DEFAULT_NORM, {"note": "test"}, buf)
-    buf.seek(0)
-    loaded, norm, meta = load_checkpoint(buf)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(params, DEFAULT_NORM, {"note": "test"}, path)
+    loaded, norm, meta = load_checkpoint(path)
     assert meta["note"] == "test"
     assert np.array_equal(forward(inst, params), forward(inst, loaded, norm=norm))
 
@@ -302,3 +330,28 @@ def test_forward_tape_stays_fused():
             seen.add(id(node))
             stack.extend(node._parents)
     assert len(seen - parameters) <= FORWARD_TAPE_NODES
+
+
+def test_forward_creates_only_reachable_tensors(monkeypatch):
+    # every tensor a forward creates lies on a path to its output: no
+    # half-round, constant or layer is computed that nothing reads
+    created = []
+    init = ndiff.Tensor.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        created.append(self)
+
+    params = ModelParams(PnaConfig(), seed=14)
+    graph = build_graph(generate(GenConfig(10, 10, seed=15)))
+    monkeypatch.setattr(ndiff.Tensor, "__init__", recording_init)
+    out = forward_tensor(graph, params)
+    monkeypatch.undo()
+    seen, stack = set(), [out]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    unreachable = [t for t in created if id(t) not in seen]
+    assert not unreachable, f"{len(unreachable)} of {len(created)} tensors unreachable"

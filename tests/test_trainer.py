@@ -128,7 +128,9 @@ def test_invalid_config():
     with pytest.raises(ValueError):
         TrainConfig(split=0.0)
     with pytest.raises(ValueError):
-        TrainConfig(epochs=10, early_stop_patience=20)
+        TrainConfig(early_stop_patience=-1)
+    # patience beyond the epochs just never stops early
+    assert TrainConfig(epochs=10, early_stop_patience=20).early_stop_patience == 20
 
 
 def test_batch_loss_matches_per_label_reference():
@@ -147,12 +149,12 @@ def test_batch_loss_matches_per_label_reference():
 
     loss = _batch_loss(train_set, graphs, params)
     got = grads(loss)
-    # one bce_sum per label, the sum divided by the number of terms
+    # one BCE sum per label, the sum divided by the number of terms
     preds = {i: forward_tensor(graphs[i], params)
              for i in {s.instance_id for s in train_set}}
-    ref = ndiff.bce_sum(preds[train_set[0].instance_id], train_set[0].x_label)
+    ref = ndiff.bce_counts(preds[train_set[0].instance_id], train_set[0].x_label, 1)
     for s in train_set[1:]:
-        ref = ndiff.add(ref, ndiff.bce_sum(preds[s.instance_id], s.x_label))
+        ref = ndiff.add(ref, ndiff.bce_counts(preds[s.instance_id], s.x_label, 1))
     terms = sum(s.x_label.size for s in train_set)
     ref = ndiff.affine_const(ref, 1.0 / terms)
     want = grads(ref)
@@ -185,7 +187,8 @@ def test_batch_loss_ragged_matches_per_instance_reference():
         stacks = {}
         for s in samples:
             stacks.setdefault(s.instance_id, []).append(s.x_label)
-        parts = [ndiff.bce_sum(forward_tensor(graphs[i], params), np.stack(stack))
+        parts = [ndiff.bce_counts(forward_tensor(graphs[i], params),
+                                  np.sum(stack, axis=0), len(stack))
                  for i, stack in stacks.items()]
         ref = parts[0]
         for part in parts[1:]:
