@@ -51,7 +51,7 @@ def solve_exact(inst, mode: Mode = Mode.OPTIMISTIC) -> ExactResult:
     take = knapsack_row(inst.d1, inst.a1, best_d1)
 
     weights = np.flatnonzero(best_d1 >= 0)
-    values = best_d1[weights] + follower.leader_profits[b - weights]
+    values = best_d1[weights] + follower.leader_profit(b - weights)
     order = np.argsort(-values, kind="stable")  # ties toward the lighter leader
     pool = trace(take, inst.a1, weights[order])
 

@@ -7,6 +7,12 @@ ranks by follower profit, the secondary term breaks ties by leader profit
 at capacity r also holds the reply at every r' < r: cell c reads only
 cells <= c, and an item heavier than r' writes only cells above r'. So
 one `follower_response` is the reply table `blkp.exact` and `blkp.search` read.
+
+The recurrence (`knapsack_row`) updates its row in place through one
+scratch row, so an item allocates nothing. It also tracks where the
+row's constant suffix starts: past that point every cell of an item's
+pass reads the same two old values, so the suffix is shifted by the
+profit as a block instead of being computed cell by cell.
 """
 
 from __future__ import annotations
@@ -48,7 +54,8 @@ class FollowerResponse:
     leader_value: int
     mode: Mode
     residual_capacity: int
-    leader_profits: np.ndarray  # L(r) = d2 . reply(r), for r = 0..residual_capacity
+    m: int                                   # the lexicographic multiplier M
+    row: np.ndarray = field(repr=False)      # combined DP values, r = 0..residual_capacity
     take: np.ndarray = field(repr=False)     # (n2, residual_capacity + 1) DP take table
     weights: np.ndarray = field(repr=False)  # a2
 
@@ -62,6 +69,13 @@ class FollowerResponse:
         if not 0 <= r <= self.residual_capacity:
             raise ValueError(f"r must lie in [0, {self.residual_capacity}]")
         return trace(self.take, self.weights, [r])[0].astype(np.int64)
+
+    def leader_profit(self, r):
+        """L(r) = d2 . reply(r) at a residual r, or an int array of them, from the DP row."""
+        r = np.asarray(r)
+        if r.size and not (0 <= r.min() and r.max() <= self.residual_capacity):
+            raise ValueError(f"r must lie in [0, {self.residual_capacity}]")
+        return tie_break_profit(self.row[r], self.m, self.mode)
 
 
 def check_dp_size(n: int, capacity: int) -> None:
@@ -80,16 +94,31 @@ def knapsack_row(profits, weights, row: np.ndarray) -> np.ndarray:
     c"); on exit it is the best value over all items. Returns the take
     table: take[i, c] records whether item i improved cell c; ties keep
     the cell, so they are broken toward not taking the item.
+
+    Each item writes straight into row and take through one scratch row.
+    Cells from t on, where row's constant suffix starts (one scan of the
+    input row: 0 for zeros, 1 for the sentinel row), all hold the same
+    value s; so for an item (w, p) every cell c >= t + w becomes
+    max(s, s + p), a block shift for p > 0 and no change for p = 0, and
+    the suffix then starts at t + w.
     """
     capacity = len(row) - 1
     take = np.zeros((len(weights), capacity + 1), dtype=bool)
+    differs = np.flatnonzero(row != row[-1])
+    t = int(differs[-1]) + 1 if differs.size else 0
+    scratch = np.empty(capacity + 1, dtype=np.int64)
     for i, (w, p) in enumerate(zip(weights.tolist(), profits.tolist())):
         if w > capacity:
             continue
-        cand = row[: capacity + 1 - w] + p
-        better = cand > row[w:]
-        row[w:] = np.where(better, cand, row[w:])
-        take[i, w:] = better
+        hi = min(t + w, capacity + 1)
+        cand = scratch[: hi - w]
+        np.add(row[: hi - w], p, out=cand)
+        np.greater(cand, row[w:hi], out=take[i, w:hi])
+        np.maximum(row[w:hi], cand, out=row[w:hi])  # equals where(greater): ties hold one value
+        if p > 0:
+            row[hi:] += p
+            take[i, hi:] = True
+        t = hi
     return take
 
 
@@ -151,8 +180,9 @@ def tie_break_profit(value, m: int, mode: Mode):
     """The d2 sum of a follower selection whose combined value is `value`.
 
     value = M * z + d2_sum (optimistic) or M * z - d2_sum (pessimistic),
-    with 0 <= d2_sum < M: floor division recovers it in the first case,
-    ceiling division in the second. Works on ints and int64 arrays.
+    with 0 <= d2_sum < M: value mod M recovers it in the first case,
+    -value mod M in the second (floor and ceiling division give z).
+    Works on ints and int64 arrays.
     """
     return value % m if mode is Mode.OPTIMISTIC else -value % m
 
@@ -164,7 +194,8 @@ def follower_response(inst, x_bar, mode: Mode = Mode.OPTIMISTIC) -> FollowerResp
     capacity. Among the follower-optimal selections, the leader profit of
     follower items is maximized (optimistic) or minimized (pessimistic).
     Both stages collapse into one knapsack with `combined_profits`. The
-    result also answers every residual r up to its own (`reply(r)`).
+    result also answers every residual r up to its own (`reply(r)`,
+    `leader_profit(r)`).
     """
     mode = Mode(mode)
     x_bar = binary_vector(x_bar, inst.n1, "x_bar")
@@ -176,14 +207,12 @@ def follower_response(inst, x_bar, mode: Mode = Mode.OPTIMISTIC) -> FollowerResp
     combined, m = combined_profits(inst, mode)
     row = np.zeros(residual + 1, dtype=np.int64)
     take = knapsack_row(combined, inst.a2, row)
-    leader_profits = tie_break_profit(row, m, mode)
     best = int(row[residual])  # M * z* +- the d2 sum of the reply
     z_star = best // m if mode is Mode.OPTIMISTIC else -(-best // m)
     return FollowerResponse(
         z_star=z_star,
-        leader_value=int(inst.d1 @ x_bar) + int(leader_profits[residual]),
-        mode=mode, residual_capacity=residual, leader_profits=leader_profits,
-        take=take, weights=inst.a2)
+        leader_value=int(inst.d1 @ x_bar) + tie_break_profit(best, m, mode),
+        mode=mode, residual_capacity=residual, m=m, row=row, take=take, weights=inst.a2)
 
 
 @dataclass

@@ -88,7 +88,7 @@ def solution_search(inst, final_values, cfg: SearchConfig) -> SearchResult:
     feasible = weights <= inst.b
     xs, weights = xs[feasible], weights[feasible]
     follower = follower_response(inst, np.zeros(inst.n1, dtype=np.int64), cfg.mode)
-    scores = xs @ inst.d1 + follower.leader_profits[inst.b - weights]
+    scores = xs @ inst.d1 + follower.leader_profit(inst.b - weights)
     best = int(np.argmax(scores))
     return SearchResult(
         best_x=xs[best], best_y=follower.reply(inst.b - int(weights[best])),

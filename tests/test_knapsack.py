@@ -4,7 +4,7 @@ import pytest
 from blkp.instance import BlkpInstance
 from blkp.knapsack import (MAX_DP_CELLS, DpTooLarge, InfeasibleLeader, Mode,
                            OverflowRiskError, evaluate_bilevel, follower_response,
-                           knapsack_max)
+                           knapsack_max, knapsack_row)
 
 from _oracles import follower_brute, knapsack_brute, random_instance
 
@@ -63,6 +63,47 @@ def test_knapsack_table_size_guard():
     with pytest.raises(DpTooLarge, match=f"n=1 .*b={MAX_DP_CELLS}"):
         knapsack_max([1], [1], MAX_DP_CELLS)
     assert knapsack_max([1], [1], 10) == (1, np.array([1]))
+
+
+def reference_row(profits, weights, row):
+    """The textbook recurrence, one cell at a time; a tie keeps the cell."""
+    row = [int(v) for v in row]
+    take = np.zeros((len(weights), len(row)), dtype=bool)
+    for i, (w, p) in enumerate(zip(weights, profits)):
+        old = list(row)
+        for c in range(int(w), len(row)):
+            if old[c - w] + p > old[c]:
+                row[c] = old[c - w] + p
+                take[i, c] = True
+    return np.array(row, dtype=np.int64), take
+
+
+def test_knapsack_row_matches_reference_recurrence():
+    rng = np.random.default_rng(22)
+    cases = [
+        ([3, 1], [1, 2], 0),              # b = 0
+        ([5, 2], [7, 1], 4),              # an item heavier than b
+        ([4, 2, 1], [4, 1, 2], 4),        # an item of weight exactly b
+        ([3, 3, 2, 3], [2, 2, 1, 2], 7),  # duplicate weights and equal profits
+        ([0, 2, 0], [1, 1, 3], 5),        # zero profits: every cell ties
+    ]
+    for _ in range(200):
+        n = int(rng.integers(0, 9))
+        cases.append((rng.integers(0, int(rng.choice([2, 4, 40])), n),
+                      rng.integers(1, int(rng.choice([3, 10, 40])), n),
+                      int(rng.integers(0, 40))))
+    for profits, weights, b in cases:
+        profits = np.asarray(profits, dtype=np.int64)
+        weights = np.asarray(weights, dtype=np.int64)
+        zeros = np.zeros(b + 1, dtype=np.int64)           # weight at most c
+        exact = np.full(b + 1, -1 - int(profits.sum()), dtype=np.int64)
+        exact[0] = 0                                      # weight exactly c
+        for init in (zeros, exact):
+            want_row, want_take = reference_row(profits, weights, init)
+            row = init.copy()
+            take = knapsack_row(profits, weights, row)
+            assert np.array_equal(take, want_take)
+            assert np.array_equal(row, want_row)
 
 
 def test_follower_residual_zero():
@@ -162,21 +203,27 @@ def test_follower_reply_table_matches_brute_force(mode):
         zeros = np.zeros(inst.n1, dtype=np.int64)
         resp = follower_response(inst, zeros, mode)
         assert resp.residual_capacity == inst.b
-        assert len(resp.leader_profits) == inst.b + 1
         for r in range(inst.b + 1):
             # the follower at residual r faces the same items under capacity r
             at_r = BlkpInstance(inst.n1, inst.n2, inst.a1, inst.d1, inst.a2, inst.d2,
                                 inst.c, r)
             _, z, leader_value = follower_brute(at_r, zeros, mode)
             y = resp.reply(r)
-            assert resp.leader_profits[r] == leader_value
+            assert resp.leader_profit(r) == leader_value
             assert int(inst.c @ y) == z
             assert int(inst.d2 @ y) == leader_value
             assert int(inst.a2 @ y) <= r
         assert np.array_equal(resp.reply(inst.b), resp.y)
+        every_r = np.arange(inst.b + 1)
+        assert np.array_equal(resp.leader_profit(every_r),
+                              [resp.leader_profit(r) for r in every_r])
         for r in (-1, inst.b + 1):
             with pytest.raises(ValueError, match="r must lie"):
                 resp.reply(r)
+            with pytest.raises(ValueError, match="r must lie"):
+                resp.leader_profit(r)
+            with pytest.raises(ValueError, match="r must lie"):
+                resp.leader_profit(np.array([0, r]))
 
 
 @pytest.mark.parametrize("x", [[-1], [2], [0.5]])
