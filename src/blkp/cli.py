@@ -1,14 +1,15 @@
 """Command-line surface: generate | exact | label | train | solve | bench.
 
-The bench subcommand compares the deterministic-rounding heuristic, the
-sampling heuristic, and the exact oracle over a directory of instances
-and reports average objective, average/maximum optimality gap, and mean
-per-instance runtime, grouped by (data type, n1, n2, method).
+The bench subcommand compares deterministic rounding (theta 0.5, one
+sample), the sampling heuristic, and the exact oracle over a directory of
+instances and reports average objective, average/maximum optimality gap,
+and mean per-instance runtime, grouped by (data type, n1, n2, method).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -28,8 +29,7 @@ class CliError(Exception):
     pass
 
 
-def _config_hash(doc) -> str:
-    data = json.dumps(doc, sort_keys=True).encode()
+def _short_hash(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:12]
 
 
@@ -79,20 +79,25 @@ def _timed(fn, *args, **kwargs):
     return result, time.perf_counter() - t0
 
 
-def _emit(doc, out, fmt, tsv_rows=None):
-    """Write a JSON document or TSV rows to a path or stdout."""
-    if fmt == "tsv" and tsv_rows is not None:
-        text = "\n".join("\t".join(str(v) for v in row) for row in tsv_rows) + "\n"
+def _emit(args, key, records, columns, **extra):
+    """Write records to `args.out` (stdout when unset or "-") in `args.format`.
+
+    TSV is a header of `columns` and one row of them per record; JSON is
+    the document {key: records, **extra}.
+    """
+    if args.format == "tsv":
+        rows = [columns] + [[r[c] for c in columns] for r in records]
+        text = "\n".join("\t".join(str(v) for v in row) for row in rows) + "\n"
     else:
-        text = json.dumps(doc, indent=1) + "\n"
-    if out in (None, "-"):
+        text = json.dumps({key: records, **extra}, indent=1) + "\n"
+    if args.out in (None, "-"):
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        Path(args.out).write_text(text)
 
 
 def cmd_generate(args):
-    outdir = Path(args.out or ".")
+    outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     for k in range(args.count):
         cfg = inst_mod.GenConfig(
@@ -128,21 +133,17 @@ def _solve_exact_all(args):
 
 def cmd_exact(args):
     records = [_exact_record(*solved) for solved in _solve_exact_all(args)]
-    header = ["instance", "mode", "opt_value", "proven_optimal", "node_count", "elapsed"]
-    rows = [header] + [[r[h] for h in header] for r in records]
-    _emit({"records": records}, args.out, args.format, rows)
+    _emit(args, "records", records,
+          ["instance", "mode", "opt_value", "proven_optimal", "node_count", "elapsed"])
     return 0
 
 
 def cmd_label(args):
-    rows = [["instance", "leader_value", "x"]]
-    records = []
-    for name, result, _ in _solve_exact_all(args):
-        for x, value in exact_mod.collect_labels(result, k=args.k):
-            xs = "".join(str(int(v)) for v in x)
-            rows.append([name, value, xs])
-            records.append({"instance": name, "leader_value": value, "x": xs})
-    _emit({"labels": records}, args.out, args.format, rows)
+    records = [{"instance": name, "leader_value": value,
+                "x": "".join(str(int(v)) for v in x)}
+               for name, result, _ in _solve_exact_all(args)
+               for x, value in exact_mod.collect_labels(result, k=args.k)]
+    _emit(args, "labels", records, ["instance", "leader_value", "x"])
     return 0
 
 
@@ -179,21 +180,14 @@ def cmd_train(args):
         weight_decay=args.weight_decay, split=args.split, seed=args.seed)
     mcfg = pnanet.PnaConfig(iterations=args.iterations)
     train_set, val_set = trainer.build_dataset(instances, label_lists, tcfg)
-    result = trainer.train(instances, train_set, val_set, mcfg, tcfg,
-                           init_seed=args.seed)
+    result = trainer.train(instances, train_set, val_set, mcfg, tcfg)
     meta = {
-        "train_config": {
-            "epochs": args.epochs, "patience": args.patience,
-            "batch_size": args.batch_size, "lr": args.lr,
-            "weight_decay": args.weight_decay, "split": args.split,
-            "seed": args.seed,
-        },
+        "train_config": dataclasses.asdict(tcfg),
         "best_epoch": result.best_epoch,
         "best_val_loss": result.best_val_loss,
         "initial_val_loss": result.initial_val_loss,
     }
-    pnanet.save_checkpoint(result.params, DEFAULT_NORM, meta,
-                           args.out or "model.json")
+    pnanet.save_checkpoint(result.params, DEFAULT_NORM, meta, args.out)
     if args.history:
         lines = ["epoch\ttrain_loss\tval_loss"]
         lines += [f"{i}\t{tr:.6f}\t{vl:.6f}" for i, (tr, vl) in enumerate(result.history)]
@@ -205,9 +199,8 @@ def cmd_train(args):
 
 def cmd_solve(args):
     params, norm, _meta = pnanet.load_checkpoint(args.checkpoint)
-    scfg = search.SearchConfig(
-        theta=args.theta, n_samples=args.n_samples, mode=Mode(args.mode),
-        seed=args.seed, deterministic_rounding=args.no_sampling)
+    scfg = search.SearchConfig(theta=args.theta, n_samples=args.n_samples,
+                               mode=Mode(args.mode), seed=args.seed)
     records = []
     for name, inst in _load_instances(args.instance, _follower_dp_items):
         res, elapsed = _timed(search.solve_heuristic, inst, params, scfg, norm=norm)
@@ -221,11 +214,10 @@ def cmd_solve(args):
             "distinct_x_count": res.distinct_x_count,
             "elapsed": elapsed,
         })
-    header = ["instance", "best_value", "samples_evaluated", "samples_infeasible",
-              "distinct_x_count", "elapsed"]
-    rows = [header] + [[r[h] for h in header] for r in records]
-    _emit({"results": records, "search_config": scfg.to_dict()},
-          args.out, args.format, rows)
+    _emit(args, "results", records,
+          ["instance", "best_value", "samples_evaluated", "samples_infeasible",
+           "distinct_x_count", "elapsed"],
+          search_config=scfg.to_dict())
     return 0
 
 
@@ -251,8 +243,7 @@ def run_benchmark(named_instances, params, norm, theta, n_samples, mode, seed):
         groups.setdefault(key, []).append((name, inst))
 
     methods = {
-        "no_sampling": search.SearchConfig(theta=0.5, n_samples=1, mode=mode,
-                                           seed=seed, deterministic_rounding=True),
+        "no_sampling": search.SearchConfig(theta=0.5, n_samples=1, mode=mode, seed=seed),
         f"sampling(theta={theta},N={n_samples})": search.SearchConfig(
             theta=theta, n_samples=n_samples, mode=mode, seed=seed),
     }
@@ -280,7 +271,7 @@ def run_benchmark(named_instances, params, norm, theta, n_samples, mode, seed):
                 "avg_obj": float(np.mean(list(heur_vals.values()))),
                 "avg_gap_pct": avg_gap, "max_gap_pct": max_gap,
                 "avg_time_s": float(np.mean(times)),
-                "search_hash": _config_hash(scfg.to_dict()),
+                "search_hash": _short_hash(json.dumps(scfg.to_dict(), sort_keys=True).encode()),
             })
         rows.append({
             "data_type": data_type, "n1": n1, "n2": n2, "method": "exact",
@@ -299,21 +290,26 @@ def cmd_bench(args):
     rows = run_benchmark(named, params, norm, theta=args.theta,
                          n_samples=args.n_samples, mode=Mode(args.mode),
                          seed=args.seed)
-    ckpt_hash = _config_hash(params.cfg.to_dict())
+    ckpt_hash = _short_hash(Path(args.checkpoint).read_bytes())
     for r in rows:
         r["checkpoint_hash"] = ckpt_hash
-    header = ["data_type", "n1", "n2", "method", "count", "avg_obj",
-              "avg_gap_pct", "max_gap_pct", "avg_time_s",
-              "checkpoint_hash", "search_hash"]
-    tsv = [header] + [[r[h] for h in header] for r in rows]
-    _emit({"report": rows, "seed": args.seed}, args.out, args.format, tsv)
+    _emit(args, "report", rows,
+          ["data_type", "n1", "n2", "method", "count", "avg_obj", "avg_gap_pct",
+           "max_gap_pct", "avg_time_s", "checkpoint_hash", "search_hash"],
+          seed=args.seed)
     return 0
 
 
-def _add_common(p):
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None, help="output path (default: stdout)")
+def _add_table_output(p):
+    p.add_argument("--out", default=None, help="table path (default: stdout)")
     p.add_argument("--format", choices=["tsv", "json"], default="tsv")
+
+
+def _add_search(p):
+    p.add_argument("--theta", type=float, default=0.2,
+                   help="fix items within theta of 0 or 1; 0.5 rounds every item")
+    p.add_argument("--n-samples", type=int, default=10)
+    p.add_argument("--seed", type=int, default=0, help="seed of the sampling search")
 
 
 def _add_mode(p):
@@ -334,13 +330,15 @@ def build_parser():
     p.add_argument("--alpha-lo", type=float, default=0.5)
     p.add_argument("--alpha-hi", type=float, default=0.75)
     p.add_argument("--value-max", type=int, default=1000)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the first instance; the k-th uses seed + k")
+    p.add_argument("--out", default=".", help="directory for the instance files")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("exact", help="solve instances exactly")
     p.add_argument("--instances", required=True)
     _add_mode(p)
-    _add_common(p)
+    _add_table_output(p)
     p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("label", help="write supervised labels from the exact pool")
@@ -348,7 +346,7 @@ def build_parser():
     p.add_argument("--k", type=int, default=10,
                    help="labels beyond the optimum: best vectors of the next k leader weights")
     _add_mode(p)
-    _add_common(p)
+    _add_table_output(p)
     p.set_defaults(func=cmd_label)
 
     p = sub.add_parser("train", help="train the predictor")
@@ -362,28 +360,26 @@ def build_parser():
     p.add_argument("--split", type=float, default=0.8)
     p.add_argument("--iterations", type=int, default=2)
     p.add_argument("--history", default=None, help="per-epoch loss log path")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the initial weights, the split and the batch order")
+    p.add_argument("--out", default="model.json", help="checkpoint path")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("solve", help="heuristic solve with a checkpoint")
     p.add_argument("--instance", required=True,
                    help="instance file or directory")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--theta", type=float, default=0.2)
-    p.add_argument("--n-samples", type=int, default=10)
-    p.add_argument("--no-sampling", action="store_true",
-                   help="deterministic rounding instead of sampling")
+    _add_search(p)
     _add_mode(p)
-    _add_common(p)
+    _add_table_output(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("bench", help="gap/time report over an instance directory")
     p.add_argument("--instances", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--theta", type=float, default=0.2)
-    p.add_argument("--n-samples", type=int, default=10)
+    _add_search(p)
     _add_mode(p)
-    _add_common(p)
+    _add_table_output(p)
     p.set_defaults(func=cmd_bench)
 
     return ap

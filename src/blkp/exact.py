@@ -65,6 +65,8 @@ def collect_labels(result: ExactResult, k: int = 10) -> list:
     """The optimal leader vector plus the best of the next k leader weights.
 
     Returns (x, leader_value) pairs, best first; fewer when the pool is
-    small.
+    small. A negative k raises ValueError.
     """
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     return [(x, int(v)) for x, v in zip(result.pool[:k + 1], result.pool_values[:k + 1])]

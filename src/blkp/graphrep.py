@@ -65,18 +65,14 @@ class TripartiteGraph:
     def n2(self) -> int:
         return self.follower_feats.shape[0]
 
-    @property
-    def node_count(self) -> int:
-        return self.n1 + self.n2 + len(self.cap_feats)
-
     @cached_property
     def leader_pairs(self):
-        """(leader rows, follower rows, Segments) of the leader-major pairs."""
+        """(follower rows, Segments) of the leader-major pairs."""
         return own_major_pairs(self.n1s, self.n2s)
 
     @cached_property
     def follower_pairs(self):
-        """(follower rows, leader rows, Segments) of the follower-major pairs."""
+        """(leader rows, Segments) of the follower-major pairs."""
         return own_major_pairs(self.n2s, self.n1s)
 
 
@@ -85,15 +81,14 @@ def own_major_pairs(n_own, n_other):
 
     Pairs run over the graphs in order and are own-major inside each
     graph, so the messages of one own node are consecutive, one per other
-    node of its graph in row order. Returns the own row and the other row
-    of each pair, and the Segments of the own nodes' messages.
+    node of its graph in row order. Returns the other row of each pair and
+    the Segments of the own nodes' messages: own row i owns segment i.
     """
     per_own = np.repeat(n_other, n_own)
     seg = Segments(per_own)
     other_first = np.repeat(np.cumsum(n_other) - n_other, n_own)
-    own_rows = np.repeat(np.arange(len(per_own)), per_own)
     other_rows = np.arange(seg.rows) - np.repeat(seg.starts - other_first, per_own)
-    return own_rows, other_rows, seg
+    return other_rows, seg
 
 
 def build_graph(inst, norm: NormalizationScheme = DEFAULT_NORM) -> TripartiteGraph:

@@ -75,9 +75,6 @@ class Tensor:
             if node._backward is not None:
                 node._backward(node.grad)
 
-    def zero_grad(self):
-        self.grad = None
-
 
 def _binary(a: Tensor, b: Tensor, out, da, db) -> Tensor:
     t = Tensor(out, parents=(a, b))
@@ -148,8 +145,8 @@ def relu(t: Tensor) -> Tensor:
     return _unary(t, np.where(t.data <= 0, 0.0, t.data), lambda g: g * mask)
 
 
-def leaky_relu(t: Tensor, slope: float = 0.01) -> Tensor:
-    factor = np.where(t.data > 0, 1.0, slope)
+def leaky_relu(t: Tensor) -> Tensor:
+    factor = np.where(t.data > 0, 1.0, 0.01)
     return _unary(t, t.data * factor, lambda g: g * factor)
 
 
@@ -220,15 +217,15 @@ class Segments:
 def pair_linear(own: Tensor, other: Tensor, pairs, w: Tensor, b: Tensor) -> Tensor:
     """[own[i]; other[j]] @ w + b for every own-major (i, j) pair, as one node.
 
-    `pairs` is (own_rows, other_rows, seg) as `graphrep.own_major_pairs`
-    gives it: the pairs of own row i form the i-th segment of `seg`. The
+    `pairs` is (other_rows, seg) as `graphrep.own_major_pairs` gives
+    it: the pairs of own row i form the i-th segment of `seg`. The
     layer is affine, so w splits by rows into the own part w[:k] (k =
     own's width) and the other part w[k:]: each node is projected once,
     and the projections are expanded to the pairs, the own side by
     repeating row i over its segment and the other side by gathering
     other_rows.
     """
-    _, other_rows, seg = pairs
+    other_rows, seg = pairs
     k = own.data.shape[1]
     w_own, w_other = w.data[:k], w.data[k:]
     out = (np.repeat(own.data @ w_own, seg.counts, axis=0)
@@ -396,13 +393,13 @@ class Mlp:
 class Adam:
     """Adam with bias correction; weight decay enters as an L2 gradient term."""
 
-    def __init__(self, params, lr=0.002, beta1=0.9, beta2=0.999,
-                 eps=1e-8, weight_decay=1e-6):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params, lr=0.002, weight_decay=1e-6):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
@@ -419,8 +416,8 @@ class Adam:
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             if self.weight_decay:
                 g = g + self.weight_decay * p.data
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
-            m_hat = self.m[i] / (1 - self.beta1 ** t)
-            v_hat = self.v[i] / (1 - self.beta2 ** t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            self.m[i] = self.BETA1 * self.m[i] + (1 - self.BETA1) * g
+            self.v[i] = self.BETA2 * self.v[i] + (1 - self.BETA2) * g * g
+            m_hat = self.m[i] / (1 - self.BETA1 ** t)
+            v_hat = self.v[i] / (1 - self.BETA2 ** t)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)

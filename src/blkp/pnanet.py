@@ -156,7 +156,7 @@ def _half_round(own: Tensor, other: Tensor, pairs, params: ModelParams, block: s
     `graphrep.own_major_pairs` of the union: each own node's messages
     form one segment.
     """
-    _, _, seg = pairs
+    _, seg = pairs
     msgs = params.mlps["msg_" + block].on_pairs(own, other, pairs)
     agg = segment_pna(msgs, seg, params.cfg.aggregators, params.cfg.scalers)
     return params.mlps["upd_" + block](concat_cols([own, *extra, agg]))

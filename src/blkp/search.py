@@ -25,7 +25,6 @@ class SearchConfig:
     n_samples: int = 10
     mode: Mode = Mode.OPTIMISTIC
     seed: int = 0
-    deterministic_rounding: bool = False
 
     def __post_init__(self):
         if not (0.0 <= self.theta <= 0.5):
@@ -39,7 +38,6 @@ class SearchConfig:
             "n_samples": self.n_samples,
             "mode": Mode(self.mode).value,
             "seed": self.seed,
-            "deterministic_rounding": self.deterministic_rounding,
         }
 
 
@@ -72,13 +70,12 @@ def solution_search(inst, final_values, cfg: SearchConfig) -> SearchResult:
     rng = np.random.default_rng(cfg.seed)
 
     # the fix-to-1 interval is checked first, so a value of exactly 0.5 at
-    # theta = 0.5 rounds to 1; deterministic rounding sends free values to 0
+    # theta = 0.5 rounds to 1: theta = 0.5 leaves no item free and every
+    # sample is the deterministic rounding at 0.5
     fix1 = final_values >= 1.0 - cfg.theta
-    n_samples = 1 if cfg.deterministic_rounding else cfg.n_samples
-    samples = np.tile(fix1.astype(np.int64), (n_samples, 1))
-    if not cfg.deterministic_rounding:
-        free = ~fix1 & (final_values > cfg.theta)
-        samples[:, free] = rng.random((n_samples, int(free.sum()))) < final_values[free]
+    free = ~fix1 & (final_values > cfg.theta)
+    samples = np.tile(fix1.astype(np.int64), (cfg.n_samples, 1))
+    samples[:, free] = rng.random((cfg.n_samples, int(free.sum()))) < final_values[free]
 
     # the all-zeros leader goes last: it always fits, and argmax keeps the
     # first best row, so earlier samples win ties and it wins only when

@@ -110,17 +110,17 @@ def evaluate_loss(samples, graphs, params) -> float:
 
 
 def train(instances, train_set, val_set, model_cfg: PnaConfig,
-          train_cfg: TrainConfig, norm: NormalizationScheme = DEFAULT_NORM,
-          init_seed: int = 0) -> TrainResult:
+          train_cfg: TrainConfig, norm: NormalizationScheme = DEFAULT_NORM) -> TrainResult:
     """Mini-batch training with early stopping on validation loss.
 
+    `train_cfg.seed` seeds the initial parameters and the batch order.
     Returns the parameters from the best-validation epoch together with
     the per-epoch loss history.
     """
     if not train_set:
         raise ValueError("training set is empty")
     graphs = {i: build_graph(inst, norm) for i, inst in enumerate(instances)}
-    params = ModelParams(model_cfg, seed=init_seed)
+    params = ModelParams(model_cfg, seed=train_cfg.seed)
     opt = Adam(params.parameters(), lr=train_cfg.lr,
                weight_decay=train_cfg.weight_decay)
     rng = np.random.default_rng(train_cfg.seed + 1)

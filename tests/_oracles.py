@@ -96,10 +96,9 @@ def search_brute(inst, final_values, cfg):
     fix1 = values >= 1.0 - cfg.theta
     free = (values > cfg.theta) & ~fix1
     samples = []
-    for _ in range(1 if cfg.deterministic_rounding else cfg.n_samples):
+    for _ in range(cfg.n_samples):
         x = fix1.astype(np.int64)
-        if not cfg.deterministic_rounding:
-            x[free] = rng.random(int(free.sum())) < values[free]
+        x[free] = rng.random(int(free.sum())) < values[free]
         samples.append(x)
     best, seen, infeasible = None, set(), 0
     for x in samples + [np.zeros(inst.n1, dtype=np.int64)]:

@@ -216,8 +216,7 @@ def test_criterion_8_monotonicity_and_rounding(desk_model):
                 assert res.best_value >= prev
             prev = res.best_value
         det = solution_search(inst, values,
-                              SearchConfig(theta=0.5, n_samples=1, seed=42,
-                                           deterministic_rounding=True))
+                              SearchConfig(theta=0.5, n_samples=1, seed=42))
         ev = evaluate_bilevel(inst, det.best_x, det.best_y)
         assert ev.bilevel_feasible
         assert det.best_value <= solve_exact(inst).opt_value

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import time
 
@@ -6,7 +7,8 @@ import pytest
 
 from blkp.cli import CliError, compute_gaps, main
 from blkp.graphrep import DEFAULT_NORM
-from blkp.pnanet import ModelParams, PnaConfig, save_checkpoint
+from blkp.pnanet import ModelParams, PnaConfig, load_checkpoint, save_checkpoint
+from blkp.trainer import TrainConfig
 
 
 @pytest.fixture
@@ -69,7 +71,8 @@ def test_label_and_train_and_solve(instance_dir, tmp_path):
                "--labels", str(labels), "--epochs", "3", "--patience", "3",
                "--split", "0.5", "--out", str(ckpt), "--history", str(hist)])
     assert rc == 0
-    assert ckpt.exists()
+    assert load_checkpoint(ckpt)[2]["train_config"] == dataclasses.asdict(
+        TrainConfig(epochs=3, early_stop_patience=3, split=0.5))
     assert hist.read_text().startswith("epoch\t")
 
     out = tmp_path / "solve.json"
@@ -158,6 +161,22 @@ def test_bench_report(instance_dir, checkpoint, tmp_path):
         assert "checkpoint_hash" in r
 
 
+def test_bench_checkpoint_hash_follows_the_weights(instance_dir, tmp_path):
+    def checkpoint_hash(path):
+        out = tmp_path / "report.json"
+        assert main(["bench", "--instances", str(instance_dir), "--checkpoint", str(path),
+                     "--n-samples", "2", "--format", "json", "--out", str(out)]) == 0
+        [digest] = {r["checkpoint_hash"] for r in json.loads(out.read_text())["report"]}
+        return digest
+
+    paths = [tmp_path / f"model{seed}.json" for seed in (0, 1)]
+    for seed, path in enumerate(paths):  # one config, different weights
+        save_checkpoint(ModelParams(PnaConfig(), seed=seed), DEFAULT_NORM, {}, path)
+    first = checkpoint_hash(paths[0])
+    assert checkpoint_hash(paths[0]) == first
+    assert checkpoint_hash(paths[1]) != first
+
+
 def test_bench_sampling_monotone_in_n(instance_dir, checkpoint, tmp_path):
     objs = {}
     for n in (2, 20):
@@ -187,6 +206,27 @@ def test_bench_reproducible(instance_dir, checkpoint, tmp_path):
         ti = header.index("avg_time_s")
         texts.append([[c for i, c in enumerate(r) if i != ti] for r in rows])
     assert texts[0] == texts[1]
+
+
+def test_label_negative_k_errors(instance_dir, tmp_path, capsys):
+    out = tmp_path / "labels.tsv"
+    rc = main(["label", "--instances", str(instance_dir), "--k", "-2", "--out", str(out)])
+    assert rc == 1
+    assert "error: k must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--n1", "2", "--n2", "2", "--format", "json"],
+    ["exact", "--instances", "d", "--seed", "1"],
+    ["label", "--instances", "d", "--seed", "1"],
+    ["train", "--instances", "d", "--labels", "l", "--format", "json"],
+    ["solve", "--instance", "d", "--checkpoint", "c", "--no-sampling"],
+])
+def test_flags_a_subcommand_does_not_read_are_refused(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_missing_file_errors(tmp_path, capsys):

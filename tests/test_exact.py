@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from blkp.exact import collect_labels, solve_exact
-from blkp.instance import BlkpInstance
+from blkp.instance import BlkpInstance, GenConfig, generate
 from blkp.knapsack import DpTooLarge, MAX_DP_CELLS, Mode, evaluate_bilevel, follower_response
 
 from _oracles import bilevel_brute, pool_brute, random_instance
@@ -126,3 +126,11 @@ def test_collect_labels_ordering_and_k_zero():
     only_opt = collect_labels(res, k=0)
     assert len(only_opt) == 1
     assert only_opt[0][1] == res.opt_value
+
+
+def test_collect_labels_rejects_negative_k():
+    res = solve_exact(generate(GenConfig(6, 6, seed=3)))
+    assert len(res.pool) > 2  # k = -2 would otherwise slice all but one row
+    for k in (-1, -2):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            collect_labels(res, k=k)

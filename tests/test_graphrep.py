@@ -25,7 +25,7 @@ def test_cap_feat_equals_alpha_without_rounding():
 def test_node_count():
     inst = generate(GenConfig(7, 5, seed=3))
     g = build_graph(inst)
-    assert g.node_count == 13
+    assert (g.n1, g.n2, len(g.cap_feats)) == (7, 5, 1)
     assert g.leader_feats.shape == (7, 2)
     assert g.follower_feats.shape == (5, 3)
 
@@ -55,7 +55,7 @@ def test_union_stacks_graphs_in_order():
     insts = [generate(GenConfig(n1, n2, seed=20 + n1)) for n1, n2 in ((2, 3), (1, 1), (4, 2))]
     graphs = [build_graph(inst) for inst in insts]
     u = graph_union(graphs)
-    assert (u.n1, u.n2, u.node_count) == (7, 6, 16)
+    assert (u.n1, u.n2, len(u.cap_feats)) == (7, 6, 3)
     assert u.n1s.tolist() == [2, 1, 4] and u.n2s.tolist() == [3, 1, 2]
     assert np.array_equal(u.leader_feats, np.concatenate([g.leader_feats for g in graphs]))
     assert np.array_equal(u.follower_feats, np.concatenate([g.follower_feats for g in graphs]))
@@ -69,7 +69,8 @@ def test_union_rejects_mixed_normalization():
 
 
 def test_own_major_pairs_stay_within_each_graph():
-    own_rows, other_rows, seg = own_major_pairs(np.array([2, 1]), np.array([3, 2]))
+    other_rows, seg = own_major_pairs(np.array([2, 1]), np.array([3, 2]))
+    own_rows = np.repeat(np.arange(len(seg.counts)), seg.counts)
     # graph 0: own 0-1 x other 0-2; graph 1: own 2 x other 3-4
     assert own_rows.tolist() == [0, 0, 0, 1, 1, 1, 2, 2]
     assert other_rows.tolist() == [0, 1, 2, 0, 1, 2, 3, 4]

@@ -63,7 +63,7 @@ def reference_leader_embeddings(graph, params):
 
     def half_round(own, other, pairs, block, extra=()):
         msgs = params.mlps["msg_" + block].on_pairs(own, other, pairs)
-        agg = ndiff.segment_pna(msgs, pairs[2], cfg.aggregators, cfg.scalers)
+        agg = ndiff.segment_pna(msgs, pairs[1], cfg.aggregators, cfg.scalers)
         return params.mlps["upd_" + block](ndiff.concat_cols([own, *extra, agg]))
 
     lf, ff = ndiff.Tensor(graph.leader_feats), ndiff.Tensor(graph.follower_feats)

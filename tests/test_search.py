@@ -35,14 +35,22 @@ def test_threshold_boundaries_inclusive():
         assert res.distinct_x_count <= 2
 
 
-def test_deterministic_rounding_single_candidate():
-    inst = tiny_instance()
-    cfg = SearchConfig(theta=0.5, n_samples=7, seed=3, deterministic_rounding=True)
-    res = solution_search(inst, [0.5], cfg)  # tie at 0.5 rounds to 1
-    assert res.samples_evaluated == 1
-    assert res.best_x.tolist() in ([1], [0])
-    # x=[1] fills the knapsack alone: leader value 3 beats fallback? no, 5 > 3
-    assert res.best_value == 5  # fallback all-zeros wins here
+def test_theta_half_leaves_no_free_item():
+    # at theta 0.5 every value is fixed, 0.5 itself to 1, so each of the N
+    # samples is the rounding at 0.5: one distinct sample and the all-zeros leader
+    rng = np.random.default_rng(3)
+    for seed in range(20):
+        inst = random_instance(rng, 6, 4)
+        values = np.concatenate([[0.5, 0.5 - 1e-12], rng.uniform(0, 1, 4)])
+        res = solution_search(inst, values, SearchConfig(theta=0.5, n_samples=7, seed=seed))
+        rounded = (values >= 0.5).astype(np.int64)
+        assert res.samples_evaluated == 7
+        assert res.samples_infeasible == (7 if inst.a1 @ rounded > inst.b else 0)
+        assert res.distinct_x_count <= 2
+        assert res.best_x.tolist() in (rounded.tolist(), [0] * 6)
+    # x = [1] scores 3 and fills the knapsack; the all-zeros leader's 5 wins
+    res = solution_search(tiny_instance(), [0.5], SearchConfig(theta=0.5, n_samples=7))
+    assert (res.best_x.tolist(), res.best_value) == ([0], 5)
 
 
 def test_near_zero_final_value_reaches_oracle():
@@ -137,8 +145,7 @@ def test_matches_brute_force_search(mode):
         values = (rng.choice([0.0, 0.2, 0.5, 0.8, 1.0], inst.n1) if k % 3 == 0
                   else rng.uniform(0, 1, inst.n1))
         cfg = SearchConfig(theta=float(rng.choice([0.0, 0.2, 0.5])),
-                           n_samples=int(rng.integers(1, 20)), mode=mode, seed=k,
-                           deterministic_rounding=k % 5 == 0)
+                           n_samples=int(rng.integers(1, 20)), mode=mode, seed=k)
         res = solution_search(inst, values, cfg)
         value, x, evaluated, infeasible, distinct = search_brute(inst, values, cfg)
         assert res.best_value == value
