@@ -97,6 +97,8 @@ def _emit(args, key, records, columns, **extra):
 
 
 def cmd_generate(args):
+    if args.count < 1:
+        raise CliError(f"--count must be >= 1, got {args.count}")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     for k in range(args.count):
@@ -358,7 +360,8 @@ def build_parser():
     p.add_argument("--lr", type=float, default=0.002)
     p.add_argument("--weight-decay", type=float, default=1e-6)
     p.add_argument("--split", type=float, default=0.8)
-    p.add_argument("--iterations", type=int, default=2)
+    p.add_argument("--iterations", type=int, default=2,
+                   help="message-passing rounds, all sharing one set of weights")
     p.add_argument("--history", default=None, help="per-epoch loss log path")
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the initial weights, the split and the batch order")
@@ -390,7 +393,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (CliError, inst_mod.InstanceError, pnanet.CheckpointError,
-            FileNotFoundError, ValueError) as exc:
+            trainer.TrainingDiverged, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,8 +15,7 @@ the network would otherwise chain several:
   messages, of any mix of lengths), scaler-major, built on
   `np.add/maximum/minimum.reduceat`. Each aggregator's forward and
   gradient rule is defined once, in `AGGREGATORS`.
-`matmul`, `add` and the row gather `take_rows` are the unfused
-equivalents; `add` also sums the loss terms.
+`add`, an unfused elementwise sum, adds the loss terms.
 
 Gradients accumulate additively, so a tensor may feed several downstream
 ops.
@@ -76,27 +75,10 @@ class Tensor:
                 node._backward(node.grad)
 
 
-def _binary(a: Tensor, b: Tensor, out, da, db) -> Tensor:
-    t = Tensor(out, parents=(a, b))
-
-    def back(g):
-        a._accumulate(da(g))
-        b._accumulate(db(g))
-
-    t._backward = back
-    return t
-
-
 def _unary(a: Tensor, out, da) -> Tensor:
     t = Tensor(out, parents=(a,))
     t._backward = lambda g: a._accumulate(da(g))
     return t
-
-
-def matmul(x: Tensor, w: Tensor) -> Tensor:
-    return _binary(x, w, x.data @ w.data,
-                   lambda g: g @ w.data.T,
-                   lambda g: x.data.T @ g)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -114,7 +96,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise add; b may be a bias vector broadcast over rows."""
-    out = a.data + b.data
+    t = Tensor(a.data + b.data, parents=(a, b))
 
     def reduce_to(g, shape):
         if g.shape == shape:
@@ -123,9 +105,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             return g.sum(axis=0)
         raise ValueError(f"cannot reduce gradient {g.shape} to {shape}")
 
-    return _binary(a, b, out,
-                   lambda g: reduce_to(g, a.data.shape),
-                   lambda g: reduce_to(g, b.data.shape))
+    def back(g):
+        a._accumulate(reduce_to(g, a.data.shape))
+        b._accumulate(reduce_to(g, b.data.shape))
+
+    t._backward = back
+    return t
 
 
 def affine_const(t: Tensor, scale: float, shift: float = 0.0) -> Tensor:
@@ -187,13 +172,6 @@ def _sum_picked_rows(g, rows, n):
     grad = np.zeros((n,) + g.shape[1:])
     grad[picked[firsts]] = np.add.reduceat(g[order], firsts, axis=0)
     return grad
-
-
-def take_rows(t: Tensor, rows) -> Tensor:
-    """Rows of t picked by index, in order; a row may be picked any number of times."""
-    rows = np.asarray(rows, dtype=np.intp)
-    return _unary(t, np.take(t.data, rows, axis=0),
-                  lambda g: _sum_picked_rows(g, rows, t.data.shape[0]))
 
 
 class Segments:

@@ -8,8 +8,12 @@ updates as an extra column and is dropped afterwards); then `iterations`
 weight-shared rounds run both groups' half-rounds from the same input
 generation; a per-leader-node sigmoid decoder follows. Only the leader
 embeddings reach the decoder, so the last round skips the followers'
-half-round. `forward_tensor` is the whole network; it reads its
-configuration from `ModelParams.cfg`.
+half-round. `forward_tensor` is the whole network.
+
+The architecture is fixed: the widths, aggregators, scalers and decoder
+depth are the module constants below, and the number of rounds,
+`PnaConfig.iterations`, is the one setting. Every checkpoint records the
+architecture, and one recorded with other values is refused.
 
 The network runs on a disjoint union of graphs (`graphrep.graph_union`):
 pairs form only within a graph, and each node's messages are pooled over
@@ -23,10 +27,9 @@ pair rows. `ndiff.segment_pna` pools all messages of a node in one node,
 and every other MLP layer is one `ndiff.linear`.
 
 The multi-aggregator pooling concatenates mean/max/min of the incoming
-messages and repeats the block once per intensity scaler, scaler-major:
-for the defaults the layout is [mean, max, min, a*mean, a*max, a*min,
-(1/a)*mean, (1/a)*max, (1/a)*min]. That order is part of the checkpoint
-contract.
+messages and repeats the block once per intensity scaler (1, a, 1/a),
+scaler-major: [mean, max, min, a*mean, a*max, a*min, (1/a)*mean,
+(1/a)*max, (1/a)*min]. That order is part of the checkpoint contract.
 """
 
 from __future__ import annotations
@@ -36,13 +39,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ndiff
 from .graphrep import DEFAULT_NORM, NormalizationScheme, TripartiteGraph, build_graph
 from .ndiff import Mlp, Tensor, concat_cols, segment_pna
 
 CHECKPOINT_VERSION = 1
 
-DEFAULT_ALPHA = 0.7
+EMBED_DIM = 16
+MSG_DIM = 16
+HIDDEN = 16
+AGGREGATORS = ("mean", "max", "min")
+SCALERS = (1.0, 0.7, 1.0 / 0.7)
+DECODER_HIDDEN_LAYERS = 3
+AGGREGATED_WIDTH = len(AGGREGATORS) * len(SCALERS) * MSG_DIM
 
 
 class CheckpointError(ValueError):
@@ -51,71 +59,44 @@ class CheckpointError(ValueError):
 
 @dataclass(frozen=True)
 class PnaConfig:
-    embed_dim: int = 16
-    msg_dim: int = 16
-    hidden: int = 16
-    aggregators: tuple = ("mean", "max", "min")
-    scalers: tuple = (1.0, DEFAULT_ALPHA, 1.0 / DEFAULT_ALPHA)
     iterations: int = 2  # message-passing rounds sharing one parameter set
-    decoder_hidden_layers: int = 3
 
     def __post_init__(self):
-        if not self.aggregators or not self.scalers:
-            raise ValueError("aggregators and scalers must be non-empty")
-        for a in self.aggregators:
-            if a not in ndiff.AGGREGATORS:
-                raise ValueError(f"unknown aggregator {a!r}")
-        if any(s <= 0 for s in self.scalers):
-            raise ValueError("scalers must be positive")
-        if min(self.embed_dim, self.msg_dim, self.hidden) < 1:
-            raise ValueError("embed_dim, msg_dim and hidden must be >= 1")
-        if self.iterations < 0 or self.decoder_hidden_layers < 0:
-            raise ValueError("iterations and decoder_hidden_layers must be >= 0")
-
-    @property
-    def aggregated_width(self) -> int:
-        return len(self.aggregators) * len(self.scalers) * self.msg_dim
+        if self.iterations < 0:
+            raise ValueError("iterations must be >= 0")
 
     def to_dict(self):
         return {
-            "embed_dim": self.embed_dim,
-            "msg_dim": self.msg_dim,
-            "hidden": self.hidden,
-            "aggregators": list(self.aggregators),
-            "scalers": list(self.scalers),
+            "embed_dim": EMBED_DIM,
+            "msg_dim": MSG_DIM,
+            "hidden": HIDDEN,
+            "aggregators": list(AGGREGATORS),
+            "scalers": list(SCALERS),
             "iterations": self.iterations,
-            "decoder_hidden_layers": self.decoder_hidden_layers,
+            "decoder_hidden_layers": DECODER_HIDDEN_LAYERS,
         }
 
     @classmethod
     def from_dict(cls, doc):
-        # older checkpoints also carry "leaky_slope"; every one was written
-        # with the decoder's fixed slope 0.01, so the key is ignored
-        return cls(
-            embed_dim=int(doc["embed_dim"]),
-            msg_dim=int(doc["msg_dim"]),
-            hidden=int(doc["hidden"]),
-            aggregators=tuple(doc["aggregators"]),
-            scalers=tuple(float(s) for s in doc["scalers"]),
-            iterations=int(doc["iterations"]),
-            decoder_hidden_layers=int(doc["decoder_hidden_layers"]),
-        )
+        """The config a checkpoint records; any other architecture is refused.
 
-
-MLP_NAMES = (
-    "msg_leader_enc", "upd_leader_enc", "msg_follower_enc", "upd_follower_enc",
-    "msg_leader_mp", "upd_leader_mp", "msg_follower_mp", "upd_follower_mp",
-    "decoder",
-)
+        Older checkpoints also carry "leaky_slope"; every one was written
+        with the decoder's fixed slope 0.01, so the key is ignored.
+        """
+        cfg = cls(iterations=int(doc["iterations"]))
+        for key, value in cfg.to_dict().items():
+            if key != "iterations" and doc[key] != value:
+                raise ValueError(f"{key} is {doc[key]!r}, this network's is {value!r}")
+        return cfg
 
 
 class ModelParams:
-    """All learnable MLPs, dimensioned from a PnaConfig."""
+    """All learnable MLPs of the network, keyed by block name in checkpoint order."""
 
     def __init__(self, cfg: PnaConfig, seed: int = 0):
         self.cfg = cfg
         rng = np.random.default_rng(seed)
-        e, m, h, aw = cfg.embed_dim, cfg.msg_dim, cfg.hidden, cfg.aggregated_width
+        e, m, h, aw = EMBED_DIM, MSG_DIM, HIDDEN, AGGREGATED_WIDTH
         self.mlps = {
             # encoder messages see both endpoints' raw features (2 + 3 = 5)
             "msg_leader_enc": Mlp([5, h, m], ["relu", "identity"], rng),
@@ -127,21 +108,21 @@ class ModelParams:
             "msg_follower_mp": Mlp([2 * e, h, m], ["relu", "identity"], rng),
             "upd_follower_mp": Mlp([e + aw, h, e], ["relu", "identity"], rng),
             "decoder": Mlp(
-                [e] + [h] * cfg.decoder_hidden_layers + [1],
-                ["leaky_relu"] * cfg.decoder_hidden_layers + ["sigmoid"], rng),
+                [e] + [h] * DECODER_HIDDEN_LAYERS + [1],
+                ["leaky_relu"] * DECODER_HIDDEN_LAYERS + ["sigmoid"], rng),
         }
 
     def parameters(self):
-        for name in MLP_NAMES:
-            yield from self.mlps[name].parameters()
+        for mlp in self.mlps.values():
+            yield from mlp.parameters()
 
     def snapshot(self):
-        return {name: [(w.copy(), b.copy()) for w, b in self.mlps[name].state_arrays()]
-                for name in MLP_NAMES}
+        return {name: [(w.copy(), b.copy()) for w, b in mlp.state_arrays()]
+                for name, mlp in self.mlps.items()}
 
     def restore(self, snap):
-        for name in MLP_NAMES:
-            self.mlps[name].load_state_arrays(snap[name])
+        for name, mlp in self.mlps.items():
+            mlp.load_state_arrays(snap[name])
 
 
 def _const(arr) -> Tensor:
@@ -158,7 +139,7 @@ def _half_round(own: Tensor, other: Tensor, pairs, params: ModelParams, block: s
     """
     _, seg = pairs
     msgs = params.mlps["msg_" + block].on_pairs(own, other, pairs)
-    agg = segment_pna(msgs, seg, params.cfg.aggregators, params.cfg.scalers)
+    agg = segment_pna(msgs, seg, AGGREGATORS, SCALERS)
     return params.mlps["upd_" + block](concat_cols([own, *extra, agg]))
 
 
@@ -207,9 +188,8 @@ def save_checkpoint(params: ModelParams, norm: NormalizationScheme,
         "normalization": norm.to_dict(),
         "metadata": metadata or {},
         "weights": {
-            name: [{"w": w.tolist(), "b": b.tolist()}
-                   for w, b in params.mlps[name].state_arrays()]
-            for name in MLP_NAMES
+            name: [{"w": w.tolist(), "b": b.tolist()} for w, b in mlp.state_arrays()]
+            for name, mlp in params.mlps.items()
         },
     }
     with open(path, "w") as fh:
@@ -235,15 +215,13 @@ def load_checkpoint(path):
         raise CheckpointError(f"corrupt checkpoint: {exc}") from exc
     params = ModelParams(cfg, seed=0)
     try:
-        for name in MLP_NAMES:
-            state = [(layer["w"], layer["b"]) for layer in doc["weights"][name]]
-            params.mlps[name].load_state_arrays(state)
+        for name, mlp in params.mlps.items():
+            mlp.load_state_arrays([(layer["w"], layer["b"]) for layer in doc["weights"][name]])
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint weights invalid: {exc}") from exc
     # JSON admits NaN and Infinity; a non-finite weight would silently turn
     # every prediction into NaN, and the search into an all-zeros leader
-    for name in MLP_NAMES:
-        if not all(np.isfinite(a).all() for layer in params.mlps[name].state_arrays()
-                   for a in layer):
+    for name, mlp in params.mlps.items():
+        if not all(np.isfinite(a).all() for layer in mlp.state_arrays() for a in layer):
             raise CheckpointError(f"checkpoint weights of {name} are not finite")
     return params, norm, doc.get("metadata", {})

@@ -46,6 +46,14 @@ def test_generate_writes_files(instance_dir):
     assert len(files) == 6
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_generate_non_positive_count_errors(tmp_path, capsys, count):
+    out = tmp_path / "instances"
+    rc = main(["generate", "--n1", "2", "--n2", "2", "--count", count, "--out", str(out)])
+    assert rc == 1
+    assert f"error: --count must be >= 1, got {count}" in capsys.readouterr().err
+    assert not out.exists()
+
 def test_exact_subcommand(instance_dir, tmp_path):
     out = tmp_path / "exact.json"
     rc = main(["exact", "--instances", str(instance_dir), "--format", "json",
@@ -97,6 +105,18 @@ def test_train_default_patience_beyond_epochs(instance_dir, tmp_path):
     assert rc == 0
     assert len(hist.read_text().splitlines()) == 1 + 3
 
+
+def test_train_divergence_errors(instance_dir, tmp_path, capsys):
+    # a step size this large overflows the weights within two epochs
+    labels = tmp_path / "labels.tsv"
+    assert main(["label", "--instances", str(instance_dir), "--out", str(labels)]) == 0
+    ckpt = tmp_path / "model.json"
+    with np.errstate(all="ignore"):
+        rc = main(["train", "--instances", str(instance_dir), "--labels", str(labels),
+                   "--epochs", "5", "--lr", "1e308", "--out", str(ckpt)])
+    assert rc == 1
+    assert "error: non-finite loss at epoch 1" in capsys.readouterr().err
+    assert not ckpt.exists()
 
 def test_solve_elapsed_includes_forward(instance_dir, checkpoint, tmp_path, monkeypatch):
     from blkp import search

@@ -9,3 +9,13 @@ def test_generate_and_solve_exact_demo(capsys):
     out = capsys.readouterr().out
     assert "=== 5. A larger instance ===" in out
     assert "proven optimal" in out
+
+
+def test_search_and_benchmark_demo(capsys, monkeypatch, tmp_path):
+    # no demo_model.json in the working directory: the untrained fallback
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(DEMOS / "03_search_and_benchmark.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "using an untrained network" in out
+    assert "=== Deterministic rounding (theta 0.5 fixes every item) ===" in out
+    assert "n1 = n2 = 25:" in out

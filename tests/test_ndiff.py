@@ -6,6 +6,8 @@ import pytest
 from blkp import ndiff
 from blkp.ndiff import Adam, Mlp, Segments, Tensor
 
+from _unfused import matmul, take_rows
+
 
 def finite_diff(fn, params, h=1e-5):
     """Central finite differences of a scalar function of Tensor params."""
@@ -71,7 +73,7 @@ def test_backward_requires_scalar():
 def test_simple_product_gradient():
     w = Tensor([[3.0]])
     x = Tensor([[2.0]])
-    loss = ndiff.tsum(ndiff.matmul(x, w))
+    loss = ndiff.tsum(matmul(x, w))
     loss.backward()
     assert w.grad[0, 0] == 2.0
     assert x.grad[0, 0] == 3.0
@@ -162,7 +164,7 @@ def test_pair_expansion_gradients():
     x_rows, y_rows = np.repeat(np.arange(3), 4), np.tile(np.arange(4), 3)
 
     def expand():
-        return ndiff.concat_cols([ndiff.take_rows(x, x_rows), ndiff.take_rows(y, y_rows)])
+        return ndiff.concat_cols([take_rows(x, x_rows), take_rows(y, y_rows)])
 
     weights = rng.normal(size=(12, 4))
     loss = ndiff.tsum(ndiff.mul_const(expand(), weights))
@@ -201,9 +203,9 @@ def test_take_rows_gradient_finite_differences():
     weights = rng.normal(size=(len(rows), 3))
 
     def loss_of():
-        return ndiff.tsum(ndiff.mul_const(ndiff.take_rows(t, rows), weights))
+        return ndiff.tsum(ndiff.mul_const(take_rows(t, rows), weights))
 
-    out = ndiff.take_rows(t, rows)
+    out = take_rows(t, rows)
     assert np.array_equal(out.data, t.data[rows])
     loss_of().backward()
     fd = finite_diff(lambda: float(loss_of().data), [t])[0]
@@ -264,9 +266,9 @@ def test_bce_counts_equals_bce_sum_per_stack():
                              [3, 3, 1, 1, 1])
     total.backward()
     apart = Tensor(h)
-    ref = ndiff.bce_counts(ndiff.take_rows(apart, [2, 3, 4]), second[0], 1)
+    ref = ndiff.bce_counts(take_rows(apart, [2, 3, 4]), second[0], 1)
     for y in first:  # one term per label
-        ref = ndiff.add(ref, ndiff.bce_counts(ndiff.take_rows(apart, [0, 1]), y, 1))
+        ref = ndiff.add(ref, ndiff.bce_counts(take_rows(apart, [0, 1]), y, 1))
     ref.backward()
     assert float(total.data) == pytest.approx(float(ref.data), rel=1e-12)
     assert np.allclose(pooled.grad, apart.grad, rtol=1e-12, atol=0.0)
@@ -364,7 +366,7 @@ def test_linear_matches_matmul_add_and_finite_differences():
     x, w, b = (Tensor(rng.normal(size=s)) for s in ((5, 3), (3, 4), (4,)))
     weights = rng.normal(size=(5, 4))
     _check_fused_op(lambda: ndiff.linear(x, w, b),
-                    lambda: ndiff.add(ndiff.matmul(x, w), b), [x, w, b], weights, tol=0.0)
+                    lambda: ndiff.add(matmul(x, w), b), [x, w, b], weights, tol=0.0)
 
 
 @pytest.mark.parametrize("own_sizes, other_sizes", [(RAGGED_OWN, RAGGED_OTHER),
@@ -384,9 +386,9 @@ def test_pair_linear_matches_gathered_pairs(own_sizes, other_sizes):
         return ndiff.pair_linear(own, other, pairs, w, b)
 
     def reference():
-        gathered = ndiff.concat_cols([ndiff.take_rows(own, own_rows),
-                                      ndiff.take_rows(other, other_rows)])
-        return ndiff.add(ndiff.matmul(gathered, w), b)
+        gathered = ndiff.concat_cols([take_rows(own, own_rows),
+                                      take_rows(other, other_rows)])
+        return ndiff.add(matmul(gathered, w), b)
 
     _check_fused_op(fused, reference, [own, other, w, b], weights, tol=1e-12)
 

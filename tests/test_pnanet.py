@@ -1,11 +1,14 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from blkp import ndiff
 from blkp.graphrep import build_graph, graph_union
 from blkp.instance import BlkpInstance, GenConfig, generate
-from blkp.pnanet import (CheckpointError, ModelParams, PnaConfig, forward,
-                         forward_tensor, load_checkpoint, save_checkpoint)
+from blkp.pnanet import (AGGREGATORS, SCALERS, CheckpointError, ModelParams, PnaConfig,
+                         forward, forward_tensor, load_checkpoint, save_checkpoint)
 
 
 def permute_followers(inst, perm):
@@ -18,38 +21,35 @@ def permute_leaders(inst, perm):
                         inst.a2, inst.d2, inst.c, inst.b)
 
 
-def aggregate(msgs, cfg):
+def aggregate(msgs, scalers=SCALERS):
     """One segment of messages pooled into one row, as the network pools them."""
     msgs = ndiff.Tensor(np.asarray(msgs, dtype=np.float64))
     seg = ndiff.Segments([len(msgs.data)])
-    return ndiff.segment_pna(msgs, seg, cfg.aggregators, cfg.scalers).data[0]
+    return ndiff.segment_pna(msgs, seg, AGGREGATORS, scalers).data[0]
 
 
 def test_aggregate_default_layout():
-    cfg = PnaConfig(msg_dim=2)
-    out = aggregate([[1.0, 2.0], [3.0, 4.0]], cfg)
+    out = aggregate([[1.0, 2.0], [3.0, 4.0]])
     base = np.array([2.0, 3.0, 3.0, 4.0, 1.0, 2.0])  # mean, max, min
     expected = np.concatenate([base, 0.7 * base, base / 0.7])
     assert np.allclose(out, expected)
 
 
 def test_aggregate_single_message_unit_scalers():
-    cfg = PnaConfig(msg_dim=1, scalers=(1.0, 1.0, 1.0))
-    out = aggregate([[5.0]], cfg)
+    out = aggregate([[5.0]], scalers=(1.0, 1.0, 1.0))
     assert np.allclose(out, np.full(9, 5.0))
 
 
 def test_aggregate_permutation_invariant():
-    cfg = PnaConfig(msg_dim=3)
     msgs = [np.arange(3) + i for i in range(5)]
-    a = aggregate(msgs, cfg)
-    b = aggregate(msgs[::-1], cfg)
+    a = aggregate(msgs)
+    b = aggregate(msgs[::-1])
     assert np.allclose(a, b)
 
 
 def test_aggregate_empty_rejected():
     with pytest.raises(ValueError):
-        aggregate([], PnaConfig())
+        aggregate([])
 
 
 def reference_leader_embeddings(graph, params):
@@ -59,11 +59,9 @@ def reference_leader_embeddings(graph, params):
     the encoder round, then `iterations` rounds of the shared blocks,
     each reading the previous generation of both groups.
     """
-    cfg = params.cfg
-
     def half_round(own, other, pairs, block, extra=()):
         msgs = params.mlps["msg_" + block].on_pairs(own, other, pairs)
-        agg = ndiff.segment_pna(msgs, pairs[1], cfg.aggregators, cfg.scalers)
+        agg = ndiff.segment_pna(msgs, pairs[1], AGGREGATORS, SCALERS)
         return params.mlps["upd_" + block](ndiff.concat_cols([own, *extra, agg]))
 
     lf, ff = ndiff.Tensor(graph.leader_feats), ndiff.Tensor(graph.follower_feats)
@@ -71,7 +69,7 @@ def reference_leader_embeddings(graph, params):
     cap_f = ndiff.Tensor(np.repeat(graph.cap_feats, graph.n2s)[:, None])
     x = half_round(lf, ff, graph.leader_pairs, "leader_enc", (cap_l,))
     y = half_round(ff, lf, graph.follower_pairs, "follower_enc", (cap_f,))
-    for _ in range(cfg.iterations):
+    for _ in range(params.cfg.iterations):
         x, y = (half_round(x, y, graph.leader_pairs, "leader_mp"),
                 half_round(y, x, graph.follower_pairs, "follower_mp"))
     return x
@@ -310,6 +308,35 @@ def test_checkpoint_bad_widths_rejected(tmp_path, key, value):
     with pytest.raises(CheckpointError, match=key):
         load_checkpoint(path)
 
+
+
+@pytest.mark.parametrize("key, value", [("scalers", [1.0, 1.0, 1.0]),
+                                        ("aggregators", ["max", "mean", "min"])])
+def test_checkpoint_other_architecture_rejected(tmp_path, key, value):
+    # the pooling layout is part of the checkpoint contract: unit scalers or
+    # reordered aggregators keep every weight shape but mean other weights
+    from blkp.graphrep import DEFAULT_NORM
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(ModelParams(PnaConfig(), seed=10), DEFAULT_NORM, {}, path)
+    doc = json.loads(path.read_text())
+    doc["config"][key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match=key):
+        load_checkpoint(path)
+
+
+DESK_CHECKPOINT = Path(__file__).resolve().parent.parent / "perfbench" / "desk_checkpoint.json"
+
+
+def test_desk_checkpoint_saves_back_unchanged(tmp_path):
+    committed = json.loads(DESK_CHECKPOINT.read_text())
+    del committed["config"]["leaky_slope"]  # written by older versions, ignored
+    params, norm, meta = load_checkpoint(DESK_CHECKPOINT)
+    path = tmp_path / "again.json"
+    save_checkpoint(params, norm, meta, path)
+    again = json.loads(path.read_text())
+    assert list(again["config"].items()) == list(committed["config"].items())
+    assert again["weights"] == committed["weights"]
 
 # Non-parameter tape nodes of one default-config forward: 4 input
 # constants, 8 per half-round (pair_linear, relu, linear, segment_pna,
