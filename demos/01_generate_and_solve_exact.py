@@ -41,7 +41,8 @@ def main():
         res = solve_exact(inst, mode)
         print(f"{mode.name.lower():<12} optimum {res.opt_value}: "
               f"x = {res.opt_x.tolist()}, y = {res.opt_y.tolist()} "
-              f"({res.node_count} DP cells)")
+              f"({res.node_count} cells in the two DP tables, each capped at "
+              f"its items' total weight)")
 
     print("\n=== 4. A batch, and the label pool used for training ===")
     for seed in range(3):
@@ -59,7 +60,7 @@ def main():
     t0 = time.perf_counter()
     res = solve_exact(big)
     elapsed = time.perf_counter() - t0
-    print(f"n = 25: value {res.opt_value} (proven optimal, {res.node_count} DP cells "
+    print(f"n = 25: value {res.opt_value} (proven optimal, {res.node_count} capped DP cells "
           f"in {elapsed * 1000:.1f} ms)")
 
 

@@ -99,16 +99,17 @@ def _emit(args, key, records, columns, **extra):
 def cmd_generate(args):
     if args.count < 1:
         raise CliError(f"--count must be >= 1, got {args.count}")
+    if args.seed < 0:
+        raise CliError(f"--seed must be >= 0, got {args.seed}")
+    cfgs = [inst_mod.GenConfig(
+        n1=args.n1, n2=args.n2, data_type=args.data_type,
+        alpha_lo=args.alpha_lo, alpha_hi=args.alpha_hi,
+        value_max=args.value_max, seed=args.seed + k) for k in range(args.count)]
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    for k in range(args.count):
-        cfg = inst_mod.GenConfig(
-            n1=args.n1, n2=args.n2, data_type=args.data_type,
-            alpha_lo=args.alpha_lo, alpha_hi=args.alpha_hi,
-            value_max=args.value_max, seed=args.seed + k)
-        inst = inst_mod.generate(cfg)
-        name = f"{args.data_type.lower()}_{args.n1}x{args.n2}_{args.seed + k:06d}.json"
-        inst_mod.write_instance(inst, outdir / name)
+    for cfg in cfgs:
+        name = f"{args.data_type.lower()}_{args.n1}x{args.n2}_{cfg.seed:06d}.json"
+        inst_mod.write_instance(inst_mod.generate(cfg), outdir / name)
     print(f"wrote {args.count} instances to {outdir}")
     return 0
 

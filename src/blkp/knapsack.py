@@ -8,11 +8,25 @@ at capacity r also holds the reply at every r' < r: cell c reads only
 cells <= c, and an item heavier than r' writes only cells above r'. So
 one `follower_response` is the reply table `blkp.exact` and `blkp.search` read.
 
+Every row is only as long and as wide as the values it can hold:
+
+- Length: no selection weighs more than its items' total weight W, so a
+  row stops at capacity min(capacity, W). A capacity above W reads the
+  last cell; there every item fits, and the value and the read-back
+  selection are those of any larger capacity.
+- Width: a row is int32 when every value it can hold fits (`row_dtype`),
+  otherwise int64. Values read out of a row are widened to int64 before
+  any sum.
+
 The recurrence (`knapsack_row`) updates its row in place through one
-scratch row, so an item allocates nothing. It also tracks where the
-row's constant suffix starts: past that point every cell of an item's
-pass reads the same two old values, so the suffix is shifted by the
-profit as a block instead of being computed cell by cell.
+scratch row of the row's dtype, so an item allocates nothing. It also
+tracks where the row's constant suffix starts: past that point every cell
+of an item's pass reads the same two old values, so the suffix is shifted
+by the profit as a block instead of being computed cell by cell.
+
+A take table is read back two ways: `walk` follows one capacity with
+Python scalar lookups (a reply, `knapsack_max`), and `trace` follows many
+capacities at once, one vectorised step per item (the exact oracle's pool).
 """
 
 from __future__ import annotations
@@ -24,6 +38,7 @@ import numpy as np
 
 from .instance import binary_vector
 
+INT32_MAX = np.iinfo(np.int32).max
 INT64_MAX = np.iinfo(np.int64).max
 
 # Largest DP table (items x capacity cells) any solver here allocates:
@@ -55,27 +70,28 @@ class FollowerResponse:
     mode: Mode
     residual_capacity: int
     m: int                                   # the lexicographic multiplier M
-    row: np.ndarray = field(repr=False)      # combined DP values, r = 0..residual_capacity
-    take: np.ndarray = field(repr=False)     # (n2, residual_capacity + 1) DP take table
+    row: np.ndarray = field(repr=False)      # combined DP values, r = 0..min(residual, sum(a2))
+    take: np.ndarray = field(repr=False)     # (n2, len(row)) DP take table
     weights: np.ndarray = field(repr=False)  # a2
 
     @property
     def y(self) -> np.ndarray:
-        """The tie-broken reply at the response's own residual, traced when read."""
+        """The tie-broken reply at the response's own residual, walked when read."""
         return self.reply(self.residual_capacity)
 
     def reply(self, r: int) -> np.ndarray:
         """The tie-broken reply y at residual capacity r <= residual_capacity."""
         if not 0 <= r <= self.residual_capacity:
             raise ValueError(f"r must lie in [0, {self.residual_capacity}]")
-        return trace(self.take, self.weights, [r])[0].astype(np.int64)
+        return walk(self.take, self.weights, min(r, len(self.row) - 1))
 
     def leader_profit(self, r):
-        """L(r) = d2 . reply(r) at a residual r, or an int array of them, from the DP row."""
+        """L(r) = d2 . reply(r) at a residual r, or an int64 array of them, from the DP row."""
         r = np.asarray(r)
         if r.size and not (0 <= r.min() and r.max() <= self.residual_capacity):
             raise ValueError(f"r must lie in [0, {self.residual_capacity}]")
-        return tie_break_profit(self.row[r], self.m, self.mode)
+        value = self.row[np.minimum(r, len(self.row) - 1)].astype(np.int64)
+        return tie_break_profit(value, self.m, self.mode)
 
 
 def check_dp_size(n: int, capacity: int) -> None:
@@ -84,6 +100,15 @@ def check_dp_size(n: int, capacity: int) -> None:
         raise DpTooLarge(f"DP table for n={n} items and capacity b={capacity} needs "
                          f"{n * (capacity + 1):.3g} cells, above the budget of "
                          f"{MAX_DP_CELLS:.0e}")
+
+
+def row_dtype(total: int):
+    """The dtype of a row over items of profit sum `total`: int32 when it fits, else int64.
+
+    A zero row holds 0..total and an exact-weight row -1 - total..total;
+    both fit int32 exactly when total does.
+    """
+    return np.int32 if total <= INT32_MAX else np.int64
 
 
 def knapsack_row(profits, weights, row: np.ndarray) -> np.ndarray:
@@ -100,13 +125,14 @@ def knapsack_row(profits, weights, row: np.ndarray) -> np.ndarray:
     input row: 0 for zeros, 1 for the sentinel row), all hold the same
     value s; so for an item (w, p) every cell c >= t + w becomes
     max(s, s + p), a block shift for p > 0 and no change for p = 0, and
-    the suffix then starts at t + w.
+    the suffix then starts at t + w. Every value the recurrence forms
+    must fit row's dtype.
     """
     capacity = len(row) - 1
     take = np.zeros((len(weights), capacity + 1), dtype=bool)
     differs = np.flatnonzero(row != row[-1])
     t = int(differs[-1]) + 1 if differs.size else 0
-    scratch = np.empty(capacity + 1, dtype=np.int64)
+    scratch = np.empty(capacity + 1, dtype=row.dtype)
     for i, (w, p) in enumerate(zip(weights.tolist(), profits.tolist())):
         if w > capacity:
             continue
@@ -120,6 +146,17 @@ def knapsack_row(profits, weights, row: np.ndarray) -> np.ndarray:
             take[i, hi:] = True
         t = hi
     return take
+
+
+def walk(take, weights, cap: int) -> np.ndarray:
+    """The int64 selection a take table holds at one capacity, read cell by cell."""
+    selection = np.zeros(len(take), dtype=np.int64)
+    weights = weights.tolist()
+    for i in range(len(weights) - 1, -1, -1):
+        if take.item(i, cap):
+            selection[i] = 1
+            cap -= weights[i]
+    return selection
 
 
 def trace(take, weights, caps) -> np.ndarray:
@@ -153,13 +190,14 @@ def knapsack_max(profits, weights, capacity: int):
         raise OverflowRiskError("sum of profits exceeds the 64-bit accumulator bound")
     check_dp_size(len(profits), capacity)
 
-    dp = np.zeros(capacity + 1, dtype=np.int64)
+    total = sum(profits.tolist())
+    dp = np.zeros(min(capacity, sum(weights.tolist())) + 1, dtype=row_dtype(total))
     take = knapsack_row(profits, weights, dp)
-    return int(dp[capacity]), trace(take, weights, [capacity])[0].astype(np.int64)
+    return int(dp[-1]), walk(take, weights, len(dp) - 1)
 
 
 def combined_profits(inst, mode: Mode):
-    """Follower profits M * c_j + sign * d2_j, and M.
+    """Follower profits M * c_j + sign * d2_j, M, and the profits' sum.
 
     A knapsack over these ranks follower selections by c first and breaks
     ties by the leader profit d2 of the selection, maximized (sign +1,
@@ -171,9 +209,10 @@ def combined_profits(inst, mode: Mode):
     sign = 1 if mode is Mode.OPTIMISTIC else -1
     m = 1 + sum(int(v) for v in inst.d2)
     combined = [m * int(cj) + sign * int(dj) for cj, dj in zip(inst.c, inst.d2)]
-    if sum(combined) > INT64_MAX:
+    total = sum(combined)
+    if total > INT64_MAX:
         raise OverflowRiskError("combined lexicographic profits exceed 64-bit range")
-    return np.asarray(combined, dtype=np.int64), m
+    return np.asarray(combined, dtype=np.int64), m, total
 
 
 def tie_break_profit(value, m: int, mode: Mode):
@@ -204,10 +243,10 @@ def follower_response(inst, x_bar, mode: Mode = Mode.OPTIMISTIC) -> FollowerResp
         raise InfeasibleLeader(f"leader weight exceeds capacity by {-residual}")
     check_dp_size(inst.n2, residual)
 
-    combined, m = combined_profits(inst, mode)
-    row = np.zeros(residual + 1, dtype=np.int64)
+    combined, m, total = combined_profits(inst, mode)
+    row = np.zeros(min(residual, sum(inst.a2.tolist())) + 1, dtype=row_dtype(total))
     take = knapsack_row(combined, inst.a2, row)
-    best = int(row[residual])  # M * z* +- the d2 sum of the reply
+    best = int(row[-1])  # M * z* +- the d2 sum of the reply
     z_star = best // m if mode is Mode.OPTIMISTIC else -(-best // m)
     return FollowerResponse(
         z_star=z_star,

@@ -95,19 +95,14 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise add; b may be a bias vector broadcast over rows."""
+    """Elementwise add of two tensors of one shape."""
+    if a.data.shape != b.data.shape:
+        raise ValueError(f"cannot add shapes {a.data.shape} and {b.data.shape}")
     t = Tensor(a.data + b.data, parents=(a, b))
 
-    def reduce_to(g, shape):
-        if g.shape == shape:
-            return g
-        if g.ndim == 2 and shape == (g.shape[1],):
-            return g.sum(axis=0)
-        raise ValueError(f"cannot reduce gradient {g.shape} to {shape}")
-
     def back(g):
-        a._accumulate(reduce_to(g, a.data.shape))
-        b._accumulate(reduce_to(g, b.data.shape))
+        a._accumulate(g)
+        b._accumulate(g)
 
     t._backward = back
     return t

@@ -1,8 +1,8 @@
 """Unfused reference ops for the fused `ndiff` ops' tests.
 
-`ndiff.linear` is `add(matmul(x, w), b)`, and `ndiff.pair_linear` is the
-same over pair rows gathered with `take_rows`. The library runs only the
-fused forms, so these two live here, written without its helpers.
+`ndiff.linear` is `add_bias(matmul(x, w), b)`, and `ndiff.pair_linear` is
+the same over pair rows gathered with `take_rows`. The library runs only
+the fused forms, so these three live here, written without its helpers.
 """
 
 import numpy as np
@@ -16,6 +16,18 @@ def matmul(x: Tensor, w: Tensor) -> Tensor:
     def back(g):
         x._accumulate(g @ w.data.T)
         w._accumulate(x.data.T @ g)
+
+    t._backward = back
+    return t
+
+
+def add_bias(x: Tensor, b: Tensor) -> Tensor:
+    """x plus the bias vector b added to every row."""
+    t = Tensor(x.data + b.data, parents=(x, b))
+
+    def back(g):
+        x._accumulate(g)
+        b._accumulate(g.sum(axis=0))
 
     t._backward = back
     return t

@@ -54,6 +54,23 @@ def test_generate_non_positive_count_errors(tmp_path, capsys, count):
     assert f"error: --count must be >= 1, got {count}" in capsys.readouterr().err
     assert not out.exists()
 
+
+def test_generate_invalid_config_creates_no_directory(tmp_path, capsys):
+    out = tmp_path / "d"
+    rc = main(["generate", "--n1", "0", "--n2", "2", "--out", str(out)])
+    assert rc == 1
+    assert "error: GenConfig: n1 and n2 must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generate_negative_seed_names_the_flag(tmp_path, capsys):
+    out = tmp_path / "d"
+    rc = main(["generate", "--n1", "2", "--n2", "2", "--seed", "-1", "--out", str(out)])
+    assert rc == 1
+    assert "error: --seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exact_subcommand(instance_dir, tmp_path):
     out = tmp_path / "exact.json"
     rc = main(["exact", "--instances", str(instance_dir), "--format", "json",

@@ -1,11 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from blkp import exact
 from blkp.exact import collect_labels, solve_exact
 from blkp.instance import BlkpInstance, GenConfig, generate
-from blkp.knapsack import DpTooLarge, MAX_DP_CELLS, Mode, evaluate_bilevel, follower_response
+from blkp.knapsack import (DpTooLarge, MAX_DP_CELLS, Mode, combined_profits, evaluate_bilevel,
+                           follower_response, knapsack_row)
 
-from _oracles import bilevel_brute, pool_brute, random_instance
+from _oracles import bilevel_brute, follower_brute, pool_brute, random_instance
 
 
 def test_tiny_instance_optimum():
@@ -134,3 +138,106 @@ def test_collect_labels_rejects_negative_k():
     for k in (-1, -2):
         with pytest.raises(ValueError, match="k must be >= 0"):
             collect_labels(res, k=k)
+
+
+def assert_matches_brute(inst, mode):
+    """solve_exact and the reply table against double enumeration; returns the result."""
+    res = solve_exact(inst, mode)
+    assert res.opt_value == bilevel_brute(inst, mode)[2]
+    y, z, value = follower_brute(inst, res.opt_x, mode)
+    assert value == res.opt_value
+    assert int(inst.c @ res.opt_y) == z and int(inst.d2 @ res.opt_y) == int(inst.d2 @ y)
+    assert int(inst.a1 @ res.opt_x + inst.a2 @ res.opt_y) <= inst.b
+    weights = (res.pool @ inst.a1).tolist()
+    assert dict(zip(weights, res.pool_values.tolist())) == pool_brute(inst, mode)
+
+    zeros = np.zeros(inst.n1, dtype=np.int64)
+    follower = follower_response(inst, zeros, mode)
+    for r in range(inst.b + 1):
+        at_r = BlkpInstance(inst.n1, inst.n2, inst.a1, inst.d1, inst.a2, inst.d2, inst.c, r)
+        _, z, leader_value = follower_brute(at_r, zeros, mode)
+        y = follower.reply(r)
+        assert follower.leader_profit(r) == leader_value
+        assert int(inst.c @ y) == z and int(inst.d2 @ y) == leader_value
+        assert int(inst.a2 @ y) <= r
+    every_r = np.arange(inst.b + 1)
+    assert follower.leader_profit(every_r).dtype == np.int64
+    assert follower.leader_profit(every_r).tolist() == [
+        follower.leader_profit(r) for r in every_r]
+    return res
+
+
+def test_node_count_is_the_capped_tables_cells():
+    # a1 sums to 5, a2 to 4: at b = 7 the follower table is 3 items x (4 + 1)
+    # cells and the leader table 2 x (5 + 1); at b = 3 both stop at b
+    inst = BlkpInstance(2, 3, a1=[2, 3], d1=[4, 1], a2=[1, 1, 2], d2=[1, 2, 3],
+                        c=[2, 2, 1], b=7)
+    assert solve_exact(inst).node_count == 3 * 5 + 2 * 6
+    assert solve_exact(replace(inst, b=3)).node_count == 3 * 4 + 2 * 4
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_rows_capped_at_total_weight(mode):
+    # b above the follower's total weight, then above the leader's
+    rng = np.random.default_rng(12)
+    for k in range(60):
+        inst = random_instance(rng, int(rng.integers(1, 6)), int(rng.integers(1, 6)),
+                               value_max=12)
+        side = int((inst.a2 if k % 2 == 0 else inst.a1).sum())
+        inst = replace(inst, b=int(rng.integers(side + 1, inst.total_weight + 1)))
+        follower = follower_response(inst, np.zeros(inst.n1, dtype=np.int64), mode)
+        assert len(follower.row) == min(inst.b, int(inst.a2.sum())) + 1
+        assert follower.residual_capacity == inst.b
+        res = assert_matches_brute(inst, mode)
+        assert res.node_count == (inst.n2 * (min(inst.b, int(inst.a2.sum())) + 1)
+                                  + inst.n1 * (min(inst.b, int(inst.a1.sum())) + 1))
+
+
+def _recorded_leader_row_dtypes(monkeypatch):
+    seen = []
+
+    def recording(profits, weights, row):
+        seen.append(row.dtype)
+        return knapsack_row(profits, weights, row)
+
+    monkeypatch.setattr(exact, "knapsack_row", recording)
+    return seen
+
+
+# Follower items (c, d2) whose combined profits sum to a target, per mode:
+# optimistic M * sum(c) + sum(d2), pessimistic M * sum(c) - sum(d2), with
+# M = 1 + sum(d2).
+FOLLOWER_BOUNDARY = [
+    (Mode.OPTIMISTIC, 2 ** 31 - 1, [4000000, 4000000, 388607], [100, 100, 55]),
+    (Mode.OPTIMISTIC, 2 ** 31, [357913941, 357913941], [1, 1]),
+    (Mode.PESSIMISTIC, 2 ** 31 - 1, [10000000, 10000000, 14087043], [20, 20, 22]),
+    (Mode.PESSIMISTIC, 2 ** 31, [1, 1], [2 ** 30 - 1, 2 ** 30 - 1]),
+    (Mode.PESSIMISTIC, 1, [1], [2 ** 40]),  # an int32 row, M far above int32
+]
+
+
+@pytest.mark.parametrize("mode, target, c, d2", FOLLOWER_BOUNDARY)
+def test_follower_row_dtype_boundary(mode, target, c, d2):
+    n2 = len(c)
+    a2 = [3, 4, 5][:n2]
+    for b in (5, sum(a2) + 2):
+        inst = BlkpInstance(2, n2, a1=[2, 6], d1=[7, 9], a2=a2, d2=d2, c=c, b=b)
+        combined, _m, total = combined_profits(inst, mode)
+        assert total == int(combined.sum()) == target
+        follower = follower_response(inst, np.zeros(2, dtype=np.int64), mode)
+        assert follower.row.dtype == (np.int32 if target < 2 ** 31 else np.int64)
+        assert_matches_brute(inst, mode)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("d1, dtype", [
+    ([1000000000, 1000000000, 147483647], np.int32),  # sentinel -2^31 fits
+    ([1000000000, 1000000000, 147483648], np.int64),
+])
+def test_leader_row_dtype_boundary(monkeypatch, mode, d1, dtype):
+    seen = _recorded_leader_row_dtypes(monkeypatch)
+    for b in (6, 15):  # below and above sum(a1) = 9
+        inst = BlkpInstance(3, 3, a1=[2, 3, 4], d1=d1, a2=[3, 4, 2], d2=[5, 1, 4],
+                            c=[3, 3, 2], b=b)
+        assert_matches_brute(inst, mode)
+    assert set(seen) == {np.dtype(dtype)}

@@ -4,7 +4,7 @@ import pytest
 from blkp.instance import BlkpInstance
 from blkp.knapsack import (MAX_DP_CELLS, DpTooLarge, InfeasibleLeader, Mode,
                            OverflowRiskError, evaluate_bilevel, follower_response,
-                           knapsack_max, knapsack_row)
+                           knapsack_max, knapsack_row, trace, walk)
 
 from _oracles import follower_brute, knapsack_brute, random_instance
 
@@ -104,6 +104,40 @@ def test_knapsack_row_matches_reference_recurrence():
             take = knapsack_row(profits, weights, row)
             assert np.array_equal(take, want_take)
             assert np.array_equal(row, want_row)
+
+
+def test_walk_equals_trace_at_every_capacity():
+    rng = np.random.default_rng(23)
+    for _ in range(100):
+        n = int(rng.integers(0, 9))
+        profits = rng.integers(0, int(rng.choice([2, 40])), n)
+        weights = rng.integers(1, int(rng.choice([3, 20])), n)
+        b = int(rng.integers(0, 60))
+        zeros = np.zeros(b + 1, dtype=np.int64)
+        exact = np.full(b + 1, -1 - int(profits.sum()), dtype=np.int64)
+        exact[0] = 0
+        for init in (zeros, exact):
+            take = knapsack_row(profits, weights, init.copy())
+            traced = trace(take, weights, np.arange(b + 1))
+            for cap in range(b + 1):
+                walked = walk(take, weights, cap)
+                assert walked.dtype == np.int64
+                assert np.array_equal(walked, traced[cap])
+
+
+def test_knapsack_max_above_total_weight():
+    # capacities past the total weight read the row's last cell; zero-profit
+    # items stay out of the selection at every such capacity
+    rng = np.random.default_rng(24)
+    for _ in range(100):
+        n = int(rng.integers(1, 9))
+        p = rng.integers(0, 5, n)
+        w = rng.integers(1, 10, n)
+        total = int(w.sum())
+        for cap in (total, total + 1, 3 * total + 7):
+            value, sel = knapsack_max(p, w, cap)
+            assert value == int(p.sum()) == knapsack_brute(p, w, cap)
+            assert sel.tolist() == (p > 0).astype(int).tolist()
 
 
 def test_follower_residual_zero():

@@ -6,7 +6,7 @@ import pytest
 from blkp import ndiff
 from blkp.ndiff import Adam, Mlp, Segments, Tensor
 
-from _unfused import matmul, take_rows
+from _unfused import add_bias, matmul, take_rows
 
 
 def finite_diff(fn, params, h=1e-5):
@@ -84,6 +84,11 @@ def test_sigmoid_gradient_at_zero():
     loss = ndiff.tsum(ndiff.sigmoid(w))
     loss.backward()
     assert w.grad[0] == pytest.approx(0.25)
+
+
+def test_add_refuses_broadcasting():
+    with pytest.raises(ValueError, match="cannot add shapes"):
+        ndiff.add(Tensor(np.ones((3, 2))), Tensor(np.ones(2)))
 
 
 def test_repeated_subgraph_accumulates():
@@ -366,7 +371,7 @@ def test_linear_matches_matmul_add_and_finite_differences():
     x, w, b = (Tensor(rng.normal(size=s)) for s in ((5, 3), (3, 4), (4,)))
     weights = rng.normal(size=(5, 4))
     _check_fused_op(lambda: ndiff.linear(x, w, b),
-                    lambda: ndiff.add(matmul(x, w), b), [x, w, b], weights, tol=0.0)
+                    lambda: add_bias(matmul(x, w), b), [x, w, b], weights, tol=0.0)
 
 
 @pytest.mark.parametrize("own_sizes, other_sizes", [(RAGGED_OWN, RAGGED_OTHER),
@@ -388,7 +393,7 @@ def test_pair_linear_matches_gathered_pairs(own_sizes, other_sizes):
     def reference():
         gathered = ndiff.concat_cols([take_rows(own, own_rows),
                                       take_rows(other, other_rows)])
-        return ndiff.add(matmul(gathered, w), b)
+        return add_bias(matmul(gathered, w), b)
 
     _check_fused_op(fused, reference, [own, other, w, b], weights, tol=1e-12)
 
