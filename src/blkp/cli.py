@@ -175,7 +175,8 @@ def cmd_train(args):
     if missing:
         raise CliError(f"no labels for instance {missing[0]}")
     instances = [inst for _, inst in named]
-    label_lists = [labels[n] for n, _ in named]
+    label_lists = [[inst_mod.binary_vector(x, inst.n1, f"instance {n}: label") for x in labels[n]]
+                   for n, inst in named]
 
     tcfg = trainer.TrainConfig(
         epochs=args.epochs, early_stop_patience=args.patience,

@@ -216,6 +216,6 @@ def read_instance(path) -> BlkpInstance:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise InstanceError(f"malformed document: {exc}") from exc
     return instance_from_dict(doc)

@@ -19,10 +19,7 @@ Every row is only as long and as wide as the values it can hold:
   any sum.
 
 The recurrence (`knapsack_row`) updates its row in place through one
-scratch row of the row's dtype, so an item allocates nothing. It also
-tracks where the row's constant suffix starts: past that point every cell
-of an item's pass reads the same two old values, so the suffix is shifted
-by the profit as a block instead of being computed cell by cell.
+scratch row of the row's dtype, so an item allocates nothing.
 
 A take table is read back two ways: `walk` follows one capacity with
 Python scalar lookups (a reply, `knapsack_max`), and `trace` follows many
@@ -121,30 +118,18 @@ def knapsack_row(profits, weights, row: np.ndarray) -> np.ndarray:
     the cell, so they are broken toward not taking the item.
 
     Each item writes straight into row and take through one scratch row.
-    Cells from t on, where row's constant suffix starts (one scan of the
-    input row: 0 for zeros, 1 for the sentinel row), all hold the same
-    value s; so for an item (w, p) every cell c >= t + w becomes
-    max(s, s + p), a block shift for p > 0 and no change for p = 0, and
-    the suffix then starts at t + w. Every value the recurrence forms
-    must fit row's dtype.
+    Every value the recurrence forms must fit row's dtype.
     """
     capacity = len(row) - 1
     take = np.zeros((len(weights), capacity + 1), dtype=bool)
-    differs = np.flatnonzero(row != row[-1])
-    t = int(differs[-1]) + 1 if differs.size else 0
     scratch = np.empty(capacity + 1, dtype=row.dtype)
     for i, (w, p) in enumerate(zip(weights.tolist(), profits.tolist())):
         if w > capacity:
             continue
-        hi = min(t + w, capacity + 1)
-        cand = scratch[: hi - w]
-        np.add(row[: hi - w], p, out=cand)
-        np.greater(cand, row[w:hi], out=take[i, w:hi])
-        np.maximum(row[w:hi], cand, out=row[w:hi])  # equals where(greater): ties hold one value
-        if p > 0:
-            row[hi:] += p
-            take[i, hi:] = True
-        t = hi
+        cand = scratch[: capacity + 1 - w]
+        np.add(row[: capacity + 1 - w], p, out=cand)
+        np.greater(cand, row[w:], out=take[i, w:])
+        np.maximum(row[w:], cand, out=row[w:])  # equals where(greater): ties hold one value
     return take
 
 

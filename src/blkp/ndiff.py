@@ -316,8 +316,6 @@ class Mlp:
     def __init__(self, widths, activations, rng: np.random.Generator):
         if len(activations) != len(widths) - 1:
             raise ValueError("need one activation per affine layer")
-        self.widths = list(widths)
-        self.activations = list(activations)
         self.layers = []
         for fan_in, fan_out, act in zip(widths[:-1], widths[1:], activations):
             bound = np.sqrt(1.0 / fan_in)

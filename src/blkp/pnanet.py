@@ -201,7 +201,7 @@ def load_checkpoint(path):
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise CheckpointError(f"corrupt checkpoint: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != "blkp-checkpoint":
         raise CheckpointError("not a checkpoint document")

@@ -177,7 +177,7 @@ def test_non_binary_label_errors(instance_dir, tmp_path, capsys):
     rc = main(["train", "--instances", str(instance_dir), "--labels", str(labels),
                "--epochs", "1", "--patience", "1"])
     assert rc == 1
-    assert "label must be a 0/1 vector" in capsys.readouterr().err
+    assert f"error: instance {name}: label must be a 0/1 vector" in capsys.readouterr().err
 
 
 def test_bench_report(instance_dir, checkpoint, tmp_path):
@@ -270,6 +270,14 @@ def test_missing_file_errors(tmp_path, capsys):
     rc = main(["exact", "--instances", str(tmp_path / "nope")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_non_utf8_instance_in_directory_names_the_file(instance_dir, capsys):
+    bad = instance_dir / "zz_bad.json"
+    bad.write_bytes(b'{"n1": "\xff"}')
+    rc = main(["exact", "--instances", str(instance_dir)])
+    assert rc == 1
+    assert f"error: {bad}: malformed document" in capsys.readouterr().err
 
 
 def test_oversized_instance_errors(tmp_path, capsys):

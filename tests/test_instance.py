@@ -89,9 +89,10 @@ def test_read_rejects_non_int64_entries(field, value):
         instance_from_dict(doc)
 
 
-def test_read_rejects_garbage(tmp_path):
+@pytest.mark.parametrize("data", [b"not json {", b'{"n1": "\xff"}'], ids=["not_json", "not_utf8"])
+def test_read_rejects_garbage(tmp_path, data):
     path = tmp_path / "inst.json"
-    path.write_text("not json {")
+    path.write_bytes(data)
     with pytest.raises(InstanceError, match="malformed"):
         read_instance(path)
 

@@ -100,10 +100,11 @@ def test_knapsack_row_matches_reference_recurrence():
         exact[0] = 0                                      # weight exactly c
         for init in (zeros, exact):
             want_row, want_take = reference_row(profits, weights, init)
-            row = init.copy()
-            take = knapsack_row(profits, weights, row)
-            assert np.array_equal(take, want_take)
-            assert np.array_equal(row, want_row)
+            for dtype in (np.int32, np.int64):            # both widths `row_dtype` picks
+                row = init.astype(dtype)
+                take = knapsack_row(profits, weights, row)
+                assert np.array_equal(take, want_take)
+                assert np.array_equal(row, want_row)
 
 
 def test_walk_equals_trace_at_every_capacity():

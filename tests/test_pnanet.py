@@ -226,6 +226,13 @@ def test_checkpoint_truncated_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_not_utf8_rejected(tmp_path):
+    path = tmp_path / "ckpt.json"
+    path.write_bytes(b'{"format": "\xff"}')
+    with pytest.raises(CheckpointError, match="corrupt checkpoint"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_dimension_mismatch(tmp_path):
     import json
     params = ModelParams(PnaConfig(), seed=9)
