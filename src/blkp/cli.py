@@ -152,9 +152,9 @@ def cmd_label(args):
 
 def _read_labels(path):
     """Label file written by `blkp label` (TSV or JSON)."""
-    text = Path(path).read_text()
     by_instance = {}
     try:
+        text = Path(path).read_text()
         if text.lstrip().startswith("{"):
             records = [(rec["instance"], rec["x"]) for rec in json.loads(text)["labels"]]
         else:

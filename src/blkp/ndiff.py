@@ -1,21 +1,22 @@
 """Minimal reverse-mode autodiff over dense float64 arrays.
 
-Rank <= 2 tensors, the operations the graph network and its loss run:
-pointwise activations, column concatenation, constant affine and
-elementwise scaling, a sum, the binary cross-entropy of label counts
-(`bce_counts`), and Adam. Three fused ops make one tape node each where
-the network would otherwise chain several:
-- `linear(x, w, b)`: `x @ w + b`, one node per MLP layer;
-- `pair_linear(own, other, pairs, w, b)`: the first message layer over
-  every (own, other) pair of a graph union, `[own; other] @ w + b`,
-  computed by projecting each node once and expanding the projections
-  to the pairs;
+Rank <= 2 tensors and the ops the graph network and its loss run, each
+one tape node:
+- `linear(x, w, b, act)`: `act(x @ w + b)`, one MLP layer;
+- `pair_linear(own, other, pairs, w, b, act)`: the first message layer
+  over every (own, other) pair of a graph union, `act([own; other] @ w +
+  b)`, computed by projecting each node once and expanding the
+  projections to the pairs;
+- `concat_cols`: column concatenation;
 - `segment_pna(t, seg, aggregators, scalers)`: the whole multi-aggregator
   pooling of each run of consecutive rows (`Segments`, one per node's
   messages, of any mix of lengths), scaler-major, built on
-  `np.add/maximum/minimum.reduceat`. Each aggregator's forward and
-  gradient rule is defined once, in `AGGREGATORS`.
-`add`, an unfused elementwise sum, adds the loss terms.
+  `np.add/maximum/minimum.reduceat`;
+- `bce_mean(predictions, positives, totals)`: the mean binary
+  cross-entropy of label counts, the whole training loss.
+Each activation's forward and gradient rule is defined once, in
+`ACTIVATIONS`, and each aggregator's in `AGGREGATORS`. `Mlp` stacks
+layers and `Adam` updates their parameters.
 
 Gradients accumulate additively, so a tensor may feed several downstream
 ops.
@@ -81,67 +82,40 @@ def _unary(a: Tensor, out, da) -> Tensor:
     return t
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b with the bias vector b broadcast over rows, as one node."""
-    t = Tensor(x.data @ w.data + b.data, parents=(x, w, b))
+def _relu(z):
+    # NaN passes through, so an overflowing network yields non-finite output
+    return np.where(z <= 0, 0.0, z)
+
+
+def _leak(z):
+    return np.where(z > 0, 1.0, 0.01)
+
+
+# name -> (forward(z), grad(g, z, out)): a layer's activation of its affine
+# output z, and the gradient at z from the gradient g at the output out
+ACTIVATIONS = {
+    "identity": (lambda z: z, lambda g, z, out: g),
+    "relu": (_relu, lambda g, z, out: g * (z > 0)),
+    "leaky_relu": (lambda z: z * _leak(z), lambda g, z, out: g * _leak(z)),
+    "sigmoid": (lambda z: 1.0 / (1.0 + np.exp(-z)), lambda g, z, out: g * out * (1.0 - out)),
+}
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor, act: str) -> Tensor:
+    """act(x @ w + b) with the bias vector b broadcast over rows, as one node."""
+    forward, grad = ACTIVATIONS[act]
+    z = x.data @ w.data + b.data
+    out = forward(z)
+    t = Tensor(out, parents=(x, w, b))
 
     def back(g):
+        g = grad(g, z, out)
         x._accumulate(g @ w.data.T)
         w._accumulate(x.data.T @ g)
         b._accumulate(g.sum(axis=0))
 
     t._backward = back
     return t
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise add of two tensors of one shape."""
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"cannot add shapes {a.data.shape} and {b.data.shape}")
-    t = Tensor(a.data + b.data, parents=(a, b))
-
-    def back(g):
-        a._accumulate(g)
-        b._accumulate(g)
-
-    t._backward = back
-    return t
-
-
-def affine_const(t: Tensor, scale: float, shift: float = 0.0) -> Tensor:
-    """scale * t + shift with float constants."""
-    return _unary(t, scale * t.data + shift, lambda g: scale * g)
-
-
-def mul_const(t: Tensor, arr) -> Tensor:
-    """Elementwise multiply by a constant array."""
-    arr = np.asarray(arr, dtype=np.float64)
-    return _unary(t, t.data * arr, lambda g: g * arr)
-
-
-def relu(t: Tensor) -> Tensor:
-    # NaN passes through, so an overflowing network yields non-finite output
-    mask = t.data > 0
-    return _unary(t, np.where(t.data <= 0, 0.0, t.data), lambda g: g * mask)
-
-
-def leaky_relu(t: Tensor) -> Tensor:
-    factor = np.where(t.data > 0, 1.0, 0.01)
-    return _unary(t, t.data * factor, lambda g: g * factor)
-
-
-def sigmoid(t: Tensor) -> Tensor:
-    out = 1.0 / (1.0 + np.exp(-t.data))
-    return _unary(t, out, lambda g: g * out * (1.0 - out))
-
-
-def log(t: Tensor) -> Tensor:
-    return _unary(t, np.log(t.data), lambda g: g / t.data)
-
-
-def clip(t: Tensor, lo: float, hi: float) -> Tensor:
-    inside = (t.data >= lo) & (t.data <= hi)
-    return _unary(t, np.clip(t.data, lo, hi), lambda g: g * inside)
 
 
 def concat_cols(tensors) -> Tensor:
@@ -187,25 +161,28 @@ class Segments:
             raise ValueError(f"segments cover {self.rows} rows, tensor has shape {t.data.shape}")
 
 
-def pair_linear(own: Tensor, other: Tensor, pairs, w: Tensor, b: Tensor) -> Tensor:
-    """[own[i]; other[j]] @ w + b for every own-major (i, j) pair, as one node.
+def pair_linear(own: Tensor, other: Tensor, pairs, w: Tensor, b: Tensor, act: str) -> Tensor:
+    """act([own[i]; other[j]] @ w + b) for every own-major (i, j) pair, as one node.
 
     `pairs` is (other_rows, seg) as `graphrep.own_major_pairs` gives
     it: the pairs of own row i form the i-th segment of `seg`. The
-    layer is affine, so w splits by rows into the own part w[:k] (k =
-    own's width) and the other part w[k:]: each node is projected once,
-    and the projections are expanded to the pairs, the own side by
+    affine part splits w by rows into the own part w[:k] (k = own's
+    width) and the other part w[k:]: each node is projected once, and
+    the projections are expanded to the pairs, the own side by
     repeating row i over its segment and the other side by gathering
     other_rows.
     """
+    forward, grad = ACTIVATIONS[act]
     other_rows, seg = pairs
     k = own.data.shape[1]
     w_own, w_other = w.data[:k], w.data[k:]
-    out = (np.repeat(own.data @ w_own, seg.counts, axis=0)
-           + (other.data @ w_other)[other_rows] + b.data)
+    z = (np.repeat(own.data @ w_own, seg.counts, axis=0)
+         + (other.data @ w_other)[other_rows] + b.data)
+    out = forward(z)
     t = Tensor(out, parents=(own, other, w, b))
 
     def back(g):
+        g = grad(g, z, out)
         g_own = np.add.reduceat(g, seg.starts, axis=0)
         g_other = _sum_picked_rows(g, other_rows, other.data.shape[0])
         own._accumulate(g_own @ w_own.T)
@@ -276,42 +253,38 @@ def segment_pna(t: Tensor, seg: Segments, aggregators, scalers) -> Tensor:
     return _unary(t, out, back)
 
 
-def tsum(t: Tensor) -> Tensor:
-    return _unary(t, np.array(t.data.sum()),
-                  lambda g: np.full_like(t.data, float(g)))
-
-
 BCE_EPS = 1e-7
 
 
-def bce_counts(predictions: Tensor, positives, totals) -> Tensor:
-    """Sum of binary cross-entropy terms of K_i labels per prediction h_i.
+def bce_mean(predictions: Tensor, positives, totals) -> Tensor:
+    """Mean binary cross-entropy of K_i labels per prediction h_i, as one node.
 
     BCE is linear in the label, so the K_i labels of row i are scored
     through their sum S_i (`positives`), with K_i from `totals` (one count
     per row, or one for all rows):
-    -sum_i [S_i log h_i + (K_i - S_i) log(1 - h_i)]. Predictions are
-    clamped to [eps, 1 - eps] before the logarithm.
+    -sum_i [S_i log h_i + (K_i - S_i) log(1 - h_i)] / sum_i K_i.
+    Predictions are clamped to [eps, 1 - eps] before the logarithm, and
+    a clamped prediction gets no gradient.
     """
-    s = np.asarray(positives, dtype=np.float64).reshape(predictions.data.shape)
+    shape = predictions.data.shape
+    s = np.asarray(positives, dtype=np.float64).reshape(shape)
     k = np.asarray(totals, dtype=np.float64)
-    if k.ndim:
-        k = k.reshape(predictions.data.shape)
-    h = clip(predictions, BCE_EPS, 1.0 - BCE_EPS)
-    pos = mul_const(log(h), s)
-    neg = mul_const(log(affine_const(h, -1.0, 1.0)), k - s)
-    return affine_const(tsum(add(pos, neg)), -1.0)
+    k = np.broadcast_to(k.reshape(shape) if k.ndim else k, shape)
+    negatives = k - s
+    scale = 1.0 / k.sum()
+    h = np.clip(predictions.data, BCE_EPS, 1.0 - BCE_EPS)
+    inside = h == predictions.data
+    terms = np.log(h) * s + np.log(1.0 - h) * negatives
+
+    def back(g):
+        g_sum = -scale * float(g)
+        return ((g_sum * s) / h - (g_sum * negatives) / (1.0 - h)) * inside
+
+    return _unary(predictions, -scale * terms.sum(), back)
 
 
 class Mlp:
-    """Fully-connected stack: affine layers with pointwise activations."""
-
-    ACTIVATIONS = {
-        "relu": relu,
-        "leaky_relu": leaky_relu,
-        "sigmoid": sigmoid,
-        "identity": lambda t: t,
-    }
+    """Fully-connected stack: affine layers, each with its activation (`ACTIVATIONS`)."""
 
     def __init__(self, widths, activations, rng: np.random.Generator):
         if len(activations) != len(widths) - 1:
@@ -332,11 +305,11 @@ class Mlp:
         The first layer is `pair_linear`, so the pair rows are never formed.
         """
         (w, b, act), *rest = self.layers
-        return self._apply(self.ACTIVATIONS[act](pair_linear(own, other, pairs, w, b)), rest)
+        return self._apply(pair_linear(own, other, pairs, w, b, act), rest)
 
     def _apply(self, x: Tensor, layers) -> Tensor:
         for w, b, act in layers:
-            x = self.ACTIVATIONS[act](linear(x, w, b))
+            x = linear(x, w, b, act)
         return x
 
     def parameters(self):

@@ -20,7 +20,8 @@ pairs form only within a graph, and each node's messages are pooled over
 its own segment. One pass thus serves a whole batch of mixed sizes, and a
 single instance is a union of one.
 
-Each half-round is a handful of fused `ndiff` nodes. The first message
+Every layer is one `ndiff` tape node with its activation inside, so a
+half-round is six nodes and a default forward 38. The first message
 layer is affine over [own; other], so `ndiff.pair_linear` projects every
 node once and expands the projections to the pairs, without forming the
 pair rows. `ndiff.segment_pna` pools all messages of a node in one node,

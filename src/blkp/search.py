@@ -31,6 +31,8 @@ class SearchConfig:
             raise ValueError("theta must lie in [0, 0.5]")
         if self.n_samples < 1:
             raise ValueError("need at least one sample")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self):
         return {

@@ -7,8 +7,9 @@ the instance level so no instance contributes to both sides. Each batch
 loss is the mean binary cross-entropy over every leader-variable term in
 the batch. Each batch makes one forward and one backward pass, over the
 disjoint union of the graphs of its distinct instances
-(`graphrep.graph_union`), and one loss term: every leader row is scored
-through the sum and the count of its instance's labels in the batch.
+(`graphrep.graph_union`), and one loss node, `ndiff.bce_mean`: every
+leader row is scored through the sum and the count of its instance's
+labels in the batch.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import ndiff
 from .graphrep import DEFAULT_NORM, NormalizationScheme, build_graph, graph_union
 from .instance import binary_vector
-from .ndiff import Adam
+from .ndiff import Adam, bce_mean
 from .pnanet import ModelParams, PnaConfig, forward_tensor
 
 
@@ -45,6 +45,8 @@ class TrainConfig:
             raise ValueError("patience must be >= 0")
         if self.batch_size < 1 or self.epochs < 0:
             raise ValueError("invalid batch_size/epochs")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -101,8 +103,7 @@ def _batch_loss(samples, graphs, params):
     positives = np.concatenate([np.sum(labels, axis=0) for labels in by_instance.values()])
     totals = np.concatenate([np.full(len(labels[0]), len(labels))
                              for labels in by_instance.values()])
-    loss = ndiff.bce_counts(forward_tensor(union, params), positives, totals)
-    return ndiff.affine_const(loss, 1.0 / totals.sum())
+    return bce_mean(forward_tensor(union, params), positives, totals)
 
 
 def evaluate_loss(samples, graphs, params) -> float:

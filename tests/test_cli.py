@@ -157,10 +157,11 @@ def test_solve_elapsed_includes_forward(instance_dir, checkpoint, tmp_path, monk
     '{"records": []}',                                       # no "labels" list
     "instance\tleader_value\tx\nuc_4x4_000100\t5\n",       # missing field
     "instance\tleader_value\tx\nuc_4x4_000100\t5\t01x1\n",  # not a digit
+    "instance\tleader_value\tx\n\xff\n",                    # not UTF-8
 ])
 def test_malformed_label_file_errors(instance_dir, tmp_path, capsys, text):
     path = tmp_path / "labels.txt"
-    path.write_text(text)
+    path.write_bytes(text.encode("latin-1"))
     rc = main(["train", "--instances", str(instance_dir), "--labels", str(path)])
     assert rc == 1
     assert f"error: {path}: malformed label record" in capsys.readouterr().err
@@ -178,6 +179,22 @@ def test_non_binary_label_errors(instance_dir, tmp_path, capsys):
                "--epochs", "1", "--patience", "1"])
     assert rc == 1
     assert f"error: instance {name}: label must be a 0/1 vector" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "solve", "bench"])
+def test_negative_seed_names_the_setting(instance_dir, checkpoint, tmp_path, capsys, command):
+    labels = tmp_path / "labels.tsv"
+    assert main(["label", "--instances", str(instance_dir), "--k", "1",
+                 "--out", str(labels)]) == 0
+    argv = {
+        "train": ["train", "--instances", str(instance_dir), "--labels", str(labels),
+                  "--epochs", "1", "--out", str(tmp_path / "model.json")],
+        "solve": ["solve", "--instance", str(instance_dir), "--checkpoint", str(checkpoint)],
+        "bench": ["bench", "--instances", str(instance_dir), "--checkpoint", str(checkpoint)],
+    }[command]
+    rc = main(argv + ["--seed", "-1"])
+    assert rc == 1
+    assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
 
 
 def test_bench_report(instance_dir, checkpoint, tmp_path):

@@ -6,7 +6,8 @@ import pytest
 from blkp import ndiff
 from blkp.ndiff import Adam, Mlp, Segments, Tensor
 
-from _unfused import add_bias, matmul, take_rows
+from _unfused import (ACTIVATE, add, add_bias, affine_const, bce_sum, matmul, mul_const,
+                      take_rows, tsum, unfused_bce_mean)
 
 
 def finite_diff(fn, params, h=1e-5):
@@ -35,15 +36,21 @@ def reduce_segments(t, seg, name):
 
 def mean_bce(predictions, labels):
     """Mean binary cross-entropy of one label per prediction."""
-    labels = np.asarray(labels, dtype=np.float64)
-    return ndiff.affine_const(ndiff.bce_counts(predictions, labels, 1), 1.0 / labels.size)
+    return ndiff.bce_mean(predictions, labels, 1)
+
+
+def activate(name, values):
+    """The activation `name` of each value, through a 1 x 1 identity layer."""
+    x = Tensor(np.asarray(values, dtype=np.float64)[:, None])
+    return ndiff.linear(x, Tensor([[1.0]]), Tensor([0.0]), name).data.ravel()
 
 
 def test_pointwise_examples():
-    assert ndiff.sigmoid(Tensor([0.0])).data[0] == 0.5
-    assert ndiff.leaky_relu(Tensor([-2.0])).data[0] == pytest.approx(-0.02)
-    assert ndiff.relu(Tensor([-3.0, 2.0])).data.tolist() == [0.0, 2.0]
-    nan_in = ndiff.relu(Tensor([np.nan, -1.0, 2.0])).data  # NaN propagates
+    assert activate("sigmoid", [0.0])[0] == 0.5
+    assert activate("leaky_relu", [-2.0])[0] == pytest.approx(-0.02)
+    assert activate("relu", [-3.0, 2.0]).tolist() == [0.0, 2.0]
+    assert activate("identity", [-3.0, 2.0]).tolist() == [-3.0, 2.0]
+    nan_in = activate("relu", [np.nan, -1.0, 2.0])  # NaN propagates
     assert np.isnan(nan_in[0]) and nan_in[1:].tolist() == [0.0, 2.0]
 
 
@@ -73,28 +80,23 @@ def test_backward_requires_scalar():
 def test_simple_product_gradient():
     w = Tensor([[3.0]])
     x = Tensor([[2.0]])
-    loss = ndiff.tsum(matmul(x, w))
+    loss = tsum(matmul(x, w))
     loss.backward()
     assert w.grad[0, 0] == 2.0
     assert x.grad[0, 0] == 3.0
 
 
 def test_sigmoid_gradient_at_zero():
-    w = Tensor([0.0])
-    loss = ndiff.tsum(ndiff.sigmoid(w))
+    w = Tensor([[0.0]])
+    loss = tsum(ndiff.linear(Tensor([[1.0]]), w, Tensor([0.0]), "sigmoid"))
     loss.backward()
-    assert w.grad[0] == pytest.approx(0.25)
-
-
-def test_add_refuses_broadcasting():
-    with pytest.raises(ValueError, match="cannot add shapes"):
-        ndiff.add(Tensor(np.ones((3, 2))), Tensor(np.ones(2)))
+    assert w.grad[0, 0] == pytest.approx(0.25)
 
 
 def test_repeated_subgraph_accumulates():
     w = Tensor([2.0])
     # loss = w + w -> gradient 2
-    loss = ndiff.tsum(ndiff.add(w, w))
+    loss = tsum(add(w, w))
     loss.backward()
     assert w.grad[0] == 2.0
 
@@ -119,7 +121,7 @@ def test_bce_nonnegative():
 
 def test_bce_length_mismatch():
     with pytest.raises(ValueError):
-        ndiff.bce_counts(Tensor([0.5, 0.5]), [1.0], 1)
+        ndiff.bce_mean(Tensor([0.5, 0.5]), [1.0], 1)
 
 
 @pytest.mark.parametrize("k", [1, 2, 7])
@@ -129,12 +131,13 @@ def test_bce_sum_stack_equals_loop(k):
     h[0, 0] = 1.0  # clamped at 1 - eps
     stack = rng.integers(0, 2, (k, 5)).astype(float)
     stacked, looped = Tensor(h), Tensor(h)
-    total = ndiff.bce_counts(stacked, stack.sum(axis=0), k)
+    total = ndiff.bce_mean(stacked, stack.sum(axis=0), k)
     total.backward()
-    parts = [ndiff.bce_counts(looped, y, 1) for y in stack]
+    parts = [bce_sum(looped, y, 1) for y in stack]
     ref = parts[0]
     for p in parts[1:]:
-        ref = ndiff.add(ref, p)
+        ref = add(ref, p)
+    ref = affine_const(ref, 1.0 / stack.size)
     ref.backward()
     assert float(total.data) == pytest.approx(float(ref.data), rel=1e-12)
     assert np.allclose(stacked.grad, looped.grad, rtol=1e-12, atol=0.0)
@@ -143,16 +146,14 @@ def test_bce_sum_stack_equals_loop(k):
 @pytest.mark.parametrize("seed", range(5))
 def test_mlp_gradient_matches_finite_differences(seed):
     rng = np.random.default_rng(seed)
-    mlp = Mlp([4, 8, 3], ["relu", "identity"], rng)
+    mlp = Mlp([4, 8, 3], ["relu", "sigmoid"], rng)
     x = rng.normal(size=(6, 4))
     y = rng.integers(0, 2, (6, 3)).astype(float)
 
     def loss_value():
-        out = ndiff.sigmoid(mlp(Tensor(x)))
-        return float(mean_bce(out, y).data)
+        return float(mean_bce(mlp(Tensor(x)), y).data)
 
-    out = ndiff.sigmoid(mlp(Tensor(x)))
-    loss = mean_bce(out, y)
+    loss = mean_bce(mlp(Tensor(x)), y)
     loss.backward()
     params = list(mlp.parameters())
     fd = finite_diff(loss_value, params)
@@ -172,10 +173,10 @@ def test_pair_expansion_gradients():
         return ndiff.concat_cols([take_rows(x, x_rows), take_rows(y, y_rows)])
 
     weights = rng.normal(size=(12, 4))
-    loss = ndiff.tsum(ndiff.mul_const(expand(), weights))
+    loss = tsum(mul_const(expand(), weights))
 
     def loss_value():
-        return float(ndiff.tsum(ndiff.mul_const(expand(), weights)).data)
+        return float(tsum(mul_const(expand(), weights)).data)
 
     loss.backward()
     for p, g in zip([x, y], finite_diff(loss_value, [x, y])):
@@ -189,10 +190,10 @@ def test_group_reduction_gradients():
     weights = rng.normal(size=(2, 3))
     for name in ndiff.AGGREGATORS:
         t.grad = None
-        loss = ndiff.tsum(ndiff.mul_const(reduce_segments(t, two, name), weights))
+        loss = tsum(mul_const(reduce_segments(t, two, name), weights))
 
         def loss_value():
-            return float(ndiff.tsum(ndiff.mul_const(reduce_segments(t, two, name),
+            return float(tsum(mul_const(reduce_segments(t, two, name),
                                                     weights)).data)
 
         loss.backward()
@@ -208,7 +209,7 @@ def test_take_rows_gradient_finite_differences():
     weights = rng.normal(size=(len(rows), 3))
 
     def loss_of():
-        return ndiff.tsum(ndiff.mul_const(take_rows(t, rows), weights))
+        return tsum(mul_const(take_rows(t, rows), weights))
 
     out = take_rows(t, rows)
     assert np.array_equal(out.data, t.data[rows])
@@ -232,10 +233,10 @@ def test_segment_reductions_unequal_segments():
         out = reduce_segments(t, seg, name)
         assert np.allclose(out.data, expected[name], rtol=1e-15, atol=0.0), name
         t.grad = None
-        ndiff.tsum(ndiff.mul_const(out, weights)).backward()
+        tsum(mul_const(out, weights)).backward()
 
         def loss_value():
-            return float(ndiff.tsum(ndiff.mul_const(reduce_segments(t, seg, name),
+            return float(tsum(mul_const(reduce_segments(t, seg, name),
                                                     weights)).data)
 
         fd = finite_diff(loss_value, [t])[0]
@@ -252,7 +253,7 @@ def test_segment_extreme_ties_go_to_first_row(op):
     t = Tensor(x)
     seg = Segments([1, 3, 2])
     out = reduce_segments(t, seg, op)
-    ndiff.tsum(ndiff.mul_const(out, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])).backward()
+    tsum(mul_const(out, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])).backward()
     expected = np.zeros((6, 2))
     expected[0] = [1.0, 2.0]
     expected[1, 0] = 3.0
@@ -267,16 +268,37 @@ def test_bce_counts_equals_bce_sum_per_stack():
     first = rng.integers(0, 2, (3, 2)).astype(float)   # 3 labels of rows 0-1
     second = rng.integers(0, 2, (1, 3)).astype(float)  # 1 label of rows 2-4
     pooled = Tensor(h)
-    total = ndiff.bce_counts(pooled, np.concatenate([first.sum(axis=0), second.sum(axis=0)]),
-                             [3, 3, 1, 1, 1])
+    total = ndiff.bce_mean(pooled, np.concatenate([first.sum(axis=0), second.sum(axis=0)]),
+                           [3, 3, 1, 1, 1])
     total.backward()
     apart = Tensor(h)
-    ref = ndiff.bce_counts(take_rows(apart, [2, 3, 4]), second[0], 1)
+    ref = bce_sum(take_rows(apart, [2, 3, 4]), second[0], 1)
     for y in first:  # one term per label
-        ref = ndiff.add(ref, ndiff.bce_counts(take_rows(apart, [0, 1]), y, 1))
+        ref = add(ref, bce_sum(take_rows(apart, [0, 1]), y, 1))
+    ref = affine_const(ref, 1.0 / (first.size + second.size))
     ref.backward()
     assert float(total.data) == pytest.approx(float(ref.data), rel=1e-12)
     assert np.allclose(pooled.grad, apart.grad, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("totals", ["scalar", "per_row"])
+def test_bce_mean_bit_equals_unfused_chain(totals):
+    # the fused loss and its gradient against the clamp/log/scale/sum chain,
+    # with predictions at and beyond the clamp bounds
+    rng = np.random.default_rng(13)
+    eps = ndiff.BCE_EPS
+    h = rng.uniform(0.0, 1.0, (40, 1))
+    h[:6, 0] = [0.0, eps / 2, eps, 1.0 - eps, 1.0 - eps / 2, 1.0]
+    k = rng.integers(1, 9, 40) if totals == "per_row" else 3
+    positives = rng.integers(0, np.asarray(k) + 1, 40).astype(float)
+    fused, chained = Tensor(h), Tensor(h)
+    loss = ndiff.bce_mean(fused, positives, k)
+    ref = unfused_bce_mean(chained, positives, k)
+    assert np.array_equal(loss.data, ref.data)
+    loss.backward()
+    ref.backward()
+    assert np.array_equal(fused.grad, chained.grad)
+    assert np.array_equal(fused.grad[[0, 1, 4, 5]], np.zeros((4, 1)))
 
 
 def test_adam_zero_gradient_no_decay():
@@ -323,10 +345,10 @@ def test_first_gradient_is_copied_not_aliased():
     # p's first gradient is a column view of the concat's gradient, which
     # `add` also hands to q; p's second gradient must not reach q or the concat
     p, q, r = (Tensor(np.full((2, 2), v)) for v in (1.0, 2.0, 3.0))
-    cat = ndiff.concat_cols([ndiff.add(p, q), r])
+    cat = ndiff.concat_cols([add(p, q), r])
     weights = np.arange(8.0).reshape(2, 4)
-    loss = ndiff.add(ndiff.tsum(ndiff.mul_const(cat, weights)),
-                     ndiff.tsum(ndiff.mul_const(p, [[10.0, 20.0], [30.0, 40.0]])))
+    loss = add(tsum(mul_const(cat, weights)),
+                     tsum(mul_const(p, [[10.0, 20.0], [30.0, 40.0]])))
     loss.backward()
     assert np.array_equal(cat.grad, weights)
     assert np.array_equal(q.grad, weights[:, :2])
@@ -349,7 +371,7 @@ def _check_fused_op(fused, reference, tensors, weights, tol):
     from _gradcheck import check_params
 
     def loss_of(build):
-        return ndiff.tsum(ndiff.mul_const(build(), weights))
+        return tsum(mul_const(build(), weights))
 
     results = []
     for build in (fused, reference):
@@ -366,17 +388,20 @@ def _check_fused_op(fused, reference, tensors, weights, tol):
                  per_param=10 ** 6)
 
 
-def test_linear_matches_matmul_add_and_finite_differences():
+@pytest.mark.parametrize("act", sorted(ndiff.ACTIVATIONS))
+def test_linear_matches_matmul_add_and_finite_differences(act):
     rng = np.random.default_rng(10)
     x, w, b = (Tensor(rng.normal(size=s)) for s in ((5, 3), (3, 4), (4,)))
     weights = rng.normal(size=(5, 4))
-    _check_fused_op(lambda: ndiff.linear(x, w, b),
-                    lambda: add_bias(matmul(x, w), b), [x, w, b], weights, tol=0.0)
+    _check_fused_op(lambda: ndiff.linear(x, w, b, act),
+                    lambda: ACTIVATE[act](add_bias(matmul(x, w), b)), [x, w, b], weights,
+                    tol=0.0)
 
 
+@pytest.mark.parametrize("act", sorted(ndiff.ACTIVATIONS))
 @pytest.mark.parametrize("own_sizes, other_sizes", [(RAGGED_OWN, RAGGED_OTHER),
                                                     (RAGGED_OTHER, RAGGED_OWN)])
-def test_pair_linear_matches_gathered_pairs(own_sizes, other_sizes):
+def test_pair_linear_matches_gathered_pairs(own_sizes, other_sizes, act):
     from blkp.graphrep import own_major_pairs
     rng = np.random.default_rng(11)
     pairs = own_major_pairs(np.array(own_sizes), np.array(other_sizes))
@@ -388,12 +413,12 @@ def test_pair_linear_matches_gathered_pairs(own_sizes, other_sizes):
     weights = rng.normal(size=(seg.rows, 4))
 
     def fused():
-        return ndiff.pair_linear(own, other, pairs, w, b)
+        return ndiff.pair_linear(own, other, pairs, w, b, act)
 
     def reference():
         gathered = ndiff.concat_cols([take_rows(own, own_rows),
                                       take_rows(other, other_rows)])
-        return add_bias(matmul(gathered, w), b)
+        return ACTIVATE[act](add_bias(matmul(gathered, w), b))
 
     _check_fused_op(fused, reference, [own, other, w, b], weights, tol=1e-12)
 
@@ -419,7 +444,7 @@ def test_segment_pna_matches_per_aggregator_ops(aggregators, scalers):
         expected.append(np.concatenate([s * base for s in scalers]))
 
     def loss_of():
-        return ndiff.tsum(ndiff.mul_const(ndiff.segment_pna(t, seg, aggregators, scalers),
+        return tsum(mul_const(ndiff.segment_pna(t, seg, aggregators, scalers),
                                           weights))
 
     assert np.allclose(ndiff.segment_pna(t, seg, aggregators, scalers).data, expected,
@@ -436,7 +461,7 @@ def test_segment_pna_ties_go_to_first_row():
     t = Tensor(x)
     out = ndiff.segment_pna(t, Segments([1, 3, 2]), ("max", "min"), (1.0, 2.0))
     weights = np.arange(24.0).reshape(3, 8)
-    ndiff.tsum(ndiff.mul_const(out, weights)).backward()
+    tsum(mul_const(out, weights)).backward()
     g_max = weights[:, 0:2] + 2.0 * weights[:, 4:6]
     g_min = weights[:, 2:4] + 2.0 * weights[:, 6:8]
     expected = np.zeros((6, 2))

@@ -194,11 +194,11 @@ def test_end_to_end_gradient_finite_differences():
     graph = build_graph(inst)
     labels = rng.integers(0, 2, 4).astype(float)
 
-    loss = ndiff.bce_counts(forward_tensor(graph, params), labels, 1)
+    loss = ndiff.bce_mean(forward_tensor(graph, params), labels, 1)
     loss.backward()
 
     def loss_value():
-        return float(ndiff.bce_counts(forward_tensor(graph, params), labels, 1).data)
+        return float(ndiff.bce_mean(forward_tensor(graph, params), labels, 1).data)
 
     from _gradcheck import check_params
     checked = check_params(loss_value, params.parameters(), rng, per_param=2)
@@ -346,16 +346,16 @@ def test_desk_checkpoint_saves_back_unchanged(tmp_path):
     assert again["weights"] == committed["weights"]
 
 # Non-parameter tape nodes of one default-config forward: 4 input
-# constants, 8 per half-round (pair_linear, relu, linear, segment_pna,
-# concat_cols, then linear, relu, linear) over the 5 half-rounds the
-# decoder reads, and 8 in the decoder. Un-fusing a layer or the pooling
-# raises the count.
-FORWARD_TAPE_NODES = 52
+# constants, 6 per half-round (pair_linear, linear, segment_pna,
+# concat_cols, then linear, linear) over the 5 half-rounds the decoder
+# reads, and 4 in the decoder. Every layer applies its activation inside
+# its node; un-fusing an activation, a layer or the pooling raises the
+# count.
+FORWARD_TAPE_NODES = 38
 
 
-def test_forward_tape_stays_fused():
-    params = ModelParams(PnaConfig(), seed=14)
-    out = forward_tensor(build_graph(generate(GenConfig(10, 10, seed=15))), params)
+def tape_nodes(out, params):
+    """The tape nodes `out` is computed from, parameters excluded."""
     parameters = {id(p) for p in params.parameters()}
     seen, stack = set(), [out]
     while stack:
@@ -363,7 +363,26 @@ def test_forward_tape_stays_fused():
         if id(node) not in seen:
             seen.add(id(node))
             stack.extend(node._parents)
-    assert len(seen - parameters) <= FORWARD_TAPE_NODES
+    return len(seen - parameters)
+
+
+def test_forward_tape_stays_fused():
+    params = ModelParams(PnaConfig(), seed=14)
+    out = forward_tensor(build_graph(generate(GenConfig(10, 10, seed=15))), params)
+    assert tape_nodes(out, params) <= FORWARD_TAPE_NODES
+
+
+def test_batch_loss_is_one_node_over_the_forward():
+    from blkp.trainer import LabeledSample, _batch_loss
+    rng = np.random.default_rng(16)
+    instances = [generate(GenConfig(n, n + 1, seed=16 + n)) for n in (3, 5, 8)]
+    graphs = {i: build_graph(inst) for i, inst in enumerate(instances)}
+    samples = [LabeledSample(int(i), rng.integers(0, 2, instances[i].n1).astype(float))
+               for i in (2, 0, 2, 1, 0)]
+    params = ModelParams(PnaConfig(), seed=17)
+    forward_nodes = tape_nodes(forward_tensor(graph_union(graphs[i] for i in (2, 0, 1)),
+                                              params), params)
+    assert tape_nodes(_batch_loss(samples, graphs, params), params) == forward_nodes + 1
 
 
 def test_forward_creates_only_reachable_tensors(monkeypatch):

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from blkp import ndiff
 from blkp.exact import collect_labels, solve_exact
 from blkp.instance import GenConfig, generate
 from blkp.pnanet import ModelParams, PnaConfig, forward_tensor
 from blkp.trainer import (TrainConfig, TrainingDiverged, _batch_loss,
                           build_dataset, evaluate_loss, train)
 from blkp.graphrep import build_graph
+
+from _unfused import add, affine_const, bce_sum
 
 
 def make_labeled(n_instances, n1=4, n2=4, seed=0, k=3):
@@ -152,11 +153,11 @@ def test_batch_loss_matches_per_label_reference():
     # one BCE sum per label, the sum divided by the number of terms
     preds = {i: forward_tensor(graphs[i], params)
              for i in {s.instance_id for s in train_set}}
-    ref = ndiff.bce_counts(preds[train_set[0].instance_id], train_set[0].x_label, 1)
+    ref = bce_sum(preds[train_set[0].instance_id], train_set[0].x_label, 1)
     for s in train_set[1:]:
-        ref = ndiff.add(ref, ndiff.bce_counts(preds[s.instance_id], s.x_label, 1))
+        ref = add(ref, bce_sum(preds[s.instance_id], s.x_label, 1))
     terms = sum(s.x_label.size for s in train_set)
-    ref = ndiff.affine_const(ref, 1.0 / terms)
+    ref = affine_const(ref, 1.0 / terms)
     want = grads(ref)
     assert float(loss.data) == pytest.approx(float(ref.data), rel=1e-12)
     for g, w in zip(got, want):
@@ -187,13 +188,13 @@ def test_batch_loss_ragged_matches_per_instance_reference():
         stacks = {}
         for s in samples:
             stacks.setdefault(s.instance_id, []).append(s.x_label)
-        parts = [ndiff.bce_counts(forward_tensor(graphs[i], params),
-                                  np.sum(stack, axis=0), len(stack))
+        parts = [bce_sum(forward_tensor(graphs[i], params),
+                         np.sum(stack, axis=0), len(stack))
                  for i, stack in stacks.items()]
         ref = parts[0]
         for part in parts[1:]:
-            ref = ndiff.add(ref, part)
-        ref = ndiff.affine_const(ref, 1.0 / sum(s.x_label.size for s in samples))
+            ref = add(ref, part)
+        ref = affine_const(ref, 1.0 / sum(s.x_label.size for s in samples))
         want = grads(ref)
         assert float(loss.data) == pytest.approx(float(ref.data), rel=1e-12)
         # the union sums in another order, so compare whole tensors: an
