@@ -6,7 +6,7 @@ instance as a tripartite graph, and train a permutation-equivariant
 message-passing network to predict, per leader item, the probability
 that it belongs to an optimal selection.
 
-This is a scaled-down run (60 instances, 40 epochs, ~1 minute) meant to
+This is a scaled-down run (60 instances, 40 epochs, ~2 s) meant to
 show the moving parts; the same code handles the full-size setup by
 raising the counts.
 """

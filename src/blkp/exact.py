@@ -14,13 +14,12 @@ weight, the best leader vector of that weight, best value first. Training
 labels are the optimum plus the best vectors of the next k best leader
 weights, a definition that depends on the instance alone.
 
-Both rows are as short and narrow as `blkp.knapsack` makes them. The
-follower row spans min(b, sum(a2)) + 1 cells; the leader row spans
-min(b, sum(a1)) + 1, since no heavier leader weight is reachable, and is
-int32 when its values, -1 - sum(d1) .. sum(d1), fit. The bilevel values
-are summed in int64. The pool is traced eagerly by the vectorised
-`trace`, so a result holds no take table or DP row; the optimum's reply
-is one `walk`.
+Both rows come from `blkp.knapsack.knapsack_row`, as short and narrow as
+it makes them: the follower row spans min(b, sum(a2)) + 1 cells and the
+leader row min(b, sum(a1)) + 1, since no heavier leader weight is
+reachable. The bilevel values are summed in int64. The pool is traced
+eagerly by the vectorised `trace`, so a result holds no take table or DP
+row; the optimum's reply is one `walk`.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .knapsack import Mode, check_dp_size, follower_response, knapsack_row, row_dtype, trace
+from .knapsack import Mode, check_dp_size, follower_response, knapsack_row, trace
 
 
 @dataclass
@@ -39,7 +38,7 @@ class ExactResult:
     opt_value: int
     pool: np.ndarray         # (R, n1) int8 leader vectors, one per reachable weight
     pool_values: np.ndarray  # (R,) int64 bilevel values, descending
-    node_count: int          # DP cells, n2 * (min(b, sum(a2)) + 1) + n1 * (min(b, sum(a1)) + 1)
+    node_count: int          # cells of the two capped DP tables
     mode: Mode
     proven_optimal = True    # the DP is exact; kept for callers that check it
 
@@ -54,10 +53,7 @@ def solve_exact(inst, mode: Mode = Mode.OPTIMISTIC) -> ExactResult:
     follower = follower_response(inst, np.zeros(inst.n1, dtype=np.int64), mode)
 
     # phase 2: G(W); unreachable weights stay below zero
-    total = sum(inst.d1.tolist())
-    best_d1 = np.full(min(b, sum(inst.a1.tolist())) + 1, -1 - total, dtype=row_dtype(total))
-    best_d1[0] = 0
-    take = knapsack_row(inst.d1, inst.a1, best_d1)
+    best_d1, take = knapsack_row(inst.d1, inst.a1, b, exact_weight=True)
 
     weights = np.flatnonzero(best_d1 >= 0)
     values = best_d1[weights] + follower.leader_profit(b - weights)
@@ -67,7 +63,7 @@ def solve_exact(inst, mode: Mode = Mode.OPTIMISTIC) -> ExactResult:
     return ExactResult(
         opt_x=pool[0].astype(np.int64), opt_y=follower.reply(b - int(weights[order[0]])),
         opt_value=int(values[order[0]]), pool=pool, pool_values=values[order],
-        node_count=inst.n2 * len(follower.row) + inst.n1 * len(best_d1), mode=mode)
+        node_count=follower.take.size + take.size, mode=mode)
 
 
 def collect_labels(result: ExactResult, k: int = 10) -> list:

@@ -30,12 +30,19 @@ class NormalizationScheme:
     value_scale: float = 1000.0
     version: int = 1
 
+    def __post_init__(self):
+        if not (np.isfinite(self.value_scale) and self.value_scale > 0):
+            raise ValueError(f"value_scale must be a finite number > 0, got {self.value_scale!r}")
+
     def to_dict(self):
         return {"value_scale": self.value_scale, "version": self.version}
 
     @classmethod
     def from_dict(cls, doc):
-        return cls(value_scale=float(doc["value_scale"]), version=int(doc["version"]))
+        """The scheme a checkpoint records; any version but this one is refused."""
+        if doc["version"] != cls.version:
+            raise ValueError(f"version is {doc['version']!r}, this scheme's is {cls.version!r}")
+        return cls(value_scale=float(doc["value_scale"]))
 
 
 DEFAULT_NORM = NormalizationScheme()

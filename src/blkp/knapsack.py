@@ -14,12 +14,12 @@ Every row is only as long and as wide as the values it can hold:
   row stops at capacity min(capacity, W). A capacity above W reads the
   last cell; there every item fits, and the value and the read-back
   selection are those of any larger capacity.
-- Width: a row is int32 when every value it can hold fits (`row_dtype`),
-  otherwise int64. Values read out of a row are widened to int64 before
-  any sum.
+- Width: a row is int32 when every value it can hold fits, otherwise
+  int64. Values read out of a row are widened to int64 before any sum.
 
-The recurrence (`knapsack_row`) updates its row in place through one
-scratch row of the row's dtype, so an item allocates nothing.
+`knapsack_row` is the only code that builds a row: it decides the length,
+the width and the initial values, guards the table size, and runs the
+recurrence in place through one scratch row, so an item allocates nothing.
 
 A take table is read back two ways: `walk` follows one capacity with
 Python scalar lookups (a reply, `knapsack_max`), and `trace` follows many
@@ -99,38 +99,39 @@ def check_dp_size(n: int, capacity: int) -> None:
                          f"{MAX_DP_CELLS:.0e}")
 
 
-def row_dtype(total: int):
-    """The dtype of a row over items of profit sum `total`: int32 when it fits, else int64.
+def knapsack_row(profits, weights, capacity: int, exact_weight: bool = False):
+    """The 0/1 knapsack DP row over capacities 0..min(capacity, sum(weights)), and its take table.
 
-    A zero row holds 0..total and an exact-weight row -1 - total..total;
-    both fit int32 exactly when total does.
+    row[c] is the best profit of a selection weighing at most c, or, with
+    exact_weight, exactly c; a weight no selection reaches keeps the
+    sentinel -1 - sum(profits) or a value above it, still below zero.
+    take[i, c] records whether item i improved cell c; ties keep the cell,
+    so they are broken toward not taking the item.
+
+    The row is int32 when sum(profits) fits, else int64: a zero row holds
+    0..sum and an exact-weight row -1 - sum..sum, so every value the
+    recurrence forms fits either way. The table is refused by the uncapped
+    size len(weights) * (capacity + 1), whatever the cap leaves.
     """
-    return np.int32 if total <= INT32_MAX else np.int64
-
-
-def knapsack_row(profits, weights, row: np.ndarray) -> np.ndarray:
-    """The 0/1 knapsack recurrence, in place over row[0..capacity].
-
-    On entry row[c] is the value of capacity c with no items (zeros for
-    "weight at most c", a negative sentinel off row[0] for "weight exactly
-    c"); on exit it is the best value over all items. Returns the take
-    table: take[i, c] records whether item i improved cell c; ties keep
-    the cell, so they are broken toward not taking the item.
-
-    Each item writes straight into row and take through one scratch row.
-    Every value the recurrence forms must fit row's dtype.
-    """
-    capacity = len(row) - 1
+    profits, weights = profits.tolist(), weights.tolist()
+    total = sum(profits)
+    if total > INT64_MAX:
+        raise OverflowRiskError("sum of profits exceeds the 64-bit accumulator bound")
+    check_dp_size(len(weights), capacity)
+    capacity = min(capacity, sum(weights))
+    dtype = np.int32 if total <= INT32_MAX else np.int64
+    row = np.full(capacity + 1, -1 - total if exact_weight else 0, dtype=dtype)
+    row[0] = 0
     take = np.zeros((len(weights), capacity + 1), dtype=bool)
-    scratch = np.empty(capacity + 1, dtype=row.dtype)
-    for i, (w, p) in enumerate(zip(weights.tolist(), profits.tolist())):
+    scratch = np.empty(capacity + 1, dtype=dtype)
+    for i, (w, p) in enumerate(zip(weights, profits)):
         if w > capacity:
             continue
         cand = scratch[: capacity + 1 - w]
         np.add(row[: capacity + 1 - w], p, out=cand)
         np.greater(cand, row[w:], out=take[i, w:])
         np.maximum(row[w:], cand, out=row[w:])  # equals where(greater): ties hold one value
-    return take
+    return row, take
 
 
 def walk(take, weights, cap: int) -> np.ndarray:
@@ -171,18 +172,12 @@ def knapsack_max(profits, weights, capacity: int):
         raise ValueError("profits must be non-negative")
     if (weights < 1).any():
         raise ValueError("weights must be positive")
-    if sum(int(p) for p in profits) > INT64_MAX:
-        raise OverflowRiskError("sum of profits exceeds the 64-bit accumulator bound")
-    check_dp_size(len(profits), capacity)
-
-    total = sum(profits.tolist())
-    dp = np.zeros(min(capacity, sum(weights.tolist())) + 1, dtype=row_dtype(total))
-    take = knapsack_row(profits, weights, dp)
-    return int(dp[-1]), walk(take, weights, len(dp) - 1)
+    row, take = knapsack_row(profits, weights, capacity)
+    return int(row[-1]), walk(take, weights, len(row) - 1)
 
 
 def combined_profits(inst, mode: Mode):
-    """Follower profits M * c_j + sign * d2_j, M, and the profits' sum.
+    """Follower profits M * c_j + sign * d2_j, and M.
 
     A knapsack over these ranks follower selections by c first and breaks
     ties by the leader profit d2 of the selection, maximized (sign +1,
@@ -194,10 +189,9 @@ def combined_profits(inst, mode: Mode):
     sign = 1 if mode is Mode.OPTIMISTIC else -1
     m = 1 + sum(int(v) for v in inst.d2)
     combined = [m * int(cj) + sign * int(dj) for cj, dj in zip(inst.c, inst.d2)]
-    total = sum(combined)
-    if total > INT64_MAX:
+    if sum(combined) > INT64_MAX:
         raise OverflowRiskError("combined lexicographic profits exceed 64-bit range")
-    return np.asarray(combined, dtype=np.int64), m, total
+    return np.asarray(combined, dtype=np.int64), m
 
 
 def tie_break_profit(value, m: int, mode: Mode):
@@ -226,11 +220,9 @@ def follower_response(inst, x_bar, mode: Mode = Mode.OPTIMISTIC) -> FollowerResp
     residual = inst.b - int(inst.a1 @ x_bar)
     if residual < 0:
         raise InfeasibleLeader(f"leader weight exceeds capacity by {-residual}")
-    check_dp_size(inst.n2, residual)
 
-    combined, m, total = combined_profits(inst, mode)
-    row = np.zeros(min(residual, sum(inst.a2.tolist())) + 1, dtype=row_dtype(total))
-    take = knapsack_row(combined, inst.a2, row)
+    combined, m = combined_profits(inst, mode)
+    row, take = knapsack_row(combined, inst.a2, residual)
     best = int(row[-1])  # M * z* +- the d2 sum of the reply
     z_star = best // m if mode is Mode.OPTIMISTIC else -(-best // m)
     return FollowerResponse(

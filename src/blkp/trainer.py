@@ -41,12 +41,14 @@ class TrainConfig:
     def __post_init__(self):
         if not (0.0 < self.split < 1.0):
             raise ValueError("split must be in (0, 1)")
-        if self.early_stop_patience < 0:  # patience >= epochs never stops early
-            raise ValueError("patience must be >= 0")
-        if self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("invalid batch_size/epochs")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        # early_stop_patience >= epochs never stops early
+        for name, low in (("batch_size", 1), ("epochs", 0), ("early_stop_patience", 0),
+                          ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        for name in ("lr", "weight_decay"):  # lr 0 freezes the weights
+            if not (np.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
+                raise ValueError(f"{name} must be a finite number >= 0, got {getattr(self, name)}")
 
 
 @dataclass

@@ -197,6 +197,30 @@ def test_negative_seed_names_the_setting(instance_dir, checkpoint, tmp_path, cap
     assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    pytest.param(flag, value, message, id=f"{flag[2:]}={value}")
+    for flag, value, message in [
+        ("--lr", "-1", "lr must be a finite number >= 0, got -1.0"),
+        ("--lr", "nan", "lr must be a finite number >= 0, got nan"),
+        ("--lr", "inf", "lr must be a finite number >= 0, got inf"),
+        ("--weight-decay", "-1", "weight_decay must be a finite number >= 0, got -1.0"),
+        ("--weight-decay", "nan", "weight_decay must be a finite number >= 0, got nan"),
+        ("--batch-size", "0", "batch_size must be >= 1, got 0"),
+        ("--epochs", "-1", "epochs must be >= 0, got -1"),
+    ]])
+def test_invalid_train_setting_names_the_setting(instance_dir, tmp_path, capsys,
+                                                 flag, value, message):
+    labels = tmp_path / "labels.tsv"
+    assert main(["label", "--instances", str(instance_dir), "--k", "1",
+                 "--out", str(labels)]) == 0
+    model = tmp_path / "model.json"
+    rc = main(["train", "--instances", str(instance_dir), "--labels", str(labels),
+               "--epochs", "1", "--out", str(model), flag, value])
+    assert rc == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not model.exists()
+
+
 def test_bench_report(instance_dir, checkpoint, tmp_path):
     out = tmp_path / "report.json"
     rc = main(["bench", "--instances", str(instance_dir),

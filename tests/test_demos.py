@@ -19,3 +19,14 @@ def test_search_and_benchmark_demo(capsys, monkeypatch, tmp_path):
     assert "using an untrained network" in out
     assert "=== Deterministic rounding (theta 0.5 fixes every item) ===" in out
     assert "n1 = n2 = 25:" in out
+
+
+def test_train_then_search_demos(capsys, monkeypatch, tmp_path):
+    # demo 02 writes demo_model.json into the working directory; demo 03 loads it
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(DEMOS / "02_train_small_model.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "best validation loss" in out
+    assert (tmp_path / "demo_model.json").exists()
+    runpy.run_path(str(DEMOS / "03_search_and_benchmark.py"), run_name="__main__")
+    assert "loaded trained checkpoint demo_model.json" in capsys.readouterr().out

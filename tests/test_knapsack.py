@@ -92,19 +92,46 @@ def test_knapsack_row_matches_reference_recurrence():
         cases.append((rng.integers(0, int(rng.choice([2, 4, 40])), n),
                       rng.integers(1, int(rng.choice([3, 10, 40])), n),
                       int(rng.integers(0, 40))))
-    for profits, weights, b in cases:
-        profits = np.asarray(profits, dtype=np.int64)
+    for drawn, weights, b in cases:
         weights = np.asarray(weights, dtype=np.int64)
-        zeros = np.zeros(b + 1, dtype=np.int64)           # weight at most c
-        exact = np.full(b + 1, -1 - int(profits.sum()), dtype=np.int64)
-        exact[0] = 0                                      # weight exactly c
-        for init in (zeros, exact):
-            want_row, want_take = reference_row(profits, weights, init)
-            for dtype in (np.int32, np.int64):            # both widths `row_dtype` picks
-                row = init.astype(dtype)
-                take = knapsack_row(profits, weights, row)
-                assert np.array_equal(take, want_take)
-                assert np.array_equal(row, want_row)
+        for scale in (1, 2 ** 32):                        # int32 as drawn, int64 scaled
+            profits = np.asarray(drawn, dtype=np.int64) * scale
+            total = int(profits.sum())
+            zeros = np.zeros(b + 1, dtype=np.int64)           # weight at most c
+            exact = np.full(b + 1, -1 - total, dtype=np.int64)
+            exact[0] = 0                                      # weight exactly c
+            for exact_weight, init in ((False, zeros), (True, exact)):
+                want_row, want_take = reference_row(profits, weights, init)
+                row, take = knapsack_row(profits, weights, b, exact_weight)
+                assert row.dtype == (np.int64 if scale > 1 and total > 0 else np.int32)
+                assert np.array_equal(take, want_take[:, :len(row)])
+                assert np.array_equal(row, want_row[:len(row)])
+
+
+def test_knapsack_row_builds_its_row():
+    # length: the capacity, capped at the items' total weight
+    profits, weights = np.array([3, 5, 1]), np.array([2, 4, 3])
+    for capacity in (0, 4, 8, 9, 10, 50):
+        for exact_weight in (False, True):
+            row, take = knapsack_row(profits, weights, capacity, exact_weight)
+            assert len(row) == min(capacity, 9) + 1
+            assert take.shape == (3, len(row))
+    # exact weight: row[0] is the empty selection, unreachable weights stay negative
+    row, _ = knapsack_row(profits, weights, 20, exact_weight=True)
+    assert row[0] == 0
+    assert np.flatnonzero(row >= 0).tolist() == [0, 2, 3, 4, 5, 6, 7, 9]  # not 1 or 8
+    # width: int32 up to a profit sum of 2^31 - 1, int64 from 2^31
+    for total, dtype in ((2 ** 31 - 1, np.int32), (2 ** 31, np.int64)):
+        profits = np.array([total - 7, 7])
+        for exact_weight in (False, True):
+            row, _ = knapsack_row(profits, np.array([1, 2]), 5, exact_weight)
+            assert row.dtype == dtype
+            assert int(row[-1]) == total
+            if exact_weight:
+                assert int(row[1]) == total - 7 and int(row[2]) == 7
+    # the cell budget is checked on the uncapped size, however short the row
+    with pytest.raises(DpTooLarge, match=f"n=2 .*b={MAX_DP_CELLS}"):
+        knapsack_row(np.array([1, 1]), np.array([1, 1]), MAX_DP_CELLS)
 
 
 def test_walk_equals_trace_at_every_capacity():
@@ -114,13 +141,10 @@ def test_walk_equals_trace_at_every_capacity():
         profits = rng.integers(0, int(rng.choice([2, 40])), n)
         weights = rng.integers(1, int(rng.choice([3, 20])), n)
         b = int(rng.integers(0, 60))
-        zeros = np.zeros(b + 1, dtype=np.int64)
-        exact = np.full(b + 1, -1 - int(profits.sum()), dtype=np.int64)
-        exact[0] = 0
-        for init in (zeros, exact):
-            take = knapsack_row(profits, weights, init.copy())
-            traced = trace(take, weights, np.arange(b + 1))
-            for cap in range(b + 1):
+        for exact_weight in (False, True):
+            row, take = knapsack_row(profits, weights, b, exact_weight)
+            traced = trace(take, weights, np.arange(len(row)))
+            for cap in range(len(row)):
                 walked = walk(take, weights, cap)
                 assert walked.dtype == np.int64
                 assert np.array_equal(walked, traced[cap])

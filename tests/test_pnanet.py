@@ -332,7 +332,23 @@ def test_checkpoint_other_architecture_rejected(tmp_path, key, value):
         load_checkpoint(path)
 
 
-DESK_CHECKPOINT = Path(__file__).resolve().parent.parent / "perfbench" / "desk_checkpoint.json"
+@pytest.mark.parametrize("key, value", [("version", 7), ("version", 0),
+                                        ("value_scale", -5.0), ("value_scale", 0.0),
+                                        ("value_scale", float("nan")),
+                                        ("value_scale", float("inf"))])
+def test_checkpoint_invalid_normalization_rejected(tmp_path, key, value):
+    # another scheme version, or a scale that flips, zeroes or blows up every input
+    from blkp.graphrep import DEFAULT_NORM
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(ModelParams(PnaConfig(), seed=10), DEFAULT_NORM, {}, path)
+    doc = json.loads(path.read_text())
+    doc["normalization"][key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match=key):
+        load_checkpoint(path)
+
+
+DESK_CHECKPOINT =Path(__file__).resolve().parent.parent / "perfbench" / "desk_checkpoint.json"
 
 
 def test_desk_checkpoint_saves_back_unchanged(tmp_path):
