@@ -395,8 +395,12 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (CliError, inst_mod.InstanceError, pnanet.CheckpointError,
-            trainer.TrainingDiverged, FileNotFoundError, ValueError) as exc:
+            trainer.TrainingDiverged, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # a path that cannot be read: missing, a directory, no permission
+        print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}",
+              file=sys.stderr)
         return 1
 
 

@@ -11,7 +11,7 @@ network pass serves the whole batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -75,12 +75,22 @@ class TripartiteGraph:
     @cached_property
     def leader_pairs(self):
         """(follower rows, Segments) of the leader-major pairs."""
-        return own_major_pairs(self.n1s, self.n2s)
+        return _pair_index(tuple(self.n1s.tolist()), tuple(self.n2s.tolist()))[0]
 
     @cached_property
     def follower_pairs(self):
         """(leader rows, Segments) of the follower-major pairs."""
-        return own_major_pairs(self.n2s, self.n1s)
+        return _pair_index(tuple(self.n1s.tolist()), tuple(self.n2s.tolist()))[1]
+
+
+@lru_cache(maxsize=8)
+def _pair_index(n1s, n2s):
+    """Both directions' `own_major_pairs` of a union shape, shared by its unions.
+
+    Solves repeat a shape, and training its validation union every epoch.
+    """
+    n1s, n2s = np.array(n1s), np.array(n2s)
+    return own_major_pairs(n1s, n2s), own_major_pairs(n2s, n1s)
 
 
 def own_major_pairs(n_own, n_other):
@@ -90,11 +100,14 @@ def own_major_pairs(n_own, n_other):
     graph, so the messages of one own node are consecutive, one per other
     node of its graph in row order. Returns the other row of each pair and
     the Segments of the own nodes' messages: own row i owns segment i.
+    The arrays are read-only, as unions of one shape share them.
     """
     per_own = np.repeat(n_other, n_own)
     seg = Segments(per_own)
     other_first = np.repeat(np.cumsum(n_other) - n_other, n_own)
     other_rows = np.arange(seg.rows) - np.repeat(seg.starts - other_first, per_own)
+    for a in (other_rows, seg.counts, seg.starts):
+        a.flags.writeable = False
     return other_rows, seg
 
 

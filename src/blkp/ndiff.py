@@ -1,30 +1,33 @@
 """Minimal reverse-mode autodiff over dense float64 arrays.
 
-Rank <= 2 tensors and the ops the graph network and its loss run, each
-one tape node:
-- `linear(x, w, b, act)`: `act(x @ w + b)`, one MLP layer;
-- `pair_linear(own, other, pairs, w, b, act)`: the first message layer
-  over every (own, other) pair of a graph union, `act([own; other] @ w +
-  b)`, computed by projecting each node once and expanding the
-  projections to the pairs;
-- `concat_cols`: column concatenation;
-- `segment_pna(t, seg, aggregators, scalers)`: the whole multi-aggregator
-  pooling of each run of consecutive rows (`Segments`, one per node's
-  messages, of any mix of lengths), scaler-major, built on
-  `np.add/maximum/minimum.reduceat`;
-- `bce_mean(predictions, positives, totals)`: the mean binary
-  cross-entropy of label counts, the whole training loss.
+Rank <= 2 tensors. Each non-leaf tensor is one tape node (`node`), which
+may run many array steps: its backward sends the gradient on to its
+input tensors and adds the gradients of the parameters it read. The
+graph network's half-rounds (`pnanet`) and every `Mlp` call are one
+node each, built from array forwards and backwards defined here:
+- `Mlp.run`/`Mlp.grad`: an MLP stack, each layer `act(x @ w + b)`. With
+  a pair index, the first layer reads the row [own[i]; other[j]] of
+  every own-major (i, j) pair of a graph union without forming it: each
+  node is projected once and the projections are expanded to the pairs;
+- `pool`/`pool_grad`: the whole multi-aggregator pooling of each run of
+  consecutive rows (`Segments`, one per node's messages, of any mix of
+  lengths), scaler-major, built on `np.add/maximum/minimum.reduceat`.
+`bce_mean(predictions, positives, totals)`, the mean binary
+cross-entropy of label counts, is the whole training loss as one node.
 Each activation's forward and gradient rule is defined once, in
-`ACTIVATIONS`, and each aggregator's in `AGGREGATORS`. `Mlp` stacks
-layers and `Adam` updates their parameters.
+`ACTIVATIONS`, and each aggregator's in `AGGREGATORS`. `Adam` updates
+the parameters.
 
-Gradients accumulate additively, so a tensor may feed several downstream
-ops.
+Inside `with no_grad():` nodes are not recorded: a result has no
+parents, its backward and the activations it would read are dropped,
+and `backward()` from it raises. Inference runs so.
+
+Gradients accumulate additively, so a tensor may feed several nodes.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -56,6 +59,8 @@ class Tensor:
         """Reverse-mode accumulation from a scalar tensor."""
         if self.data.size != 1:
             raise ValueError("backward requires a scalar tensor")
+        if self._backward is None:
+            raise ValueError("backward needs a tape node, and no_grad records none")
         topo = []
         seen = set()
         stack = [(self, False)]
@@ -76,10 +81,26 @@ class Tensor:
                 node._backward(node.grad)
 
 
-def _unary(a: Tensor, out, da) -> Tensor:
-    t = Tensor(out, parents=(a,))
-    t._backward = lambda g: a._accumulate(da(g))
-    return t
+_recording = True
+
+
+@contextmanager
+def no_grad():
+    """Record no tape inside the block: inference needs no gradients."""
+    global _recording
+    saved, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = saved
+
+
+def node(out, parents, backward) -> Tensor:
+    """The tape node of out; `backward(g)` adds its gradients to the parents and parameters.
+
+    Under `no_grad`, a tensor with neither parents nor backward.
+    """
+    return Tensor(out, parents, backward) if _recording else Tensor(out)
 
 
 def _relu(z):
@@ -99,37 +120,6 @@ ACTIVATIONS = {
     "leaky_relu": (lambda z: z * _leak(z), lambda g, z, out: g * _leak(z)),
     "sigmoid": (lambda z: 1.0 / (1.0 + np.exp(-z)), lambda g, z, out: g * out * (1.0 - out)),
 }
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor, act: str) -> Tensor:
-    """act(x @ w + b) with the bias vector b broadcast over rows, as one node."""
-    forward, grad = ACTIVATIONS[act]
-    z = x.data @ w.data + b.data
-    out = forward(z)
-    t = Tensor(out, parents=(x, w, b))
-
-    def back(g):
-        g = grad(g, z, out)
-        x._accumulate(g @ w.data.T)
-        w._accumulate(x.data.T @ g)
-        b._accumulate(g.sum(axis=0))
-
-    t._backward = back
-    return t
-
-
-def concat_cols(tensors) -> Tensor:
-    tensors = list(tensors)
-    out = np.concatenate([t.data for t in tensors], axis=1)
-    offsets = list(accumulate((t.data.shape[1] for t in tensors), initial=0))
-    t = Tensor(out, parents=tuple(tensors))
-
-    def back(g):
-        for tt, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            tt._accumulate(g[:, lo:hi])
-
-    t._backward = back
-    return t
 
 
 def _sum_picked_rows(g, rows, n):
@@ -155,43 +145,6 @@ class Segments:
         self.counts = counts
         self.starts = np.cumsum(counts) - counts
         self.rows = int(counts.sum())
-
-    def check(self, t: Tensor):
-        if t.data.ndim != 2 or t.data.shape[0] != self.rows:
-            raise ValueError(f"segments cover {self.rows} rows, tensor has shape {t.data.shape}")
-
-
-def pair_linear(own: Tensor, other: Tensor, pairs, w: Tensor, b: Tensor, act: str) -> Tensor:
-    """act([own[i]; other[j]] @ w + b) for every own-major (i, j) pair, as one node.
-
-    `pairs` is (other_rows, seg) as `graphrep.own_major_pairs` gives
-    it: the pairs of own row i form the i-th segment of `seg`. The
-    affine part splits w by rows into the own part w[:k] (k = own's
-    width) and the other part w[k:]: each node is projected once, and
-    the projections are expanded to the pairs, the own side by
-    repeating row i over its segment and the other side by gathering
-    other_rows.
-    """
-    forward, grad = ACTIVATIONS[act]
-    other_rows, seg = pairs
-    k = own.data.shape[1]
-    w_own, w_other = w.data[:k], w.data[k:]
-    z = (np.repeat(own.data @ w_own, seg.counts, axis=0)
-         + (other.data @ w_other)[other_rows] + b.data)
-    out = forward(z)
-    t = Tensor(out, parents=(own, other, w, b))
-
-    def back(g):
-        g = grad(g, z, out)
-        g_own = np.add.reduceat(g, seg.starts, axis=0)
-        g_other = _sum_picked_rows(g, other_rows, other.data.shape[0])
-        own._accumulate(g_own @ w_own.T)
-        other._accumulate(g_other @ w_other.T)
-        w._accumulate(np.concatenate([own.data.T @ g_own, other.data.T @ g_other]))
-        b._accumulate(g.sum(axis=0))
-
-    t._backward = back
-    return t
 
 
 def _mean(x, seg):
@@ -226,31 +179,31 @@ AGGREGATORS = {
 }
 
 
-def segment_pna(t: Tensor, seg: Segments, aggregators, scalers) -> Tensor:
-    """Multi-aggregator pooling of each segment of t's rows, as one node.
+def pool(x, seg: Segments, aggregators, scalers):
+    """Multi-aggregator pooling of each segment of x's rows, and its aggregates.
 
     Each aggregator (`AGGREGATORS`) reduces a segment to one row; the row
     of a segment is these reductions side by side, repeated once per
     scaler times that scaler, scaler-major. For (mean, max, min) and
     scalers (1, a, 1/a): [mean, max, min, a*mean, a*max, a*min,
-    mean/a, max/a, min/a].
+    mean/a, max/a, min/a]. The aggregates, one array per aggregator, are
+    what `pool_grad` reads.
     """
-    seg.check(t)
-    rules = [AGGREGATORS[a] for a in aggregators]
-    scalers = np.asarray(scalers, dtype=np.float64)
-    width = t.data.shape[1]
-    parts = [forward(t.data, seg) for forward, _ in rules]
+    parts = [AGGREGATORS[a][0](x, seg) for a in aggregators]
     base = np.concatenate(parts, axis=1)
-    out = (base[:, None, :] * scalers[:, None]).reshape(len(base), -1)
+    scalers = np.asarray(scalers, dtype=np.float64)
+    return (base[:, None, :] * scalers[:, None]).reshape(len(base), -1), parts
 
-    def back(g):
-        g_base = scalers @ g.reshape(len(base), len(scalers), -1)
-        grad = np.zeros_like(t.data)
-        for k, ((_, add_grad), part) in enumerate(zip(rules, parts)):
-            add_grad(grad, t.data, part, g_base[:, k * width:(k + 1) * width], seg)
-        return grad
 
-    return _unary(t, out, back)
+def pool_grad(g, x, parts, seg: Segments, aggregators, scalers):
+    """The gradient at x from the gradient g at `pool`'s output."""
+    scalers = np.asarray(scalers, dtype=np.float64)
+    width = x.shape[1]
+    g_base = scalers @ g.reshape(len(seg.counts), len(scalers), -1)
+    grad = np.zeros_like(x)
+    for k, (a, part) in enumerate(zip(aggregators, parts)):
+        AGGREGATORS[a][1](grad, x, part, g_base[:, k * width:(k + 1) * width], seg)
+    return grad
 
 
 BCE_EPS = 1e-7
@@ -280,11 +233,16 @@ def bce_mean(predictions: Tensor, positives, totals) -> Tensor:
         g_sum = -scale * float(g)
         return ((g_sum * s) / h - (g_sum * negatives) / (1.0 - h)) * inside
 
-    return _unary(predictions, -scale * terms.sum(), back)
+    return node(-scale * terms.sum(), (predictions,),
+                lambda g: predictions._accumulate(back(g)))
 
 
 class Mlp:
-    """Fully-connected stack: affine layers, each with its activation (`ACTIVATIONS`)."""
+    """Fully-connected stack: affine layers, each with its activation (`ACTIVATIONS`).
+
+    Calling it on a tensor is one tape node. `run` and `grad` are its
+    forward and backward on arrays, for nodes that cover more than the stack.
+    """
 
     def __init__(self, widths, activations, rng: np.random.Generator):
         if len(activations) != len(widths) - 1:
@@ -297,20 +255,51 @@ class Mlp:
             self.layers.append((w, b, act))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self._apply(x, self.layers)
+        out, acts = self.run(x.data)
+        return node(out, (x,), lambda g: x._accumulate(self.grad(g, acts)))
 
-    def on_pairs(self, own: Tensor, other: Tensor, pairs) -> Tensor:
-        """The MLP over the row [own[i]; other[j]] of every own-major pair.
+    def run(self, x, pairs=None):
+        """The stack's output on the array x, and each layer's (input, z, output) for `grad`.
 
-        The first layer is `pair_linear`, so the pair rows are never formed.
+        With `pairs` (as `graphrep.own_major_pairs` gives them), x is
+        (own, other) and the first layer reads [own[i]; other[j]] of every
+        own-major pair without forming it: w splits by rows at k = own's
+        width, each node is projected once, and the projections are
+        repeated over own row i's segment and gathered by other row.
         """
-        (w, b, act), *rest = self.layers
-        return self._apply(pair_linear(own, other, pairs, w, b, act), rest)
+        acts = []
+        for w, b, act in self.layers:
+            if pairs is not None and not acts:
+                (own, other), (other_rows, seg) = x, pairs
+                k = own.shape[1]
+                z = (np.repeat(own @ w.data[:k], seg.counts, axis=0)
+                     + (other @ w.data[k:])[other_rows] + b.data)
+            else:
+                z = x @ w.data + b.data
+            out = ACTIVATIONS[act][0](z)
+            acts.append((x, z, out))
+            x = out
+        return x, acts
 
-    def _apply(self, x: Tensor, layers) -> Tensor:
-        for w, b, act in layers:
-            x = linear(x, w, b, act)
-        return x
+    def grad(self, g, acts, pairs=None):
+        """Add the parameters' gradients from g at the output of `run`; return x's.
+
+        With `pairs`, x's gradient is the pair (own's, other's).
+        """
+        for i in reversed(range(len(acts))):
+            (w, b, act), (x, z, out) = self.layers[i], acts[i]
+            g = ACTIVATIONS[act][1](g, z, out)
+            b._accumulate(g.sum(axis=0))
+            if pairs is not None and i == 0:
+                (own, other), (other_rows, seg) = x, pairs
+                g_own = np.add.reduceat(g, seg.starts, axis=0)
+                g_other = _sum_picked_rows(g, other_rows, len(other))
+                w._accumulate(np.concatenate([own.T @ g_own, other.T @ g_other]))
+                k = own.shape[1]
+                return g_own @ w.data[:k].T, g_other @ w.data[k:].T
+            w._accumulate(x.T @ g)
+            g = g @ w.data.T
+        return g
 
     def parameters(self):
         for w, b, _ in self.layers:

@@ -20,12 +20,13 @@ pairs form only within a graph, and each node's messages are pooled over
 its own segment. One pass thus serves a whole batch of mixed sizes, and a
 single instance is a union of one.
 
-Every layer is one `ndiff` tape node with its activation inside, so a
-half-round is six nodes and a default forward 38. The first message
-layer is affine over [own; other], so `ndiff.pair_linear` projects every
-node once and expands the projections to the pairs, without forming the
-pair rows. `ndiff.segment_pna` pools all messages of a node in one node,
-and every other MLP layer is one `ndiff.linear`.
+Every half-round is one `ndiff` tape node, and so is the decoder, so a
+default forward is 10 nodes (with the 4 input constants). The node runs
+on plain arrays: the message MLP over the pairs (`ndiff.Mlp.run` with
+the union's pair index, which never forms the pair rows), the pooling
+(`ndiff.pool`), the concatenation [own; extra; pooled] and the update
+MLP; its backward chains their gradient rules in reverse. `forward`,
+which needs no gradient, runs under `ndiff.no_grad` and keeps no tape.
 
 The multi-aggregator pooling concatenates mean/max/min of the incoming
 messages and repeats the block once per intensity scaler (1, a, 1/a),
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphrep import DEFAULT_NORM, NormalizationScheme, TripartiteGraph, build_graph
-from .ndiff import Mlp, Tensor, concat_cols, segment_pna
+from .ndiff import Mlp, Tensor, no_grad, node, pool, pool_grad
 
 CHECKPOINT_VERSION = 1
 
@@ -134,14 +135,30 @@ def _half_round(own: Tensor, other: Tensor, pairs, params: ModelParams, block: s
                 extra=()) -> Tensor:
     """Update every `own` node from its messages over its graph's (own, other) pairs.
 
-    `block` names the MLP pair `msg_<block>`/`upd_<block>`. `pairs` is
-    `graphrep.own_major_pairs` of the union: each own node's messages
-    form one segment.
+    One tape node. `block` names the MLP pair `msg_<block>`/`upd_<block>`.
+    `pairs` is `graphrep.own_major_pairs` of the union: each own node's
+    messages form one segment. The update reads [own; extra; pooled].
     """
-    _, seg = pairs
-    msgs = params.mlps["msg_" + block].on_pairs(own, other, pairs)
-    agg = segment_pna(msgs, seg, AGGREGATORS, SCALERS)
-    return params.mlps["upd_" + block](concat_cols([own, *extra, agg]))
+    msg, upd = params.mlps["msg_" + block], params.mlps["upd_" + block]
+    seg = pairs[1]
+    msgs, msg_acts = msg.run((own.data, other.data), pairs)
+    pooled, parts = pool(msgs, seg, AGGREGATORS, SCALERS)
+    out, upd_acts = upd.run(np.concatenate([t.data for t in (own, *extra)] + [pooled], axis=1))
+
+    def back(g):
+        g_in = upd.grad(g, upd_acts)
+        lo = 0
+        for t in (own, *extra):
+            t._accumulate(g_in[:, lo:lo + t.shape[1]])
+            lo += t.shape[1]
+        g_msgs = pool_grad(g_in[:, lo:], msgs, parts, seg, AGGREGATORS, SCALERS)
+        g_own, g_other = msg.grad(g_msgs, msg_acts, pairs)
+        own._accumulate(g_own)
+        other._accumulate(g_other)
+
+    # backward visits the last parent first: with `other` last, gradients sum in
+    # the order of the per-layer tape (tests/_unfused.py), leader node first
+    return node(out, (*extra, own, other), back)
 
 
 def _cap_column(graph: TripartiteGraph, counts) -> Tensor:
@@ -176,7 +193,8 @@ def forward(inst, params: ModelParams,
             norm: NormalizationScheme = DEFAULT_NORM) -> np.ndarray:
     """Full pipeline on a raw instance, a union of one; returns the n1 final values."""
     graph = build_graph(inst, norm)
-    return forward_tensor(graph, params).data.ravel().copy()
+    with no_grad():
+        return forward_tensor(graph, params).data.ravel()
 
 
 def save_checkpoint(params: ModelParams, norm: NormalizationScheme,
@@ -198,31 +216,31 @@ def save_checkpoint(params: ModelParams, norm: NormalizationScheme,
 
 
 def load_checkpoint(path):
-    """Returns (params, norm, metadata)."""
+    """Returns (params, norm, metadata); every CheckpointError names the path."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except ValueError as exc:  # not JSON, or not UTF-8
-        raise CheckpointError(f"corrupt checkpoint: {exc}") from exc
+        raise CheckpointError(f"{path}: corrupt checkpoint: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != "blkp-checkpoint":
-        raise CheckpointError("not a checkpoint document")
+        raise CheckpointError(f"{path}: not a checkpoint document")
     if doc.get("format_version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"version mismatch: expected {CHECKPOINT_VERSION}, got {doc.get('format_version')}")
+        raise CheckpointError(f"{path}: version mismatch: expected {CHECKPOINT_VERSION}, "
+                              f"got {doc.get('format_version')}")
     try:
         cfg = PnaConfig.from_dict(doc["config"])
         norm = NormalizationScheme.from_dict(doc["normalization"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"corrupt checkpoint: {exc}") from exc
+        raise CheckpointError(f"{path}: corrupt checkpoint: {exc}") from exc
     params = ModelParams(cfg, seed=0)
     try:
         for name, mlp in params.mlps.items():
             mlp.load_state_arrays([(layer["w"], layer["b"]) for layer in doc["weights"][name]])
     except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"checkpoint weights invalid: {exc}") from exc
+        raise CheckpointError(f"{path}: checkpoint weights invalid: {exc}") from exc
     # JSON admits NaN and Infinity; a non-finite weight would silently turn
     # every prediction into NaN, and the search into an all-zeros leader
     for name, mlp in params.mlps.items():
         if not all(np.isfinite(a).all() for layer in mlp.state_arrays() for a in layer):
-            raise CheckpointError(f"checkpoint weights of {name} are not finite")
+            raise CheckpointError(f"{path}: checkpoint weights of {name} are not finite")
     return params, norm, doc.get("metadata", {})

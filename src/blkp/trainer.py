@@ -9,7 +9,7 @@ the batch. Each batch makes one forward and one backward pass, over the
 disjoint union of the graphs of its distinct instances
 (`graphrep.graph_union`), and one loss node, `ndiff.bce_mean`: every
 leader row is scored through the sum and the count of its instance's
-labels in the batch.
+labels in the batch. `evaluate_loss` records no tape (`ndiff.no_grad`).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .graphrep import DEFAULT_NORM, NormalizationScheme, build_graph, graph_union
 from .instance import binary_vector
-from .ndiff import Adam, bce_mean
+from .ndiff import Adam, bce_mean, no_grad
 from .pnanet import ModelParams, PnaConfig, forward_tensor
 
 
@@ -109,7 +109,8 @@ def _batch_loss(samples, graphs, params):
 
 
 def evaluate_loss(samples, graphs, params) -> float:
-    return float(_batch_loss(samples, graphs, params).data)
+    with no_grad():
+        return float(_batch_loss(samples, graphs, params).data)
 
 
 def train(instances, train_set, val_set, model_cfg: PnaConfig,

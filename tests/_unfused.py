@@ -1,17 +1,22 @@
-"""Unfused reference ops for the fused `ndiff` ops' tests.
+"""Unfused reference ops for the fused `ndiff` nodes' tests.
 
-`ndiff.linear(x, w, b, act)` is `ACTIVATE[act](add_bias(matmul(x, w), b))`,
-and `ndiff.pair_linear` is the same over pair rows gathered with
-`take_rows`. `ndiff.bce_mean` is `unfused_bce_mean`, a chain of clamp,
-log, constant scaling and sum nodes. The library runs only the fused
-forms, so these single ops live here, written without its helpers, with
-`tsum` and `mul_const` to probe gradients and `add` to sum reference
+The per-layer tape: `linear(x, w, b, act)`, `pair_linear` (the first
+message layer over every pair of a graph union), `concat_cols`,
+`segment_pna` (the whole pooling) and `forward_tensor`, the network
+with one node per layer, 38 for a default forward. The library runs a
+half-round and an MLP as one node each; these are what those nodes are
+checked against, bit for bit. In turn `linear` is
+`ACTIVATE[act](add_bias(matmul(x, w), b))`, and `pair_linear` the same
+over pair rows gathered with `take_rows`. `ndiff.bce_mean` is
+`unfused_bce_mean`, a chain of clamp, log, constant scaling and sum
+nodes. `tsum` and `mul_const` probe gradients and `add` sums reference
 losses.
 """
 
 import numpy as np
 
-from blkp.ndiff import BCE_EPS, Tensor
+from blkp.ndiff import ACTIVATIONS, AGGREGATORS, BCE_EPS, Tensor, _sum_picked_rows
+from blkp.pnanet import AGGREGATORS as PNA_AGGREGATORS, SCALERS
 
 
 def _unary(a: Tensor, out, da) -> Tensor:
@@ -131,3 +136,132 @@ def unfused_bce_mean(predictions: Tensor, positives, totals) -> Tensor:
     terms = np.broadcast_to(np.asarray(totals, dtype=np.float64),
                             np.shape(positives)).sum()
     return affine_const(bce_sum(predictions, positives, totals), 1.0 / terms)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor, act: str) -> Tensor:
+    """act(x @ w + b) with the bias vector b broadcast over rows, as one node."""
+    forward, grad = ACTIVATIONS[act]
+    z = x.data @ w.data + b.data
+    out = forward(z)
+    t = Tensor(out, parents=(x, w, b))
+
+    def back(g):
+        g = grad(g, z, out)
+        x._accumulate(g @ w.data.T)
+        w._accumulate(x.data.T @ g)
+        b._accumulate(g.sum(axis=0))
+
+    t._backward = back
+    return t
+
+
+def concat_cols(tensors) -> Tensor:
+    tensors = list(tensors)
+    out = np.concatenate([t.data for t in tensors], axis=1)
+    offsets = np.cumsum([0] + [t.data.shape[1] for t in tensors])
+    t = Tensor(out, parents=tuple(tensors))
+
+    def back(g):
+        for tt, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+            tt._accumulate(g[:, lo:hi])
+
+    t._backward = back
+    return t
+
+
+def pair_linear(own: Tensor, other: Tensor, pairs, w: Tensor, b: Tensor, act: str) -> Tensor:
+    """act([own[i]; other[j]] @ w + b) for every own-major (i, j) pair, as one node.
+
+    `pairs` is (other_rows, seg) as `graphrep.own_major_pairs` gives it.
+    Each node is projected once by its part of w, and the projections
+    are expanded to the pairs.
+    """
+    forward, grad = ACTIVATIONS[act]
+    other_rows, seg = pairs
+    k = own.data.shape[1]
+    w_own, w_other = w.data[:k], w.data[k:]
+    z = (np.repeat(own.data @ w_own, seg.counts, axis=0)
+         + (other.data @ w_other)[other_rows] + b.data)
+    out = forward(z)
+    t = Tensor(out, parents=(own, other, w, b))
+
+    def back(g):
+        g = grad(g, z, out)
+        g_own = np.add.reduceat(g, seg.starts, axis=0)
+        g_other = _sum_picked_rows(g, other_rows, other.data.shape[0])
+        own._accumulate(g_own @ w_own.T)
+        other._accumulate(g_other @ w_other.T)
+        w._accumulate(np.concatenate([own.data.T @ g_own, other.data.T @ g_other]))
+        b._accumulate(g.sum(axis=0))
+
+    t._backward = back
+    return t
+
+
+def segment_pna(t: Tensor, seg, aggregators, scalers) -> Tensor:
+    """Multi-aggregator pooling of each segment of t's rows, scaler-major, as one node."""
+    if t.data.ndim != 2 or t.data.shape[0] != seg.rows:
+        raise ValueError(f"segments cover {seg.rows} rows, tensor has shape {t.data.shape}")
+    rules = [AGGREGATORS[a] for a in aggregators]
+    scalers = np.asarray(scalers, dtype=np.float64)
+    width = t.data.shape[1]
+    parts = [forward(t.data, seg) for forward, _ in rules]
+    base = np.concatenate(parts, axis=1)
+    out = (base[:, None, :] * scalers[:, None]).reshape(len(base), -1)
+
+    def back(g):
+        g_base = scalers @ g.reshape(len(base), len(scalers), -1)
+        grad = np.zeros_like(t.data)
+        for k, ((_, add_grad), part) in enumerate(zip(rules, parts)):
+            add_grad(grad, t.data, part, g_base[:, k * width:(k + 1) * width], seg)
+        return grad
+
+    return _unary(t, out, back)
+
+
+def mlp_apply(mlp, x: Tensor, layers=None) -> Tensor:
+    """The MLP (or its `layers`) as one `linear` node per layer."""
+    for w, b, act in mlp.layers if layers is None else layers:
+        x = linear(x, w, b, act)
+    return x
+
+
+def mlp_on_pairs(mlp, own: Tensor, other: Tensor, pairs) -> Tensor:
+    """The MLP over the row [own[i]; other[j]] of every own-major pair, via `pair_linear`."""
+    (w, b, act), *rest = mlp.layers
+    return mlp_apply(mlp, pair_linear(own, other, pairs, w, b, act), rest)
+
+
+def half_round(own, other, pairs, params, block, extra=()) -> Tensor:
+    """`pnanet`'s half-round as six nodes."""
+    msgs = mlp_on_pairs(params.mlps["msg_" + block], own, other, pairs)
+    agg = segment_pna(msgs, pairs[1], PNA_AGGREGATORS, SCALERS)
+    return mlp_apply(params.mlps["upd_" + block], concat_cols([own, *extra, agg]))
+
+
+def forward_tensor(graph, params, inputs=None) -> Tensor:
+    """`pnanet.forward_tensor` on the per-layer tape.
+
+    `inputs` are the four input constants (leader and follower features,
+    their capacity columns), made here when not given.
+    """
+    if inputs is None:
+        inputs = network_inputs(graph)
+    lf, ff, cap_l, cap_f = inputs
+    rounds = params.cfg.iterations
+    x = half_round(lf, ff, graph.leader_pairs, params, "leader_enc", (cap_l,))
+    if rounds:
+        y = half_round(ff, lf, graph.follower_pairs, params, "follower_enc", (cap_f,))
+    for r in range(rounds):
+        x_next = half_round(x, y, graph.leader_pairs, params, "leader_mp")
+        if r < rounds - 1:
+            y = half_round(y, x, graph.follower_pairs, params, "follower_mp")
+        x = x_next
+    return mlp_apply(params.mlps["decoder"], x)
+
+
+def network_inputs(graph):
+    """The four input constants of a forward, as tensors."""
+    return (Tensor(graph.leader_feats), Tensor(graph.follower_feats),
+            Tensor(np.repeat(graph.cap_feats, graph.n1s)[:, None]),
+            Tensor(np.repeat(graph.cap_feats, graph.n2s)[:, None]))

@@ -364,6 +364,25 @@ def test_bad_checkpoint_errors(instance_dir, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_checkpoint_error_names_the_file(instance_dir, checkpoint, capsys):
+    doc = json.loads(checkpoint.read_text())
+    doc["normalization"]["value_scale"] = 0
+    checkpoint.write_text(json.dumps(doc))
+    rc = main(["solve", "--instance", str(instance_dir), "--checkpoint", str(checkpoint)])
+    assert rc == 1
+    assert f"error: {checkpoint}: corrupt checkpoint: value_scale" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "train"])
+def test_directory_for_a_file_errors(instance_dir, capsys, command):
+    # `--checkpoint DIR` and `--labels DIR`: a clean error naming the path
+    args = {"solve": ["solve", "--instance", str(instance_dir), "--checkpoint"],
+            "train": ["train", "--instances", str(instance_dir), "--labels"]}[command]
+    rc = main(args + [str(instance_dir)])
+    assert rc == 1
+    assert f"error: {instance_dir}: Is a directory" in capsys.readouterr().err
+
+
 def test_non_finite_predictions_error(instance_dir, checkpoint, monkeypatch, capsys):
     from blkp import search
     monkeypatch.setattr(search, "forward", lambda inst, *a, **k: np.full(inst.n1, np.nan))

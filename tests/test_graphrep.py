@@ -75,3 +75,18 @@ def test_own_major_pairs_stay_within_each_graph():
     assert own_rows.tolist() == [0, 0, 0, 1, 1, 1, 2, 2]
     assert other_rows.tolist() == [0, 1, 2, 0, 1, 2, 3, 4]
     assert seg.counts.tolist() == [3, 3, 2] and seg.starts.tolist() == [0, 3, 6]
+
+
+def test_unions_of_one_shape_share_read_only_pairs():
+    a, b = (build_graph(generate(GenConfig(3, 4, seed=s))) for s in (1, 2))
+    for pa, pb in ((a.leader_pairs, b.leader_pairs), (a.follower_pairs, b.follower_pairs)):
+        assert pa[0] is pb[0] and pa[1] is pb[1]
+        for arr in (pa[0], pa[1].counts, pa[1].starts):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+    ab, ba = graph_union([a, b]), graph_union([b, a])
+    assert ab.leader_pairs[0] is ba.leader_pairs[0]
+    assert ab.leader_pairs[0] is not a.leader_pairs[0]
+    c = build_graph(generate(GenConfig(4, 3, seed=3)))  # the transposed shape
+    assert c.leader_pairs[0] is not a.leader_pairs[0]
+    assert np.array_equal(c.leader_pairs[0], a.follower_pairs[0])

@@ -6,8 +6,9 @@ import pytest
 from blkp import ndiff
 from blkp.ndiff import Adam, Mlp, Segments, Tensor
 
-from _unfused import (ACTIVATE, add, add_bias, affine_const, bce_sum, matmul, mul_const,
-                      take_rows, tsum, unfused_bce_mean)
+from _unfused import (ACTIVATE, add, add_bias, affine_const, bce_sum, concat_cols, linear,
+                      matmul, mul_const, pair_linear, segment_pna, take_rows, tsum,
+                      unfused_bce_mean)
 
 
 def finite_diff(fn, params, h=1e-5):
@@ -31,7 +32,7 @@ def finite_diff(fn, params, h=1e-5):
 
 def reduce_segments(t, seg, name):
     """One aggregator of `segment_pna` at scaler 1: each segment's mean, max or min."""
-    return ndiff.segment_pna(t, seg, (name,), (1.0,))
+    return segment_pna(t, seg, (name,), (1.0,))
 
 
 def mean_bce(predictions, labels):
@@ -41,8 +42,9 @@ def mean_bce(predictions, labels):
 
 def activate(name, values):
     """The activation `name` of each value, through a 1 x 1 identity layer."""
-    x = Tensor(np.asarray(values, dtype=np.float64)[:, None])
-    return ndiff.linear(x, Tensor([[1.0]]), Tensor([0.0]), name).data.ravel()
+    mlp = Mlp([1, 1], [name], np.random.default_rng(0))
+    mlp.layers[0][0].data[:] = 1.0
+    return mlp(Tensor(np.asarray(values, dtype=np.float64)[:, None])).data.ravel()
 
 
 def test_pointwise_examples():
@@ -77,6 +79,33 @@ def test_backward_requires_scalar():
         t.backward()
 
 
+def test_backward_through_no_grad_result_raises():
+    mlp = Mlp([2, 3, 1], ["relu", "sigmoid"], np.random.default_rng(0))
+    x = Tensor(np.ones((4, 2)))
+    with ndiff.no_grad():
+        loss = ndiff.bce_mean(mlp(x), np.ones(4), 1)
+    assert loss._parents == ()
+    with pytest.raises(ValueError, match="no_grad"):
+        loss.backward()
+    assert all(p.grad is None for p in mlp.parameters())
+    ndiff.bce_mean(mlp(x), np.ones(4), 1).backward()
+    assert all(p.grad is not None for p in mlp.parameters())
+
+
+def test_no_grad_restores_recording_when_its_body_raises():
+    mlp = Mlp([1, 1], ["identity"], np.random.default_rng(0))
+    x = Tensor([[1.0]])
+    with ndiff.no_grad():
+        with pytest.raises(RuntimeError):
+            with ndiff.no_grad():
+                raise RuntimeError
+        assert mlp(x)._parents == ()  # the outer block still records nothing
+    with pytest.raises(RuntimeError):
+        with ndiff.no_grad():
+            raise RuntimeError
+    assert mlp(x)._parents == (x,)
+
+
 def test_simple_product_gradient():
     w = Tensor([[3.0]])
     x = Tensor([[2.0]])
@@ -87,8 +116,10 @@ def test_simple_product_gradient():
 
 
 def test_sigmoid_gradient_at_zero():
-    w = Tensor([[0.0]])
-    loss = tsum(ndiff.linear(Tensor([[1.0]]), w, Tensor([0.0]), "sigmoid"))
+    mlp = Mlp([1, 1], ["sigmoid"], np.random.default_rng(0))
+    w = mlp.layers[0][0]
+    w.data[:] = 0.0
+    loss = tsum(mlp(Tensor([[1.0]])))
     loss.backward()
     assert w.grad[0, 0] == pytest.approx(0.25)
 
@@ -170,7 +201,7 @@ def test_pair_expansion_gradients():
     x_rows, y_rows = np.repeat(np.arange(3), 4), np.tile(np.arange(4), 3)
 
     def expand():
-        return ndiff.concat_cols([take_rows(x, x_rows), take_rows(y, y_rows)])
+        return concat_cols([take_rows(x, x_rows), take_rows(y, y_rows)])
 
     weights = rng.normal(size=(12, 4))
     loss = tsum(mul_const(expand(), weights))
@@ -345,7 +376,7 @@ def test_first_gradient_is_copied_not_aliased():
     # p's first gradient is a column view of the concat's gradient, which
     # `add` also hands to q; p's second gradient must not reach q or the concat
     p, q, r = (Tensor(np.full((2, 2), v)) for v in (1.0, 2.0, 3.0))
-    cat = ndiff.concat_cols([add(p, q), r])
+    cat = concat_cols([add(p, q), r])
     weights = np.arange(8.0).reshape(2, 4)
     loss = add(tsum(mul_const(cat, weights)),
                      tsum(mul_const(p, [[10.0, 20.0], [30.0, 40.0]])))
@@ -393,7 +424,7 @@ def test_linear_matches_matmul_add_and_finite_differences(act):
     rng = np.random.default_rng(10)
     x, w, b = (Tensor(rng.normal(size=s)) for s in ((5, 3), (3, 4), (4,)))
     weights = rng.normal(size=(5, 4))
-    _check_fused_op(lambda: ndiff.linear(x, w, b, act),
+    _check_fused_op(lambda: linear(x, w, b, act),
                     lambda: ACTIVATE[act](add_bias(matmul(x, w), b)), [x, w, b], weights,
                     tol=0.0)
 
@@ -413,10 +444,10 @@ def test_pair_linear_matches_gathered_pairs(own_sizes, other_sizes, act):
     weights = rng.normal(size=(seg.rows, 4))
 
     def fused():
-        return ndiff.pair_linear(own, other, pairs, w, b, act)
+        return pair_linear(own, other, pairs, w, b, act)
 
     def reference():
-        gathered = ndiff.concat_cols([take_rows(own, own_rows),
+        gathered = concat_cols([take_rows(own, own_rows),
                                       take_rows(other, other_rows)])
         return ACTIVATE[act](add_bias(matmul(gathered, w), b))
 
@@ -444,10 +475,10 @@ def test_segment_pna_matches_per_aggregator_ops(aggregators, scalers):
         expected.append(np.concatenate([s * base for s in scalers]))
 
     def loss_of():
-        return tsum(mul_const(ndiff.segment_pna(t, seg, aggregators, scalers),
+        return tsum(mul_const(segment_pna(t, seg, aggregators, scalers),
                                           weights))
 
-    assert np.allclose(ndiff.segment_pna(t, seg, aggregators, scalers).data, expected,
+    assert np.allclose(segment_pna(t, seg, aggregators, scalers).data, expected,
                        rtol=1e-12, atol=1e-12)
     loss_of().backward()
     check_params(lambda: float(loss_of().data), [t], np.random.default_rng(0),
@@ -459,7 +490,7 @@ def test_segment_pna_ties_go_to_first_row():
     # pick the same rows in the 1-row segment and in the all-tied segment
     x = np.array([[9.0, 0.0], [5.0, 1.0], [2.0, 7.0], [5.0, 3.0], [4.0, 4.0], [4.0, 4.0]])
     t = Tensor(x)
-    out = ndiff.segment_pna(t, Segments([1, 3, 2]), ("max", "min"), (1.0, 2.0))
+    out = segment_pna(t, Segments([1, 3, 2]), ("max", "min"), (1.0, 2.0))
     weights = np.arange(24.0).reshape(3, 8)
     tsum(mul_const(out, weights)).backward()
     g_max = weights[:, 0:2] + 2.0 * weights[:, 4:6]

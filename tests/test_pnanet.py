@@ -1,14 +1,17 @@
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from blkp import ndiff
+from blkp import ndiff, pnanet
 from blkp.graphrep import build_graph, graph_union
 from blkp.instance import BlkpInstance, GenConfig, generate
 from blkp.pnanet import (AGGREGATORS, SCALERS, CheckpointError, ModelParams, PnaConfig,
                          forward, forward_tensor, load_checkpoint, save_checkpoint)
+
+import _unfused
 
 
 def permute_followers(inst, perm):
@@ -23,9 +26,8 @@ def permute_leaders(inst, perm):
 
 def aggregate(msgs, scalers=SCALERS):
     """One segment of messages pooled into one row, as the network pools them."""
-    msgs = ndiff.Tensor(np.asarray(msgs, dtype=np.float64))
-    seg = ndiff.Segments([len(msgs.data)])
-    return ndiff.segment_pna(msgs, seg, AGGREGATORS, scalers).data[0]
+    msgs = np.asarray(msgs, dtype=np.float64)
+    return ndiff.pool(msgs, ndiff.Segments([len(msgs)]), AGGREGATORS, scalers)[0][0]
 
 
 def test_aggregate_default_layout():
@@ -55,18 +57,14 @@ def test_aggregate_empty_rejected():
 def reference_leader_embeddings(graph, params):
     """Leader embeddings of the network with every round updating both groups.
 
-    The network written out half-round by half-round from public ops:
-    the encoder round, then `iterations` rounds of the shared blocks,
-    each reading the previous generation of both groups.
+    The network written out half-round by half-round on the per-layer
+    tape: the encoder round, then `iterations` rounds of the shared
+    blocks, each reading the previous generation of both groups.
     """
     def half_round(own, other, pairs, block, extra=()):
-        msgs = params.mlps["msg_" + block].on_pairs(own, other, pairs)
-        agg = ndiff.segment_pna(msgs, pairs[1], AGGREGATORS, SCALERS)
-        return params.mlps["upd_" + block](ndiff.concat_cols([own, *extra, agg]))
+        return _unfused.half_round(own, other, pairs, params, block, extra)
 
-    lf, ff = ndiff.Tensor(graph.leader_feats), ndiff.Tensor(graph.follower_feats)
-    cap_l = ndiff.Tensor(np.repeat(graph.cap_feats, graph.n1s)[:, None])
-    cap_f = ndiff.Tensor(np.repeat(graph.cap_feats, graph.n2s)[:, None])
+    lf, ff, cap_l, cap_f = _unfused.network_inputs(graph)
     x = half_round(lf, ff, graph.leader_pairs, "leader_enc", (cap_l,))
     y = half_round(ff, lf, graph.follower_pairs, "follower_enc", (cap_f,))
     for _ in range(params.cfg.iterations):
@@ -362,24 +360,44 @@ def test_desk_checkpoint_saves_back_unchanged(tmp_path):
     assert again["weights"] == committed["weights"]
 
 # Non-parameter tape nodes of one default-config forward: 4 input
-# constants, 6 per half-round (pair_linear, linear, segment_pna,
-# concat_cols, then linear, linear) over the 5 half-rounds the decoder
-# reads, and 4 in the decoder. Every layer applies its activation inside
-# its node; un-fusing an activation, a layer or the pooling raises the
-# count.
-FORWARD_TAPE_NODES = 38
+# constants, one node for each of the 5 half-rounds the decoder reads, and
+# one for the decoder. Splitting a half-round or the decoder into more
+# nodes raises the count.
+FORWARD_TAPE_NODES = 10
 
 
-def tape_nodes(out, params):
-    """The tape nodes `out` is computed from, parameters excluded."""
+def tape(out, params):
+    """The tensors `out` is computed from, itself included and parameters excluded."""
     parameters = {id(p) for p in params.parameters()}
-    seen, stack = set(), [out]
+    seen, stack, found = set(), [out], []
     while stack:
         node = stack.pop()
         if id(node) not in seen:
             seen.add(id(node))
             stack.extend(node._parents)
-    return len(seen - parameters)
+            if id(node) not in parameters:
+                found.append(node)
+    return found
+
+
+def tape_nodes(out, params):
+    """The number of tape nodes `out` is computed from, parameters excluded."""
+    return len(tape(out, params))
+
+
+def created_tensors(monkeypatch, fn, *args):
+    """fn(*args), and every tensor the call created."""
+    created = []
+    init = ndiff.Tensor.__init__
+
+    def recording_init(self, *a, **kw):
+        init(self, *a, **kw)
+        created.append(self)
+
+    monkeypatch.setattr(ndiff.Tensor, "__init__", recording_init)
+    out = fn(*args)
+    monkeypatch.undo()
+    return out, created
 
 
 def test_forward_tape_stays_fused():
@@ -404,23 +422,94 @@ def test_batch_loss_is_one_node_over_the_forward():
 def test_forward_creates_only_reachable_tensors(monkeypatch):
     # every tensor a forward creates lies on a path to its output: no
     # half-round, constant or layer is computed that nothing reads
-    created = []
-    init = ndiff.Tensor.__init__
-
-    def recording_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        created.append(self)
-
     params = ModelParams(PnaConfig(), seed=14)
     graph = build_graph(generate(GenConfig(10, 10, seed=15)))
-    monkeypatch.setattr(ndiff.Tensor, "__init__", recording_init)
-    out = forward_tensor(graph, params)
-    monkeypatch.undo()
-    seen, stack = set(), [out]
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            stack.extend(node._parents)
-    unreachable = [t for t in created if id(t) not in seen]
+    out, created = created_tensors(monkeypatch, forward_tensor, graph, params)
+    reachable = {id(t) for t in tape(out, params)}
+    unreachable = [t for t in created if id(t) not in reachable]
     assert not unreachable, f"{len(unreachable)} of {len(created)} tensors unreachable"
+
+
+@pytest.mark.parametrize("iterations", [0, 1, 2])
+def test_fused_nodes_bit_equal_per_layer_tape(iterations):
+    # the forward, every parameter gradient and the gradient of each of the
+    # four inputs, on a ragged union, bit for bit
+    rng = np.random.default_rng(20 + iterations)
+    params = ModelParams(PnaConfig(iterations=iterations), seed=21)
+    graph = graph_union(build_graph(generate(GenConfig(n1, n2, seed=50 + i)))
+                        for i, (n1, n2) in enumerate(UNION_SIZES))
+    weights = rng.normal(size=(graph.n1, 1))
+
+    fused = forward_tensor(graph, params)
+    _unfused.tsum(_unfused.mul_const(fused, weights)).backward()
+    fused_grads = [p.grad for p in params.parameters()]
+    # the four inputs' shapes differ: (N1, 2), (N2, 3), (N1, 1), (N2, 1)
+    fused_inputs = {t.shape: t.grad for t in tape(fused, params) if not t._parents}
+    for p in params.parameters():
+        p.grad = None
+
+    inputs = _unfused.network_inputs(graph)
+    ref = _unfused.forward_tensor(graph, params, inputs)
+    _unfused.tsum(_unfused.mul_const(ref, weights)).backward()
+
+    assert np.array_equal(fused.data, ref.data)
+    for got, p in zip(fused_grads, params.parameters()):
+        assert (got is None and p.grad is None) or np.array_equal(got, p.grad)
+    for t in inputs:
+        got = fused_inputs.get(t.shape)
+        assert (got is None and t.grad is None) or np.array_equal(got, t.grad)
+
+
+@pytest.mark.parametrize("block, leader_major, extras", [("leader_enc", True, 1),
+                                                       ("follower_mp", False, 0)])
+def test_half_round_node_bit_equals_six_nodes(block, leader_major, extras):
+    # one half-round on random inputs: its output and the gradients of
+    # own, other, the extra column and the block's parameters
+    rng = np.random.default_rng(22)
+    params = ModelParams(PnaConfig(), seed=23)
+    graph = graph_union(build_graph(generate(GenConfig(n1, n2, seed=60 + i)))
+                        for i, (n1, n2) in enumerate(UNION_SIZES))
+    pairs = graph.leader_pairs if leader_major else graph.follower_pairs
+    n_own, n_other = (graph.n1, graph.n2) if leader_major else (graph.n2, graph.n1)
+    msg, upd = params.mlps["msg_" + block], params.mlps["upd_" + block]
+    k_own = upd.layers[0][0].shape[0] - extras - pnanet.AGGREGATED_WIDTH
+    k_other = msg.layers[0][0].shape[0] - k_own
+    arrays = [rng.normal(size=(n_own, k_own)), rng.normal(size=(n_other, k_other))]
+    arrays += [rng.normal(size=(n_own, 1)) for _ in range(extras)]
+    weights = rng.normal(size=(n_own, upd.layers[-1][0].shape[1]))
+    block_params = list(msg.parameters()) + list(upd.parameters())
+    results = []
+    for half_round in (pnanet._half_round, _unfused.half_round):
+        own, other, *extra = (ndiff.Tensor(a) for a in arrays)
+        out = half_round(own, other, pairs, params, block, tuple(extra))
+        _unfused.tsum(_unfused.mul_const(out, weights)).backward()
+        results.append([out.data] + [t.grad for t in (own, other, *extra)]
+                       + [p.grad for p in block_params])
+        for p in block_params:
+            p.grad = None
+    for got, want in zip(*results):
+        assert np.array_equal(got, want)
+
+
+def test_forward_records_no_tape(monkeypatch):
+    params = ModelParams(PnaConfig(), seed=24)
+    inst = generate(GenConfig(10, 10, seed=25))
+    values, created = created_tensors(monkeypatch, forward, inst, params)
+    assert np.array_equal(values, forward_tensor(build_graph(inst), params).data.ravel())
+    assert len(created) == FORWARD_TAPE_NODES
+    assert all(t._parents == () for t in created)
+
+
+# sha256 of the desk checkpoint's forward on 20 fixed n = 10 instances: any
+# change of the forward's arithmetic, down to the last bit, changes it
+# (tests/test_trainer.py pins a training history the same way)
+DESK_FORWARD_SHA256 = "6b5655076a62b20dd98b86d735424066fc6eef6f3fcca55d8aa6ce211737809e"
+
+
+def test_desk_forward_bits_are_pinned():
+    params, norm, _ = load_checkpoint(DESK_CHECKPOINT)
+    digest = hashlib.sha256()
+    for seed in range(20):
+        inst = generate(GenConfig(10, 10, data_type="UC" if seed % 2 else "C", seed=seed))
+        digest.update(forward(inst, params, norm).tobytes())
+    assert digest.hexdigest() == DESK_FORWARD_SHA256

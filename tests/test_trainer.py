@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -201,3 +203,20 @@ def test_batch_loss_ragged_matches_per_instance_reference():
         # entry near zero can differ by more than 1e-12 of itself
         for g, w in zip(got, want):
             assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w)
+
+
+# sha256 of a 4-epoch history on ragged batches: any change of the
+# forward's, the backward's or Adam's arithmetic, down to the last bit,
+# changes it
+HISTORY_SHA256 = "a830273510c9898d18be2eecc8a40431b53761ea592847fdcf66bf1f60d84f9f"
+
+
+def test_training_history_bits_are_pinned():
+    instances = [generate(GenConfig(n, n + 1, seed=30 + n)) for n in range(3, 11)]
+    labels = [[x.astype(float) for x, _ in collect_labels(solve_exact(inst), k=3)]
+              for inst in instances]
+    cfg = TrainConfig(epochs=4, early_stop_patience=4, batch_size=8, seed=5)
+    train_set, val_set = build_dataset(instances, labels, cfg)
+    result = train(instances, train_set, val_set, PnaConfig(), cfg)
+    assert len(result.history) == 4
+    assert hashlib.sha256(np.array(result.history).tobytes()).hexdigest() == HISTORY_SHA256
