@@ -74,12 +74,12 @@ class TripartiteGraph:
 
     @cached_property
     def leader_pairs(self):
-        """(follower rows, Segments) of the leader-major pairs."""
+        """`own_major_pairs` of the leader-major pairs."""
         return _pair_index(tuple(self.n1s.tolist()), tuple(self.n2s.tolist()))[0]
 
     @cached_property
     def follower_pairs(self):
-        """(leader rows, Segments) of the follower-major pairs."""
+        """`own_major_pairs` of the follower-major pairs."""
         return _pair_index(tuple(self.n1s.tolist()), tuple(self.n2s.tolist()))[1]
 
 
@@ -98,17 +98,26 @@ def own_major_pairs(n_own, n_other):
 
     Pairs run over the graphs in order and are own-major inside each
     graph, so the messages of one own node are consecutive, one per other
-    node of its graph in row order. Returns the other row of each pair and
-    the Segments of the own nodes' messages: own row i owns segment i.
+    node of its graph in row order. Returns (other_rows, seg, by_other,
+    other_starts):
+    - the other row of each pair;
+    - the Segments of the own nodes' messages: own row i owns segment i;
+    - the pairs in stable other-major order, as the transposed index
+      enumerates them, so other row j's pairs are consecutive;
+    - where other row j's run starts in that order.
+    The last two sum a gradient per other row with one `np.add.reduceat`.
     The arrays are read-only, as unions of one shape share them.
     """
     per_own = np.repeat(n_other, n_own)
     seg = Segments(per_own)
     other_first = np.repeat(np.cumsum(n_other) - n_other, n_own)
     other_rows = np.arange(seg.rows) - np.repeat(seg.starts - other_first, per_own)
-    for a in (other_rows, seg.counts, seg.starts):
+    by_other = np.argsort(other_rows, kind="stable")
+    per_other = np.repeat(n_own, n_other)
+    other_starts = np.cumsum(per_other) - per_other
+    for a in (other_rows, seg.counts, seg.starts, seg.block_rows, by_other, other_starts):
         a.flags.writeable = False
-    return other_rows, seg
+    return other_rows, seg, by_other, other_starts
 
 
 def build_graph(inst, norm: NormalizationScheme = DEFAULT_NORM) -> TripartiteGraph:

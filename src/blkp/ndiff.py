@@ -8,15 +8,22 @@ node each, built from array forwards and backwards defined here:
 - `Mlp.run`/`Mlp.grad`: an MLP stack, each layer `act(x @ w + b)`. With
   a pair index, the first layer reads the row [own[i]; other[j]] of
   every own-major (i, j) pair of a graph union without forming it: each
-  node is projected once and the projections are expanded to the pairs;
+  node is projected once and the projections are expanded to the pairs.
+  The gradient at the other rows sums the pairs in the index's
+  transpose order, computed once per union shape;
 - `pool`/`pool_grad`: the whole multi-aggregator pooling of each run of
   consecutive rows (`Segments`, one per node's messages, of any mix of
-  lengths), scaler-major, built on `np.add/maximum/minimum.reduceat`.
+  lengths), scaler-major. The rows are gathered once into a block, row j
+  of every segment side by side: max and min reduce the block along its
+  first axis, and their backward finds each winning row in the same
+  block. The mean stays on `np.add.reduceat`: the block's padding rows
+  would enter a sum.
 `bce_mean(predictions, positives, totals)`, the mean binary
 cross-entropy of label counts, is the whole training loss as one node.
 Each activation's forward and gradient rule is defined once, in
 `ACTIVATIONS`, and each aggregator's in `AGGREGATORS`. `Adam` updates
-the parameters.
+the parameters as views into one flat buffer, a step at a time over all
+of them.
 
 Inside `with no_grad():` nodes are not recorded: a result has no
 parents, its backward and the activations it would read are dropped,
@@ -122,21 +129,16 @@ ACTIVATIONS = {
 }
 
 
-def _sum_picked_rows(g, rows, n):
-    """Gradient of gathering `rows` out of n rows: g's rows summed per picked row."""
-    # sum the gradient of every copy of a row, in pick order
-    order = np.argsort(rows, kind="stable")
-    picked = rows[order]
-    firsts = np.flatnonzero(np.diff(picked, prepend=-1))
-    grad = np.zeros((n,) + g.shape[1:])
-    grad[picked[firsts]] = np.add.reduceat(g[order], firsts, axis=0)
-    return grad
-
-
 class Segments:
-    """A partition of a matrix's rows into consecutive non-empty runs."""
+    """A partition of a matrix's rows into consecutive non-empty runs.
 
-    __slots__ = ("counts", "starts", "rows")
+    `block_rows[j, s]` is the row of x that row j of a `(longest count,
+    segments)` block takes: row j of segment s, or its last row past its
+    end. Repeating the last row leaves a max or min chain's bits as they
+    are, even a signed zero's; repeating the first would not.
+    """
+
+    __slots__ = ("counts", "starts", "rows", "block_rows")
 
     def __init__(self, counts):
         counts = np.asarray(counts, dtype=np.intp)
@@ -145,37 +147,40 @@ class Segments:
         self.counts = counts
         self.starts = np.cumsum(counts) - counts
         self.rows = int(counts.sum())
+        self.block_rows = self.starts + np.minimum(np.arange(counts.max())[:, None], counts - 1)
 
 
-def _mean(x, seg):
+def _mean(x, block, seg):
+    # not on the block: its padding rows would enter the sum
     return np.add.reduceat(x, seg.starts, axis=0) / seg.counts[:, None]
 
 
-def _add_mean_grad(grad, x, out, g, seg):
+def _add_mean_grad(grad, block, out, g, seg):
     grad += np.repeat(g / seg.counts[:, None], seg.counts, axis=0)
 
 
-def _extreme(reducer, beaten):
-    def forward(x, seg):
-        return reducer.reduceat(x, seg.starts, axis=0)
+def _extreme(reducer):
+    def forward(x, block, seg):
+        return reducer.reduce(block, axis=0)
 
-    def add_grad(grad, x, out, g, seg):
-        # the first row of each segment not beaten by the extreme gets the
-        # gradient, so ties go to the first row
-        hit = ~beaten(x, np.repeat(out, seg.counts, axis=0))
-        rows = np.where(hit, np.arange(seg.rows)[:, None], seg.rows)
-        first = np.minimum.reduceat(rows, seg.starts, axis=0)
-        grad[first, np.arange(x.shape[1])] += g  # one row per segment and column
+    def add_grad(grad, block, out, g, seg):
+        # the first block row equal to the extreme gets the gradient, so ties
+        # go to the segment's first row; a NaN extreme equals no row, and
+        # argmax then picks row 0, the segment's first
+        j = (block == out).argmax(axis=0)
+        rows = seg.block_rows[j, np.arange(len(out))[:, None]]
+        grad[rows, np.arange(out.shape[1])] += g  # one row per segment and column
 
     return forward, add_grad
 
 
-# name -> (forward(x, seg), add_grad(grad, x, out, g, seg)): the segment
-# reduction of x's rows, and the step that adds its gradient into grad
+# name -> (forward(x, block, seg), add_grad(grad, block, out, g, seg)): the
+# segment reduction of x's rows (block is x[seg.block_rows]), and the step
+# that adds its gradient into grad
 AGGREGATORS = {
     "mean": (_mean, _add_mean_grad),
-    "max": _extreme(np.maximum, np.less),
-    "min": _extreme(np.minimum, np.greater),
+    "max": _extreme(np.maximum),
+    "min": _extreme(np.minimum),
 }
 
 
@@ -186,23 +191,26 @@ def pool(x, seg: Segments, aggregators, scalers):
     of a segment is these reductions side by side, repeated once per
     scaler times that scaler, scaler-major. For (mean, max, min) and
     scalers (1, a, 1/a): [mean, max, min, a*mean, a*max, a*min,
-    mean/a, max/a, min/a]. The aggregates, one array per aggregator, are
-    what `pool_grad` reads.
+    mean/a, max/a, min/a]. Returns the output and what `pool_grad` reads:
+    x's rows gathered once into the block `x[seg.block_rows]`, and the
+    aggregates, one array per aggregator.
     """
-    parts = [AGGREGATORS[a][0](x, seg) for a in aggregators]
+    block = x.take(seg.block_rows, axis=0)
+    parts = [AGGREGATORS[a][0](x, block, seg) for a in aggregators]
     base = np.concatenate(parts, axis=1)
     scalers = np.asarray(scalers, dtype=np.float64)
-    return (base[:, None, :] * scalers[:, None]).reshape(len(base), -1), parts
+    return (base[:, None, :] * scalers[:, None]).reshape(len(base), -1), (block, parts)
 
 
-def pool_grad(g, x, parts, seg: Segments, aggregators, scalers):
-    """The gradient at x from the gradient g at `pool`'s output."""
+def pool_grad(g, x, saved, seg: Segments, aggregators, scalers):
+    """The gradient at x from the gradient g at `pool`'s output; `saved` is pool's."""
+    block, parts = saved
     scalers = np.asarray(scalers, dtype=np.float64)
     width = x.shape[1]
     g_base = scalers @ g.reshape(len(seg.counts), len(scalers), -1)
     grad = np.zeros_like(x)
     for k, (a, part) in enumerate(zip(aggregators, parts)):
-        AGGREGATORS[a][1](grad, x, part, g_base[:, k * width:(k + 1) * width], seg)
+        AGGREGATORS[a][1](grad, block, part, g_base[:, k * width:(k + 1) * width], seg)
     return grad
 
 
@@ -270,10 +278,10 @@ class Mlp:
         acts = []
         for w, b, act in self.layers:
             if pairs is not None and not acts:
-                (own, other), (other_rows, seg) = x, pairs
+                (own, other), (other_rows, seg) = x, pairs[:2]
                 k = own.shape[1]
                 z = (np.repeat(own @ w.data[:k], seg.counts, axis=0)
-                     + (other @ w.data[k:])[other_rows] + b.data)
+                     + (other @ w.data[k:]).take(other_rows, axis=0) + b.data)
             else:
                 z = x @ w.data + b.data
             out = ACTIVATIONS[act][0](z)
@@ -291,9 +299,9 @@ class Mlp:
             g = ACTIVATIONS[act][1](g, z, out)
             b._accumulate(g.sum(axis=0))
             if pairs is not None and i == 0:
-                (own, other), (other_rows, seg) = x, pairs
+                (own, other), (_, seg, by_other, other_starts) = x, pairs
                 g_own = np.add.reduceat(g, seg.starts, axis=0)
-                g_other = _sum_picked_rows(g, other_rows, len(other))
+                g_other = np.add.reduceat(g.take(by_other, axis=0), other_starts, axis=0)
                 w._accumulate(np.concatenate([own.T @ g_own, other.T @ g_other]))
                 k = own.shape[1]
                 return g_own @ w.data[:k].T, g_other @ w.data[k:].T
@@ -319,12 +327,18 @@ class Mlp:
                 raise ValueError(
                     f"shape mismatch: expected {w.data.shape}/{b.data.shape}, "
                     f"got {wd.shape}/{bd.shape}")
-            w.data = wd
-            b.data = bd
+            # in place: an `Adam`'s parameters are views into its buffer
+            w.data[...] = wd
+            b.data[...] = bd
 
 
 class Adam:
-    """Adam with bias correction; weight decay enters as an L2 gradient term."""
+    """Adam with bias correction; weight decay enters as an L2 gradient term.
+
+    The parameters' arrays become views into one flat buffer, so a step
+    is a handful of vector operations over all of them. Write parameters
+    in place from then on, as `Mlp.load_state_arrays` does.
+    """
 
     BETA1 = 0.9
     BETA2 = 0.999
@@ -335,8 +349,13 @@ class Adam:
         self.lr = lr
         self.weight_decay = weight_decay
         self.step_count = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.flat = np.concatenate([p.data.ravel() for p in self.params])
+        lo = 0
+        for p in self.params:
+            p.data = self.flat[lo:lo + p.data.size].reshape(p.data.shape)
+            lo += p.data.size
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
 
     def zero_grad(self):
         for p in self.params:
@@ -345,12 +364,12 @@ class Adam:
     def step(self):
         self.step_count += 1
         t = self.step_count
-        for i, p in enumerate(self.params):
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            self.m[i] = self.BETA1 * self.m[i] + (1 - self.BETA1) * g
-            self.v[i] = self.BETA2 * self.v[i] + (1 - self.BETA2) * g * g
-            m_hat = self.m[i] / (1 - self.BETA1 ** t)
-            v_hat = self.v[i] / (1 - self.BETA2 ** t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
+        g = np.concatenate([np.zeros(p.data.size) if p.grad is None else np.ravel(p.grad)
+                            for p in self.params])
+        if self.weight_decay:
+            g = g + self.weight_decay * self.flat
+        self.m = self.BETA1 * self.m + (1 - self.BETA1) * g
+        self.v = self.BETA2 * self.v + (1 - self.BETA2) * g * g
+        m_hat = self.m / (1 - self.BETA1 ** t)
+        v_hat = self.v / (1 - self.BETA2 ** t)
+        self.flat -= self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)

@@ -142,7 +142,7 @@ def _half_round(own: Tensor, other: Tensor, pairs, params: ModelParams, block: s
     msg, upd = params.mlps["msg_" + block], params.mlps["upd_" + block]
     seg = pairs[1]
     msgs, msg_acts = msg.run((own.data, other.data), pairs)
-    pooled, parts = pool(msgs, seg, AGGREGATORS, SCALERS)
+    pooled, saved = pool(msgs, seg, AGGREGATORS, SCALERS)
     out, upd_acts = upd.run(np.concatenate([t.data for t in (own, *extra)] + [pooled], axis=1))
 
     def back(g):
@@ -151,7 +151,7 @@ def _half_round(own: Tensor, other: Tensor, pairs, params: ModelParams, block: s
         for t in (own, *extra):
             t._accumulate(g_in[:, lo:lo + t.shape[1]])
             lo += t.shape[1]
-        g_msgs = pool_grad(g_in[:, lo:], msgs, parts, seg, AGGREGATORS, SCALERS)
+        g_msgs = pool_grad(g_in[:, lo:], msgs, saved, seg, AGGREGATORS, SCALERS)
         g_own, g_other = msg.grad(g_msgs, msg_acts, pairs)
         own._accumulate(g_own)
         other._accumulate(g_other)

@@ -11,12 +11,89 @@ over pair rows gathered with `take_rows`. `ndiff.bce_mean` is
 `unfused_bce_mean`, a chain of clamp, log, constant scaling and sum
 nodes. `tsum` and `mul_const` probe gradients and `add` sums reference
 losses.
+
+The pooling and the pair gradient keep their earlier arithmetic, apart
+from the library's: `AGGREGATORS` reduces by `np.*.reduceat` and finds
+each extreme's winning row by a second reduction, and `_sum_picked_rows`
+sorts the picked rows afresh on every call. `UnfusedAdam` steps one
+parameter at a time, the reference of `ndiff.Adam`'s flat step.
 """
 
 import numpy as np
 
-from blkp.ndiff import ACTIVATIONS, AGGREGATORS, BCE_EPS, Tensor, _sum_picked_rows
+from blkp.ndiff import ACTIVATIONS, BCE_EPS, Tensor
 from blkp.pnanet import AGGREGATORS as PNA_AGGREGATORS, SCALERS
+
+
+def _sum_picked_rows(g, rows, n):
+    """Gradient of gathering `rows` out of n rows: g's rows summed per picked row."""
+    # sum the gradient of every copy of a row, in pick order
+    order = np.argsort(rows, kind="stable")
+    picked = rows[order]
+    firsts = np.flatnonzero(np.diff(picked, prepend=-1))
+    grad = np.zeros((n,) + g.shape[1:])
+    grad[picked[firsts]] = np.add.reduceat(g[order], firsts, axis=0)
+    return grad
+
+
+def _mean(x, seg):
+    return np.add.reduceat(x, seg.starts, axis=0) / seg.counts[:, None]
+
+
+def _add_mean_grad(grad, x, out, g, seg):
+    grad += np.repeat(g / seg.counts[:, None], seg.counts, axis=0)
+
+
+def _extreme(reducer, beaten):
+    def forward(x, seg):
+        return reducer.reduceat(x, seg.starts, axis=0)
+
+    def add_grad(grad, x, out, g, seg):
+        # the first row of each segment not beaten by the extreme gets the
+        # gradient, so ties go to the first row
+        hit = ~beaten(x, np.repeat(out, seg.counts, axis=0))
+        rows = np.where(hit, np.arange(seg.rows)[:, None], seg.rows)
+        first = np.minimum.reduceat(rows, seg.starts, axis=0)
+        grad[first, np.arange(x.shape[1])] += g  # one row per segment and column
+
+    return forward, add_grad
+
+
+# name -> (forward(x, seg), add_grad(grad, x, out, g, seg)), as `ndiff.AGGREGATORS`
+AGGREGATORS = {
+    "mean": (_mean, _add_mean_grad),
+    "max": _extreme(np.maximum, np.less),
+    "min": _extreme(np.minimum, np.greater),
+}
+
+
+class UnfusedAdam:
+    """`ndiff.Adam` stepping each parameter on its own, rebinding its array."""
+
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params, lr=0.002, weight_decay=1e-6):
+        self.params = list(params)
+        self.lr = lr
+        self.weight_decay = weight_decay
+        self.step_count = 0
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
+
+    def step(self):
+        self.step_count += 1
+        t = self.step_count
+        for i, p in enumerate(self.params):
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            if self.weight_decay:
+                g = g + self.weight_decay * p.data
+            self.m[i] = self.BETA1 * self.m[i] + (1 - self.BETA1) * g
+            self.v[i] = self.BETA2 * self.v[i] + (1 - self.BETA2) * g * g
+            m_hat = self.m[i] / (1 - self.BETA1 ** t)
+            v_hat = self.v[i] / (1 - self.BETA2 ** t)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
 def _unary(a: Tensor, out, da) -> Tensor:
@@ -172,12 +249,12 @@ def concat_cols(tensors) -> Tensor:
 def pair_linear(own: Tensor, other: Tensor, pairs, w: Tensor, b: Tensor, act: str) -> Tensor:
     """act([own[i]; other[j]] @ w + b) for every own-major (i, j) pair, as one node.
 
-    `pairs` is (other_rows, seg) as `graphrep.own_major_pairs` gives it.
-    Each node is projected once by its part of w, and the projections
-    are expanded to the pairs.
+    `pairs` is `graphrep.own_major_pairs`; this reads its first two
+    arrays, (other_rows, seg). Each node is projected once by its part of
+    w, and the projections are expanded to the pairs.
     """
     forward, grad = ACTIVATIONS[act]
-    other_rows, seg = pairs
+    other_rows, seg = pairs[:2]
     k = own.data.shape[1]
     w_own, w_other = w.data[:k], w.data[k:]
     z = (np.repeat(own.data @ w_own, seg.counts, axis=0)

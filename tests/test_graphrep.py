@@ -69,19 +69,34 @@ def test_union_rejects_mixed_normalization():
 
 
 def test_own_major_pairs_stay_within_each_graph():
-    other_rows, seg = own_major_pairs(np.array([2, 1]), np.array([3, 2]))
+    other_rows, seg, by_other, other_starts = own_major_pairs(np.array([2, 1]), np.array([3, 2]))
     own_rows = np.repeat(np.arange(len(seg.counts)), seg.counts)
     # graph 0: own 0-1 x other 0-2; graph 1: own 2 x other 3-4
     assert own_rows.tolist() == [0, 0, 0, 1, 1, 1, 2, 2]
     assert other_rows.tolist() == [0, 1, 2, 0, 1, 2, 3, 4]
     assert seg.counts.tolist() == [3, 3, 2] and seg.starts.tolist() == [0, 3, 6]
+    assert by_other.tolist() == [0, 3, 1, 4, 2, 5, 6, 7]
+    assert other_starts.tolist() == [0, 2, 4, 6, 7]
+
+
+@pytest.mark.parametrize("n_own, n_other", [([2, 1], [3, 2]), ([1, 4, 2, 3], [3, 1, 5, 2])])
+def test_other_major_order_is_the_transposed_index(n_own, n_other):
+    other_rows, seg, by_other, other_starts = own_major_pairs(np.array(n_own), np.array(n_other))
+    own_rows = np.repeat(np.arange(len(seg.counts)), seg.counts)
+    assert np.array_equal(by_other, np.argsort(other_rows, kind="stable"))
+    # the order lists the pairs as the other-major index of the union does
+    t_rows, t_seg = own_major_pairs(np.array(n_other), np.array(n_own))[:2]
+    assert np.array_equal(own_rows[by_other], t_rows)
+    assert np.array_equal(other_rows[by_other], np.repeat(np.arange(len(t_seg.counts)),
+                                                          t_seg.counts))
+    assert np.array_equal(other_starts, t_seg.starts)
 
 
 def test_unions_of_one_shape_share_read_only_pairs():
     a, b = (build_graph(generate(GenConfig(3, 4, seed=s))) for s in (1, 2))
     for pa, pb in ((a.leader_pairs, b.leader_pairs), (a.follower_pairs, b.follower_pairs)):
-        assert pa[0] is pb[0] and pa[1] is pb[1]
-        for arr in (pa[0], pa[1].counts, pa[1].starts):
+        assert all(x is y for x, y in zip(pa, pb)) and len(pa) == 4
+        for arr in (pa[0], pa[1].counts, pa[1].starts, pa[1].block_rows, pa[2], pa[3]):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0
     ab, ba = graph_union([a, b]), graph_union([b, a])

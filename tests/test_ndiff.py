@@ -6,9 +6,9 @@ import pytest
 from blkp import ndiff
 from blkp.ndiff import Adam, Mlp, Segments, Tensor
 
-from _unfused import (ACTIVATE, add, add_bias, affine_const, bce_sum, concat_cols, linear,
-                      matmul, mul_const, pair_linear, segment_pna, take_rows, tsum,
-                      unfused_bce_mean)
+from _unfused import (ACTIVATE, UnfusedAdam, add, add_bias, affine_const, bce_sum, concat_cols,
+                      linear, matmul, mlp_on_pairs, mul_const, pair_linear, segment_pna,
+                      take_rows, tsum, unfused_bce_mean)
 
 
 def finite_diff(fn, params, h=1e-5):
@@ -363,6 +363,44 @@ def test_adam_converges_to_minimum():
     assert abs(w.data[0] - 3.0) < 1e-2
 
 
+def test_adam_flat_step_bit_equals_per_parameter_loop():
+    from blkp.pnanet import ModelParams, PnaConfig
+    flat, loop = ModelParams(PnaConfig(), seed=4), ModelParams(PnaConfig(), seed=4)
+    opt, ref = Adam(flat.parameters(), weight_decay=1e-2), UnfusedAdam(loop.parameters(),
+                                                                       weight_decay=1e-2)
+    rng = np.random.default_rng(14)
+    for step in range(5):
+        for p, q in zip(opt.params, ref.params):
+            # some gradients are missing, which both read as zeros
+            p.grad = q.grad = None if rng.random() < 0.2 else rng.normal(size=p.data.shape)
+        opt.step()
+        ref.step()
+        for p, q in zip(opt.params, ref.params):
+            assert np.array_equal(p.data, q.data), step
+
+
+def test_adam_steps_the_weights_a_snapshot_restored():
+    from blkp.pnanet import ModelParams, PnaConfig
+    params = ModelParams(PnaConfig(), seed=0)
+    snap = params.snapshot()
+    opt = Adam(params.parameters())
+
+    def step():
+        for p in opt.params:
+            p.grad = np.ones_like(p.data)
+        opt.step()
+
+    step()
+    params.restore(snap)
+    assert all(np.array_equal(w, sw) and np.array_equal(b, sb)
+               for name, mlp in params.mlps.items()
+               for (w, b), (sw, sb) in zip(mlp.state_arrays(), snap[name]))
+    step()
+    for name, mlp in params.mlps.items():
+        for (w, b), (sw, sb) in zip(mlp.state_arrays(), snap[name]):
+            assert not np.array_equal(w, sw) and not np.array_equal(b, sb), name
+
+
 def test_forward_determinism():
     rng = np.random.default_rng(9)
     mlp = Mlp([3, 16, 1], ["relu", "sigmoid"], np.random.default_rng(1))
@@ -436,7 +474,7 @@ def test_pair_linear_matches_gathered_pairs(own_sizes, other_sizes, act):
     from blkp.graphrep import own_major_pairs
     rng = np.random.default_rng(11)
     pairs = own_major_pairs(np.array(own_sizes), np.array(other_sizes))
-    other_rows, seg = pairs
+    other_rows, seg = pairs[:2]
     own_rows = np.repeat(np.arange(len(seg.counts)), seg.counts)
     own = Tensor(rng.normal(size=(sum(own_sizes), 3)))
     other = Tensor(rng.normal(size=(sum(other_sizes), 2)))
@@ -501,3 +539,74 @@ def test_segment_pna_ties_go_to_first_row():
     expected[2] = [g_min[1, 0], g_max[1, 1]]
     expected[4] = g_max[2] + g_min[2]
     assert np.array_equal(t.grad, expected)
+
+
+def _pool_bits(x, counts, aggregators=("mean", "max", "min"), scalers=(1.0, 0.7, 1.0 / 0.7)):
+    """`ndiff.pool`'s output and gradient, the reference's, and the gradient g they take."""
+    seg = Segments(counts)
+    out, saved = ndiff.pool(x, seg, aggregators, scalers)
+    g = np.random.default_rng(15).normal(size=out.shape)
+    grad = ndiff.pool_grad(g, x, saved, seg, aggregators, scalers)
+    t = Tensor(x)
+    ref = segment_pna(t, seg, aggregators, scalers)
+    tsum(mul_const(ref, g)).backward()
+    return (out, grad), (ref.data, t.grad), g
+
+
+@pytest.mark.parametrize("counts", [[1, 4, 2], [3, 12, 6, 6], [5], [1, 1, 1]])
+def test_pool_bit_equals_reduceat_reference(counts):
+    x = np.random.default_rng(16).normal(size=(sum(counts), 5))
+    (out, grad), (ref_out, ref_grad), _ = _pool_bits(x, counts)
+    assert np.array_equal(out, ref_out) and np.array_equal(grad, ref_grad)
+
+
+def test_pool_ties_bit_equal_reference():
+    # column 0 of the first segment ties on its first row; the 4-row segment
+    # ties between rows 1 and 3; the last segment is all one row
+    x = np.array([[3.0, 1.0], [3.0, 2.0], [5.0, 1.0], [2.0, 7.0], [5.0, 3.0], [2.0, 7.0],
+                  [4.0, 4.0], [4.0, 4.0], [4.0, 4.0]])
+    for counts in ([2, 4, 3], [1, 1, 4, 3]):
+        for sign in (1.0, -1.0):
+            (out, grad), (ref_out, ref_grad), _ = _pool_bits(sign * x, counts)
+            assert np.array_equal(out, ref_out) and np.array_equal(grad, ref_grad)
+
+
+def test_pool_keeps_the_sign_of_a_zero_extreme():
+    # a short segment is padded in the block: the padding must not turn
+    # max(-0.0, +0.0) = +0.0 of the reference into -0.0, nor min likewise
+    x = np.array([[-0.0, 0.0], [0.0, -0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+    (out, grad), (ref_out, ref_grad), _ = _pool_bits(x, [2, 3])
+    assert np.array_equal(np.signbit(out), np.signbit(ref_out))
+    assert np.array_equal(out, ref_out) and np.array_equal(grad, ref_grad)
+
+
+def test_pool_nan_row_sends_extreme_gradients_to_first_row():
+    x = np.random.default_rng(17).normal(size=(7, 3))
+    x[3, 1] = np.nan  # row 2 of the segment [1, 5)
+    (out, grad), (ref_out, ref_grad), g = _pool_bits(x, [1, 4, 2], ("max", "min"), (1.0,))
+    assert np.isnan(out[1, [1, 4]]).all() and not np.isnan(np.delete(out[1], [1, 4])).any()
+    assert np.array_equal(out, ref_out, equal_nan=True) and np.array_equal(grad, ref_grad)
+    assert grad[1, 1] == g[1, 1] + g[1, 4]  # the segment's first row takes both
+    assert (grad[2:5, 1] == 0.0).all()
+
+
+@pytest.mark.parametrize("own_sizes, other_sizes", [(RAGGED_OWN, RAGGED_OTHER),
+                                                    (RAGGED_OTHER, RAGGED_OWN)])
+def test_pair_mlp_gradient_bit_equals_sorted_reference(own_sizes, other_sizes):
+    from blkp.graphrep import own_major_pairs
+    rng = np.random.default_rng(18)
+    pairs = own_major_pairs(np.array(own_sizes), np.array(other_sizes))
+    mlp = Mlp([5, 4, 3], ["relu", "identity"], rng)
+    own = Tensor(rng.normal(size=(sum(own_sizes), 3)))
+    other = Tensor(rng.normal(size=(sum(other_sizes), 2)))
+    weights = rng.normal(size=(pairs[1].rows, 3))
+    out, acts = mlp.run((own.data, other.data), pairs)
+    fused = [g.copy() for g in mlp.grad(weights, acts, pairs)]
+    fused += [p.grad for p in mlp.parameters()]
+    for p in mlp.parameters():
+        p.grad = None
+    ref = mlp_on_pairs(mlp, own, other, pairs)
+    tsum(mul_const(ref, weights)).backward()
+    assert np.array_equal(out, ref.data)
+    for got, want in zip(fused, [own.grad, other.grad] + [p.grad for p in mlp.parameters()]):
+        assert np.array_equal(got, want)
