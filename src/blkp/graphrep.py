@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -28,7 +29,7 @@ class NormalizationScheme:
     """
 
     value_scale: float = 1000.0
-    version: int = 1
+    version: ClassVar[int] = 1  # the one scheme this code reads
 
     def __post_init__(self):
         if not (np.isfinite(self.value_scale) and self.value_scale > 0):

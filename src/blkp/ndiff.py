@@ -11,19 +11,19 @@ node each, built from array forwards and backwards defined here:
   node is projected once and the projections are expanded to the pairs.
   The gradient at the other rows sums the pairs in the index's
   transpose order, computed once per union shape;
-- `pool`/`pool_grad`: the whole multi-aggregator pooling of each run of
+- `pool`/`pool_grad`: the network's one pooling of each run of
   consecutive rows (`Segments`, one per node's messages, of any mix of
-  lengths), scaler-major. The rows are gathered once into a block, row j
-  of every segment side by side: max and min reduce the block along its
-  first axis, and their backward finds each winning row in the same
+  lengths): the `AGGREGATORS` mean, max and min at each of the
+  `SCALERS`, scaler-major. The rows are gathered once into a block, row
+  j of every segment side by side: max and min reduce the block along
+  its first axis, and their backward finds each winning row in the same
   block. The mean stays on `np.add.reduceat`: the block's padding rows
   would enter a sum.
 `bce_mean(predictions, positives, totals)`, the mean binary
 cross-entropy of label counts, is the whole training loss as one node.
 Each activation's forward and gradient rule is defined once, in
-`ACTIVATIONS`, and each aggregator's in `AGGREGATORS`. `Adam` updates
-the parameters as views into one flat buffer, a step at a time over all
-of them.
+`ACTIVATIONS`. `Adam` updates the parameters as views into one flat
+buffer, a step at a time over all of them.
 
 Inside `with no_grad():` nodes are not recorded: a result has no
 parents, its backward and the activations it would read are dropped,
@@ -150,67 +150,43 @@ class Segments:
         self.block_rows = self.starts + np.minimum(np.arange(counts.max())[:, None], counts - 1)
 
 
-def _mean(x, block, seg):
-    # not on the block: its padding rows would enter the sum
-    return np.add.reduceat(x, seg.starts, axis=0) / seg.counts[:, None]
+AGGREGATORS = ("mean", "max", "min")
+SCALERS = (1.0, 0.7, 1.0 / 0.7)
+_SCALERS = np.array(SCALERS)
 
 
-def _add_mean_grad(grad, block, out, g, seg):
-    grad += np.repeat(g / seg.counts[:, None], seg.counts, axis=0)
+def pool(x, seg: Segments):
+    """The network's pooling of each segment of x's rows, and what `pool_grad` reads.
+
+    A segment's row is its `AGGREGATORS` side by side, repeated at each of
+    the `SCALERS` (1, a, 1/a) times that scaler, scaler-major: [mean, max,
+    min, a*mean, a*max, a*min, mean/a, max/a, min/a]. The mean stays on
+    `np.add.reduceat`: the block's padding rows would enter a sum. Max and
+    min reduce x's rows gathered once into the block `x[seg.block_rows]`,
+    which `pool_grad` reads with the two extremes.
+    """
+    block = x.take(seg.block_rows, axis=0)
+    hi, lo = np.maximum.reduce(block, axis=0), np.minimum.reduce(block, axis=0)
+    mean = np.add.reduceat(x, seg.starts, axis=0) / seg.counts[:, None]
+    base = np.concatenate([mean, hi, lo], axis=1)
+    return (base[:, None, :] * _SCALERS[:, None]).reshape(len(base), -1), (block, hi, lo)
 
 
-def _extreme(reducer):
-    def forward(x, block, seg):
-        return reducer.reduce(block, axis=0)
-
-    def add_grad(grad, block, out, g, seg):
+def pool_grad(g, x, saved, seg: Segments):
+    """The gradient at x from the gradient g at `pool`'s output; `saved` is pool's."""
+    block, hi, lo = saved
+    width = x.shape[1]
+    g_base = _SCALERS @ g.reshape(len(seg.counts), len(_SCALERS), -1)
+    grad = np.zeros_like(x)
+    grad += np.repeat(g_base[:, :width] / seg.counts[:, None], seg.counts, axis=0)
+    segments, columns = np.arange(len(seg.counts))[:, None], np.arange(width)
+    for k, extreme in ((1, hi), (2, lo)):
         # the first block row equal to the extreme gets the gradient, so ties
         # go to the segment's first row; a NaN extreme equals no row, and
         # argmax then picks row 0, the segment's first
-        j = (block == out).argmax(axis=0)
-        rows = seg.block_rows[j, np.arange(len(out))[:, None]]
-        grad[rows, np.arange(out.shape[1])] += g  # one row per segment and column
-
-    return forward, add_grad
-
-
-# name -> (forward(x, block, seg), add_grad(grad, block, out, g, seg)): the
-# segment reduction of x's rows (block is x[seg.block_rows]), and the step
-# that adds its gradient into grad
-AGGREGATORS = {
-    "mean": (_mean, _add_mean_grad),
-    "max": _extreme(np.maximum),
-    "min": _extreme(np.minimum),
-}
-
-
-def pool(x, seg: Segments, aggregators, scalers):
-    """Multi-aggregator pooling of each segment of x's rows, and its aggregates.
-
-    Each aggregator (`AGGREGATORS`) reduces a segment to one row; the row
-    of a segment is these reductions side by side, repeated once per
-    scaler times that scaler, scaler-major. For (mean, max, min) and
-    scalers (1, a, 1/a): [mean, max, min, a*mean, a*max, a*min,
-    mean/a, max/a, min/a]. Returns the output and what `pool_grad` reads:
-    x's rows gathered once into the block `x[seg.block_rows]`, and the
-    aggregates, one array per aggregator.
-    """
-    block = x.take(seg.block_rows, axis=0)
-    parts = [AGGREGATORS[a][0](x, block, seg) for a in aggregators]
-    base = np.concatenate(parts, axis=1)
-    scalers = np.asarray(scalers, dtype=np.float64)
-    return (base[:, None, :] * scalers[:, None]).reshape(len(base), -1), (block, parts)
-
-
-def pool_grad(g, x, saved, seg: Segments, aggregators, scalers):
-    """The gradient at x from the gradient g at `pool`'s output; `saved` is pool's."""
-    block, parts = saved
-    scalers = np.asarray(scalers, dtype=np.float64)
-    width = x.shape[1]
-    g_base = scalers @ g.reshape(len(seg.counts), len(scalers), -1)
-    grad = np.zeros_like(x)
-    for k, (a, part) in enumerate(zip(aggregators, parts)):
-        AGGREGATORS[a][1](grad, block, part, g_base[:, k * width:(k + 1) * width], seg)
+        j = (block == extreme).argmax(axis=0)
+        # one row per segment and column, so += adds every entry
+        grad[seg.block_rows[j, segments], columns] += g_base[:, k * width:(k + 1) * width]
     return grad
 
 

@@ -10,8 +10,9 @@ generation; a per-leader-node sigmoid decoder follows. Only the leader
 embeddings reach the decoder, so the last round skips the followers'
 half-round. `forward_tensor` is the whole network.
 
-The architecture is fixed: the widths, aggregators, scalers and decoder
-depth are the module constants below, and the number of rounds,
+The architecture is fixed: the widths and decoder depth are the module
+constants below, the aggregators and scalers are `ndiff.pool`'s
+(`ndiff.AGGREGATORS`, `ndiff.SCALERS`), and the number of rounds,
 `PnaConfig.iterations`, is the one setting. Every checkpoint records the
 architecture, and one recorded with other values is refused.
 
@@ -28,7 +29,7 @@ the union's pair index, which never forms the pair rows), the pooling
 MLP; its backward chains their gradient rules in reverse. `forward`,
 which needs no gradient, runs under `ndiff.no_grad` and keeps no tape.
 
-The multi-aggregator pooling concatenates mean/max/min of the incoming
+The pooling (`ndiff.pool`) concatenates mean/max/min of the incoming
 messages and repeats the block once per intensity scaler (1, a, 1/a),
 scaler-major: [mean, max, min, a*mean, a*max, a*min, (1/a)*mean,
 (1/a)*max, (1/a)*min]. That order is part of the checkpoint contract.
@@ -42,15 +43,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphrep import DEFAULT_NORM, NormalizationScheme, TripartiteGraph, build_graph
-from .ndiff import Mlp, Tensor, no_grad, node, pool, pool_grad
+from .ndiff import AGGREGATORS, SCALERS, Mlp, Tensor, no_grad, node, pool, pool_grad
 
 CHECKPOINT_VERSION = 1
 
 EMBED_DIM = 16
 MSG_DIM = 16
 HIDDEN = 16
-AGGREGATORS = ("mean", "max", "min")
-SCALERS = (1.0, 0.7, 1.0 / 0.7)
 DECODER_HIDDEN_LAYERS = 3
 AGGREGATED_WIDTH = len(AGGREGATORS) * len(SCALERS) * MSG_DIM
 
@@ -64,8 +63,10 @@ class PnaConfig:
     iterations: int = 2  # message-passing rounds sharing one parameter set
 
     def __post_init__(self):
-        if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
+        # a checkpoint's 2.9, true or "2" is no round count
+        if (isinstance(self.iterations, bool) or not isinstance(self.iterations, int)
+                or self.iterations < 0):
+            raise ValueError(f"iterations must be an integer >= 0, got {self.iterations!r}")
 
     def to_dict(self):
         return {
@@ -85,7 +86,7 @@ class PnaConfig:
         Older checkpoints also carry "leaky_slope"; every one was written
         with the decoder's fixed slope 0.01, so the key is ignored.
         """
-        cfg = cls(iterations=int(doc["iterations"]))
+        cfg = cls(iterations=doc["iterations"])
         for key, value in cfg.to_dict().items():
             if key != "iterations" and doc[key] != value:
                 raise ValueError(f"{key} is {doc[key]!r}, this network's is {value!r}")
@@ -118,14 +119,6 @@ class ModelParams:
         for mlp in self.mlps.values():
             yield from mlp.parameters()
 
-    def snapshot(self):
-        return {name: [(w.copy(), b.copy()) for w, b in mlp.state_arrays()]
-                for name, mlp in self.mlps.items()}
-
-    def restore(self, snap):
-        for name, mlp in self.mlps.items():
-            mlp.load_state_arrays(snap[name])
-
 
 def _const(arr) -> Tensor:
     return Tensor(np.asarray(arr, dtype=np.float64))
@@ -142,7 +135,7 @@ def _half_round(own: Tensor, other: Tensor, pairs, params: ModelParams, block: s
     msg, upd = params.mlps["msg_" + block], params.mlps["upd_" + block]
     seg = pairs[1]
     msgs, msg_acts = msg.run((own.data, other.data), pairs)
-    pooled, saved = pool(msgs, seg, AGGREGATORS, SCALERS)
+    pooled, saved = pool(msgs, seg)
     out, upd_acts = upd.run(np.concatenate([t.data for t in (own, *extra)] + [pooled], axis=1))
 
     def back(g):
@@ -151,7 +144,7 @@ def _half_round(own: Tensor, other: Tensor, pairs, params: ModelParams, block: s
         for t in (own, *extra):
             t._accumulate(g_in[:, lo:lo + t.shape[1]])
             lo += t.shape[1]
-        g_msgs = pool_grad(g_in[:, lo:], msgs, saved, seg, AGGREGATORS, SCALERS)
+        g_msgs = pool_grad(g_in[:, lo:], msgs, saved, seg)
         g_own, g_other = msg.grad(g_msgs, msg_acts, pairs)
         own._accumulate(g_own)
         other._accumulate(g_other)

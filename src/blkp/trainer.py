@@ -132,7 +132,7 @@ def train(instances, train_set, val_set, model_cfg: PnaConfig,
     result = TrainResult(params=params)
     if val_set:
         result.initial_val_loss = evaluate_loss(val_set, graphs, params)
-    best_snapshot = params.snapshot()
+    best = opt.flat.copy()  # the parameters are views into this buffer
     best_val = result.initial_val_loss if val_set else float("inf")
     best_epoch = -1
     since_improve = 0
@@ -161,15 +161,15 @@ def train(instances, train_set, val_set, model_cfg: PnaConfig,
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
-            best_snapshot = params.snapshot()
+            best = opt.flat.copy()
             since_improve = 0
         else:
             since_improve += 1
             if since_improve > train_cfg.early_stop_patience:
-                result.stopped_early = True
                 break
 
-    params.restore(best_snapshot)
+    opt.flat[...] = best
+    result.stopped_early = len(result.history) < train_cfg.epochs
     result.best_val_loss = best_val
     result.best_epoch = best_epoch
     return result

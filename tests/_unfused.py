@@ -21,8 +21,8 @@ parameter at a time, the reference of `ndiff.Adam`'s flat step.
 
 import numpy as np
 
-from blkp.ndiff import ACTIVATIONS, BCE_EPS, Tensor
-from blkp.pnanet import AGGREGATORS as PNA_AGGREGATORS, SCALERS
+from blkp.ndiff import ACTIVATIONS, BCE_EPS, SCALERS, Tensor
+from blkp.ndiff import AGGREGATORS as POOL_AGGREGATORS
 
 
 def _sum_picked_rows(g, rows, n):
@@ -59,7 +59,8 @@ def _extreme(reducer, beaten):
     return forward, add_grad
 
 
-# name -> (forward(x, seg), add_grad(grad, x, out, g, seg)), as `ndiff.AGGREGATORS`
+# name -> (forward(x, seg), add_grad(grad, x, out, g, seg)): each of
+# `ndiff.AGGREGATORS` and its gradient rule
 AGGREGATORS = {
     "mean": (_mean, _add_mean_grad),
     "max": _extreme(np.maximum, np.less),
@@ -312,7 +313,7 @@ def mlp_on_pairs(mlp, own: Tensor, other: Tensor, pairs) -> Tensor:
 def half_round(own, other, pairs, params, block, extra=()) -> Tensor:
     """`pnanet`'s half-round as six nodes."""
     msgs = mlp_on_pairs(params.mlps["msg_" + block], own, other, pairs)
-    agg = segment_pna(msgs, pairs[1], PNA_AGGREGATORS, SCALERS)
+    agg = segment_pna(msgs, pairs[1], POOL_AGGREGATORS, SCALERS)
     return mlp_apply(params.mlps["upd_" + block], concat_cols([own, *extra, agg]))
 
 

@@ -105,3 +105,10 @@ def test_unions_of_one_shape_share_read_only_pairs():
     c = build_graph(generate(GenConfig(4, 3, seed=3)))  # the transposed shape
     assert c.leader_pairs[0] is not a.leader_pairs[0]
     assert np.array_equal(c.leader_pairs[0], a.follower_pairs[0])
+
+
+def test_normalization_version_is_not_a_field():
+    # a scheme built with version 2 would save a checkpoint that no load reads
+    with pytest.raises(TypeError):
+        NormalizationScheme(version=2)
+    assert NormalizationScheme(value_scale=10.0).to_dict() == {"value_scale": 10.0, "version": 1}

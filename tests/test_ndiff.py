@@ -379,28 +379,6 @@ def test_adam_flat_step_bit_equals_per_parameter_loop():
             assert np.array_equal(p.data, q.data), step
 
 
-def test_adam_steps_the_weights_a_snapshot_restored():
-    from blkp.pnanet import ModelParams, PnaConfig
-    params = ModelParams(PnaConfig(), seed=0)
-    snap = params.snapshot()
-    opt = Adam(params.parameters())
-
-    def step():
-        for p in opt.params:
-            p.grad = np.ones_like(p.data)
-        opt.step()
-
-    step()
-    params.restore(snap)
-    assert all(np.array_equal(w, sw) and np.array_equal(b, sb)
-               for name, mlp in params.mlps.items()
-               for (w, b), (sw, sb) in zip(mlp.state_arrays(), snap[name]))
-    step()
-    for name, mlp in params.mlps.items():
-        for (w, b), (sw, sb) in zip(mlp.state_arrays(), snap[name]):
-            assert not np.array_equal(w, sw) and not np.array_equal(b, sb), name
-
-
 def test_forward_determinism():
     rng = np.random.default_rng(9)
     mlp = Mlp([3, 16, 1], ["relu", "sigmoid"], np.random.default_rng(1))
@@ -541,14 +519,14 @@ def test_segment_pna_ties_go_to_first_row():
     assert np.array_equal(t.grad, expected)
 
 
-def _pool_bits(x, counts, aggregators=("mean", "max", "min"), scalers=(1.0, 0.7, 1.0 / 0.7)):
+def _pool_bits(x, counts):
     """`ndiff.pool`'s output and gradient, the reference's, and the gradient g they take."""
     seg = Segments(counts)
-    out, saved = ndiff.pool(x, seg, aggregators, scalers)
+    out, saved = ndiff.pool(x, seg)
     g = np.random.default_rng(15).normal(size=out.shape)
-    grad = ndiff.pool_grad(g, x, saved, seg, aggregators, scalers)
+    grad = ndiff.pool_grad(g, x, saved, seg)
     t = Tensor(x)
-    ref = segment_pna(t, seg, aggregators, scalers)
+    ref = segment_pna(t, seg, ndiff.AGGREGATORS, ndiff.SCALERS)
     tsum(mul_const(ref, g)).backward()
     return (out, grad), (ref.data, t.grad), g
 
@@ -583,11 +561,14 @@ def test_pool_keeps_the_sign_of_a_zero_extreme():
 def test_pool_nan_row_sends_extreme_gradients_to_first_row():
     x = np.random.default_rng(17).normal(size=(7, 3))
     x[3, 1] = np.nan  # row 2 of the segment [1, 5)
-    (out, grad), (ref_out, ref_grad), g = _pool_bits(x, [1, 4, 2], ("max", "min"), (1.0,))
-    assert np.isnan(out[1, [1, 4]]).all() and not np.isnan(np.delete(out[1], [1, 4])).any()
+    (out, grad), (ref_out, ref_grad), g = _pool_bits(x, [1, 4, 2])
+    # column 1 of the mean, max and min, at each of the 3 scalers
+    nan_columns = np.arange(1, 27, 3)
+    assert np.isnan(out[1, nan_columns]).all() and not np.isnan(np.delete(out[1], nan_columns)).any()
     assert np.array_equal(out, ref_out, equal_nan=True) and np.array_equal(grad, ref_grad)
-    assert grad[1, 1] == g[1, 1] + g[1, 4]  # the segment's first row takes both
-    assert (grad[2:5, 1] == 0.0).all()
+    g_mean, g_max, g_min = (np.asarray(ndiff.SCALERS) @ g.reshape(3, 3, 9))[1, 1::3]
+    assert grad[1, 1] == g_mean / 4 + g_max + g_min  # the segment's first row takes both
+    assert (grad[2:5, 1] == g_mean / 4).all()
 
 
 @pytest.mark.parametrize("own_sizes, other_sizes", [(RAGGED_OWN, RAGGED_OTHER),

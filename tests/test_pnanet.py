@@ -8,8 +8,9 @@ import pytest
 from blkp import ndiff, pnanet
 from blkp.graphrep import build_graph, graph_union
 from blkp.instance import BlkpInstance, GenConfig, generate
-from blkp.pnanet import (AGGREGATORS, SCALERS, CheckpointError, ModelParams, PnaConfig,
-                         forward, forward_tensor, load_checkpoint, save_checkpoint)
+from blkp.ndiff import SCALERS
+from blkp.pnanet import (CheckpointError, ModelParams, PnaConfig, forward, forward_tensor,
+                         load_checkpoint, save_checkpoint)
 
 import _unfused
 
@@ -24,10 +25,10 @@ def permute_leaders(inst, perm):
                         inst.a2, inst.d2, inst.c, inst.b)
 
 
-def aggregate(msgs, scalers=SCALERS):
+def aggregate(msgs):
     """One segment of messages pooled into one row, as the network pools them."""
     msgs = np.asarray(msgs, dtype=np.float64)
-    return ndiff.pool(msgs, ndiff.Segments([len(msgs)]), AGGREGATORS, scalers)[0][0]
+    return ndiff.pool(msgs, ndiff.Segments([len(msgs)]))[0][0]
 
 
 def test_aggregate_default_layout():
@@ -37,9 +38,9 @@ def test_aggregate_default_layout():
     assert np.allclose(out, expected)
 
 
-def test_aggregate_single_message_unit_scalers():
-    out = aggregate([[5.0]], scalers=(1.0, 1.0, 1.0))
-    assert np.allclose(out, np.full(9, 5.0))
+def test_aggregate_single_message_is_its_mean_max_and_min():
+    out = aggregate([[5.0]])
+    assert np.allclose(out, np.repeat(5.0 * np.asarray(SCALERS), 3))
 
 
 def test_aggregate_permutation_invariant():
@@ -299,9 +300,13 @@ def test_checkpoint_std_aggregator_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("key, value", [("embed_dim", 0), ("embed_dim", -1), ("msg_dim", 0),
-                                        ("hidden", 0), ("decoder_hidden_layers", -1)])
+                                        ("hidden", 0), ("decoder_hidden_layers", -1),
+                                        ("iterations", -1), ("iterations", 2.9),
+                                        ("iterations", 2.0), ("iterations", True),
+                                        ("iterations", "2"), ("iterations", None)])
 def test_checkpoint_bad_widths_rejected(tmp_path, key, value):
-    # embed_dim 0 used to escape as a ZeroDivisionError, -1 as a numpy error
+    # embed_dim 0 used to escape as a ZeroDivisionError, -1 as a numpy error;
+    # int() used to run iterations 2.9 as 2 rounds and true as 1, and to read "2"
     import json
     params = ModelParams(PnaConfig(), seed=10)
     from blkp.graphrep import DEFAULT_NORM

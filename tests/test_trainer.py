@@ -104,6 +104,40 @@ def test_patience_zero_stops_at_first_non_improvement():
     assert len(result.history) == 1
 
 
+def test_stopped_early_only_when_fewer_epochs_ran():
+    # lr 0 never improves on the initial validation loss: patience 2 runs
+    # all 3 epochs, patience 1 stops after 2
+    instances, labels = make_labeled(2, seed=7)
+    for patience, ran in ((2, 3), (1, 2)):
+        cfg = TrainConfig(epochs=3, early_stop_patience=patience, lr=0.0,
+                          weight_decay=0.0, split=0.5, seed=6)
+        train_set, val_set = build_dataset(instances, labels, cfg)
+        result = train(instances, train_set, val_set, PnaConfig(), cfg)
+        assert len(result.history) == ran
+        assert result.stopped_early == (ran < 3)
+
+
+def test_train_returns_the_best_epochs_weights():
+    # the first of 6 epochs is the best: its weights come back, bit for bit
+    # those of a 1-epoch run, though Adam stepped them 5 more times
+    instances, labels = make_labeled(4, seed=8)
+    runs = []
+    for epochs in (6, 1):
+        cfg = TrainConfig(epochs=epochs, early_stop_patience=epochs, split=0.5, seed=7)
+        train_set, val_set = build_dataset(instances, labels, cfg)
+        runs.append(train(instances, train_set, val_set, PnaConfig(), cfg))
+    six, one = runs
+    assert six.best_epoch == one.best_epoch == 0
+    assert six.history[:1] == one.history
+    initial = ModelParams(PnaConfig(), seed=7)
+    for name, mlp in six.params.mlps.items():
+        for (w, b), (w1, b1), (w0, _) in zip(mlp.state_arrays(),
+                                             one.params.mlps[name].state_arrays(),
+                                             initial.mlps[name].state_arrays()):
+            assert np.array_equal(w, w1) and np.array_equal(b, b1), name
+            assert not np.array_equal(w, w0), name
+
+
 def test_best_checkpoint_matches_history_min():
     instances, labels = make_labeled(4, seed=8)
     cfg = TrainConfig(epochs=15, early_stop_patience=15, split=0.5, seed=7)
