@@ -16,6 +16,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from .instance import is_int
 from .ndiff import Segments
 
 
@@ -41,8 +42,9 @@ class NormalizationScheme:
     @classmethod
     def from_dict(cls, doc):
         """The scheme a checkpoint records; any version but this one is refused."""
-        if doc["version"] != cls.version:
-            raise ValueError(f"version is {doc['version']!r}, this scheme's is {cls.version!r}")
+        version = doc["version"]
+        if not is_int(version) or version != cls.version:  # true and 1.0 equal 1
+            raise ValueError(f"version is {version!r}, this scheme's is {cls.version!r}")
         return cls(value_scale=float(doc["value_scale"]))
 
 
@@ -116,7 +118,8 @@ def own_major_pairs(n_own, n_other):
     by_other = np.argsort(other_rows, kind="stable")
     per_other = np.repeat(n_own, n_other)
     other_starts = np.cumsum(per_other) - per_other
-    for a in (other_rows, seg.counts, seg.starts, seg.block_rows, by_other, other_starts):
+    for a in (other_rows, seg.counts, seg.starts, seg.block_rows, seg.block_rank, by_other,
+              other_starts):
         a.flags.writeable = False
     return other_rows, seg, by_other, other_starts
 

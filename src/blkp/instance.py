@@ -99,6 +99,11 @@ def validate_instance(inst: BlkpInstance) -> None:
         raise InstanceError("b: exceeds total item weight")
 
 
+def is_int(value) -> bool:
+    """Whether value is a Python int: a bool, a float such as 2.0 or a string is not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def binary_vector(v, n: int, name: str) -> np.ndarray:
     """v as an int64 0/1 vector of length n; anything else raises ValueError."""
     v = np.asarray(v)

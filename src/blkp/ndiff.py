@@ -16,14 +16,15 @@ node each, built from array forwards and backwards defined here:
   lengths): the `AGGREGATORS` mean, max and min at each of the
   `SCALERS`, scaler-major. The rows are gathered once into a block, row
   j of every segment side by side: max and min reduce the block along
-  its first axis, and their backward finds each winning row in the same
-  block. The mean stays on `np.add.reduceat`: the block's padding rows
-  would enter a sum.
+  its first axis, and their backward finds each winning row by one more
+  reduction along that axis (`_first_match`). The mean stays on
+  `np.add.reduceat`: the block's padding rows would enter a sum.
 `bce_mean(predictions, positives, totals)`, the mean binary
 cross-entropy of label counts, is the whole training loss as one node.
 Each activation's forward and gradient rule is defined once, in
-`ACTIVATIONS`. `Adam` updates the parameters as views into one flat
-buffer, a step at a time over all of them.
+`ACTIVATIONS`; relu and leaky relu take an `np.maximum`, as `np.where`
+with scalar operands is a slow path. `Adam` updates the parameters as
+views into one flat buffer, a step at a time over all of them.
 
 Inside `with no_grad():` nodes are not recorded: a result has no
 parents, its backward and the activations it would read are dropped,
@@ -111,8 +112,12 @@ def node(out, parents, backward) -> Tensor:
 
 
 def _relu(z):
-    # NaN passes through, so an overflowing network yields non-finite output
-    return np.where(z <= 0, 0.0, z)
+    # NaN passes through, so an overflowing network yields non-finite output.
+    # Which of two equal zeros np.maximum returns is not documented; adding
+    # +0.0 maps -0.0 to +0.0 either way and leaves every other value as it is
+    out = np.maximum(z, 0.0)
+    out += 0.0
+    return out
 
 
 def _leak(z):
@@ -120,11 +125,12 @@ def _leak(z):
 
 
 # name -> (forward(z), grad(g, z, out)): a layer's activation of its affine
-# output z, and the gradient at z from the gradient g at the output out
+# output z, and the gradient at z from the gradient g at the output out.
+# Leaky relu's maximum ties only where z and 0.01 * z are zeros of one sign.
 ACTIVATIONS = {
     "identity": (lambda z: z, lambda g, z, out: g),
     "relu": (_relu, lambda g, z, out: g * (z > 0)),
-    "leaky_relu": (lambda z: z * _leak(z), lambda g, z, out: g * _leak(z)),
+    "leaky_relu": (lambda z: np.maximum(z, 0.01 * z), lambda g, z, out: g * _leak(z)),
     "sigmoid": (lambda z: 1.0 / (1.0 + np.exp(-z)), lambda g, z, out: g * out * (1.0 - out)),
 }
 
@@ -136,9 +142,11 @@ class Segments:
     segments)` block takes: row j of segment s, or its last row past its
     end. Repeating the last row leaves a max or min chain's bits as they
     are, even a signed zero's; repeating the first would not.
+    `block_rank[j, 0, 0]` is longest count - j, the rank of block row j
+    when the first match wins, in the narrowest unsigned dtype that holds it.
     """
 
-    __slots__ = ("counts", "starts", "rows", "block_rows")
+    __slots__ = ("counts", "starts", "rows", "block_rows", "block_rank")
 
     def __init__(self, counts):
         counts = np.asarray(counts, dtype=np.intp)
@@ -147,7 +155,10 @@ class Segments:
         self.counts = counts
         self.starts = np.cumsum(counts) - counts
         self.rows = int(counts.sum())
-        self.block_rows = self.starts + np.minimum(np.arange(counts.max())[:, None], counts - 1)
+        longest = int(counts.max())
+        self.block_rows = self.starts + np.minimum(np.arange(longest)[:, None], counts - 1)
+        self.block_rank = np.arange(longest, 0, -1,
+                                    dtype=np.min_scalar_type(longest))[:, None, None]
 
 
 AGGREGATORS = ("mean", "max", "min")
@@ -181,13 +192,24 @@ def pool_grad(g, x, saved, seg: Segments):
     grad += np.repeat(g_base[:, :width] / seg.counts[:, None], seg.counts, axis=0)
     segments, columns = np.arange(len(seg.counts))[:, None], np.arange(width)
     for k, extreme in ((1, hi), (2, lo)):
-        # the first block row equal to the extreme gets the gradient, so ties
-        # go to the segment's first row; a NaN extreme equals no row, and
-        # argmax then picks row 0, the segment's first
-        j = (block == extreme).argmax(axis=0)
-        # one row per segment and column, so += adds every entry
+        # the extreme's winning row gets the gradient; one row per segment
+        # and column, so += adds every entry
+        j = _first_match(block, extreme, seg)
         grad[seg.block_rows[j, segments], columns] += g_base[:, k * width:(k + 1) * width]
     return grad
+
+
+def _first_match(block, extreme, seg: Segments):
+    """The first row j of `pool`'s block equal to the extreme, per segment and column.
+
+    Ties thus go to the segment's first row. The first match has the largest
+    `block_rank` among the matches, and a reduction along the block's first
+    axis finds it without the transposed copy that argmax there makes. A
+    NaN extreme equals no row: its largest rank is 0, and row (longest - 0)
+    % longest = 0 is the segment's first.
+    """
+    longest = len(seg.block_rows)
+    return (longest - np.maximum.reduce((block == extreme) * seg.block_rank, axis=0)) % longest
 
 
 BCE_EPS = 1e-7

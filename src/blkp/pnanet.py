@@ -43,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphrep import DEFAULT_NORM, NormalizationScheme, TripartiteGraph, build_graph
+from .instance import is_int
 from .ndiff import AGGREGATORS, SCALERS, Mlp, Tensor, no_grad, node, pool, pool_grad
 
 CHECKPOINT_VERSION = 1
@@ -64,8 +65,7 @@ class PnaConfig:
 
     def __post_init__(self):
         # a checkpoint's 2.9, true or "2" is no round count
-        if (isinstance(self.iterations, bool) or not isinstance(self.iterations, int)
-                or self.iterations < 0):
+        if not is_int(self.iterations) or self.iterations < 0:
             raise ValueError(f"iterations must be an integer >= 0, got {self.iterations!r}")
 
     def to_dict(self):
@@ -217,9 +217,10 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: corrupt checkpoint: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != "blkp-checkpoint":
         raise CheckpointError(f"{path}: not a checkpoint document")
-    if doc.get("format_version") != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: version mismatch: expected {CHECKPOINT_VERSION}, "
-                              f"got {doc.get('format_version')}")
+    version = doc.get("format_version")
+    if not is_int(version) or version != CHECKPOINT_VERSION:  # true and 1.0 equal 1
+        raise CheckpointError(f"{path}: format_version mismatch: expected {CHECKPOINT_VERSION}, "
+                              f"got {version!r}")
     try:
         cfg = PnaConfig.from_dict(doc["config"])
         norm = NormalizationScheme.from_dict(doc["normalization"])

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphrep import DEFAULT_NORM, NormalizationScheme
+from .instance import is_int
 from .knapsack import Mode, follower_response
 from .pnanet import forward
 
@@ -29,6 +30,10 @@ class SearchConfig:
     def __post_init__(self):
         if not (0.0 <= self.theta <= 0.5):
             raise ValueError("theta must lie in [0, 0.5]")
+        for name in ("n_samples", "seed"):  # the seed True would run as 1
+            value = getattr(self, name)
+            if not is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_samples < 1:
             raise ValueError("need at least one sample")
         if self.seed < 0:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphrep import DEFAULT_NORM, NormalizationScheme, build_graph, graph_union
-from .instance import binary_vector
+from .instance import binary_vector, is_int
 from .ndiff import Adam, bce_mean, no_grad
 from .pnanet import ModelParams, PnaConfig, forward_tensor
 
@@ -44,8 +44,11 @@ class TrainConfig:
         # early_stop_patience >= epochs never stops early
         for name, low in (("batch_size", 1), ("epochs", 0), ("early_stop_patience", 0),
                           ("seed", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not is_int(value):  # a float would fail later, inside range()
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
         for name in ("lr", "weight_decay"):  # lr 0 freezes the weights
             if not (np.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
                 raise ValueError(f"{name} must be a finite number >= 0, got {getattr(self, name)}")

@@ -17,6 +17,10 @@ from the library's: `AGGREGATORS` reduces by `np.*.reduceat` and finds
 each extreme's winning row by a second reduction, and `_sum_picked_rows`
 sorts the picked rows afresh on every call. `UnfusedAdam` steps one
 parameter at a time, the reference of `ndiff.Adam`'s flat step.
+`where_relu`, `factor_leaky_relu` and `argmax_first_match` are the
+earlier formulas of the relu and leaky relu forwards and of the winner
+search in `pool`'s gathered block; the tape's `relu` and `leaky_relu`
+run the first two.
 """
 
 import numpy as np
@@ -66,6 +70,19 @@ AGGREGATORS = {
     "max": _extreme(np.maximum, np.less),
     "min": _extreme(np.minimum, np.greater),
 }
+
+
+def where_relu(z):
+    return np.where(z <= 0, 0.0, z)
+
+
+def factor_leaky_relu(z):
+    return z * np.where(z > 0, 1.0, 0.01)
+
+
+def argmax_first_match(block, extreme):
+    """The first row of the block equal to the extreme, per column; 0 where none is."""
+    return (block == extreme).argmax(axis=0)
 
 
 class UnfusedAdam:
@@ -180,12 +197,12 @@ def clip(t: Tensor, lo: float, hi: float) -> Tensor:
 
 def relu(t: Tensor) -> Tensor:
     mask = t.data > 0
-    return _unary(t, np.where(t.data <= 0, 0.0, t.data), lambda g: g * mask)
+    return _unary(t, where_relu(t.data), lambda g: g * mask)
 
 
 def leaky_relu(t: Tensor) -> Tensor:
     factor = np.where(t.data > 0, 1.0, 0.01)
-    return _unary(t, t.data * factor, lambda g: g * factor)
+    return _unary(t, factor_leaky_relu(t.data), lambda g: g * factor)
 
 
 def sigmoid(t: Tensor) -> Tensor:

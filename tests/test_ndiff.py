@@ -6,9 +6,10 @@ import pytest
 from blkp import ndiff
 from blkp.ndiff import Adam, Mlp, Segments, Tensor
 
-from _unfused import (ACTIVATE, UnfusedAdam, add, add_bias, affine_const, bce_sum, concat_cols,
-                      linear, matmul, mlp_on_pairs, mul_const, pair_linear, segment_pna,
-                      take_rows, tsum, unfused_bce_mean)
+from _unfused import (ACTIVATE, UnfusedAdam, add, add_bias, affine_const, argmax_first_match,
+                      bce_sum, concat_cols, factor_leaky_relu, linear, matmul, mlp_on_pairs,
+                      mul_const, pair_linear, segment_pna, take_rows, tsum, unfused_bce_mean,
+                      where_relu)
 
 
 def finite_diff(fn, params, h=1e-5):
@@ -569,6 +570,79 @@ def test_pool_nan_row_sends_extreme_gradients_to_first_row():
     g_mean, g_max, g_min = (np.asarray(ndiff.SCALERS) @ g.reshape(3, 3, 9))[1, 1::3]
     assert grad[1, 1] == g_mean / 4 + g_max + g_min  # the segment's first row takes both
     assert (grad[2:5, 1] == g_mean / 4).all()
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+SPECIAL_VALUES = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, -1e-310,
+                  2.2250738585072014e-308, -2.2250738585072014e-308, 1.5, -2.5, 1e300, -1e300]
+
+
+@pytest.mark.parametrize("act, reference", [("relu", where_relu),
+                                            ("leaky_relu", factor_leaky_relu)])
+def test_activation_bit_equals_where_reference(act, reference):
+    # every length from 1 to 80 at start offsets 0-3 runs numpy's vector
+    # loops and their scalar tails on unaligned data too
+    rng = np.random.default_rng(19)
+    base = rng.choice(np.array(SPECIAL_VALUES + list(rng.normal(size=16))), size=83)
+    forward = ndiff.ACTIVATIONS[act][0]
+    for start in range(4):
+        for length in range(1, 81):
+            z = base[start:start + length]
+            assert np.array_equal(_bits(forward(z)), _bits(reference(z))), (start, length)
+    for z in (np.zeros((100, 16)), np.full((900, 16), -0.0), rng.normal(size=(900, 16))):
+        assert np.array_equal(_bits(forward(z)), _bits(reference(z)))
+
+
+def test_relu_of_negative_zero_is_positive_zero():
+    relu = ndiff.ACTIVATIONS["relu"][0]
+    for length in (1, 2, 3, 4, 7, 8, 16, 17, 80):
+        out = relu(np.full(length, -0.0))
+        assert (out == 0.0).all() and not np.signbit(out).any()
+    assert not np.signbit(activate("relu", [-0.0])).any()
+
+
+def _block(x, counts):
+    seg = Segments(counts)
+    block = x.take(seg.block_rows, axis=0)
+    return seg, block, np.maximum.reduce(block, axis=0), np.minimum.reduce(block, axis=0)
+
+
+@pytest.mark.parametrize("counts", [[3, 1, 4], [5, 5], [1, 1, 1], [2, 7, 3, 1]])
+def test_first_match_equals_argmax_reference(counts):
+    # values from a few levels, so most columns tie; the rows of the last
+    # segment all equal; short segments are padded with their last row
+    rng = np.random.default_rng(20)
+    x = rng.integers(-2, 3, size=(sum(counts), 6)).astype(np.float64)
+    x[sum(counts) - counts[-1]:] = x[-1]
+    x[0, 0] = x[1, 0] = 9.0  # a tie at the first segment's first row
+    x[counts[0] - 1, 1] = np.nan  # NaN extremes, from a segment's last row
+    x[-1, 2] = -np.nan
+    seg, block, hi, lo = _block(x, counts)
+    for extreme in (hi, lo):
+        want = argmax_first_match(block, extreme)
+        assert np.array_equal(ndiff._first_match(block, extreme, seg), want)
+    assert np.isnan(hi[0, 1]) and ndiff._first_match(block, hi, seg)[0, 1] == 0
+
+
+def test_first_match_past_255_rows():
+    # a rank dtype of 8 bits would wrap on a segment of 300 rows
+    counts = [300, 2, 257]
+    x = np.random.default_rng(21).normal(size=(sum(counts), 5))
+    for column, row in enumerate([0, 44, 255, 256, 299]):
+        x[row, column] = 10.0  # the max of segment 0 at its row 0, 44, ..., 299
+        x[302 + row % 257, column] = -10.0  # the min of segment 2
+    x[[255, 256], 2] = 10.0  # tied at rows 255 and 256: the first wins
+    seg, block, hi, lo = _block(x, counts)
+    assert np.array_equal(ndiff._first_match(block, hi, seg)[0], [0, 44, 255, 256, 299])
+    assert np.array_equal(ndiff._first_match(block, lo, seg)[2], [0, 44, 255, 256, 42])
+    for extreme in (hi, lo):
+        assert np.array_equal(ndiff._first_match(block, extreme, seg),
+                              argmax_first_match(block, extreme))
+    (out, grad), (ref_out, ref_grad), _ = _pool_bits(x, counts)
+    assert np.array_equal(out, ref_out) and np.array_equal(grad, ref_grad)
 
 
 @pytest.mark.parametrize("own_sizes, other_sizes", [(RAGGED_OWN, RAGGED_OTHER),

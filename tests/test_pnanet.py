@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from blkp import ndiff, pnanet
-from blkp.graphrep import build_graph, graph_union
+from blkp.graphrep import DEFAULT_NORM, build_graph, graph_union
 from blkp.instance import BlkpInstance, GenConfig, generate
 from blkp.ndiff import SCALERS
 from blkp.pnanet import (CheckpointError, ModelParams, PnaConfig, forward, forward_tensor,
@@ -258,6 +258,18 @@ def test_checkpoint_version_mismatch(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("value", [True, 1.0, "1"])
+def test_checkpoint_format_version_must_be_the_integer(tmp_path, value):
+    # true and 1.0 compare equal to 1, and used to load
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(ModelParams(PnaConfig(), seed=9), DEFAULT_NORM, {}, path)
+    doc = json.loads(path.read_text())
+    doc["format_version"] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match="format_version"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_non_finite_weight_rejected(tmp_path):
     import json
     params = ModelParams(PnaConfig(), seed=9)
@@ -335,12 +347,14 @@ def test_checkpoint_other_architecture_rejected(tmp_path, key, value):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("key, value", [("version", 7), ("version", 0),
+@pytest.mark.parametrize("key, value", [("version", 7), ("version", 0), ("version", True),
+                                        ("version", 1.0), ("version", "1"),
                                         ("value_scale", -5.0), ("value_scale", 0.0),
                                         ("value_scale", float("nan")),
                                         ("value_scale", float("inf"))])
 def test_checkpoint_invalid_normalization_rejected(tmp_path, key, value):
-    # another scheme version, or a scale that flips, zeroes or blows up every input
+    # another scheme version (true and 1.0 compare equal to 1, and used to
+    # load), or a scale that flips, zeroes or blows up every input
     from blkp.graphrep import DEFAULT_NORM
     path = tmp_path / "ckpt.json"
     save_checkpoint(ModelParams(PnaConfig(), seed=10), DEFAULT_NORM, {}, path)

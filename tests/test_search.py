@@ -135,6 +135,15 @@ def test_invalid_config():
         SearchConfig(n_samples=0)
 
 
+@pytest.mark.parametrize("name, value", [("n_samples", 2.5), ("n_samples", 10.0),
+                                         ("n_samples", True), ("seed", True), ("seed", 0.5),
+                                         ("seed", "1")])
+def test_non_integer_setting_rejected(name, value):
+    # n_samples 2.5 used to die inside np.tile, and the seed True ran as seed 1
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        SearchConfig(**{name: value})
+
+
 @pytest.mark.parametrize("mode", list(Mode))
 def test_matches_brute_force_search(mode):
     # small value ranges give ties between candidates, in c and in d2

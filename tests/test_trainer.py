@@ -170,6 +170,15 @@ def test_invalid_config():
     assert TrainConfig(epochs=10, early_stop_patience=20).early_stop_patience == 20
 
 
+@pytest.mark.parametrize("name, value", [("epochs", 2.5), ("epochs", 2.0), ("batch_size", 2.5),
+                                         ("batch_size", True), ("seed", 0.5), ("seed", "0"),
+                                         ("early_stop_patience", 1.5)])
+def test_non_integer_setting_rejected(name, value):
+    # each used to construct, and a float failed later, inside range()
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        TrainConfig(**{name: value})
+
+
 def test_batch_loss_matches_per_label_reference():
     instances, labels = make_labeled(5, n1=5, n2=4, seed=10)
     cfg = TrainConfig(epochs=1, early_stop_patience=0, split=0.6, seed=9)
