@@ -123,6 +123,10 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n1", "n2", "value_max", "seed"):  # n1 2.5 would fail inside numpy
+            value = getattr(self, name)
+            if not is_int(value):
+                raise InstanceError(f"GenConfig: {name} must be an integer, got {value!r}")
         if self.n1 < 1 or self.n2 < 1:
             raise InstanceError("GenConfig: n1 and n2 must be >= 1")
         if self.data_type not in (UNCORRELATED, CORRELATED):

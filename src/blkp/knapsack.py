@@ -7,6 +7,8 @@ ranks by follower profit, the secondary term breaks ties by leader profit
 at capacity r also holds the reply at every r' < r: cell c reads only
 cells <= c, and an item heavier than r' writes only cells above r'. So
 one `follower_response` is the reply table `blkp.exact` and `blkp.search` read.
+A reader that needs no residual below some r0 says so (`min_residual`),
+and the DP then fills only the cells a residual from r0 up can reach.
 
 Every row is only as long and as wide as the values it can hold:
 
@@ -20,6 +22,8 @@ Every row is only as long and as wide as the values it can hold:
 `knapsack_row` is the only code that builds a row: it decides the length,
 the width and the initial values, guards the table size, and runs the
 recurrence in place through one scratch row, so an item allocates nothing.
+Given a lowest capacity, it skips the cells no capacity from there up
+reads; the table keeps its shape.
 
 A take table is read back two ways: `walk` follows one capacity with
 Python scalar lookups (a reply, `knapsack_max`), and `trace` follows many
@@ -62,10 +66,17 @@ class DpTooLarge(ValueError):
 
 @dataclass
 class FollowerResponse:
+    """The follower's reply at a residual, and the reply table below it.
+
+    `reply(r)` and `leader_profit(r)` answer every residual r in
+    [min_residual, residual_capacity]; any other r raises ValueError.
+    """
+
     z_star: int
     leader_value: int
     mode: Mode
     residual_capacity: int
+    min_residual: int                        # the lowest residual the table answers
     m: int                                   # the lexicographic multiplier M
     row: np.ndarray = field(repr=False)      # combined DP values, r = 0..min(residual, sum(a2))
     take: np.ndarray = field(repr=False)     # (n2, len(row)) DP take table
@@ -77,16 +88,16 @@ class FollowerResponse:
         return self.reply(self.residual_capacity)
 
     def reply(self, r: int) -> np.ndarray:
-        """The tie-broken reply y at residual capacity r <= residual_capacity."""
-        if not 0 <= r <= self.residual_capacity:
-            raise ValueError(f"r must lie in [0, {self.residual_capacity}]")
+        """The tie-broken reply y at residual capacity min_residual <= r <= residual_capacity."""
+        if not self.min_residual <= r <= self.residual_capacity:
+            raise ValueError(f"r must lie in [{self.min_residual}, {self.residual_capacity}]")
         return walk(self.take, self.weights, min(r, len(self.row) - 1))
 
     def leader_profit(self, r):
         """L(r) = d2 . reply(r) at a residual r, or an int64 array of them, from the DP row."""
         r = np.asarray(r)
-        if r.size and not (0 <= r.min() and r.max() <= self.residual_capacity):
-            raise ValueError(f"r must lie in [0, {self.residual_capacity}]")
+        if r.size and not (self.min_residual <= r.min() and r.max() <= self.residual_capacity):
+            raise ValueError(f"r must lie in [{self.min_residual}, {self.residual_capacity}]")
         value = self.row[np.minimum(r, len(self.row) - 1)].astype(np.int64)
         return tie_break_profit(value, self.m, self.mode)
 
@@ -99,7 +110,8 @@ def check_dp_size(n: int, capacity: int) -> None:
                          f"{MAX_DP_CELLS:.0e}")
 
 
-def knapsack_row(profits, weights, capacity: int, exact_weight: bool = False):
+def knapsack_row(profits, weights, capacity: int, exact_weight: bool = False,
+                 min_capacity: int = 0):
     """The 0/1 knapsack DP row over capacities 0..min(capacity, sum(weights)), and its take table.
 
     row[c] is the best profit of a selection weighing at most c, or, with
@@ -107,6 +119,13 @@ def knapsack_row(profits, weights, capacity: int, exact_weight: bool = False):
     sentinel -1 - sum(profits) or a value above it, still below zero.
     take[i, c] records whether item i improved cell c; ties keep the cell,
     so they are broken toward not taking the item.
+
+    Only the cells from min_capacity up, clamped to the capped capacity,
+    are promised, and so is a `walk` or `trace` that starts there. Item i
+    updates only the cells c >= max(w_i, min_capacity - rest_i), where
+    rest_i is the total weight of the items after it: a later item reads
+    at most rest_i below its own cell. Cells under that bound keep stale
+    values and unset take bits; the default 0 fills every cell.
 
     The row is int32 when sum(profits) fits, else int64: a zero row holds
     0..sum and an exact-weight row -1 - sum..sum, so every value the
@@ -118,19 +137,23 @@ def knapsack_row(profits, weights, capacity: int, exact_weight: bool = False):
     if total > INT64_MAX:
         raise OverflowRiskError("sum of profits exceeds the 64-bit accumulator bound")
     check_dp_size(len(weights), capacity)
-    capacity = min(capacity, sum(weights))
+    rest = sum(weights)
+    capacity = min(capacity, rest)
+    min_capacity = min(min_capacity, capacity)
     dtype = np.int32 if total <= INT32_MAX else np.int64
     row = np.full(capacity + 1, -1 - total if exact_weight else 0, dtype=dtype)
     row[0] = 0
     take = np.zeros((len(weights), capacity + 1), dtype=bool)
     scratch = np.empty(capacity + 1, dtype=dtype)
     for i, (w, p) in enumerate(zip(weights, profits)):
-        if w > capacity:
+        rest -= w  # the weight of the items after i: the most they read below a cell
+        lo = max(w, min_capacity - rest)
+        if lo > capacity:
             continue
-        cand = scratch[: capacity + 1 - w]
-        np.add(row[: capacity + 1 - w], p, out=cand)
-        np.greater(cand, row[w:], out=take[i, w:])
-        np.maximum(row[w:], cand, out=row[w:])  # equals where(greater): ties hold one value
+        cand = scratch[: capacity + 1 - lo]
+        np.add(row[lo - w: capacity + 1 - w], p, out=cand)
+        np.greater(cand, row[lo:], out=take[i, lo:])
+        np.maximum(row[lo:], cand, out=row[lo:])  # equals where(greater): ties hold one value
     return row, take
 
 
@@ -185,13 +208,19 @@ def combined_profits(inst, mode: Mode):
     attainable d2 sum. A per-item offset (e.g. max(d2) - d2) would bias
     the tie-break toward larger selections, so the signed value is used;
     the combined profit stays positive because c_j >= 1 and M > d2_j.
+
+    The bound is checked on exact Python-int sums; the profits are then
+    formed in int64, where no term can wrap: each is at most the combined
+    value, pessimistic ones as M * (c_j - 1) + (M - d2_j).
     """
-    sign = 1 if mode is Mode.OPTIMISTIC else -1
-    m = 1 + sum(int(v) for v in inst.d2)
-    combined = [m * int(cj) + sign * int(dj) for cj, dj in zip(inst.c, inst.d2)]
-    if sum(combined) > INT64_MAX:
+    d2_sum = sum(inst.d2.tolist())
+    m = 1 + d2_sum
+    optimistic = mode is Mode.OPTIMISTIC
+    if m * sum(inst.c.tolist()) + (d2_sum if optimistic else -d2_sum) > INT64_MAX:
         raise OverflowRiskError("combined lexicographic profits exceed 64-bit range")
-    return np.asarray(combined, dtype=np.int64), m
+    if optimistic:
+        return m * inst.c + inst.d2, m
+    return m * (inst.c - 1) + (m - inst.d2), m
 
 
 def tie_break_profit(value, m: int, mode: Mode):
@@ -205,30 +234,35 @@ def tie_break_profit(value, m: int, mode: Mode):
     return value % m if mode is Mode.OPTIMISTIC else -value % m
 
 
-def follower_response(inst, x_bar, mode: Mode = Mode.OPTIMISTIC) -> FollowerResponse:
+def follower_response(inst, x_bar, mode: Mode = Mode.OPTIMISTIC,
+                      min_residual: int = 0) -> FollowerResponse:
     """Solve the follower's problem for a fixed leader vector.
 
     Primary objective: maximize follower profit under the residual
     capacity. Among the follower-optimal selections, the leader profit of
     follower items is maximized (optimistic) or minimized (pessimistic).
     Both stages collapse into one knapsack with `combined_profits`. The
-    result also answers every residual r up to its own (`reply(r)`,
-    `leader_profit(r)`).
+    result also answers every residual r from min_residual up to its own
+    (`reply(r)`, `leader_profit(r)`); the DP skips the cells only a lower
+    residual would read, and a lower r raises ValueError.
     """
     mode = Mode(mode)
     x_bar = binary_vector(x_bar, inst.n1, "x_bar")
     residual = inst.b - int(inst.a1 @ x_bar)
     if residual < 0:
         raise InfeasibleLeader(f"leader weight exceeds capacity by {-residual}")
+    if not 0 <= min_residual <= residual:
+        raise ValueError(f"min_residual must lie in [0, {residual}], got {min_residual}")
 
     combined, m = combined_profits(inst, mode)
-    row, take = knapsack_row(combined, inst.a2, residual)
+    row, take = knapsack_row(combined, inst.a2, residual, min_capacity=min_residual)
     best = int(row[-1])  # M * z* +- the d2 sum of the reply
     z_star = best // m if mode is Mode.OPTIMISTIC else -(-best // m)
     return FollowerResponse(
         z_star=z_star,
         leader_value=int(inst.d1 @ x_bar) + tie_break_profit(best, m, mode),
-        mode=mode, residual_capacity=residual, m=m, row=row, take=take, weights=inst.a2)
+        mode=mode, residual_capacity=residual, min_residual=min_residual, m=m, row=row,
+        take=take, weights=inst.a2)
 
 
 @dataclass

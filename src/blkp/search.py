@@ -5,7 +5,9 @@ probabilities: values in [0, theta] are fixed to 0, values in
 [1 - theta, 1] are fixed to 1, the rest are Bernoulli draws. Every
 feasible candidate x scores d1 . x + L(b - a1 . x); L and the winner's
 reply come from one `follower_response` to the all-zeros leader, which
-is always scored as a fallback.
+is always scored as a fallback. Only the residuals from b minus the
+heaviest feasible candidate's weight up to b are read, so that response
+is asked for those alone, and its DP skips the cells below them.
 """
 
 from __future__ import annotations
@@ -91,7 +93,8 @@ def solution_search(inst, final_values, cfg: SearchConfig) -> SearchResult:
     weights = xs @ inst.a1
     feasible = weights <= inst.b
     xs, weights = xs[feasible], weights[feasible]
-    follower = follower_response(inst, np.zeros(inst.n1, dtype=np.int64), cfg.mode)
+    follower = follower_response(inst, np.zeros(inst.n1, dtype=np.int64), cfg.mode,
+                                 min_residual=inst.b - int(weights.max()))
     scores = xs @ inst.d1 + follower.leader_profit(inst.b - weights)
     best = int(np.argmax(scores))
     return SearchResult(

@@ -106,6 +106,16 @@ def test_invalid_config():
         GenConfig(3, 3, data_type="X")
 
 
+@pytest.mark.parametrize("name, value", [("n1", 2.5), ("n1", True), ("n2", 3.0),
+                                         ("value_max", 10.5), ("seed", 1.5), ("seed", "1")])
+def test_non_integer_config_rejected(name, value):
+    # n1 2.5 used to fail inside numpy, seed 1.5 inside SeedSequence, naming
+    # no field, and value_max 10.5 generated an instance
+    fields = {"n1": 2, "n2": 3, name: value}
+    with pytest.raises(InstanceError, match=f"GenConfig: {name} must be an integer"):
+        GenConfig(**fields)
+
+
 def test_capacity_over_total_weight_rejected():
     with pytest.raises(InstanceError, match="b"):
         BlkpInstance(1, 1, [2], [3], [2], [5], [4], 100)

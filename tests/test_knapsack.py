@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from blkp.instance import BlkpInstance
-from blkp.knapsack import (MAX_DP_CELLS, DpTooLarge, InfeasibleLeader, Mode,
-                           OverflowRiskError, evaluate_bilevel, follower_response,
-                           knapsack_max, knapsack_row, trace, walk)
+from blkp.knapsack import (INT64_MAX, MAX_DP_CELLS, DpTooLarge, InfeasibleLeader, Mode,
+                           OverflowRiskError, combined_profits, evaluate_bilevel,
+                           follower_response, knapsack_max, knapsack_row, trace, walk)
 
 from _oracles import follower_brute, knapsack_brute, random_instance
 
@@ -132,6 +134,44 @@ def test_knapsack_row_builds_its_row():
     # the cell budget is checked on the uncapped size, however short the row
     with pytest.raises(DpTooLarge, match=f"n=2 .*b={MAX_DP_CELLS}"):
         knapsack_row(np.array([1, 1]), np.array([1, 1]), MAX_DP_CELLS)
+
+
+def test_knapsack_row_from_min_capacity_equals_the_full_row():
+    # min_capacity 0, mid-row, the capped capacity and above it (b > sum(weights)):
+    # the cells and walks from the clamped min_capacity up are the full row's,
+    # and item i writes no cell below max(w_i, min_capacity - rest_i)
+    rng = np.random.default_rng(25)
+    cases = [
+        ([5, 2], [7, 1], 4),              # an item heavier than b
+        ([0, 2, 0], [1, 1, 3], 5),        # zero profits: every cell ties
+        ([3, 3, 2, 3], [2, 2, 1, 2], 9),  # b above the total weight 7
+    ]
+    for _ in range(150):
+        n = int(rng.integers(0, 9))
+        cases.append((rng.integers(0, int(rng.choice([2, 40])), n),
+                      rng.integers(1, int(rng.choice([3, 20])), n),
+                      int(rng.integers(0, 80))))
+    for drawn, weights, b in cases:
+        weights = np.asarray(weights, dtype=np.int64)
+        for scale in (1, 2 ** 32):                        # int32 as drawn, int64 scaled
+            profits = np.asarray(drawn, dtype=np.int64) * scale
+            for exact_weight in (False, True):
+                full_row, full_take = knapsack_row(profits, weights, b, exact_weight)
+                top = len(full_row) - 1
+                for min_capacity in (0, int(rng.integers(0, top + 1)), top, top + 1, b, b + 3):
+                    row, take = knapsack_row(profits, weights, b, exact_weight, min_capacity)
+                    lo = min(min_capacity, top)
+                    assert row.dtype == full_row.dtype and take.shape == full_take.shape
+                    assert np.array_equal(row[lo:], full_row[lo:])
+                    caps = np.arange(lo, top + 1)
+                    assert np.array_equal(trace(take, weights, caps),
+                                          trace(full_take, weights, caps))
+                    for cap in caps:
+                        assert np.array_equal(walk(take, weights, cap),
+                                              walk(full_take, weights, cap))
+                    rest = np.cumsum(weights[::-1])[::-1] - weights  # weight after item i
+                    for i, w in enumerate(weights.tolist()):
+                        assert not take[i, :max(w, lo - int(rest[i]))].any()
 
 
 def test_walk_equals_trace_at_every_capacity():
@@ -283,6 +323,93 @@ def test_follower_reply_table_matches_brute_force(mode):
                 resp.leader_profit(r)
             with pytest.raises(ValueError, match="r must lie"):
                 resp.leader_profit(np.array([0, r]))
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_follower_reply_table_from_min_residual(mode):
+    # the narrowed table answers every r from min_residual up as the full one
+    # does, and refuses every r below it
+    rng = np.random.default_rng(26)
+    for k in range(80):
+        inst = random_instance(rng, 2, int(rng.integers(1, 9)),
+                               value_max=int(rng.choice([3, 30])))
+        if k % 4 == 0:  # a residual above the follower's total weight
+            inst = replace(inst, b=int(rng.integers(inst.a2.sum(), inst.total_weight + 1)))
+        x = rng.integers(0, 2, inst.n1) if k % 3 == 0 else np.zeros(inst.n1, dtype=np.int64)
+        if int(inst.a1 @ x) > inst.b:
+            x = np.zeros(inst.n1, dtype=np.int64)
+        full = follower_response(inst, x, mode)
+        top = full.residual_capacity
+        for lo in (0, int(rng.integers(0, top + 1)), top):
+            resp = follower_response(inst, x, mode, min_residual=lo)
+            assert resp.min_residual == lo
+            assert (resp.z_star, resp.leader_value) == (full.z_star, full.leader_value)
+            assert np.array_equal(resp.y, full.y)
+            every_r = np.arange(lo, top + 1)
+            assert np.array_equal(resp.leader_profit(every_r), full.leader_profit(every_r))
+            for r in every_r:
+                assert np.array_equal(resp.reply(r), full.reply(r))
+            if lo > 0:
+                bounds = f"r must lie in \\[{lo}, {top}\\]"
+                with pytest.raises(ValueError, match=bounds):
+                    resp.reply(lo - 1)
+                with pytest.raises(ValueError, match=bounds):
+                    resp.leader_profit(lo - 1)
+                with pytest.raises(ValueError, match=bounds):
+                    resp.leader_profit(np.array([top, lo - 1]))
+        for bad in (-1, top + 1):
+            with pytest.raises(ValueError, match="min_residual must lie"):
+                follower_response(inst, x, mode, min_residual=bad)
+
+
+def test_combined_profits_equal_the_python_int_formula():
+    rng = np.random.default_rng(27)
+    for _ in range(100):
+        inst = random_instance(rng, 1, int(rng.integers(1, 51)),
+                               value_max=int(rng.choice([3, 1000, 2 ** 20])))
+        m = 1 + sum(inst.d2.tolist())
+        for mode, sign in ((Mode.OPTIMISTIC, 1), (Mode.PESSIMISTIC, -1)):
+            combined, got_m = combined_profits(inst, mode)
+            assert got_m == m and combined.dtype == np.int64
+            assert combined.tolist() == [m * c + sign * d
+                                         for c, d in zip(inst.c.tolist(), inst.d2.tolist())]
+
+
+def _follower_items_summing_to(target, mode):
+    """Follower items (c, d2) whose combined profits sum to target exactly."""
+    # optimistic: (D + 1) * C + D = target, pessimistic: (D + 1) * C - D = target,
+    # for D = sum(d2) and C = sum(c)
+    for d in range(2, 100):
+        numerator = target - d if mode is Mode.OPTIMISTIC else target + d
+        if numerator % (d + 1) == 0:
+            return [numerator // (d + 1) - 1, 1], [1, d - 1]
+    raise AssertionError("no small d2 sum found")
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_combined_profits_overflow_exactly_past_int64(mode):
+    for target in (INT64_MAX, INT64_MAX + 1):
+        c, d2 = _follower_items_summing_to(target, mode)
+        inst = BlkpInstance(1, 2, [1], [1], [2, 3], d2, c, 5)
+        if target > INT64_MAX:
+            with pytest.raises(OverflowRiskError):
+                combined_profits(inst, mode)
+            continue
+        combined, m = combined_profits(inst, mode)
+        assert sum(combined.tolist()) == target
+        assert follower_response(inst, [0], mode).z_star == sum(c)
+
+
+def test_pessimistic_profits_build_without_wrapping():
+    # M * c = 2^63 + 2 does not fit int64, M * c - d2 = 2^62 + 2 does
+    inst = BlkpInstance(1, 1, [1], [1], [3], [2 ** 62], [2], 3)
+    combined, m = combined_profits(inst, Mode.PESSIMISTIC)
+    assert m * 2 > INT64_MAX
+    assert combined.tolist() == [2 ** 62 + 2]
+    resp = follower_response(inst, [0], Mode.PESSIMISTIC)
+    assert (resp.z_star, resp.leader_value) == (2, 2 ** 62)
+    with pytest.raises(OverflowRiskError):
+        combined_profits(inst, Mode.OPTIMISTIC)
 
 
 @pytest.mark.parametrize("x", [[-1], [2], [0.5]])

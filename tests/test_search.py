@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from blkp import search
 from blkp.exact import solve_exact
 from blkp.instance import BlkpInstance, GenConfig, generate
 from blkp.knapsack import Mode, evaluate_bilevel, follower_response
@@ -190,3 +193,55 @@ def test_distinct_row_count_matches_unique():
         xs = rng.integers(0, 2, (rows, n))
         xs = xs[rng.integers(0, rows, rows + int(rng.integers(0, 6)))]  # duplicate rows
         assert distinct_row_count(xs) == len(np.unique(xs, axis=0))
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_search_equals_the_full_table_reference(monkeypatch, mode):
+    # the reply table from b minus the heaviest feasible candidate up gives the
+    # answers a table from residual 0 gives
+    rng = np.random.default_rng(22)
+    cases = []
+    for k in range(60):
+        inst = generate(GenConfig(int(rng.integers(1, 11)), int(rng.integers(1, 51)),
+                                  data_type="UC" if k % 2 else "C",
+                                  value_max=int(rng.choice([30, 1000])), seed=k))
+        cfg = SearchConfig(theta=float(rng.choice([0.0, 0.2, 0.5])),
+                           n_samples=int(rng.integers(1, 20)), mode=mode, seed=k)
+        cases.append((inst, rng.uniform(0, 1, inst.n1), cfg))
+    lowest = []
+
+    def recording(inst, x_bar, mode, min_residual=0):
+        lowest.append(min_residual)
+        return follower_response(inst, x_bar, mode, min_residual)
+
+    monkeypatch.setattr(search, "follower_response", recording)
+    got = [solution_search(*case) for case in cases]
+    monkeypatch.setattr(search, "follower_response",
+                        lambda inst, x_bar, mode, min_residual=0:
+                        follower_response(inst, x_bar, mode))
+    want = [solution_search(*case) for case in cases]
+    for res, ref, (inst, _values, _cfg), lo in zip(got, want, cases, lowest):
+        assert res.best_x.tolist() == ref.best_x.tolist()
+        assert res.best_y.tolist() == ref.best_y.tolist()
+        assert res.best_value == ref.best_value
+        assert 0 <= lo <= inst.b - int(inst.a1 @ res.best_x)
+    assert sum(lo > 0 for lo in lowest) > len(lowest) // 2  # the narrowing ran
+
+
+# sha256 of the search's answers on 200 generated n1 = 10 instances (n2 10 and
+# 50, UC and C, both modes); the final values come from a fixed RNG, not the
+# network, so the pin moves with the search's bits alone (tests/test_pnanet.py
+# pins the forward the same way)
+SEARCH_SHA256 = "04b1c08aa02e1b6e4c70010c369abfc57820bdb25864d26d24fca2c3a9f65ebc"
+
+
+def test_search_bits_are_pinned():
+    digest = hashlib.sha256()
+    for seed in range(200):
+        n2, data_type = (10, 50)[seed % 2], ("UC", "C")[seed // 2 % 2]
+        mode = list(Mode)[seed // 4 % 2]
+        inst = generate(GenConfig(10, n2, data_type=data_type, seed=seed))
+        values = np.random.default_rng(seed).uniform(0, 1, inst.n1)
+        res = solution_search(inst, values, SearchConfig(mode=mode, seed=seed))
+        digest.update(res.best_x.tobytes() + res.best_y.tobytes() + str(res.best_value).encode())
+    assert digest.hexdigest() == SEARCH_SHA256
