@@ -395,7 +395,7 @@ def test_combined_profits_overflow_exactly_past_int64(mode):
             with pytest.raises(OverflowRiskError):
                 combined_profits(inst, mode)
             continue
-        combined, m = combined_profits(inst, mode)
+        combined, _m = combined_profits(inst, mode)
         assert sum(combined.tolist()) == target
         assert follower_response(inst, [0], mode).z_star == sum(c)
 
