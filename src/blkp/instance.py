@@ -135,6 +135,8 @@ class GenConfig:
             raise InstanceError("GenConfig: need 0 < alpha_lo <= alpha_hi <= 1")
         if self.value_max < 1:
             raise InstanceError("GenConfig: value_max must be >= 1")
+        if self.seed < 0:  # numpy's generator would refuse it, naming no field
+            raise InstanceError(f"GenConfig: seed must be >= 0, got {self.seed}")
 
 
 def generate(cfg: GenConfig) -> BlkpInstance:

@@ -1,16 +1,37 @@
-"""Exact 0/1 knapsack DP and the follower-response solver.
+"""Exact 0/1 knapsack tables and the follower-response solver.
 
 The follower's reaction to a fixed leader vector is computed in a single
 knapsack call with lexicographically combined profits: the primary term
 ranks by follower profit, the secondary term breaks ties by leader profit
-(maximized in optimistic mode, minimized in pessimistic mode). Its DP
-at capacity r also holds the reply at every r' < r: cell c reads only
-cells <= c, and an item heavier than r' writes only cells above r'. So
-one `follower_response` is the reply table `blkp.exact` and `blkp.search` read.
-A reader that needs no residual below some r0 says so (`min_residual`),
-and the DP then fills only the cells a residual from r0 up can reach.
+(maximized in optimistic mode, minimized in pessimistic mode). Its table
+at capacity r also holds the reply at every r' < r, so one
+`follower_response` is the reply table `blkp.exact` and `blkp.search`
+read. A reader that needs no residual below some r0 says so
+(`min_residual`), and a dense row then fills only the cells a residual
+from r0 up can reach.
 
-Every row is only as long and as wide as the values it can hold:
+Two tables are built: `at_most_table`, the best selection weighing at
+most c (a reply table, `knapsack_max`), and `best_of_each_weight`, the
+best selection of each exact weight (the exact oracle's leader). Each
+takes one of two forms, and `_use_list` picks the cheaper from the item
+count n and the capped row length:
+
+- Dense: the DP row over capacities and its n x length take table
+  (`knapsack_row`, `RowTable`). Its cost grows with the capacity.
+- List: all 2^n selections k = sum(x_i * 2^i), item 0 the lowest bit,
+  with their weights and profits summed in int64 (`ListTable`). Its
+  cost does not depend on the capacity. It is used only while it has no
+  more entries than the dense table.
+
+Both forms answer with the same bits. The DP keeps a cell on a tie and
+reads back from the last item, so at every capacity it returns the best
+selection with the smallest k; the list ranks the selections by value
+descending, then k ascending, with stable sorts. Both forms refuse the
+same inputs, before any int64 sum is formed: a profit sum past int64
+(`OverflowRiskError`), then a dense size n * (capacity + 1) past
+`MAX_DP_CELLS` (`DpTooLarge`).
+
+A dense row is only as long and as wide as the values it can hold:
 
 - Length: no selection weighs more than its items' total weight W, so a
   row stops at capacity min(capacity, W). A capacity above W reads the
@@ -34,6 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -76,30 +98,27 @@ class FollowerResponse:
     leader_value: int
     mode: Mode
     residual_capacity: int
-    min_residual: int                        # the lowest residual the table answers
-    m: int                                   # the lexicographic multiplier M
-    row: np.ndarray = field(repr=False)      # combined DP values, r = 0..min(residual, sum(a2))
-    take: np.ndarray = field(repr=False)     # (n2, len(row)) DP take table
-    weights: np.ndarray = field(repr=False)  # a2
+    min_residual: int                  # the lowest residual the table answers
+    m: int                             # the lexicographic multiplier M
+    table: RowTable | ListTable = field(repr=False)  # combined values over the follower items
 
     @property
     def y(self) -> np.ndarray:
-        """The tie-broken reply at the response's own residual, walked when read."""
+        """The tie-broken reply at the response's own residual, read when asked for."""
         return self.reply(self.residual_capacity)
 
     def reply(self, r: int) -> np.ndarray:
         """The tie-broken reply y at residual capacity min_residual <= r <= residual_capacity."""
         if not self.min_residual <= r <= self.residual_capacity:
             raise ValueError(f"r must lie in [{self.min_residual}, {self.residual_capacity}]")
-        return walk(self.take, self.weights, min(r, len(self.row) - 1))
+        return self.table.selection(r)
 
     def leader_profit(self, r):
-        """L(r) = d2 . reply(r) at a residual r, or an int64 array of them, from the DP row."""
+        """L(r) = d2 . reply(r) at a residual r, or an int64 array of them, from the table."""
         r = np.asarray(r)
         if r.size and not (self.min_residual <= r.min() and r.max() <= self.residual_capacity):
             raise ValueError(f"r must lie in [{self.min_residual}, {self.residual_capacity}]")
-        value = self.row[np.minimum(r, len(self.row) - 1)].astype(np.int64)
-        return tie_break_profit(value, self.m, self.mode)
+        return tie_break_profit(self.table.values(r), self.m, self.mode)
 
 
 def check_dp_size(n: int, capacity: int) -> None:
@@ -108,6 +127,20 @@ def check_dp_size(n: int, capacity: int) -> None:
         raise DpTooLarge(f"DP table for n={n} items and capacity b={capacity} needs "
                          f"{n * (capacity + 1):.3g} cells, above the budget of "
                          f"{MAX_DP_CELLS:.0e}")
+
+
+def _checked_sums(profits: list, weights: list, capacity: int):
+    """sum(profits) and sum(weights) as Python ints, after the refusals every table makes.
+
+    A profit sum past int64 raises OverflowRiskError, then a dense table of
+    len(weights) * (capacity + 1) cells past the budget raises DpTooLarge,
+    whichever form the table takes.
+    """
+    total = sum(profits)
+    if total > INT64_MAX:
+        raise OverflowRiskError("sum of profits exceeds the 64-bit accumulator bound")
+    check_dp_size(len(weights), capacity)
+    return total, sum(weights)
 
 
 def knapsack_row(profits, weights, capacity: int, exact_weight: bool = False,
@@ -133,11 +166,7 @@ def knapsack_row(profits, weights, capacity: int, exact_weight: bool = False,
     size len(weights) * (capacity + 1), whatever the cap leaves.
     """
     profits, weights = profits.tolist(), weights.tolist()
-    total = sum(profits)
-    if total > INT64_MAX:
-        raise OverflowRiskError("sum of profits exceeds the 64-bit accumulator bound")
-    check_dp_size(len(weights), capacity)
-    rest = sum(weights)
+    total, rest = _checked_sums(profits, weights, capacity)
     capacity = min(capacity, rest)
     min_capacity = min(min_capacity, capacity)
     dtype = np.int32 if total <= INT32_MAX else np.int64
@@ -179,11 +208,160 @@ def trace(take, weights, caps) -> np.ndarray:
     return selections
 
 
+# The most items a subset list is built for; `_use_list` refuses more. The
+# cache of `subsets` then holds fewer than 14 * 2^15 int64 entries, 3.5 MiB.
+LIST_MAX_ITEMS = 14
+
+# `_use_list`'s cost model, in microseconds and nanoseconds
+_LIST_US, _LIST_NS = 13.0, 7.5  # fixed, and per entry of the n x 2^n bit matrix
+_ROW_US, _ROW_NS = 5.0, 0.5     # per item, and per cell of the take table
+
+
+@lru_cache(maxsize=None)  # bounded: n <= LIST_MAX_ITEMS
+def subsets(n: int) -> np.ndarray:
+    """The read-only (2^n, n) int64 0/1 matrix whose row k holds the bits of k, item 0 lowest."""
+    k = np.arange(2 ** n, dtype=np.int64)
+    bits = (k[:, None] >> np.arange(n)) & 1
+    bits.flags.writeable = False
+    return bits
+
+
+def _use_list(n: int, length: int) -> bool:
+    """Whether a table over n items and `length` capped capacities is built as a subset list.
+
+    A list costs about 13 us + 7.5 ns * n * 2^n and a dense row about
+    n * (5 us + 0.5 ns * length), fitted to the build and reads of both
+    table kinds (numpy 2.4.6, Python 3.11, 2 vCPUs, best of 7 rounds).
+    Measured crossovers, in cells per selection (length / 2^n) from which
+    the list is the faster form, and the crossover of this rule:
+
+        n     at most c    exactly c    this rule
+        6     below 1      below 1      every allowed length
+        8     below 1      below 1      every allowed length
+        10    about 3      about 2      7.8
+        12    about 8      about 12     13.1
+        14    about 10     about 14     14.5
+
+    At n = 8 and 4096 cells, for example, the list takes 24 and 26 us and
+    the row 49 and 74 us. The list's n x 2^n bit matrix must also have no
+    more entries than the dense take table (2^n <= length), and n stays
+    within LIST_MAX_ITEMS.
+    """
+    if n > LIST_MAX_ITEMS or 2 ** n > length:
+        return False
+    return _LIST_US + _LIST_NS * n * 2 ** n / 1e3 < n * (_ROW_US + _ROW_NS * length / 1e3)
+
+
+def _subset_sums(profits, weights, capacity: int):
+    """The int64 weight and profit sums of every selection k, in the order of `subsets`.
+
+    An item heavier than the capacity fits in no selection; clipped to
+    capacity + 1 it still fits in none, and no weight sum can pass
+    n * (capacity + 1), which `check_dp_size` has bounded.
+    """
+    bits = subsets(len(weights))
+    return bits @ np.minimum(weights, capacity + 1), bits @ profits
+
+
+@dataclass
+class RowTable:
+    """A dense DP row and its take table: values read by index, selections by `walk`."""
+
+    row: np.ndarray      # best profits at capacities 0..min(capacity, sum(weights))
+    take: np.ndarray     # (n, len(row)) take table
+    weights: np.ndarray
+
+    @property
+    def entries(self) -> int:
+        return self.take.size
+
+    def values(self, caps):
+        """The int64 best profits at capacities caps, a scalar or an array."""
+        return self.row[np.minimum(caps, len(self.row) - 1)].astype(np.int64)
+
+    def selection(self, cap: int) -> np.ndarray:
+        """The int64 best selection at one capacity."""
+        return walk(self.take, self.weights, min(cap, len(self.row) - 1))
+
+
+@dataclass
+class ListTable:
+    """Every selection, best first: the best one weighing at most c is the first that fits.
+
+    `order` ranks the selections k by profit descending, then k ascending,
+    and lightest[j] is the least weight among order[:j + 1]. It never
+    rises, so the first rank holding a selection that fits c is the first j
+    with lightest[j] <= c: a binary search over -lightest, which ascends.
+    """
+
+    order: np.ndarray          # every k, best first
+    profits: np.ndarray        # int64 profit of order[j]
+    minus_lightest: np.ndarray  # -lightest[j], ascending
+    n: int
+
+    @property
+    def entries(self) -> int:
+        return len(self.order)
+
+    def values(self, caps):
+        """The int64 best profits at capacities caps, a scalar or an array."""
+        return self.profits[self.minus_lightest.searchsorted(-caps)]
+
+    def selection(self, cap: int) -> np.ndarray:
+        """The int64 best selection at one capacity."""
+        return subsets(self.n)[self.order[self.minus_lightest.searchsorted(-cap)]].copy()
+
+
+def at_most_table(profits, weights, capacity: int, min_capacity: int = 0):
+    """The best selection weighing at most c, and its profit, for every c up to capacity.
+
+    `_use_list` picks the form: a `RowTable` from `knapsack_row`, promised
+    for c >= min_capacity alone, or a `ListTable`, which answers every c.
+    Of the best selections at c, both return the one with the smallest k.
+    """
+    _, rest = _checked_sums(profits.tolist(), weights.tolist(), capacity)
+    if _use_list(len(weights), min(capacity, rest) + 1):
+        w_sum, p_sum = _subset_sums(profits, weights, capacity)
+        order = np.argsort(-p_sum, kind="stable")
+        return ListTable(order, p_sum[order], -np.minimum.accumulate(w_sum[order]), len(weights))
+    row, take = knapsack_row(profits, weights, capacity, min_capacity=min_capacity)
+    return RowTable(row, take, weights)
+
+
+def best_of_each_weight(profits, weights, capacity: int):
+    """Each weight up to capacity that a selection reaches, its best profit and selection.
+
+    Returns (weights, profits, selections, entries): the reached weights in
+    ascending order (int64), the best profit of each (int64), the first
+    best selection of each as an (R, n) int8 matrix, and the entries of
+    the table built. `_use_list` picks the form: the exact-weight row of
+    `knapsack_row` read back by `trace`, or the subset list sorted by
+    weight, then profit descending, then k ascending, whose first entry
+    per weight is the best selection with the smallest k, as traced.
+    """
+    _, rest = _checked_sums(profits.tolist(), weights.tolist(), capacity)
+    if _use_list(len(weights), min(capacity, rest) + 1):
+        w_sum, p_sum = _subset_sums(profits, weights, capacity)
+        order = np.lexsort((-p_sum, w_sum))
+        w_sorted = w_sum[order]
+        first = np.empty(len(order), dtype=bool)
+        first[0] = True
+        np.not_equal(w_sorted[1:], w_sorted[:-1], out=first[1:])
+        first &= w_sorted <= capacity
+        best = order[first]
+        return (w_sorted[first], p_sum[best], subsets(len(weights))[best].astype(np.int8),
+                len(order))
+    row, take = knapsack_row(profits, weights, capacity, exact_weight=True)
+    reached = np.flatnonzero(row >= 0)
+    return reached, row[reached].astype(np.int64), trace(take, weights, reached), take.size
+
+
 def knapsack_max(profits, weights, capacity: int):
     """Exact 0/1 knapsack maximization.
 
-    Returns (optimal value, 0/1 selection). Ties inside the DP are broken
-    toward not taking an item, so the selection is deterministic.
+    Returns (optimal value, 0/1 selection). Of the optimal selections the
+    one with the smallest k = sum(x_i * 2^i) is returned, so the selection
+    is deterministic.
     """
     profits = np.asarray(profits, dtype=np.int64)
     weights = np.asarray(weights, dtype=np.int64)
@@ -195,8 +373,8 @@ def knapsack_max(profits, weights, capacity: int):
         raise ValueError("profits must be non-negative")
     if (weights < 1).any():
         raise ValueError("weights must be positive")
-    row, take = knapsack_row(profits, weights, capacity)
-    return int(row[-1]), walk(take, weights, len(row) - 1)
+    table = at_most_table(profits, weights, capacity)
+    return int(table.values(capacity)), table.selection(capacity)
 
 
 def combined_profits(inst, mode: Mode):
@@ -243,8 +421,9 @@ def follower_response(inst, x_bar, mode: Mode = Mode.OPTIMISTIC,
     follower items is maximized (optimistic) or minimized (pessimistic).
     Both stages collapse into one knapsack with `combined_profits`. The
     result also answers every residual r from min_residual up to its own
-    (`reply(r)`, `leader_profit(r)`); the DP skips the cells only a lower
-    residual would read, and a lower r raises ValueError.
+    (`reply(r)`, `leader_profit(r)`), from a dense row or a subset list
+    (`at_most_table`); a dense row skips the cells only a lower residual
+    would read, and a lower r raises ValueError in either form.
     """
     mode = Mode(mode)
     x_bar = binary_vector(x_bar, inst.n1, "x_bar")
@@ -255,14 +434,13 @@ def follower_response(inst, x_bar, mode: Mode = Mode.OPTIMISTIC,
         raise ValueError(f"min_residual must lie in [0, {residual}], got {min_residual}")
 
     combined, m = combined_profits(inst, mode)
-    row, take = knapsack_row(combined, inst.a2, residual, min_capacity=min_residual)
-    best = int(row[-1])  # M * z* +- the d2 sum of the reply
+    table = at_most_table(combined, inst.a2, residual, min_residual)
+    best = int(table.values(residual))  # M * z* +- the d2 sum of the reply
     z_star = best // m if mode is Mode.OPTIMISTIC else -(-best // m)
     return FollowerResponse(
         z_star=z_star,
         leader_value=int(inst.d1 @ x_bar) + tie_break_profit(best, m, mode),
-        mode=mode, residual_capacity=residual, min_residual=min_residual, m=m, row=row,
-        take=take, weights=inst.a2)
+        mode=mode, residual_capacity=residual, min_residual=min_residual, m=m, table=table)
 
 
 @dataclass

@@ -3,62 +3,67 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from blkp import exact
+from blkp import knapsack
 from blkp.exact import collect_labels, solve_exact
 from blkp.instance import BlkpInstance, GenConfig, generate
 from blkp.knapsack import (DpTooLarge, MAX_DP_CELLS, Mode, combined_profits, evaluate_bilevel,
                            follower_response, knapsack_row)
 
+from _forms import each_form, force
 from _oracles import bilevel_brute, follower_brute, pool_brute, random_instance
 
 
-def test_tiny_instance_optimum():
-    inst = BlkpInstance(1, 1, a1=[2], d1=[3], a2=[2], d2=[5], c=[4], b=2)
-    res = solve_exact(inst)
-    assert res.opt_value == 5
-    assert res.opt_x.tolist() == [0]
-    assert res.opt_y.tolist() == [1]
-    assert res.proven_optimal
+def test_tiny_instance_optimum(monkeypatch):
+    for _ in each_form(monkeypatch):
+        inst = BlkpInstance(1, 1, a1=[2], d1=[3], a2=[2], d2=[5], c=[4], b=2)
+        res = solve_exact(inst)
+        assert res.opt_value == 5
+        assert res.opt_x.tolist() == [0]
+        assert res.opt_y.tolist() == [1]
+        assert res.proven_optimal
 
 
-def test_everything_fits():
-    rng = np.random.default_rng(0)
-    inst = random_instance(rng, 4, 4)
-    inst = BlkpInstance(4, 4, inst.a1, inst.d1, inst.a2, inst.d2, inst.c,
-                        inst.total_weight)
-    res = solve_exact(inst)
-    assert res.opt_value == int(inst.d1.sum() + inst.d2.sum())
-    assert res.opt_x.tolist() == [1] * 4
-    assert res.opt_y.tolist() == [1] * 4
+def test_everything_fits(monkeypatch):
+    for _ in each_form(monkeypatch):
+        rng = np.random.default_rng(0)
+        inst = random_instance(rng, 4, 4)
+        inst = BlkpInstance(4, 4, inst.a1, inst.d1, inst.a2, inst.d2, inst.c,
+                            inst.total_weight)
+        res = solve_exact(inst)
+        assert res.opt_value == int(inst.d1.sum() + inst.d2.sum())
+        assert res.opt_x.tolist() == [1] * 4
+        assert res.opt_y.tolist() == [1] * 4
 
 
 @pytest.mark.parametrize("mode", list(Mode))
-def test_matches_double_enumeration(mode):
-    rng = np.random.default_rng(5)
-    for _ in range(40):
-        inst = random_instance(rng, int(rng.integers(1, 9)), int(rng.integers(1, 9)))
-        res = solve_exact(inst, mode)
-        brute = bilevel_brute(inst, mode)
-        assert res.opt_value == brute[2]
-        ev = evaluate_bilevel(inst, res.opt_x, res.opt_y, mode)
-        assert ev.bilevel_feasible and ev.rational_and_mode_consistent
+def test_matches_double_enumeration(mode, monkeypatch):
+    for _ in each_form(monkeypatch):
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            inst = random_instance(rng, int(rng.integers(1, 9)), int(rng.integers(1, 9)))
+            res = solve_exact(inst, mode)
+            brute = bilevel_brute(inst, mode)
+            assert res.opt_value == brute[2]
+            ev = evaluate_bilevel(inst, res.opt_x, res.opt_y, mode)
+            assert ev.bilevel_feasible and ev.rational_and_mode_consistent
 
 
-def test_pool_entries_feasible_sorted_distinct():
-    rng = np.random.default_rng(6)
-    inst = random_instance(rng, 6, 6)
-    res = solve_exact(inst)
-    assert res.pool.shape == (len(res.pool_values), inst.n1)
-    assert res.pool_values[0] == res.opt_value
-    assert list(res.pool_values) == sorted(res.pool_values, reverse=True)
-    assert np.array_equal(res.pool[0], res.opt_x)
-    weights = res.pool @ inst.a1
-    assert len(set(weights.tolist())) == len(res.pool)  # one entry per leader weight
-    for x, v in zip(res.pool[:5], res.pool_values[:5]):
-        resp = follower_response(inst, x, res.mode)
-        ev = evaluate_bilevel(inst, x, resp.y)
-        assert ev.bilevel_feasible
-        assert ev.leader_obj == v
+def test_pool_entries_feasible_sorted_distinct(monkeypatch):
+    for _ in each_form(monkeypatch):
+        rng = np.random.default_rng(6)
+        inst = random_instance(rng, 6, 6)
+        res = solve_exact(inst)
+        assert res.pool.shape == (len(res.pool_values), inst.n1)
+        assert res.pool_values[0] == res.opt_value
+        assert list(res.pool_values) == sorted(res.pool_values, reverse=True)
+        assert np.array_equal(res.pool[0], res.opt_x)
+        weights = res.pool @ inst.a1
+        assert len(set(weights.tolist())) == len(res.pool)  # one entry per leader weight
+        for x, v in zip(res.pool[:5], res.pool_values[:5]):
+            resp = follower_response(inst, x, res.mode)
+            ev = evaluate_bilevel(inst, x, resp.y)
+            assert ev.bilevel_feasible
+            assert ev.leader_obj == v
 
 
 def _edge_case_instance(rng, case):
@@ -78,36 +83,39 @@ def _edge_case_instance(rng, case):
 
 
 @pytest.mark.parametrize("mode", list(Mode))
-def test_pool_matches_per_weight_enumeration(mode):
-    rng = np.random.default_rng(11)
-    cases = ["random", "b=0", "leader too heavy", "ties in c", "equal d2"]
-    for k in range(100):
-        inst = _edge_case_instance(rng, cases[k % len(cases)])
-        res = solve_exact(inst, mode)
-        expected = pool_brute(inst, mode)
-        weights = (res.pool @ inst.a1).tolist()
-        assert dict(zip(weights, res.pool_values.tolist())) == expected
-        assert res.opt_value == max(expected.values())
-        assert list(res.pool_values) == sorted(res.pool_values, reverse=True)
-        assert np.array_equal(res.opt_y, follower_response(inst, res.opt_x, mode).y)
-        for x, v in zip(res.pool, res.pool_values):
-            assert follower_response(inst, x, mode).leader_value == v
+def test_pool_matches_per_weight_enumeration(mode, monkeypatch):
+    for _ in each_form(monkeypatch):
+        rng = np.random.default_rng(11)
+        cases = ["random", "b=0", "leader too heavy", "ties in c", "equal d2"]
+        for k in range(100):
+            inst = _edge_case_instance(rng, cases[k % len(cases)])
+            res = solve_exact(inst, mode)
+            expected = pool_brute(inst, mode)
+            weights = (res.pool @ inst.a1).tolist()
+            assert dict(zip(weights, res.pool_values.tolist())) == expected
+            assert res.opt_value == max(expected.values())
+            assert list(res.pool_values) == sorted(res.pool_values, reverse=True)
+            assert np.array_equal(res.opt_y, follower_response(inst, res.opt_x, mode).y)
+            for x, v in zip(res.pool, res.pool_values):
+                assert follower_response(inst, x, mode).leader_value == v
 
 
-def test_pool_ties_prefer_lighter_leader():
-    # both leader vectors are worth 5; the empty one (weight 0) comes first
-    inst = BlkpInstance(1, 1, a1=[1], d1=[5], a2=[1], d2=[5], c=[1], b=1)
-    res = solve_exact(inst)
-    assert res.pool_values.tolist() == [5, 5]
-    assert res.pool.tolist() == [[0], [1]]
+def test_pool_ties_prefer_lighter_leader(monkeypatch):
+    for _ in each_form(monkeypatch):
+        # both leader vectors are worth 5; the empty one (weight 0) comes first
+        inst = BlkpInstance(1, 1, a1=[1], d1=[5], a2=[1], d2=[5], c=[1], b=1)
+        res = solve_exact(inst)
+        assert res.pool_values.tolist() == [5, 5]
+        assert res.pool.tolist() == [[0], [1]]
 
 
-def test_table_size_guard():
-    big = 10 ** 9
-    inst = BlkpInstance(1, 1, a1=[big], d1=[1], a2=[big], d2=[1], c=[1], b=big)
-    assert 2 * (big + 1) > MAX_DP_CELLS
-    with pytest.raises(DpTooLarge, match=f"n=2 .*b={big}"):
-        solve_exact(inst)
+def test_table_size_guard(monkeypatch):
+    for _ in each_form(monkeypatch):
+        big = 10 ** 9
+        inst = BlkpInstance(1, 1, a1=[big], d1=[1], a2=[big], d2=[1], c=[1], b=big)
+        assert 2 * (big + 1) > MAX_DP_CELLS
+        with pytest.raises(DpTooLarge, match=f"n=2 .*b={big}"):
+            solve_exact(inst)
 
 
 def test_collect_labels_small_pool():
@@ -167,18 +175,29 @@ def assert_matches_brute(inst, mode):
     return res
 
 
-def test_node_count_is_the_capped_tables_cells():
+def test_node_count_is_the_capped_tables_cells(monkeypatch):
     # a1 sums to 5, a2 to 4: at b = 7 the follower table is 3 items x (4 + 1)
     # cells and the leader table 2 x (5 + 1); at b = 3 both stop at b
+    force(monkeypatch, "dense")
     inst = BlkpInstance(2, 3, a1=[2, 3], d1=[4, 1], a2=[1, 1, 2], d2=[1, 2, 3],
                         c=[2, 2, 1], b=7)
     assert solve_exact(inst).node_count == 3 * 5 + 2 * 6
     assert solve_exact(replace(inst, b=3)).node_count == 3 * 4 + 2 * 4
 
 
+def test_node_count_is_a_lists_selections(monkeypatch):
+    # a list holds 2^n selections whatever the capacity: 2^3 follower and 2^2 leader
+    force(monkeypatch, "list")
+    inst = BlkpInstance(2, 3, a1=[2, 3], d1=[4, 1], a2=[1, 1, 2], d2=[1, 2, 3],
+                        c=[2, 2, 1], b=7)
+    for b in (0, 3, 7):
+        assert solve_exact(replace(inst, b=b)).node_count == 2 ** 3 + 2 ** 2
+
+
 @pytest.mark.parametrize("mode", list(Mode))
-def test_rows_capped_at_total_weight(mode):
+def test_rows_capped_at_total_weight(monkeypatch, mode):
     # b above the follower's total weight, then above the leader's
+    force(monkeypatch, "dense")
     rng = np.random.default_rng(12)
     for k in range(60):
         inst = random_instance(rng, int(rng.integers(1, 6)), int(rng.integers(1, 6)),
@@ -186,7 +205,7 @@ def test_rows_capped_at_total_weight(mode):
         side = int((inst.a2 if k % 2 == 0 else inst.a1).sum())
         inst = replace(inst, b=int(rng.integers(side + 1, inst.total_weight + 1)))
         follower = follower_response(inst, np.zeros(inst.n1, dtype=np.int64), mode)
-        assert len(follower.row) == min(inst.b, int(inst.a2.sum())) + 1
+        assert len(follower.table.row) == min(inst.b, int(inst.a2.sum())) + 1
         assert follower.residual_capacity == inst.b
         res = assert_matches_brute(inst, mode)
         assert res.node_count == (inst.n2 * (min(inst.b, int(inst.a2.sum())) + 1)
@@ -198,10 +217,11 @@ def _recorded_leader_row_dtypes(monkeypatch):
 
     def recording(*args, **kwargs):
         row, take = knapsack_row(*args, **kwargs)
-        seen.append(row.dtype)
+        if kwargs.get("exact_weight"):
+            seen.append(row.dtype)
         return row, take
 
-    monkeypatch.setattr(exact, "knapsack_row", recording)
+    monkeypatch.setattr(knapsack, "knapsack_row", recording)
     return seen
 
 
@@ -218,7 +238,8 @@ FOLLOWER_BOUNDARY = [
 
 
 @pytest.mark.parametrize("mode, target, c, d2", FOLLOWER_BOUNDARY)
-def test_follower_row_dtype_boundary(mode, target, c, d2):
+def test_follower_row_dtype_boundary(monkeypatch, mode, target, c, d2):
+    force(monkeypatch, "dense")
     n2 = len(c)
     a2 = [3, 4, 5][:n2]
     for b in (5, sum(a2) + 2):
@@ -226,7 +247,7 @@ def test_follower_row_dtype_boundary(mode, target, c, d2):
         combined, _m = combined_profits(inst, mode)
         assert int(combined.sum()) == target
         follower = follower_response(inst, np.zeros(2, dtype=np.int64), mode)
-        assert follower.row.dtype == (np.int32 if target < 2 ** 31 else np.int64)
+        assert follower.table.row.dtype == (np.int32 if target < 2 ** 31 else np.int64)
         assert_matches_brute(inst, mode)
 
 
@@ -236,6 +257,7 @@ def test_follower_row_dtype_boundary(mode, target, c, d2):
     ([1000000000, 1000000000, 147483648], np.int64),
 ])
 def test_leader_row_dtype_boundary(monkeypatch, mode, d1, dtype):
+    force(monkeypatch, "dense")
     seen = _recorded_leader_row_dtypes(monkeypatch)
     for b in (6, 15):  # below and above sum(a1) = 9
         inst = BlkpInstance(3, 3, a1=[2, 3, 4], d1=d1, a2=[3, 4, 2], d2=[5, 1, 4],

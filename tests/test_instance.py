@@ -104,6 +104,8 @@ def test_invalid_config():
         GenConfig(3, 3, alpha_lo=0.8, alpha_hi=0.5)
     with pytest.raises(InstanceError):
         GenConfig(3, 3, data_type="X")
+    with pytest.raises(InstanceError, match="GenConfig: seed must be >= 0"):
+        GenConfig(2, 3, seed=-1)
 
 
 @pytest.mark.parametrize("name, value", [("n1", 2.5), ("n1", True), ("n2", 3.0),

@@ -3,11 +3,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from blkp import knapsack
 from blkp.instance import BlkpInstance
-from blkp.knapsack import (INT64_MAX, MAX_DP_CELLS, DpTooLarge, InfeasibleLeader, Mode,
-                           OverflowRiskError, combined_profits, evaluate_bilevel,
-                           follower_response, knapsack_max, knapsack_row, trace, walk)
+from blkp.knapsack import (INT64_MAX, LIST_MAX_ITEMS, MAX_DP_CELLS, DpTooLarge,
+                           InfeasibleLeader, ListTable, Mode, OverflowRiskError, RowTable,
+                           at_most_table, best_of_each_weight, combined_profits,
+                           evaluate_bilevel, follower_response, knapsack_max, knapsack_row,
+                           trace, walk)
 
+from _forms import each_form, force
 from _oracles import follower_brute, knapsack_brute, random_instance
 
 
@@ -15,56 +19,63 @@ def tiny_instance():
     return BlkpInstance(1, 1, a1=[2], d1=[3], a2=[2], d2=[5], c=[4], b=2)
 
 
-def test_knapsack_zero_capacity():
-    value, sel = knapsack_max([5], [3], 0)
-    assert value == 0 and sel.tolist() == [0]
+def test_knapsack_zero_capacity(monkeypatch):
+    for _ in each_form(monkeypatch):
+        value, sel = knapsack_max([5], [3], 0)
+        assert value == 0 and sel.tolist() == [0]
 
 
-def test_knapsack_single_item_fits():
-    value, sel = knapsack_max([5], [3], 3)
-    assert value == 5 and sel.tolist() == [1]
+def test_knapsack_single_item_fits(monkeypatch):
+    for _ in each_form(monkeypatch):
+        value, sel = knapsack_max([5], [3], 3)
+        assert value == 5 and sel.tolist() == [1]
 
 
-def test_knapsack_small_example():
-    # optimum checked by enumerating all 8 subsets
-    value, sel = knapsack_max([6, 10, 12], [1, 2, 3], 5)
-    assert value == 22
-    assert sel.tolist() == [0, 1, 1]
+def test_knapsack_small_example(monkeypatch):
+    for _ in each_form(monkeypatch):
+        # optimum checked by enumerating all 8 subsets
+        value, sel = knapsack_max([6, 10, 12], [1, 2, 3], 5)
+        assert value == 22
+        assert sel.tolist() == [0, 1, 1]
 
 
-def test_knapsack_selection_attains_value():
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        n = int(rng.integers(1, 12))
-        p = rng.integers(0, 40, n)
-        w = rng.integers(1, 20, n)
-        cap = int(rng.integers(0, 80))
-        value, sel = knapsack_max(p, w, cap)
-        assert int(sel @ w) <= cap
-        assert int(sel @ p) == value
+def test_knapsack_selection_attains_value(monkeypatch):
+    for _ in each_form(monkeypatch):
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            n = int(rng.integers(1, 12))
+            p = rng.integers(0, 40, n)
+            w = rng.integers(1, 20, n)
+            cap = int(rng.integers(0, 80))
+            value, sel = knapsack_max(p, w, cap)
+            assert int(sel @ w) <= cap
+            assert int(sel @ p) == value
 
 
-def test_knapsack_matches_enumeration():
-    rng = np.random.default_rng(1)
-    for _ in range(300):
-        n = int(rng.integers(1, 13))
-        p = rng.integers(0, 50, n)
-        w = rng.integers(1, 25, n)
-        cap = int(rng.integers(0, 120))
-        value, _ = knapsack_max(p, w, cap)
-        assert value == knapsack_brute(p, w, cap)
+def test_knapsack_matches_enumeration(monkeypatch):
+    for _ in each_form(monkeypatch):
+        rng = np.random.default_rng(1)
+        for _ in range(300):
+            n = int(rng.integers(1, 13))
+            p = rng.integers(0, 50, n)
+            w = rng.integers(1, 25, n)
+            cap = int(rng.integers(0, 120))
+            value, _ = knapsack_max(p, w, cap)
+            assert value == knapsack_brute(p, w, cap)
 
 
-def test_knapsack_overflow_guard():
-    with pytest.raises(OverflowRiskError):
-        knapsack_max([2 ** 62, 2 ** 62], [1, 1], 2)
+def test_knapsack_overflow_guard(monkeypatch):
+    for _ in each_form(monkeypatch):
+        with pytest.raises(OverflowRiskError):
+            knapsack_max([2 ** 62, 2 ** 62], [1, 1], 2)
 
 
-def test_knapsack_table_size_guard():
-    # one cell over the budget is refused before any table is allocated
-    with pytest.raises(DpTooLarge, match=f"n=1 .*b={MAX_DP_CELLS}"):
-        knapsack_max([1], [1], MAX_DP_CELLS)
-    assert knapsack_max([1], [1], 10) == (1, np.array([1]))
+def test_knapsack_table_size_guard(monkeypatch):
+    for _ in each_form(monkeypatch):
+        # one cell over the budget is refused before any table is allocated
+        with pytest.raises(DpTooLarge, match=f"n=1 .*b={MAX_DP_CELLS}"):
+            knapsack_max([1], [1], MAX_DP_CELLS)
+        assert knapsack_max([1], [1], 10) == (1, np.array([1]))
 
 
 def reference_row(profits, weights, row):
@@ -190,44 +201,107 @@ def test_walk_equals_trace_at_every_capacity():
                 assert np.array_equal(walked, traced[cap])
 
 
-def test_knapsack_max_above_total_weight():
-    # capacities past the total weight read the row's last cell; zero-profit
-    # items stay out of the selection at every such capacity
-    rng = np.random.default_rng(24)
-    for _ in range(100):
-        n = int(rng.integers(1, 9))
-        p = rng.integers(0, 5, n)
-        w = rng.integers(1, 10, n)
-        total = int(w.sum())
-        for cap in (total, total + 1, 3 * total + 7):
-            value, sel = knapsack_max(p, w, cap)
-            assert value == int(p.sum()) == knapsack_brute(p, w, cap)
-            assert sel.tolist() == (p > 0).astype(int).tolist()
+def test_knapsack_max_above_total_weight(monkeypatch):
+    for _ in each_form(monkeypatch):
+        # capacities past the total weight read the row's last cell; zero-profit
+        # items stay out of the selection at every such capacity
+        rng = np.random.default_rng(24)
+        for _ in range(100):
+            n = int(rng.integers(1, 9))
+            p = rng.integers(0, 5, n)
+            w = rng.integers(1, 10, n)
+            total = int(w.sum())
+            for cap in (total, total + 1, 3 * total + 7):
+                value, sel = knapsack_max(p, w, cap)
+                assert value == int(p.sum()) == knapsack_brute(p, w, cap)
+                assert sel.tolist() == (p > 0).astype(int).tolist()
 
 
-def test_follower_residual_zero():
-    resp = follower_response(tiny_instance(), [1])
-    assert resp.y.tolist() == [0]
-    assert resp.z_star == 0
-    assert resp.leader_value == 3
-    assert resp.residual_capacity == 0
+def _under_both_forms(monkeypatch, build):
+    """build() with every table dense, then with every table a list."""
+    force(monkeypatch, "dense")
+    dense = build()
+    force(monkeypatch, "list")
+    return dense, build()
 
 
-def test_follower_single_item():
-    resp = follower_response(tiny_instance(), [0])
-    assert resp.y.tolist() == [1]
-    assert resp.z_star == 4
-    assert resp.leader_value == 5
+@pytest.mark.parametrize("mode", list(Mode))
+def test_list_and_dense_tables_agree(monkeypatch, mode):
+    # the same values and selections at every capacity, from b = 0 to above
+    # the total weight, for the follower's combined profits, the leader's
+    # exact weights, and zero profits, with weights and profits duplicated
+    rng = np.random.default_rng(28)
+    cases = [
+        BlkpInstance(2, 3, [2, 2], [5, 5], [2, 2, 2], [3, 3, 3], [4, 4, 4], 0),
+        BlkpInstance(3, 3, [1, 2, 3], [4, 1, 3], [3, 2, 1], [2, 2, 2], [5, 4, 1], 9),
+    ]
+    cases += [random_instance(rng, int(rng.integers(1, 8)), int(rng.integers(1, 8)),
+                              value_max=int(rng.choice([2, 3, 30])))
+              for _ in range(40)]
+    for inst in cases:
+        combined, _m = combined_profits(inst, mode)
+        zero_profits = rng.integers(0, 2, inst.n2)
+        for profits, weights in ((combined, inst.a2), (inst.d1, inst.a1), (zero_profits, inst.a2)):
+            total = int(weights.sum())
+            for capacity in (inst.b, total, total + 3):
+                dense, listed = _under_both_forms(
+                    monkeypatch, lambda: at_most_table(profits, weights, capacity))
+                assert isinstance(dense, RowTable) and isinstance(listed, ListTable)
+                every_c = np.arange(capacity + 1)
+                assert np.array_equal(dense.values(every_c), listed.values(every_c))
+                for c in every_c.tolist():
+                    assert dense.values(c) == listed.values(c)
+                    assert np.array_equal(dense.selection(c), listed.selection(c))
+                dense, listed = _under_both_forms(
+                    monkeypatch, lambda: best_of_each_weight(profits, weights, capacity))
+                for got, want in zip(listed[:3], dense[:3]):
+                    assert got.dtype == want.dtype and np.array_equal(got, want)
+                assert dense[3] == len(weights) * (min(capacity, total) + 1)
+                assert listed[3] == 2 ** len(weights)
 
 
-def test_follower_tie_broken_by_mode():
-    inst = BlkpInstance(1, 2, a1=[5], d1=[1], a2=[1, 1], d2=[1, 9],
-                        c=[4, 4], b=1)
-    x = [0]
-    opt = follower_response(inst, x, Mode.OPTIMISTIC)
-    assert opt.y.tolist() == [0, 1] and opt.z_star == 4 and opt.leader_value == 9
-    pes = follower_response(inst, x, Mode.PESSIMISTIC)
-    assert pes.y.tolist() == [1, 0] and pes.z_star == 4 and pes.leader_value == 1
+def test_use_list_rule():
+    use = knapsack._use_list
+    assert use(8, 4000) and use(6, 100_000)            # the label workload's tables
+    assert not use(10, 5000) and not use(50, 10 ** 6)  # the search's follower rows
+    for n in range(1, LIST_MAX_ITEMS + 3):
+        # never more entries than the dense table, never more than LIST_MAX_ITEMS items
+        assert not use(n, 2 ** n - 1)
+        assert use(n, MAX_DP_CELLS // n) == (n <= LIST_MAX_ITEMS)
+
+
+def test_subsets_rows_are_the_bits_of_k():
+    bits = knapsack.subsets(3)
+    assert bits.tolist() == [[k >> i & 1 for i in range(3)] for k in range(8)]
+    assert not bits.flags.writeable
+
+
+def test_follower_residual_zero(monkeypatch):
+    for _ in each_form(monkeypatch):
+        resp = follower_response(tiny_instance(), [1])
+        assert resp.y.tolist() == [0]
+        assert resp.z_star == 0
+        assert resp.leader_value == 3
+        assert resp.residual_capacity == 0
+
+
+def test_follower_single_item(monkeypatch):
+    for _ in each_form(monkeypatch):
+        resp = follower_response(tiny_instance(), [0])
+        assert resp.y.tolist() == [1]
+        assert resp.z_star == 4
+        assert resp.leader_value == 5
+
+
+def test_follower_tie_broken_by_mode(monkeypatch):
+    for _ in each_form(monkeypatch):
+        inst = BlkpInstance(1, 2, a1=[5], d1=[1], a2=[1, 1], d2=[1, 9],
+                            c=[4, 4], b=1)
+        x = [0]
+        opt = follower_response(inst, x, Mode.OPTIMISTIC)
+        assert opt.y.tolist() == [0, 1] and opt.z_star == 4 and opt.leader_value == 9
+        pes = follower_response(inst, x, Mode.PESSIMISTIC)
+        assert pes.y.tolist() == [1, 0] and pes.z_star == 4 and pes.leader_value == 1
 
 
 def test_follower_infeasible_leader():
@@ -236,37 +310,40 @@ def test_follower_infeasible_leader():
                           [1, 1])
 
 
-def test_follower_matches_brute_force_both_modes():
-    rng = np.random.default_rng(2)
-    for _ in range(400):
-        inst = random_instance(rng, int(rng.integers(1, 6)), int(rng.integers(1, 11)))
-        x = rng.integers(0, 2, inst.n1)
-        if int(inst.a1 @ x) > inst.b:
-            x = np.zeros(inst.n1, dtype=np.int64)
-        for mode in Mode:
-            resp = follower_response(inst, x, mode)
-            y, z, lv = follower_brute(inst, x, mode)
-            assert resp.z_star == z
-            assert resp.leader_value == lv
+def test_follower_matches_brute_force_both_modes(monkeypatch):
+    for _ in each_form(monkeypatch):
+        rng = np.random.default_rng(2)
+        for _ in range(400):
+            inst = random_instance(rng, int(rng.integers(1, 6)), int(rng.integers(1, 11)))
+            x = rng.integers(0, 2, inst.n1)
+            if int(inst.a1 @ x) > inst.b:
+                x = np.zeros(inst.n1, dtype=np.int64)
+            for mode in Mode:
+                resp = follower_response(inst, x, mode)
+                y, z, lv = follower_brute(inst, x, mode)
+                assert resp.z_star == z
+                assert resp.leader_value == lv
 
 
-def test_optimistic_dominates_pessimistic():
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        inst = random_instance(rng, 4, 6)
-        x = rng.integers(0, 2, inst.n1)
-        if int(inst.a1 @ x) > inst.b:
-            x = np.zeros(inst.n1, dtype=np.int64)
-        opt = follower_response(inst, x, Mode.OPTIMISTIC)
-        pes = follower_response(inst, x, Mode.PESSIMISTIC)
-        assert opt.leader_value >= pes.leader_value
+def test_optimistic_dominates_pessimistic(monkeypatch):
+    for _ in each_form(monkeypatch):
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            inst = random_instance(rng, 4, 6)
+            x = rng.integers(0, 2, inst.n1)
+            if int(inst.a1 @ x) > inst.b:
+                x = np.zeros(inst.n1, dtype=np.int64)
+            opt = follower_response(inst, x, Mode.OPTIMISTIC)
+            pes = follower_response(inst, x, Mode.PESSIMISTIC)
+            assert opt.leader_value >= pes.leader_value
 
 
-def test_all_zero_leader_never_errors():
-    rng = np.random.default_rng(4)
-    for _ in range(50):
-        inst = random_instance(rng, 3, 5)
-        follower_response(inst, np.zeros(3, dtype=np.int64))
+def test_all_zero_leader_never_errors(monkeypatch):
+    for _ in each_form(monkeypatch):
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            inst = random_instance(rng, 3, 5)
+            follower_response(inst, np.zeros(3, dtype=np.int64))
 
 
 def test_evaluate_feasible_pair():
@@ -288,78 +365,80 @@ def test_evaluate_overweight():
 
 
 @pytest.mark.parametrize("mode", list(Mode))
-def test_follower_reply_table_matches_brute_force(mode):
-    rng = np.random.default_rng(21)
-    cases = [
-        BlkpInstance(1, 2, [1], [1], [1, 1], [3, 3], [2, 2], 0),          # b = 0
-        BlkpInstance(1, 3, [1], [1], [2, 1, 1], [4, 1, 1], [2, 1, 1], 3),  # ties in c
-        BlkpInstance(1, 3, [1], [1], [1, 2, 1], [2, 2, 2], [5, 5, 5], 2),  # equal d2
-    ]
-    cases += [random_instance(rng, 2, int(rng.integers(1, 7)),
-                              value_max=int(rng.choice([2, 3, 30])))
-              for _ in range(60)]
-    for inst in cases:
-        zeros = np.zeros(inst.n1, dtype=np.int64)
-        resp = follower_response(inst, zeros, mode)
-        assert resp.residual_capacity == inst.b
-        for r in range(inst.b + 1):
-            # the follower at residual r faces the same items under capacity r
-            at_r = BlkpInstance(inst.n1, inst.n2, inst.a1, inst.d1, inst.a2, inst.d2,
-                                inst.c, r)
-            _, z, leader_value = follower_brute(at_r, zeros, mode)
-            y = resp.reply(r)
-            assert resp.leader_profit(r) == leader_value
-            assert int(inst.c @ y) == z
-            assert int(inst.d2 @ y) == leader_value
-            assert int(inst.a2 @ y) <= r
-        assert np.array_equal(resp.reply(inst.b), resp.y)
-        every_r = np.arange(inst.b + 1)
-        assert np.array_equal(resp.leader_profit(every_r),
-                              [resp.leader_profit(r) for r in every_r])
-        for r in (-1, inst.b + 1):
-            with pytest.raises(ValueError, match="r must lie"):
-                resp.reply(r)
-            with pytest.raises(ValueError, match="r must lie"):
-                resp.leader_profit(r)
-            with pytest.raises(ValueError, match="r must lie"):
-                resp.leader_profit(np.array([0, r]))
+def test_follower_reply_table_matches_brute_force(mode, monkeypatch):
+    for _ in each_form(monkeypatch):
+        rng = np.random.default_rng(21)
+        cases = [
+            BlkpInstance(1, 2, [1], [1], [1, 1], [3, 3], [2, 2], 0),          # b = 0
+            BlkpInstance(1, 3, [1], [1], [2, 1, 1], [4, 1, 1], [2, 1, 1], 3),  # ties in c
+            BlkpInstance(1, 3, [1], [1], [1, 2, 1], [2, 2, 2], [5, 5, 5], 2),  # equal d2
+        ]
+        cases += [random_instance(rng, 2, int(rng.integers(1, 7)),
+                                  value_max=int(rng.choice([2, 3, 30])))
+                  for _ in range(60)]
+        for inst in cases:
+            zeros = np.zeros(inst.n1, dtype=np.int64)
+            resp = follower_response(inst, zeros, mode)
+            assert resp.residual_capacity == inst.b
+            for r in range(inst.b + 1):
+                # the follower at residual r faces the same items under capacity r
+                at_r = BlkpInstance(inst.n1, inst.n2, inst.a1, inst.d1, inst.a2, inst.d2,
+                                    inst.c, r)
+                _, z, leader_value = follower_brute(at_r, zeros, mode)
+                y = resp.reply(r)
+                assert resp.leader_profit(r) == leader_value
+                assert int(inst.c @ y) == z
+                assert int(inst.d2 @ y) == leader_value
+                assert int(inst.a2 @ y) <= r
+            assert np.array_equal(resp.reply(inst.b), resp.y)
+            every_r = np.arange(inst.b + 1)
+            assert np.array_equal(resp.leader_profit(every_r),
+                                  [resp.leader_profit(r) for r in every_r])
+            for r in (-1, inst.b + 1):
+                with pytest.raises(ValueError, match="r must lie"):
+                    resp.reply(r)
+                with pytest.raises(ValueError, match="r must lie"):
+                    resp.leader_profit(r)
+                with pytest.raises(ValueError, match="r must lie"):
+                    resp.leader_profit(np.array([0, r]))
 
 
 @pytest.mark.parametrize("mode", list(Mode))
-def test_follower_reply_table_from_min_residual(mode):
-    # the narrowed table answers every r from min_residual up as the full one
-    # does, and refuses every r below it
-    rng = np.random.default_rng(26)
-    for k in range(80):
-        inst = random_instance(rng, 2, int(rng.integers(1, 9)),
-                               value_max=int(rng.choice([3, 30])))
-        if k % 4 == 0:  # a residual above the follower's total weight
-            inst = replace(inst, b=int(rng.integers(inst.a2.sum(), inst.total_weight + 1)))
-        x = rng.integers(0, 2, inst.n1) if k % 3 == 0 else np.zeros(inst.n1, dtype=np.int64)
-        if int(inst.a1 @ x) > inst.b:
-            x = np.zeros(inst.n1, dtype=np.int64)
-        full = follower_response(inst, x, mode)
-        top = full.residual_capacity
-        for lo in (0, int(rng.integers(0, top + 1)), top):
-            resp = follower_response(inst, x, mode, min_residual=lo)
-            assert resp.min_residual == lo
-            assert (resp.z_star, resp.leader_value) == (full.z_star, full.leader_value)
-            assert np.array_equal(resp.y, full.y)
-            every_r = np.arange(lo, top + 1)
-            assert np.array_equal(resp.leader_profit(every_r), full.leader_profit(every_r))
-            for r in every_r:
-                assert np.array_equal(resp.reply(r), full.reply(r))
-            if lo > 0:
-                bounds = f"r must lie in \\[{lo}, {top}\\]"
-                with pytest.raises(ValueError, match=bounds):
-                    resp.reply(lo - 1)
-                with pytest.raises(ValueError, match=bounds):
-                    resp.leader_profit(lo - 1)
-                with pytest.raises(ValueError, match=bounds):
-                    resp.leader_profit(np.array([top, lo - 1]))
-        for bad in (-1, top + 1):
-            with pytest.raises(ValueError, match="min_residual must lie"):
-                follower_response(inst, x, mode, min_residual=bad)
+def test_follower_reply_table_from_min_residual(mode, monkeypatch):
+    for _ in each_form(monkeypatch):
+        # the narrowed table answers every r from min_residual up as the full one
+        # does, and refuses every r below it
+        rng = np.random.default_rng(26)
+        for k in range(80):
+            inst = random_instance(rng, 2, int(rng.integers(1, 9)),
+                                   value_max=int(rng.choice([3, 30])))
+            if k % 4 == 0:  # a residual above the follower's total weight
+                inst = replace(inst, b=int(rng.integers(inst.a2.sum(), inst.total_weight + 1)))
+            x = rng.integers(0, 2, inst.n1) if k % 3 == 0 else np.zeros(inst.n1, dtype=np.int64)
+            if int(inst.a1 @ x) > inst.b:
+                x = np.zeros(inst.n1, dtype=np.int64)
+            full = follower_response(inst, x, mode)
+            top = full.residual_capacity
+            for lo in (0, int(rng.integers(0, top + 1)), top):
+                resp = follower_response(inst, x, mode, min_residual=lo)
+                assert resp.min_residual == lo
+                assert (resp.z_star, resp.leader_value) == (full.z_star, full.leader_value)
+                assert np.array_equal(resp.y, full.y)
+                every_r = np.arange(lo, top + 1)
+                assert np.array_equal(resp.leader_profit(every_r), full.leader_profit(every_r))
+                for r in every_r:
+                    assert np.array_equal(resp.reply(r), full.reply(r))
+                if lo > 0:
+                    bounds = f"r must lie in \\[{lo}, {top}\\]"
+                    with pytest.raises(ValueError, match=bounds):
+                        resp.reply(lo - 1)
+                    with pytest.raises(ValueError, match=bounds):
+                        resp.leader_profit(lo - 1)
+                    with pytest.raises(ValueError, match=bounds):
+                        resp.leader_profit(np.array([top, lo - 1]))
+            for bad in (-1, top + 1):
+                with pytest.raises(ValueError, match="min_residual must lie"):
+                    follower_response(inst, x, mode, min_residual=bad)
 
 
 def test_combined_profits_equal_the_python_int_formula():
@@ -387,29 +466,31 @@ def _follower_items_summing_to(target, mode):
 
 
 @pytest.mark.parametrize("mode", list(Mode))
-def test_combined_profits_overflow_exactly_past_int64(mode):
-    for target in (INT64_MAX, INT64_MAX + 1):
-        c, d2 = _follower_items_summing_to(target, mode)
-        inst = BlkpInstance(1, 2, [1], [1], [2, 3], d2, c, 5)
-        if target > INT64_MAX:
-            with pytest.raises(OverflowRiskError):
-                combined_profits(inst, mode)
-            continue
-        combined, _m = combined_profits(inst, mode)
-        assert sum(combined.tolist()) == target
-        assert follower_response(inst, [0], mode).z_star == sum(c)
+def test_combined_profits_overflow_exactly_past_int64(mode, monkeypatch):
+    for _ in each_form(monkeypatch):
+        for target in (INT64_MAX, INT64_MAX + 1):
+            c, d2 = _follower_items_summing_to(target, mode)
+            inst = BlkpInstance(1, 2, [1], [1], [2, 3], d2, c, 5)
+            if target > INT64_MAX:
+                with pytest.raises(OverflowRiskError):
+                    combined_profits(inst, mode)
+                continue
+            combined, _m = combined_profits(inst, mode)
+            assert sum(combined.tolist()) == target
+            assert follower_response(inst, [0], mode).z_star == sum(c)
 
 
-def test_pessimistic_profits_build_without_wrapping():
-    # M * c = 2^63 + 2 does not fit int64, M * c - d2 = 2^62 + 2 does
-    inst = BlkpInstance(1, 1, [1], [1], [3], [2 ** 62], [2], 3)
-    combined, m = combined_profits(inst, Mode.PESSIMISTIC)
-    assert m * 2 > INT64_MAX
-    assert combined.tolist() == [2 ** 62 + 2]
-    resp = follower_response(inst, [0], Mode.PESSIMISTIC)
-    assert (resp.z_star, resp.leader_value) == (2, 2 ** 62)
-    with pytest.raises(OverflowRiskError):
-        combined_profits(inst, Mode.OPTIMISTIC)
+def test_pessimistic_profits_build_without_wrapping(monkeypatch):
+    for _ in each_form(monkeypatch):
+        # M * c = 2^63 + 2 does not fit int64, M * c - d2 = 2^62 + 2 does
+        inst = BlkpInstance(1, 1, [1], [1], [3], [2 ** 62], [2], 3)
+        combined, m = combined_profits(inst, Mode.PESSIMISTIC)
+        assert m * 2 > INT64_MAX
+        assert combined.tolist() == [2 ** 62 + 2]
+        resp = follower_response(inst, [0], Mode.PESSIMISTIC)
+        assert (resp.z_star, resp.leader_value) == (2, 2 ** 62)
+        with pytest.raises(OverflowRiskError):
+            combined_profits(inst, Mode.OPTIMISTIC)
 
 
 @pytest.mark.parametrize("x", [[-1], [2], [0.5]])
