@@ -16,7 +16,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .instance import is_int
+from .instance import is_int, is_number
 from .ndiff import Segments
 
 
@@ -33,7 +33,9 @@ class NormalizationScheme:
     version: ClassVar[int] = 1  # the one scheme this code reads
 
     def __post_init__(self):
-        if not (np.isfinite(self.value_scale) and self.value_scale > 0):
+        # a checkpoint's true or "1e3" is no scale
+        if not (is_number(self.value_scale) and np.isfinite(self.value_scale)
+                and self.value_scale > 0):
             raise ValueError(f"value_scale must be a finite number > 0, got {self.value_scale!r}")
 
     def to_dict(self):
@@ -45,7 +47,7 @@ class NormalizationScheme:
         version = doc["version"]
         if not is_int(version) or version != cls.version:  # true and 1.0 equal 1
             raise ValueError(f"version is {version!r}, this scheme's is {cls.version!r}")
-        return cls(value_scale=float(doc["value_scale"]))
+        return cls(value_scale=doc["value_scale"])
 
 
 DEFAULT_NORM = NormalizationScheme()

@@ -104,6 +104,11 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def is_number(value) -> bool:
+    """Whether value is a Python int or float: a bool or a string such as "1e3" is not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def binary_vector(v, n: int, name: str) -> np.ndarray:
     """v as an int64 0/1 vector of length n; anything else raises ValueError."""
     v = np.asarray(v)

@@ -1,10 +1,7 @@
 """Minimal reverse-mode autodiff over dense float64 arrays.
 
-Rank <= 2 tensors. Each non-leaf tensor is one tape node (`node`), which
-may run many array steps: its backward sends the gradient on to its
-input tensors and adds the gradients of the parameters it read. The
-graph network's half-rounds (`pnanet`) and every `Mlp` call are one
-node each, built from array forwards and backwards defined here:
+Everything runs on plain arrays, as a forward that returns what its
+backward reads and a backward that adds the parameters' gradients:
 - `Mlp.run`/`Mlp.grad`: an MLP stack, each layer `act(x @ w + b)`. With
   a pair index, the first layer reads the row [own[i]; other[j]] of
   every own-major (i, j) pair of a graph union without forming it: each
@@ -18,97 +15,52 @@ node each, built from array forwards and backwards defined here:
   j of every segment side by side: max and min reduce the block along
   its first axis, and their backward finds each winning row by one more
   reduction along that axis (`_first_match`). The mean stays on
-  `np.add.reduceat`: the block's padding rows would enter a sum.
-`bce_mean(predictions, positives, totals)`, the mean binary
-cross-entropy of label counts, is the whole training loss as one node.
+  `np.add.reduceat`: the block's padding rows would enter a sum;
+- `bce_mean(predictions, positives, totals)`: the mean binary
+  cross-entropy of label counts, the whole training loss, and its
+  gradient at the predictions.
 Each activation's forward and gradient rule is defined once, in
 `ACTIVATIONS`; relu and leaky relu take an `np.maximum`, as `np.where`
 with scalar operands is a slow path. `Adam` updates the parameters as
 views into one flat buffer, a step at a time over all of them.
 
-Inside `with no_grad():` nodes are not recorded: a result has no
-parents, its backward and the activations it would read are dropped,
-and `backward()` from it raises. Inference runs so.
-
-Gradients accumulate additively, so a tensor may feed several nodes.
+A `Tensor` is an array, its gradient and at most one reverse pass. A
+parameter has no pass, and its gradient accumulates additively, so it
+may be read many times. A computed tensor's pass (`pnanet.forward_tensor`,
+the training loss) sends the gradient at it on to the parameters, in an
+order its author fixed; `backward()` runs it once from a scalar.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
 
 import numpy as np
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "_backward")
 
-    def __init__(self, data, parents=(), backward=None):
+    def __init__(self, data, backward=None):
+        """`backward(g)`, if given, is the reverse pass from the gradient g at data."""
         self.data = np.asarray(data, dtype=np.float64)
         if self.data.ndim > 2:
             raise ValueError("rank > 2 tensors are not supported")
         self.grad = None
-        self._parents = parents
         self._backward = backward
-
-    @property
-    def shape(self):
-        return self.data.shape
 
     def _accumulate(self, g):
         if self.grad is None:
-            # a copy: g may be a view of another node's gradient, or be
-            # handed to several parents at once
+            # a copy: g may be a view of another gradient, or be added elsewhere too
             self.grad = np.array(g, dtype=np.float64)
         else:
             self.grad += g
 
     def backward(self):
-        """Reverse-mode accumulation from a scalar tensor."""
+        """Run the reverse pass from a scalar tensor, adding its parameters' gradients."""
         if self.data.size != 1:
             raise ValueError("backward requires a scalar tensor")
         if self._backward is None:
-            raise ValueError("backward needs a tape node, and no_grad records none")
-        topo = []
-        seen = set()
-        stack = [(self, False)]
-        while stack:
-            node, done = stack.pop()
-            if done:
-                topo.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                stack.append((p, False))
-        self._accumulate(np.ones_like(self.data))
-        for node in reversed(topo):
-            if node._backward is not None:
-                node._backward(node.grad)
-
-
-_recording = True
-
-
-@contextmanager
-def no_grad():
-    """Record no tape inside the block: inference needs no gradients."""
-    global _recording
-    saved, _recording = _recording, False
-    try:
-        yield
-    finally:
-        _recording = saved
-
-
-def node(out, parents, backward) -> Tensor:
-    """The tape node of out; `backward(g)` adds its gradients to the parents and parameters.
-
-    Under `no_grad`, a tensor with neither parents nor backward.
-    """
-    return Tensor(out, parents, backward) if _recording else Tensor(out)
+            raise ValueError("backward needs a computed tensor; a parameter has no reverse pass")
+        self._backward(np.ones_like(self.data))
 
 
 def _relu(z):
@@ -215,8 +167,8 @@ def _first_match(block, extreme, seg: Segments):
 BCE_EPS = 1e-7
 
 
-def bce_mean(predictions: Tensor, positives, totals) -> Tensor:
-    """Mean binary cross-entropy of K_i labels per prediction h_i, as one node.
+def bce_mean(predictions, positives, totals):
+    """Mean binary cross-entropy of K_i labels per prediction h_i, and its gradient at h.
 
     BCE is linear in the label, so the K_i labels of row i are scored
     through their sum S_i (`positives`), with K_i from `totals` (one count
@@ -225,29 +177,22 @@ def bce_mean(predictions: Tensor, positives, totals) -> Tensor:
     Predictions are clamped to [eps, 1 - eps] before the logarithm, and
     a clamped prediction gets no gradient.
     """
-    shape = predictions.data.shape
+    shape = predictions.shape
     s = np.asarray(positives, dtype=np.float64).reshape(shape)
     k = np.asarray(totals, dtype=np.float64)
     k = np.broadcast_to(k.reshape(shape) if k.ndim else k, shape)
     negatives = k - s
-    scale = 1.0 / k.sum()
-    h = np.clip(predictions.data, BCE_EPS, 1.0 - BCE_EPS)
-    inside = h == predictions.data
+    g_sum = -1.0 / k.sum()
+    h = np.clip(predictions, BCE_EPS, 1.0 - BCE_EPS)
+    inside = h == predictions
     terms = np.log(h) * s + np.log(1.0 - h) * negatives
-
-    def back(g):
-        g_sum = -scale * float(g)
-        return ((g_sum * s) / h - (g_sum * negatives) / (1.0 - h)) * inside
-
-    return node(-scale * terms.sum(), (predictions,),
-                lambda g: predictions._accumulate(back(g)))
+    return g_sum * terms.sum(), ((g_sum * s) / h - (g_sum * negatives) / (1.0 - h)) * inside
 
 
 class Mlp:
     """Fully-connected stack: affine layers, each with its activation (`ACTIVATIONS`).
 
-    Calling it on a tensor is one tape node. `run` and `grad` are its
-    forward and backward on arrays, for nodes that cover more than the stack.
+    `run` and `grad` are its forward and backward on arrays.
     """
 
     def __init__(self, widths, activations, rng: np.random.Generator):
@@ -259,10 +204,6 @@ class Mlp:
             w = Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
             b = Tensor(np.zeros(fan_out))
             self.layers.append((w, b, act))
-
-    def __call__(self, x: Tensor) -> Tensor:
-        out, acts = self.run(x.data)
-        return node(out, (x,), lambda g: x._accumulate(self.grad(g, acts)))
 
     def run(self, x, pairs=None):
         """The stack's output on the array x, and each layer's (input, z, output) for `grad`.

@@ -21,13 +21,16 @@ pairs form only within a graph, and each node's messages are pooled over
 its own segment. One pass thus serves a whole batch of mixed sizes, and a
 single instance is a union of one.
 
-Every half-round is one `ndiff` tape node, and so is the decoder, so a
-default forward is 10 nodes (with the 4 input constants). The node runs
-on plain arrays: the message MLP over the pairs (`ndiff.Mlp.run` with
-the union's pair index, which never forms the pair rows), the pooling
-(`ndiff.pool`), the concatenation [own; extra; pooled] and the update
-MLP; its backward chains their gradient rules in reverse. `forward`,
-which needs no gradient, runs under `ndiff.no_grad` and keeps no tape.
+Everything runs on plain arrays. A half-round (`_half_round`) is the
+message MLP over the pairs (`ndiff.Mlp.run` with the union's pair index,
+which never forms the pair rows), the pooling (`ndiff.pool`), the
+concatenation [own; extra; pooled] and the update MLP; `_half_round_grad`
+chains their gradient rules in reverse. `forward_tensor` returns one
+`ndiff.Tensor` whose reverse pass walks the decoder, then the rounds
+last to first, each round starting with the group the one after it
+ended with: the depth-first order of a per-layer tape, so a group's
+gradients sum in that tape's order, bit for bit. The input features get
+no gradient.
 
 The pooling (`ndiff.pool`) concatenates mean/max/min of the incoming
 messages and repeats the block once per intensity scaler (1, a, 1/a),
@@ -44,7 +47,7 @@ import numpy as np
 
 from .graphrep import DEFAULT_NORM, NormalizationScheme, TripartiteGraph, build_graph
 from .instance import is_int
-from .ndiff import AGGREGATORS, SCALERS, Mlp, Tensor, no_grad, node, pool, pool_grad
+from .ndiff import AGGREGATORS, SCALERS, Mlp, Tensor, pool, pool_grad
 
 CHECKPOINT_VERSION = 1
 
@@ -120,74 +123,85 @@ class ModelParams:
             yield from mlp.parameters()
 
 
-def _const(arr) -> Tensor:
-    return Tensor(np.asarray(arr, dtype=np.float64))
+def _half_round(own, other, pairs, params: ModelParams, block: str, extra=None):
+    """Every `own` node's new row from its messages over its graph's (own, other) pairs.
 
-
-def _half_round(own: Tensor, other: Tensor, pairs, params: ModelParams, block: str,
-                extra=()) -> Tensor:
-    """Update every `own` node from its messages over its graph's (own, other) pairs.
-
-    One tape node. `block` names the MLP pair `msg_<block>`/`upd_<block>`.
+    Returns the rows and the record of activations `_half_round_grad`
+    reads. `block` names the MLP pair `msg_<block>`/`upd_<block>`.
     `pairs` is `graphrep.own_major_pairs` of the union: each own node's
     messages form one segment. The update reads [own; extra; pooled].
     """
     msg, upd = params.mlps["msg_" + block], params.mlps["upd_" + block]
-    seg = pairs[1]
-    msgs, msg_acts = msg.run((own.data, other.data), pairs)
-    pooled, saved = pool(msgs, seg)
-    out, upd_acts = upd.run(np.concatenate([t.data for t in (own, *extra)] + [pooled], axis=1))
-
-    def back(g):
-        g_in = upd.grad(g, upd_acts)
-        lo = 0
-        for t in (own, *extra):
-            t._accumulate(g_in[:, lo:lo + t.shape[1]])
-            lo += t.shape[1]
-        g_msgs = pool_grad(g_in[:, lo:], msgs, saved, seg)
-        g_own, g_other = msg.grad(g_msgs, msg_acts, pairs)
-        own._accumulate(g_own)
-        other._accumulate(g_other)
-
-    # backward visits the last parent first: with `other` last, gradients sum in
-    # the order of the per-layer tape (tests/_unfused.py), leader node first
-    return node(out, (*extra, own, other), back)
+    msgs, msg_acts = msg.run((own, other), pairs)
+    pooled, saved = pool(msgs, pairs[1])
+    columns = (own, pooled) if extra is None else (own, extra, pooled)
+    out, upd_acts = upd.run(np.concatenate(columns, axis=1))
+    return out, (msgs, msg_acts, saved, upd_acts)
 
 
-def _cap_column(graph: TripartiteGraph, counts) -> Tensor:
-    """Each graph's capacity feature repeated over its `counts` nodes, as a column."""
-    return _const(np.repeat(graph.cap_feats, counts)[:, None])
+def _half_round_grad(g, record, pairs, params: ModelParams, block: str, g_own=None):
+    """Add the block's parameter gradients from g at `_half_round`'s rows.
+
+    Returns the gradients at own and at other. Own's is added onto
+    `g_own`, a gradient already gathered there, own's column of the
+    update before its messages' share, as the per-layer tape adds them.
+    """
+    msg, upd = params.mlps["msg_" + block], params.mlps["upd_" + block]
+    msgs, msg_acts, saved, upd_acts = record
+    g_in = upd.grad(g, upd_acts)
+    g_msgs = pool_grad(g_in[:, -AGGREGATED_WIDTH:], msgs, saved, pairs[1])
+    g_from_msgs, g_other = msg.grad(g_msgs, msg_acts, pairs)
+    g_column = g_in[:, :g_from_msgs.shape[1]]
+    if g_own is not None:
+        g_column = g_own + g_column
+    return g_column + g_from_msgs, g_other
 
 
 def forward_tensor(graph: TripartiteGraph, params: ModelParams) -> Tensor:
-    """Predictions of every leader row of a graph union, in row order.
+    """Predictions of every leader row of a graph union, in row order, as a `Tensor`.
 
-    The encoder round updates both groups from the raw features, then
+    The encoder round updates both groups from the raw features, each
+    with its graph's capacity feature as an extra column, then
     `cfg.iterations` weight-shared rounds update both from the same input
-    generation. Only the leader embeddings reach the decoder, so the last
-    round skips the followers' update.
+    generation; the last skips the followers' update, which nothing reads.
     """
     rounds = params.cfg.iterations
-    lf, ff = _const(graph.leader_feats), _const(graph.follower_feats)
-    x = _half_round(lf, ff, graph.leader_pairs, params, "leader_enc",
-                    (_cap_column(graph, graph.n1s),))
-    if rounds:
-        y = _half_round(ff, lf, graph.follower_pairs, params, "follower_enc",
-                        (_cap_column(graph, graph.n2s),))
-    for r in range(rounds):
-        x_next = _half_round(x, y, graph.leader_pairs, params, "leader_mp")
-        if r < rounds - 1:
-            y = _half_round(y, x, graph.follower_pairs, params, "follower_mp")
-        x = x_next
-    return params.mlps["decoder"](x)  # (N1, 1) in (0, 1)
+    pairs = (graph.leader_pairs, graph.follower_pairs)
+    rows = [graph.leader_feats, graph.follower_feats]
+    caps = [np.repeat(graph.cap_feats, counts)[:, None] for counts in (graph.n1s, graph.n2s)]
+    steps = []  # per round, each half-round's (own group, block, record); leaders 0
+    for r in range(rounds + 1):
+        step, new_rows = [], list(rows)
+        for own in (0, 1) if r < rounds else (0,):
+            block = ("leader_", "follower_")[own] + ("mp" if r else "enc")
+            new_rows[own], record = _half_round(rows[own], rows[1 - own], pairs[own], params,
+                                                block, None if r else caps[own])
+            step.append((own, block, record))
+        steps.append(step)
+        rows = new_rows
+    decoder = params.mlps["decoder"]
+    out, decoder_acts = decoder.run(rows[0])  # (N1, 1) in (0, 1)
+
+    def backward(g):
+        grads, first = [decoder.grad(g, decoder_acts), None], 0
+        for step in reversed(steps):
+            if step[0][0] != first:
+                step = step[::-1]
+            new_grads = [None, None]
+            for own, block, record in step:
+                new_grads[own], g_other = _half_round_grad(grads[own], record, pairs[own],
+                                                           params, block, new_grads[own])
+                other = new_grads[1 - own]
+                new_grads[1 - own] = g_other if other is None else other + g_other
+            grads, first = new_grads, step[-1][0]
+
+    return Tensor(out, backward)
 
 
 def forward(inst, params: ModelParams,
             norm: NormalizationScheme = DEFAULT_NORM) -> np.ndarray:
     """Full pipeline on a raw instance, a union of one; returns the n1 final values."""
-    graph = build_graph(inst, norm)
-    with no_grad():
-        return forward_tensor(graph, params).data.ravel()
+    return forward_tensor(build_graph(inst, norm), params).data.ravel()
 
 
 def save_checkpoint(params: ModelParams, norm: NormalizationScheme,

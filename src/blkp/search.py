@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphrep import DEFAULT_NORM, NormalizationScheme
-from .instance import is_int
+from .instance import is_int, is_number
 from .knapsack import Mode, follower_response
 from .pnanet import forward
 
@@ -30,8 +30,8 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 <= self.theta <= 0.5):
-            raise ValueError("theta must lie in [0, 0.5]")
+        if not (is_number(self.theta) and 0.0 <= self.theta <= 0.5):  # false would run as 0
+            raise ValueError(f"theta must be a number in [0, 0.5], got {self.theta!r}")
         for name in ("n_samples", "seed"):  # the seed True would run as 1
             value = getattr(self, name)
             if not is_int(value):

@@ -5,11 +5,11 @@ leader vector plus the best vectors of the next k best leader weights
 (`blkp.exact.collect_labels`). The train/validation split is at
 the instance level so no instance contributes to both sides. Each batch
 loss is the mean binary cross-entropy over every leader-variable term in
-the batch. Each batch makes one forward and one backward pass, over the
+the batch. Each batch makes one forward and one reverse pass, over the
 disjoint union of the graphs of its distinct instances
-(`graphrep.graph_union`), and one loss node, `ndiff.bce_mean`: every
-leader row is scored through the sum and the count of its instance's
-labels in the batch. `evaluate_loss` records no tape (`ndiff.no_grad`).
+(`graphrep.graph_union`); the loss, `ndiff.bce_mean`, scores every
+leader row through the sum and the count of its instance's labels in
+the batch, and its gradient starts the forward's reverse pass.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphrep import DEFAULT_NORM, NormalizationScheme, build_graph, graph_union
-from .instance import binary_vector, is_int
-from .ndiff import Adam, bce_mean, no_grad
+from .instance import binary_vector, is_int, is_number
+from .ndiff import Adam, Tensor, bce_mean
 from .pnanet import ModelParams, PnaConfig, forward_tensor
 
 
@@ -49,9 +49,10 @@ class TrainConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
-        for name in ("lr", "weight_decay"):  # lr 0 freezes the weights
-            if not (np.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
-                raise ValueError(f"{name} must be a finite number >= 0, got {getattr(self, name)}")
+        for name in ("lr", "weight_decay"):  # lr 0 freezes the weights; true is no rate
+            value = getattr(self, name)
+            if not (is_number(value) and np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 @dataclass
@@ -100,7 +101,11 @@ def build_dataset(instances, labels_per_instance, cfg: TrainConfig):
 
 
 def _batch_loss(samples, graphs, params):
-    """Mean BCE over all leader-variable terms of the batch (as a Tensor)."""
+    """Mean BCE over all leader-variable terms of the batch, as a `Tensor`.
+
+    Its reverse pass hands the loss's gradient at the predictions to the
+    forward's.
+    """
     by_instance = {}
     for s in samples:
         by_instance.setdefault(s.instance_id, []).append(s.x_label)
@@ -108,12 +113,13 @@ def _batch_loss(samples, graphs, params):
     positives = np.concatenate([np.sum(labels, axis=0) for labels in by_instance.values()])
     totals = np.concatenate([np.full(len(labels[0]), len(labels))
                              for labels in by_instance.values()])
-    return bce_mean(forward_tensor(union, params), positives, totals)
+    predictions = forward_tensor(union, params)
+    loss, grad = bce_mean(predictions.data, positives, totals)
+    return Tensor(loss, lambda g: predictions._backward(g * grad))
 
 
 def evaluate_loss(samples, graphs, params) -> float:
-    with no_grad():
-        return float(_batch_loss(samples, graphs, params).data)
+    return float(_batch_loss(samples, graphs, params).data)
 
 
 def train(instances, train_set, val_set, model_cfg: PnaConfig,

@@ -1,11 +1,12 @@
-"""Unfused reference ops for the fused `ndiff` nodes' tests.
+"""The per-layer reference tape for the library's array forwards and backwards.
 
-The per-layer tape: `linear(x, w, b, act)`, `pair_linear` (the first
-message layer over every pair of a graph union), `concat_cols`,
-`segment_pna` (the whole pooling) and `forward_tensor`, the network
-with one node per layer, 38 for a default forward. The library runs a
-half-round and an MLP as one node each; these are what those nodes are
-checked against, bit for bit. In turn `linear` is
+`Node` is a `Tensor` with parents, and its `backward()` sorts the tape:
+the graph machinery the library's explicit reverse passes replace. On
+it: `linear(x, w, b, act)`, `pair_linear` (the first message layer over
+every pair of a graph union), `concat_cols`, `segment_pna` (the whole
+pooling) and `forward_tensor`, the network with one node per layer, 38
+for a default forward. The library's half-rounds, MLPs and forward are
+checked against these, bit for bit. In turn `linear` is
 `ACTIVATE[act](add_bias(matmul(x, w), b))`, and `pair_linear` the same
 over pair rows gathered with `take_rows`. `ndiff.bce_mean` is
 `unfused_bce_mean`, a chain of clamp, log, constant scaling and sum
@@ -114,14 +115,47 @@ class UnfusedAdam:
             p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
-def _unary(a: Tensor, out, da) -> Tensor:
-    t = Tensor(out, parents=(a,))
+class Node(Tensor):
+    """A tensor on the per-layer tape: its parents, and a backward that sorts them.
+
+    `backward()` runs every node's `_backward(grad)` once, in reverse
+    topological order of a depth-first walk that visits the last parent
+    first. A library `Tensor` on the tape is a node without parents, so a
+    forward's reverse pass runs from the gradient gathered at it.
+    """
+
+    __slots__ = ("parents",)
+
+    def __init__(self, data, parents=(), backward=None):
+        super().__init__(data, backward)
+        self.parents = parents
+
+    def backward(self):
+        if self.data.size != 1:
+            raise ValueError("backward requires a scalar tensor")
+        topo, seen, stack = [], set(), [(self, False)]
+        while stack:
+            node, done = stack.pop()
+            if done:
+                topo.append(node)
+            elif id(node) not in seen:
+                seen.add(id(node))
+                stack.append((node, True))
+                stack.extend((p, False) for p in getattr(node, "parents", ()))
+        self._accumulate(np.ones_like(self.data))
+        for node in reversed(topo):
+            if node._backward is not None:
+                node._backward(node.grad)
+
+
+def _unary(a: Tensor, out, da) -> Node:
+    t = Node(out, parents=(a,))
     t._backward = lambda g: a._accumulate(da(g))
     return t
 
 
 def matmul(x: Tensor, w: Tensor) -> Tensor:
-    t = Tensor(x.data @ w.data, parents=(x, w))
+    t = Node(x.data @ w.data, parents=(x, w))
 
     def back(g):
         x._accumulate(g @ w.data.T)
@@ -133,7 +167,7 @@ def matmul(x: Tensor, w: Tensor) -> Tensor:
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
     """x plus the bias vector b added to every row."""
-    t = Tensor(x.data + b.data, parents=(x, b))
+    t = Node(x.data + b.data, parents=(x, b))
 
     def back(g):
         x._accumulate(g)
@@ -146,7 +180,7 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
 def take_rows(t: Tensor, rows) -> Tensor:
     """Rows of t picked by index, in order; a row may be picked any number of times."""
     rows = np.asarray(rows, dtype=np.intp)
-    out = Tensor(t.data[rows], parents=(t,))
+    out = Node(t.data[rows], parents=(t,))
 
     def back(g):
         grad = np.zeros_like(t.data)
@@ -161,7 +195,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise add of two tensors of one shape."""
     if a.data.shape != b.data.shape:
         raise ValueError(f"cannot add shapes {a.data.shape} and {b.data.shape}")
-    t = Tensor(a.data + b.data, parents=(a, b))
+    t = Node(a.data + b.data, parents=(a, b))
 
     def back(g):
         a._accumulate(g)
@@ -238,7 +272,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor, act: str) -> Tensor:
     forward, grad = ACTIVATIONS[act]
     z = x.data @ w.data + b.data
     out = forward(z)
-    t = Tensor(out, parents=(x, w, b))
+    t = Node(out, parents=(x, w, b))
 
     def back(g):
         g = grad(g, z, out)
@@ -254,7 +288,7 @@ def concat_cols(tensors) -> Tensor:
     tensors = list(tensors)
     out = np.concatenate([t.data for t in tensors], axis=1)
     offsets = np.cumsum([0] + [t.data.shape[1] for t in tensors])
-    t = Tensor(out, parents=tuple(tensors))
+    t = Node(out, parents=tuple(tensors))
 
     def back(g):
         for tt, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
@@ -278,7 +312,7 @@ def pair_linear(own: Tensor, other: Tensor, pairs, w: Tensor, b: Tensor, act: st
     z = (np.repeat(own.data @ w_own, seg.counts, axis=0)
          + (other.data @ w_other)[other_rows] + b.data)
     out = forward(z)
-    t = Tensor(out, parents=(own, other, w, b))
+    t = Node(out, parents=(own, other, w, b))
 
     def back(g):
         g = grad(g, z, out)

@@ -92,7 +92,7 @@ def test_message_pass_zero_rounds_identity():
     params = ModelParams(PnaConfig(iterations=0), seed=1)
     graph = build_graph(generate(GenConfig(3, 4, seed=5)))
     leader = reference_leader_embeddings(graph, params)
-    expected = params.mlps["decoder"](leader).data
+    expected = params.mlps["decoder"].run(leader.data)[0]
     for name in ("msg_leader_mp", "upd_leader_mp", "msg_follower_mp", "upd_follower_mp"):
         for w, b, _ in params.mlps[name].layers:
             w.data[:] = np.nan
@@ -111,7 +111,7 @@ def test_message_pass_weight_sharing():
         for got, want in zip(params.parameters(), once.parameters()):
             assert np.array_equal(got.data, want.data)
         leader = reference_leader_embeddings(graph, params)
-        expected = params.mlps["decoder"](leader).data
+        expected = params.mlps["decoder"].run(leader.data)[0]
         assert np.array_equal(forward_tensor(graph, params).data, expected)
 
 
@@ -193,11 +193,11 @@ def test_end_to_end_gradient_finite_differences():
     graph = build_graph(inst)
     labels = rng.integers(0, 2, 4).astype(float)
 
-    loss = ndiff.bce_mean(forward_tensor(graph, params), labels, 1)
-    loss.backward()
+    out = forward_tensor(graph, params)
+    out._backward(ndiff.bce_mean(out.data, labels, 1)[1])
 
     def loss_value():
-        return float(ndiff.bce_mean(forward_tensor(graph, params), labels, 1).data)
+        return float(ndiff.bce_mean(forward_tensor(graph, params).data, labels, 1)[0])
 
     from _gradcheck import check_params
     checked = check_params(loss_value, params.parameters(), rng, per_param=2)
@@ -351,10 +351,12 @@ def test_checkpoint_other_architecture_rejected(tmp_path, key, value):
                                         ("version", 1.0), ("version", "1"),
                                         ("value_scale", -5.0), ("value_scale", 0.0),
                                         ("value_scale", float("nan")),
-                                        ("value_scale", float("inf"))])
+                                        ("value_scale", float("inf")),
+                                        ("value_scale", True), ("value_scale", "1e3")])
 def test_checkpoint_invalid_normalization_rejected(tmp_path, key, value):
     # another scheme version (true and 1.0 compare equal to 1, and used to
-    # load), or a scale that flips, zeroes or blows up every input
+    # load), or a scale that flips, zeroes or blows up every input; float()
+    # used to load the scale true as 1.0 and "1e3" as 1000.0
     from blkp.graphrep import DEFAULT_NORM
     path = tmp_path / "ckpt.json"
     save_checkpoint(ModelParams(PnaConfig(), seed=10), DEFAULT_NORM, {}, path)
@@ -378,32 +380,6 @@ def test_desk_checkpoint_saves_back_unchanged(tmp_path):
     assert list(again["config"].items()) == list(committed["config"].items())
     assert again["weights"] == committed["weights"]
 
-# Non-parameter tape nodes of one default-config forward: 4 input
-# constants, one node for each of the 5 half-rounds the decoder reads, and
-# one for the decoder. Splitting a half-round or the decoder into more
-# nodes raises the count.
-FORWARD_TAPE_NODES = 10
-
-
-def tape(out, params):
-    """The tensors `out` is computed from, itself included and parameters excluded."""
-    parameters = {id(p) for p in params.parameters()}
-    seen, stack, found = set(), [out], []
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            stack.extend(node._parents)
-            if id(node) not in parameters:
-                found.append(node)
-    return found
-
-
-def tape_nodes(out, params):
-    """The number of tape nodes `out` is computed from, parameters excluded."""
-    return len(tape(out, params))
-
-
 def created_tensors(monkeypatch, fn, *args):
     """fn(*args), and every tensor the call created."""
     created = []
@@ -419,40 +395,47 @@ def created_tensors(monkeypatch, fn, *args):
     return out, created
 
 
-def test_forward_tape_stays_fused():
-    params = ModelParams(PnaConfig(), seed=14)
-    out = forward_tensor(build_graph(generate(GenConfig(10, 10, seed=15))), params)
-    assert tape_nodes(out, params) <= FORWARD_TAPE_NODES
+@pytest.mark.parametrize("iterations, half_rounds", [(0, 1), (2, 5)])
+def test_forward_runs_only_the_half_rounds_the_decoder_reads(monkeypatch, iterations,
+                                                             half_rounds):
+    # the encoder's two, then both groups' per round but the last round's
+    # followers; at 0 rounds the decoder reads the encoder's leaders only
+    calls = []
+    half_round = pnanet._half_round
+
+    def counted(*args, **kwargs):
+        calls.append(args[4])
+        return half_round(*args, **kwargs)
+
+    monkeypatch.setattr(pnanet, "_half_round", counted)
+    params = ModelParams(PnaConfig(iterations=iterations), seed=14)
+    forward(generate(GenConfig(10, 10, seed=15)), params)
+    assert len(calls) == half_rounds
+    assert calls[-1] == ("leader_mp" if iterations else "leader_enc")
 
 
-def test_batch_loss_is_one_node_over_the_forward():
+def test_forward_and_batch_loss_create_one_tensor_each(monkeypatch):
     from blkp.trainer import LabeledSample, _batch_loss
+    params = ModelParams(PnaConfig(), seed=24)
+    inst = generate(GenConfig(10, 10, seed=25))
+    values, created = created_tensors(monkeypatch, forward, inst, params)
+    assert np.array_equal(values, forward_tensor(build_graph(inst), params).data.ravel())
+    assert len(created) == 1
+    # the batch loss is a second tensor over the forward's
     rng = np.random.default_rng(16)
     instances = [generate(GenConfig(n, n + 1, seed=16 + n)) for n in (3, 5, 8)]
     graphs = {i: build_graph(inst) for i, inst in enumerate(instances)}
     samples = [LabeledSample(int(i), rng.integers(0, 2, instances[i].n1).astype(float))
                for i in (2, 0, 2, 1, 0)]
-    params = ModelParams(PnaConfig(), seed=17)
-    forward_nodes = tape_nodes(forward_tensor(graph_union(graphs[i] for i in (2, 0, 1)),
-                                              params), params)
-    assert tape_nodes(_batch_loss(samples, graphs, params), params) == forward_nodes + 1
+    loss, created = created_tensors(monkeypatch, _batch_loss, samples, graphs, params)
+    assert len(created) == 2 and created[-1] is loss
 
 
-def test_forward_creates_only_reachable_tensors(monkeypatch):
-    # every tensor a forward creates lies on a path to its output: no
-    # half-round, constant or layer is computed that nothing reads
-    params = ModelParams(PnaConfig(), seed=14)
-    graph = build_graph(generate(GenConfig(10, 10, seed=15)))
-    out, created = created_tensors(monkeypatch, forward_tensor, graph, params)
-    reachable = {id(t) for t in tape(out, params)}
-    unreachable = [t for t in created if id(t) not in reachable]
-    assert not unreachable, f"{len(unreachable)} of {len(created)} tensors unreachable"
-
-
-@pytest.mark.parametrize("iterations", [0, 1, 2])
+@pytest.mark.parametrize("iterations", [0, 1, 2, 3, 4])
 def test_fused_nodes_bit_equal_per_layer_tape(iterations):
-    # the forward, every parameter gradient and the gradient of each of the
-    # four inputs, on a ragged union, bit for bit
+    # the forward and every parameter gradient, on a ragged union, bit for
+    # bit; from 3 rounds on the tape's depth-first order alternates which
+    # group's half-round comes first in a round
     rng = np.random.default_rng(20 + iterations)
     params = ModelParams(PnaConfig(iterations=iterations), seed=21)
     graph = graph_union(build_graph(generate(GenConfig(n1, n2, seed=50 + i)))
@@ -462,28 +445,22 @@ def test_fused_nodes_bit_equal_per_layer_tape(iterations):
     fused = forward_tensor(graph, params)
     _unfused.tsum(_unfused.mul_const(fused, weights)).backward()
     fused_grads = [p.grad for p in params.parameters()]
-    # the four inputs' shapes differ: (N1, 2), (N2, 3), (N1, 1), (N2, 1)
-    fused_inputs = {t.shape: t.grad for t in tape(fused, params) if not t._parents}
     for p in params.parameters():
         p.grad = None
 
-    inputs = _unfused.network_inputs(graph)
-    ref = _unfused.forward_tensor(graph, params, inputs)
+    ref = _unfused.forward_tensor(graph, params)
     _unfused.tsum(_unfused.mul_const(ref, weights)).backward()
 
     assert np.array_equal(fused.data, ref.data)
     for got, p in zip(fused_grads, params.parameters()):
         assert (got is None and p.grad is None) or np.array_equal(got, p.grad)
-    for t in inputs:
-        got = fused_inputs.get(t.shape)
-        assert (got is None and t.grad is None) or np.array_equal(got, t.grad)
 
 
 @pytest.mark.parametrize("block, leader_major, extras", [("leader_enc", True, 1),
                                                        ("follower_mp", False, 0)])
 def test_half_round_node_bit_equals_six_nodes(block, leader_major, extras):
     # one half-round on random inputs: its output and the gradients of
-    # own, other, the extra column and the block's parameters
+    # own, other and the block's parameters
     rng = np.random.default_rng(22)
     params = ModelParams(PnaConfig(), seed=23)
     graph = graph_union(build_graph(generate(GenConfig(n1, n2, seed=60 + i)))
@@ -491,32 +468,47 @@ def test_half_round_node_bit_equals_six_nodes(block, leader_major, extras):
     pairs = graph.leader_pairs if leader_major else graph.follower_pairs
     n_own, n_other = (graph.n1, graph.n2) if leader_major else (graph.n2, graph.n1)
     msg, upd = params.mlps["msg_" + block], params.mlps["upd_" + block]
-    k_own = upd.layers[0][0].shape[0] - extras - pnanet.AGGREGATED_WIDTH
-    k_other = msg.layers[0][0].shape[0] - k_own
+    k_own = upd.layers[0][0].data.shape[0] - extras - pnanet.AGGREGATED_WIDTH
+    k_other = msg.layers[0][0].data.shape[0] - k_own
     arrays = [rng.normal(size=(n_own, k_own)), rng.normal(size=(n_other, k_other))]
     arrays += [rng.normal(size=(n_own, 1)) for _ in range(extras)]
-    weights = rng.normal(size=(n_own, upd.layers[-1][0].shape[1]))
+    weights = rng.normal(size=(n_own, upd.layers[-1][0].data.shape[1]))
     block_params = list(msg.parameters()) + list(upd.parameters())
-    results = []
-    for half_round in (pnanet._half_round, _unfused.half_round):
-        own, other, *extra = (ndiff.Tensor(a) for a in arrays)
-        out = half_round(own, other, pairs, params, block, tuple(extra))
-        _unfused.tsum(_unfused.mul_const(out, weights)).backward()
-        results.append([out.data] + [t.grad for t in (own, other, *extra)]
-                       + [p.grad for p in block_params])
-        for p in block_params:
-            p.grad = None
-    for got, want in zip(*results):
+
+    own, other, *extra = arrays
+    out, record = pnanet._half_round(own, other, pairs, params, block, *extra)
+    fused = [out, *pnanet._half_round_grad(weights, record, pairs, params, block)]
+    fused += [p.grad for p in block_params]
+    for p in block_params:
+        p.grad = None
+    own, other, *extra = (ndiff.Tensor(a) for a in arrays)
+    ref = _unfused.half_round(own, other, pairs, params, block, tuple(extra))
+    _unfused.tsum(_unfused.mul_const(ref, weights)).backward()
+    want = [ref.data, own.grad, other.grad] + [p.grad for p in block_params]
+    for got, want in zip(fused, want):
         assert np.array_equal(got, want)
 
 
-def test_forward_records_no_tape(monkeypatch):
-    params = ModelParams(PnaConfig(), seed=24)
-    inst = generate(GenConfig(10, 10, seed=25))
-    values, created = created_tensors(monkeypatch, forward, inst, params)
-    assert np.array_equal(values, forward_tensor(build_graph(inst), params).data.ravel())
-    assert len(created) == FORWARD_TAPE_NODES
-    assert all(t._parents == () for t in created)
+def test_half_round_grad_adds_onto_the_gathered_gradient():
+    # a gradient already at own is summed first with own's update column,
+    # then with its messages' share, as the per-layer tape sums them
+    rng = np.random.default_rng(26)
+    params = ModelParams(PnaConfig(), seed=27)
+    graph = build_graph(generate(GenConfig(6, 4, seed=28)))
+    x, y = rng.normal(size=(6, 16)), rng.normal(size=(4, 16))
+    out, record = pnanet._half_round(x, y, graph.leader_pairs, params, "leader_mp")
+    g, prior = rng.normal(size=out.shape), 1e6 * rng.normal(size=x.shape)
+    alone, other = pnanet._half_round_grad(g, record, graph.leader_pairs, params, "leader_mp")
+    onto, other_again = pnanet._half_round_grad(g, record, graph.leader_pairs, params,
+                                                "leader_mp", prior)
+    assert np.array_equal(other, other_again)
+    assert np.allclose(onto, prior + alone, rtol=1e-12, atol=0.0)
+    own, y_t = ndiff.Tensor(x), ndiff.Tensor(y)
+    ref = _unfused.half_round(own, y_t, graph.leader_pairs, params, "leader_mp")
+    loss = _unfused.add(_unfused.tsum(_unfused.mul_const(own, prior)),
+                        _unfused.tsum(_unfused.mul_const(ref, g)))
+    loss.backward()
+    assert np.array_equal(onto, own.grad)
 
 
 # sha256 of the desk checkpoint's forward on 20 fixed n = 10 instances: any

@@ -134,6 +134,9 @@ def test_solve_heuristic_end_to_end():
 def test_invalid_config():
     with pytest.raises(ValueError):
         SearchConfig(theta=0.6)
+    for theta in (False, True, "0.2"):  # false used to construct, and ran as theta 0
+        with pytest.raises(ValueError, match="theta must be a number"):
+            SearchConfig(theta=theta)
     with pytest.raises(ValueError):
         SearchConfig(n_samples=0)
 

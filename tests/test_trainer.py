@@ -166,6 +166,10 @@ def test_invalid_config():
         TrainConfig(split=0.0)
     with pytest.raises(ValueError):
         TrainConfig(early_stop_patience=-1)
+    # each used to construct, and ran as a rate of 1 or 0
+    for name, value in (("lr", True), ("lr", "0.002"), ("weight_decay", False)):
+        with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+            TrainConfig(**{name: value})
     # patience beyond the epochs just never stops early
     assert TrainConfig(epochs=10, early_stop_patience=20).early_stop_patience == 20
 
