@@ -484,31 +484,9 @@ def test_half_round_node_bit_equals_six_nodes(block, leader_major, extras):
     own, other, *extra = (ndiff.Tensor(a) for a in arrays)
     ref = _unfused.half_round(own, other, pairs, params, block, tuple(extra))
     _unfused.tsum(_unfused.mul_const(ref, weights)).backward()
-    want = [ref.data, own.grad, other.grad] + [p.grad for p in block_params]
-    for got, want in zip(fused, want):
+    reference = [ref.data, own.grad, other.grad] + [p.grad for p in block_params]
+    for got, want in zip(fused, reference):
         assert np.array_equal(got, want)
-
-
-def test_half_round_grad_adds_onto_the_gathered_gradient():
-    # a gradient already at own is summed first with own's update column,
-    # then with its messages' share, as the per-layer tape sums them
-    rng = np.random.default_rng(26)
-    params = ModelParams(PnaConfig(), seed=27)
-    graph = build_graph(generate(GenConfig(6, 4, seed=28)))
-    x, y = rng.normal(size=(6, 16)), rng.normal(size=(4, 16))
-    out, record = pnanet._half_round(x, y, graph.leader_pairs, params, "leader_mp")
-    g, prior = rng.normal(size=out.shape), 1e6 * rng.normal(size=x.shape)
-    alone, other = pnanet._half_round_grad(g, record, graph.leader_pairs, params, "leader_mp")
-    onto, other_again = pnanet._half_round_grad(g, record, graph.leader_pairs, params,
-                                                "leader_mp", prior)
-    assert np.array_equal(other, other_again)
-    assert np.allclose(onto, prior + alone, rtol=1e-12, atol=0.0)
-    own, y_t = ndiff.Tensor(x), ndiff.Tensor(y)
-    ref = _unfused.half_round(own, y_t, graph.leader_pairs, params, "leader_mp")
-    loss = _unfused.add(_unfused.tsum(_unfused.mul_const(own, prior)),
-                        _unfused.tsum(_unfused.mul_const(ref, g)))
-    loss.backward()
-    assert np.array_equal(onto, own.grad)
 
 
 # sha256 of the desk checkpoint's forward on 20 fixed n = 10 instances: any
