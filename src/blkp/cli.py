@@ -1,5 +1,11 @@
 """Command-line surface: generate | exact | label | train | solve | bench.
 
+A command that solves reads every instance file before it solves any,
+and refuses one whose DP table would exceed the cell budget, naming the
+file. One timed loop (`_solve_each`) runs every solver call; a solver's
+refusal of its input, a DP past the budget or profits past the 64-bit
+range, is reported with the file's path.
+
 The bench subcommand compares deterministic rounding (theta 0.5, one
 sample), the sampling heuristic, and the exact oracle over a directory of
 instances and reports average objective, average/maximum optimality gap,
@@ -22,7 +28,7 @@ from . import exact as exact_mod
 from . import instance as inst_mod
 from . import pnanet, search, trainer
 from .graphrep import DEFAULT_NORM
-from .knapsack import DpTooLarge, Mode, check_dp_size
+from .knapsack import DpTooLarge, Mode, OverflowRiskError, check_dp_size
 
 
 class CliError(Exception):
@@ -54,7 +60,7 @@ def _follower_dp_items(inst):
 
 
 def _load_instances(path: str, dp_items=None):
-    """(name, instance) of every instance file, all read before any is solved.
+    """(path, instance) of every instance file, all read before any is solved.
 
     `dp_items(inst)` is the item count of the largest DP over capacities
     0..b that the command runs on an instance; one above the cell budget
@@ -68,15 +74,24 @@ def _load_instances(path: str, dp_items=None):
                 check_dp_size(dp_items(inst), inst.b)
         except (inst_mod.InstanceError, DpTooLarge) as exc:
             raise CliError(f"{f}: {exc}") from exc
-        out.append((f.stem, inst))
+        out.append((f, inst))
     return out
 
 
-def _timed(fn, *args, **kwargs):
-    """fn's result and the wall-clock seconds the whole call took."""
-    t0 = time.perf_counter()
-    result = fn(*args, **kwargs)
-    return result, time.perf_counter() - t0
+def _solve_each(loaded, solve, *args, **kwargs):
+    """(path, result, seconds) of `solve(inst, *args, **kwargs)` on each loaded instance.
+
+    The seconds are the wall-clock time of the whole call. A DP past the
+    cell budget or profits past the 64-bit range, refused by the solver,
+    are re-raised as a CliError naming the file.
+    """
+    for f, inst in loaded:
+        t0 = time.perf_counter()
+        try:
+            result = solve(inst, *args, **kwargs)
+        except (DpTooLarge, OverflowRiskError) as exc:
+            raise CliError(f"{f}: {exc}") from exc
+        yield f, result, time.perf_counter() - t0
 
 
 def _emit(args, key, records, columns, **extra):
@@ -114,9 +129,9 @@ def cmd_generate(args):
     return 0
 
 
-def _exact_record(name, result, elapsed):
+def _exact_record(path, result, elapsed):
     return {
-        "instance": name,
+        "instance": path.stem,
         "mode": result.mode.value,
         "opt_value": result.opt_value,
         "opt_x": result.opt_x.tolist(),
@@ -129,9 +144,9 @@ def _exact_record(name, result, elapsed):
 
 
 def _solve_exact_all(args):
-    """(name, result, seconds) of every instance, solved exactly."""
-    for name, inst in _load_instances(args.instances, _exact_dp_items):
-        yield (name, *_timed(exact_mod.solve_exact, inst, Mode(args.mode)))
+    """(path, result, seconds) of every instance, solved exactly."""
+    loaded = _load_instances(args.instances, _exact_dp_items)
+    return _solve_each(loaded, exact_mod.solve_exact, Mode(args.mode))
 
 
 def cmd_exact(args):
@@ -142,9 +157,9 @@ def cmd_exact(args):
 
 
 def cmd_label(args):
-    records = [{"instance": name, "leader_value": value,
+    records = [{"instance": f.stem, "leader_value": value,
                 "x": "".join(str(int(v)) for v in x)}
-               for name, result, _ in _solve_exact_all(args)
+               for f, result, _ in _solve_exact_all(args)
                for x, value in exact_mod.collect_labels(result, k=args.k)]
     _emit(args, "labels", records, ["instance", "leader_value", "x"])
     return 0
@@ -169,7 +184,7 @@ def _read_labels(path):
 
 
 def cmd_train(args):
-    named = _load_instances(args.instances)
+    named = [(f.stem, inst) for f, inst in _load_instances(args.instances)]
     labels = _read_labels(args.labels)
     missing = [n for n, _ in named if n not in labels]
     if missing:
@@ -205,19 +220,17 @@ def cmd_solve(args):
     params, norm, _meta = pnanet.load_checkpoint(args.checkpoint)
     scfg = search.SearchConfig(theta=args.theta, n_samples=args.n_samples,
                                mode=Mode(args.mode), seed=args.seed)
-    records = []
-    for name, inst in _load_instances(args.instance, _follower_dp_items):
-        res, elapsed = _timed(search.solve_heuristic, inst, params, scfg, norm=norm)
-        records.append({
-            "instance": name,
-            "best_value": res.best_value,
-            "best_x": res.best_x.tolist(),
-            "best_y": res.best_y.tolist(),
-            "samples_evaluated": res.samples_evaluated,
-            "samples_infeasible": res.samples_infeasible,
-            "distinct_x_count": res.distinct_x_count,
-            "elapsed": elapsed,
-        })
+    loaded = _load_instances(args.instance, _follower_dp_items)
+    records = [{
+        "instance": f.stem,
+        "best_value": res.best_value,
+        "best_x": res.best_x.tolist(),
+        "best_y": res.best_y.tolist(),
+        "samples_evaluated": res.samples_evaluated,
+        "samples_infeasible": res.samples_infeasible,
+        "distinct_x_count": res.distinct_x_count,
+        "elapsed": elapsed,
+    } for f, res, elapsed in _solve_each(loaded, search.solve_heuristic, params, scfg, norm=norm)]
     _emit(args, "results", records,
           ["instance", "best_value", "samples_evaluated", "samples_infeasible",
            "distinct_x_count", "elapsed"],
@@ -225,26 +238,35 @@ def cmd_solve(args):
     return 0
 
 
-def compute_gaps(heuristic_values: dict, exact_values: dict):
-    """Per-instance gap 100*(exact - heuristic)/exact; returns (avg, max)."""
+def _bench_row(group, method, solved, optima, search_hash):
+    """One report row from a method's (path, objective, seconds) per instance of a group.
+
+    Each instance's gap is 100 * (optimum - objective) / optimum; a
+    non-positive optimum is refused, naming the instance.
+    """
     gaps = []
-    for key, z_h in heuristic_values.items():
-        if key not in exact_values:
-            raise CliError(f"missing exact value for instance {key}")
-        z_e = exact_values[key]
-        if z_e <= 0:
-            raise CliError(f"exact value must be positive for instance {key}")
-        gaps.append(100.0 * (z_e - z_h) / z_e)
-    return float(np.mean(gaps)), float(np.max(gaps))
+    for (f, value, _), opt in zip(solved, optima):
+        if opt <= 0:
+            raise CliError(f"exact value must be positive for instance {f.stem}")
+        gaps.append(100.0 * (opt - value) / opt)
+    data_type, n1, n2 = group
+    return {
+        "data_type": data_type, "n1": n1, "n2": n2, "method": method,
+        "count": len(solved),
+        "avg_obj": float(np.mean([value for _, value, _ in solved])),
+        "avg_gap_pct": float(np.mean(gaps)), "max_gap_pct": float(np.max(gaps)),
+        "avg_time_s": float(np.mean([seconds for _, _, seconds in solved])),
+        "search_hash": search_hash,
+    }
 
 
-def run_benchmark(named_instances, params, norm, theta, n_samples, mode, seed):
-    """Compare no_sampling / sampling / exact; returns report row dicts."""
+def run_benchmark(loaded, params, norm, theta, n_samples, mode, seed):
+    """Compare no_sampling / sampling / exact on (path, instance) pairs; returns report rows."""
     mode = Mode(mode)
     groups = {}
-    for name, inst in named_instances:
+    for f, inst in loaded:
         key = (inst.meta.get("data_type", "?"), inst.n1, inst.n2)
-        groups.setdefault(key, []).append((name, inst))
+        groups.setdefault(key, []).append((f, inst))
 
     methods = {
         "no_sampling": search.SearchConfig(theta=0.5, n_samples=1, mode=mode, seed=seed),
@@ -252,46 +274,24 @@ def run_benchmark(named_instances, params, norm, theta, n_samples, mode, seed):
             theta=theta, n_samples=n_samples, mode=mode, seed=seed),
     }
     rows = []
-    for key in sorted(groups):
-        data_type, n1, n2 = key
-        members = groups[key]
-        exact_vals = {}
-        exact_times = []
-        for name, inst in members:
-            res, elapsed = _timed(exact_mod.solve_exact, inst, mode)
-            exact_vals[name] = res.opt_value
-            exact_times.append(elapsed)
+    for group in sorted(groups):
+        members = groups[group]
+        exact = [(f, res.opt_value, seconds) for f, res, seconds
+                 in _solve_each(members, exact_mod.solve_exact, mode)]
+        optima = [value for _, value, _ in exact]
         for method, scfg in methods.items():
-            heur_vals = {}
-            times = []
-            for name, inst in members:
-                res, elapsed = _timed(search.solve_heuristic, inst, params, scfg, norm=norm)
-                times.append(elapsed)
-                heur_vals[name] = res.best_value
-            avg_gap, max_gap = compute_gaps(heur_vals, exact_vals)
-            rows.append({
-                "data_type": data_type, "n1": n1, "n2": n2, "method": method,
-                "count": len(members),
-                "avg_obj": float(np.mean(list(heur_vals.values()))),
-                "avg_gap_pct": avg_gap, "max_gap_pct": max_gap,
-                "avg_time_s": float(np.mean(times)),
-                "search_hash": _short_hash(json.dumps(scfg.to_dict(), sort_keys=True).encode()),
-            })
-        rows.append({
-            "data_type": data_type, "n1": n1, "n2": n2, "method": "exact",
-            "count": len(members),
-            "avg_obj": float(np.mean(list(exact_vals.values()))),
-            "avg_gap_pct": 0.0, "max_gap_pct": 0.0,
-            "avg_time_s": float(np.mean(exact_times)),
-            "search_hash": "-",
-        })
+            solved = [(f, res.best_value, seconds) for f, res, seconds
+                      in _solve_each(members, search.solve_heuristic, params, scfg, norm=norm)]
+            search_hash = _short_hash(json.dumps(scfg.to_dict(), sort_keys=True).encode())
+            rows.append(_bench_row(group, method, solved, optima, search_hash))
+        rows.append(_bench_row(group, "exact", exact, optima, "-"))
     return rows
 
 
 def cmd_bench(args):
-    named = _load_instances(args.instances, _exact_dp_items)
+    loaded = _load_instances(args.instances, _exact_dp_items)
     params, norm, _meta = pnanet.load_checkpoint(args.checkpoint)
-    rows = run_benchmark(named, params, norm, theta=args.theta,
+    rows = run_benchmark(loaded, params, norm, theta=args.theta,
                          n_samples=args.n_samples, mode=Mode(args.mode),
                          seed=args.seed)
     ckpt_hash = _short_hash(Path(args.checkpoint).read_bytes())

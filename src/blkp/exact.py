@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .instance import is_int
 from .knapsack import Mode, best_of_each_weight, check_dp_size, follower_response
 
 
@@ -73,8 +74,10 @@ def collect_labels(result: ExactResult, k: int = 10) -> list:
     """The optimal leader vector plus the best of the next k leader weights.
 
     Returns (x, leader_value) pairs, best first; fewer when the pool is
-    small. A negative k raises ValueError.
+    small. A negative or non-integer k raises ValueError.
     """
+    if not is_int(k):  # true would run as 1, and 2.5 fail inside the slice
+        raise ValueError(f"k must be an integer, got {k!r}")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     return [(x, int(v)) for x, v in zip(result.pool[:k + 1], result.pool_values[:k + 1])]

@@ -11,7 +11,7 @@ network pass serves the whole batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
@@ -77,12 +77,12 @@ class TripartiteGraph:
     def n2(self) -> int:
         return self.follower_feats.shape[0]
 
-    @cached_property
+    @property
     def leader_pairs(self):
         """`own_major_pairs` of the leader-major pairs."""
         return _pair_index(tuple(self.n1s.tolist()), tuple(self.n2s.tolist()))[0]
 
-    @cached_property
+    @property
     def follower_pairs(self):
         """`own_major_pairs` of the follower-major pairs."""
         return _pair_index(tuple(self.n1s.tolist()), tuple(self.n2s.tolist()))[1]

@@ -136,6 +136,10 @@ class GenConfig:
             raise InstanceError("GenConfig: n1 and n2 must be >= 1")
         if self.data_type not in (UNCORRELATED, CORRELATED):
             raise InstanceError(f"GenConfig: unknown data_type {self.data_type!r}")
+        for name in ("alpha_lo", "alpha_hi"):  # true would run as 1, "0.5" not compare
+            value = getattr(self, name)
+            if not is_number(value):
+                raise InstanceError(f"GenConfig: {name} must be a number, got {value!r}")
         if not (0.0 < self.alpha_lo <= self.alpha_hi <= 1.0):
             raise InstanceError("GenConfig: need 0 < alpha_lo <= alpha_hi <= 1")
         if self.value_max < 1:

@@ -76,6 +76,16 @@ def _leak(z):
     return np.where(z > 0, 1.0, 0.01)
 
 
+_EXP_MAX = np.log(np.finfo(np.float64).max)  # the largest x whose exp is finite
+
+
+def _sigmoid(z):
+    # exp(-z) past _EXP_MAX would overflow, with a warning, to inf and give 0;
+    # capped there it gives about 5.6e-309 instead, and every other value's
+    # bits are unchanged
+    return 1.0 / (1.0 + np.exp(np.minimum(-z, _EXP_MAX)))
+
+
 # name -> (forward(z), grad(g, z, out)): a layer's activation of its affine
 # output z, and the gradient at z from the gradient g at the output out.
 # Leaky relu's maximum ties only where z and 0.01 * z are zeros of one sign.
@@ -83,7 +93,7 @@ ACTIVATIONS = {
     "identity": (lambda z: z, lambda g, z, out: g),
     "relu": (_relu, lambda g, z, out: g * (z > 0)),
     "leaky_relu": (lambda z: np.maximum(z, 0.01 * z), lambda g, z, out: g * _leak(z)),
-    "sigmoid": (lambda z: 1.0 / (1.0 + np.exp(-z)), lambda g, z, out: g * out * (1.0 - out)),
+    "sigmoid": (_sigmoid, lambda g, z, out: g * out * (1.0 - out)),
 }
 
 

@@ -21,6 +21,8 @@ from .instance import is_int, is_number
 from .knapsack import Mode, follower_response
 from .pnanet import forward
 
+_MODES = tuple(Mode)  # a member or its string value; a tuple compares without hashing
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -32,6 +34,8 @@ class SearchConfig:
     def __post_init__(self):
         if not (is_number(self.theta) and 0.0 <= self.theta <= 0.5):  # false would run as 0
             raise ValueError(f"theta must be a number in [0, 0.5], got {self.theta!r}")
+        if self.mode not in _MODES:  # else refused only inside the search, after the forward
+            raise ValueError(f"mode must be 'optimistic' or 'pessimistic', got {self.mode!r}")
         for name in ("n_samples", "seed"):  # the seed True would run as 1
             value = getattr(self, name)
             if not is_int(value):

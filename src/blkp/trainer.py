@@ -39,8 +39,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 < self.split < 1.0):
-            raise ValueError("split must be in (0, 1)")
+        if not (is_number(self.split) and 0.0 < self.split < 1.0):  # "0.8" would not compare
+            raise ValueError(f"split must be a number in (0, 1), got {self.split!r}")
         # early_stop_patience >= epochs never stops early
         for name, low in (("batch_size", 1), ("epochs", 0), ("early_stop_patience", 0),
                           ("seed", 0)):

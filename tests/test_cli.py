@@ -5,9 +5,13 @@ import time
 import numpy as np
 import pytest
 
-from blkp.cli import CliError, compute_gaps, main
+from blkp.cli import main
+from blkp.exact import solve_exact
 from blkp.graphrep import DEFAULT_NORM
+from blkp.instance import BlkpInstance, read_instance, write_instance
+from blkp.knapsack import Mode
 from blkp.pnanet import ModelParams, PnaConfig, load_checkpoint, save_checkpoint
+from blkp.search import SearchConfig, solve_heuristic
 from blkp.trainer import TrainConfig
 
 
@@ -27,18 +31,6 @@ def checkpoint(tmp_path):
     params = ModelParams(PnaConfig(), seed=0)
     save_checkpoint(params, DEFAULT_NORM, {}, path)
     return path
-
-
-def test_compute_gaps_examples():
-    assert compute_gaps({"a": 100}, {"a": 100}) == (0.0, 0.0)
-    assert compute_gaps({"a": 99}, {"a": 100}) == (1.0, 1.0)
-    avg, mx = compute_gaps({"a": 100, "b": 96}, {"a": 100, "b": 100})
-    assert (avg, mx) == (2.0, 4.0)
-
-
-def test_compute_gaps_missing_exact():
-    with pytest.raises(CliError, match="missing exact"):
-        compute_gaps({"a": 1}, {})
 
 
 def test_generate_writes_files(instance_dir):
@@ -239,6 +231,71 @@ def test_bench_report(instance_dir, checkpoint, tmp_path):
         assert "checkpoint_hash" in r
 
 
+def test_bench_rows_follow_from_the_solvers(tmp_path, checkpoint):
+    # each row's objective and gaps, recomputed from the library's solvers:
+    # gap = 100 * (optimum - objective) / optimum, averaged and maximized
+    d = tmp_path / "instances"
+    for data_type, n1, n2 in (("UC", 4, 4), ("C", 5, 3)):
+        assert main(["generate", "--n1", str(n1), "--n2", str(n2), "--count", "3",
+                     "--data-type", data_type, "--value-max", "30", "--seed", "40",
+                     "--out", str(d)]) == 0
+    out = tmp_path / "report.json"
+    assert main(["bench", "--instances", str(d), "--checkpoint", str(checkpoint),
+                 "--theta", "0.3", "--n-samples", "4", "--seed", "2", "--mode", "pessimistic",
+                 "--format", "json", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["report"]
+    params, norm, _ = load_checkpoint(checkpoint)
+    configs = {"no_sampling": SearchConfig(theta=0.5, n_samples=1, mode=Mode.PESSIMISTIC, seed=2),
+               "sampling(theta=0.3,N=4)": SearchConfig(theta=0.3, n_samples=4,
+                                                       mode=Mode.PESSIMISTIC, seed=2)}
+    instances = [read_instance(f) for f in sorted(d.glob("*.json"))]
+    assert [(r["data_type"], r["method"]) for r in rows] == [
+        (data_type, method) for data_type in ("C", "UC") for method in (*configs, "exact")]
+    all_gaps = []
+    for row in rows:
+        group = [inst for inst in instances
+                 if (inst.meta["data_type"], inst.n1, inst.n2) == (row["data_type"], row["n1"],
+                                                                   row["n2"])]
+        optima = [solve_exact(inst, Mode.PESSIMISTIC).opt_value for inst in group]
+        if row["method"] == "exact":
+            values = optima
+        else:
+            values = [solve_heuristic(inst, params, configs[row["method"]], norm=norm).best_value
+                      for inst in group]
+        gaps = [100.0 * (opt - value) / opt for value, opt in zip(values, optima)]
+        assert row["count"] == len(group) == 3
+        assert row["avg_obj"] == pytest.approx(sum(values) / 3)
+        assert row["avg_gap_pct"] == pytest.approx(sum(gaps) / 3)
+        assert row["max_gap_pct"] == pytest.approx(max(gaps))
+        all_gaps += gaps
+    assert max(all_gaps) > 0.0  # some heuristic falls short, so the gaps are exercised
+
+
+def test_bench_non_positive_optimum_names_the_instance(tmp_path, checkpoint, capsys):
+    # no item fits the capacity: the optimum is 0, and no gap is relative to it
+    d = tmp_path / "instances"
+    d.mkdir()
+    write_instance(BlkpInstance(1, 1, [5], [1], [5], [1], [1], 2), d / "empty.json")
+    assert main(["bench", "--instances", str(d), "--checkpoint", str(checkpoint)]) == 1
+    assert "error: exact value must be positive for instance empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["exact", "label", "solve", "bench"])
+def test_solver_refusal_names_the_file(tmp_path, checkpoint, capsys, command):
+    # c and d2 fit int64, but the follower's combined profits M * c + d2 do not
+    d = tmp_path / "instances"
+    d.mkdir()
+    big = 2 ** 40
+    path = d / "big_profits.json"
+    write_instance(BlkpInstance(2, 2, [1, 1], [1, 1], [1, 1], [big, big], [big, big], 2), path)
+    flag = "--instance" if command == "solve" else "--instances"
+    args = [command, flag, str(d)]
+    if command in ("solve", "bench"):
+        args += ["--checkpoint", str(checkpoint)]
+    assert main(args) == 1
+    assert f"error: {path}: combined lexicographic profits" in capsys.readouterr().err
+
+
 def test_bench_checkpoint_hash_follows_the_weights(instance_dir, tmp_path):
     def checkpoint_hash(path):
         out = tmp_path / "report.json"
@@ -322,7 +379,6 @@ def test_non_utf8_instance_in_directory_names_the_file(instance_dir, capsys):
 
 
 def test_oversized_instance_errors(tmp_path, capsys):
-    from blkp.instance import BlkpInstance, write_instance
     big = 10 ** 9
     write_instance(BlkpInstance(1, 1, [big], [1], [big], [1], [1], big),
                    tmp_path / "big.json")

@@ -146,6 +146,9 @@ def test_collect_labels_rejects_negative_k():
     for k in (-1, -2):
         with pytest.raises(ValueError, match="k must be >= 0"):
             collect_labels(res, k=k)
+    for k in (True, 2.5, "3"):  # true ran as 1, and 2.5 raised TypeError inside the slice
+        with pytest.raises(ValueError, match="k must be an integer"):
+            collect_labels(res, k=k)
 
 
 def assert_matches_brute(inst, mode):

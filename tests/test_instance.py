@@ -106,6 +106,12 @@ def test_invalid_config():
         GenConfig(3, 3, data_type="X")
     with pytest.raises(InstanceError, match="GenConfig: seed must be >= 0"):
         GenConfig(2, 3, seed=-1)
+    # "0.5" raised TypeError, and true generated with alpha 1
+    for fields in ({"alpha_lo": "0.5"}, {"alpha_lo": True, "alpha_hi": 1.0},
+                   {"alpha_hi": True}):
+        name = next(iter(fields))
+        with pytest.raises(InstanceError, match=f"GenConfig: {name} must be a number"):
+            GenConfig(3, 3, **fields)
 
 
 @pytest.mark.parametrize("name, value", [("n1", 2.5), ("n1", True), ("n2", 3.0),

@@ -50,6 +50,11 @@ def activate(name, values):
 
 def test_pointwise_examples():
     assert activate("sigmoid", [0.0])[0] == 0.5
+    # exp(cap) is the largest finite exp: past it the sigmoid saturates
+    # without an overflow warning, and up to it keeps the formula's bits
+    cap = float(np.log(np.finfo(np.float64).max))
+    low = activate("sigmoid", [-1e4, -np.nextafter(cap, np.inf), -cap, 1e4])
+    assert low.tolist() == [1.0 / (1.0 + np.exp(cap))] * 3 + [1.0]
     assert activate("leaky_relu", [-2.0])[0] == pytest.approx(-0.02)
     assert activate("relu", [-3.0, 2.0]).tolist() == [0.0, 2.0]
     assert activate("identity", [-3.0, 2.0]).tolist() == [-3.0, 2.0]

@@ -502,3 +502,15 @@ def test_desk_forward_bits_are_pinned():
         inst = generate(GenConfig(10, 10, data_type="UC" if seed % 2 else "C", seed=seed))
         digest.update(forward(inst, params, norm).tobytes())
     assert digest.hexdigest() == DESK_FORWARD_SHA256
+
+
+def test_desk_forward_on_large_values_is_finite():
+    # at value_max 1e6 most of these decoder inputs used to overflow exp in
+    # the sigmoid, a warning that the suite turns into a failure
+    params, norm, _ = load_checkpoint(DESK_CHECKPOINT)
+    for seed in range(20):
+        inst = generate(GenConfig(10, 10, data_type="UC" if seed % 2 else "C",
+                                  value_max=10 ** 6, seed=seed))
+        values = forward(inst, params, norm)
+        assert np.isfinite(values).all()
+        assert ((values >= 0.0) & (values <= 1.0)).all()

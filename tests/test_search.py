@@ -139,6 +139,11 @@ def test_invalid_config():
             SearchConfig(theta=theta)
     with pytest.raises(ValueError):
         SearchConfig(n_samples=0)
+    # a bogus mode used to be refused only inside the search, after the forward
+    for mode in ("bogus", None, True):
+        with pytest.raises(ValueError, match="mode must be 'optimistic' or 'pessimistic'"):
+            SearchConfig(mode=mode)
+    assert SearchConfig(mode="pessimistic").to_dict()["mode"] == "pessimistic"
 
 
 @pytest.mark.parametrize("name, value", [("n_samples", 2.5), ("n_samples", 10.0),

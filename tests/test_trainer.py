@@ -164,6 +164,9 @@ def test_training_determinism():
 def test_invalid_config():
     with pytest.raises(ValueError):
         TrainConfig(split=0.0)
+    for split in ("0.8", True):  # a string raised TypeError, naming no setting
+        with pytest.raises(ValueError, match="split must be a number in"):
+            TrainConfig(split=split)
     with pytest.raises(ValueError):
         TrainConfig(early_stop_patience=-1)
     # each used to construct, and ran as a rate of 1 or 0
