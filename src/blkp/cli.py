@@ -239,23 +239,18 @@ def cmd_solve(args):
 
 
 def _bench_row(group, method, solved, optima, search_hash):
-    """One report row from a method's (path, objective, seconds) per instance of a group.
+    """One report row from a method's (objective, seconds) per instance of a group.
 
-    Each instance's gap is 100 * (optimum - objective) / optimum; a
-    non-positive optimum is refused, naming the instance.
+    Each instance's gap is 100 * (optimum - objective) / optimum.
     """
-    gaps = []
-    for (f, value, _), opt in zip(solved, optima):
-        if opt <= 0:
-            raise CliError(f"exact value must be positive for instance {f.stem}")
-        gaps.append(100.0 * (opt - value) / opt)
+    gaps = [100.0 * (opt - value) / opt for (value, _), opt in zip(solved, optima)]
     data_type, n1, n2 = group
     return {
         "data_type": data_type, "n1": n1, "n2": n2, "method": method,
         "count": len(solved),
-        "avg_obj": float(np.mean([value for _, value, _ in solved])),
+        "avg_obj": float(np.mean([value for value, _ in solved])),
         "avg_gap_pct": float(np.mean(gaps)), "max_gap_pct": float(np.max(gaps)),
-        "avg_time_s": float(np.mean([seconds for _, _, seconds in solved])),
+        "avg_time_s": float(np.mean([seconds for _, seconds in solved])),
         "search_hash": search_hash,
     }
 
@@ -276,11 +271,14 @@ def run_benchmark(loaded, params, norm, theta, n_samples, mode, seed):
     rows = []
     for group in sorted(groups):
         members = groups[group]
-        exact = [(f, res.opt_value, seconds) for f, res, seconds
-                 in _solve_each(members, exact_mod.solve_exact, mode)]
-        optima = [value for _, value, _ in exact]
+        exact = []
+        for f, res, seconds in _solve_each(members, exact_mod.solve_exact, mode):
+            if res.opt_value <= 0:  # no gap is relative to it; refused before any heuristic runs
+                raise CliError(f"exact value must be positive for instance {f.stem}")
+            exact.append((res.opt_value, seconds))
+        optima = [value for value, _ in exact]
         for method, scfg in methods.items():
-            solved = [(f, res.best_value, seconds) for f, res, seconds
+            solved = [(res.best_value, seconds) for _, res, seconds
                       in _solve_each(members, search.solve_heuristic, params, scfg, norm=norm)]
             search_hash = _short_hash(json.dumps(scfg.to_dict(), sort_keys=True).encode())
             rows.append(_bench_row(group, method, solved, optima, search_hash))
@@ -394,8 +392,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, inst_mod.InstanceError, pnanet.CheckpointError,
-            trainer.TrainingDiverged, ValueError) as exc:
+    except (CliError, trainer.TrainingDiverged, ValueError) as exc:  # InstanceError, CheckpointError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:  # a path that cannot be read: missing, a directory, no permission

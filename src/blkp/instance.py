@@ -5,6 +5,17 @@ Leader items carry (weight a1, leader profit d1); follower items carry
 (weight a2, leader profit d2, follower profit c). All data are positive
 integers, capacity is a non-negative integer.
 
+One rule holds however an instance is made, by the constructor, by
+`generate` or from a file: every field is an integer within the 64-bit
+range (an integral float such as 2.0 counts), held as a Python int for
+n1, n2 and b and as an int64 array for the item vectors. A fraction, a
+bool, a string, a list where a count belongs or a value past int64 is
+refused with an `InstanceError` naming the field, as is a vector whose
+length differs from its count, an entry below its least value, totals
+past int64, or a capacity beyond the total weight. The file reader adds
+only the document's own checks: its format and version, a missing field,
+and a `meta` that is not an object.
+
 Random generation uses numpy's default PCG64 generator so that instances
 reproduce exactly from a seed across platforms. Draw order is fixed:
 a1, a2, d2, then (UC only) d1, c, then the capacity ratio.
@@ -30,6 +41,38 @@ class InstanceError(ValueError):
     """Raised when instance data violates the model invariants."""
 
 
+# Every field, in file order: a vector names the count field its length must
+# equal, and each field the least entry it admits.
+_FIELDS = {"n1": (None, 1), "n2": (None, 1), "a1": ("n1", 1), "d1": ("n1", 1),
+           "a2": ("n2", 1), "d2": ("n2", 1), "c": ("n2", 1), "b": (None, 0)}
+
+
+def _integer(name: str, v) -> int:
+    """v as an int, refused unless int64 holds it exactly; an integral float such as 2.0 is one."""
+    if isinstance(v, float) and v.is_integer():
+        v = int(v)
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise InstanceError(f"{name}: entry {v!r} is not an integer")
+    if not _INT64.min <= v <= _INT64.max:
+        raise InstanceError(f"{name}: entry {v} is outside the 64-bit integer range")
+    return int(v)
+
+
+def _vector(name: str, value, n: int) -> np.ndarray:
+    """value as an int64 array of n entries, each an integer by `_integer`."""
+    # generate's int64 arrays skip the per-entry loop
+    if not (isinstance(value, np.ndarray) and value.dtype == np.int64):
+        entries = value.tolist() if isinstance(value, np.ndarray) else value
+        if isinstance(entries, (list, tuple)):
+            entries = [_integer(name, v) for v in entries]
+        else:  # a scalar, then refused by the length check
+            entries = _integer(name, entries)
+        value = np.array(entries, dtype=np.int64)
+    if value.shape != (n,):
+        raise InstanceError(f"{name}: length {value.shape} does not match count {n}")
+    return value
+
+
 @dataclass
 class BlkpInstance:
     n1: int
@@ -43,60 +86,34 @@ class BlkpInstance:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.a1 = np.asarray(self.a1, dtype=np.int64)
-        self.d1 = np.asarray(self.d1, dtype=np.int64)
-        self.a2 = np.asarray(self.a2, dtype=np.int64)
-        self.d2 = np.asarray(self.d2, dtype=np.int64)
-        self.c = np.asarray(self.c, dtype=np.int64)
-        self.b = int(self.b)
-        validate_instance(self)
+        for name, (count, least) in _FIELDS.items():
+            if count is None:
+                value = _integer(name, getattr(self, name))
+                below = value < least
+            else:
+                value = _vector(name, getattr(self, name), getattr(self, count))
+                below = value.min() < least  # the length check leaves n >= 1 entries
+            if below:
+                raise InstanceError(f"{name}: {'entries ' if count else ''}must be >= {least}")
+            setattr(self, name, value)
+        # exact sums: bounding the totals keeps every subset sum of weights or
+        # leader profits that the solvers form in int64 from wrapping
+        total_weight = sum(self.a1.tolist()) + sum(self.a2.tolist())
+        if total_weight > _INT64.max:
+            raise InstanceError("a1, a2: total weight exceeds the 64-bit integer range")
+        if sum(self.d1.tolist()) + sum(self.d2.tolist()) > _INT64.max:
+            raise InstanceError("d1, d2: total leader profit exceeds the 64-bit integer range")
+        if self.b > total_weight:
+            raise InstanceError("b: exceeds total item weight")
 
     def __eq__(self, other):
         if not isinstance(other, BlkpInstance):
             return NotImplemented
-        return (
-            self.n1 == other.n1
-            and self.n2 == other.n2
-            and self.b == other.b
-            and np.array_equal(self.a1, other.a1)
-            and np.array_equal(self.d1, other.d1)
-            and np.array_equal(self.a2, other.a2)
-            and np.array_equal(self.d2, other.d2)
-            and np.array_equal(self.c, other.c)
-        )
+        return all(np.array_equal(getattr(self, k), getattr(other, k)) for k in _FIELDS)
 
     @property
     def total_weight(self) -> int:
         return int(self.a1.sum() + self.a2.sum())
-
-
-def validate_instance(inst: BlkpInstance) -> None:
-    if inst.n1 < 1:
-        raise InstanceError("n1: must be >= 1")
-    if inst.n2 < 1:
-        raise InstanceError("n2: must be >= 1")
-    for name, arr, n in (
-        ("a1", inst.a1, inst.n1),
-        ("d1", inst.d1, inst.n1),
-        ("a2", inst.a2, inst.n2),
-        ("d2", inst.d2, inst.n2),
-        ("c", inst.c, inst.n2),
-    ):
-        if arr.shape != (n,):
-            raise InstanceError(f"{name}: length {arr.shape} does not match count {n}")
-        if (arr < 1).any():
-            raise InstanceError(f"{name}: entries must be >= 1")
-    # exact sums: bounding the totals keeps every subset sum of weights or
-    # leader profits that the solvers form in int64 from wrapping
-    total_weight = sum(inst.a1.tolist()) + sum(inst.a2.tolist())
-    if total_weight > _INT64.max:
-        raise InstanceError("a1, a2: total weight exceeds the 64-bit integer range")
-    if sum(inst.d1.tolist()) + sum(inst.d2.tolist()) > _INT64.max:
-        raise InstanceError("d1, d2: total leader profit exceeds the 64-bit integer range")
-    if inst.b < 0:
-        raise InstanceError("b: must be >= 0")
-    if inst.b > total_weight:
-        raise InstanceError("b: exceeds total item weight")
 
 
 def is_int(value) -> bool:
@@ -179,51 +196,24 @@ def generate(cfg: GenConfig) -> BlkpInstance:
 
 
 def instance_to_dict(inst: BlkpInstance) -> dict:
-    return {
-        "format": "blkp-instance",
-        "format_version": FORMAT_VERSION,
-        "n1": inst.n1,
-        "n2": inst.n2,
-        "a1": inst.a1.tolist(),
-        "d1": inst.d1.tolist(),
-        "a2": inst.a2.tolist(),
-        "d2": inst.d2.tolist(),
-        "c": inst.c.tolist(),
-        "b": inst.b,
-        "meta": inst.meta,
-    }
-
-
-_FIELDS = ("n1", "n2", "a1", "d1", "a2", "d2", "c", "b")
-
-
-def _integers(name: str, value):
-    """A JSON integer or integer list; int64 would truncate or overflow on others."""
-    for v in value if isinstance(value, list) else [value]:
-        if isinstance(v, float) and v.is_integer():
-            v = int(v)
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise InstanceError(f"{name}: entry {v!r} is not an integer")
-        if not _INT64.min <= v <= _INT64.max:
-            raise InstanceError(f"{name}: entry {v} is outside the 64-bit integer range")
-    return value
+    return {"format": "blkp-instance", "format_version": FORMAT_VERSION,
+            **{k: np.asarray(getattr(inst, k)).tolist() for k in _FIELDS}, "meta": inst.meta}
 
 
 def instance_from_dict(doc: dict) -> BlkpInstance:
+    """The instance a document holds; its fields are checked by the constructor."""
     if not isinstance(doc, dict) or doc.get("format") != "blkp-instance":
         raise InstanceError("format: not a blkp-instance document")
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise InstanceError(f"format_version: expected {FORMAT_VERSION}, got {doc.get('format_version')}")
+    version = doc.get("format_version")
+    if not is_int(version) or version != FORMAT_VERSION:  # true and 1.0 equal 1
+        raise InstanceError(f"format_version: expected {FORMAT_VERSION}, got {version}")
     missing = [k for k in _FIELDS if k not in doc]
     if missing:
         raise InstanceError(f"{missing[0]}: field missing")
-    fields = {k: _integers(k, doc[k]) for k in _FIELDS}
-    try:
-        return BlkpInstance(**fields, meta=dict(doc.get("meta", {})))
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, InstanceError):
-            raise
-        raise InstanceError(f"malformed field: {exc}") from exc
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        raise InstanceError("meta: not an object")
+    return BlkpInstance(**{k: doc[k] for k in _FIELDS}, meta=dict(meta))
 
 
 def write_instance(inst: BlkpInstance, path) -> None:

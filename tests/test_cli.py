@@ -1,6 +1,9 @@
 import dataclasses
+import importlib
 import json
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +34,19 @@ def checkpoint(tmp_path):
     params = ModelParams(PnaConfig(), seed=0)
     save_checkpoint(params, DEFAULT_NORM, {}, path)
     return path
+
+
+def test_console_script_runs_main(capsys):
+    # the installed `blkp` command; Python 3.10 has no tomllib, so the
+    # [project.scripts] table of pyproject.toml is read with a regex
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    table = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    module, name = re.search(r'^blkp\s*=\s*"([\w.]+):(\w+)"$', table, re.M).groups()
+    entry = getattr(importlib.import_module(module), name)
+    with pytest.raises(SystemExit) as exc:
+        entry(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: blkp ")
 
 
 def test_generate_writes_files(instance_dir):
@@ -271,13 +287,22 @@ def test_bench_rows_follow_from_the_solvers(tmp_path, checkpoint):
     assert max(all_gaps) > 0.0  # some heuristic falls short, so the gaps are exercised
 
 
-def test_bench_non_positive_optimum_names_the_instance(tmp_path, checkpoint, capsys):
+def test_bench_non_positive_optimum_names_the_instance(tmp_path, checkpoint, capsys,
+                                                       monkeypatch):
     # no item fits the capacity: the optimum is 0, and no gap is relative to it
+    from blkp import search
     d = tmp_path / "instances"
     d.mkdir()
     write_instance(BlkpInstance(1, 1, [5], [1], [5], [1], [1], 2), d / "empty.json")
+    for k in range(3):  # the same group, each with a positive optimum
+        write_instance(BlkpInstance(1, 1, [1], [k + 1], [5], [1], [1], 2), d / f"fits{k}.json")
+    calls = []
+    heuristic = search.solve_heuristic
+    monkeypatch.setattr(search, "solve_heuristic",
+                        lambda *a, **k: calls.append(a) or heuristic(*a, **k))
     assert main(["bench", "--instances", str(d), "--checkpoint", str(checkpoint)]) == 1
     assert "error: exact value must be positive for instance empty" in capsys.readouterr().err
+    assert calls == []  # refused right after the group's exact pass
 
 
 @pytest.mark.parametrize("command", ["exact", "label", "solve", "bench"])
@@ -368,6 +393,36 @@ def test_missing_file_errors(tmp_path, capsys):
     rc = main(["exact", "--instances", str(tmp_path / "nope")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_directory_without_instances_errors(tmp_path, capsys):
+    (tmp_path / "notes.txt").write_text("not an instance")
+    rc = main(["exact", "--instances", str(tmp_path)])
+    assert rc == 1
+    assert f"error: no instance files (*.json) in {tmp_path}" in capsys.readouterr().err
+
+
+def test_instance_without_labels_errors(instance_dir, tmp_path, capsys):
+    labels = tmp_path / "labels.tsv"
+    assert main(["label", "--instances", str(instance_dir), "--k", "1",
+                 "--out", str(labels)]) == 0
+    lines = labels.read_text().splitlines()
+    name = lines[-1].split("\t")[0]  # every label of the last instance goes
+    labels.write_text("\n".join(ln for ln in lines if not ln.startswith(name + "\t")) + "\n")
+    rc = main(["train", "--instances", str(instance_dir), "--labels", str(labels),
+               "--epochs", "1", "--out", str(tmp_path / "model.json")])
+    assert rc == 1
+    assert f"error: no labels for instance {name}" in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists()
+
+
+@pytest.mark.parametrize("out", [[], ["--out", "-"]], ids=["unset", "dash"])
+def test_table_goes_to_stdout_without_an_out_path(instance_dir, capsys, out):
+    assert main(["exact", "--instances", str(instance_dir)] + out) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split("\t") == ["instance", "mode", "opt_value", "proven_optimal",
+                                    "node_count", "elapsed"]
+    assert len(lines) == 1 + 6
 
 
 def test_non_utf8_instance_in_directory_names_the_file(instance_dir, capsys):

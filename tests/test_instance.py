@@ -81,12 +81,38 @@ def test_read_rejects_zero_weight():
     ("c", [2 ** 70, 1, 1]),   # beyond int64
     ("n1", 2 ** 64),
     ("d2", ["3", 1, 1]),
+    ("n1", [3]),              # read "malformed field: '<' not supported ...", naming no field
+    ("b", [5]),
+    ("n1", 0),
+    ("n2", 0),
+    ("b", -1),
+    ("format", "blkp-checkpoint"),
+    ("format_version", 2),
+    ("format_version", True),  # true and 1.0 compare equal to 1, and were read
+    ("format_version", 1.0),
+    ("meta", [["seed", 5]]),  # a list of pairs was read as a dict
 ])
 def test_read_rejects_non_int64_entries(field, value):
     doc = instance_to_dict(generate(GenConfig(3, 3, seed=5)))
     doc[field] = value
     with pytest.raises(InstanceError, match=field):
         instance_from_dict(doc)
+
+
+@pytest.mark.parametrize("field", ["n1", "a2", "b"])
+def test_read_rejects_missing_field(field):
+    doc = instance_to_dict(generate(GenConfig(3, 3, seed=5)))
+    del doc[field]
+    with pytest.raises(InstanceError, match=f"^{field}: field missing$"):
+        instance_from_dict(doc)
+
+
+def test_read_accepts_integral_floats():
+    inst = generate(GenConfig(3, 3, seed=5))
+    doc = instance_to_dict(inst)
+    doc["a1"] = [float(v) for v in doc["a1"]]
+    doc["b"] = float(doc["b"])
+    assert instance_from_dict(doc) == inst
 
 
 @pytest.mark.parametrize("data", [b"not json {", b'{"n1": "\xff"}'], ids=["not_json", "not_utf8"])
@@ -106,6 +132,8 @@ def test_invalid_config():
         GenConfig(3, 3, data_type="X")
     with pytest.raises(InstanceError, match="GenConfig: seed must be >= 0"):
         GenConfig(2, 3, seed=-1)
+    with pytest.raises(InstanceError, match="GenConfig: value_max must be >= 1"):
+        GenConfig(2, 3, value_max=0)
     # "0.5" raised TypeError, and true generated with alpha 1
     for fields in ({"alpha_lo": "0.5"}, {"alpha_lo": True, "alpha_hi": 1.0},
                    {"alpha_hi": True}):
@@ -137,3 +165,29 @@ def test_capacity_over_total_weight_rejected():
 def test_totals_beyond_int64_rejected(fields, args):
     with pytest.raises(InstanceError, match=fields):
         BlkpInstance(*args)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("a1", [1.7]),     # was truncated to 1
+    ("b", 2.9),        # was truncated to 2
+    ("d1", [True]),    # was read as 1
+    ("c", ["3"]),      # was read as 3
+    ("a2", [2 ** 70]),  # raised a bare OverflowError
+    ("n1", True),      # was accepted, and the file written from it refused
+])
+def test_constructor_applies_the_integer_rule(field, value):
+    fields = {"n1": 1, "n2": 1, "a1": [1], "d1": [1], "a2": [1], "d2": [1], "c": [1], "b": 1}
+    fields[field] = value
+    with pytest.raises(InstanceError, match=f"^{field}: entry "):
+        BlkpInstance(**fields)
+
+
+def test_numpy_integer_scalars_are_stored_as_int(tmp_path):
+    # an np.int64 count made write_instance raise TypeError
+    one = np.int64(1)
+    inst = BlkpInstance(one, one, np.array([1], dtype=np.int32), [one], [1], [1], [1], one)
+    assert [type(v) for v in (inst.n1, inst.n2, inst.b)] == [int, int, int]
+    assert inst.a1.dtype == inst.d1.dtype == np.int64
+    path = tmp_path / "inst.json"
+    write_instance(inst, path)
+    assert read_instance(path) == inst

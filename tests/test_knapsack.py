@@ -78,6 +78,18 @@ def test_knapsack_table_size_guard(monkeypatch):
         assert knapsack_max([1], [1], 10) == (1, np.array([1]))
 
 
+@pytest.mark.parametrize("profits, weights, capacity, message", [
+    ([1, 2], [1], 3, "profits and weights must be 1-D arrays of equal length"),
+    ([[1]], [[1]], 3, "profits and weights must be 1-D arrays of equal length"),
+    ([1], [1], -1, "capacity must be >= 0"),
+    ([-1], [1], 3, "profits must be non-negative"),
+    ([1], [0], 3, "weights must be positive"),
+])
+def test_knapsack_max_rejects_bad_input(profits, weights, capacity, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        knapsack_max(profits, weights, capacity)
+
+
 def reference_row(profits, weights, row):
     """The textbook recurrence, one cell at a time; a tie keeps the cell."""
     row = [int(v) for v in row]

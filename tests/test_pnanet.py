@@ -367,6 +367,25 @@ def test_checkpoint_invalid_normalization_rejected(tmp_path, key, value):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("damage", ["drop_layer", "drop_mlp", "short_weight", "long_bias"])
+def test_checkpoint_bad_weights_rejected(tmp_path, damage):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(ModelParams(PnaConfig(), seed=10), DEFAULT_NORM, {}, path)
+    doc = json.loads(path.read_text())
+    decoder = doc["weights"]["decoder"]
+    if damage == "drop_layer":
+        decoder.pop()
+    elif damage == "drop_mlp":
+        del doc["weights"]["decoder"]
+    elif damage == "short_weight":
+        decoder[0]["w"].pop()
+    else:
+        decoder[-1]["b"].append(0.0)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match="checkpoint weights invalid: "):
+        load_checkpoint(path)
+
+
 DESK_CHECKPOINT =Path(__file__).resolve().parent.parent / "perfbench" / "desk_checkpoint.json"
 
 

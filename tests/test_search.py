@@ -194,6 +194,12 @@ def test_non_finite_final_values_rejected(bad):
         solution_search(inst, [bad], SearchConfig())
 
 
+@pytest.mark.parametrize("values", [[], [0.5, 0.5]])
+def test_final_values_of_the_wrong_length_rejected(values):
+    with pytest.raises(ValueError, match="final_values must have length 1"):
+        solution_search(tiny_instance(), values, SearchConfig())
+
+
 def test_distinct_row_count_matches_unique():
     rng = np.random.default_rng(21)
     for _ in range(200):

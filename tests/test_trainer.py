@@ -72,6 +72,20 @@ def test_missing_labels_rejected():
                                                      early_stop_patience=0))
 
 
+def test_misaligned_labels_rejected():
+    instances, labels = make_labeled(3)
+    with pytest.raises(ValueError, match="instances and labels must align"):
+        build_dataset(instances, labels[:2], TrainConfig(epochs=1, early_stop_patience=0))
+
+
+def test_empty_training_set_rejected():
+    instances, labels = make_labeled(2)
+    cfg = TrainConfig(epochs=1, early_stop_patience=0, split=0.5)
+    _, val_set = build_dataset(instances, labels, cfg)
+    with pytest.raises(ValueError, match="training set is empty"):
+        train(instances, [], val_set, PnaConfig(), cfg)
+
+
 def test_overfit_single_sample():
     instances, labels = make_labeled(1, seed=5)
     labels = [labels[0][:1]]
