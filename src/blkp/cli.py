@@ -112,10 +112,8 @@ def _emit(args, key, records, columns, **extra):
 
 
 def cmd_generate(args):
-    if args.count < 1:
-        raise CliError(f"--count must be >= 1, got {args.count}")
-    if args.seed < 0:
-        raise CliError(f"--seed must be >= 0, got {args.seed}")
+    inst_mod.check_int("--count", args.count, 1, CliError)
+    inst_mod.check_int("--seed", args.seed, 0, CliError)
     cfgs = [inst_mod.GenConfig(
         n1=args.n1, n2=args.n2, data_type=args.data_type,
         alpha_lo=args.alpha_lo, alpha_hi=args.alpha_hi,
@@ -260,7 +258,9 @@ def run_benchmark(loaded, params, norm, theta, n_samples, mode, seed):
     mode = Mode(mode)
     groups = {}
     for f, inst in loaded:
-        key = (inst.meta.get("data_type", "?"), inst.n1, inst.n2)
+        # the reader does not check meta: a list data_type would not hash, nor an int sort
+        # beside a str
+        key = (str(inst.meta.get("data_type", "?")), inst.n1, inst.n2)
         groups.setdefault(key, []).append((f, inst))
 
     methods = {
@@ -308,10 +308,11 @@ def _add_table_output(p):
 
 
 def _add_search(p):
-    p.add_argument("--theta", type=float, default=0.2,
+    p.add_argument("--theta", type=float, default=search.SearchConfig.theta,
                    help="fix items within theta of 0 or 1; 0.5 rounds every item")
-    p.add_argument("--n-samples", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0, help="seed of the sampling search")
+    p.add_argument("--n-samples", type=int, default=search.SearchConfig.n_samples)
+    p.add_argument("--seed", type=int, default=search.SearchConfig.seed,
+                   help="seed of the sampling search")
 
 
 def _add_mode(p):
@@ -327,12 +328,12 @@ def build_parser():
     p = sub.add_parser("generate", help="write random instance files")
     p.add_argument("--n1", type=int, required=True)
     p.add_argument("--n2", type=int, required=True)
-    p.add_argument("--data-type", choices=["UC", "C"], default="UC")
+    p.add_argument("--data-type", choices=["UC", "C"], default=inst_mod.GenConfig.data_type)
     p.add_argument("--count", type=int, default=1)
-    p.add_argument("--alpha-lo", type=float, default=0.5)
-    p.add_argument("--alpha-hi", type=float, default=0.75)
-    p.add_argument("--value-max", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--alpha-lo", type=float, default=inst_mod.GenConfig.alpha_lo)
+    p.add_argument("--alpha-hi", type=float, default=inst_mod.GenConfig.alpha_hi)
+    p.add_argument("--value-max", type=int, default=inst_mod.GenConfig.value_max)
+    p.add_argument("--seed", type=int, default=inst_mod.GenConfig.seed,
                    help="seed of the first instance; the k-th uses seed + k")
     p.add_argument("--out", default=".", help="directory for the instance files")
     p.set_defaults(func=cmd_generate)
@@ -356,14 +357,14 @@ def build_parser():
     p.add_argument("--labels", required=True)
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--patience", type=int, default=50)
-    p.add_argument("--batch-size", type=int, default=550)
-    p.add_argument("--lr", type=float, default=0.002)
-    p.add_argument("--weight-decay", type=float, default=1e-6)
-    p.add_argument("--split", type=float, default=0.8)
-    p.add_argument("--iterations", type=int, default=2,
+    p.add_argument("--batch-size", type=int, default=trainer.TrainConfig.batch_size)
+    p.add_argument("--lr", type=float, default=trainer.TrainConfig.lr)
+    p.add_argument("--weight-decay", type=float, default=trainer.TrainConfig.weight_decay)
+    p.add_argument("--split", type=float, default=trainer.TrainConfig.split)
+    p.add_argument("--iterations", type=int, default=pnanet.PnaConfig.iterations,
                    help="message-passing rounds, all sharing one set of weights")
     p.add_argument("--history", default=None, help="per-epoch loss log path")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=int, default=trainer.TrainConfig.seed,
                    help="seed of the initial weights, the split and the batch order")
     p.add_argument("--out", default="model.json", help="checkpoint path")
     p.set_defaults(func=cmd_train)

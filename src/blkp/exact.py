@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import is_int
+from .instance import check_int
 from .knapsack import Mode, best_of_each_weight, check_dp_size, follower_response
 
 
@@ -76,8 +76,5 @@ def collect_labels(result: ExactResult, k: int = 10) -> list:
     Returns (x, leader_value) pairs, best first; fewer when the pool is
     small. A negative or non-integer k raises ValueError.
     """
-    if not is_int(k):  # true would run as 1, and 2.5 fail inside the slice
-        raise ValueError(f"k must be an integer, got {k!r}")
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    check_int("k", k, 0)  # true would run as 1, and 2.5 fail inside the slice
     return [(x, int(v)) for x, v in zip(result.pool[:k + 1], result.pool_values[:k + 1])]

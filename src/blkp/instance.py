@@ -16,6 +16,12 @@ past int64, or a capacity beyond the total weight. The file reader adds
 only the document's own checks: its format and version, a missing field,
 and a `meta` that is not an object.
 
+Settings have one rule too, `check_int`, applied to every integer field
+of `GenConfig`, `search.SearchConfig`, `trainer.TrainConfig` and
+`pnanet.PnaConfig` and to `exact.collect_labels`'s k: a Python int, not a
+bool, a float such as 2.0 or a string, and at least the setting's least
+value, or a refusal naming the setting.
+
 Random generation uses numpy's default PCG64 generator so that instances
 reproduce exactly from a seed across platforms. Draw order is fixed:
 a1, a2, d2, then (UC only) d1, c, then the capacity ratio.
@@ -121,6 +127,14 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def check_int(name: str, value, least: int, error=ValueError) -> None:
+    """Raise `error`, naming the setting, unless value is an int by `is_int` and >= least."""
+    if not is_int(value):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise error(f"{name} must be >= {least}, got {value}")
+
+
 def is_number(value) -> bool:
     """Whether value is a Python int or float: a bool or a string such as "1e3" is not."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -145,12 +159,9 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n1", "n2", "value_max", "seed"):  # n1 2.5 would fail inside numpy
-            value = getattr(self, name)
-            if not is_int(value):
-                raise InstanceError(f"GenConfig: {name} must be an integer, got {value!r}")
-        if self.n1 < 1 or self.n2 < 1:
-            raise InstanceError("GenConfig: n1 and n2 must be >= 1")
+        # n1 2.5 would fail inside numpy, and the seed -1 inside it naming no field
+        for name, least in (("n1", 1), ("n2", 1), ("value_max", 1), ("seed", 0)):
+            check_int(f"GenConfig: {name}", getattr(self, name), least, InstanceError)
         if self.data_type not in (UNCORRELATED, CORRELATED):
             raise InstanceError(f"GenConfig: unknown data_type {self.data_type!r}")
         for name in ("alpha_lo", "alpha_hi"):  # true would run as 1, "0.5" not compare
@@ -159,10 +170,6 @@ class GenConfig:
                 raise InstanceError(f"GenConfig: {name} must be a number, got {value!r}")
         if not (0.0 < self.alpha_lo <= self.alpha_hi <= 1.0):
             raise InstanceError("GenConfig: need 0 < alpha_lo <= alpha_hi <= 1")
-        if self.value_max < 1:
-            raise InstanceError("GenConfig: value_max must be >= 1")
-        if self.seed < 0:  # numpy's generator would refuse it, naming no field
-            raise InstanceError(f"GenConfig: seed must be >= 0, got {self.seed}")
 
 
 def generate(cfg: GenConfig) -> BlkpInstance:

@@ -27,10 +27,11 @@ which never forms the pair rows), the pooling (`ndiff.pool`), the
 concatenation [own; extra; pooled] and the update MLP; `_half_round_grad`
 chains their gradient rules in reverse. `forward_tensor` returns one
 `ndiff.Tensor` whose reverse pass walks the decoder, then the rounds
-last to first, each round starting with the group the one after it
-ended with: the depth-first order of a per-layer tape, so a group's
-gradients sum in that tape's order, bit for bit. The input features get
-no gradient.
+r = R..0 (R = `iterations`, round 0 the encoder), round r's half-rounds
+in forward order when R - r is odd and reversed otherwise. Each round
+thus starts with the group the one after it ended with: the depth-first
+order of a per-layer tape, so a group's gradients sum in that tape's
+order, bit for bit. The input features get no gradient.
 
 The pooling (`ndiff.pool`) concatenates mean/max/min of the incoming
 messages and repeats the block once per intensity scaler (1, a, 1/a),
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphrep import DEFAULT_NORM, NormalizationScheme, TripartiteGraph, build_graph
-from .instance import is_int
+from .instance import check_int, is_int
 from .ndiff import AGGREGATORS, SCALERS, Mlp, Tensor, pool, pool_grad
 
 CHECKPOINT_VERSION = 1
@@ -68,8 +69,7 @@ class PnaConfig:
 
     def __post_init__(self):
         # a checkpoint's 2.9, true or "2" is no round count
-        if not is_int(self.iterations) or self.iterations < 0:
-            raise ValueError(f"iterations must be an integer >= 0, got {self.iterations!r}")
+        check_int("iterations", self.iterations, 0)
 
     def to_dict(self):
         return {
@@ -183,17 +183,16 @@ def forward_tensor(graph: TripartiteGraph, params: ModelParams) -> Tensor:
     out, decoder_acts = decoder.run(rows[0])  # (N1, 1) in (0, 1)
 
     def backward(g):
-        grads, first = [decoder.grad(g, decoder_acts), None], 0
-        for step in reversed(steps):
-            if step[0][0] != first:
-                step = step[::-1]
+        grads = [decoder.grad(g, decoder_acts), None]
+        for r in range(rounds, -1, -1):
+            step = steps[r] if (rounds - r) % 2 else steps[r][::-1]
             new_grads = [None, None]
             for own, block, record in step:
                 new_grads[own], g_other = _half_round_grad(grads[own], record, pairs[own],
                                                            params, block, new_grads[own])
                 other = new_grads[1 - own]
                 new_grads[1 - own] = g_other if other is None else other + g_other
-            grads, first = new_grads, step[-1][0]
+            grads = new_grads
 
     return Tensor(out, backward)
 

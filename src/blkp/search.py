@@ -12,12 +12,12 @@ is asked for those alone, and its DP skips the cells below them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .graphrep import DEFAULT_NORM, NormalizationScheme
-from .instance import is_int, is_number
+from .instance import check_int, is_number
 from .knapsack import Mode, follower_response
 from .pnanet import forward
 
@@ -36,22 +36,11 @@ class SearchConfig:
             raise ValueError(f"theta must be a number in [0, 0.5], got {self.theta!r}")
         if self.mode not in _MODES:  # else refused only inside the search, after the forward
             raise ValueError(f"mode must be 'optimistic' or 'pessimistic', got {self.mode!r}")
-        for name in ("n_samples", "seed"):  # the seed True would run as 1
-            value = getattr(self, name)
-            if not is_int(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.n_samples < 1:
-            raise ValueError("need at least one sample")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_int("n_samples", self.n_samples, 1)
+        check_int("seed", self.seed, 0)  # the seed True would run as 1
 
     def to_dict(self):
-        return {
-            "theta": self.theta,
-            "n_samples": self.n_samples,
-            "mode": Mode(self.mode).value,
-            "seed": self.seed,
-        }
+        return {**asdict(self), "mode": Mode(self.mode).value}
 
 
 @dataclass

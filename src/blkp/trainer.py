@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphrep import DEFAULT_NORM, NormalizationScheme, build_graph, graph_union
-from .instance import binary_vector, is_int, is_number
+from .graphrep import build_graph, graph_union
+from .instance import binary_vector, check_int, is_number
 from .ndiff import Adam, Tensor, bce_mean
 from .pnanet import ModelParams, PnaConfig, forward_tensor
 
@@ -41,14 +41,11 @@ class TrainConfig:
     def __post_init__(self):
         if not (is_number(self.split) and 0.0 < self.split < 1.0):  # "0.8" would not compare
             raise ValueError(f"split must be a number in (0, 1), got {self.split!r}")
-        # early_stop_patience >= epochs never stops early
-        for name, low in (("batch_size", 1), ("epochs", 0), ("early_stop_patience", 0),
-                          ("seed", 0)):
-            value = getattr(self, name)
-            if not is_int(value):  # a float would fail later, inside range()
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < low:
-                raise ValueError(f"{name} must be >= {low}, got {value}")
+        # a float would fail later, inside range(); early_stop_patience >= epochs
+        # never stops early
+        for name, least in (("batch_size", 1), ("epochs", 0), ("early_stop_patience", 0),
+                            ("seed", 0)):
+            check_int(name, getattr(self, name), least)
         for name in ("lr", "weight_decay"):  # lr 0 freezes the weights; true is no rate
             value = getattr(self, name)
             if not (is_number(value) and np.isfinite(value) and value >= 0):
@@ -123,16 +120,17 @@ def evaluate_loss(samples, graphs, params) -> float:
 
 
 def train(instances, train_set, val_set, model_cfg: PnaConfig,
-          train_cfg: TrainConfig, norm: NormalizationScheme = DEFAULT_NORM) -> TrainResult:
+          train_cfg: TrainConfig) -> TrainResult:
     """Mini-batch training with early stopping on validation loss.
 
     `train_cfg.seed` seeds the initial parameters and the batch order.
-    Returns the parameters from the best-validation epoch together with
+    The graphs use `graphrep.DEFAULT_NORM`, the scheme that `blkp train`
+    records in its checkpoint. Returns the parameters from the best-validation epoch together with
     the per-epoch loss history.
     """
     if not train_set:
         raise ValueError("training set is empty")
-    graphs = {i: build_graph(inst, norm) for i, inst in enumerate(instances)}
+    graphs = {i: build_graph(inst) for i, inst in enumerate(instances)}
     params = ModelParams(model_cfg, seed=train_cfg.seed)
     opt = Adam(params.parameters(), lr=train_cfg.lr,
                weight_decay=train_cfg.weight_decay)

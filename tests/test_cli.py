@@ -11,7 +11,7 @@ import pytest
 from blkp.cli import main
 from blkp.exact import solve_exact
 from blkp.graphrep import DEFAULT_NORM
-from blkp.instance import BlkpInstance, read_instance, write_instance
+from blkp.instance import BlkpInstance, GenConfig, generate, read_instance, write_instance
 from blkp.knapsack import Mode
 from blkp.pnanet import ModelParams, PnaConfig, load_checkpoint, save_checkpoint
 from blkp.search import SearchConfig, solve_heuristic
@@ -67,7 +67,7 @@ def test_generate_invalid_config_creates_no_directory(tmp_path, capsys):
     out = tmp_path / "d"
     rc = main(["generate", "--n1", "0", "--n2", "2", "--out", str(out)])
     assert rc == 1
-    assert "error: GenConfig: n1 and n2 must be >= 1" in capsys.readouterr().err
+    assert "error: GenConfig: n1 must be >= 1, got 0" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -303,6 +303,24 @@ def test_bench_non_positive_optimum_names_the_instance(tmp_path, checkpoint, cap
     assert main(["bench", "--instances", str(d), "--checkpoint", str(checkpoint)]) == 1
     assert "error: exact value must be positive for instance empty" in capsys.readouterr().err
     assert calls == []  # refused right after the group's exact pass
+
+
+@pytest.mark.parametrize("data_types", [[["UC"]], [7, "UC"]], ids=["list", "int_and_str"])
+def test_bench_groups_by_the_string_form_of_data_type(tmp_path, checkpoint, data_types):
+    # the reader does not check meta: a list data_type raised TypeError (it
+    # does not hash), and an int beside a str failed in sorting the groups
+    d = tmp_path / "instances"
+    d.mkdir()
+    for k, data_type in enumerate(data_types):
+        inst = generate(GenConfig(3, 3, seed=k))
+        inst.meta["data_type"] = data_type
+        write_instance(inst, d / f"inst{k}.json")
+    out = tmp_path / "report.json"
+    assert main(["bench", "--instances", str(d), "--checkpoint", str(checkpoint),
+                 "--format", "json", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["report"]
+    assert [r["data_type"] for r in rows[::3]] == sorted(str(t) for t in data_types)
+    assert all(r["count"] == 1 for r in rows)
 
 
 @pytest.mark.parametrize("command", ["exact", "label", "solve", "bench"])
