@@ -1,10 +1,12 @@
 """Command-line surface: generate | exact | label | train | solve | bench.
 
 A command that solves reads every instance file before it solves any,
-and refuses one whose DP table would exceed the cell budget, naming the
-file. One timed loop (`_solve_each`) runs every solver call; a solver's
-refusal of its input, a DP past the budget or profits past the 64-bit
-range, is reported with the file's path.
+and asks `blkp.knapsack.table_form` about each item set it tables up to
+b: a1 and a2 for `exact`, `label` and `bench`, a2 for `solve`. A table
+that rule refuses is refused then, naming the file. One timed loop
+(`_solve_each`) runs every solver call; a solver's refusal of its input,
+a dense DP past the budget or profits past the 64-bit range, is reported
+with the file's path.
 
 The bench subcommand compares deterministic rounding (theta 0.5, one
 sample), the sampling heuristic, and the exact oracle over a directory of
@@ -28,7 +30,7 @@ from . import exact as exact_mod
 from . import instance as inst_mod
 from . import pnanet, search, trainer
 from .graphrep import DEFAULT_NORM
-from .knapsack import DpTooLarge, Mode, OverflowRiskError, check_dp_size
+from .knapsack import DpTooLarge, Mode, OverflowRiskError, table_form
 
 
 class CliError(Exception):
@@ -51,27 +53,19 @@ def _instance_files(path: str):
     raise CliError(f"no such file or directory: {path}")
 
 
-def _exact_dp_items(inst):
-    return inst.n1 + inst.n2
-
-
-def _follower_dp_items(inst):
-    return inst.n2
-
-
-def _load_instances(path: str, dp_items=None):
+def _load_instances(path: str, tabled=()):
     """(path, instance) of every instance file, all read before any is solved.
 
-    `dp_items(inst)` is the item count of the largest DP over capacities
-    0..b that the command runs on an instance; one above the cell budget
-    is refused here, naming its file.
+    `tabled` names the weight vectors ("a1", "a2") the command builds a
+    table over, up to capacity b; a table `table_form` refuses is refused
+    here, naming its file.
     """
     out = []
     for f in _instance_files(path):
         try:
             inst = inst_mod.read_instance(f)
-            if dp_items is not None:
-                check_dp_size(dp_items(inst), inst.b)
+            for name in tabled:
+                table_form(getattr(inst, name), inst.b)
         except (inst_mod.InstanceError, DpTooLarge) as exc:
             raise CliError(f"{f}: {exc}") from exc
         out.append((f, inst))
@@ -81,9 +75,9 @@ def _load_instances(path: str, dp_items=None):
 def _solve_each(loaded, solve, *args, **kwargs):
     """(path, result, seconds) of `solve(inst, *args, **kwargs)` on each loaded instance.
 
-    The seconds are the wall-clock time of the whole call. A DP past the
-    cell budget or profits past the 64-bit range, refused by the solver,
-    are re-raised as a CliError naming the file.
+    The seconds are the wall-clock time of the whole call. A dense DP past
+    the cell budget or profits past the 64-bit range, refused by the
+    solver, are re-raised as a CliError naming the file.
     """
     for f, inst in loaded:
         t0 = time.perf_counter()
@@ -143,7 +137,7 @@ def _exact_record(path, result, elapsed):
 
 def _solve_exact_all(args):
     """(path, result, seconds) of every instance, solved exactly."""
-    loaded = _load_instances(args.instances, _exact_dp_items)
+    loaded = _load_instances(args.instances, ("a1", "a2"))
     return _solve_each(loaded, exact_mod.solve_exact, Mode(args.mode))
 
 
@@ -218,7 +212,7 @@ def cmd_solve(args):
     params, norm, _meta = pnanet.load_checkpoint(args.checkpoint)
     scfg = search.SearchConfig(theta=args.theta, n_samples=args.n_samples,
                                mode=Mode(args.mode), seed=args.seed)
-    loaded = _load_instances(args.instance, _follower_dp_items)
+    loaded = _load_instances(args.instance, ("a2",))
     records = [{
         "instance": f.stem,
         "best_value": res.best_value,
@@ -287,7 +281,7 @@ def run_benchmark(loaded, params, norm, theta, n_samples, mode, seed):
 
 
 def cmd_bench(args):
-    loaded = _load_instances(args.instances, _exact_dp_items)
+    loaded = _load_instances(args.instances, ("a1", "a2"))
     params, norm, _meta = pnanet.load_checkpoint(args.checkpoint)
     rows = run_benchmark(loaded, params, norm, theta=args.theta,
                          n_samples=args.n_samples, mode=Mode(args.mode),

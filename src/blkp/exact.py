@@ -17,7 +17,11 @@ weights, a definition that depends on the instance alone.
 
 Each table is a dense DP row or a list of all 2^n selections, whichever
 `blkp.knapsack` finds cheaper for its item count and capped length, and
-the two forms give the same bits. A dense follower row spans
+the two forms give the same bits. `blkp.knapsack.table_form` sizes each
+table on its own: a dense one past the cell budget raises `DpTooLarge`,
+and a list is refused only for a weight sum past int64. So a solve holds
+at most two tables of that budget each, and a side of at most 14 items
+is answered at any b. A dense follower row spans
 min(b, sum(a2)) + 1 cells and a dense leader row min(b, sum(a1)) + 1,
 since no heavier leader weight is reachable; a dense leader row is
 traced eagerly by the vectorised `trace`, while a list already holds its
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import check_int
-from .knapsack import Mode, best_of_each_weight, check_dp_size, follower_response
+from .knapsack import Mode, best_of_each_weight, follower_response
 
 
 @dataclass
@@ -43,7 +47,7 @@ class ExactResult:
     opt_value: int
     pool: np.ndarray         # (R, n1) int8 leader vectors, one per reachable weight
     pool_values: np.ndarray  # (R,) int64 bilevel values, descending
-    node_count: int          # entries of the two tables: n * capped length cells, or 2^n
+    node_count: int          # entries of the two tables: dense cells or listed selections
     mode: Mode
     proven_optimal = True    # the DP is exact; kept for callers that check it
 
@@ -51,21 +55,19 @@ class ExactResult:
 def solve_exact(inst, mode: Mode = Mode.OPTIMISTIC) -> ExactResult:
     """Bilevel optimum and the per-weight pool; a table costs O(n * b), or O(n * 2^n) as a list."""
     mode = Mode(mode)
-    b = inst.b
-    check_dp_size(inst.n1 + inst.n2, b)
 
     # phase 1: L(r) and the reply for every residual r
     follower = follower_response(inst, np.zeros(inst.n1, dtype=np.int64), mode)
 
     # phase 2: G(W) at every reachable leader weight W, ascending
-    weights, best_d1, leaders, leader_entries = best_of_each_weight(inst.d1, inst.a1, b)
+    weights, best_d1, leaders, leader_entries = best_of_each_weight(inst.d1, inst.a1, inst.b)
 
-    values = best_d1 + follower.leader_profit(b - weights)
+    values = best_d1 + follower.leader_profit(inst.b - weights)
     order = np.argsort(-values, kind="stable")  # ties toward the lighter leader
     pool = leaders[order]
 
     return ExactResult(
-        opt_x=pool[0].astype(np.int64), opt_y=follower.reply(b - int(weights[order[0]])),
+        opt_x=pool[0].astype(np.int64), opt_y=follower.reply(inst.b - int(weights[order[0]])),
         opt_value=int(values[order[0]]), pool=pool, pool_values=values[order],
         node_count=follower.table.entries + leader_entries, mode=mode)
 

@@ -14,7 +14,7 @@ Two tables are built: `at_most_table`, the best selection weighing at
 most c (a reply table, `knapsack_max`), and `best_of_each_weight`, the
 best selection of each exact weight (the exact oracle's leader). Each
 takes one of two forms, and `_use_list` picks the cheaper from the item
-count n and the capped row length:
+count n and the capped row length (`table_form` asks it):
 
 - Dense: the DP row over capacities and its n x length take table
   (`knapsack_row`, `RowTable`). Its cost grows with the capacity.
@@ -26,10 +26,17 @@ count n and the capped row length:
 Both forms answer with the same bits. The DP keeps a cell on a tie and
 reads back from the last item, so at every capacity it returns the best
 selection with the smallest k; the list ranks the selections by value
-descending, then k ascending, with stable sorts. Both forms refuse the
-same inputs, before any int64 sum is formed: a profit sum past int64
-(`OverflowRiskError`), then a dense size n * (capacity + 1) past
-`MAX_DP_CELLS` (`DpTooLarge`).
+descending, then k ascending, with stable sorts.
+
+One rule sizes every table, `table_form`, run once per table before any
+int64 sum is formed. It refuses weights whose sum, each clipped to the
+capacity + 1, passes int64 (`OverflowRiskError`), in either form. It
+then picks the form and refuses a dense table whose cells, the
+n * (min(capacity, W) + 1) it allocates, pass `MAX_DP_CELLS`
+(`DpTooLarge`). A list is refused by nothing else: it holds n * 2^n
+entries, n <= 14, whatever the capacity. The builders then refuse a
+profit sum past int64 (`OverflowRiskError`). The CLI asks `table_form`
+the same question up front, so no other module restates a cell count.
 
 A dense row is only as long and as wide as the values it can hold:
 
@@ -40,11 +47,12 @@ A dense row is only as long and as wide as the values it can hold:
 - Width: a row is int32 when every value it can hold fits, otherwise
   int64. Values read out of a row are widened to int64 before any sum.
 
-`knapsack_row` is the only code that builds a row: it decides the length,
-the width and the initial values, guards the table size, and runs the
-recurrence in place through one scratch row, so an item allocates nothing.
-Given a lowest capacity, it skips the cells no capacity from there up
-reads; the table keeps its shape.
+`knapsack_row` is the only code that builds a row, once `table_form` has
+picked the dense form and sized the table: it decides the length, the
+width and the initial values, and runs the recurrence in place through
+one scratch row, so an item allocates nothing. Given a lowest capacity,
+it skips the cells no capacity from there up reads; the table keeps its
+shape.
 
 A take table is read back two ways: `walk` follows one capacity with
 Python scalar lookups (a reply, `knapsack_max`), and `trace` follows many
@@ -64,8 +72,9 @@ from .instance import binary_vector
 INT32_MAX = np.iinfo(np.int32).max
 INT64_MAX = np.iinfo(np.int64).max
 
-# Largest DP table (items x capacity cells) any solver here allocates:
-# 1e8 cells is about 100 MB of take table.
+# Largest dense DP table (items x capped capacities) any one table allocates:
+# 1e8 cells is about 100 MB of take table. The limit is per table, so a
+# solve that holds two tables, as `blkp.exact` does, holds at most 2e8 cells.
 MAX_DP_CELLS = 10 ** 8
 
 
@@ -83,15 +92,17 @@ class InfeasibleLeader(ValueError):
 
 
 class DpTooLarge(ValueError):
-    """A DP table would exceed MAX_DP_CELLS."""
+    """A dense DP table would exceed MAX_DP_CELLS."""
 
 
 @dataclass
 class FollowerResponse:
     """The follower's reply at a residual, and the reply table below it.
 
-    `reply(r)` and `leader_profit(r)` answer every residual r in
-    [min_residual, residual_capacity]; any other r raises ValueError.
+    `reply(r)` and `leader_profit(r)` answer every integer residual r in
+    [min_residual, residual_capacity], in either form, and `leader_profit`
+    an array of them too; any other r, a float, a bool or an array given
+    to `reply` among them, raises ValueError.
     """
 
     z_star: int
@@ -109,38 +120,30 @@ class FollowerResponse:
 
     def reply(self, r: int) -> np.ndarray:
         """The tie-broken reply y at residual capacity min_residual <= r <= residual_capacity."""
-        if not self.min_residual <= r <= self.residual_capacity:
-            raise ValueError(f"r must lie in [{self.min_residual}, {self.residual_capacity}]")
-        return self.table.selection(r)
+        r = _check_residual("r", r, self.min_residual, self.residual_capacity, scalar=True)
+        return self.table.selection(int(r))
 
     def leader_profit(self, r):
         """L(r) = d2 . reply(r) at a residual r, or an int64 array of them, from the table."""
-        r = np.asarray(r)
-        if r.size and not (self.min_residual <= r.min() and r.max() <= self.residual_capacity):
-            raise ValueError(f"r must lie in [{self.min_residual}, {self.residual_capacity}]")
+        r = _check_residual("r", r, self.min_residual, self.residual_capacity)
         return tie_break_profit(self.table.values(r), self.m, self.mode)
 
 
-def check_dp_size(n: int, capacity: int) -> None:
-    """Refuse a DP over n items and capacities 0..capacity above the cell budget."""
-    if n * (capacity + 1) > MAX_DP_CELLS:
-        raise DpTooLarge(f"DP table for n={n} items and capacity b={capacity} needs "
-                         f"{n * (capacity + 1):.3g} cells, above the budget of "
-                         f"{MAX_DP_CELLS:.0e}")
+def _check_residual(name: str, r, lo: int, hi: int, scalar: bool = False):
+    """r, refused with ValueError naming it unless it holds signed integers in [lo, hi].
 
-
-def _checked_sums(profits: list, weights: list, capacity: int):
-    """sum(profits) and sum(weights) as Python ints, after the refusals every table makes.
-
-    A profit sum past int64 raises OverflowRiskError, then a dense table of
-    len(weights) * (capacity + 1) cells past the budget raises DpTooLarge,
-    whichever form the table takes.
+    A Python int in range, the common case, is returned as it is, without
+    numpy; anything else as an array: a numpy signed integer or, unless
+    one `scalar` is needed, an array of them passes, a float, a bool or an
+    unsigned integer does not.
     """
-    total = sum(profits)
-    if total > INT64_MAX:
-        raise OverflowRiskError("sum of profits exceeds the 64-bit accumulator bound")
-    check_dp_size(len(weights), capacity)
-    return total, sum(weights)
+    if type(r) is int and lo <= r <= hi:
+        return r
+    a = np.asarray(r)
+    if a.dtype.kind == "i" and not (scalar and a.ndim) and (
+            not a.size or lo <= a.min() and a.max() <= hi):
+        return a
+    raise ValueError(f"{name} must lie in [{lo}, {hi}] and be an integer, got {r}")
 
 
 def knapsack_row(profits, weights, capacity: int, exact_weight: bool = False,
@@ -162,11 +165,14 @@ def knapsack_row(profits, weights, capacity: int, exact_weight: bool = False,
 
     The row is int32 when sum(profits) fits, else int64: a zero row holds
     0..sum and an exact-weight row -1 - sum..sum, so every value the
-    recurrence forms fits either way. The table is refused by the uncapped
-    size len(weights) * (capacity + 1), whatever the cap leaves.
+    recurrence forms fits either way. A profit sum past int64 raises
+    OverflowRiskError; the size of the table is left to `table_form`,
+    which the two tables run before they build a row.
     """
     profits, weights = profits.tolist(), weights.tolist()
-    total, rest = _checked_sums(profits, weights, capacity)
+    total, rest = sum(profits), sum(weights)
+    if total > INT64_MAX:
+        raise OverflowRiskError("sum of profits exceeds the 64-bit accumulator bound")
     capacity = min(capacity, rest)
     min_capacity = min(min_capacity, capacity)
     dtype = np.int32 if total <= INT32_MAX else np.int64
@@ -252,15 +258,43 @@ def _use_list(n: int, length: int) -> bool:
     return _LIST_US + _LIST_NS * n * 2 ** n / 1e3 < n * (_ROW_US + _ROW_NS * length / 1e3)
 
 
+def table_form(weights, capacity: int):
+    """(whether the table is a list, its capped capacity) for items `weights` up to capacity.
+
+    The one size rule of every table, run once per table. The capped
+    capacity is min(capacity, sum(weights)): no selection weighs more.
+
+    - Weights whose sum, each clipped to capacity + 1, passes int64 raise
+      OverflowRiskError, in either form: the list sums them in int64.
+    - `_use_list` picks the form.
+    - A list (n <= LIST_MAX_ITEMS) is refused by nothing else.
+    - A dense table allocates n * (capped + 1) cells; past MAX_DP_CELLS
+      it raises DpTooLarge, naming n and the cells.
+    """
+    n, rest = len(weights), sum(weights.tolist())
+    if rest > INT64_MAX and sum(min(w, capacity + 1) for w in weights.tolist()) > INT64_MAX:
+        raise OverflowRiskError("sum of weights clipped to the capacity exceeds the 64-bit range")
+    capacity = min(capacity, rest)
+    as_list = _use_list(n, capacity + 1)
+    if not as_list and n * (capacity + 1) > MAX_DP_CELLS:
+        raise DpTooLarge(f"DP table for n={n} items up to capacity {capacity} needs "
+                         f"{n * (capacity + 1)} cells, above the budget of {MAX_DP_CELLS:.0e}")
+    return as_list, capacity
+
+
 def _subset_sums(profits, weights, capacity: int):
     """The int64 weight and profit sums of every selection k, in the order of `subsets`.
 
     An item heavier than the capacity fits in no selection; clipped to
-    capacity + 1 it still fits in none, and no weight sum can pass
-    n * (capacity + 1), which `check_dp_size` has bounded.
+    capacity + 1 it still fits in none. At capacity INT64_MAX, where
+    capacity + 1 has no int64, no weight is heavier and none is clipped.
+    `table_form` has bounded the clipped weight sum within int64, and the
+    profit sum is refused past it here.
     """
+    if sum(profits.tolist()) > INT64_MAX:
+        raise OverflowRiskError("sum of profits exceeds the 64-bit accumulator bound")
     bits = subsets(len(weights))
-    return bits @ np.minimum(weights, capacity + 1), bits @ profits
+    return bits @ np.minimum(weights, min(capacity + 1, INT64_MAX)), bits @ profits
 
 
 @dataclass
@@ -315,16 +349,17 @@ class ListTable:
 def at_most_table(profits, weights, capacity: int, min_capacity: int = 0):
     """The best selection weighing at most c, and its profit, for every c up to capacity.
 
-    `_use_list` picks the form: a `RowTable` from `knapsack_row`, promised
-    for c >= min_capacity alone, or a `ListTable`, which answers every c.
+    `table_form` sizes it and picks the form: a `RowTable`, the row of
+    `knapsack_row` promised for c >= min_capacity alone, or a `ListTable`,
+    which answers every c.
     Of the best selections at c, both return the one with the smallest k.
     """
-    _, rest = _checked_sums(profits.tolist(), weights.tolist(), capacity)
-    if _use_list(len(weights), min(capacity, rest) + 1):
-        w_sum, p_sum = _subset_sums(profits, weights, capacity)
+    as_list, capped = table_form(weights, capacity)
+    if as_list:
+        w_sum, p_sum = _subset_sums(profits, weights, capped)
         order = np.argsort(-p_sum, kind="stable")
         return ListTable(order, p_sum[order], -np.minimum.accumulate(w_sum[order]), len(weights))
-    row, take = knapsack_row(profits, weights, capacity, min_capacity=min_capacity)
+    row, take = knapsack_row(profits, weights, capped, min_capacity=min_capacity)
     return RowTable(row, take, weights)
 
 
@@ -334,24 +369,25 @@ def best_of_each_weight(profits, weights, capacity: int):
     Returns (weights, profits, selections, entries): the reached weights in
     ascending order (int64), the best profit of each (int64), the first
     best selection of each as an (R, n) int8 matrix, and the entries of
-    the table built. `_use_list` picks the form: the exact-weight row of
-    `knapsack_row` read back by `trace`, or the subset list sorted by
-    weight, then profit descending, then k ascending, whose first entry
-    per weight is the best selection with the smallest k, as traced.
+    the table built. `table_form` sizes it and picks the form: the
+    exact-weight row of `knapsack_row` read back by `trace`, or the subset
+    list sorted by weight, then profit descending, then k ascending, whose
+    first entry per weight is the best selection with the smallest k, as
+    traced.
     """
-    _, rest = _checked_sums(profits.tolist(), weights.tolist(), capacity)
-    if _use_list(len(weights), min(capacity, rest) + 1):
-        w_sum, p_sum = _subset_sums(profits, weights, capacity)
+    as_list, capped = table_form(weights, capacity)
+    if as_list:
+        w_sum, p_sum = _subset_sums(profits, weights, capped)
         order = np.lexsort((-p_sum, w_sum))
         w_sorted = w_sum[order]
         first = np.empty(len(order), dtype=bool)
         first[0] = True
         np.not_equal(w_sorted[1:], w_sorted[:-1], out=first[1:])
-        first &= w_sorted <= capacity
+        first &= w_sorted <= capped
         best = order[first]
         return (w_sorted[first], p_sum[best], subsets(len(weights))[best].astype(np.int8),
                 len(order))
-    row, take = knapsack_row(profits, weights, capacity, exact_weight=True)
+    row, take = knapsack_row(profits, weights, capped, exact_weight=True)
     reached = np.flatnonzero(row >= 0)
     return reached, row[reached].astype(np.int64), trace(take, weights, reached), take.size
 
@@ -373,6 +409,7 @@ def knapsack_max(profits, weights, capacity: int):
         raise ValueError("profits must be non-negative")
     if (weights < 1).any():
         raise ValueError("weights must be positive")
+    capacity = min(capacity, INT64_MAX)  # reads as any larger one: every sum int64 holds fits
     table = at_most_table(profits, weights, capacity)
     return int(table.values(capacity)), table.selection(capacity)
 
@@ -430,8 +467,7 @@ def follower_response(inst, x_bar, mode: Mode = Mode.OPTIMISTIC,
     residual = inst.b - int(inst.a1 @ x_bar)
     if residual < 0:
         raise InfeasibleLeader(f"leader weight exceeds capacity by {-residual}")
-    if not 0 <= min_residual <= residual:
-        raise ValueError(f"min_residual must lie in [0, {residual}], got {min_residual}")
+    min_residual = int(_check_residual("min_residual", min_residual, 0, residual, scalar=True))
 
     combined, m = combined_profits(inst, mode)
     table = at_most_table(combined, inst.a2, residual, min_residual)

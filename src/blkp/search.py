@@ -61,12 +61,14 @@ def distinct_row_count(xs) -> int:
 def solution_search(inst, final_values, cfg: SearchConfig) -> SearchResult:
     """Best of the rounded samples and the all-zeros leader.
 
-    The scoring row's DP size guard checks n2 * (b + 1) cells, whatever
-    the candidates' residuals. Non-finite final values raise ValueError.
+    The scoring table is sized by `blkp.knapsack.table_form` over the
+    follower items at capacity b, whatever the candidates' residuals: a
+    dense row past the cell budget raises DpTooLarge. Final values that
+    are not a 1-D array of n1 finite numbers raise ValueError.
     """
-    final_values = np.asarray(final_values, dtype=np.float64).ravel()
+    final_values = np.asarray(final_values, dtype=np.float64)
     if final_values.shape != (inst.n1,):
-        raise ValueError(f"final_values must have length {inst.n1}")
+        raise ValueError(f"final_values must have length {inst.n1}, as a 1-D array")
     if not np.isfinite(final_values).all():
         raise ValueError("final_values must be finite")
     rng = np.random.default_rng(cfg.seed)

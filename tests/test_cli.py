@@ -451,13 +451,18 @@ def test_non_utf8_instance_in_directory_names_the_file(instance_dir, capsys):
     assert f"error: {bad}: malformed document" in capsys.readouterr().err
 
 
+def oversized_instance():
+    """15 follower items, more than a list serves, whose dense table has
+    15 * (min(b, 15 * b) + 1) cells, past the budget."""
+    big = 10 ** 8
+    return BlkpInstance(1, 15, [1], [1], [big] * 15, [1] * 15, [1] * 15, big)
+
+
 def test_oversized_instance_errors(tmp_path, capsys):
-    big = 10 ** 9
-    write_instance(BlkpInstance(1, 1, [big], [1], [big], [1], [1], big),
-                   tmp_path / "big.json")
+    write_instance(oversized_instance(), tmp_path / "big.json")
     rc = main(["exact", "--instances", str(tmp_path / "big.json")])
     assert rc == 1
-    assert f"b={big}" in capsys.readouterr().err
+    assert "n=15 items up to capacity 100000000 needs 1500000015 cells" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["exact", "solve", "bench"])
@@ -466,10 +471,8 @@ def test_oversized_instance_in_directory_refused_before_any_solve(tmp_path, chec
     from blkp import cli, instance
     d = tmp_path / "mixed"
     d.mkdir()
-    big = 10 ** 9
     instance.write_instance(instance.generate(instance.GenConfig(3, 3, seed=1)), d / "a_good.json")
-    instance.write_instance(instance.BlkpInstance(1, 1, [big], [1], [big], [1], [1], big),
-                            d / "b_big.json")
+    instance.write_instance(oversized_instance(), d / "b_big.json")
     solved = []
     monkeypatch.setattr(cli.exact_mod, "solve_exact", lambda *a, **k: solved.append(a))
     monkeypatch.setattr(cli.search, "solve_heuristic", lambda *a, **k: solved.append(a))
@@ -482,6 +485,24 @@ def test_oversized_instance_in_directory_refused_before_any_solve(tmp_path, chec
     assert f"error: {d / 'b_big.json'}: DP table" in capsys.readouterr().err
     assert not out.exists()
     assert solved == []
+
+
+@pytest.mark.parametrize("command", ["exact", "solve", "bench"])
+def test_list_tables_past_the_dense_budget_are_answered(tmp_path, checkpoint, command):
+    # (10, 10) at value_max 1e6: b near 7e6, so a dense table over both item
+    # sets would pass the budget, but each side is a list of 2^10 selections
+    d = tmp_path / "instances"
+    assert main(["generate", "--n1", "10", "--n2", "10", "--count", "2", "--value-max",
+                 str(10 ** 6), "--seed", "2", "--out", str(d)]) == 0
+    out = tmp_path / "out.json"
+    flag = "--instance" if command == "solve" else "--instances"
+    args = [command, flag, str(d), "--format", "json", "--out", str(out)]
+    if command != "exact":
+        args += ["--checkpoint", str(checkpoint)]
+    assert main(args) == 0
+    doc = json.loads(out.read_text())
+    if command == "exact":
+        assert [r["node_count"] for r in doc["records"]] == [2048, 2048]
 
 
 def test_bad_checkpoint_errors(instance_dir, tmp_path, capsys):

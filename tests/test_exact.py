@@ -109,13 +109,45 @@ def test_pool_ties_prefer_lighter_leader(monkeypatch):
         assert res.pool.tolist() == [[0], [1]]
 
 
-def test_table_size_guard(monkeypatch):
-    for _ in each_form(monkeypatch):
-        big = 10 ** 9
-        inst = BlkpInstance(1, 1, a1=[big], d1=[1], a2=[big], d2=[1], c=[1], b=big)
-        assert 2 * (big + 1) > MAX_DP_CELLS
-        with pytest.raises(DpTooLarge, match=f"n=2 .*b={big}"):
+def test_table_size_guard():
+    # 15 items on one side, leader or follower: no list serves them, and the
+    # dense table's capped cells, 15 * (min(b, 15 * big) + 1), pass the budget
+    big = 10 ** 8
+    many, one = ([big] * 15, [1] * 15), ([1], [1])
+    cells = 15 * (big + 1)
+    assert cells > MAX_DP_CELLS
+    for (a1, d1), (a2, d2) in ((many, one), (one, many)):
+        inst = BlkpInstance(len(a1), len(a2), a1=a1, d1=d1, a2=a2, d2=d2, c=d2, b=big)
+        with pytest.raises(DpTooLarge, match=f"n=15 .* {cells} cells"):
             solve_exact(inst)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_list_tables_answer_at_any_value_scale(mode):
+    # b of 2.7e8 to 4.6e8 at value_max 1e8: a dense table would pass the cell
+    # budget, but six items per side are lists of 64 selections
+    for seed in range(5):
+        inst = generate(GenConfig(6, 6, value_max=10 ** 8, seed=seed))
+        assert 6 * (inst.b + 1) > MAX_DP_CELLS
+        res = solve_exact(inst, mode)
+        assert res.node_count == 2 * 2 ** 6
+        assert res.opt_value == bilevel_brute(inst, mode)[2]
+        assert follower_brute(inst, res.opt_x, mode)[2] == res.opt_value
+        weights = (res.pool @ inst.a1).tolist()
+        assert dict(zip(weights, res.pool_values.tolist())) == pool_brute(inst, mode)
+
+
+@pytest.mark.parametrize("value_max", [10 ** 6, 10 ** 7])
+def test_ten_item_sides_answer_past_the_dense_budget(value_max):
+    # (n1 + n2) * (b + 1) dense cells would pass the budget: 1.4e8 and 1.4e9
+    inst = generate(GenConfig(10, 10, value_max=value_max, seed=2))
+    assert 20 * (inst.b + 1) > MAX_DP_CELLS
+    for mode in Mode:
+        res = solve_exact(inst, mode)
+        assert res.node_count == 2 * 2 ** 10
+        ev = evaluate_bilevel(inst, res.opt_x, res.opt_y, mode)
+        assert ev.bilevel_feasible and ev.rational_and_mode_consistent
+        assert ev.leader_obj == res.opt_value
 
 
 def test_collect_labels_small_pool():

@@ -70,12 +70,37 @@ def test_knapsack_overflow_guard(monkeypatch):
             knapsack_max([2 ** 62, 2 ** 62], [1, 1], 2)
 
 
-def test_knapsack_table_size_guard(monkeypatch):
+def test_knapsack_table_size_guard():
+    # 16 items, more than a list serves: the dense table's capped cells,
+    # 16 * (min(capacity, 16e7) + 1), are refused past the budget before any
+    # table is allocated; 14 of them are a list, refused at no capacity
+    weights = np.full(16, 10 ** 7)
+    with pytest.raises(DpTooLarge, match="n=16 .* 100000016 cells"):
+        knapsack_max([1] * 16, weights, MAX_DP_CELLS // 16)
+    # the tables run the rule on the capped cells: 15 unit weights at capacity
+    # MAX_DP_CELLS build a 15 x 16 table, 15 weights of 1e7 are refused
+    ones = np.ones(15, dtype=np.int64)
+    table = at_most_table(ones, ones, MAX_DP_CELLS)
+    assert table.take.shape == (15, 16) and table.row.tolist() == list(range(16))
+    assert best_of_each_weight(ones, ones, MAX_DP_CELLS)[3] == 15 * 16
+    for build in (at_most_table, best_of_each_weight):
+        with pytest.raises(DpTooLarge, match=f"n=15 .* {15 * (MAX_DP_CELLS + 1)} cells"):
+            build(ones, 10 ** 7 * ones, MAX_DP_CELLS)
+    assert knapsack.table_form(weights, MAX_DP_CELLS // 16 - 1) == (False, 6_249_999)
+    assert knapsack.table_form(weights[:14], MAX_DP_CELLS) == (True, MAX_DP_CELLS)
+    value, sel = knapsack_max([1] * 14, weights[:14], MAX_DP_CELLS)
+    assert (value, sel.tolist()) == (10, [1] * 10 + [0] * 4)
+    assert knapsack_max([1], [1], 10) == (1, np.array([1]))
+
+
+def test_list_weight_sums_cannot_wrap(monkeypatch):
     for _ in each_form(monkeypatch):
-        # one cell over the budget is refused before any table is allocated
-        with pytest.raises(DpTooLarge, match=f"n=1 .*b={MAX_DP_CELLS}"):
-            knapsack_max([1], [1], MAX_DP_CELLS)
-        assert knapsack_max([1], [1], 10) == (1, np.array([1]))
+        # 3 * 2^62 passes int64: refused, never answered from a wrapped sum
+        with pytest.raises(OverflowRiskError, match="sum of weights"):
+            knapsack_max([1] * 3, [2 ** 62] * 3, 2 ** 63 - 2)
+        # the same weights past a small capacity are clipped to it, and fit
+        value, sel = knapsack_max([1, 1, 1], [2 ** 62, 2 ** 62, 1], 5)
+        assert (value, sel.tolist()) == (1, [0, 0, 1])
 
 
 @pytest.mark.parametrize("profits, weights, capacity, message", [
@@ -154,9 +179,6 @@ def test_knapsack_row_builds_its_row():
             assert int(row[-1]) == total
             if exact_weight:
                 assert int(row[1]) == total - 7 and int(row[2]) == 7
-    # the cell budget is checked on the uncapped size, however short the row
-    with pytest.raises(DpTooLarge, match=f"n=2 .*b={MAX_DP_CELLS}"):
-        knapsack_row(np.array([1, 1]), np.array([1, 1]), MAX_DP_CELLS)
 
 
 def test_knapsack_row_from_min_capacity_equals_the_full_row():
@@ -451,6 +473,35 @@ def test_follower_reply_table_from_min_residual(mode, monkeypatch):
             for bad in (-1, top + 1):
                 with pytest.raises(ValueError, match="min_residual must lie"):
                     follower_response(inst, x, mode, min_residual=bad)
+
+
+@pytest.mark.parametrize("r", [3.5, 2.0, True, np.float64(2), np.uint64(2), np.array([2])],
+                         ids=["fraction", "integral_float", "bool", "float64", "uint64", "array"])
+def test_non_integer_residual_refused_in_both_forms(monkeypatch, r):
+    # unchecked, the dense form would fail inside numpy and the list form answer
+    inst = BlkpInstance(1, 3, [1], [1], [2, 1, 1], [4, 1, 1], [2, 1, 1], 4)
+    for _ in each_form(monkeypatch):
+        resp = follower_response(inst, [0])
+        bounds = "r must lie in \\[0, 4\\] and be an integer"
+        with pytest.raises(ValueError, match=bounds):
+            resp.reply(r)
+        with pytest.raises(ValueError, match="min_residual must lie in \\[0, 4\\] and be an integer"):
+            follower_response(inst, [0], min_residual=r)
+        if np.ndim(r):  # an array is one residual too many for reply alone
+            assert resp.leader_profit(r).tolist() == [resp.leader_profit(2)]
+            continue
+        with pytest.raises(ValueError, match=bounds):
+            resp.leader_profit(r)
+        with pytest.raises(ValueError, match=bounds):
+            resp.leader_profit(np.array([r]))
+        # numpy signed integers answer as ints do
+        for good in (np.int64(2), np.int32(2), np.array(2)):
+            assert resp.reply(good).tolist() == resp.reply(2).tolist()
+            assert resp.leader_profit(good) == resp.leader_profit(2)
+            narrowed = follower_response(inst, [0], min_residual=good)
+            assert narrowed.min_residual == 2 and narrowed.z_star == resp.z_star
+        every_r = np.arange(5)
+        assert resp.leader_profit(every_r).tolist() == [resp.leader_profit(c) for c in range(5)]
 
 
 def test_combined_profits_equal_the_python_int_formula():

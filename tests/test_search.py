@@ -194,7 +194,7 @@ def test_non_finite_final_values_rejected(bad):
         solution_search(inst, [bad], SearchConfig())
 
 
-@pytest.mark.parametrize("values", [[], [0.5, 0.5]])
+@pytest.mark.parametrize("values", [[], [0.5, 0.5], [[0.5]]])  # [[0.5]]: one entry, 2-D
 def test_final_values_of_the_wrong_length_rejected(values):
     with pytest.raises(ValueError, match="final_values must have length 1"):
         solution_search(tiny_instance(), values, SearchConfig())
