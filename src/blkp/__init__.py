@@ -10,12 +10,12 @@ from .graphrep import NormalizationScheme, TripartiteGraph, build_graph
 from .instance import (BlkpInstance, GenConfig, InstanceError, generate,
                        read_instance, write_instance)
 from .knapsack import (BilevelEvaluation, DpTooLarge, FollowerResponse,
-                       InfeasibleLeader, Mode, evaluate_bilevel, follower_response,
-                       knapsack_max)
+                       InfeasibleLeader, Mode, OverflowRiskError, evaluate_bilevel,
+                       follower_response, knapsack_max)
 from .pnanet import (CheckpointError, ModelParams, PnaConfig, forward,
                      load_checkpoint, save_checkpoint)
 from .search import SearchConfig, SearchResult, solution_search, solve_heuristic
-from .trainer import TrainConfig, TrainResult, build_dataset, train
+from .trainer import TrainConfig, TrainingDiverged, TrainResult, build_dataset, train
 
 __version__ = "0.1.0"
 
@@ -24,10 +24,10 @@ __all__ = [
     "read_instance", "write_instance",
     "knapsack_max", "follower_response", "evaluate_bilevel",
     "Mode", "FollowerResponse", "BilevelEvaluation", "InfeasibleLeader",
-    "DpTooLarge", "solve_exact", "collect_labels", "ExactResult",
+    "DpTooLarge", "OverflowRiskError", "solve_exact", "collect_labels", "ExactResult",
     "build_graph", "TripartiteGraph", "NormalizationScheme",
     "PnaConfig", "ModelParams", "forward", "save_checkpoint",
     "load_checkpoint", "CheckpointError",
-    "TrainConfig", "TrainResult", "build_dataset", "train",
+    "TrainConfig", "TrainResult", "TrainingDiverged", "build_dataset", "train",
     "SearchConfig", "SearchResult", "solution_search", "solve_heuristic",
 ]

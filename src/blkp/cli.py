@@ -349,8 +349,8 @@ def build_parser():
     p = sub.add_parser("train", help="train the predictor")
     p.add_argument("--instances", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--patience", type=int, default=50)
+    p.add_argument("--epochs", type=int, default=trainer.TrainConfig.epochs)
+    p.add_argument("--patience", type=int, default=trainer.TrainConfig.early_stop_patience)
     p.add_argument("--batch-size", type=int, default=trainer.TrainConfig.batch_size)
     p.add_argument("--lr", type=float, default=trainer.TrainConfig.lr)
     p.add_argument("--weight-decay", type=float, default=trainer.TrainConfig.weight_decay)

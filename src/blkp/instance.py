@@ -53,29 +53,32 @@ _FIELDS = {"n1": (None, 1), "n2": (None, 1), "a1": ("n1", 1), "d1": ("n1", 1),
            "a2": ("n2", 1), "d2": ("n2", 1), "c": ("n2", 1), "b": (None, 0)}
 
 
-def _integer(name: str, v) -> int:
-    """v as an int, refused unless int64 holds it exactly; an integral float such as 2.0 is one."""
+def integer(name: str, v, error=InstanceError) -> int:
+    """v as an int, refused unless int64 holds it exactly; an integral float such as 2.0 is one.
+
+    A refusal is an `error` naming `name`.
+    """
     if isinstance(v, float) and v.is_integer():
         v = int(v)
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-        raise InstanceError(f"{name}: entry {v!r} is not an integer")
+        raise error(f"{name}: entry {v!r} is not an integer")
     if not _INT64.min <= v <= _INT64.max:
-        raise InstanceError(f"{name}: entry {v} is outside the 64-bit integer range")
+        raise error(f"{name}: entry {v} is outside the 64-bit integer range")
     return int(v)
 
 
-def _vector(name: str, value, n: int) -> np.ndarray:
-    """value as an int64 array of n entries, each an integer by `_integer`."""
+def int_vector(name: str, value, n: int, error=InstanceError) -> np.ndarray:
+    """value as an int64 array of n entries, each an integer by `integer`."""
     # generate's int64 arrays skip the per-entry loop
     if not (isinstance(value, np.ndarray) and value.dtype == np.int64):
         entries = value.tolist() if isinstance(value, np.ndarray) else value
         if isinstance(entries, (list, tuple)):
-            entries = [_integer(name, v) for v in entries]
+            entries = [integer(name, v, error) for v in entries]
         else:  # a scalar, then refused by the length check
-            entries = _integer(name, entries)
+            entries = integer(name, entries, error)
         value = np.array(entries, dtype=np.int64)
     if value.shape != (n,):
-        raise InstanceError(f"{name}: length {value.shape} does not match count {n}")
+        raise error(f"{name}: length {value.shape} does not match count {n}")
     return value
 
 
@@ -94,10 +97,10 @@ class BlkpInstance:
     def __post_init__(self):
         for name, (count, least) in _FIELDS.items():
             if count is None:
-                value = _integer(name, getattr(self, name))
+                value = integer(name, getattr(self, name))
                 below = value < least
             else:
-                value = _vector(name, getattr(self, name), getattr(self, count))
+                value = int_vector(name, getattr(self, name), getattr(self, count))
                 below = value.min() < least  # the length check leaves n >= 1 entries
             if below:
                 raise InstanceError(f"{name}: {'entries ' if count else ''}must be >= {least}")

@@ -67,7 +67,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .instance import binary_vector
+from .instance import binary_vector, int_vector, integer
 
 INT32_MAX = np.iinfo(np.int32).max
 INT64_MAX = np.iinfo(np.int64).max
@@ -397,19 +397,22 @@ def knapsack_max(profits, weights, capacity: int):
 
     Returns (optimal value, 0/1 selection). Of the optimal selections the
     one with the smallest k = sum(x_i * 2^i) is returned, so the selection
-    is deterministic.
+    is deterministic. Every entry and the capacity must be an integer
+    within int64, by `instance.integer` (2.0 counts): a fraction, bool,
+    string or larger value is refused with a ValueError naming profits,
+    weights or capacity.
     """
-    profits = np.asarray(profits, dtype=np.int64)
-    weights = np.asarray(weights, dtype=np.int64)
-    if profits.shape != weights.shape or profits.ndim != 1:
+    if np.shape(profits) != np.shape(weights) or np.ndim(profits) != 1:
         raise ValueError("profits and weights must be 1-D arrays of equal length")
+    profits = int_vector("profits", profits, len(profits), ValueError)
+    weights = int_vector("weights", weights, len(weights), ValueError)
+    capacity = integer("capacity", capacity, ValueError)
     if capacity < 0:
         raise ValueError("capacity must be >= 0")
     if (profits < 0).any():
         raise ValueError("profits must be non-negative")
     if (weights < 1).any():
         raise ValueError("weights must be positive")
-    capacity = min(capacity, INT64_MAX)  # reads as any larger one: every sum int64 holds fits
     table = at_most_table(profits, weights, capacity)
     return int(table.values(capacity)), table.selection(capacity)
 

@@ -1,8 +1,9 @@
 """Minimal reverse-mode autodiff over dense float64 arrays.
 
 Everything runs on plain arrays, as a forward that returns what its
-backward reads and a backward that adds the parameters' gradients:
-- `Mlp.run`/`Mlp.grad`: an MLP stack, each layer `act(x @ w + b)`. With
+backward reads and a backward that adds the weights' gradients:
+- `Mlp.run`/`Mlp.grad`: an MLP stack, each layer `act(x @ w + b)`, whose
+  weights and gradients are views into two flat buffers. With
   a pair index, the first layer reads the row [own[i]; other[j]] of
   every own-major (i, j) pair of a graph union without forming it: each
   node is projected once and the projections are expanded to the pairs.
@@ -21,14 +22,13 @@ backward reads and a backward that adds the parameters' gradients:
   gradient at the predictions.
 Each activation's forward and gradient rule is defined once, in
 `ACTIVATIONS`; relu and leaky relu take an `np.maximum`, as `np.where`
-with scalar operands is a slow path. `Adam` updates the parameters as
-views into one flat buffer, a step at a time over all of them.
+with scalar operands is a slow path. `Adam` steps the flat weight
+buffer from the flat gradient buffer in a handful of vector operations.
 
-A `Tensor` is an array, its gradient and at most one reverse pass. A
-parameter has no pass, and its gradient accumulates additively, so it
-may be read many times. A computed tensor's pass (`pnanet.forward_tensor`,
-the training loss) sends the gradient at it on to the parameters, in an
-order its author fixed; `backward()` runs it once from a scalar.
+A `Tensor` is a computed array and its reverse pass: the pass
+(`pnanet.forward_tensor`, the training loss) sends the gradient at the
+array on to the weights, adding into their gradient buffer in an order
+its author fixed; `backward()` runs it once from a scalar.
 """
 
 from __future__ import annotations
@@ -37,29 +37,21 @@ import numpy as np
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "_backward")
+    __slots__ = ("data", "_backward")
 
     def __init__(self, data, backward=None):
         """`backward(g)`, if given, is the reverse pass from the gradient g at data."""
         self.data = np.asarray(data, dtype=np.float64)
         if self.data.ndim > 2:
             raise ValueError("rank > 2 tensors are not supported")
-        self.grad = None
         self._backward = backward
 
-    def _accumulate(self, g):
-        if self.grad is None:
-            # a copy: g may be a view of another gradient, or be added elsewhere too
-            self.grad = np.array(g, dtype=np.float64)
-        else:
-            self.grad += g
-
     def backward(self):
-        """Run the reverse pass from a scalar tensor, adding its parameters' gradients."""
+        """Run the reverse pass from a scalar tensor, adding the weights' gradients."""
         if self.data.size != 1:
             raise ValueError("backward requires a scalar tensor")
         if self._backward is None:
-            raise ValueError("backward needs a computed tensor; a parameter has no reverse pass")
+            raise ValueError("backward needs a tensor with a reverse pass")
         self._backward(np.ones_like(self.data))
 
 
@@ -202,18 +194,31 @@ def bce_mean(predictions, positives, totals):
 class Mlp:
     """Fully-connected stack: affine layers, each with its activation (`ACTIVATIONS`).
 
-    `run` and `grad` are its forward and backward on arrays.
+    `run` and `grad` are its forward and backward on arrays. Its weights
+    and their gradients are views into two zeroed flat buffers of
+    `size(widths)` values, `flat` and `grad`, layer by layer, weight then
+    bias. The weights are drawn into `flat`, and `grad` adds into
+    `grads`, the views of the gradient buffer.
     """
 
-    def __init__(self, widths, activations, rng: np.random.Generator):
+    def __init__(self, widths, activations, rng: np.random.Generator, flat, grad):
         if len(activations) != len(widths) - 1:
             raise ValueError("need one activation per affine layer")
-        self.layers = []
+        self.layers, self.grads = [], []
+        lo = 0
         for fan_in, fan_out, act in zip(widths[:-1], widths[1:], activations):
+            mid, hi = lo + fan_in * fan_out, lo + (fan_in + 1) * fan_out
+            w, gw = (a[lo:mid].reshape(fan_in, fan_out) for a in (flat, grad))
             bound = np.sqrt(1.0 / fan_in)
-            w = Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-            b = Tensor(np.zeros(fan_out))
-            self.layers.append((w, b, act))
+            w[...] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+            self.layers.append((w, flat[mid:hi], act))  # the bias stays zero
+            self.grads.append((gw, grad[mid:hi]))
+            lo = hi
+
+    @staticmethod
+    def size(widths):
+        """The number of weights and biases of a stack of these widths."""
+        return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(widths[:-1], widths[1:]))
 
     def run(self, x, pairs=None):
         """The stack's output on the array x, and each layer's (input, z, output) for `grad`.
@@ -229,92 +234,78 @@ class Mlp:
             if pairs is not None and not acts:
                 (own, other), (other_rows, seg) = x, pairs[:2]
                 k = own.shape[1]
-                z = (np.repeat(own @ w.data[:k], seg.counts, axis=0)
-                     + (other @ w.data[k:]).take(other_rows, axis=0) + b.data)
+                z = (np.repeat(own @ w[:k], seg.counts, axis=0)
+                     + (other @ w[k:]).take(other_rows, axis=0) + b)
             else:
-                z = x @ w.data + b.data
+                z = x @ w + b
             out = ACTIVATIONS[act][0](z)
             acts.append((x, z, out))
             x = out
         return x, acts
 
     def grad(self, g, acts, pairs=None):
-        """Add the parameters' gradients from g at the output of `run`; return x's.
+        """Add the weights' gradients from g at the output of `run`; return x's.
 
         With `pairs`, x's gradient is the pair (own's, other's).
         """
         for i in reversed(range(len(acts))):
-            (w, b, act), (x, z, out) = self.layers[i], acts[i]
+            (w, _, act), (gw, gb), (x, z, out) = self.layers[i], self.grads[i], acts[i]
             g = ACTIVATIONS[act][1](g, z, out)
-            b._accumulate(g.sum(axis=0))
+            gb += g.sum(axis=0)
             if pairs is not None and i == 0:
                 (own, other), (_, seg, by_other, other_starts) = x, pairs
+                k = own.shape[1]
                 g_own = np.add.reduceat(g, seg.starts, axis=0)
                 g_other = np.add.reduceat(g.take(by_other, axis=0), other_starts, axis=0)
-                w._accumulate(np.concatenate([own.T @ g_own, other.T @ g_other]))
-                k = own.shape[1]
-                return g_own @ w.data[:k].T, g_other @ w.data[k:].T
-            w._accumulate(x.T @ g)
-            g = g @ w.data.T
+                gw[:k] += own.T @ g_own
+                gw[k:] += other.T @ g_other
+                return g_own @ w[:k].T, g_other @ w[k:].T
+            gw += x.T @ g
+            g = g @ w.T
         return g
 
-    def parameters(self):
-        for w, b, _ in self.layers:
-            yield w
-            yield b
-
     def state_arrays(self):
-        return [(w.data, b.data) for w, b, _ in self.layers]
+        return [(w, b) for w, b, _ in self.layers]
 
     def load_state_arrays(self, state):
+        """Write the weights in place: they are views into the model's buffer."""
         if len(state) != len(self.layers):
             raise ValueError("layer count mismatch")
         for (w, b, _), (wd, bd) in zip(self.layers, state):
             wd = np.asarray(wd, dtype=np.float64)
             bd = np.asarray(bd, dtype=np.float64)
-            if wd.shape != w.data.shape or bd.shape != b.data.shape:
+            if wd.shape != w.shape or bd.shape != b.shape:
                 raise ValueError(
-                    f"shape mismatch: expected {w.data.shape}/{b.data.shape}, "
+                    f"shape mismatch: expected {w.shape}/{b.shape}, "
                     f"got {wd.shape}/{bd.shape}")
-            # in place: an `Adam`'s parameters are views into its buffer
-            w.data[...] = wd
-            b.data[...] = bd
+            w[...] = wd
+            b[...] = bd
 
 
 class Adam:
     """Adam with bias correction; weight decay enters as an L2 gradient term.
 
-    The parameters' arrays become views into one flat buffer, so a step
-    is a handful of vector operations over all of them. Write parameters
-    in place from then on, as `Mlp.load_state_arrays` does.
+    It steps the weights `flat` from their gradients `grad`, two flat
+    buffers of one length, in place: a step is a handful of vector
+    operations over all of them.
     """
 
     BETA1 = 0.9
     BETA2 = 0.999
     EPS = 1e-8
 
-    def __init__(self, params, lr=0.002, weight_decay=1e-6):
-        self.params = list(params)
+    def __init__(self, flat, grad, lr=0.002, weight_decay=1e-6):
+        self.flat, self.grad = flat, grad
         self.lr = lr
         self.weight_decay = weight_decay
         self.step_count = 0
-        self.flat = np.concatenate([p.data.ravel() for p in self.params])
-        lo = 0
-        for p in self.params:
-            p.data = self.flat[lo:lo + p.data.size].reshape(p.data.shape)
-            lo += p.data.size
-        self.m = np.zeros_like(self.flat)
-        self.v = np.zeros_like(self.flat)
-
-    def zero_grad(self):
-        for p in self.params:
-            p.grad = None
+        self.m = np.zeros_like(flat)
+        self.v = np.zeros_like(flat)
 
     def step(self):
         self.step_count += 1
         t = self.step_count
-        g = np.concatenate([np.zeros(p.data.size) if p.grad is None else np.ravel(p.grad)
-                            for p in self.params])
+        g = self.grad
         if self.weight_decay:
             g = g + self.weight_decay * self.flat
         self.m = self.BETA1 * self.m + (1 - self.BETA1) * g

@@ -31,7 +31,9 @@ r = R..0 (R = `iterations`, round 0 the encoder), round r's half-rounds
 in forward order when R - r is odd and reversed otherwise. Each round
 thus starts with the group the one after it ended with: the depth-first
 order of a per-layer tape, so a group's gradients sum in that tape's
-order, bit for bit. The input features get no gradient.
+order, bit for bit. The input features get no gradient. The weights and
+their gradients are two flat buffers of `ModelParams`, `flat` and
+`grad`; the reverse pass adds into `grad`.
 
 The pooling (`ndiff.pool`) concatenates mean/max/min of the incoming
 messages and repeats the block once per intensity scaler (1, a, 1/a),
@@ -97,30 +99,38 @@ class PnaConfig:
 
 
 class ModelParams:
-    """All learnable MLPs of the network, keyed by block name in checkpoint order."""
+    """All learnable MLPs of the network, keyed by block name in checkpoint order.
+
+    Their weights are views into one flat buffer, `flat`, and their
+    gradients into another, `grad`, both in checkpoint order: each MLP
+    layer by layer, weight then bias. `Mlp.grad` adds into `grad`, and
+    `ndiff.Adam` steps `flat` in place.
+    """
 
     def __init__(self, cfg: PnaConfig, seed: int = 0):
         self.cfg = cfg
         rng = np.random.default_rng(seed)
         e, m, h, aw = EMBED_DIM, MSG_DIM, HIDDEN, AGGREGATED_WIDTH
-        self.mlps = {
+        specs = {
             # encoder messages see both endpoints' raw features (2 + 3 = 5)
-            "msg_leader_enc": Mlp([5, h, m], ["relu", "identity"], rng),
-            "upd_leader_enc": Mlp([3 + aw, h, e], ["relu", "identity"], rng),
-            "msg_follower_enc": Mlp([5, h, m], ["relu", "identity"], rng),
-            "upd_follower_enc": Mlp([4 + aw, h, e], ["relu", "identity"], rng),
-            "msg_leader_mp": Mlp([2 * e, h, m], ["relu", "identity"], rng),
-            "upd_leader_mp": Mlp([e + aw, h, e], ["relu", "identity"], rng),
-            "msg_follower_mp": Mlp([2 * e, h, m], ["relu", "identity"], rng),
-            "upd_follower_mp": Mlp([e + aw, h, e], ["relu", "identity"], rng),
-            "decoder": Mlp(
-                [e] + [h] * DECODER_HIDDEN_LAYERS + [1],
-                ["leaky_relu"] * DECODER_HIDDEN_LAYERS + ["sigmoid"], rng),
+            "msg_leader_enc": ([5, h, m], ["relu", "identity"]),
+            "upd_leader_enc": ([3 + aw, h, e], ["relu", "identity"]),
+            "msg_follower_enc": ([5, h, m], ["relu", "identity"]),
+            "upd_follower_enc": ([4 + aw, h, e], ["relu", "identity"]),
+            "msg_leader_mp": ([2 * e, h, m], ["relu", "identity"]),
+            "upd_leader_mp": ([e + aw, h, e], ["relu", "identity"]),
+            "msg_follower_mp": ([2 * e, h, m], ["relu", "identity"]),
+            "upd_follower_mp": ([e + aw, h, e], ["relu", "identity"]),
+            "decoder": ([e] + [h] * DECODER_HIDDEN_LAYERS + [1],
+                        ["leaky_relu"] * DECODER_HIDDEN_LAYERS + ["sigmoid"]),
         }
-
-    def parameters(self):
-        for mlp in self.mlps.values():
-            yield from mlp.parameters()
+        size = sum(Mlp.size(widths) for widths, _ in specs.values())
+        self.flat, self.grad = np.zeros(size), np.zeros(size)
+        self.mlps, lo = {}, 0
+        for name, (widths, activations) in specs.items():
+            hi = lo + Mlp.size(widths)
+            self.mlps[name] = Mlp(widths, activations, rng, self.flat[lo:hi], self.grad[lo:hi])
+            lo = hi
 
 
 def _half_round(own, other, pairs, params: ModelParams, block: str, extra=None):

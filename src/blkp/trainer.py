@@ -9,7 +9,10 @@ the batch. Each batch makes one forward and one reverse pass, over the
 disjoint union of the graphs of its distinct instances
 (`graphrep.graph_union`); the loss, `ndiff.bce_mean`, scores every
 leader row through the sum and the count of its instance's labels in
-the batch, and its gradient starts the forward's reverse pass.
+the batch, and its gradient starts the forward's reverse pass. The
+gradient buffer (`ModelParams.grad`) is zeroed before each reverse pass,
+`ndiff.Adam` then steps the weight buffer (`ModelParams.flat`) in place,
+and the best epoch's weights are kept as a copy of that buffer.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 5000
-    early_stop_patience: int = 500
+    epochs: int = 200
+    early_stop_patience: int = 50
     batch_size: int = 550  # in samples
     lr: float = 0.002
     weight_decay: float = 1e-6
@@ -132,14 +135,13 @@ def train(instances, train_set, val_set, model_cfg: PnaConfig,
         raise ValueError("training set is empty")
     graphs = {i: build_graph(inst) for i, inst in enumerate(instances)}
     params = ModelParams(model_cfg, seed=train_cfg.seed)
-    opt = Adam(params.parameters(), lr=train_cfg.lr,
-               weight_decay=train_cfg.weight_decay)
+    opt = Adam(params.flat, params.grad, lr=train_cfg.lr, weight_decay=train_cfg.weight_decay)
     rng = np.random.default_rng(train_cfg.seed + 1)
 
     result = TrainResult(params=params)
     if val_set:
         result.initial_val_loss = evaluate_loss(val_set, graphs, params)
-    best = opt.flat.copy()  # the parameters are views into this buffer
+    best = params.flat.copy()  # every weight is a view into this buffer
     best_val = result.initial_val_loss if val_set else float("inf")
     best_epoch = -1
     since_improve = 0
@@ -154,7 +156,7 @@ def train(instances, train_set, val_set, model_cfg: PnaConfig,
             loss = _batch_loss(batch, graphs, params)
             if not np.isfinite(loss.data):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
-            opt.zero_grad()
+            params.grad[...] = 0.0
             loss.backward()
             opt.step()
             epoch_loss += float(loss.data)
@@ -168,14 +170,14 @@ def train(instances, train_set, val_set, model_cfg: PnaConfig,
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
-            best = opt.flat.copy()
+            best = params.flat.copy()
             since_improve = 0
         else:
             since_improve += 1
             if since_improve > train_cfg.early_stop_patience:
                 break
 
-    opt.flat[...] = best
+    params.flat[...] = best
     result.stopped_early = len(result.history) < train_cfg.epochs
     result.best_val_loss = best_val
     result.best_epoch = best_epoch

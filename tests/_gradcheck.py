@@ -37,19 +37,26 @@ def coordinate_ok(loss_fn, flat, k, analytic, rtol=1e-4, atol=1e-9):
     return False
 
 
-def check_params(loss_fn, params, rng, per_param=2, rtol=1e-4):
-    """Spot-check random coordinates of every parameter tensor.
+def parameters(mlps):
+    """Each weight and bias array of the MLPs with its gradient, in buffer order."""
+    return [(a, g) for mlp in mlps for layer, grads in zip(mlp.layers, mlp.grads)
+            for a, g in zip(layer[:2], grads)]
 
-    `loss_fn` recomputes the scalar loss from current parameter data;
-    gradients must already be populated. Returns the number checked.
+
+def check_params(loss_fn, params, rng, per_param=2, rtol=1e-4):
+    """Spot-check random coordinates of every parameter array.
+
+    `params` are (array, gradient) pairs, as `parameters` gives them;
+    `loss_fn` recomputes the scalar loss from the arrays' current values,
+    and the gradients must already be populated. Returns the number checked.
     """
     checked = 0
-    for p in params:
-        flat = p.data.reshape(-1)
-        grad = p.grad.reshape(-1)
+    for value, grad in params:
+        flat = value.reshape(-1)
+        grad = grad.reshape(-1)
         ks = rng.choice(flat.size, size=min(per_param, flat.size), replace=False)
         for k in ks:
             assert coordinate_ok(loss_fn, flat, int(k), grad[int(k)], rtol=rtol), \
-                f"gradient mismatch at coordinate {k} of shape {p.data.shape}"
+                f"gradient mismatch at coordinate {k} of shape {value.shape}"
             checked += 1
     return checked

@@ -1,7 +1,10 @@
 """The per-layer reference tape for the library's array forwards and backwards.
 
-`Node` is a `Tensor` with parents, and its `backward()` sorts the tape:
-the graph machinery the library's explicit reverse passes replace. On
+`Node` is a `Tensor` with parents and a gradient, and its `backward()`
+sorts the tape: the graph machinery the library's explicit reverse
+passes replace. A weight enters the tape as a leaf whose gradient adds
+into the model's gradient buffer (`leaves`), and a library `Tensor` as a
+node carrying its reverse pass (`node`). On
 it: `linear(x, w, b, act)`, `pair_linear` (the first message layer over
 every pair of a graph union), `concat_cols`, `segment_pna` (the whole
 pooling) and `forward_tensor`, the network with one node per layer, 38
@@ -17,7 +20,7 @@ The pooling and the pair gradient keep their earlier arithmetic, apart
 from the library's: `AGGREGATORS` reduces by `np.*.reduceat` and finds
 each extreme's winning row by a second reduction, and `_sum_picked_rows`
 sorts the picked rows afresh on every call. `UnfusedAdam` steps one
-parameter at a time, the reference of `ndiff.Adam`'s flat step.
+parameter array at a time, the reference of `ndiff.Adam`'s flat step.
 `where_relu`, `factor_leaky_relu` and `argmax_first_match` are the
 earlier formulas of the relu and leaky relu forwards and of the winner
 search in `pool`'s gathered block; the tape's `relu` and `leaky_relu`
@@ -87,48 +90,58 @@ def argmax_first_match(block, extreme):
 
 
 class UnfusedAdam:
-    """`ndiff.Adam` stepping each parameter on its own, rebinding its array."""
+    """`ndiff.Adam` stepping each parameter array on its own, rebinding it in `params`.
+
+    `grads[i]` is the gradient of `params[i]`.
+    """
 
     BETA1 = 0.9
     BETA2 = 0.999
     EPS = 1e-8
 
-    def __init__(self, params, lr=0.002, weight_decay=1e-6):
-        self.params = list(params)
+    def __init__(self, params, grads, lr=0.002, weight_decay=1e-6):
+        self.params, self.grads = list(params), list(grads)
         self.lr = lr
         self.weight_decay = weight_decay
         self.step_count = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.m = [np.zeros_like(p) for p in self.params]
+        self.v = [np.zeros_like(p) for p in self.params]
 
     def step(self):
         self.step_count += 1
         t = self.step_count
-        for i, p in enumerate(self.params):
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        for i, (p, g) in enumerate(zip(self.params, self.grads)):
             if self.weight_decay:
-                g = g + self.weight_decay * p.data
+                g = g + self.weight_decay * p
             self.m[i] = self.BETA1 * self.m[i] + (1 - self.BETA1) * g
             self.v[i] = self.BETA2 * self.v[i] + (1 - self.BETA2) * g * g
             m_hat = self.m[i] / (1 - self.BETA1 ** t)
             v_hat = self.v[i] / (1 - self.BETA2 ** t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
+            self.params[i] = p - self.lr * m_hat / (np.sqrt(v_hat) + self.EPS)
 
 
 class Node(Tensor):
-    """A tensor on the per-layer tape: its parents, and a backward that sorts them.
+    """A tensor on the per-layer tape: its parents, its gradient, and a backward that sorts them.
 
     `backward()` runs every node's `_backward(grad)` once, in reverse
     topological order of a depth-first walk that visits the last parent
-    first. A library `Tensor` on the tape is a node without parents, so a
-    forward's reverse pass runs from the gradient gathered at it.
+    first. A node's gradient is None until the first one reaches it,
+    which is copied: it may be a view of another gradient, or be added
+    elsewhere too. Given a `grad` array, a leaf adds into it instead.
     """
 
-    __slots__ = ("parents",)
+    __slots__ = ("parents", "grad")
 
-    def __init__(self, data, parents=(), backward=None):
+    def __init__(self, data, parents=(), backward=None, grad=None):
         super().__init__(data, backward)
         self.parents = parents
+        self.grad = grad
+
+    def _accumulate(self, g):
+        if self.grad is None:
+            self.grad = np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
 
     def backward(self):
         if self.data.size != 1:
@@ -146,6 +159,20 @@ class Node(Tensor):
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
+
+
+def node(t: Tensor) -> Node:
+    """A library tensor on the tape: a node without parents that runs its reverse pass."""
+    return Node(t.data, backward=t._backward)
+
+
+def leaves(mlp):
+    """Each layer of the MLP as (weight, bias, activation), the two as tape leaves.
+
+    Their gradients add into the MLP's views of the model's gradient buffer.
+    """
+    return [(Node(w, grad=gw), Node(b, grad=gb), act)
+            for (w, b, act), (gw, gb) in zip(mlp.layers, mlp.grads)]
 
 
 def _unary(a: Tensor, out, da) -> Node:
@@ -349,15 +376,15 @@ def segment_pna(t: Tensor, seg, aggregators, scalers) -> Tensor:
 
 
 def mlp_apply(mlp, x: Tensor, layers=None) -> Tensor:
-    """The MLP (or its `layers`) as one `linear` node per layer."""
-    for w, b, act in mlp.layers if layers is None else layers:
+    """The MLP (or its `layers`, as `leaves` gives them) as one `linear` node per layer."""
+    for w, b, act in leaves(mlp) if layers is None else layers:
         x = linear(x, w, b, act)
     return x
 
 
 def mlp_on_pairs(mlp, own: Tensor, other: Tensor, pairs) -> Tensor:
     """The MLP over the row [own[i]; other[j]] of every own-major pair, via `pair_linear`."""
-    (w, b, act), *rest = mlp.layers
+    (w, b, act), *rest = leaves(mlp)
     return mlp_apply(mlp, pair_linear(own, other, pairs, w, b, act), rest)
 
 
@@ -390,7 +417,7 @@ def forward_tensor(graph, params, inputs=None) -> Tensor:
 
 
 def network_inputs(graph):
-    """The four input constants of a forward, as tensors."""
-    return (Tensor(graph.leader_feats), Tensor(graph.follower_feats),
-            Tensor(np.repeat(graph.cap_feats, graph.n1s)[:, None]),
-            Tensor(np.repeat(graph.cap_feats, graph.n2s)[:, None]))
+    """The four input constants of a forward, as tape leaves."""
+    return (Node(graph.leader_feats), Node(graph.follower_feats),
+            Node(np.repeat(graph.cap_feats, graph.n1s)[:, None]),
+            Node(np.repeat(graph.cap_feats, graph.n2s)[:, None]))

@@ -20,7 +20,7 @@ from blkp.pnanet import (ModelParams, PnaConfig, forward, forward_tensor,
 from blkp.search import SearchConfig, solution_search, solve_heuristic
 from blkp.trainer import LabeledSample, TrainConfig, build_dataset, train
 
-from _gradcheck import check_params
+from _gradcheck import check_params, parameters
 from _oracles import bilevel_brute, follower_brute, knapsack_brute
 
 
@@ -130,7 +130,7 @@ def test_criterion_4_gradient_correctness():
         def loss_value():
             return float(ndiff.bce_mean(forward_tensor(graph, params).data, labels, 1)[0])
 
-        checked_total += check_params(loss_value, params.parameters(), rng,
+        checked_total += check_params(loss_value, parameters(params.mlps.values()), rng,
                                       per_param=1, rtol=1e-4)
     report(4, True,
            f"end-to-end gradients match finite differences at rel. tol 1e-4 "

@@ -131,6 +131,13 @@ def test_train_default_patience_beyond_epochs(instance_dir, tmp_path):
     assert len(hist.read_text().splitlines()) == 1 + 3
 
 
+def test_train_flags_default_to_the_train_config():
+    from blkp.cli import build_parser
+    args = build_parser().parse_args(["train", "--instances", "i", "--labels", "l"])
+    assert (args.epochs, args.patience) == (TrainConfig.epochs, TrainConfig.early_stop_patience)
+    assert (args.epochs, args.patience) == (200, 50)
+
+
 def test_train_divergence_errors(instance_dir, tmp_path, capsys):
     # a step size this large overflows the weights within two epochs
     labels = tmp_path / "labels.tsv"
@@ -544,8 +551,7 @@ def test_non_finite_predictions_error(instance_dir, checkpoint, monkeypatch, cap
 def test_overflowing_checkpoint_errors(instance_dir, tmp_path, capsys):
     # finite weights whose hidden layers overflow must not predict 0.5
     params = ModelParams(PnaConfig(), seed=0)
-    for p in params.parameters():
-        p.data = p.data * 1e306
+    params.flat *= 1e306
     path = tmp_path / "huge.json"
     save_checkpoint(params, DEFAULT_NORM, {}, path)
     with np.errstate(all="ignore"):

@@ -109,10 +109,25 @@ def test_list_weight_sums_cannot_wrap(monkeypatch):
     ([1], [1], -1, "capacity must be >= 0"),
     ([-1], [1], 3, "profits must be non-negative"),
     ([1], [0], 3, "weights must be positive"),
+    # each used to be truncated or read as an integer, or failed inside numpy
+    ([1.5, 2], [1, 2], 3, "profits: entry 1.5 is not an integer"),
+    ([1, 2], [1, 2.5], 3, "weights: entry 2.5 is not an integer"),
+    ([True, 2], [1, 2], 3, "profits: entry True is not an integer"),
+    ([1, 2], [1, False], 3, "weights: entry False is not an integer"),
+    (["1"], [1], 3, "profits: entry '1' is not an integer"),
+    ([1], [1], 2.5, "capacity: entry 2.5 is not an integer"),
+    ([1], [1], True, "capacity: entry True is not an integer"),
+    ([1], [1], "3", "capacity: entry '3' is not an integer"),
+    ([1], [1], 2 ** 63, f"capacity: entry {2 ** 63} is outside the 64-bit integer range"),
 ])
 def test_knapsack_max_rejects_bad_input(profits, weights, capacity, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         knapsack_max(profits, weights, capacity)
+
+
+def test_knapsack_max_reads_integral_floats_as_integers():
+    value, sel = knapsack_max([3.0, 2], np.array([1.0, 2.0]), 3.0)
+    assert (value, sel.tolist()) == (5, [1, 1]) and type(value) is int
 
 
 def reference_row(profits, weights, row):

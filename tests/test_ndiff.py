@@ -6,29 +6,36 @@ import pytest
 from blkp import ndiff
 from blkp.ndiff import Adam, Mlp, Segments, Tensor
 
-from _unfused import (ACTIVATE, UnfusedAdam, add, add_bias, affine_const, argmax_first_match,
-                      bce_sum, concat_cols, factor_leaky_relu, linear, matmul, mlp_on_pairs,
-                      mul_const, pair_linear, segment_pna, take_rows, tsum, unfused_bce_mean,
-                      where_relu)
+from _gradcheck import parameters
+from _unfused import (ACTIVATE, Node, UnfusedAdam, add, add_bias, affine_const,
+                      argmax_first_match, bce_sum, concat_cols, factor_leaky_relu, linear, matmul,
+                      mlp_on_pairs, mul_const, pair_linear, segment_pna, take_rows, tsum,
+                      unfused_bce_mean, where_relu)
 
 
-def finite_diff(fn, params, h=1e-5):
-    """Central finite differences of a scalar function of Tensor params."""
+def finite_diff(fn, arrays, h=1e-5):
+    """Central finite differences of a scalar function of the arrays, changed in place."""
     grads = []
-    for p in params:
-        g = np.zeros_like(p.data)
-        it = np.nditer(p.data, flags=["multi_index"])
+    for a in arrays:
+        g = np.zeros_like(a)
+        it = np.nditer(a, flags=["multi_index"])
         for _ in it:
             idx = it.multi_index
-            orig = p.data[idx]
-            p.data[idx] = orig + h
+            orig = a[idx]
+            a[idx] = orig + h
             up = fn()
-            p.data[idx] = orig - h
+            a[idx] = orig - h
             down = fn()
-            p.data[idx] = orig
+            a[idx] = orig
             g[idx] = (up - down) / (2 * h)
         grads.append(g)
     return grads
+
+
+def make_mlp(widths, activations, rng):
+    """An MLP on its own, with its own weight and gradient buffers."""
+    size = Mlp.size(widths)
+    return Mlp(widths, activations, rng, np.zeros(size), np.zeros(size))
 
 
 def reduce_segments(t, seg, name):
@@ -43,8 +50,8 @@ def mean_bce(predictions, labels):
 
 def activate(name, values):
     """The activation `name` of each value, through a 1 x 1 identity layer."""
-    mlp = Mlp([1, 1], [name], np.random.default_rng(0))
-    mlp.layers[0][0].data[:] = 1.0
+    mlp = make_mlp([1, 1], [name], np.random.default_rng(0))
+    mlp.layers[0][0][:] = 1.0
     return mlp.run(np.asarray(values, dtype=np.float64)[:, None])[0].ravel()
 
 
@@ -63,7 +70,7 @@ def test_pointwise_examples():
 
 
 def test_group_reductions():
-    t = Tensor([[1.0, 2.0], [3.0, 4.0]])
+    t = Node([[1.0, 2.0], [3.0, 4.0]])
     one = Segments([2])
     assert reduce_segments(t, one, "mean").data.tolist() == [[2.0, 3.0]]
     assert reduce_segments(t, one, "max").data.tolist() == [[3.0, 4.0]]
@@ -74,7 +81,7 @@ def test_shape_mismatch_raises():
     with pytest.raises(ValueError):
         Tensor(np.ones((2, 2, 2)))
     with pytest.raises(ValueError):  # two segments of 2 rows do not cover 5 rows
-        reduce_segments(Tensor(np.ones((5, 2))), Segments([2, 2]), "mean")
+        reduce_segments(Node(np.ones((5, 2))), Segments([2, 2]), "mean")
     with pytest.raises(ValueError):
         Segments([2, 0, 3])
 
@@ -83,13 +90,13 @@ def test_backward_requires_scalar():
     t = Tensor([[1.0, 2.0]])
     with pytest.raises(ValueError):
         t.backward()
-    with pytest.raises(ValueError, match="parameter"):  # a scalar with no reverse pass
+    with pytest.raises(ValueError, match="reverse pass"):  # a scalar with no reverse pass
         Tensor([3.0]).backward()
 
 
 def test_simple_product_gradient():
-    w = Tensor([[3.0]])
-    x = Tensor([[2.0]])
+    w = Node([[3.0]])
+    x = Node([[2.0]])
     loss = tsum(matmul(x, w))
     loss.backward()
     assert w.grad[0, 0] == 2.0
@@ -97,16 +104,15 @@ def test_simple_product_gradient():
 
 
 def test_sigmoid_gradient_at_zero():
-    mlp = Mlp([1, 1], ["sigmoid"], np.random.default_rng(0))
-    w = mlp.layers[0][0]
-    w.data[:] = 0.0
+    mlp = make_mlp([1, 1], ["sigmoid"], np.random.default_rng(0))
+    mlp.layers[0][0][:] = 0.0
     out, acts = mlp.run(np.array([[1.0]]))
     mlp.grad(np.ones_like(out), acts)  # the gradient of the output's sum
-    assert w.grad[0, 0] == pytest.approx(0.25)
+    assert mlp.grads[0][0][0, 0] == pytest.approx(0.25)
 
 
 def test_repeated_subgraph_accumulates():
-    w = Tensor([2.0])
+    w = Node([2.0])
     # loss = w + w -> gradient 2
     loss = tsum(add(w, w))
     loss.backward()
@@ -142,7 +148,7 @@ def test_bce_sum_stack_equals_loop(k):
     h = rng.uniform(0.0, 1.0, (5, 1))
     h[0, 0] = 1.0  # clamped at 1 - eps
     stack = rng.integers(0, 2, (k, 5)).astype(float)
-    looped = Tensor(h)
+    looped = Node(h)
     total, stacked_grad = ndiff.bce_mean(h, stack.sum(axis=0), k)
     parts = [bce_sum(looped, y, 1) for y in stack]
     ref = parts[0]
@@ -157,7 +163,7 @@ def test_bce_sum_stack_equals_loop(k):
 @pytest.mark.parametrize("seed", range(5))
 def test_mlp_gradient_matches_finite_differences(seed):
     rng = np.random.default_rng(seed)
-    mlp = Mlp([4, 8, 3], ["relu", "sigmoid"], rng)
+    mlp = make_mlp([4, 8, 3], ["relu", "sigmoid"], rng)
     x = rng.normal(size=(6, 4))
     y = rng.integers(0, 2, (6, 3)).astype(float)
 
@@ -166,17 +172,17 @@ def test_mlp_gradient_matches_finite_differences(seed):
 
     out, acts = mlp.run(x)
     mlp.grad(mean_bce(out, y)[1], acts)
-    params = list(mlp.parameters())
-    fd = finite_diff(loss_value, params)
-    for p, g in zip(params, fd):
+    params = parameters([mlp])
+    fd = finite_diff(loss_value, [a for a, _ in params])
+    for (_, grad), g in zip(params, fd):
         denom = np.maximum(np.abs(g), 1e-6)
-        assert np.max(np.abs(p.grad - g) / denom) < 1e-4
+        assert np.max(np.abs(grad - g) / denom) < 1e-4
 
 
 def test_pair_expansion_gradients():
     rng = np.random.default_rng(3)
-    x = Tensor(rng.normal(size=(3, 2)))
-    y = Tensor(rng.normal(size=(4, 2)))
+    x = Node(rng.normal(size=(3, 2)))
+    y = Node(rng.normal(size=(4, 2)))
     # every (x row, y row) pair, x-major
     x_rows, y_rows = np.repeat(np.arange(3), 4), np.tile(np.arange(4), 3)
 
@@ -190,13 +196,13 @@ def test_pair_expansion_gradients():
         return float(tsum(mul_const(expand(), weights)).data)
 
     loss.backward()
-    for p, g in zip([x, y], finite_diff(loss_value, [x, y])):
+    for p, g in zip([x, y], finite_diff(loss_value, [x.data, y.data])):
         assert np.allclose(p.grad, g, rtol=1e-6, atol=1e-8)
 
 
 def test_group_reduction_gradients():
     rng = np.random.default_rng(4)
-    t = Tensor(rng.normal(size=(6, 3)))
+    t = Node(rng.normal(size=(6, 3)))
     two = Segments([3, 3])
     weights = rng.normal(size=(2, 3))
     for name in ndiff.AGGREGATORS:
@@ -208,14 +214,14 @@ def test_group_reduction_gradients():
                                                     weights)).data)
 
         loss.backward()
-        fd = finite_diff(loss_value, [t])[0]
+        fd = finite_diff(loss_value, [t.data])[0]
         assert np.allclose(t.grad, fd, rtol=1e-5, atol=1e-7), name
 
 
 def test_take_rows_gradient_finite_differences():
     # rows picked out of order, some twice, one never
     rng = np.random.default_rng(5)
-    t = Tensor(rng.normal(size=(5, 3)))
+    t = Node(rng.normal(size=(5, 3)))
     rows = np.array([3, 0, 3, 1, 0, 3, 4])
     weights = rng.normal(size=(len(rows), 3))
 
@@ -225,7 +231,7 @@ def test_take_rows_gradient_finite_differences():
     out = take_rows(t, rows)
     assert np.array_equal(out.data, t.data[rows])
     loss_of().backward()
-    fd = finite_diff(lambda: float(loss_of().data), [t])[0]
+    fd = finite_diff(lambda: float(loss_of().data), [t.data])[0]
     assert np.allclose(t.grad, fd, rtol=1e-6, atol=1e-8)
     assert np.array_equal(t.grad[2], np.zeros(3))
 
@@ -238,7 +244,7 @@ def test_segment_reductions_unequal_segments():
     expected = {"mean": [p.mean(axis=0) for p in parts],
                 "max": [p.max(axis=0) for p in parts],
                 "min": [p.min(axis=0) for p in parts]}
-    t = Tensor(x)
+    t = Node(x)
     weights = rng.normal(size=(3, 3))
     for name in ndiff.AGGREGATORS:
         out = reduce_segments(t, seg, name)
@@ -250,7 +256,7 @@ def test_segment_reductions_unequal_segments():
             return float(tsum(mul_const(reduce_segments(t, seg, name),
                                                     weights)).data)
 
-        fd = finite_diff(loss_value, [t])[0]
+        fd = finite_diff(loss_value, [t.data])[0]
         assert np.allclose(t.grad, fd, rtol=1e-5, atol=1e-7), name
 
 
@@ -261,7 +267,7 @@ def test_segment_extreme_ties_go_to_first_row(op):
     x = np.array([[9.0, 0.0], [5.0, 1.0], [2.0, 7.0], [5.0, 3.0], [4.0, 4.0], [4.0, 4.0]])
     if op == "min":
         x = -x
-    t = Tensor(x)
+    t = Node(x)
     seg = Segments([1, 3, 2])
     out = reduce_segments(t, seg, op)
     tsum(mul_const(out, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])).backward()
@@ -281,7 +287,7 @@ def test_bce_counts_equals_bce_sum_per_stack():
     total, pooled_grad = ndiff.bce_mean(h, np.concatenate([first.sum(axis=0),
                                                             second.sum(axis=0)]),
                                         [3, 3, 1, 1, 1])
-    apart = Tensor(h)
+    apart = Node(h)
     ref = bce_sum(take_rows(apart, [2, 3, 4]), second[0], 1)
     for y in first:  # one term per label
         ref = add(ref, bce_sum(take_rows(apart, [0, 1]), y, 1))
@@ -301,7 +307,7 @@ def test_bce_mean_bit_equals_unfused_chain(totals):
     h[:6, 0] = [0.0, eps / 2, eps, 1.0 - eps, 1.0 - eps / 2, 1.0]
     k = rng.integers(1, 9, 40) if totals == "per_row" else 3
     positives = rng.integers(0, np.asarray(k) + 1, 40).astype(float)
-    chained = Tensor(h)
+    chained = Node(h)
     loss, grad = ndiff.bce_mean(h, positives, k)
     ref = unfused_bce_mean(chained, positives, k)
     assert np.array_equal(loss, ref.data)
@@ -311,55 +317,55 @@ def test_bce_mean_bit_equals_unfused_chain(totals):
 
 
 def test_adam_zero_gradient_no_decay():
-    p = Tensor([1.0, -2.0])
-    opt = Adam([p], weight_decay=0.0)
-    p.grad = np.zeros(2)
-    before = p.data.copy()
+    flat = np.array([1.0, -2.0])
+    opt = Adam(flat, np.zeros(2), weight_decay=0.0)
     opt.step()
-    assert np.array_equal(p.data, before)
+    assert np.array_equal(flat, [1.0, -2.0])
 
 
 def test_adam_descends_quadratic():
-    w = Tensor([1.0])
-    opt = Adam([w], lr=0.002, weight_decay=0.0)
-    w.grad = np.array([2.0 * w.data[0]])
+    w, grad = np.array([1.0]), np.zeros(1)
+    opt = Adam(w, grad, lr=0.002, weight_decay=0.0)
+    grad[0] = 2.0 * w[0]
     opt.step()
-    assert w.data[0] < 1.0
+    assert w[0] < 1.0
 
 
 def test_adam_converges_to_minimum():
     # expectations frozen from running the scalar recurrence itself
-    w = Tensor([1.0])
-    opt = Adam([w], lr=0.002, weight_decay=0.0)
+    w, grad = np.array([1.0]), np.zeros(1)
+    opt = Adam(w, grad, lr=0.002, weight_decay=0.0)
     for _ in range(2000):
-        w.grad = np.array([2.0 * (w.data[0] - 3.0)])
+        grad[0] = 2.0 * (w[0] - 3.0)
         opt.step()
-    assert w.data[0] == pytest.approx(2.9586753787333384, abs=1e-12)
+    assert w[0] == pytest.approx(2.9586753787333384, abs=1e-12)
     for _ in range(1000):
-        w.grad = np.array([2.0 * (w.data[0] - 3.0)])
+        grad[0] = 2.0 * (w[0] - 3.0)
         opt.step()
-    assert abs(w.data[0] - 3.0) < 1e-2
+    assert abs(w[0] - 3.0) < 1e-2
 
 
 def test_adam_flat_step_bit_equals_per_parameter_loop():
     from blkp.pnanet import ModelParams, PnaConfig
-    flat, loop = ModelParams(PnaConfig(), seed=4), ModelParams(PnaConfig(), seed=4)
-    opt, ref = Adam(flat.parameters(), weight_decay=1e-2), UnfusedAdam(loop.parameters(),
-                                                                       weight_decay=1e-2)
+    params = ModelParams(PnaConfig(), seed=4)
+    pairs = parameters(params.mlps.values())
+    opt = Adam(params.flat, params.grad, weight_decay=1e-2)
+    grads = [np.zeros_like(g) for _, g in pairs]
+    ref = UnfusedAdam([a.copy() for a, _ in pairs], grads, weight_decay=1e-2)
     rng = np.random.default_rng(14)
     for step in range(5):
-        for p, q in zip(opt.params, ref.params):
-            # some gradients are missing, which both read as zeros
-            p.grad = q.grad = None if rng.random() < 0.2 else rng.normal(size=p.data.shape)
+        for (_, g), ref_g in zip(pairs, grads):
+            # some gradients are zero, as where a parameter got none
+            g[...] = ref_g[...] = 0.0 if rng.random() < 0.2 else rng.normal(size=g.shape)
         opt.step()
         ref.step()
-        for p, q in zip(opt.params, ref.params):
-            assert np.array_equal(p.data, q.data), step
+        for (a, _), ref_a in zip(pairs, ref.params):
+            assert np.array_equal(a, ref_a), step
 
 
 def test_forward_determinism():
     rng = np.random.default_rng(9)
-    mlp = Mlp([3, 16, 1], ["relu", "sigmoid"], np.random.default_rng(1))
+    mlp = make_mlp([3, 16, 1], ["relu", "sigmoid"], np.random.default_rng(1))
     x = rng.normal(size=(5, 3))
     a = mlp.run(x)[0]
     b = mlp.run(x)[0]
@@ -369,7 +375,7 @@ def test_forward_determinism():
 def test_first_gradient_is_copied_not_aliased():
     # p's first gradient is a column view of the concat's gradient, which
     # `add` also hands to q; p's second gradient must not reach q or the concat
-    p, q, r = (Tensor(np.full((2, 2), v)) for v in (1.0, 2.0, 3.0))
+    p, q, r = (Node(np.full((2, 2), v)) for v in (1.0, 2.0, 3.0))
     cat = concat_cols([add(p, q), r])
     weights = np.arange(8.0).reshape(2, 4)
     loss = add(tsum(mul_const(cat, weights)),
@@ -409,14 +415,14 @@ def _check_fused_op(fused, reference, tensors, weights, tol):
     for t in tensors:
         t.grad = None
     loss_of(fused).backward()
-    check_params(lambda: float(loss_of(fused).data), tensors, np.random.default_rng(0),
-                 per_param=10 ** 6)
+    check_params(lambda: float(loss_of(fused).data), [(t.data, t.grad) for t in tensors],
+                 np.random.default_rng(0), per_param=10 ** 6)
 
 
 @pytest.mark.parametrize("act", sorted(ndiff.ACTIVATIONS))
 def test_linear_matches_matmul_add_and_finite_differences(act):
     rng = np.random.default_rng(10)
-    x, w, b = (Tensor(rng.normal(size=s)) for s in ((5, 3), (3, 4), (4,)))
+    x, w, b = (Node(rng.normal(size=s)) for s in ((5, 3), (3, 4), (4,)))
     weights = rng.normal(size=(5, 4))
     _check_fused_op(lambda: linear(x, w, b, act),
                     lambda: ACTIVATE[act](add_bias(matmul(x, w), b)), [x, w, b], weights,
@@ -432,9 +438,9 @@ def test_pair_linear_matches_gathered_pairs(own_sizes, other_sizes, act):
     pairs = own_major_pairs(np.array(own_sizes), np.array(other_sizes))
     other_rows, seg = pairs[:2]
     own_rows = np.repeat(np.arange(len(seg.counts)), seg.counts)
-    own = Tensor(rng.normal(size=(sum(own_sizes), 3)))
-    other = Tensor(rng.normal(size=(sum(other_sizes), 2)))
-    w, b = Tensor(rng.normal(size=(5, 4))), Tensor(rng.normal(size=4))
+    own = Node(rng.normal(size=(sum(own_sizes), 3)))
+    other = Node(rng.normal(size=(sum(other_sizes), 2)))
+    w, b = Node(rng.normal(size=(5, 4))), Node(rng.normal(size=4))
     weights = rng.normal(size=(seg.rows, 4))
 
     def fused():
@@ -456,7 +462,7 @@ def test_pair_linear_matches_gathered_pairs(own_sizes, other_sizes, act):
 def test_segment_pna_matches_per_aggregator_ops(aggregators, scalers):
     from _gradcheck import check_params
     rng = np.random.default_rng(12)
-    t = Tensor(rng.normal(size=(7, 3)))
+    t = Node(rng.normal(size=(7, 3)))
     seg = Segments([1, 4, 2])
     weights = rng.normal(size=(3, 3 * len(aggregators) * len(scalers)))
 
@@ -475,7 +481,7 @@ def test_segment_pna_matches_per_aggregator_ops(aggregators, scalers):
     assert np.allclose(segment_pna(t, seg, aggregators, scalers).data, expected,
                        rtol=1e-12, atol=1e-12)
     loss_of().backward()
-    check_params(lambda: float(loss_of().data), [t], np.random.default_rng(0),
+    check_params(lambda: float(loss_of().data), [(t.data, t.grad)], np.random.default_rng(0),
                  per_param=10 ** 6)
 
 
@@ -483,7 +489,7 @@ def test_segment_pna_ties_go_to_first_row():
     # the data of test_segment_extreme_ties_go_to_first_row: max and min
     # pick the same rows in the 1-row segment and in the all-tied segment
     x = np.array([[9.0, 0.0], [5.0, 1.0], [2.0, 7.0], [5.0, 3.0], [4.0, 4.0], [4.0, 4.0]])
-    t = Tensor(x)
+    t = Node(x)
     out = segment_pna(t, Segments([1, 3, 2]), ("max", "min"), (1.0, 2.0))
     weights = np.arange(24.0).reshape(3, 8)
     tsum(mul_const(out, weights)).backward()
@@ -503,7 +509,7 @@ def _pool_bits(x, counts):
     out, saved = ndiff.pool(x, seg)
     g = np.random.default_rng(15).normal(size=out.shape)
     grad = ndiff.pool_grad(g, x, saved, seg)
-    t = Tensor(x)
+    t = Node(x)
     ref = segment_pna(t, seg, ndiff.AGGREGATORS, ndiff.SCALERS)
     tsum(mul_const(ref, g)).backward()
     return (out, grad), (ref.data, t.grad), g
@@ -628,17 +634,17 @@ def test_pair_mlp_gradient_bit_equals_sorted_reference(own_sizes, other_sizes):
     from blkp.graphrep import own_major_pairs
     rng = np.random.default_rng(18)
     pairs = own_major_pairs(np.array(own_sizes), np.array(other_sizes))
-    mlp = Mlp([5, 4, 3], ["relu", "identity"], rng)
-    own = Tensor(rng.normal(size=(sum(own_sizes), 3)))
-    other = Tensor(rng.normal(size=(sum(other_sizes), 2)))
+    mlp = make_mlp([5, 4, 3], ["relu", "identity"], rng)
+    own = Node(rng.normal(size=(sum(own_sizes), 3)))
+    other = Node(rng.normal(size=(sum(other_sizes), 2)))
     weights = rng.normal(size=(pairs[1].rows, 3))
     out, acts = mlp.run((own.data, other.data), pairs)
     fused = [g.copy() for g in mlp.grad(weights, acts, pairs)]
-    fused += [p.grad for p in mlp.parameters()]
-    for p in mlp.parameters():
-        p.grad = None
+    fused += [g.copy() for _, g in parameters([mlp])]
+    for _, g in parameters([mlp]):
+        g[...] = 0.0
     ref = mlp_on_pairs(mlp, own, other, pairs)
     tsum(mul_const(ref, weights)).backward()
     assert np.array_equal(out, ref.data)
-    for got, want in zip(fused, [own.grad, other.grad] + [p.grad for p in mlp.parameters()]):
+    for got, want in zip(fused, [own.grad, other.grad] + [g for _, g in parameters([mlp])]):
         assert np.array_equal(got, want)

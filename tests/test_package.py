@@ -1,8 +1,11 @@
 """Rules the package's source keeps."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
+
+import blkp
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "blkp"
 
@@ -24,3 +27,20 @@ def test_core_imports_only_the_standard_library_and_numpy():
             outside += [f"{path.name}:{node.lineno}: {name}" for name in names
                         if name.split(".")[0] not in allowed]
     assert outside == []
+
+
+def test_every_exception_the_library_raises_is_exported():
+    # cli.CliError never leaves cli.main, which prints it
+    modules = sorted(path.stem for path in SRC.glob("*.py")
+                     if path.stem not in ("__init__", "cli"))
+    assert modules
+    raised = []
+    for name in modules:
+        module = importlib.import_module(f"blkp.{name}")
+        raised += [obj for obj in vars(module).values()
+                   if isinstance(obj, type) and issubclass(obj, BaseException)
+                   and obj.__module__ == module.__name__]
+    assert len(raised) >= 6
+    missing = [cls.__name__ for cls in raised
+               if getattr(blkp, cls.__name__, None) is not cls or cls.__name__ not in blkp.__all__]
+    assert missing == []

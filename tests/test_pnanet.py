@@ -95,8 +95,8 @@ def test_message_pass_zero_rounds_identity():
     expected = params.mlps["decoder"].run(leader.data)[0]
     for name in ("msg_leader_mp", "upd_leader_mp", "msg_follower_mp", "upd_follower_mp"):
         for w, b, _ in params.mlps[name].layers:
-            w.data[:] = np.nan
-            b.data[:] = np.nan
+            w[:] = np.nan
+            b[:] = np.nan
     assert np.array_equal(forward_tensor(graph, params).data, expected)
 
 
@@ -108,8 +108,7 @@ def test_message_pass_weight_sharing():
     graph = build_graph(generate(GenConfig(3, 3, seed=6)))
     for iterations in (1, 2, 3):
         params = ModelParams(PnaConfig(iterations=iterations), seed=2)
-        for got, want in zip(params.parameters(), once.parameters()):
-            assert np.array_equal(got.data, want.data)
+        assert np.array_equal(params.flat, once.flat)
         leader = reference_leader_embeddings(graph, params)
         expected = params.mlps["decoder"].run(leader.data)[0]
         assert np.array_equal(forward_tensor(graph, params).data, expected)
@@ -119,8 +118,8 @@ def test_decode_zero_parameters_give_half():
     cfg = PnaConfig()
     params = ModelParams(cfg, seed=0)
     for w, b, _ in params.mlps["decoder"].layers:
-        w.data[:] = 0.0
-        b.data[:] = 0.0
+        w[:] = 0.0
+        b[:] = 0.0
     inst = generate(GenConfig(4, 4, seed=7))
     out = forward_tensor(build_graph(inst), params)
     assert np.allclose(out.data, 0.5)
@@ -199,9 +198,28 @@ def test_end_to_end_gradient_finite_differences():
     def loss_value():
         return float(ndiff.bce_mean(forward_tensor(graph, params).data, labels, 1)[0])
 
-    from _gradcheck import check_params
-    checked = check_params(loss_value, params.parameters(), rng, per_param=2)
+    from _gradcheck import check_params, parameters
+    checked = check_params(loss_value, parameters(params.mlps.values()), rng, per_param=2)
     assert checked >= 30
+
+
+def test_one_adam_step_moves_every_weight_array():
+    # a weight array come loose from the buffer would keep its values
+    params = ModelParams(PnaConfig(), seed=8)
+    arrays = [a for mlp in params.mlps.values() for layer in mlp.state_arrays() for a in layer]
+    before = [a.copy() for a in arrays]
+    params.grad[...] = 1.0
+    ndiff.Adam(params.flat, params.grad).step()
+    assert all((a != b).all() for a, b in zip(arrays, before))
+
+
+def test_load_checkpoint_fills_the_flat_buffer():
+    params, _, _ = load_checkpoint(DESK_CHECKPOINT)
+    weights = json.loads(DESK_CHECKPOINT.read_text())["weights"]
+    assert np.array_equal(params.flat, np.concatenate(
+        [np.ravel(layer[k]) for layers in weights.values() for layer in layers for k in "wb"]))
+    arrays = [a for mlp in params.mlps.values() for layer in mlp.state_arrays() for a in layer]
+    assert all(np.shares_memory(a, params.flat) for a in arrays)
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -462,17 +480,15 @@ def test_fused_nodes_bit_equal_per_layer_tape(iterations):
     weights = rng.normal(size=(graph.n1, 1))
 
     fused = forward_tensor(graph, params)
-    _unfused.tsum(_unfused.mul_const(fused, weights)).backward()
-    fused_grads = [p.grad for p in params.parameters()]
-    for p in params.parameters():
-        p.grad = None
+    _unfused.tsum(_unfused.mul_const(_unfused.node(fused), weights)).backward()
+    fused_grad = params.grad.copy()
+    params.grad[...] = 0.0
 
     ref = _unfused.forward_tensor(graph, params)
     _unfused.tsum(_unfused.mul_const(ref, weights)).backward()
 
     assert np.array_equal(fused.data, ref.data)
-    for got, p in zip(fused_grads, params.parameters()):
-        assert (got is None and p.grad is None) or np.array_equal(got, p.grad)
+    assert np.array_equal(fused_grad, params.grad)
 
 
 @pytest.mark.parametrize("block, leader_major, extras", [("leader_enc", True, 1),
@@ -487,24 +503,21 @@ def test_half_round_node_bit_equals_six_nodes(block, leader_major, extras):
     pairs = graph.leader_pairs if leader_major else graph.follower_pairs
     n_own, n_other = (graph.n1, graph.n2) if leader_major else (graph.n2, graph.n1)
     msg, upd = params.mlps["msg_" + block], params.mlps["upd_" + block]
-    k_own = upd.layers[0][0].data.shape[0] - extras - pnanet.AGGREGATED_WIDTH
-    k_other = msg.layers[0][0].data.shape[0] - k_own
+    k_own = upd.layers[0][0].shape[0] - extras - pnanet.AGGREGATED_WIDTH
+    k_other = msg.layers[0][0].shape[0] - k_own
     arrays = [rng.normal(size=(n_own, k_own)), rng.normal(size=(n_other, k_other))]
     arrays += [rng.normal(size=(n_own, 1)) for _ in range(extras)]
-    weights = rng.normal(size=(n_own, upd.layers[-1][0].data.shape[1]))
-    block_params = list(msg.parameters()) + list(upd.parameters())
+    weights = rng.normal(size=(n_own, upd.layers[-1][0].shape[1]))
 
     own, other, *extra = arrays
     out, record = pnanet._half_round(own, other, pairs, params, block, *extra)
     fused = [out, *pnanet._half_round_grad(weights, record, pairs, params, block)]
-    fused += [p.grad for p in block_params]
-    for p in block_params:
-        p.grad = None
-    own, other, *extra = (ndiff.Tensor(a) for a in arrays)
+    fused_grad = params.grad.copy()
+    params.grad[...] = 0.0
+    own, other, *extra = (_unfused.Node(a) for a in arrays)
     ref = _unfused.half_round(own, other, pairs, params, block, tuple(extra))
     _unfused.tsum(_unfused.mul_const(ref, weights)).backward()
-    reference = [ref.data, own.grad, other.grad] + [p.grad for p in block_params]
-    for got, want in zip(fused, reference):
+    for got, want in zip(fused + [fused_grad], [ref.data, own.grad, other.grad, params.grad]):
         assert np.array_equal(got, want)
 
 

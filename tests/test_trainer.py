@@ -1,16 +1,20 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from blkp.exact import collect_labels, solve_exact
+from blkp.graphrep import DEFAULT_NORM
 from blkp.instance import GenConfig, generate
-from blkp.pnanet import ModelParams, PnaConfig, forward_tensor
+from blkp.pnanet import (ModelParams, PnaConfig, forward_tensor, load_checkpoint,
+                         save_checkpoint)
 from blkp.trainer import (TrainConfig, TrainingDiverged, _batch_loss,
                           build_dataset, evaluate_loss, train)
 from blkp.graphrep import build_graph
 
-from _unfused import add, affine_const, bce_sum
+from _gradcheck import parameters
+from _unfused import add, affine_const, bce_sum, node
 
 
 def make_labeled(n_instances, n1=4, n2=4, seed=0, k=3):
@@ -152,6 +156,35 @@ def test_train_returns_the_best_epochs_weights():
             assert not np.array_equal(w, w0), name
 
 
+def concatenated(params):
+    """Every weight array of the network, raveled and joined in checkpoint order."""
+    return np.concatenate([a.ravel() for mlp in params.mlps.values()
+                           for layer in mlp.state_arrays() for a in layer])
+
+
+def test_trained_weights_are_the_flat_buffer_and_the_checkpoint(tmp_path):
+    # the best epoch is the first of 6: the buffer holds its weights, not
+    # the last step's, and so do the arrays and the checkpoint
+    instances, labels = make_labeled(4, seed=8)
+    flats = []
+    for epochs in (6, 1):
+        cfg = TrainConfig(epochs=epochs, early_stop_patience=epochs, split=0.5, seed=7)
+        train_set, val_set = build_dataset(instances, labels, cfg)
+        result = train(instances, train_set, val_set, PnaConfig(), cfg)
+        flats.append(result.params.flat)
+    params = result.params
+    assert np.array_equal(flats[0], flats[1])
+    assert np.array_equal(params.flat, concatenated(params))
+    path = tmp_path / "best.json"
+    save_checkpoint(params, DEFAULT_NORM, {}, path)
+    written = json.loads(path.read_text())["weights"]
+    assert np.array_equal(params.flat, np.concatenate(
+        [np.ravel(layer[k]) for layers in written.values() for layer in layers for k in "wb"]))
+    loaded = load_checkpoint(path)[0]
+    assert np.array_equal(loaded.flat, params.flat)
+    assert np.array_equal(loaded.flat, concatenated(loaded))
+
+
 def test_best_checkpoint_matches_history_min():
     instances, labels = make_labeled(4, seed=8)
     cfg = TrainConfig(epochs=15, early_stop_patience=15, split=0.5, seed=7)
@@ -209,15 +242,14 @@ def test_batch_loss_matches_per_label_reference():
     assert len({s.instance_id for s in train_set}) < len(train_set)
 
     def grads(loss):
-        for p in params.parameters():
-            p.grad = None
+        params.grad[...] = 0.0
         loss.backward()
-        return [p.grad.copy() for p in params.parameters()]
+        return [g.copy() for _, g in parameters(params.mlps.values())]
 
     loss = _batch_loss(train_set, graphs, params)
     got = grads(loss)
     # one BCE sum per label, the sum divided by the number of terms
-    preds = {i: forward_tensor(graphs[i], params)
+    preds = {i: node(forward_tensor(graphs[i], params))
              for i in {s.instance_id for s in train_set}}
     ref = bce_sum(preds[train_set[0].instance_id], train_set[0].x_label, 1)
     for s in train_set[1:]:
@@ -243,10 +275,9 @@ def test_batch_loss_ragged_matches_per_instance_reference():
     params = ModelParams(PnaConfig(), seed=13)
 
     def grads(loss):
-        for p in params.parameters():
-            p.grad = None
+        params.grad[...] = 0.0
         loss.backward()
-        return [p.grad.copy() for p in params.parameters()]
+        return [g.copy() for _, g in parameters(params.mlps.values())]
 
     for samples in (train_set, val_set, train_set[:3] + val_set[:2]):
         loss = _batch_loss(samples, graphs, params)
@@ -254,7 +285,7 @@ def test_batch_loss_ragged_matches_per_instance_reference():
         stacks = {}
         for s in samples:
             stacks.setdefault(s.instance_id, []).append(s.x_label)
-        parts = [bce_sum(forward_tensor(graphs[i], params),
+        parts = [bce_sum(node(forward_tensor(graphs[i], params)),
                          np.sum(stack, axis=0), len(stack))
                  for i, stack in stacks.items()]
         ref = parts[0]
