@@ -2,10 +2,12 @@
 
 A command that solves reads every instance file before it solves any,
 and asks `blkp.knapsack.table_form` about each item set it tables up to
-b: a1 and a2 for `exact`, `label` and `bench`, a2 for `solve`. A table
+b: a1 and a2 for `exact`, `label` and `bench`, a2 for `solve`. The
+follower's table is asked about from `blkp.exact.lowest_residual`, the
+lowest residual any leader leaves, as `solve_exact` asks for it. A table
 that rule refuses is refused then, naming the file. One timed loop
 (`_solve_each`) runs every solver call; a solver's refusal of its input,
-a dense DP past the budget or profits past the 64-bit range, is reported
+a DP row past the budget or profits past the 64-bit range, is reported
 with the file's path.
 
 The bench subcommand compares deterministic rounding (theta 0.5, one
@@ -57,15 +59,17 @@ def _load_instances(path: str, tabled=()):
     """(path, instance) of every instance file, all read before any is solved.
 
     `tabled` names the weight vectors ("a1", "a2") the command builds a
-    table over, up to capacity b; a table `table_form` refuses is refused
-    here, naming its file.
+    table over, up to capacity b, the follower's read from the lowest
+    residual; a table `table_form` refuses is refused here, naming its
+    file.
     """
     out = []
     for f in _instance_files(path):
         try:
             inst = inst_mod.read_instance(f)
             for name in tabled:
-                table_form(getattr(inst, name), inst.b)
+                lowest = exact_mod.lowest_residual(inst) if name == "a2" else None
+                table_form(getattr(inst, name), inst.b, lowest)
         except (inst_mod.InstanceError, DpTooLarge) as exc:
             raise CliError(f"{f}: {exc}") from exc
         out.append((f, inst))
@@ -75,7 +79,7 @@ def _load_instances(path: str, tabled=()):
 def _solve_each(loaded, solve, *args, **kwargs):
     """(path, result, seconds) of `solve(inst, *args, **kwargs)` on each loaded instance.
 
-    The seconds are the wall-clock time of the whole call. A dense DP past
+    The seconds are the wall-clock time of the whole call. A DP row past
     the cell budget or profits past the 64-bit range, refused by the
     solver, are re-raised as a CliError naming the file.
     """

@@ -4,8 +4,10 @@ The follower reacts to the leader only through the residual capacity
 r = b - a1 . x (Brotcorne, Hanafi & Mansi, Oper. Res. Lett. 2009):
 
 1. One follower table at capacity b, `blkp.knapsack.follower_response`
-   to the all-zeros leader, gives for every residual r the follower's
-   tie-broken reply and its leader profit L(r).
+   to the all-zeros leader, gives for every reachable residual r the
+   follower's tie-broken reply and its leader profit L(r). No leader
+   weighs more than min(b, sum(a1)), so the table is asked only for the
+   residuals from `lowest_residual` = b - min(b, sum(a1)) up.
 2. One exact-weight leader table, `blkp.knapsack.best_of_each_weight`,
    gives G(W) = max d1 . x subject to a1 . x = W, and its best vector.
 
@@ -15,17 +17,18 @@ weight, the best leader vector of that weight, best value first. Training
 labels are the optimum plus the best vectors of the next k best leader
 weights, a definition that depends on the instance alone.
 
-Each table is a dense DP row or a list of all 2^n selections, whichever
-`blkp.knapsack` finds cheaper for its item count and capped length, and
-the two forms give the same bits. `blkp.knapsack.table_form` sizes each
-table on its own: a dense one past the cell budget raises `DpTooLarge`,
-and a list is refused only for a weight sum past int64. So a solve holds
-at most two tables of that budget each, and a side of at most 14 items
-is answered at any b. A dense follower row spans
-min(b, sum(a2)) + 1 cells and a dense leader row min(b, sum(a1)) + 1,
-since no heavier leader weight is reachable; a dense leader row is
-traced eagerly by the vectorised `trace`, while a list already holds its
-best vectors. So a result holds no table, and the optimum's reply is
+Each table is a DP row or a list of all 2^n selections, whichever
+`blkp.knapsack.table_form` finds cheapest for its item count and row
+lengths, and every form gives the same bits. It sizes each table on its
+own: a row past the cell budget raises `DpTooLarge`, and a list is
+refused only for a weight sum past int64. So a solve holds at most two
+tables of that budget each, and a side of at most 14 items is answered
+at any b. The follower's row spans, per item, min(b, sum(a2)) + 1 cells
+dense or sum(a2) - lowest_residual + 1 covering (weights clipped to
+b + 1), whichever is fewer; the leader's is dense, min(b, sum(a1)) + 1
+cells, since no heavier leader weight is reachable. A dense leader row
+is traced eagerly by the vectorised `trace`, while a list already holds
+its best vectors. So a result holds no table, and the optimum's reply is
 read from the follower table once. The bilevel values are summed in
 int64.
 """
@@ -47,17 +50,23 @@ class ExactResult:
     opt_value: int
     pool: np.ndarray         # (R, n1) int8 leader vectors, one per reachable weight
     pool_values: np.ndarray  # (R,) int64 bilevel values, descending
-    node_count: int          # entries of the two tables: dense cells or listed selections
+    node_count: int          # entries of the two tables: row cells or listed selections
     mode: Mode
     proven_optimal = True    # the DP is exact; kept for callers that check it
+
+
+def lowest_residual(inst) -> int:
+    """b - min(b, sum(a1)): no leader selection leaves a smaller residual."""
+    return inst.b - min(inst.b, sum(inst.a1.tolist()))
 
 
 def solve_exact(inst, mode: Mode = Mode.OPTIMISTIC) -> ExactResult:
     """Bilevel optimum and the per-weight pool; a table costs O(n * b), or O(n * 2^n) as a list."""
     mode = Mode(mode)
 
-    # phase 1: L(r) and the reply for every residual r
-    follower = follower_response(inst, np.zeros(inst.n1, dtype=np.int64), mode)
+    # phase 1: L(r) and the reply for every reachable residual r
+    follower = follower_response(inst, np.zeros(inst.n1, dtype=np.int64), mode,
+                                 min_residual=lowest_residual(inst))
 
     # phase 2: G(W) at every reachable leader weight W, ascending
     weights, best_d1, leaders, leader_entries = best_of_each_weight(inst.d1, inst.a1, inst.b)

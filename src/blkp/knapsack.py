@@ -7,56 +7,68 @@ ranks by follower profit, the secondary term breaks ties by leader profit
 at capacity r also holds the reply at every r' < r, so one
 `follower_response` is the reply table `blkp.exact` and `blkp.search`
 read. A reader that needs no residual below some r0 says so
-(`min_residual`), and a dense row then fills only the cells a residual
-from r0 up can reach.
+(`min_residual`), and the table then holds or fills only the cells a
+residual from r0 up can reach.
 
 Two tables are built: `at_most_table`, the best selection weighing at
 most c (a reply table, `knapsack_max`), and `best_of_each_weight`, the
-best selection of each exact weight (the exact oracle's leader). Each
-takes one of two forms, and `_use_list` picks the cheaper from the item
-count n and the capped row length (`table_form` asks it):
+best selection of each exact weight (the exact oracle's leader). The
+first takes one of three forms, the second one of the first two:
 
-- Dense: the DP row over capacities and its n x length take table
-  (`knapsack_row`, `RowTable`). Its cost grows with the capacity.
+- Dense: the DP row over capacities 0..min(capacity, W), W the items'
+  total weight, and its n x length take table (`knapsack_row`,
+  `RowTable`). Its cost grows with the capacity.
+- Covering: the same table seen from the items a selection leaves out
+  (Martello & Toth, *Knapsack Problems*, 1990, ch. 2). A selection fits
+  c iff the items it leaves out weigh at least W - c, so the row holds,
+  for each removed weight t in 0..W - r0, the least profit removed, and
+  the best profit at c is the profit sum minus row[W - c] (`cover_row`,
+  `CoverTable`). Its cost grows with W - r0, not with the capacity.
 - List: all 2^n selections k = sum(x_i * 2^i), item 0 the lowest bit,
   with their weights and profits summed in int64 (`ListTable`). Its
-  cost does not depend on the capacity. It is used only while it has no
-  more entries than the dense table.
+  cost does not depend on the capacity.
 
-Both forms answer with the same bits. The DP keeps a cell on a tie and
-reads back from the last item, so at every capacity it returns the best
-selection with the smallest k; the list ranks the selections by value
+All three answer with the same bits. The dense DP keeps a cell on a tie
+and reads back from the last item, so at every capacity it returns the
+best selection with the smallest k; the covering DP removes the item on
+a tie, which is the same choice seen from the other side, and reads back
+from the last item too; the list ranks the selections by value
 descending, then k ascending, with stable sorts.
 
 One rule sizes every table, `table_form`, run once per table before any
 int64 sum is formed. It refuses weights whose sum, each clipped to the
-capacity + 1, passes int64 (`OverflowRiskError`), in either form. It
-then picks the form and refuses a dense table whose cells, the
-n * (min(capacity, W) + 1) it allocates, pass `MAX_DP_CELLS`
-(`DpTooLarge`). A list is refused by nothing else: it holds n * 2^n
-entries, n <= 14, whatever the capacity. The builders then refuse a
-profit sum past int64 (`OverflowRiskError`). The CLI asks `table_form`
-the same question up front, so no other module restates a cell count.
+capacity + 1, passes int64 (`OverflowRiskError`), in any form. From the
+item count and the two row lengths, min(capacity, W) + 1 and W - r0 + 1,
+`_form` picks the row with fewer cells, then `_use_list` weighs the list
+against it. A row whose cells pass `MAX_DP_CELLS` is refused
+(`DpTooLarge`, naming the cells of that row). A list is refused by
+nothing else: it holds n * 2^n entries, n <= 14, whatever the capacity.
+The builders then refuse a profit sum past int64 (`OverflowRiskError`).
+The CLI asks `table_form` the same question up front, so no other module
+restates a cell count.
 
-A dense row is only as long and as wide as the values it can hold:
+A row is only as long and as wide as the values it can hold:
 
-- Length: no selection weighs more than its items' total weight W, so a
-  row stops at capacity min(capacity, W). A capacity above W reads the
-  last cell; there every item fits, and the value and the read-back
-  selection are those of any larger capacity.
-- Width: a row is int32 when every value it can hold fits, otherwise
-  int64. Values read out of a row are widened to int64 before any sum.
+- Length: no selection weighs more than W, so a dense row stops at
+  capacity min(capacity, W). A capacity above W reads the last cell;
+  there every item fits, and the value and the read-back selection are
+  those of any larger capacity. A covering row stops at W - r0.
+- Width: a dense row is int32 when every value it can hold fits,
+  otherwise int64; a covering row, which holds no negative value, is
+  uint32 when its largest sum fits, otherwise uint64. Values read out of
+  a row are widened to int64 before any sum.
 
-`knapsack_row` is the only code that builds a row, once `table_form` has
-picked the dense form and sized the table: it decides the length, the
-width and the initial values, and runs the recurrence in place through
-one scratch row, so an item allocates nothing. Given a lowest capacity,
-it skips the cells no capacity from there up reads; the table keeps its
-shape.
+`knapsack_row` and `cover_row` are the only code that builds a row, once
+`table_form` has picked its form and sized the table: each decides the
+length, the width and the initial values, and runs the recurrence in
+place through one scratch row, so an item allocates nothing. Each skips
+the cells no read from the lowest capacity up reaches; the table keeps
+its shape.
 
-A take table is read back two ways: `walk` follows one capacity with
-Python scalar lookups (a reply, `knapsack_max`), and `trace` follows many
-capacities at once, one vectorised step per item (the exact oracle's pool).
+A dense take table is read back two ways: `walk` follows one capacity
+with Python scalar lookups (a reply, `knapsack_max`), and `trace` follows
+many capacities at once, one vectorised step per item (the exact
+oracle's pool). A covering table is read back one capacity at a time.
 """
 
 from __future__ import annotations
@@ -70,9 +82,10 @@ import numpy as np
 from .instance import binary_vector, int_vector, integer
 
 INT32_MAX = np.iinfo(np.int32).max
+UINT32_MAX = np.iinfo(np.uint32).max
 INT64_MAX = np.iinfo(np.int64).max
 
-# Largest dense DP table (items x capped capacities) any one table allocates:
+# Largest DP row table (items x cells per item) any one table allocates:
 # 1e8 cells is about 100 MB of take table. The limit is per table, so a
 # solve that holds two tables, as `blkp.exact` does, holds at most 2e8 cells.
 MAX_DP_CELLS = 10 ** 8
@@ -92,7 +105,7 @@ class InfeasibleLeader(ValueError):
 
 
 class DpTooLarge(ValueError):
-    """A dense DP table would exceed MAX_DP_CELLS."""
+    """A DP row's table, dense or covering, would exceed MAX_DP_CELLS."""
 
 
 @dataclass
@@ -100,7 +113,7 @@ class FollowerResponse:
     """The follower's reply at a residual, and the reply table below it.
 
     `reply(r)` and `leader_profit(r)` answer every integer residual r in
-    [min_residual, residual_capacity], in either form, and `leader_profit`
+    [min_residual, residual_capacity], in every form, and `leader_profit`
     an array of them too; any other r, a float, a bool or an array given
     to `reply` among them, raises ValueError.
     """
@@ -111,7 +124,7 @@ class FollowerResponse:
     residual_capacity: int
     min_residual: int                  # the lowest residual the table answers
     m: int                             # the lexicographic multiplier M
-    table: RowTable | ListTable = field(repr=False)  # combined values over the follower items
+    table: RowTable | CoverTable | ListTable = field(repr=False)  # combined values, follower items
 
     @property
     def y(self) -> np.ndarray:
@@ -214,6 +227,67 @@ def trace(take, weights, caps) -> np.ndarray:
     return selections
 
 
+def _clip(weights: list, limit: int) -> list:
+    """The weights, each clipped to limit; the list itself when none passes it."""
+    return weights if max(weights, default=0) <= limit else [min(w, limit) for w in weights]
+
+
+def cover_row(profits, weights, capacity: int, min_capacity: int = 0) -> CoverTable:
+    """The at-most table for capacities min_capacity..capacity, built over removed weights.
+
+    Each weight is clipped to capacity + 1, which changes no selection
+    that fits; W is the clipped sum. A selection fits c iff the items it
+    leaves out weigh at least W - c, so row[t] is the least profit of a
+    removed set weighing at least t, for t in 0..top = W - min_capacity
+    (min_capacity clamped to min(capacity, W)), and the best profit at c
+    is sum(profits) - row[max(W - c, 0)].
+
+    take[i, t] records whether removing item i is at least as good as
+    keeping it: ties remove it, the dense row's tie toward not taking it.
+    Walked from the last item, both tables give the best selection with
+    the smallest k at every c.
+
+    The row starts with a prefix of max(w) zero cells, each weight also
+    clipped to top + 1: a cell t < w_i reads row[0] = 0, since removing
+    item i alone covers t. Item i then updates the cells t from
+    max(0, (W - capacity) - rest_i) to min(top, done_i) with three
+    in-place ufuncs over one scratch row, as `knapsack_row` does. rest_i
+    is the weight of the items after it, the most a later item reads
+    below a cell; done_i is the weight of items 0..i, above which a cell
+    keeps the sentinel and no read-back from a capacity in range goes.
+
+    Unreached cells hold the sentinel sum(profits) + 1, so the largest
+    sum formed is sum(profits) + 1 + max(profits): the row is uint32
+    while that fits, else uint64, which holds it whenever the profit sum
+    fits int64. A profit sum past int64 raises OverflowRiskError.
+    """
+    profits = profits.tolist()
+    total = sum(profits)
+    if total > INT64_MAX:
+        raise OverflowRiskError("sum of profits exceeds the 64-bit accumulator bound")
+    weights = _clip(weights.tolist(), capacity + 1)
+    covered = sum(weights)
+    top = covered - min(min_capacity, capacity, covered)
+    weights = _clip(weights, top + 1)
+    lowest, rest, done = max(covered - capacity, 0), sum(weights), 0
+    pad = max(weights, default=0)
+    sentinel = total + 1
+    dtype = np.uint32 if sentinel + max(profits, default=0) <= UINT32_MAX else np.uint64
+    row = np.full(pad + top + 1, sentinel, dtype=dtype)
+    row[: pad + 1] = 0
+    take = np.zeros((len(weights), top + 1), dtype=bool)
+    scratch = np.empty(top + 1, dtype=dtype)
+    for i, (w, p) in enumerate(zip(weights, profits)):
+        rest -= w  # the weight of the items after i: the most they read below a cell
+        done += w  # the weight of items 0..i: no removal of them reaches a higher cell
+        lo, hi = max(lowest - rest, 0), min(done, top) + 1
+        cells, cand = row[pad + lo: pad + hi], scratch[: hi - lo]
+        np.add(row[pad + lo - w: pad + hi - w], p, out=cand)
+        np.less_equal(cand, cells, out=take[i, lo:hi])
+        np.minimum(cells, cand, out=cells)
+    return CoverTable(row[pad:], take, weights, total, covered)
+
+
 # The most items a subset list is built for; `_use_list` refuses more. The
 # cache of `subsets` then holds fewer than 14 * 2^15 int64 entries, 3.5 MiB.
 LIST_MAX_ITEMS = 14
@@ -230,6 +304,20 @@ def subsets(n: int) -> np.ndarray:
     bits = (k[:, None] >> np.arange(n)) & 1
     bits.flags.writeable = False
     return bits
+
+
+def _form(n: int, length: int, cover_length: int | None) -> str:
+    """The form of a table over n items: "list", "dense" or "cover".
+
+    length is the dense row's cells per item, cover_length the covering
+    row's, or None for a table with no covering form (exactly c). The row
+    with fewer cells is taken, the dense one on a tie; `_use_list` then
+    weighs the list against it.
+    """
+    row = "dense"
+    if cover_length is not None and cover_length < length:
+        row, length = "cover", cover_length
+    return "list" if _use_list(n, length) else row
 
 
 def _use_list(n: int, length: int) -> bool:
@@ -258,28 +346,41 @@ def _use_list(n: int, length: int) -> bool:
     return _LIST_US + _LIST_NS * n * 2 ** n / 1e3 < n * (_ROW_US + _ROW_NS * length / 1e3)
 
 
-def table_form(weights, capacity: int):
-    """(whether the table is a list, its capped capacity) for items `weights` up to capacity.
+def table_form(weights, capacity: int, min_capacity: int | None = None):
+    """(form, capped capacity) of the table over items `weights` up to capacity.
 
-    The one size rule of every table, run once per table. The capped
-    capacity is min(capacity, sum(weights)): no selection weighs more.
+    The one size rule of every table, run once per table. An at-most
+    table gives the lowest capacity it is read at, min_capacity; an
+    exact-weight table gives None, and has no covering form. W is the sum
+    of the weights, each clipped to capacity + 1, and the capped capacity
+    min(capacity, W): no selection weighs more.
 
-    - Weights whose sum, each clipped to capacity + 1, passes int64 raise
-      OverflowRiskError, in either form: the list sums them in int64.
-    - `_use_list` picks the form.
+    - A W past int64 raises OverflowRiskError, in any form: the list
+      sums the clipped weights in int64.
+    - `_form` picks "list", "dense" or "cover" from n and the rows' cells
+      per item: capped + 1 dense, W - min(min_capacity, capped) + 1
+      covering.
     - A list (n <= LIST_MAX_ITEMS) is refused by nothing else.
-    - A dense table allocates n * (capped + 1) cells; past MAX_DP_CELLS
-      it raises DpTooLarge, naming n and the cells.
+    - A row allocates n times its cells per item; past MAX_DP_CELLS it
+      raises DpTooLarge, naming n and the cells of the row picked.
     """
-    n, rest = len(weights), sum(weights.tolist())
-    if rest > INT64_MAX and sum(min(w, capacity + 1) for w in weights.tolist()) > INT64_MAX:
+    n, listed = len(weights), weights.tolist()
+    covered = sum(listed)
+    if covered > capacity and max(listed) > capacity:
+        covered = sum(_clip(listed, capacity + 1))
+    if covered > INT64_MAX:
         raise OverflowRiskError("sum of weights clipped to the capacity exceeds the 64-bit range")
-    capacity = min(capacity, rest)
-    as_list = _use_list(n, capacity + 1)
-    if not as_list and n * (capacity + 1) > MAX_DP_CELLS:
-        raise DpTooLarge(f"DP table for n={n} items up to capacity {capacity} needs "
-                         f"{n * (capacity + 1)} cells, above the budget of {MAX_DP_CELLS:.0e}")
-    return as_list, capacity
+    capacity = min(capacity, covered)
+    cover = None if min_capacity is None else covered - min(min_capacity, capacity) + 1
+    form = _form(n, capacity + 1, cover)
+    if form == "list":
+        return form, capacity
+    cells = n * (cover if form == "cover" else capacity + 1)
+    if cells > MAX_DP_CELLS:
+        covering = f", a covering row from {min_capacity}," if form == "cover" else ""
+        raise DpTooLarge(f"DP table for n={n} items up to capacity {capacity}{covering} needs "
+                         f"{cells} cells, above the budget of {MAX_DP_CELLS:.0e}")
+    return form, capacity
 
 
 def _subset_sums(profits, weights, capacity: int):
@@ -319,6 +420,39 @@ class RowTable:
 
 
 @dataclass
+class CoverTable:
+    """A covering DP row and its remove table (`cover_row`): values by index, selections by a walk.
+
+    Capacity c reads removed weight t = max(covered - c, 0), the least
+    weight the items left out must have.
+    """
+
+    row: np.ndarray      # least removed profits at removed weights 0..top
+    take: np.ndarray     # (n, len(row)) remove table
+    weights: list        # the clipped weights, Python ints
+    total: int           # the profit sum
+    covered: int         # the clipped weight sum
+
+    @property
+    def entries(self) -> int:
+        return self.take.size
+
+    def values(self, caps):
+        """The int64 best profits at capacities caps, a scalar or an array."""
+        return self.total - self.row[np.maximum(self.covered - caps, 0)].astype(np.int64)
+
+    def selection(self, cap: int) -> np.ndarray:
+        """The int64 best selection at one capacity: every item not removed."""
+        selection = np.ones(len(self.weights), dtype=np.int64)
+        t = max(self.covered - cap, 0)
+        for i in range(len(self.weights) - 1, -1, -1):
+            if self.take.item(i, t):
+                selection[i] = 0
+                t = max(t - self.weights[i], 0)
+        return selection
+
+
+@dataclass
 class ListTable:
     """Every selection, best first: the best one weighing at most c is the first that fits.
 
@@ -350,15 +484,18 @@ def at_most_table(profits, weights, capacity: int, min_capacity: int = 0):
     """The best selection weighing at most c, and its profit, for every c up to capacity.
 
     `table_form` sizes it and picks the form: a `RowTable`, the row of
-    `knapsack_row` promised for c >= min_capacity alone, or a `ListTable`,
-    which answers every c.
-    Of the best selections at c, both return the one with the smallest k.
+    `knapsack_row`, or a `CoverTable`, the row of `cover_row`, each
+    promised for c >= min_capacity alone, or a `ListTable`, which answers
+    every c. Of the best selections at c, all three return the one with
+    the smallest k.
     """
-    as_list, capped = table_form(weights, capacity)
-    if as_list:
+    form, capped = table_form(weights, capacity, min_capacity)
+    if form == "list":
         w_sum, p_sum = _subset_sums(profits, weights, capped)
         order = np.argsort(-p_sum, kind="stable")
         return ListTable(order, p_sum[order], -np.minimum.accumulate(w_sum[order]), len(weights))
+    if form == "cover":
+        return cover_row(profits, weights, capacity, min_capacity)
     row, take = knapsack_row(profits, weights, capped, min_capacity=min_capacity)
     return RowTable(row, take, weights)
 
@@ -375,8 +512,8 @@ def best_of_each_weight(profits, weights, capacity: int):
     first entry per weight is the best selection with the smallest k, as
     traced.
     """
-    as_list, capped = table_form(weights, capacity)
-    if as_list:
+    form, capped = table_form(weights, capacity)
+    if form == "list":
         w_sum, p_sum = _subset_sums(profits, weights, capped)
         order = np.lexsort((-p_sum, w_sum))
         w_sorted = w_sum[order]
@@ -399,9 +536,14 @@ def knapsack_max(profits, weights, capacity: int):
     one with the smallest k = sum(x_i * 2^i) is returned, so the selection
     is deterministic. Every entry and the capacity must be an integer
     within int64, by `instance.integer` (2.0 counts): a fraction, bool,
-    string or larger value is refused with a ValueError naming profits,
-    weights or capacity.
+    string, larger value or ragged sequence is refused with a ValueError
+    naming profits, weights or capacity.
     """
+    for name, v in (("profits", profits), ("weights", weights)):
+        try:
+            np.shape(v)
+        except ValueError:  # numpy's "inhomogeneous shape" names neither argument
+            raise ValueError(f"{name} must be a 1-D array, not a ragged sequence") from None
     if np.shape(profits) != np.shape(weights) or np.ndim(profits) != 1:
         raise ValueError("profits and weights must be 1-D arrays of equal length")
     profits = int_vector("profits", profits, len(profits), ValueError)
@@ -461,9 +603,10 @@ def follower_response(inst, x_bar, mode: Mode = Mode.OPTIMISTIC,
     follower items is maximized (optimistic) or minimized (pessimistic).
     Both stages collapse into one knapsack with `combined_profits`. The
     result also answers every residual r from min_residual up to its own
-    (`reply(r)`, `leader_profit(r)`), from a dense row or a subset list
-    (`at_most_table`); a dense row skips the cells only a lower residual
-    would read, and a lower r raises ValueError in either form.
+    (`reply(r)`, `leader_profit(r)`), from a dense row, a covering row or
+    a subset list (`at_most_table`); a row skips or leaves out the cells
+    only a lower residual would read, and a lower r raises ValueError in
+    every form.
     """
     mode = Mode(mode)
     x_bar = binary_vector(x_bar, inst.n1, "x_bar")

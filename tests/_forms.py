@@ -1,17 +1,20 @@
-"""Force the form every knapsack table takes, for tests that check both.
+"""Force the form every knapsack table takes, for tests that check each.
 
-`blkp.knapsack._use_list` picks a dense DP row or a list of all
-selections for each table; these helpers replace that rule for one test.
+`blkp.knapsack._form` picks a dense DP row, a covering DP row or a list
+of all selections for each table; these helpers replace that rule for
+one test. A table with no covering form, the exact-weight leader table,
+is dense where "cover" is forced.
 """
 
 from blkp import knapsack
 
-FORMS = ("dense", "list")
+FORMS = ("dense", "list", "cover")
 
 
 def force(monkeypatch, form):
-    """Build every knapsack table as `form` ("dense" or "list") until the test ends."""
-    monkeypatch.setattr(knapsack, "_use_list", lambda n, length: form == "list")
+    """Build every knapsack table as `form` ("dense", "list" or "cover") until the test ends."""
+    monkeypatch.setattr(knapsack, "_form", lambda n, length, cover_length:
+                        "dense" if form == "cover" and cover_length is None else form)
 
 
 def each_form(monkeypatch):

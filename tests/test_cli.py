@@ -12,7 +12,7 @@ from blkp.cli import main
 from blkp.exact import solve_exact
 from blkp.graphrep import DEFAULT_NORM
 from blkp.instance import BlkpInstance, GenConfig, generate, read_instance, write_instance
-from blkp.knapsack import Mode
+from blkp.knapsack import DpTooLarge, Mode, table_form
 from blkp.pnanet import ModelParams, PnaConfig, load_checkpoint, save_checkpoint
 from blkp.search import SearchConfig, solve_heuristic
 from blkp.trainer import TrainConfig
@@ -492,6 +492,47 @@ def test_oversized_instance_in_directory_refused_before_any_solve(tmp_path, chec
     assert f"error: {d / 'b_big.json'}: DP table" in capsys.readouterr().err
     assert not out.exists()
     assert solved == []
+
+
+def covering_instance(b):
+    """15 follower items of weight 1e7 and one leader item of weight 1: from
+    the lowest residual b - 1, the follower's covering row spans
+    1.5e8 - (b - 1) + 1 cells per item, its dense row b + 1."""
+    return BlkpInstance(1, 15, [1], [1], [10 ** 7] * 15, [1] * 15, [1] * 15, b)
+
+
+@pytest.mark.parametrize("command", ["exact", "solve"])
+def test_cli_and_library_agree_where_only_the_covering_row_fits(tmp_path, checkpoint, capsys,
+                                                                 command):
+    flag = "--instance" if command == "solve" else "--instances"
+    extra = ["--checkpoint", str(checkpoint)] if command == "solve" else []
+    # b = 1.5e8 - 1000: 15 x 1002 covering cells, 15 x (b + 1) dense; only
+    # the covering row fits the budget, and both answer
+    fits = covering_instance(15 * 10 ** 7 - 1000)
+    lowest = fits.b - 1
+    assert table_form(fits.a2, fits.b, lowest) == ("cover", fits.b)
+    with pytest.raises(DpTooLarge):  # read from residual 0, no row fits
+        table_form(fits.a2, fits.b, 0)
+    res = solve_exact(fits)
+    assert res.node_count == 15 * 1002 + 1 * 2
+    path = tmp_path / "fits.json"
+    write_instance(fits, path)
+    out = tmp_path / "out.json"
+    assert main([command, flag, str(path), "--format", "json", "--out", str(out)] + extra) == 0
+    if command == "exact":
+        (record,) = json.loads(out.read_text())["records"]
+        assert (record["opt_value"], record["node_count"]) == (res.opt_value, res.node_count)
+    # b = 1.4e8: the covering row needs 15 x (1e7 + 2) cells, and both refuse
+    # it with the same message
+    refused = covering_instance(14 * 10 ** 7)
+    with pytest.raises(DpTooLarge, match="a covering row from 139999999, needs 150000030 cells"):
+        solve_exact(refused)
+    with pytest.raises(DpTooLarge) as library:
+        table_form(refused.a2, refused.b, refused.b - 1)
+    path = tmp_path / "refused.json"
+    write_instance(refused, path)
+    assert main([command, flag, str(path)] + extra) == 1
+    assert f"error: {path}: {library.value}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["exact", "solve", "bench"])

@@ -3,8 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from blkp import knapsack
-from blkp.exact import collect_labels, solve_exact
+from blkp import exact, knapsack
+from blkp.exact import collect_labels, lowest_residual, solve_exact
 from blkp.instance import BlkpInstance, GenConfig, generate
 from blkp.knapsack import (DpTooLarge, MAX_DP_CELLS, Mode, combined_profits, evaluate_bilevel,
                            follower_response, knapsack_row)
@@ -218,6 +218,29 @@ def test_node_count_is_the_capped_tables_cells(monkeypatch):
                         c=[2, 2, 1], b=7)
     assert solve_exact(inst).node_count == 3 * 5 + 2 * 6
     assert solve_exact(replace(inst, b=3)).node_count == 3 * 4 + 2 * 4
+
+
+def test_follower_table_is_read_from_the_lowest_reachable_residual(monkeypatch):
+    # a1 sums to 5, a2 to 4: the follower table is asked for the residuals
+    # from b - min(b, 5) up. A covering row spans W - that + 1 cells per
+    # item, W = 4 the weights clipped to b + 1 (3 at b = 0), beside the
+    # dense leader row's min(b, 5) + 1
+    force(monkeypatch, "cover")
+    asked = []
+
+    def recording(inst, x_bar, mode, min_residual=0):
+        asked.append(min_residual)
+        return follower_response(inst, x_bar, mode, min_residual)
+
+    monkeypatch.setattr(exact, "follower_response", recording)
+    inst = BlkpInstance(2, 3, a1=[2, 3], d1=[4, 1], a2=[1, 1, 2], d2=[1, 2, 3],
+                        c=[2, 2, 1], b=7)
+    for b, lowest, node_count in ((7, 2, 3 * 3 + 2 * 6), (5, 0, 3 * 5 + 2 * 6),
+                                  (3, 0, 3 * 5 + 2 * 4), (0, 0, 3 * 4 + 2 * 1)):
+        at_b = replace(inst, b=b)
+        assert lowest_residual(at_b) == lowest
+        res = assert_matches_brute(at_b, Mode.OPTIMISTIC)
+        assert asked[-1] == lowest and res.node_count == node_count
 
 
 def test_node_count_is_a_lists_selections(monkeypatch):

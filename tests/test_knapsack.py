@@ -5,11 +5,11 @@ import pytest
 
 from blkp import knapsack
 from blkp.instance import BlkpInstance
-from blkp.knapsack import (INT64_MAX, LIST_MAX_ITEMS, MAX_DP_CELLS, DpTooLarge,
-                           InfeasibleLeader, ListTable, Mode, OverflowRiskError, RowTable,
-                           at_most_table, best_of_each_weight, combined_profits,
-                           evaluate_bilevel, follower_response, knapsack_max, knapsack_row,
-                           trace, walk)
+from blkp.knapsack import (INT64_MAX, LIST_MAX_ITEMS, MAX_DP_CELLS, UINT32_MAX, CoverTable,
+                           DpTooLarge, InfeasibleLeader, ListTable, Mode, OverflowRiskError,
+                           RowTable, at_most_table, best_of_each_weight, combined_profits,
+                           cover_row, evaluate_bilevel, follower_response, knapsack_max,
+                           knapsack_row, trace, walk)
 
 from _forms import each_form, force
 from _oracles import follower_brute, knapsack_brute, random_instance
@@ -86,8 +86,8 @@ def test_knapsack_table_size_guard():
     for build in (at_most_table, best_of_each_weight):
         with pytest.raises(DpTooLarge, match=f"n=15 .* {15 * (MAX_DP_CELLS + 1)} cells"):
             build(ones, 10 ** 7 * ones, MAX_DP_CELLS)
-    assert knapsack.table_form(weights, MAX_DP_CELLS // 16 - 1) == (False, 6_249_999)
-    assert knapsack.table_form(weights[:14], MAX_DP_CELLS) == (True, MAX_DP_CELLS)
+    assert knapsack.table_form(weights, MAX_DP_CELLS // 16 - 1) == ("dense", 6_249_999)
+    assert knapsack.table_form(weights[:14], MAX_DP_CELLS) == ("list", MAX_DP_CELLS)
     value, sel = knapsack_max([1] * 14, weights[:14], MAX_DP_CELLS)
     assert (value, sel.tolist()) == (10, [1] * 10 + [0] * 4)
     assert knapsack_max([1], [1], 10) == (1, np.array([1]))
@@ -119,6 +119,9 @@ def test_list_weight_sums_cannot_wrap(monkeypatch):
     ([1], [1], True, "capacity: entry True is not an integer"),
     ([1], [1], "3", "capacity: entry '3' is not an integer"),
     ([1], [1], 2 ** 63, f"capacity: entry {2 ** 63} is outside the 64-bit integer range"),
+    # numpy's own "inhomogeneous shape" error named neither argument
+    ([1, [2]], [1, 2], 3, "profits must be a 1-D array, not a ragged sequence"),
+    ([1, 2], [[1], 2], 3, "weights must be a 1-D array, not a ragged sequence"),
 ])
 def test_knapsack_max_rejects_bad_input(profits, weights, capacity, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -266,19 +269,17 @@ def test_knapsack_max_above_total_weight(monkeypatch):
                 assert sel.tolist() == (p > 0).astype(int).tolist()
 
 
-def _under_both_forms(monkeypatch, build):
-    """build() with every table dense, then with every table a list."""
-    force(monkeypatch, "dense")
-    dense = build()
-    force(monkeypatch, "list")
-    return dense, build()
+def _under_each_form(monkeypatch, build):
+    """build() with every table dense, then a list, then covering (exact weight: dense)."""
+    return [build() for _ in each_form(monkeypatch)]
 
 
 @pytest.mark.parametrize("mode", list(Mode))
 def test_list_and_dense_tables_agree(monkeypatch, mode):
     # the same values and selections at every capacity, from b = 0 to above
     # the total weight, for the follower's combined profits, the leader's
-    # exact weights, and zero profits, with weights and profits duplicated
+    # exact weights, and zero profits, with weights and profits duplicated,
+    # in all three forms
     rng = np.random.default_rng(28)
     cases = [
         BlkpInstance(2, 3, [2, 2], [5, 5], [2, 2, 2], [3, 3, 3], [4, 4, 4], 0),
@@ -293,20 +294,120 @@ def test_list_and_dense_tables_agree(monkeypatch, mode):
         for profits, weights in ((combined, inst.a2), (inst.d1, inst.a1), (zero_profits, inst.a2)):
             total = int(weights.sum())
             for capacity in (inst.b, total, total + 3):
-                dense, listed = _under_both_forms(
+                dense, listed, covering = _under_each_form(
                     monkeypatch, lambda: at_most_table(profits, weights, capacity))
                 assert isinstance(dense, RowTable) and isinstance(listed, ListTable)
+                assert isinstance(covering, CoverTable)
                 every_c = np.arange(capacity + 1)
-                assert np.array_equal(dense.values(every_c), listed.values(every_c))
-                for c in every_c.tolist():
-                    assert dense.values(c) == listed.values(c)
-                    assert np.array_equal(dense.selection(c), listed.selection(c))
-                dense, listed = _under_both_forms(
+                for other in (listed, covering):
+                    assert np.array_equal(dense.values(every_c), other.values(every_c))
+                    for c in every_c.tolist():
+                        assert dense.values(c) == other.values(c)
+                        assert np.array_equal(dense.selection(c), other.selection(c))
+                dense, listed, covering = _under_each_form(
                     monkeypatch, lambda: best_of_each_weight(profits, weights, capacity))
-                for got, want in zip(listed[:3], dense[:3]):
+                for got, want in zip(listed[:3] + covering[:3], dense[:3] * 2):
                     assert got.dtype == want.dtype and np.array_equal(got, want)
-                assert dense[3] == len(weights) * (min(capacity, total) + 1)
+                assert dense[3] == covering[3] == len(weights) * (min(capacity, total) + 1)
                 assert listed[3] == 2 ** len(weights)
+
+
+def test_cover_row_equals_the_dense_row():
+    # every value and selection from min_capacity up equals the dense row's
+    # and its walk: ties in profit, zero profits, items heavier than b, b at
+    # and above the total weight, min_capacity 0, mid-row and at b, and
+    # both widths
+    rng = np.random.default_rng(29)
+    cases = [
+        ([3, 3, 3], [2, 2, 2], 4),        # ties: every pair of items is worth 6
+        ([2, 4, 2, 4], [1, 2, 1, 2], 3),  # ties in profit per weight
+        ([0, 2, 0], [1, 1, 3], 5),        # zero profits
+        ([5, 2], [7, 1], 4),              # an item heavier than b
+        ([4, 1, 3], [2, 3, 4], 9),        # b equal to the total weight
+        ([4, 1, 3], [2, 3, 4], 15),       # b above it
+        ([], [], 3),                      # no items
+    ]
+    for _ in range(200):
+        n = int(rng.integers(0, 9))
+        cases.append((rng.integers(0, int(rng.choice([2, 4, 40])), n),
+                      rng.integers(1, int(rng.choice([3, 10, 40])), n),
+                      int(rng.integers(0, 60))))
+    for drawn, weights, b in cases:
+        weights = np.asarray(weights, dtype=np.int64)
+        for scale in (1, 2 ** 32):                        # uint32 as drawn, uint64 scaled
+            profits = np.asarray(drawn, dtype=np.int64) * scale
+            dense_row, dense_take = knapsack_row(profits, weights, b)
+            dense = RowTable(dense_row, dense_take, weights)
+            for lo in (0, int(rng.integers(0, b + 1)), b):
+                table = cover_row(profits, weights, b, lo)
+                wide = int(profits.sum()) + 1 + int(profits.max(initial=0)) > UINT32_MAX
+                assert table.row.dtype == (np.uint64 if wide else np.uint32)
+                covered = int(weights.clip(max=b + 1).sum())  # each weight clipped to b + 1
+                assert table.take.shape == (len(weights), covered - min(lo, covered) + 1)
+                caps = np.arange(lo, b + 1)
+                values = table.values(caps)
+                assert values.dtype == np.int64
+                assert np.array_equal(values, dense.values(caps))
+                for c in caps.tolist():
+                    assert table.values(c) == dense.values(c)
+                    assert np.array_equal(table.selection(c), dense.selection(c))
+
+
+@pytest.mark.parametrize("last, dtype", [(0, np.uint32), (1, np.uint64)])
+def test_cover_row_width_boundary(last, dtype):
+    # the largest sum the row forms is sum + 1 + max: 2^32 - 1 fits uint32,
+    # 2^32 does not; the values read out are the dense row's, in int64
+    profits = np.array([2 ** 31 - 1, last, 0])
+    weights = np.array([2, 1, 3])
+    assert int(profits.sum()) + 1 + int(profits.max()) == UINT32_MAX + last
+    for b in (3, 6, 9):
+        table = cover_row(profits, weights, b, 1)
+        assert table.row.dtype == dtype
+        row, take = knapsack_row(profits, weights, b)
+        dense = RowTable(row, take, weights)
+        caps = np.arange(1, b + 1)
+        assert np.array_equal(table.values(caps), dense.values(caps))
+        for c in caps.tolist():
+            assert np.array_equal(table.selection(c), dense.selection(c))
+    # a profit sum of int64's largest value still fits the uint64 row
+    profits = np.array([INT64_MAX - 3, 3])
+    table = cover_row(profits, np.array([2, 1]), 2, 0)
+    assert table.row.dtype == np.uint64
+    assert [table.values(c) for c in range(3)] == [0, 3, INT64_MAX - 3]
+    with pytest.raises(OverflowRiskError):
+        cover_row(np.array([INT64_MAX, 1]), np.array([1, 1]), 2)
+
+
+def test_form_picks_the_fewest_cells():
+    form = knapsack._form
+    # the row with fewer cells per item, the dense one on a tie; no covering
+    # form where none is given (an exact-weight table)
+    assert form(50, 1000, 999) == "cover"
+    assert form(50, 1000, 1000) == form(50, 1000, 1001) == form(50, 1000, None) == "dense"
+    # the list is weighed against the shorter row: 2^8 selections against
+    # 300 and 200 cells
+    assert form(8, 10 ** 5, 300) == "list" and form(8, 10 ** 5, 200) == "cover"
+    assert form(8, 200, None) == "dense"
+    # through `table_form`: 50 items of weight 10 up to capacity 300 (W = 500)
+    weights = np.full(50, 10)
+    assert knapsack.table_form(weights, 300, 0) == ("dense", 300)    # 301 against 501
+    assert knapsack.table_form(weights, 300, 200) == ("dense", 300)  # 301 against 301
+    assert knapsack.table_form(weights, 300, 201) == ("cover", 300)  # 301 against 300
+    assert knapsack.table_form(weights, 300) == ("dense", 300)       # exact weight
+    assert knapsack.table_form(np.full(8, 100), 300, 0) == ("list", 300)  # 2^8 against 301
+    # a weight heavier than the capacity counts as capacity + 1 in the
+    # covering row: W = 101 + 95, so 97 cells against 101
+    assert knapsack.table_form(np.array([10 ** 9] + [5] * 19), 100, 100) == ("cover", 100)
+    # a row past the budget is refused with the cells of the row picked:
+    # W = 1.5e8, dense 15 x (b + 1) cells, covering 15 x (W - lo + 1)
+    weights, b = np.full(15, 10 ** 7), 14 * 10 ** 7
+    for lo, covering, cells in ((0, "", 15 * (b + 1)),
+                                (b, f", a covering row from {b},", 15 * (10 ** 7 + 1))):
+        with pytest.raises(DpTooLarge, match=f"^DP table for n=15 items up to capacity {b}"
+                                             f"{covering} needs {cells} cells, above"):
+            knapsack.table_form(weights, b, lo)
+    b = 145 * 10 ** 6
+    assert knapsack.table_form(weights, b, b - 10) == ("cover", b)  # 15 x (5e6 + 11) cells
 
 
 def test_use_list_rule():
