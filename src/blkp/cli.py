@@ -2,10 +2,11 @@
 
 A command that solves reads every instance file before it solves any,
 and asks `blkp.knapsack.table_form` about each item set it tables up to
-b: a1 and a2 for `exact`, `label` and `bench`, a2 for `solve`. The
-follower's table is asked about from `blkp.exact.lowest_residual`, the
-lowest residual any leader leaves, as `solve_exact` asks for it. A table
-that rule refuses is refused then, naming the file. One timed loop
+b: a1 and a2 for `exact`, `label` and `bench`, a2 for `solve`. a1 is
+the leader's exact-weight table; a2 the follower's at-most table, a
+covering row or a list, asked about from `blkp.exact.lowest_residual`,
+the lowest residual any leader leaves, as `solve_exact` asks for it. A
+table that rule refuses is refused then, naming the file. One timed loop
 (`_solve_each`) runs every solver call; a solver's refusal of its input,
 a DP row past the budget or profits past the 64-bit range, is reported
 with the file's path.

@@ -18,19 +18,20 @@ labels are the optimum plus the best vectors of the next k best leader
 weights, a definition that depends on the instance alone.
 
 Each table is a DP row or a list of all 2^n selections, whichever
-`blkp.knapsack.table_form` finds cheapest for its item count and row
-lengths, and every form gives the same bits. It sizes each table on its
-own: a row past the cell budget raises `DpTooLarge`, and a list is
-refused only for a weight sum past int64. So a solve holds at most two
-tables of that budget each, and a side of at most 14 items is answered
-at any b. The follower's row spans, per item, min(b, sum(a2)) + 1 cells
-dense or sum(a2) - lowest_residual + 1 covering (weights clipped to
-b + 1), whichever is fewer; the leader's is dense, min(b, sum(a1)) + 1
-cells, since no heavier leader weight is reachable. A dense leader row
-is traced eagerly by the vectorised `trace`, while a list already holds
-its best vectors. So a result holds no table, and the optimum's reply is
-read from the follower table once. The bilevel values are summed in
-int64.
+`blkp.knapsack.table_form` finds cheaper for its item count and the
+row's take cells, and both forms give the same bits. It sizes each
+table on its own: a row past the cell budget raises `DpTooLarge`, and a
+list is refused only for a weight sum past int64. So a solve holds at
+most two tables of that budget each, and a side of at most 14 items is
+answered at any b. The follower's row is a covering row: with W =
+sum(a2), each weight clipped to b + 1, and top = W - lowest_residual,
+each item writes at most min(top, b, W) + 1 cells, and the value row
+spans top + max(a2) + 1. The leader's is the dense exact-weight row,
+min(b, sum(a1)) + 1 cells per item, since no heavier leader weight is
+reachable. The leader row is traced eagerly by the vectorised `trace`,
+while a list already holds its best vectors. So a result holds no
+table, and the optimum's reply is read from the follower table once.
+The bilevel values are summed in int64.
 """
 
 from __future__ import annotations

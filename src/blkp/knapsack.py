@@ -12,63 +12,58 @@ residual from r0 up can reach.
 
 Two tables are built: `at_most_table`, the best selection weighing at
 most c (a reply table, `knapsack_max`), and `best_of_each_weight`, the
-best selection of each exact weight (the exact oracle's leader). The
-first takes one of three forms, the second one of the first two:
+best selection of each exact weight (the exact oracle's leader). Each is
+one row or a list:
 
-- Dense: the DP row over capacities 0..min(capacity, W), W the items'
-  total weight, and its n x length take table (`knapsack_row`,
-  `RowTable`). Its cost grows with the capacity.
-- Covering: the same table seen from the items a selection leaves out
-  (Martello & Toth, *Knapsack Problems*, 1990, ch. 2). A selection fits
-  c iff the items it leaves out weigh at least W - c, so the row holds,
-  for each removed weight t in 0..W - r0, the least profit removed, and
-  the best profit at c is the profit sum minus row[W - c] (`cover_row`,
-  `CoverTable`). Its cost grows with W - r0, not with the capacity.
-- List: all 2^n selections k = sum(x_i * 2^i), item 0 the lowest bit,
-  with their weights and profits summed in int64 (`ListTable`). Its
-  cost does not depend on the capacity.
+- At most c, the covering row: the table seen from the items a
+  selection leaves out (Martello & Toth, *Knapsack Problems*, 1990,
+  ch. 2). A selection fits c iff the items it leaves out weigh at least
+  W - c, W the items' total weight, so the row holds, for each removed
+  weight t in 0..top = W - r0, r0 the lowest capacity read, the least
+  profit removed, and the best profit at c is the profit sum minus
+  row[W - c] (`cover_row`, `CoverTable`).
+- Exactly c, the dense row: the DP row over weights 0..min(capacity, W)
+  and its n x length take table (`knapsack_row`), read back by `trace`.
+- Either kind, the list: all 2^n selections k = sum(x_i * 2^i), item 0
+  the lowest bit, with their weights and profits summed in int64
+  (`ListTable`). Its cost does not depend on the capacity.
 
-All three answer with the same bits. The dense DP keeps a cell on a tie
-and reads back from the last item, so at every capacity it returns the
-best selection with the smallest k; the covering DP removes the item on
-a tie, which is the same choice seen from the other side, and reads back
+Every form answers with the same bits: at every capacity, the best
+selection with the smallest k. The dense DP keeps a cell on a tie and
+reads back from the last item; the covering DP removes the item on a
+tie, which is the same choice seen from the other side, and reads back
 from the last item too; the list ranks the selections by value
 descending, then k ascending, with stable sorts.
 
 One rule sizes every table, `table_form`, run once per table before any
 int64 sum is formed. It refuses weights whose sum, each clipped to the
 capacity + 1, passes int64 (`OverflowRiskError`), in any form. From the
-item count and the two row lengths, min(capacity, W) + 1 and W - r0 + 1,
-`_form` picks the row with fewer cells, then `_use_list` weighs the list
-against it. A row whose cells pass `MAX_DP_CELLS` is refused
-(`DpTooLarge`, naming the cells of that row). A list is refused by
-nothing else: it holds n * 2^n entries, n <= 14, whatever the capacity.
-The builders then refuse a profit sum past int64 (`OverflowRiskError`).
-The CLI asks `table_form` the same question up front, so no other module
+item count and the row's take cells per item, `_use_list` weighs the
+list against the row. A row whose take table passes `MAX_DP_CELLS` is
+refused (`DpTooLarge`, naming its cells). A list is refused by nothing
+else: it holds n * 2^n entries, n <= 14, whatever the capacity. The
+builders then refuse a profit sum past int64 (`OverflowRiskError`). The
+CLI asks `table_form` the same question up front, so no other module
 restates a cell count.
 
-A row is only as long and as wide as the values it can hold:
+A row's take table is only as long as the cells its items write:
 
-- Length: no selection weighs more than W, so a dense row stops at
-  capacity min(capacity, W). A capacity above W reads the last cell;
-  there every item fits, and the value and the read-back selection are
-  those of any larger capacity. A covering row stops at W - r0.
-- Width: a dense row is int32 when every value it can hold fits,
-  otherwise int64; a covering row, which holds no negative value, is
-  uint32 when its largest sum fits, otherwise uint64. Values read out of
-  a row are widened to int64 before any sum.
+- Dense: no selection weighs more than W, so the row stops at weight
+  capped = min(capacity, W).
+- Covering: item i writes only its window, the removed weights from
+  max(lowest - rest_i, 0) to min(done_i, top), lowest = W - capped,
+  rest_i the weight of the items after it and done_i that of items
+  0..i. Each window holds at most min(top, capped) + 1 cells, and so
+  does each take row, written from column 0; a read-back recomputes the
+  window's start as it walks. The value row spans max(w) + top + 1
+  cells and is filled once.
 
-`knapsack_row` and `cover_row` are the only code that builds a row, once
-`table_form` has picked its form and sized the table: each decides the
-length, the width and the initial values, and runs the recurrence in
-place through one scratch row, so an item allocates nothing. Each skips
-the cells no read from the lowest capacity up reaches; the table keeps
-its shape.
-
-A dense take table is read back two ways: `walk` follows one capacity
-with Python scalar lookups (a reply, `knapsack_max`), and `trace` follows
-many capacities at once, one vectorised step per item (the exact
-oracle's pool). A covering table is read back one capacity at a time.
+A dense row is int32 when every value it can hold fits, otherwise int64;
+a covering row, which holds no negative value, is uint32 when its
+largest sum fits, otherwise uint64. Values read out of a row are widened
+to int64 before any sum. `knapsack_row` and `cover_row` each run the
+recurrence in place through one scratch row, so an item allocates
+nothing.
 """
 
 from __future__ import annotations
@@ -85,9 +80,13 @@ INT32_MAX = np.iinfo(np.int32).max
 UINT32_MAX = np.iinfo(np.uint32).max
 INT64_MAX = np.iinfo(np.int64).max
 
-# Largest DP row table (items x cells per item) any one table allocates:
-# 1e8 cells is about 100 MB of take table. The limit is per table, so a
-# solve that holds two tables, as `blkp.exact` does, holds at most 2e8 cells.
+# Largest take table (items x cells per item) any one DP row allocates:
+# 1e8 cells is about 100 MB. The limit is per table, so a solve that holds
+# two tables, as `blkp.exact` does, holds at most 2e8 take cells. A
+# covering row's value row, max(w) + W - r0 + 1 cells of 4 or 8 bytes, is
+# not counted: where the capacity is a small fraction of the weight sum W
+# it holds about as many cells as the take table, so such a table can
+# take several times the take table's bytes.
 MAX_DP_CELLS = 10 ** 8
 
 
@@ -105,7 +104,7 @@ class InfeasibleLeader(ValueError):
 
 
 class DpTooLarge(ValueError):
-    """A DP row's table, dense or covering, would exceed MAX_DP_CELLS."""
+    """A DP row's take table would exceed MAX_DP_CELLS."""
 
 
 @dataclass
@@ -124,7 +123,7 @@ class FollowerResponse:
     residual_capacity: int
     min_residual: int                  # the lowest residual the table answers
     m: int                             # the lexicographic multiplier M
-    table: RowTable | CoverTable | ListTable = field(repr=False)  # combined values, follower items
+    table: CoverTable | ListTable = field(repr=False)  # combined values, follower items
 
     @property
     def y(self) -> np.ndarray:
@@ -159,61 +158,38 @@ def _check_residual(name: str, r, lo: int, hi: int, scalar: bool = False):
     raise ValueError(f"{name} must lie in [{lo}, {hi}] and be an integer, got {r}")
 
 
-def knapsack_row(profits, weights, capacity: int, exact_weight: bool = False,
-                 min_capacity: int = 0):
-    """The 0/1 knapsack DP row over capacities 0..min(capacity, sum(weights)), and its take table.
+def knapsack_row(profits, weights, capacity: int):
+    """The exact-weight DP row over weights 0..min(capacity, sum(weights)), and its take table.
 
-    row[c] is the best profit of a selection weighing at most c, or, with
-    exact_weight, exactly c; a weight no selection reaches keeps the
-    sentinel -1 - sum(profits) or a value above it, still below zero.
-    take[i, c] records whether item i improved cell c; ties keep the cell,
-    so they are broken toward not taking the item.
+    row[c] is the best profit of a selection weighing exactly c; a weight
+    no selection reaches keeps the sentinel -1 - sum(profits) or a value
+    above it, still below zero. take[i, c] records whether item i
+    improved cell c; ties keep the cell, so they are broken toward not
+    taking the item.
 
-    Only the cells from min_capacity up, clamped to the capped capacity,
-    are promised, and so is a `walk` or `trace` that starts there. Item i
-    updates only the cells c >= max(w_i, min_capacity - rest_i), where
-    rest_i is the total weight of the items after it: a later item reads
-    at most rest_i below its own cell. Cells under that bound keep stale
-    values and unset take bits; the default 0 fills every cell.
-
-    The row is int32 when sum(profits) fits, else int64: a zero row holds
-    0..sum and an exact-weight row -1 - sum..sum, so every value the
-    recurrence forms fits either way. A profit sum past int64 raises
-    OverflowRiskError; the size of the table is left to `table_form`,
-    which the two tables run before they build a row.
+    The row is int32 when sum(profits) fits, else int64: it holds
+    -1 - sum..sum, so every value the recurrence forms fits either way. A
+    profit sum past int64 raises OverflowRiskError; the size of the table
+    is left to `table_form`, which `best_of_each_weight` runs first.
     """
     profits, weights = profits.tolist(), weights.tolist()
-    total, rest = sum(profits), sum(weights)
+    total = sum(profits)
     if total > INT64_MAX:
         raise OverflowRiskError("sum of profits exceeds the 64-bit accumulator bound")
-    capacity = min(capacity, rest)
-    min_capacity = min(min_capacity, capacity)
+    capacity = min(capacity, sum(weights))
     dtype = np.int32 if total <= INT32_MAX else np.int64
-    row = np.full(capacity + 1, -1 - total if exact_weight else 0, dtype=dtype)
+    row = np.full(capacity + 1, -1 - total, dtype=dtype)
     row[0] = 0
     take = np.zeros((len(weights), capacity + 1), dtype=bool)
     scratch = np.empty(capacity + 1, dtype=dtype)
     for i, (w, p) in enumerate(zip(weights, profits)):
-        rest -= w  # the weight of the items after i: the most they read below a cell
-        lo = max(w, min_capacity - rest)
-        if lo > capacity:
+        if w > capacity:
             continue
-        cand = scratch[: capacity + 1 - lo]
-        np.add(row[lo - w: capacity + 1 - w], p, out=cand)
-        np.greater(cand, row[lo:], out=take[i, lo:])
-        np.maximum(row[lo:], cand, out=row[lo:])  # equals where(greater): ties hold one value
+        cand = scratch[: capacity + 1 - w]
+        np.add(row[: capacity + 1 - w], p, out=cand)
+        np.greater(cand, row[w:], out=take[i, w:])
+        np.maximum(row[w:], cand, out=row[w:])  # equals where(greater): ties hold one value
     return row, take
-
-
-def walk(take, weights, cap: int) -> np.ndarray:
-    """The int64 selection a take table holds at one capacity, read cell by cell."""
-    selection = np.zeros(len(take), dtype=np.int64)
-    weights = weights.tolist()
-    for i in range(len(weights) - 1, -1, -1):
-        if take.item(i, cap):
-            selection[i] = 1
-            cap -= weights[i]
-    return selection
 
 
 def trace(take, weights, caps) -> np.ndarray:
@@ -229,32 +205,34 @@ def trace(take, weights, caps) -> np.ndarray:
 
 def _clip(weights: list, limit: int) -> list:
     """The weights, each clipped to limit; the list itself when none passes it."""
-    return weights if max(weights, default=0) <= limit else [min(w, limit) for w in weights]
+    return weights if not weights or max(weights) <= limit else [min(w, limit) for w in weights]
 
 
 def cover_row(profits, weights, capacity: int, min_capacity: int = 0) -> CoverTable:
     """The at-most table for capacities min_capacity..capacity, built over removed weights.
 
     Each weight is clipped to capacity + 1, which changes no selection
-    that fits; W is the clipped sum. A selection fits c iff the items it
-    leaves out weigh at least W - c, so row[t] is the least profit of a
-    removed set weighing at least t, for t in 0..top = W - min_capacity
-    (min_capacity clamped to min(capacity, W)), and the best profit at c
+    that fits; W is the clipped sum and capped = min(capacity, W). A
+    selection fits c iff the items it leaves out weigh at least W - c, so
+    row[t] is the least profit of a removed set weighing at least t, for
+    t in 0..top = W - min(min_capacity, capped), and the best profit at c
     is sum(profits) - row[max(W - c, 0)].
 
-    take[i, t] records whether removing item i is at least as good as
-    keeping it: ties remove it, the dense row's tie toward not taking it.
-    Walked from the last item, both tables give the best selection with
-    the smallest k at every c.
+    take[i, j] records whether removing item i is at least as good as
+    keeping it at removed weight lo_i + j: ties remove it, a tie toward
+    not taking it. Walked from the last item, the table gives the best
+    selection with the smallest k at every c.
 
     The row starts with a prefix of max(w) zero cells, each weight also
     clipped to top + 1: a cell t < w_i reads row[0] = 0, since removing
-    item i alone covers t. Item i then updates the cells t from
-    max(0, (W - capacity) - rest_i) to min(top, done_i) with three
-    in-place ufuncs over one scratch row, as `knapsack_row` does. rest_i
-    is the weight of the items after it, the most a later item reads
-    below a cell; done_i is the weight of items 0..i, above which a cell
-    keeps the sentinel and no read-back from a capacity in range goes.
+    item i alone covers t. Item i then updates its window, the cells t
+    from lo_i = max(lowest - rest_i, 0) to min(top, done_i), lowest =
+    W - capped, with three in-place ufuncs over one scratch row, as
+    `knapsack_row` does. rest_i is the weight of the items after it, the
+    most a later item reads below a cell; done_i is the weight of items
+    0..i, above which a cell keeps the sentinel and no read-back from a
+    capacity in range goes. A window holds at most min(top, capped) + 1
+    cells, the take table's width.
 
     Unreached cells hold the sentinel sum(profits) + 1, so the largest
     sum formed is sum(profits) + 1 + max(profits): the row is uint32
@@ -267,25 +245,27 @@ def cover_row(profits, weights, capacity: int, min_capacity: int = 0) -> CoverTa
         raise OverflowRiskError("sum of profits exceeds the 64-bit accumulator bound")
     weights = _clip(weights.tolist(), capacity + 1)
     covered = sum(weights)
-    top = covered - min(min_capacity, capacity, covered)
+    capped = min(capacity, covered)
+    top = covered - min(min_capacity, capped)
     weights = _clip(weights, top + 1)
-    lowest, rest, done = max(covered - capacity, 0), sum(weights), 0
+    lowest, rest, done = covered - capped, sum(weights), 0
     pad = max(weights, default=0)
     sentinel = total + 1
     dtype = np.uint32 if sentinel + max(profits, default=0) <= UINT32_MAX else np.uint64
     row = np.full(pad + top + 1, sentinel, dtype=dtype)
     row[: pad + 1] = 0
-    take = np.zeros((len(weights), top + 1), dtype=bool)
-    scratch = np.empty(top + 1, dtype=dtype)
+    width = min(top, capped) + 1
+    take = np.zeros((len(weights), width), dtype=bool)
+    scratch = np.empty(width, dtype=dtype)
     for i, (w, p) in enumerate(zip(weights, profits)):
         rest -= w  # the weight of the items after i: the most they read below a cell
         done += w  # the weight of items 0..i: no removal of them reaches a higher cell
         lo, hi = max(lowest - rest, 0), min(done, top) + 1
         cells, cand = row[pad + lo: pad + hi], scratch[: hi - lo]
         np.add(row[pad + lo - w: pad + hi - w], p, out=cand)
-        np.less_equal(cand, cells, out=take[i, lo:hi])
+        np.less_equal(cand, cells, out=take[i, : hi - lo])
         np.minimum(cells, cand, out=cells)
-    return CoverTable(row[pad:], take, weights, total, covered)
+    return CoverTable(row[pad:], take, weights, total, covered, lowest)
 
 
 # The most items a subset list is built for; `_use_list` refuses more. The
@@ -306,24 +286,10 @@ def subsets(n: int) -> np.ndarray:
     return bits
 
 
-def _form(n: int, length: int, cover_length: int | None) -> str:
-    """The form of a table over n items: "list", "dense" or "cover".
-
-    length is the dense row's cells per item, cover_length the covering
-    row's, or None for a table with no covering form (exactly c). The row
-    with fewer cells is taken, the dense one on a tie; `_use_list` then
-    weighs the list against it.
-    """
-    row = "dense"
-    if cover_length is not None and cover_length < length:
-        row, length = "cover", cover_length
-    return "list" if _use_list(n, length) else row
-
-
 def _use_list(n: int, length: int) -> bool:
-    """Whether a table over n items and `length` capped capacities is built as a subset list.
+    """Whether a table over n items and `length` take cells per item is built as a subset list.
 
-    A list costs about 13 us + 7.5 ns * n * 2^n and a dense row about
+    A list costs about 13 us + 7.5 ns * n * 2^n and a row about
     n * (5 us + 0.5 ns * length), fitted to the build and reads of both
     table kinds (numpy 2.4.6, Python 3.11, 2 vCPUs, best of 7 rounds).
     Measured crossovers, in cells per selection (length / 2^n) from which
@@ -338,7 +304,7 @@ def _use_list(n: int, length: int) -> bool:
 
     At n = 8 and 4096 cells, for example, the list takes 24 and 26 us and
     the row 49 and 74 us. The list's n x 2^n bit matrix must also have no
-    more entries than the dense take table (2^n <= length), and n stays
+    more entries than the row's take table (2^n <= length), and n stays
     within LIST_MAX_ITEMS.
     """
     if n > LIST_MAX_ITEMS or 2 ** n > length:
@@ -351,36 +317,35 @@ def table_form(weights, capacity: int, min_capacity: int | None = None):
 
     The one size rule of every table, run once per table. An at-most
     table gives the lowest capacity it is read at, min_capacity; an
-    exact-weight table gives None, and has no covering form. W is the sum
-    of the weights, each clipped to capacity + 1, and the capped capacity
-    min(capacity, W): no selection weighs more.
+    exact-weight table gives None. W is the sum of the weights, each
+    clipped to capacity + 1, and the capped capacity min(capacity, W): no
+    selection weighs more.
 
     - A W past int64 raises OverflowRiskError, in any form: the list
       sums the clipped weights in int64.
-    - `_form` picks "list", "dense" or "cover" from n and the rows' cells
-      per item: capped + 1 dense, W - min(min_capacity, capped) + 1
-      covering.
+    - The row's take cells per item are capped + 1 for an exact-weight
+      row, and min(top, capped) + 1 for a covering row, top =
+      W - min(min_capacity, capped); `_use_list` picks "list" or "row"
+      from them and n.
     - A list (n <= LIST_MAX_ITEMS) is refused by nothing else.
     - A row allocates n times its cells per item; past MAX_DP_CELLS it
-      raises DpTooLarge, naming n and the cells of the row picked.
+      raises DpTooLarge, naming n and the cells.
     """
-    n, listed = len(weights), weights.tolist()
-    covered = sum(listed)
-    if covered > capacity and max(listed) > capacity:
-        covered = sum(_clip(listed, capacity + 1))
+    n = len(weights)
+    covered = sum(_clip(weights.tolist(), capacity + 1))
     if covered > INT64_MAX:
         raise OverflowRiskError("sum of weights clipped to the capacity exceeds the 64-bit range")
     capacity = min(capacity, covered)
-    cover = None if min_capacity is None else covered - min(min_capacity, capacity) + 1
-    form = _form(n, capacity + 1, cover)
-    if form == "list":
-        return form, capacity
-    cells = n * (cover if form == "cover" else capacity + 1)
-    if cells > MAX_DP_CELLS:
-        covering = f", a covering row from {min_capacity}," if form == "cover" else ""
+    length = capacity + 1
+    if min_capacity is not None:
+        length = min(covered - min(min_capacity, capacity), capacity) + 1
+    if _use_list(n, length):
+        return "list", capacity
+    if n * length > MAX_DP_CELLS:
+        covering = "" if min_capacity is None else f", a covering row from {min_capacity},"
         raise DpTooLarge(f"DP table for n={n} items up to capacity {capacity}{covering} needs "
-                         f"{cells} cells, above the budget of {MAX_DP_CELLS:.0e}")
-    return form, capacity
+                         f"{n * length} cells, above the budget of {MAX_DP_CELLS:.0e}")
+    return "row", capacity
 
 
 def _subset_sums(profits, weights, capacity: int):
@@ -399,39 +364,21 @@ def _subset_sums(profits, weights, capacity: int):
 
 
 @dataclass
-class RowTable:
-    """A dense DP row and its take table: values read by index, selections by `walk`."""
-
-    row: np.ndarray      # best profits at capacities 0..min(capacity, sum(weights))
-    take: np.ndarray     # (n, len(row)) take table
-    weights: np.ndarray
-
-    @property
-    def entries(self) -> int:
-        return self.take.size
-
-    def values(self, caps):
-        """The int64 best profits at capacities caps, a scalar or an array."""
-        return self.row[np.minimum(caps, len(self.row) - 1)].astype(np.int64)
-
-    def selection(self, cap: int) -> np.ndarray:
-        """The int64 best selection at one capacity."""
-        return walk(self.take, self.weights, min(cap, len(self.row) - 1))
-
-
-@dataclass
 class CoverTable:
     """A covering DP row and its remove table (`cover_row`): values by index, selections by a walk.
 
     Capacity c reads removed weight t = max(covered - c, 0), the least
-    weight the items left out must have.
+    weight the items left out must have. take[i, j] is removed weight
+    lo_i + j, lo_i = max(lowest - rest_i, 0) with rest_i the weight of
+    the items after i.
     """
 
     row: np.ndarray      # least removed profits at removed weights 0..top
-    take: np.ndarray     # (n, len(row)) remove table
+    take: np.ndarray     # (n, min(top, capped) + 1) remove table, item i from lo_i
     weights: list        # the clipped weights, Python ints
     total: int           # the profit sum
     covered: int         # the clipped weight sum
+    lowest: int          # covered - capped: the least removed weight read
 
     @property
     def entries(self) -> int:
@@ -443,12 +390,15 @@ class CoverTable:
 
     def selection(self, cap: int) -> np.ndarray:
         """The int64 best selection at one capacity: every item not removed."""
-        selection = np.ones(len(self.weights), dtype=np.int64)
-        t = max(self.covered - cap, 0)
-        for i in range(len(self.weights) - 1, -1, -1):
-            if self.take.item(i, t):
+        weights, take = self.weights, self.take
+        selection = np.ones(len(weights), dtype=np.int64)
+        t, start = max(self.covered - cap, 0), self.lowest  # start: lowest - rest_i
+        for i in range(len(weights) - 1, -1, -1):
+            w = weights[i]
+            if take.item(i, t - start if start > 0 else t):
                 selection[i] = 0
-                t = max(t - self.weights[i], 0)
+                t = t - w if t > w else 0
+            start -= w
         return selection
 
 
@@ -483,21 +433,17 @@ class ListTable:
 def at_most_table(profits, weights, capacity: int, min_capacity: int = 0):
     """The best selection weighing at most c, and its profit, for every c up to capacity.
 
-    `table_form` sizes it and picks the form: a `RowTable`, the row of
-    `knapsack_row`, or a `CoverTable`, the row of `cover_row`, each
-    promised for c >= min_capacity alone, or a `ListTable`, which answers
-    every c. Of the best selections at c, all three return the one with
-    the smallest k.
+    `table_form` sizes it and picks the form: a `CoverTable`, the row of
+    `cover_row`, promised for c >= min_capacity alone, or a `ListTable`,
+    which answers every c. Of the best selections at c, both return the
+    one with the smallest k.
     """
     form, capped = table_form(weights, capacity, min_capacity)
-    if form == "list":
-        w_sum, p_sum = _subset_sums(profits, weights, capped)
-        order = np.argsort(-p_sum, kind="stable")
-        return ListTable(order, p_sum[order], -np.minimum.accumulate(w_sum[order]), len(weights))
-    if form == "cover":
+    if form == "row":
         return cover_row(profits, weights, capacity, min_capacity)
-    row, take = knapsack_row(profits, weights, capped, min_capacity=min_capacity)
-    return RowTable(row, take, weights)
+    w_sum, p_sum = _subset_sums(profits, weights, capped)
+    order = np.argsort(-p_sum, kind="stable")
+    return ListTable(order, p_sum[order], -np.minimum.accumulate(w_sum[order]), len(weights))
 
 
 def best_of_each_weight(profits, weights, capacity: int):
@@ -524,7 +470,7 @@ def best_of_each_weight(profits, weights, capacity: int):
         best = order[first]
         return (w_sorted[first], p_sum[best], subsets(len(weights))[best].astype(np.int8),
                 len(order))
-    row, take = knapsack_row(profits, weights, capped, exact_weight=True)
+    row, take = knapsack_row(profits, weights, capped)
     reached = np.flatnonzero(row >= 0)
     return reached, row[reached].astype(np.int64), trace(take, weights, reached), take.size
 
@@ -555,7 +501,7 @@ def knapsack_max(profits, weights, capacity: int):
         raise ValueError("profits must be non-negative")
     if (weights < 1).any():
         raise ValueError("weights must be positive")
-    table = at_most_table(profits, weights, capacity)
+    table = at_most_table(profits, weights, capacity, capacity)  # read at capacity alone
     return int(table.values(capacity)), table.selection(capacity)
 
 
@@ -603,10 +549,9 @@ def follower_response(inst, x_bar, mode: Mode = Mode.OPTIMISTIC,
     follower items is maximized (optimistic) or minimized (pessimistic).
     Both stages collapse into one knapsack with `combined_profits`. The
     result also answers every residual r from min_residual up to its own
-    (`reply(r)`, `leader_profit(r)`), from a dense row, a covering row or
-    a subset list (`at_most_table`); a row skips or leaves out the cells
-    only a lower residual would read, and a lower r raises ValueError in
-    every form.
+    (`reply(r)`, `leader_profit(r)`), from a covering row or a subset
+    list (`at_most_table`); the row leaves out the cells only a lower
+    residual would read, and a lower r raises ValueError in both forms.
     """
     mode = Mode(mode)
     x_bar = binary_vector(x_bar, inst.n1, "x_bar")

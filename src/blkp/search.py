@@ -7,8 +7,8 @@ feasible candidate x scores d1 . x + L(b - a1 . x); L and the winner's
 reply come from one `follower_response` to the all-zeros leader, which
 is always scored as a fallback. Only the residuals from b minus the
 heaviest feasible candidate's weight up to b are read, so that response
-is asked for those alone: a dense row skips the cells below them, and a
-covering row spans sum(a2) minus the lowest of them.
+is asked for those alone: its covering row spans sum(a2) minus the
+lowest of them, and each item writes only its window of that.
 """
 
 from __future__ import annotations
@@ -64,8 +64,8 @@ def solution_search(inst, final_values, cfg: SearchConfig) -> SearchResult:
 
     The scoring table is sized by `blkp.knapsack.table_form` over the
     follower items at capacity b, read from the lowest candidate
-    residual: it is a dense row, a covering row or a list, whichever is
-    cheapest, and a row past the cell budget raises DpTooLarge. Final
+    residual: it is a covering row or a list, whichever is cheaper, and a
+    row past the cell budget raises DpTooLarge. Final
     values that are not a 1-D array of n1 finite numbers raise
     ValueError.
     """

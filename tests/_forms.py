@@ -1,20 +1,19 @@
 """Force the form every knapsack table takes, for tests that check each.
 
-`blkp.knapsack._form` picks a dense DP row, a covering DP row or a list
-of all selections for each table; these helpers replace that rule for
-one test. A table with no covering form, the exact-weight leader table,
-is dense where "cover" is forced.
+`blkp.knapsack._use_list` decides whether each table is a list of all
+selections or a row: the covering row for an at-most table, the dense
+row for an exact-weight one. These helpers replace that rule for one
+test.
 """
 
 from blkp import knapsack
 
-FORMS = ("dense", "list", "cover")
+FORMS = ("row", "list")
 
 
 def force(monkeypatch, form):
-    """Build every knapsack table as `form` ("dense", "list" or "cover") until the test ends."""
-    monkeypatch.setattr(knapsack, "_form", lambda n, length, cover_length:
-                        "dense" if form == "cover" and cover_length is None else form)
+    """Build every knapsack table as `form` ("row" or "list") until the test ends."""
+    monkeypatch.setattr(knapsack, "_use_list", lambda n, length: form == "list")
 
 
 def each_form(monkeypatch):

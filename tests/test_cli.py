@@ -459,8 +459,9 @@ def test_non_utf8_instance_in_directory_names_the_file(instance_dir, capsys):
 
 
 def oversized_instance():
-    """15 follower items, more than a list serves, whose dense table has
-    15 * (min(b, 15 * b) + 1) cells, past the budget."""
+    """15 follower items, more than a list serves, whose covering row, read
+    from residual b - 1, has 15 * (min(15 * b - (b - 1), b) + 1) cells,
+    past the budget."""
     big = 10 ** 8
     return BlkpInstance(1, 15, [1], [1], [big] * 15, [1] * 15, [1] * 15, big)
 
@@ -469,7 +470,8 @@ def test_oversized_instance_errors(tmp_path, capsys):
     write_instance(oversized_instance(), tmp_path / "big.json")
     rc = main(["exact", "--instances", str(tmp_path / "big.json")])
     assert rc == 1
-    assert "n=15 items up to capacity 100000000 needs 1500000015 cells" in capsys.readouterr().err
+    assert ("n=15 items up to capacity 100000000, a covering row from 99999999, needs "
+            "1500000015 cells") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["exact", "solve", "bench"])
@@ -496,8 +498,8 @@ def test_oversized_instance_in_directory_refused_before_any_solve(tmp_path, chec
 
 def covering_instance(b):
     """15 follower items of weight 1e7 and one leader item of weight 1: from
-    the lowest residual b - 1, the follower's covering row spans
-    1.5e8 - (b - 1) + 1 cells per item, its dense row b + 1."""
+    the lowest residual b - 1, the follower's covering row writes
+    min(1.5e8 - (b - 1), b) + 1 cells per item."""
     return BlkpInstance(1, 15, [1], [1], [10 ** 7] * 15, [1] * 15, [1] * 15, b)
 
 
@@ -506,11 +508,11 @@ def test_cli_and_library_agree_where_only_the_covering_row_fits(tmp_path, checkp
                                                                  command):
     flag = "--instance" if command == "solve" else "--instances"
     extra = ["--checkpoint", str(checkpoint)] if command == "solve" else []
-    # b = 1.5e8 - 1000: 15 x 1002 covering cells, 15 x (b + 1) dense; only
-    # the covering row fits the budget, and both answer
+    # b = 1.5e8 - 1000: 15 x 1002 covering cells from residual b - 1, 15 x
+    # (b + 1) from residual 0; only the first fits the budget, and both answer
     fits = covering_instance(15 * 10 ** 7 - 1000)
     lowest = fits.b - 1
-    assert table_form(fits.a2, fits.b, lowest) == ("cover", fits.b)
+    assert table_form(fits.a2, fits.b, lowest) == ("row", fits.b)
     with pytest.raises(DpTooLarge):  # read from residual 0, no row fits
         table_form(fits.a2, fits.b, 0)
     res = solve_exact(fits)

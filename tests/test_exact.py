@@ -6,8 +6,8 @@ import pytest
 from blkp import exact, knapsack
 from blkp.exact import collect_labels, lowest_residual, solve_exact
 from blkp.instance import BlkpInstance, GenConfig, generate
-from blkp.knapsack import (DpTooLarge, MAX_DP_CELLS, Mode, combined_profits, evaluate_bilevel,
-                           follower_response, knapsack_row)
+from blkp.knapsack import (DpTooLarge, MAX_DP_CELLS, UINT32_MAX, CoverTable, Mode,
+                           combined_profits, evaluate_bilevel, follower_response, knapsack_row)
 
 from _forms import each_form, force
 from _oracles import bilevel_brute, follower_brute, pool_brute, random_instance
@@ -111,7 +111,8 @@ def test_pool_ties_prefer_lighter_leader(monkeypatch):
 
 def test_table_size_guard():
     # 15 items on one side, leader or follower: no list serves them, and the
-    # dense table's capped cells, 15 * (min(b, 15 * big) + 1), pass the budget
+    # row's take cells, 15 * (min(b, 15 * big) + 1), pass the budget (the
+    # follower's covering row is read from b - 15 * big at the least)
     big = 10 ** 8
     many, one = ([big] * 15, [1] * 15), ([1], [1])
     cells = 15 * (big + 1)
@@ -211,21 +212,22 @@ def assert_matches_brute(inst, mode):
 
 
 def test_node_count_is_the_capped_tables_cells(monkeypatch):
-    # a1 sums to 5, a2 to 4: at b = 7 the follower table is 3 items x (4 + 1)
-    # cells and the leader table 2 x (5 + 1); at b = 3 both stop at b
-    force(monkeypatch, "dense")
+    # a1 sums to 5, a2 to 4: at b = 7 the follower's covering row, read from
+    # residual 2, is 3 items x (4 - 2 + 1) cells and the leader table
+    # 2 x (5 + 1); at b = 3 both stop at b
+    force(monkeypatch, "row")
     inst = BlkpInstance(2, 3, a1=[2, 3], d1=[4, 1], a2=[1, 1, 2], d2=[1, 2, 3],
                         c=[2, 2, 1], b=7)
-    assert solve_exact(inst).node_count == 3 * 5 + 2 * 6
+    assert solve_exact(inst).node_count == 3 * 3 + 2 * 6
     assert solve_exact(replace(inst, b=3)).node_count == 3 * 4 + 2 * 4
 
 
 def test_follower_table_is_read_from_the_lowest_reachable_residual(monkeypatch):
     # a1 sums to 5, a2 to 4: the follower table is asked for the residuals
-    # from b - min(b, 5) up. A covering row spans W - that + 1 cells per
-    # item, W = 4 the weights clipped to b + 1 (3 at b = 0), beside the
-    # dense leader row's min(b, 5) + 1
-    force(monkeypatch, "cover")
+    # from b - min(b, 5) up. Its covering row writes min(W - that, b) + 1
+    # cells per item, W = 4 the weights clipped to b + 1 (3 at b = 0),
+    # beside the dense leader row's min(b, 5) + 1
+    force(monkeypatch, "row")
     asked = []
 
     def recording(inst, x_bar, mode, min_residual=0):
@@ -236,7 +238,7 @@ def test_follower_table_is_read_from_the_lowest_reachable_residual(monkeypatch):
     inst = BlkpInstance(2, 3, a1=[2, 3], d1=[4, 1], a2=[1, 1, 2], d2=[1, 2, 3],
                         c=[2, 2, 1], b=7)
     for b, lowest, node_count in ((7, 2, 3 * 3 + 2 * 6), (5, 0, 3 * 5 + 2 * 6),
-                                  (3, 0, 3 * 5 + 2 * 4), (0, 0, 3 * 4 + 2 * 1)):
+                                  (3, 0, 3 * 4 + 2 * 4), (0, 0, 3 * 1 + 2 * 1)):
         at_b = replace(inst, b=b)
         assert lowest_residual(at_b) == lowest
         res = assert_matches_brute(at_b, Mode.OPTIMISTIC)
@@ -255,7 +257,7 @@ def test_node_count_is_a_lists_selections(monkeypatch):
 @pytest.mark.parametrize("mode", list(Mode))
 def test_rows_capped_at_total_weight(monkeypatch, mode):
     # b above the follower's total weight, then above the leader's
-    force(monkeypatch, "dense")
+    force(monkeypatch, "row")
     rng = np.random.default_rng(12)
     for k in range(60):
         inst = random_instance(rng, int(rng.integers(1, 6)), int(rng.integers(1, 6)),
@@ -263,20 +265,22 @@ def test_rows_capped_at_total_weight(monkeypatch, mode):
         side = int((inst.a2 if k % 2 == 0 else inst.a1).sum())
         inst = replace(inst, b=int(rng.integers(side + 1, inst.total_weight + 1)))
         follower = follower_response(inst, np.zeros(inst.n1, dtype=np.int64), mode)
-        assert len(follower.table.row) == min(inst.b, int(inst.a2.sum())) + 1
+        assert follower.table.take.shape == (inst.n2, min(inst.b, int(inst.a2.sum())) + 1)
         assert follower.residual_capacity == inst.b
         res = assert_matches_brute(inst, mode)
-        assert res.node_count == (inst.n2 * (min(inst.b, int(inst.a2.sum())) + 1)
+        # read from the lowest residual, the covering row writes min(top, b) + 1
+        # cells per item, top = W - lowest with W the weights clipped to b + 1
+        top = int(np.minimum(inst.a2, inst.b + 1).sum()) - lowest_residual(inst)
+        assert res.node_count == (inst.n2 * (min(top, inst.b) + 1)
                                   + inst.n1 * (min(inst.b, int(inst.a1.sum())) + 1))
 
 
 def _recorded_leader_row_dtypes(monkeypatch):
     seen = []
 
-    def recording(*args, **kwargs):
-        row, take = knapsack_row(*args, **kwargs)
-        if kwargs.get("exact_weight"):
-            seen.append(row.dtype)
+    def recording(*args):
+        row, take = knapsack_row(*args)  # only the exact-weight leader table builds one
+        seen.append(row.dtype)
         return row, take
 
     monkeypatch.setattr(knapsack, "knapsack_row", recording)
@@ -291,13 +295,16 @@ FOLLOWER_BOUNDARY = [
     (Mode.OPTIMISTIC, 2 ** 31, [357913941, 357913941], [1, 1]),
     (Mode.PESSIMISTIC, 2 ** 31 - 1, [10000000, 10000000, 14087043], [20, 20, 22]),
     (Mode.PESSIMISTIC, 2 ** 31, [1, 1], [2 ** 30 - 1, 2 ** 30 - 1]),
-    (Mode.PESSIMISTIC, 1, [1], [2 ** 40]),  # an int32 row, M far above int32
+    (Mode.PESSIMISTIC, 1, [1], [2 ** 40]),  # M far above 32 bits
+    # the covering row's largest sum, total + 1 + max, at 2^32 - 1 and 2^32
+    (Mode.OPTIMISTIC, 2 ** 31 + 3, [357913940, 1], [3, 2]),
+    (Mode.OPTIMISTIC, 2 ** 31 + 3, [715827881, 2], [1, 1]),
 ]
 
 
 @pytest.mark.parametrize("mode, target, c, d2", FOLLOWER_BOUNDARY)
 def test_follower_row_dtype_boundary(monkeypatch, mode, target, c, d2):
-    force(monkeypatch, "dense")
+    force(monkeypatch, "row")
     n2 = len(c)
     a2 = [3, 4, 5][:n2]
     for b in (5, sum(a2) + 2):
@@ -305,7 +312,9 @@ def test_follower_row_dtype_boundary(monkeypatch, mode, target, c, d2):
         combined, _m = combined_profits(inst, mode)
         assert int(combined.sum()) == target
         follower = follower_response(inst, np.zeros(2, dtype=np.int64), mode)
-        assert follower.table.row.dtype == (np.int32 if target < 2 ** 31 else np.int64)
+        assert isinstance(follower.table, CoverTable)
+        wide = target + 1 + int(combined.max()) > UINT32_MAX
+        assert follower.table.row.dtype == (np.uint64 if wide else np.uint32)
         assert_matches_brute(inst, mode)
 
 
@@ -315,7 +324,7 @@ def test_follower_row_dtype_boundary(monkeypatch, mode, target, c, d2):
     ([1000000000, 1000000000, 147483648], np.int64),
 ])
 def test_leader_row_dtype_boundary(monkeypatch, mode, d1, dtype):
-    force(monkeypatch, "dense")
+    force(monkeypatch, "row")
     seen = _recorded_leader_row_dtypes(monkeypatch)
     for b in (6, 15):  # below and above sum(a1) = 9
         inst = BlkpInstance(3, 3, a1=[2, 3, 4], d1=d1, a2=[3, 4, 2], d2=[5, 1, 4],

@@ -5,14 +5,14 @@ import pytest
 
 from blkp import knapsack
 from blkp.instance import BlkpInstance
+from blkp.exact import lowest_residual
 from blkp.knapsack import (INT64_MAX, LIST_MAX_ITEMS, MAX_DP_CELLS, UINT32_MAX, CoverTable,
                            DpTooLarge, InfeasibleLeader, ListTable, Mode, OverflowRiskError,
-                           RowTable, at_most_table, best_of_each_weight, combined_profits,
-                           cover_row, evaluate_bilevel, follower_response, knapsack_max,
-                           knapsack_row, trace, walk)
+                           at_most_table, best_of_each_weight, combined_profits, cover_row,
+                           evaluate_bilevel, follower_response, knapsack_max, knapsack_row, trace)
 
 from _forms import each_form, force
-from _oracles import follower_brute, knapsack_brute, random_instance
+from _oracles import all_subsets, follower_brute, knapsack_brute, random_instance
 
 
 def tiny_instance():
@@ -71,14 +71,16 @@ def test_knapsack_overflow_guard(monkeypatch):
 
 
 def test_knapsack_table_size_guard():
-    # 16 items, more than a list serves: the dense table's capped cells,
-    # 16 * (min(capacity, 16e7) + 1), are refused past the budget before any
-    # table is allocated; 14 of them are a list, refused at no capacity
+    # 16 items, more than a list serves: read at capacity c alone, the
+    # covering row's take cells, 16 * (min(W - c, c) + 1) with each weight
+    # clipped to c + 1, are refused past the budget before any table is
+    # allocated; 14 of them are a list, refused at no capacity
     weights = np.full(16, 10 ** 7)
     with pytest.raises(DpTooLarge, match="n=16 .* 100000016 cells"):
         knapsack_max([1] * 16, weights, MAX_DP_CELLS // 16)
     # the tables run the rule on the capped cells: 15 unit weights at capacity
-    # MAX_DP_CELLS build a 15 x 16 table, 15 weights of 1e7 are refused
+    # MAX_DP_CELLS build a 15 x 16 table (removing t items costs t), 15
+    # weights of 1e7 are refused
     ones = np.ones(15, dtype=np.int64)
     table = at_most_table(ones, ones, MAX_DP_CELLS)
     assert table.take.shape == (15, 16) and table.row.tolist() == list(range(16))
@@ -86,11 +88,24 @@ def test_knapsack_table_size_guard():
     for build in (at_most_table, best_of_each_weight):
         with pytest.raises(DpTooLarge, match=f"n=15 .* {15 * (MAX_DP_CELLS + 1)} cells"):
             build(ones, 10 ** 7 * ones, MAX_DP_CELLS)
-    assert knapsack.table_form(weights, MAX_DP_CELLS // 16 - 1) == ("dense", 6_249_999)
+    assert knapsack.table_form(weights, MAX_DP_CELLS // 16 - 1) == ("row", 6_249_999)
     assert knapsack.table_form(weights[:14], MAX_DP_CELLS) == ("list", MAX_DP_CELLS)
     value, sel = knapsack_max([1] * 14, weights[:14], MAX_DP_CELLS)
     assert (value, sel.tolist()) == (10, [1] * 10 + [0] * 4)
     assert knapsack_max([1], [1], 10) == (1, np.array([1]))
+
+
+def test_knapsack_max_reads_one_capacity(monkeypatch):
+    # 16 items of weight 10 at capacity 155 (W = 160): read at 155 alone, the
+    # covering row writes min(W - c, c) + 1 = 6 cells per item, 16 x 6 within
+    # a budget of 1e3 that 16 x 156 cells, every capacity from 0, would pass
+    monkeypatch.setattr(knapsack, "MAX_DP_CELLS", 10 ** 3)
+    profits, weights = np.ones(16, dtype=np.int64), np.full(16, 10)
+    value, sel = knapsack_max(profits, weights, 155)
+    assert (value, sel.tolist()) == (15, [1] * 15 + [0])  # the last item left out
+    assert at_most_table(profits, weights, 155, 155).take.shape == (16, 6)
+    with pytest.raises(DpTooLarge, match="n=16 .* 2496 cells"):
+        at_most_table(profits, weights, 155)
 
 
 def test_list_weight_sums_cannot_wrap(monkeypatch):
@@ -164,93 +179,61 @@ def test_knapsack_row_matches_reference_recurrence():
         weights = np.asarray(weights, dtype=np.int64)
         for scale in (1, 2 ** 32):                        # int32 as drawn, int64 scaled
             profits = np.asarray(drawn, dtype=np.int64) * scale
-            total = int(profits.sum())
-            zeros = np.zeros(b + 1, dtype=np.int64)           # weight at most c
-            exact = np.full(b + 1, -1 - total, dtype=np.int64)
-            exact[0] = 0                                      # weight exactly c
-            for exact_weight, init in ((False, zeros), (True, exact)):
-                want_row, want_take = reference_row(profits, weights, init)
-                row, take = knapsack_row(profits, weights, b, exact_weight)
-                assert row.dtype == (np.int64 if scale > 1 and total > 0 else np.int32)
-                assert np.array_equal(take, want_take[:, :len(row)])
-                assert np.array_equal(row, want_row[:len(row)])
+            init = np.full(b + 1, -1 - int(profits.sum()), dtype=np.int64)
+            init[0] = 0                                       # weight exactly c
+            want_row, want_take = reference_row(profits, weights, init)
+            row, take = knapsack_row(profits, weights, b)
+            assert row.dtype == (np.int64 if scale > 1 and profits.sum() > 0 else np.int32)
+            assert np.array_equal(take, want_take[:, :len(row)])
+            assert np.array_equal(row, want_row[:len(row)])
 
 
 def test_knapsack_row_builds_its_row():
     # length: the capacity, capped at the items' total weight
     profits, weights = np.array([3, 5, 1]), np.array([2, 4, 3])
     for capacity in (0, 4, 8, 9, 10, 50):
-        for exact_weight in (False, True):
-            row, take = knapsack_row(profits, weights, capacity, exact_weight)
-            assert len(row) == min(capacity, 9) + 1
-            assert take.shape == (3, len(row))
-    # exact weight: row[0] is the empty selection, unreachable weights stay negative
-    row, _ = knapsack_row(profits, weights, 20, exact_weight=True)
+        row, take = knapsack_row(profits, weights, capacity)
+        assert len(row) == min(capacity, 9) + 1
+        assert take.shape == (3, len(row))
+    # row[0] is the empty selection, unreachable weights stay negative
+    row, _ = knapsack_row(profits, weights, 20)
     assert row[0] == 0
     assert np.flatnonzero(row >= 0).tolist() == [0, 2, 3, 4, 5, 6, 7, 9]  # not 1 or 8
     # width: int32 up to a profit sum of 2^31 - 1, int64 from 2^31
     for total, dtype in ((2 ** 31 - 1, np.int32), (2 ** 31, np.int64)):
         profits = np.array([total - 7, 7])
-        for exact_weight in (False, True):
-            row, _ = knapsack_row(profits, np.array([1, 2]), 5, exact_weight)
-            assert row.dtype == dtype
-            assert int(row[-1]) == total
-            if exact_weight:
-                assert int(row[1]) == total - 7 and int(row[2]) == 7
+        row, _ = knapsack_row(profits, np.array([1, 2]), 5)
+        assert row.dtype == dtype
+        assert (int(row[1]), int(row[2]), int(row[-1])) == (total - 7, 7, total)
 
 
-def test_knapsack_row_from_min_capacity_equals_the_full_row():
-    # min_capacity 0, mid-row, the capped capacity and above it (b > sum(weights)):
-    # the cells and walks from the clamped min_capacity up are the full row's,
-    # and item i writes no cell below max(w_i, min_capacity - rest_i)
-    rng = np.random.default_rng(25)
-    cases = [
-        ([5, 2], [7, 1], 4),              # an item heavier than b
-        ([0, 2, 0], [1, 1, 3], 5),        # zero profits: every cell ties
-        ([3, 3, 2, 3], [2, 2, 1, 2], 9),  # b above the total weight 7
-    ]
-    for _ in range(150):
-        n = int(rng.integers(0, 9))
-        cases.append((rng.integers(0, int(rng.choice([2, 40])), n),
-                      rng.integers(1, int(rng.choice([3, 20])), n),
-                      int(rng.integers(0, 80))))
-    for drawn, weights, b in cases:
-        weights = np.asarray(weights, dtype=np.int64)
-        for scale in (1, 2 ** 32):                        # int32 as drawn, int64 scaled
-            profits = np.asarray(drawn, dtype=np.int64) * scale
-            for exact_weight in (False, True):
-                full_row, full_take = knapsack_row(profits, weights, b, exact_weight)
-                top = len(full_row) - 1
-                for min_capacity in (0, int(rng.integers(0, top + 1)), top, top + 1, b, b + 3):
-                    row, take = knapsack_row(profits, weights, b, exact_weight, min_capacity)
-                    lo = min(min_capacity, top)
-                    assert row.dtype == full_row.dtype and take.shape == full_take.shape
-                    assert np.array_equal(row[lo:], full_row[lo:])
-                    caps = np.arange(lo, top + 1)
-                    assert np.array_equal(trace(take, weights, caps),
-                                          trace(full_take, weights, caps))
-                    for cap in caps:
-                        assert np.array_equal(walk(take, weights, cap),
-                                              walk(full_take, weights, cap))
-                    rest = np.cumsum(weights[::-1])[::-1] - weights  # weight after item i
-                    for i, w in enumerate(weights.tolist()):
-                        assert not take[i, :max(w, lo - int(rest[i]))].any()
+def best_of_each_brute(profits, weights, capacity):
+    """{weight: (best profit, first best selection)} of every weight up to capacity, enumerated."""
+    subs = all_subsets(len(weights))
+    w_sum, p_sum = subs @ weights, subs @ profits
+    best = {}
+    for k in np.lexsort((-p_sum, w_sum)).tolist():  # by weight, then profit descending, then k
+        if w_sum[k] <= capacity and int(w_sum[k]) not in best:
+            best[int(w_sum[k])] = (int(p_sum[k]), subs[k].tolist())
+    return best
 
 
-def test_walk_equals_trace_at_every_capacity():
+def test_trace_matches_enumeration():
+    # the exact-weight row traced at every reached weight holds the best
+    # selection of that weight with the smallest k, ties and zero profits
+    # among them
     rng = np.random.default_rng(23)
     for _ in range(100):
         n = int(rng.integers(0, 9))
         profits = rng.integers(0, int(rng.choice([2, 40])), n)
         weights = rng.integers(1, int(rng.choice([3, 20])), n)
         b = int(rng.integers(0, 60))
-        for exact_weight in (False, True):
-            row, take = knapsack_row(profits, weights, b, exact_weight)
-            traced = trace(take, weights, np.arange(len(row)))
-            for cap in range(len(row)):
-                walked = walk(take, weights, cap)
-                assert walked.dtype == np.int64
-                assert np.array_equal(walked, traced[cap])
+        row, take = knapsack_row(profits, weights, b)
+        reached = np.flatnonzero(row >= 0)
+        traced = trace(take, weights, reached)
+        assert traced.dtype == np.int8
+        got = {int(w): (int(row[w]), sel.tolist()) for w, sel in zip(reached, traced)}
+        assert got == best_of_each_brute(profits, weights, b)
 
 
 def test_knapsack_max_above_total_weight(monkeypatch):
@@ -270,7 +253,7 @@ def test_knapsack_max_above_total_weight(monkeypatch):
 
 
 def _under_each_form(monkeypatch, build):
-    """build() with every table dense, then a list, then covering (exact weight: dense)."""
+    """build() with every table a row (at most: covering, exact weight: dense), then a list."""
     return [build() for _ in each_form(monkeypatch)]
 
 
@@ -279,7 +262,7 @@ def test_list_and_dense_tables_agree(monkeypatch, mode):
     # the same values and selections at every capacity, from b = 0 to above
     # the total weight, for the follower's combined profits, the leader's
     # exact weights, and zero profits, with weights and profits duplicated,
-    # in all three forms
+    # in the row and the list
     rng = np.random.default_rng(28)
     cases = [
         BlkpInstance(2, 3, [2, 2], [5, 5], [2, 2, 2], [3, 3, 3], [4, 4, 4], 0),
@@ -294,29 +277,42 @@ def test_list_and_dense_tables_agree(monkeypatch, mode):
         for profits, weights in ((combined, inst.a2), (inst.d1, inst.a1), (zero_profits, inst.a2)):
             total = int(weights.sum())
             for capacity in (inst.b, total, total + 3):
-                dense, listed, covering = _under_each_form(
+                covering, listed = _under_each_form(
                     monkeypatch, lambda: at_most_table(profits, weights, capacity))
-                assert isinstance(dense, RowTable) and isinstance(listed, ListTable)
-                assert isinstance(covering, CoverTable)
+                assert isinstance(covering, CoverTable) and isinstance(listed, ListTable)
                 every_c = np.arange(capacity + 1)
-                for other in (listed, covering):
-                    assert np.array_equal(dense.values(every_c), other.values(every_c))
-                    for c in every_c.tolist():
-                        assert dense.values(c) == other.values(c)
-                        assert np.array_equal(dense.selection(c), other.selection(c))
-                dense, listed, covering = _under_each_form(
+                assert np.array_equal(covering.values(every_c), listed.values(every_c))
+                for c in every_c.tolist():
+                    assert covering.values(c) == listed.values(c)
+                    assert np.array_equal(covering.selection(c), listed.selection(c))
+                dense, listed = _under_each_form(
                     monkeypatch, lambda: best_of_each_weight(profits, weights, capacity))
-                for got, want in zip(listed[:3] + covering[:3], dense[:3] * 2):
+                for got, want in zip(listed[:3], dense[:3]):
                     assert got.dtype == want.dtype and np.array_equal(got, want)
-                assert dense[3] == covering[3] == len(weights) * (min(capacity, total) + 1)
+                assert dense[3] == len(weights) * (min(capacity, total) + 1)
                 assert listed[3] == 2 ** len(weights)
 
 
-def test_cover_row_equals_the_dense_row():
-    # every value and selection from min_capacity up equals the dense row's
-    # and its walk: ties in profit, zero profits, items heavier than b, b at
-    # and above the total weight, min_capacity 0, mid-row and at b, and
-    # both widths
+def at_most_brute(profits, weights, capacity):
+    """(best profit, first best selection) at capacity, enumerated: the smallest k among the best."""
+    subs = all_subsets(len(weights))
+    value = np.where(subs @ weights <= capacity, subs @ profits, -1)
+    k = int(np.argmax(value))
+    return int(value[k]), subs[k].tolist()
+
+
+def cover_width(weights, capacity, lo):
+    """min(top, capped) + 1: the take cells per item of a covering row read from lo."""
+    covered = int(np.minimum(weights, capacity + 1).sum())  # each weight clipped to b + 1
+    capped = min(capacity, covered)
+    return min(covered - min(lo, capped), capped) + 1
+
+
+def test_cover_row_matches_enumeration():
+    # every value and selection from min_capacity up is the best selection
+    # with the smallest k: ties in profit, zero profits, items heavier than
+    # b, b at and above the total weight, min_capacity 0, mid-row and at b,
+    # and both widths; the take table is one window per item
     rng = np.random.default_rng(29)
     cases = [
         ([3, 3, 3], [2, 2, 2], 4),        # ties: every pair of items is worth 6
@@ -336,39 +332,33 @@ def test_cover_row_equals_the_dense_row():
         weights = np.asarray(weights, dtype=np.int64)
         for scale in (1, 2 ** 32):                        # uint32 as drawn, uint64 scaled
             profits = np.asarray(drawn, dtype=np.int64) * scale
-            dense_row, dense_take = knapsack_row(profits, weights, b)
-            dense = RowTable(dense_row, dense_take, weights)
             for lo in (0, int(rng.integers(0, b + 1)), b):
                 table = cover_row(profits, weights, b, lo)
                 wide = int(profits.sum()) + 1 + int(profits.max(initial=0)) > UINT32_MAX
                 assert table.row.dtype == (np.uint64 if wide else np.uint32)
-                covered = int(weights.clip(max=b + 1).sum())  # each weight clipped to b + 1
-                assert table.take.shape == (len(weights), covered - min(lo, covered) + 1)
+                assert table.take.shape == (len(weights), cover_width(weights, b, lo))
                 caps = np.arange(lo, b + 1)
                 values = table.values(caps)
                 assert values.dtype == np.int64
-                assert np.array_equal(values, dense.values(caps))
-                for c in caps.tolist():
-                    assert table.values(c) == dense.values(c)
-                    assert np.array_equal(table.selection(c), dense.selection(c))
+                for c, value in zip(caps.tolist(), values.tolist()):
+                    want = at_most_brute(profits, weights, c)
+                    assert (value, table.selection(c).tolist()) == want
+                    assert table.values(c) == value
 
 
 @pytest.mark.parametrize("last, dtype", [(0, np.uint32), (1, np.uint64)])
 def test_cover_row_width_boundary(last, dtype):
     # the largest sum the row forms is sum + 1 + max: 2^32 - 1 fits uint32,
-    # 2^32 does not; the values read out are the dense row's, in int64
+    # 2^32 does not; the values read out are the enumerated ones, in int64
     profits = np.array([2 ** 31 - 1, last, 0])
     weights = np.array([2, 1, 3])
     assert int(profits.sum()) + 1 + int(profits.max()) == UINT32_MAX + last
     for b in (3, 6, 9):
         table = cover_row(profits, weights, b, 1)
         assert table.row.dtype == dtype
-        row, take = knapsack_row(profits, weights, b)
-        dense = RowTable(row, take, weights)
-        caps = np.arange(1, b + 1)
-        assert np.array_equal(table.values(caps), dense.values(caps))
-        for c in caps.tolist():
-            assert np.array_equal(table.selection(c), dense.selection(c))
+        for c in range(1, b + 1):
+            assert (table.values(c), table.selection(c).tolist()) == at_most_brute(
+                profits, weights, c)
     # a profit sum of int64's largest value still fits the uint64 row
     profits = np.array([INT64_MAX - 3, 3])
     table = cover_row(profits, np.array([2, 1]), 2, 0)
@@ -379,35 +369,59 @@ def test_cover_row_width_boundary(last, dtype):
 
 
 def test_form_picks_the_fewest_cells():
-    form = knapsack._form
-    # the row with fewer cells per item, the dense one on a tie; no covering
-    # form where none is given (an exact-weight table)
-    assert form(50, 1000, 999) == "cover"
-    assert form(50, 1000, 1000) == form(50, 1000, 1001) == form(50, 1000, None) == "dense"
-    # the list is weighed against the shorter row: 2^8 selections against
-    # 300 and 200 cells
-    assert form(8, 10 ** 5, 300) == "list" and form(8, 10 ** 5, 200) == "cover"
-    assert form(8, 200, None) == "dense"
-    # through `table_form`: 50 items of weight 10 up to capacity 300 (W = 500)
+    # the row's take cells per item: min(top, capped) + 1 at most c, top =
+    # W - min(lo, capped), and capped + 1 exactly c; the list is weighed
+    # against them. 50 items of weight 10 up to capacity 300 (W = 500):
     weights = np.full(50, 10)
-    assert knapsack.table_form(weights, 300, 0) == ("dense", 300)    # 301 against 501
-    assert knapsack.table_form(weights, 300, 200) == ("dense", 300)  # 301 against 301
-    assert knapsack.table_form(weights, 300, 201) == ("cover", 300)  # 301 against 300
-    assert knapsack.table_form(weights, 300) == ("dense", 300)       # exact weight
-    assert knapsack.table_form(np.full(8, 100), 300, 0) == ("list", 300)  # 2^8 against 301
-    # a weight heavier than the capacity counts as capacity + 1 in the
-    # covering row: W = 101 + 95, so 97 cells against 101
-    assert knapsack.table_form(np.array([10 ** 9] + [5] * 19), 100, 100) == ("cover", 100)
-    # a row past the budget is refused with the cells of the row picked:
-    # W = 1.5e8, dense 15 x (b + 1) cells, covering 15 x (W - lo + 1)
+    assert knapsack.table_form(weights, 300, 0) == ("row", 300)  # 301 cells
+    assert knapsack.table_form(weights, 300) == ("row", 300)     # exact weight: 301
+    # 2^8 selections against 301 cells (W = 800, top 800 or 500), then
+    # against 101 (W = 400, top 100): more entries than the row's take table
+    assert knapsack.table_form(np.full(8, 100), 300, 0) == ("list", 300)
+    assert knapsack.table_form(np.full(8, 100), 300, 300) == ("list", 300)
+    assert knapsack.table_form(np.full(8, 100), 300) == ("list", 300)
+    assert knapsack.table_form(np.full(8, 50), 300, 300) == ("row", 300)
+    # a weight heavier than the capacity counts as capacity + 1: W = 101 + 95,
+    # so 97 cells per item from capacity 100
+    assert knapsack.table_form(np.array([10 ** 9] + [5] * 19), 100, 100) == ("row", 100)
+    # a row past the budget is refused with its cells: W = 1.5e8, 15 x (b + 1)
+    # cells from 0, 15 x (W - b + 1) from b, and 15 x (b + 1) exactly b
     weights, b = np.full(15, 10 ** 7), 14 * 10 ** 7
-    for lo, covering, cells in ((0, "", 15 * (b + 1)),
-                                (b, f", a covering row from {b},", 15 * (10 ** 7 + 1))):
+    for lo, covering, cells in ((0, ", a covering row from 0,", 15 * (b + 1)),
+                                (b, f", a covering row from {b},", 15 * (10 ** 7 + 1)),
+                                (None, "", 15 * (b + 1))):
         with pytest.raises(DpTooLarge, match=f"^DP table for n=15 items up to capacity {b}"
                                              f"{covering} needs {cells} cells, above"):
             knapsack.table_form(weights, b, lo)
     b = 145 * 10 ** 6
-    assert knapsack.table_form(weights, b, b - 10) == ("cover", b)  # 15 x (5e6 + 11) cells
+    assert knapsack.table_form(weights, b, b - 10) == ("row", b)  # 15 x (5e6 + 11) cells
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.45])
+def test_follower_row_where_the_capacity_is_short(monkeypatch, mode, alpha):
+    # b + r0 below the follower's weight sum: the covering row's take table
+    # is n2 x (min(top, capped) + 1), one window per item, and every residual
+    # from r0 to b answers as enumeration does
+    force(monkeypatch, "row")
+    rng = np.random.default_rng(30)
+    checked = 0
+    while checked < 12:
+        inst = random_instance(rng, int(rng.integers(1, 6)), int(rng.integers(2, 10)),
+                               value_max=int(rng.choice([3, 12])), alpha=(alpha, alpha))
+        zeros = np.zeros(inst.n1, dtype=np.int64)
+        for lo in {0, lowest_residual(inst), int(rng.integers(0, inst.b + 1))}:
+            if inst.b + lo >= int(inst.a2.sum()):
+                continue
+            resp = follower_response(inst, zeros, mode, min_residual=lo)
+            assert isinstance(resp.table, CoverTable)
+            assert resp.table.take.shape == (inst.n2, cover_width(inst.a2, inst.b, lo))
+            for r in range(lo, inst.b + 1):
+                at_r = replace(inst, b=r)
+                y, _z, leader_value = follower_brute(at_r, zeros, mode)
+                assert resp.leader_profit(r) == leader_value
+                assert resp.reply(r).tolist() == y.tolist()
+            checked += 1
 
 
 def test_use_list_rule():
@@ -415,7 +429,7 @@ def test_use_list_rule():
     assert use(8, 4000) and use(6, 100_000)            # the label workload's tables
     assert not use(10, 5000) and not use(50, 10 ** 6)  # the search's follower rows
     for n in range(1, LIST_MAX_ITEMS + 3):
-        # never more entries than the dense table, never more than LIST_MAX_ITEMS items
+        # never more entries than the row's take table, never more than LIST_MAX_ITEMS items
         assert not use(n, 2 ** n - 1)
         assert use(n, MAX_DP_CELLS // n) == (n <= LIST_MAX_ITEMS)
 
@@ -594,7 +608,7 @@ def test_follower_reply_table_from_min_residual(mode, monkeypatch):
 @pytest.mark.parametrize("r", [3.5, 2.0, True, np.float64(2), np.uint64(2), np.array([2])],
                          ids=["fraction", "integral_float", "bool", "float64", "uint64", "array"])
 def test_non_integer_residual_refused_in_both_forms(monkeypatch, r):
-    # unchecked, the dense form would fail inside numpy and the list form answer
+    # unchecked, the row would fail inside numpy and the list answer
     inst = BlkpInstance(1, 3, [1], [1], [2, 1, 1], [4, 1, 1], [2, 1, 1], 4)
     for _ in each_form(monkeypatch):
         resp = follower_response(inst, [0])

@@ -41,6 +41,8 @@ def code_lines(path):
 def main(argv):
     for root in argv or ["src/blkp"]:
         root = Path(root)
+        if not root.exists():
+            sys.exit(f"code_lines.py: no such file or directory: {root}")
         files = sorted(root.rglob("*.py")) if root.is_dir() else [root]
         total = 0
         for path in files:
