@@ -50,7 +50,8 @@ A row's take table is only as long as the cells its items write:
 
 - Dense: no selection weighs more than W, so the row stops at weight
   capped = min(capacity, W).
-- Covering: item i writes only its window, the removed weights from
+- Covering: an item heavier than the capacity fits in no selection and
+  gets no row. Item i writes only its window, the removed weights from
   max(lowest - rest_i, 0) to min(done_i, top), lowest = W - capped,
   rest_i the weight of the items after it and done_i that of items
   0..i. Each window holds at most min(top, capped) + 1 cells, and so
@@ -211,12 +212,13 @@ def _clip(weights: list, limit: int) -> list:
 def cover_row(profits, weights, capacity: int, min_capacity: int = 0) -> CoverTable:
     """The at-most table for capacities min_capacity..capacity, built over removed weights.
 
-    Each weight is clipped to capacity + 1, which changes no selection
-    that fits; W is the clipped sum and capped = min(capacity, W). A
+    An item heavier than the capacity is in no selection that fits: it is
+    dropped before the DP, and `CoverTable.selection` puts its 0 back. W
+    is the kept items' weight sum and capped = min(capacity, W). A
     selection fits c iff the items it leaves out weigh at least W - c, so
     row[t] is the least profit of a removed set weighing at least t, for
     t in 0..top = W - min(min_capacity, capped), and the best profit at c
-    is sum(profits) - row[max(W - c, 0)].
+    is the kept items' profit sum - row[max(W - c, 0)].
 
     take[i, j] records whether removing item i is at least as good as
     keeping it at removed weight lo_i + j: ties remove it, a tie toward
@@ -235,15 +237,20 @@ def cover_row(profits, weights, capacity: int, min_capacity: int = 0) -> CoverTa
     cells, the take table's width.
 
     Unreached cells hold the sentinel sum(profits) + 1, so the largest
-    sum formed is sum(profits) + 1 + max(profits): the row is uint32
-    while that fits, else uint64, which holds it whenever the profit sum
-    fits int64. A profit sum past int64 raises OverflowRiskError.
+    sum formed is sum(profits) + 1 + max(profits), over the kept items:
+    the row is uint32 while that fits, else uint64, which holds it
+    whenever the profit sum fits int64. A profit sum of all the items
+    past int64 raises OverflowRiskError.
     """
-    profits = profits.tolist()
+    profits, weights = profits.tolist(), weights.tolist()
     total = sum(profits)
     if total > INT64_MAX:
         raise OverflowRiskError("sum of profits exceeds the 64-bit accumulator bound")
-    weights = _clip(weights.tolist(), capacity + 1)
+    n, kept = len(weights), None
+    if weights and max(weights) > capacity:
+        kept = [i for i, w in enumerate(weights) if w <= capacity]
+        profits, weights = [profits[i] for i in kept], [weights[i] for i in kept]
+        total = sum(profits)
     covered = sum(weights)
     capped = min(capacity, covered)
     top = covered - min(min_capacity, capped)
@@ -265,7 +272,7 @@ def cover_row(profits, weights, capacity: int, min_capacity: int = 0) -> CoverTa
         np.add(row[pad + lo - w: pad + hi - w], p, out=cand)
         np.less_equal(cand, cells, out=take[i, : hi - lo])
         np.minimum(cells, cand, out=cells)
-    return CoverTable(row[pad:], take, weights, total, covered, lowest)
+    return CoverTable(row[pad:], take, weights, total, covered, lowest, n, kept)
 
 
 # The most items a subset list is built for; `_use_list` refuses more. The
@@ -329,7 +336,9 @@ def table_form(weights, capacity: int, min_capacity: int | None = None):
       from them and n.
     - A list (n <= LIST_MAX_ITEMS) is refused by nothing else.
     - A row allocates n times its cells per item; past MAX_DP_CELLS it
-      raises DpTooLarge, naming n and the cells.
+      raises DpTooLarge, naming n and the cells. A covering row leaves
+      out the items heavier than the capacity, so where there are some it
+      allocates fewer cells than counted here.
     """
     n = len(weights)
     covered = sum(_clip(weights.tolist(), capacity + 1))
@@ -370,7 +379,7 @@ class CoverTable:
     Capacity c reads removed weight t = max(covered - c, 0), the least
     weight the items left out must have. take[i, j] is removed weight
     lo_i + j, lo_i = max(lowest - rest_i, 0) with rest_i the weight of
-    the items after i.
+    the items after i. Item i here is the row's i-th kept item.
     """
 
     row: np.ndarray      # least removed profits at removed weights 0..top
@@ -379,6 +388,8 @@ class CoverTable:
     total: int           # the profit sum
     covered: int         # the clipped weight sum
     lowest: int          # covered - capped: the least removed weight read
+    n: int               # the number of items, those heavier than the capacity included
+    kept: list | None    # the indices of the items the row holds, None when it holds all
 
     @property
     def entries(self) -> int:
@@ -389,7 +400,7 @@ class CoverTable:
         return self.total - self.row[np.maximum(self.covered - caps, 0)].astype(np.int64)
 
     def selection(self, cap: int) -> np.ndarray:
-        """The int64 best selection at one capacity: every item not removed."""
+        """The int64 best selection at one capacity: every kept item not removed."""
         weights, take = self.weights, self.take
         selection = np.ones(len(weights), dtype=np.int64)
         t, start = max(self.covered - cap, 0), self.lowest  # start: lowest - rest_i
@@ -399,7 +410,11 @@ class CoverTable:
                 selection[i] = 0
                 t = t - w if t > w else 0
             start -= w
-        return selection
+        if self.kept is None:
+            return selection
+        full = np.zeros(self.n, dtype=np.int64)
+        full[self.kept] = selection
+        return full
 
 
 @dataclass

@@ -8,15 +8,17 @@ backward reads and a backward that adds the weights' gradients:
   every own-major (i, j) pair of a graph union without forming it: each
   node is projected once and the projections are expanded to the pairs.
   The gradient at the other rows sums the pairs in the index's
-  transpose order, computed once per union shape;
+  transpose order, computed once per union shape. A run that keeps no
+  record for `grad` computes each layer in place, with the same bits;
 - `pool`/`pool_grad`: the network's one pooling of each run of
   consecutive rows (`Segments`, one per node's messages, of any mix of
   lengths): the `AGGREGATORS` mean, max and min at each of the
-  `SCALERS`, scaler-major. The rows are gathered once into a block, row
-  j of every segment side by side: max and min reduce the block along
-  its first axis, and their backward finds each winning row by one more
-  reduction along that axis (`_first_match`). The mean stays on
-  `np.add.reduceat`: the block's padding rows would enter a sum;
+  `SCALERS`, scaler-major, written into a given array if asked (the
+  update's input, in `pnanet`). The rows are gathered once into a
+  block, row j of every segment side by side: max and min reduce the
+  block along its first axis, and their backward finds each winning row
+  by one more reduction along that axis (`_first_match`). The mean
+  stays on `np.add.reduceat`: the block's padding rows would enter a sum;
 - `bce_mean(predictions, positives, totals)`: the mean binary
   cross-entropy of label counts, the whole training loss, and its
   gradient at the predictions.
@@ -55,11 +57,11 @@ class Tensor:
         self._backward(np.ones_like(self.data))
 
 
-def _relu(z):
+def _relu(z, out=None):
     # NaN passes through, so an overflowing network yields non-finite output.
     # Which of two equal zeros np.maximum returns is not documented; adding
     # +0.0 maps -0.0 to +0.0 either way and leaves every other value as it is
-    out = np.maximum(z, 0.0)
+    out = np.maximum(z, 0.0, out=out)
     out += 0.0
     return out
 
@@ -71,20 +73,22 @@ def _leak(z):
 _EXP_MAX = np.log(np.finfo(np.float64).max)  # the largest x whose exp is finite
 
 
-def _sigmoid(z):
+def _sigmoid(z, out=None):
     # exp(-z) past _EXP_MAX would overflow, with a warning, to inf and give 0;
     # capped there it gives about 5.6e-309 instead, and every other value's
     # bits are unchanged
-    return 1.0 / (1.0 + np.exp(np.minimum(-z, _EXP_MAX)))
+    return np.divide(1.0, 1.0 + np.exp(np.minimum(-z, _EXP_MAX)), out=out)
 
 
-# name -> (forward(z), grad(g, z, out)): a layer's activation of its affine
-# output z, and the gradient at z from the gradient g at the output out.
-# Leaky relu's maximum ties only where z and 0.01 * z are zeros of one sign.
+# name -> (forward(z, out=None), grad(g, z, out)): a layer's activation of
+# its affine output z, written into out if given (out=z runs it in place),
+# and the gradient at z from the gradient g at the output out. Leaky
+# relu's maximum ties only where z and 0.01 * z are zeros of one sign.
 ACTIVATIONS = {
-    "identity": (lambda z: z, lambda g, z, out: g),
+    "identity": (lambda z, out=None: z, lambda g, z, out: g),
     "relu": (_relu, lambda g, z, out: g * (z > 0)),
-    "leaky_relu": (lambda z: np.maximum(z, 0.01 * z), lambda g, z, out: g * _leak(z)),
+    "leaky_relu": (lambda z, out=None: np.maximum(z, 0.01 * z, out=out),
+                   lambda g, z, out: g * _leak(z)),
     "sigmoid": (_sigmoid, lambda g, z, out: g * out * (1.0 - out)),
 }
 
@@ -120,21 +124,32 @@ SCALERS = (1.0, 0.7, 1.0 / 0.7)
 _SCALERS = np.array(SCALERS)
 
 
-def pool(x, seg: Segments):
+def pool(x, seg: Segments, out=None):
     """The network's pooling of each segment of x's rows, and what `pool_grad` reads.
 
     A segment's row is its `AGGREGATORS` side by side, repeated at each of
     the `SCALERS` (1, a, 1/a) times that scaler, scaler-major: [mean, max,
-    min, a*mean, a*max, a*min, mean/a, max/a, min/a]. The mean stays on
-    `np.add.reduceat`: the block's padding rows would enter a sum. Max and
-    min reduce x's rows gathered once into the block `x[seg.block_rows]`,
-    which `pool_grad` reads with the two extremes.
+    min, a*mean, a*max, a*min, mean/a, max/a, min/a]. The rows are written
+    into `out` if given, a (segments, pooled width) array or view whose
+    rows each lie contiguous, as a column slice's do: the scaled copies
+    are written through a (segments, scaler, 3 * width) view of it. The
+    mean stays on `np.add.reduceat`: the block's padding rows would enter
+    a sum. Max and min reduce x's rows gathered once into the block
+    `x[seg.block_rows]`, which `pool_grad` reads with the two extremes.
     """
     block = x.take(seg.block_rows, axis=0)
-    hi, lo = np.maximum.reduce(block, axis=0), np.minimum.reduce(block, axis=0)
-    mean = np.add.reduceat(x, seg.starts, axis=0) / seg.counts[:, None]
-    base = np.concatenate([mean, hi, lo], axis=1)
-    return (base[:, None, :] * _SCALERS[:, None]).reshape(len(base), -1), (block, hi, lo)
+    w = x.shape[1]
+    if out is None:
+        out = np.empty((len(seg.counts), len(AGGREGATORS) * len(SCALERS) * w))
+    mean, hi, lo = out[:, :w], out[:, w:2 * w], out[:, 2 * w:3 * w]
+    np.add.reduceat(x, seg.starts, axis=0, out=mean)
+    np.divide(mean, seg.counts[:, None], out=mean)
+    np.maximum.reduce(block, axis=0, out=hi)
+    np.minimum.reduce(block, axis=0, out=lo)
+    # (segments, scaler, aggregator columns), a view: base times 1.0 is base
+    scaled = out.reshape(len(out), len(SCALERS), -1)
+    np.multiply(scaled[:, :1], _SCALERS[1:, None], out=scaled[:, 1:])
+    return out, (block, hi, lo)
 
 
 def pool_grad(g, x, saved, seg: Segments):
@@ -220,7 +235,7 @@ class Mlp:
         """The number of weights and biases of a stack of these widths."""
         return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(widths[:-1], widths[1:]))
 
-    def run(self, x, pairs=None):
+    def run(self, x, pairs=None, keep=True):
         """The stack's output on the array x, and each layer's (input, z, output) for `grad`.
 
         With `pairs` (as `graphrep.own_major_pairs` gives them), x is
@@ -228,18 +243,22 @@ class Mlp:
         own-major pair without forming it: w splits by rows at k = own's
         width, each node is projected once, and the projections are
         repeated over own row i's segment and gathered by other row.
+        Without `keep` it returns None for the record, and each layer's
+        activation overwrites its z: one array per layer, and the same bits.
         """
-        acts = []
-        for w, b, act in self.layers:
-            if pairs is not None and not acts:
+        acts = [] if keep else None
+        for i, (w, b, act) in enumerate(self.layers):
+            if pairs is not None and i == 0:
                 (own, other), (other_rows, seg) = x, pairs[:2]
                 k = own.shape[1]
-                z = (np.repeat(own @ w[:k], seg.counts, axis=0)
-                     + (other @ w[k:]).take(other_rows, axis=0) + b)
+                z = np.repeat(own @ w[:k], seg.counts, axis=0)
+                z += (other @ w[k:]).take(other_rows, axis=0)
             else:
-                z = x @ w + b
-            out = ACTIVATIONS[act][0](z)
-            acts.append((x, z, out))
+                z = x @ w
+            z += b
+            out = ACTIVATIONS[act][0](z, None if keep else z)
+            if keep:
+                acts.append((x, z, out))
             x = out
         return x, acts
 

@@ -8,7 +8,10 @@ updates as an extra column and is dropped afterwards); then `iterations`
 weight-shared rounds run both groups' half-rounds from the same input
 generation; a per-leader-node sigmoid decoder follows. Only the leader
 embeddings reach the decoder, so the last round skips the followers'
-half-round. `forward_tensor` is the whole network.
+half-round. `_rounds` runs the rounds, and two forwards share it:
+`forward_tensor` for training, which keeps every half-round's record for
+its reverse pass, and `predict` for inference, which keeps none
+(`forward` on a raw instance, and the validation loss).
 
 The architecture is fixed: the widths and decoder depth are the module
 constants below, the aggregators and scalers are `ndiff.pool`'s
@@ -23,9 +26,15 @@ single instance is a union of one.
 
 Everything runs on plain arrays. A half-round (`_half_round`) is the
 message MLP over the pairs (`ndiff.Mlp.run` with the union's pair index,
-which never forms the pair rows), the pooling (`ndiff.pool`), the
-concatenation [own; extra; pooled] and the update MLP; `_half_round_grad`
-chains their gradient rules in reverse. `forward_tensor` returns one
+which never forms the pair rows), the pooling (`ndiff.pool`), written
+straight into the update's input [own; extra; pooled], and the update
+MLP; `_half_round_grad` chains their gradient rules in reverse. It is the
+one message-and-pool code path. Without a record, each MLP layer runs in
+place, and a union of more than `CHUNK_PAIRS` pairs runs its messages
+and their pooling over chunks of whole own segments (`_chunks`), so
+inference holds a few chunks' pair arrays however large the graph; each
+value is computed by the same operations as in one chunk, so every bit
+is the training forward's. `forward_tensor` returns one
 `ndiff.Tensor` whose reverse pass walks the decoder, then the rounds
 r = R..0 (R = `iterations`, round 0 the encoder), round r's half-rounds
 in forward order when R - r is odd and reversed otherwise. Each round
@@ -50,7 +59,7 @@ import numpy as np
 
 from .graphrep import DEFAULT_NORM, NormalizationScheme, TripartiteGraph, build_graph
 from .instance import check_int, is_int
-from .ndiff import AGGREGATORS, SCALERS, Mlp, Tensor, pool, pool_grad
+from .ndiff import AGGREGATORS, SCALERS, Mlp, Segments, Tensor, pool, pool_grad
 
 CHECKPOINT_VERSION = 1
 
@@ -59,6 +68,10 @@ MSG_DIM = 16
 HIDDEN = 16
 DECODER_HIDDEN_LAYERS = 3
 AGGREGATED_WIDTH = len(AGGREGATORS) * len(SCALERS) * MSG_DIM
+# The most pairs whose messages the inference forward forms at once, above
+# which it runs in chunks of whole segments (`_chunks`): a chunk's pair
+# arrays hold about 0.5 MB each, a graph of up to 64 x 64 nodes is one chunk
+CHUNK_PAIRS = 4096
 
 
 class CheckpointError(ValueError):
@@ -133,20 +146,49 @@ class ModelParams:
             lo = hi
 
 
-def _half_round(own, other, pairs, params: ModelParams, block: str, extra=None):
+def _chunks(seg):
+    """(first own row, past its last, their Segments) of each chunk of `seg`'s whole segments.
+
+    A union of at most `CHUNK_PAIRS` pairs is one chunk, `seg` itself.
+    Above it each chunk takes as many segments as fit `CHUNK_PAIRS` rows
+    at the longest segment's length, and at least two: numpy multiplies a
+    one-row matrix by another routine than a taller one, with other bits.
+    """
+    n_own = len(seg.counts)
+    if seg.rows <= CHUNK_PAIRS:
+        return [(0, n_own, seg)]
+    per = max(CHUNK_PAIRS // int(seg.counts.max()), 2)
+    starts = list(range(0, n_own - 1, per)) or [0]  # a last single segment joins the chunk before
+    return [(lo, hi, Segments(seg.counts[lo:hi]))
+            for lo, hi in zip(starts, starts[1:] + [n_own])]
+
+
+def _half_round(own, other, pairs, params: ModelParams, block: str, extra=None, keep=True):
     """Every `own` node's new row from its messages over its graph's (own, other) pairs.
 
-    Returns the rows and the record of activations `_half_round_grad`
-    reads. `block` names the MLP pair `msg_<block>`/`upd_<block>`.
-    `pairs` is `graphrep.own_major_pairs` of the union: each own node's
-    messages form one segment. The update reads [own; extra; pooled].
+    Returns the rows and, with `keep`, the record of activations
+    `_half_round_grad` reads. `block` names the MLP pair
+    `msg_<block>`/`upd_<block>`. `pairs` is `graphrep.own_major_pairs` of
+    the union: each own node's messages form one segment. The update reads
+    [own; extra; pooled], one array into which the pooling writes its rows.
+    Without `keep` nothing is recorded, each MLP layer runs in place, and
+    the messages and their pooling run over `_chunks`: only the pooled
+    rows outlive a chunk.
     """
     msg, upd = params.mlps["msg_" + block], params.mlps["upd_" + block]
-    msgs, msg_acts = msg.run((own, other), pairs)
-    pooled, saved = pool(msgs, pairs[1])
-    columns = (own, pooled) if extra is None else (own, extra, pooled)
-    out, upd_acts = upd.run(np.concatenate(columns, axis=1))
-    return out, (msgs, msg_acts, saved, upd_acts)
+    other_rows, seg = pairs[:2]
+    x = np.empty((len(own), upd.layers[0][0].shape[0]))
+    x[:, :own.shape[1]] = own
+    if extra is not None:
+        x[:, own.shape[1]:-AGGREGATED_WIDTH] = extra
+    pooled = x[:, -AGGREGATED_WIDTH:]
+    for lo, hi, chunk in _chunks(seg) if not keep else [(0, len(own), seg)]:
+        first = seg.starts[lo]
+        msgs, msg_acts = msg.run((own[lo:hi], other),
+                                 (other_rows[first:first + chunk.rows], chunk), keep)
+        _, saved = pool(msgs, chunk, pooled[lo:hi])
+    out, upd_acts = upd.run(x, keep=keep)
+    return out, (msgs, msg_acts, saved, upd_acts) if keep else None
 
 
 def _half_round_grad(g, record, pairs, params: ModelParams, block: str, g_own=None):
@@ -167,30 +209,42 @@ def _half_round_grad(g, record, pairs, params: ModelParams, block: str, g_own=No
     return g_column + g_from_msgs, g_other
 
 
-def forward_tensor(graph: TripartiteGraph, params: ModelParams) -> Tensor:
-    """Predictions of every leader row of a graph union, in row order, as a `Tensor`.
+def _rounds(graph: TripartiteGraph, pairs, params: ModelParams, keep):
+    """The leader rows the decoder reads, and per round each half-round's (own group, block, record).
 
     The encoder round updates both groups from the raw features, each
     with its graph's capacity feature as an extra column, then
     `cfg.iterations` weight-shared rounds update both from the same input
     generation; the last skips the followers' update, which nothing reads.
+    Leaders are group 0; `keep` is `_half_round`'s.
     """
     rounds = params.cfg.iterations
-    pairs = (graph.leader_pairs, graph.follower_pairs)
     rows = [graph.leader_feats, graph.follower_feats]
     caps = [np.repeat(graph.cap_feats, counts)[:, None] for counts in (graph.n1s, graph.n2s)]
-    steps = []  # per round, each half-round's (own group, block, record); leaders 0
+    steps = []
     for r in range(rounds + 1):
         step, new_rows = [], list(rows)
         for own in (0, 1) if r < rounds else (0,):
             block = ("leader_", "follower_")[own] + ("mp" if r else "enc")
             new_rows[own], record = _half_round(rows[own], rows[1 - own], pairs[own], params,
-                                                block, None if r else caps[own])
+                                                block, None if r else caps[own], keep)
             step.append((own, block, record))
         steps.append(step)
         rows = new_rows
+    return rows[0], steps
+
+
+def forward_tensor(graph: TripartiteGraph, params: ModelParams) -> Tensor:
+    """Predictions of every leader row of a graph union, in row order, as a `Tensor`.
+
+    The training forward: it keeps every half-round's record for its
+    reverse pass until the `Tensor` is dropped.
+    """
+    rounds = params.cfg.iterations
+    pairs = (graph.leader_pairs, graph.follower_pairs)
+    leaders, steps = _rounds(graph, pairs, params, keep=True)
     decoder = params.mlps["decoder"]
-    out, decoder_acts = decoder.run(rows[0])  # (N1, 1) in (0, 1)
+    out, decoder_acts = decoder.run(leaders)  # (N1, 1) in (0, 1)
 
     def backward(g):
         grads = [decoder.grad(g, decoder_acts), None]
@@ -207,10 +261,17 @@ def forward_tensor(graph: TripartiteGraph, params: ModelParams) -> Tensor:
     return Tensor(out, backward)
 
 
+def predict(graph: TripartiteGraph, params: ModelParams) -> np.ndarray:
+    """`forward_tensor(graph, params).data`, bit for bit, keeping no record: (N1, 1)."""
+    pairs = (graph.leader_pairs, graph.follower_pairs)
+    leaders, _ = _rounds(graph, pairs, params, keep=False)
+    return params.mlps["decoder"].run(leaders, keep=False)[0]
+
+
 def forward(inst, params: ModelParams,
             norm: NormalizationScheme = DEFAULT_NORM) -> np.ndarray:
-    """Full pipeline on a raw instance, a union of one; returns the n1 final values."""
-    return forward_tensor(build_graph(inst, norm), params).data.ravel()
+    """The n1 predictions of a raw instance, a union of one, by `predict`."""
+    return predict(build_graph(inst, norm), params).ravel()
 
 
 def save_checkpoint(params: ModelParams, norm: NormalizationScheme,

@@ -10,9 +10,11 @@ disjoint union of the graphs of its distinct instances
 (`graphrep.graph_union`); the loss, `ndiff.bce_mean`, scores every
 leader row through the sum and the count of its instance's labels in
 the batch, and its gradient starts the forward's reverse pass. The
-gradient buffer (`ModelParams.grad`) is zeroed before each reverse pass,
-`ndiff.Adam` then steps the weight buffer (`ModelParams.flat`) in place,
-and the best epoch's weights are kept as a copy of that buffer.
+validation loss is the same value from `pnanet.predict`, the forward
+that keeps no record. The gradient buffer (`ModelParams.grad`) is
+zeroed before each reverse pass, `ndiff.Adam` then steps the weight
+buffer (`ModelParams.flat`) in place, and the best epoch's weights are
+kept as a copy of that buffer.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from .graphrep import build_graph, graph_union
 from .instance import binary_vector, check_int, is_number
 from .ndiff import Adam, Tensor, bce_mean
-from .pnanet import ModelParams, PnaConfig, forward_tensor
+from .pnanet import ModelParams, PnaConfig, forward_tensor, predict
 
 
 class TrainingDiverged(RuntimeError):
@@ -100,12 +102,8 @@ def build_dataset(instances, labels_per_instance, cfg: TrainConfig):
     return expand(train_ids), expand(val_ids)
 
 
-def _batch_loss(samples, graphs, params):
-    """Mean BCE over all leader-variable terms of the batch, as a `Tensor`.
-
-    Its reverse pass hands the loss's gradient at the predictions to the
-    forward's.
-    """
+def _batch(samples, graphs):
+    """The union of the batch's distinct instances, and per leader row its label sum and count."""
     by_instance = {}
     for s in samples:
         by_instance.setdefault(s.instance_id, []).append(s.x_label)
@@ -113,13 +111,25 @@ def _batch_loss(samples, graphs, params):
     positives = np.concatenate([np.sum(labels, axis=0) for labels in by_instance.values()])
     totals = np.concatenate([np.full(len(labels[0]), len(labels))
                              for labels in by_instance.values()])
+    return union, positives, totals
+
+
+def _batch_loss(samples, graphs, params):
+    """Mean BCE over all leader-variable terms of the batch, as a `Tensor`.
+
+    Its reverse pass hands the loss's gradient at the predictions to the
+    forward's.
+    """
+    union, positives, totals = _batch(samples, graphs)
     predictions = forward_tensor(union, params)
     loss, grad = bce_mean(predictions.data, positives, totals)
     return Tensor(loss, lambda g: predictions._backward(g * grad))
 
 
 def evaluate_loss(samples, graphs, params) -> float:
-    return float(_batch_loss(samples, graphs, params).data)
+    """`_batch_loss`'s value, from the forward that keeps no record (`pnanet.predict`)."""
+    union, positives, totals = _batch(samples, graphs)
+    return float(bce_mean(predict(union, params), positives, totals)[0])
 
 
 def train(instances, train_set, val_set, model_cfg: PnaConfig,

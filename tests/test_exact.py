@@ -225,8 +225,9 @@ def test_node_count_is_the_capped_tables_cells(monkeypatch):
 def test_follower_table_is_read_from_the_lowest_reachable_residual(monkeypatch):
     # a1 sums to 5, a2 to 4: the follower table is asked for the residuals
     # from b - min(b, 5) up. Its covering row writes min(W - that, b) + 1
-    # cells per item, W = 4 the weights clipped to b + 1 (3 at b = 0),
-    # beside the dense leader row's min(b, 5) + 1
+    # cells per item, W = 4 the weights, beside the dense leader row's
+    # min(b, 5) + 1; at b = 0 every follower item is heavier than b, and
+    # the row keeps none
     force(monkeypatch, "row")
     asked = []
 
@@ -238,7 +239,7 @@ def test_follower_table_is_read_from_the_lowest_reachable_residual(monkeypatch):
     inst = BlkpInstance(2, 3, a1=[2, 3], d1=[4, 1], a2=[1, 1, 2], d2=[1, 2, 3],
                         c=[2, 2, 1], b=7)
     for b, lowest, node_count in ((7, 2, 3 * 3 + 2 * 6), (5, 0, 3 * 5 + 2 * 6),
-                                  (3, 0, 3 * 4 + 2 * 4), (0, 0, 3 * 1 + 2 * 1)):
+                                  (3, 0, 3 * 4 + 2 * 4), (0, 0, 0 * 1 + 2 * 1)):
         at_b = replace(inst, b=b)
         assert lowest_residual(at_b) == lowest
         res = assert_matches_brute(at_b, Mode.OPTIMISTIC)
@@ -264,14 +265,16 @@ def test_rows_capped_at_total_weight(monkeypatch, mode):
                                value_max=12)
         side = int((inst.a2 if k % 2 == 0 else inst.a1).sum())
         inst = replace(inst, b=int(rng.integers(side + 1, inst.total_weight + 1)))
+        # the covering row keeps the follower items no heavier than b
+        kept = inst.a2[inst.a2 <= inst.b]
         follower = follower_response(inst, np.zeros(inst.n1, dtype=np.int64), mode)
-        assert follower.table.take.shape == (inst.n2, min(inst.b, int(inst.a2.sum())) + 1)
+        assert follower.table.take.shape == (len(kept), min(inst.b, int(kept.sum())) + 1)
         assert follower.residual_capacity == inst.b
         res = assert_matches_brute(inst, mode)
         # read from the lowest residual, the covering row writes min(top, b) + 1
-        # cells per item, top = W - lowest with W the weights clipped to b + 1
-        top = int(np.minimum(inst.a2, inst.b + 1).sum()) - lowest_residual(inst)
-        assert res.node_count == (inst.n2 * (min(top, inst.b) + 1)
+        # cells per kept item, top = W - lowest with W the kept weights' sum
+        top = int(kept.sum()) - lowest_residual(inst)
+        assert res.node_count == (len(kept) * (min(top, inst.b) + 1)
                                   + inst.n1 * (min(inst.b, int(inst.a1.sum())) + 1))
 
 

@@ -301,11 +301,15 @@ def at_most_brute(profits, weights, capacity):
     return int(value[k]), subs[k].tolist()
 
 
-def cover_width(weights, capacity, lo):
-    """min(top, capped) + 1: the take cells per item of a covering row read from lo."""
-    covered = int(np.minimum(weights, capacity + 1).sum())  # each weight clipped to b + 1
+def cover_shape(weights, capacity, lo):
+    """(kept items, min(top, capped) + 1): the take table of a covering row read from lo.
+
+    The row keeps the items no heavier than the capacity; W is their weight sum.
+    """
+    kept = np.asarray(weights)[np.asarray(weights) <= capacity]
+    covered = int(kept.sum())
     capped = min(capacity, covered)
-    return min(covered - min(lo, capped), capped) + 1
+    return len(kept), min(covered - min(lo, capped), capped) + 1
 
 
 def test_cover_row_matches_enumeration():
@@ -334,9 +338,10 @@ def test_cover_row_matches_enumeration():
             profits = np.asarray(drawn, dtype=np.int64) * scale
             for lo in (0, int(rng.integers(0, b + 1)), b):
                 table = cover_row(profits, weights, b, lo)
-                wide = int(profits.sum()) + 1 + int(profits.max(initial=0)) > UINT32_MAX
+                kept = profits[weights <= b]  # the width is the kept items' rule
+                wide = int(kept.sum()) + 1 + int(kept.max(initial=0)) > UINT32_MAX
                 assert table.row.dtype == (np.uint64 if wide else np.uint32)
-                assert table.take.shape == (len(weights), cover_width(weights, b, lo))
+                assert table.take.shape == cover_shape(weights, b, lo)
                 caps = np.arange(lo, b + 1)
                 values = table.values(caps)
                 assert values.dtype == np.int64
@@ -401,8 +406,8 @@ def test_form_picks_the_fewest_cells():
 @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.45])
 def test_follower_row_where_the_capacity_is_short(monkeypatch, mode, alpha):
     # b + r0 below the follower's weight sum: the covering row's take table
-    # is n2 x (min(top, capped) + 1), one window per item, and every residual
-    # from r0 to b answers as enumeration does
+    # is (items no heavier than b) x (min(top, capped) + 1), one window per
+    # item, and every residual from r0 to b answers as enumeration does
     force(monkeypatch, "row")
     rng = np.random.default_rng(30)
     checked = 0
@@ -415,13 +420,43 @@ def test_follower_row_where_the_capacity_is_short(monkeypatch, mode, alpha):
                 continue
             resp = follower_response(inst, zeros, mode, min_residual=lo)
             assert isinstance(resp.table, CoverTable)
-            assert resp.table.take.shape == (inst.n2, cover_width(inst.a2, inst.b, lo))
+            assert resp.table.take.shape == cover_shape(inst.a2, inst.b, lo)
             for r in range(lo, inst.b + 1):
                 at_r = replace(inst, b=r)
                 y, _z, leader_value = follower_brute(at_r, zeros, mode)
                 assert resp.leader_profit(r) == leader_value
                 assert resp.reply(r).tolist() == y.tolist()
             checked += 1
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_cover_row_drops_items_heavier_than_the_capacity(monkeypatch, mode):
+    # no reply holds a follower item heavier than b: the covering row keeps
+    # the others alone, and every residual from r0 to b answers as
+    # enumeration does, each dropped item a 0 in the reply
+    force(monkeypatch, "row")
+    rng = np.random.default_rng(32)
+    checked = 0
+    while checked < 16:
+        inst = random_instance(rng, int(rng.integers(1, 5)), int(rng.integers(2, 10)),
+                               value_max=int(rng.choice([3, 12])), alpha=(0.1, 0.1))
+        heavy = inst.a2 > inst.b
+        if not heavy.any():
+            continue
+        zeros = np.zeros(inst.n1, dtype=np.int64)
+        for lo in {0, lowest_residual(inst), inst.b}:
+            resp = follower_response(inst, zeros, mode, min_residual=lo)
+            assert resp.table.kept == np.flatnonzero(~heavy).tolist()
+            assert resp.table.take.shape == cover_shape(inst.a2, inst.b, lo)
+            for r in range(lo, inst.b + 1):
+                y, _z, leader_value = follower_brute(replace(inst, b=r), zeros, mode)
+                assert resp.leader_profit(r) == leader_value
+                assert resp.reply(r).tolist() == y.tolist()
+        checked += 1
+    # every item heavier than the capacity: the row keeps none
+    table = cover_row(np.array([3, 4]), np.array([5, 6]), 4)
+    assert table.take.shape == (0, 1) and table.selection(4).tolist() == [0, 0]
+    assert table.values(4) == 0
 
 
 def test_use_list_rule():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from blkp.graphrep import DEFAULT_NORM, build_graph, graph_union
 from blkp.instance import BlkpInstance, GenConfig, generate
 from blkp.ndiff import SCALERS
 from blkp.pnanet import (CheckpointError, ModelParams, PnaConfig, forward, forward_tensor,
-                         load_checkpoint, save_checkpoint)
+                         load_checkpoint, predict, save_checkpoint)
 
 import _unfused
 
@@ -436,29 +437,38 @@ def created_tensors(monkeypatch, fn, *args):
 def test_forward_runs_only_the_half_rounds_the_decoder_reads(monkeypatch, iterations,
                                                              half_rounds):
     # the encoder's two, then both groups' per round but the last round's
-    # followers; at 0 rounds the decoder reads the encoder's leaders only
+    # followers; at 0 rounds the decoder reads the encoder's leaders only.
+    # The inference forward keeps no record; the training forward runs the
+    # same half-rounds and keeps every one
     calls = []
     half_round = pnanet._half_round
 
     def counted(*args, **kwargs):
-        calls.append(args[4])
+        calls.append((args[4], args[6]))  # block, keep
         return half_round(*args, **kwargs)
 
     monkeypatch.setattr(pnanet, "_half_round", counted)
     params = ModelParams(PnaConfig(iterations=iterations), seed=14)
-    forward(generate(GenConfig(10, 10, seed=15)), params)
-    assert len(calls) == half_rounds
-    assert calls[-1] == ("leader_mp" if iterations else "leader_enc")
+    inst = generate(GenConfig(10, 10, seed=15))
+    forward(inst, params)
+    blocks = [block for block, _ in calls]
+    assert len(blocks) == half_rounds
+    assert blocks[-1] == ("leader_mp" if iterations else "leader_enc")
+    assert not any(keep for _, keep in calls)
+    calls.clear()
+    forward_tensor(build_graph(inst), params)
+    assert calls == [(block, True) for block in blocks]
 
 
-def test_forward_and_batch_loss_create_one_tensor_each(monkeypatch):
-    from blkp.trainer import LabeledSample, _batch_loss
+def test_inference_creates_no_tensor_and_batch_loss_two(monkeypatch):
+    from blkp.trainer import LabeledSample, _batch_loss, evaluate_loss
     params = ModelParams(PnaConfig(), seed=24)
     inst = generate(GenConfig(10, 10, seed=25))
     values, created = created_tensors(monkeypatch, forward, inst, params)
     assert np.array_equal(values, forward_tensor(build_graph(inst), params).data.ravel())
-    assert len(created) == 1
-    # the batch loss is a second tensor over the forward's
+    assert not created
+    # the batch loss is a second tensor over the training forward's; the
+    # validation loss, the same value, creates none
     rng = np.random.default_rng(16)
     instances = [generate(GenConfig(n, n + 1, seed=16 + n)) for n in (3, 5, 8)]
     graphs = {i: build_graph(inst) for i, inst in enumerate(instances)}
@@ -466,6 +476,76 @@ def test_forward_and_batch_loss_create_one_tensor_each(monkeypatch):
                for i in (2, 0, 2, 1, 0)]
     loss, created = created_tensors(monkeypatch, _batch_loss, samples, graphs, params)
     assert len(created) == 2 and created[-1] is loss
+    value, created = created_tensors(monkeypatch, evaluate_loss, samples, graphs, params)
+    assert value == float(loss.data) and not created
+
+
+def random_params(iterations, seed):
+    """Parameters of the given round count with every weight and bias drawn nonzero."""
+    params = ModelParams(PnaConfig(iterations=iterations), seed=seed)
+    params.flat[...] = np.random.default_rng(seed).normal(scale=0.5, size=params.flat.size)
+    return params
+
+
+def single_and_union_graphs(seed):
+    """Single graphs, n1 != n2 from 1 to 60, UC and C, then ragged unions of them."""
+    rng = np.random.default_rng(seed)
+    graphs = []
+    for i, (n1, n2) in enumerate([(1, 60), (60, 1), (2, 3), (13, 47), (59, 60)]
+                                 + [tuple(rng.choice(60, 2, replace=False) + 1)
+                                    for _ in range(3)]):
+        inst = generate(GenConfig(int(n1), int(n2), data_type="UC" if i % 2 else "C",
+                                  seed=seed + i))
+        graphs.append(build_graph(inst))
+    unions = [graph_union(build_graph(generate(GenConfig(n1, n2, seed=seed + 20 + i)))
+                          for i, (n1, n2) in enumerate(UNION_SIZES)),
+              graph_union(graphs[k] for k in rng.permutation(len(graphs))[:4])]
+    return graphs + unions
+
+
+@pytest.mark.parametrize("iterations", [0, 1, 2, 3])
+def test_predict_bit_equals_the_training_forward(iterations):
+    params = random_params(iterations, 70 + iterations)
+    for graph in single_and_union_graphs(80 + iterations):
+        assert np.array_equal(predict(graph, params), forward_tensor(graph, params).data)
+
+
+@pytest.mark.parametrize("chunk_pairs", [1, 25, 64])
+@pytest.mark.parametrize("iterations", [0, 1, 2, 3])
+def test_chunked_predict_bit_equals_the_training_forward(monkeypatch, iterations,
+                                                         chunk_pairs):
+    # at 1 and 25 pairs an n = 10 graph's 100 pairs run as five chunks of two
+    # segments, at 64 as two; a union's chunks are cut by its longest
+    # segment, and a chunk of segments of one pair each has two or more
+    params = random_params(iterations, 90 + iterations)
+    graphs = single_and_union_graphs(100 + iterations)
+    graphs.append(build_graph(generate(GenConfig(10, 10, seed=9))))
+    want = [forward_tensor(graph, params).data for graph in graphs]
+    monkeypatch.setattr(pnanet, "CHUNK_PAIRS", chunk_pairs)
+    assert len(pnanet._chunks(graphs[-1].leader_pairs[1])) == {1: 5, 25: 5, 64: 2}[chunk_pairs]
+    for graph, data in zip(graphs, want):
+        assert np.array_equal(predict(graph, params), data)
+
+
+def test_forward_memory_is_bounded_by_the_chunk(monkeypatch):
+    # at n = 200 a half-round has 40000 pairs, 5 MB per pair array: the
+    # chunked forward holds a few chunks' arrays, the unchunked one many more
+    params = random_params(2, 110)
+    inst = generate(GenConfig(200, 200, seed=111))
+    build_graph(inst).leader_pairs  # the union shape's pair index, cached, outside the trace
+
+    def peak():
+        tracemalloc.start()
+        try:
+            forward(inst, params)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    bound = 4 * 2 ** 20
+    assert peak() < bound
+    monkeypatch.setattr(pnanet, "CHUNK_PAIRS", 10 ** 9)
+    assert peak() > bound
 
 
 @pytest.mark.parametrize("iterations", [0, 1, 2, 3, 4])
