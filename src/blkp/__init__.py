@@ -11,7 +11,7 @@ from .instance import (BlkpInstance, GenConfig, InstanceError, generate,
                        read_instance, write_instance)
 from .knapsack import (BilevelEvaluation, DpTooLarge, FollowerResponse,
                        InfeasibleLeader, Mode, OverflowRiskError, evaluate_bilevel,
-                       follower_response, knapsack_max)
+                       ReplyTable, follower_response, knapsack_max, reply_table)
 from .pnanet import (CheckpointError, ModelParams, PnaConfig, forward,
                      load_checkpoint, save_checkpoint)
 from .search import SearchConfig, SearchResult, solution_search, solve_heuristic
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BlkpInstance", "GenConfig", "InstanceError", "generate",
     "read_instance", "write_instance",
-    "knapsack_max", "follower_response", "evaluate_bilevel",
+    "knapsack_max", "follower_response", "reply_table", "evaluate_bilevel", "ReplyTable",
     "Mode", "FollowerResponse", "BilevelEvaluation", "InfeasibleLeader",
     "DpTooLarge", "OverflowRiskError", "solve_exact", "collect_labels", "ExactResult",
     "build_graph", "TripartiteGraph", "NormalizationScheme",

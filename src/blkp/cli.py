@@ -4,12 +4,13 @@ A command that solves reads every instance file before it solves any,
 and asks `blkp.knapsack.table_form` about each item set it tables up to
 b: a1 and a2 for `exact`, `label` and `bench`, a2 for `solve`. a1 is
 the leader's exact-weight table; a2 the follower's at-most table, a
-covering row or a list, asked about from `blkp.exact.lowest_residual`,
-the lowest residual any leader leaves, as `solve_exact` asks for it. A
-table that rule refuses is refused then, naming the file. One timed loop
-(`_solve_each`) runs every solver call; a solver's refusal of its input,
-a DP row past the budget or profits past the 64-bit range, is reported
-with the file's path.
+covering row or a list. `exact`, `label` and `bench` ask about it from
+`blkp.exact.lowest_residual`, the lowest residual any leader leaves, as
+`solve_exact` asks for it; `solve` from b, the least table any search
+builds. A table that rule refuses is refused then, naming the file. One
+timed loop (`_solve_each`) runs every solver call; a solver's refusal of
+its input, a DP row past the budget or profits past the 64-bit range,
+is reported with the file's path.
 
 The bench subcommand compares deterministic rounding (theta 0.5, one
 sample), the sampling heuristic, and the exact oracle over a directory of
@@ -56,21 +57,23 @@ def _instance_files(path: str):
     raise CliError(f"no such file or directory: {path}")
 
 
+# The tables `solve_exact` builds up to b: (weights, the lowest residual the
+# follower's at-most table is read from, None for the leader's exact-weight one)
+_EXACT_TABLES = (("a1", None), ("a2", exact_mod.lowest_residual))
+
+
 def _load_instances(path: str, tabled=()):
     """(path, instance) of every instance file, all read before any is solved.
 
-    `tabled` names the weight vectors ("a1", "a2") the command builds a
-    table over, up to capacity b, the follower's read from the lowest
-    residual; a table `table_form` refuses is refused here, naming its
-    file.
+    `tabled` lists the tables the command builds, as `_EXACT_TABLES`
+    does; a table `table_form` refuses is refused here, naming its file.
     """
     out = []
     for f in _instance_files(path):
         try:
             inst = inst_mod.read_instance(f)
-            for name in tabled:
-                lowest = exact_mod.lowest_residual(inst) if name == "a2" else None
-                table_form(getattr(inst, name), inst.b, lowest)
+            for name, lowest in tabled:
+                table_form(getattr(inst, name), inst.b, lowest and lowest(inst))
         except (inst_mod.InstanceError, DpTooLarge) as exc:
             raise CliError(f"{f}: {exc}") from exc
         out.append((f, inst))
@@ -142,7 +145,7 @@ def _exact_record(path, result, elapsed):
 
 def _solve_exact_all(args):
     """(path, result, seconds) of every instance, solved exactly."""
-    loaded = _load_instances(args.instances, ("a1", "a2"))
+    loaded = _load_instances(args.instances, _EXACT_TABLES)
     return _solve_each(loaded, exact_mod.solve_exact, Mode(args.mode))
 
 
@@ -217,7 +220,8 @@ def cmd_solve(args):
     params, norm, _meta = pnanet.load_checkpoint(args.checkpoint)
     scfg = search.SearchConfig(theta=args.theta, n_samples=args.n_samples,
                                mode=Mode(args.mode), seed=args.seed)
-    loaded = _load_instances(args.instance, ("a2",))
+    # a search reads its table from b minus its heaviest candidate; the least is from b
+    loaded = _load_instances(args.instance, (("a2", lambda inst: inst.b),))
     records = [{
         "instance": f.stem,
         "best_value": res.best_value,
@@ -286,7 +290,7 @@ def run_benchmark(loaded, params, norm, theta, n_samples, mode, seed):
 
 
 def cmd_bench(args):
-    loaded = _load_instances(args.instances, ("a1", "a2"))
+    loaded = _load_instances(args.instances, _EXACT_TABLES)
     params, norm, _meta = pnanet.load_checkpoint(args.checkpoint)
     rows = run_benchmark(loaded, params, norm, theta=args.theta,
                          n_samples=args.n_samples, mode=Mode(args.mode),

@@ -3,16 +3,17 @@
 The follower reacts to the leader only through the residual capacity
 r = b - a1 . x (Brotcorne, Hanafi & Mansi, Oper. Res. Lett. 2009):
 
-1. One follower table at capacity b, `blkp.knapsack.follower_response`
-   to the all-zeros leader, gives for every reachable residual r the
-   follower's tie-broken reply and its leader profit L(r). No leader
-   weighs more than min(b, sum(a1)), so the table is asked only for the
-   residuals from `lowest_residual` = b - min(b, sum(a1)) up.
+1. One follower table, `blkp.knapsack.reply_table`, gives for every
+   reachable residual r the follower's tie-broken reply and its leader
+   profit L(r). No leader weighs more than min(b, sum(a1)), so the table
+   is asked only for the residuals from `lowest_residual` =
+   b - min(b, sum(a1)) up.
 2. One exact-weight leader table, `blkp.knapsack.best_of_each_weight`,
    gives G(W) = max d1 . x subject to a1 . x = W, and its best vector.
 
-Every reachable leader weight W yields the bilevel value G(W) + L(b - W);
-the optimum is the best of them. The pool holds one entry per reachable
+Every reachable leader weight W yields the bilevel value G(W) + L(b - W),
+the table's `score` of the sums G(W) and W; the optimum is the best of
+them. The pool holds one entry per reachable
 weight, the best leader vector of that weight, best value first. Training
 labels are the optimum plus the best vectors of the next k best leader
 weights, a definition that depends on the instance alone.
@@ -41,7 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import check_int
-from .knapsack import Mode, best_of_each_weight, follower_response
+# follower_response stays bound here: perfbench/tracing.py's patch table wraps it by name
+from .knapsack import Mode, best_of_each_weight, follower_response, reply_table  # noqa: F401
 
 
 @dataclass
@@ -63,23 +65,20 @@ def lowest_residual(inst) -> int:
 
 def solve_exact(inst, mode: Mode = Mode.OPTIMISTIC) -> ExactResult:
     """Bilevel optimum and the per-weight pool; a table costs O(n * b), or O(n * 2^n) as a list."""
-    mode = Mode(mode)
-
     # phase 1: L(r) and the reply for every reachable residual r
-    follower = follower_response(inst, np.zeros(inst.n1, dtype=np.int64), mode,
-                                 min_residual=lowest_residual(inst))
+    follower = reply_table(inst, mode, lowest_residual(inst))
 
     # phase 2: G(W) at every reachable leader weight W, ascending
     weights, best_d1, leaders, leader_entries = best_of_each_weight(inst.d1, inst.a1, inst.b)
 
-    values = best_d1 + follower.leader_profit(inst.b - weights)
+    values = follower.score(best_d1, weights)
     order = np.argsort(-values, kind="stable")  # ties toward the lighter leader
     pool = leaders[order]
 
     return ExactResult(
         opt_x=pool[0].astype(np.int64), opt_y=follower.reply(inst.b - int(weights[order[0]])),
         opt_value=int(values[order[0]]), pool=pool, pool_values=values[order],
-        node_count=follower.table.entries + leader_entries, mode=mode)
+        node_count=follower.table.entries + leader_entries, mode=follower.mode)
 
 
 def collect_labels(result: ExactResult, k: int = 10) -> list:

@@ -1,14 +1,17 @@
-"""Exact 0/1 knapsack tables and the follower-response solver.
+"""Exact 0/1 knapsack tables and the follower's reply table.
 
-The follower's reaction to a fixed leader vector is computed in a single
-knapsack call with lexicographically combined profits: the primary term
-ranks by follower profit, the secondary term breaks ties by leader profit
-(maximized in optimistic mode, minimized in pessimistic mode). Its table
-at capacity r also holds the reply at every r' < r, so one
-`follower_response` is the reply table `blkp.exact` and `blkp.search`
-read. A reader that needs no residual below some r0 says so
-(`min_residual`), and the table then holds or fills only the cells a
-residual from r0 up can reach.
+The follower reacts to a leader only through the residual capacity
+r = b - a1 . x it leaves (Brotcorne, Hanafi & Mansi, Oper. Res. Lett.
+2009), so one table per (instance, mode) answers every leader.
+`reply_table(inst, mode, lowest)` builds it as one at-most knapsack over
+lexicographically combined profits: the primary term ranks by follower
+profit, the secondary term breaks ties by leader profit (maximized in
+optimistic mode, minimized in pessimistic mode). Its `ReplyTable`
+answers every residual r in [lowest, b]: the reply, its leader profit
+L(r), and the bilevel value d1 . x + L(b - a1 . x) of leaders given by
+their d1 and a1 sums (`score`). The table holds or fills only the cells
+a residual from lowest up can reach. `follower_response` reads one table
+at one leader's residual.
 
 Two tables are built: `at_most_table`, the best selection weighing at
 most c (a reply table, `knapsack_max`), and `best_of_each_weight`, the
@@ -28,6 +31,11 @@ one row or a list:
   the lowest bit, with their weights and profits summed in int64
   (`ListTable`). Its cost does not depend on the capacity.
 
+An item heavier than the capacity is in no selection that fits, so
+`at_most_table` drops it before the form is chosen: `table_form`, the
+covering row and the list all see the same items, and each selection
+holds a 0 for a dropped one.
+
 Every form answers with the same bits: at every capacity, the best
 selection with the smallest k. The dense DP keeps a cell on a tie and
 reads back from the last item; the covering DP removes the item on a
@@ -37,8 +45,9 @@ descending, then k ascending, with stable sorts.
 
 One rule sizes every table, `table_form`, run once per table before any
 int64 sum is formed. It refuses weights whose sum, each clipped to the
-capacity + 1, passes int64 (`OverflowRiskError`), in any form. From the
-item count and the row's take cells per item, `_use_list` weighs the
+capacity + 1, passes int64 (`OverflowRiskError`), in any form. An
+at-most table counts only the items no heavier than its capacity. From
+the item count and the row's take cells per item, `_use_list` weighs the
 list against the row. A row whose take table passes `MAX_DP_CELLS` is
 refused (`DpTooLarge`, naming its cells). A list is refused by nothing
 else: it holds n * 2^n entries, n <= 14, whatever the capacity. The
@@ -50,8 +59,7 @@ A row's take table is only as long as the cells its items write:
 
 - Dense: no selection weighs more than W, so the row stops at weight
   capped = min(capacity, W).
-- Covering: an item heavier than the capacity fits in no selection and
-  gets no row. Item i writes only its window, the removed weights from
+- Covering: item i writes only its window, the removed weights from
   max(lowest - rest_i, 0) to min(done_i, top), lowest = W - capped,
   rest_i the weight of the items after it and done_i that of items
   0..i. Each window holds at most min(top, capped) + 1 cells, and so
@@ -69,7 +77,7 @@ nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
 
@@ -110,53 +118,11 @@ class DpTooLarge(ValueError):
 
 @dataclass
 class FollowerResponse:
-    """The follower's reply at a residual, and the reply table below it.
+    """The follower's tie-broken reply y to one leader, its profit and the leader's value."""
 
-    `reply(r)` and `leader_profit(r)` answer every integer residual r in
-    [min_residual, residual_capacity], in every form, and `leader_profit`
-    an array of them too; any other r, a float, a bool or an array given
-    to `reply` among them, raises ValueError.
-    """
-
-    z_star: int
-    leader_value: int
-    mode: Mode
-    residual_capacity: int
-    min_residual: int                  # the lowest residual the table answers
-    m: int                             # the lexicographic multiplier M
-    table: CoverTable | ListTable = field(repr=False)  # combined values, follower items
-
-    @property
-    def y(self) -> np.ndarray:
-        """The tie-broken reply at the response's own residual, read when asked for."""
-        return self.reply(self.residual_capacity)
-
-    def reply(self, r: int) -> np.ndarray:
-        """The tie-broken reply y at residual capacity min_residual <= r <= residual_capacity."""
-        r = _check_residual("r", r, self.min_residual, self.residual_capacity, scalar=True)
-        return self.table.selection(int(r))
-
-    def leader_profit(self, r):
-        """L(r) = d2 . reply(r) at a residual r, or an int64 array of them, from the table."""
-        r = _check_residual("r", r, self.min_residual, self.residual_capacity)
-        return tie_break_profit(self.table.values(r), self.m, self.mode)
-
-
-def _check_residual(name: str, r, lo: int, hi: int, scalar: bool = False):
-    """r, refused with ValueError naming it unless it holds signed integers in [lo, hi].
-
-    A Python int in range, the common case, is returned as it is, without
-    numpy; anything else as an array: a numpy signed integer or, unless
-    one `scalar` is needed, an array of them passes, a float, a bool or an
-    unsigned integer does not.
-    """
-    if type(r) is int and lo <= r <= hi:
-        return r
-    a = np.asarray(r)
-    if a.dtype.kind == "i" and not (scalar and a.ndim) and (
-            not a.size or lo <= a.min() and a.max() <= hi):
-        return a
-    raise ValueError(f"{name} must lie in [{lo}, {hi}] and be an integer, got {r}")
+    z_star: int        # c . y
+    leader_value: int  # d1 . x + d2 . y
+    y: np.ndarray
 
 
 def knapsack_row(profits, weights, capacity: int):
@@ -212,13 +178,12 @@ def _clip(weights: list, limit: int) -> list:
 def cover_row(profits, weights, capacity: int, min_capacity: int = 0) -> CoverTable:
     """The at-most table for capacities min_capacity..capacity, built over removed weights.
 
-    An item heavier than the capacity is in no selection that fits: it is
-    dropped before the DP, and `CoverTable.selection` puts its 0 back. W
-    is the kept items' weight sum and capped = min(capacity, W). A
+    W is the items' weight sum and capped = min(capacity, W);
+    `at_most_table` has dropped the items heavier than the capacity. A
     selection fits c iff the items it leaves out weigh at least W - c, so
     row[t] is the least profit of a removed set weighing at least t, for
     t in 0..top = W - min(min_capacity, capped), and the best profit at c
-    is the kept items' profit sum - row[max(W - c, 0)].
+    is the profit sum - row[max(W - c, 0)].
 
     take[i, j] records whether removing item i is at least as good as
     keeping it at removed weight lo_i + j: ties remove it, a tie toward
@@ -237,20 +202,14 @@ def cover_row(profits, weights, capacity: int, min_capacity: int = 0) -> CoverTa
     cells, the take table's width.
 
     Unreached cells hold the sentinel sum(profits) + 1, so the largest
-    sum formed is sum(profits) + 1 + max(profits), over the kept items:
-    the row is uint32 while that fits, else uint64, which holds it
-    whenever the profit sum fits int64. A profit sum of all the items
-    past int64 raises OverflowRiskError.
+    sum formed is sum(profits) + 1 + max(profits): the row is uint32
+    while that fits, else uint64, which holds it whenever the profit sum
+    fits int64. A profit sum past int64 raises OverflowRiskError.
     """
     profits, weights = profits.tolist(), weights.tolist()
     total = sum(profits)
     if total > INT64_MAX:
         raise OverflowRiskError("sum of profits exceeds the 64-bit accumulator bound")
-    n, kept = len(weights), None
-    if weights and max(weights) > capacity:
-        kept = [i for i, w in enumerate(weights) if w <= capacity]
-        profits, weights = [profits[i] for i in kept], [weights[i] for i in kept]
-        total = sum(profits)
     covered = sum(weights)
     capped = min(capacity, covered)
     top = covered - min(min_capacity, capped)
@@ -272,7 +231,7 @@ def cover_row(profits, weights, capacity: int, min_capacity: int = 0) -> CoverTa
         np.add(row[pad + lo - w: pad + hi - w], p, out=cand)
         np.less_equal(cand, cells, out=take[i, : hi - lo])
         np.minimum(cells, cand, out=cells)
-    return CoverTable(row[pad:], take, weights, total, covered, lowest, n, kept)
+    return CoverTable(row[pad:], take, weights, total, covered, lowest)
 
 
 # The most items a subset list is built for; `_use_list` refuses more. The
@@ -323,10 +282,11 @@ def table_form(weights, capacity: int, min_capacity: int | None = None):
     """(form, capped capacity) of the table over items `weights` up to capacity.
 
     The one size rule of every table, run once per table. An at-most
-    table gives the lowest capacity it is read at, min_capacity; an
-    exact-weight table gives None. W is the sum of the weights, each
-    clipped to capacity + 1, and the capped capacity min(capacity, W): no
-    selection weighs more.
+    table gives the lowest capacity it is read at, min_capacity, and
+    counts only the items no heavier than the capacity, the ones
+    `at_most_table` keeps; an exact-weight table gives None. W is the sum
+    of the weights counted, each clipped to capacity + 1, and the capped
+    capacity min(capacity, W): no selection weighs more.
 
     - A W past int64 raises OverflowRiskError, in any form: the list
       sums the clipped weights in int64.
@@ -336,12 +296,13 @@ def table_form(weights, capacity: int, min_capacity: int | None = None):
       from them and n.
     - A list (n <= LIST_MAX_ITEMS) is refused by nothing else.
     - A row allocates n times its cells per item; past MAX_DP_CELLS it
-      raises DpTooLarge, naming n and the cells. A covering row leaves
-      out the items heavier than the capacity, so where there are some it
-      allocates fewer cells than counted here.
+      raises DpTooLarge, naming n and the cells.
     """
+    weights = weights.tolist()
+    if min_capacity is not None:
+        weights = [w for w in weights if w <= capacity]
     n = len(weights)
-    covered = sum(_clip(weights.tolist(), capacity + 1))
+    covered = sum(_clip(weights, capacity + 1))
     if covered > INT64_MAX:
         raise OverflowRiskError("sum of weights clipped to the capacity exceeds the 64-bit range")
     capacity = min(capacity, covered)
@@ -388,8 +349,7 @@ class CoverTable:
     total: int           # the profit sum
     covered: int         # the clipped weight sum
     lowest: int          # covered - capped: the least removed weight read
-    n: int               # the number of items, those heavier than the capacity included
-    kept: list | None    # the indices of the items the row holds, None when it holds all
+    kept: np.ndarray | None = None  # bool, per item: whether the row holds it; None: all
 
     @property
     def entries(self) -> int:
@@ -410,11 +370,7 @@ class CoverTable:
                 selection[i] = 0
                 t = t - w if t > w else 0
             start -= w
-        if self.kept is None:
-            return selection
-        full = np.zeros(self.n, dtype=np.int64)
-        full[self.kept] = selection
-        return full
+        return _spread(selection, self.kept)
 
 
 @dataclass
@@ -430,7 +386,8 @@ class ListTable:
     order: np.ndarray          # every k, best first
     profits: np.ndarray        # int64 profit of order[j]
     minus_lightest: np.ndarray  # -lightest[j], ascending
-    n: int
+    n: int                     # the items the list holds
+    kept: np.ndarray | None = None  # as in `CoverTable`
 
     @property
     def entries(self) -> int:
@@ -442,23 +399,40 @@ class ListTable:
 
     def selection(self, cap: int) -> np.ndarray:
         """The int64 best selection at one capacity."""
-        return subsets(self.n)[self.order[self.minus_lightest.searchsorted(-cap)]].copy()
+        best = subsets(self.n)[self.order[self.minus_lightest.searchsorted(-cap)]].copy()
+        return _spread(best, self.kept)
+
+
+def _spread(selection: np.ndarray, kept) -> np.ndarray:
+    """A selection over a table's kept items as one over all items, a 0 for each dropped one."""
+    if kept is None:
+        return selection
+    full = np.zeros(len(kept), dtype=np.int64)
+    full[kept] = selection
+    return full
 
 
 def at_most_table(profits, weights, capacity: int, min_capacity: int = 0):
     """The best selection weighing at most c, and its profit, for every c up to capacity.
 
-    `table_form` sizes it and picks the form: a `CoverTable`, the row of
-    `cover_row`, promised for c >= min_capacity alone, or a `ListTable`,
-    which answers every c. Of the best selections at c, both return the
-    one with the smallest k.
+    An item heavier than the capacity is in no selection: it is dropped
+    first, and each selection holds a 0 for it. `table_form` then sizes
+    the table over the items kept and picks the form: a `CoverTable`, the
+    row of `cover_row`, promised for c >= min_capacity alone, or a
+    `ListTable`, which answers every c. Of the best selections at c, both
+    return the one with the smallest k.
     """
+    kept = weights <= capacity
+    if not kept.all():
+        profits, weights = profits[kept], weights[kept]
     form, capped = table_form(weights, capacity, min_capacity)
     if form == "row":
-        return cover_row(profits, weights, capacity, min_capacity)
-    w_sum, p_sum = _subset_sums(profits, weights, capped)
-    order = np.argsort(-p_sum, kind="stable")
-    return ListTable(order, p_sum[order], -np.minimum.accumulate(w_sum[order]), len(weights))
+        table = cover_row(profits, weights, capacity, min_capacity)
+    else:
+        w_sum, p_sum = _subset_sums(profits, weights, capped)
+        order = np.argsort(-p_sum, kind="stable")
+        table = ListTable(order, p_sum[order], -np.minimum.accumulate(w_sum[order]), len(weights))
+    return table if len(weights) == len(kept) else replace(table, kept=kept)
 
 
 def best_of_each_weight(profits, weights, capacity: int):
@@ -544,45 +518,87 @@ def combined_profits(inst, mode: Mode):
     return m * (inst.c - 1) + (m - inst.d2), m
 
 
-def tie_break_profit(value, m: int, mode: Mode):
-    """The d2 sum of a follower selection whose combined value is `value`.
+@dataclass
+class ReplyTable:
+    """The follower's reply to every leader, by the residual r = b - a1 . x it leaves.
 
-    value = M * z + d2_sum (optimistic) or M * z - d2_sum (pessimistic),
-    with 0 <= d2_sum < M: value mod M recovers it in the first case,
-    -value mod M in the second (floor and ceiling division give z).
-    Works on ints and int64 arrays.
+    `reply_table` builds it, one per (instance, mode). `reply(r)` and
+    `leader_profit(r)` answer every integer residual r in [lowest, b], in
+    every form, and `leader_profit` an array of them too; any other r, a
+    float, a bool or an array given to `reply` among them, raises
+    ValueError.
+
+    The table's value at r is M * z + d2_sum (optimistic) or
+    M * z - d2_sum (pessimistic), with 0 <= d2_sum < M: value mod M
+    recovers d2_sum in the first case, -value mod M in the second.
     """
-    return value % m if mode is Mode.OPTIMISTIC else -value % m
+
+    mode: Mode
+    m: int       # the lexicographic multiplier M of `combined_profits`
+    b: int
+    lowest: int  # the lowest residual the table answers
+    table: CoverTable | ListTable = field(repr=False)  # combined values, follower items
+
+    @staticmethod
+    def _check(name: str, r, lo: int, hi: int, scalar: bool = False):
+        """r, refused with ValueError naming it unless it holds signed integers in [lo, hi].
+
+        A Python int in range, the common case, is returned as it is,
+        without numpy; anything else as an array: a numpy signed integer
+        or, unless one `scalar` is needed, an array of them passes, a
+        float, a bool or an unsigned integer does not.
+        """
+        if type(r) is int and lo <= r <= hi:
+            return r
+        a = np.asarray(r)
+        if a.dtype.kind == "i" and not (scalar and a.ndim) and (
+                not a.size or lo <= a.min() and a.max() <= hi):
+            return a
+        raise ValueError(f"{name} must lie in [{lo}, {hi}] and be an integer, got {r}")
+
+    def reply(self, r: int) -> np.ndarray:
+        """The tie-broken reply y at residual capacity r."""
+        return self.table.selection(int(self._check("r", r, self.lowest, self.b, scalar=True)))
+
+    def leader_profit(self, r):
+        """L(r) = d2 . reply(r) at a residual r, or an int64 array of them."""
+        value = self.table.values(self._check("r", r, self.lowest, self.b))
+        return value % self.m if self.mode is Mode.OPTIMISTIC else -value % self.m
+
+    def score(self, d1_sums, weights):
+        """d1_sums + L(b - weights): the bilevel value of leaders by their d1 . x and a1 . x.
+
+        Scalars or int64 arrays; a weight above b - lowest raises ValueError.
+        """
+        return d1_sums + self.leader_profit(self.b - weights)
 
 
-def follower_response(inst, x_bar, mode: Mode = Mode.OPTIMISTIC,
-                      min_residual: int = 0) -> FollowerResponse:
-    """Solve the follower's problem for a fixed leader vector.
+def reply_table(inst, mode: Mode, lowest: int = 0) -> ReplyTable:
+    """The follower's reply table for one (instance, mode), answering every residual in [lowest, b].
 
-    Primary objective: maximize follower profit under the residual
-    capacity. Among the follower-optimal selections, the leader profit of
-    follower items is maximized (optimistic) or minimized (pessimistic).
-    Both stages collapse into one knapsack with `combined_profits`. The
-    result also answers every residual r from min_residual up to its own
-    (`reply(r)`, `leader_profit(r)`), from a covering row or a subset
-    list (`at_most_table`); the row leaves out the cells only a lower
-    residual would read, and a lower r raises ValueError in both forms.
+    The follower maximizes its profit c . y under the residual capacity
+    and, among its optimal selections, maximizes (optimistic) or
+    minimizes (pessimistic) the leader's profit d2 . y. Both stages
+    collapse into one at-most knapsack over `combined_profits` up to b, a
+    covering row or a subset list (`at_most_table`); the row leaves out
+    the cells only a residual below `lowest` would read. A `lowest`
+    outside [0, b] or not an integer raises ValueError.
     """
     mode = Mode(mode)
-    x_bar = binary_vector(x_bar, inst.n1, "x_bar")
-    residual = inst.b - int(inst.a1 @ x_bar)
-    if residual < 0:
-        raise InfeasibleLeader(f"leader weight exceeds capacity by {-residual}")
-    min_residual = int(_check_residual("min_residual", min_residual, 0, residual, scalar=True))
-
+    lowest = int(ReplyTable._check("lowest", lowest, 0, inst.b, scalar=True))
     combined, m = combined_profits(inst, mode)
-    table = at_most_table(combined, inst.a2, residual, min_residual)
-    best = int(table.values(residual))  # M * z* +- the d2 sum of the reply
-    z_star = best // m if mode is Mode.OPTIMISTIC else -(-best // m)
-    return FollowerResponse(
-        z_star=z_star,
-        leader_value=int(inst.d1 @ x_bar) + tie_break_profit(best, m, mode),
-        mode=mode, residual_capacity=residual, min_residual=min_residual, m=m, table=table)
+    return ReplyTable(mode, m, inst.b, lowest, at_most_table(combined, inst.a2, inst.b, lowest))
+
+
+def follower_response(inst, x_bar, mode: Mode = Mode.OPTIMISTIC) -> FollowerResponse:
+    """The follower's reply to a fixed leader vector: `reply_table` read at its residual."""
+    x_bar = binary_vector(x_bar, inst.n1, "x_bar")
+    weight = int(inst.a1 @ x_bar)
+    if weight > inst.b:
+        raise InfeasibleLeader(f"leader weight exceeds capacity by {weight - inst.b}")
+    table = reply_table(inst, mode, inst.b - weight)  # read at that residual alone
+    y = table.reply(table.lowest)
+    return FollowerResponse(int(inst.c @ y), int(table.score(int(inst.d1 @ x_bar), weight)), y)
 
 
 @dataclass

@@ -529,12 +529,36 @@ def test_cli_and_library_agree_where_only_the_covering_row_fits(tmp_path, checkp
     refused = covering_instance(14 * 10 ** 7)
     with pytest.raises(DpTooLarge, match="a covering row from 139999999, needs 150000030 cells"):
         solve_exact(refused)
-    with pytest.raises(DpTooLarge) as library:
-        table_form(refused.a2, refused.b, refused.b - 1)
+    with pytest.raises(DpTooLarge) as library:  # a search's table is read from residual b
+        table_form(refused.a2, refused.b, refused.b if command == "solve" else refused.b - 1)
     path = tmp_path / "refused.json"
     write_instance(refused, path)
     assert main([command, flag, str(path)] + extra) == 1
     assert f"error: {path}: {library.value}" in capsys.readouterr().err
+
+
+DESK_CHECKPOINT = Path(__file__).resolve().parent.parent / "perfbench" / "desk_checkpoint.json"
+
+
+def test_solve_asks_for_the_table_a_search_builds(tmp_path, monkeypatch, capsys):
+    # the search reads its follower table from b minus its heaviest candidate,
+    # never below: at a budget of 9e4 cells the table from the lowest residual
+    # any leader leaves is refused, and `solve` still answers as the library does
+    from blkp import exact, knapsack
+    monkeypatch.setattr(knapsack, "MAX_DP_CELLS", 9 * 10 ** 4)
+    inst = generate(GenConfig(10, 20, seed=1))
+    with pytest.raises(DpTooLarge, match=f"a covering row from {exact.lowest_residual(inst)},"):
+        table_form(inst.a2, inst.b, exact.lowest_residual(inst))
+    params, norm, _meta = load_checkpoint(DESK_CHECKPOINT)
+    want = solve_heuristic(inst, params, SearchConfig(), norm)
+    path, out = tmp_path / "inst.json", tmp_path / "out.json"
+    write_instance(inst, path)
+    assert main(["solve", "--instance", str(path), "--checkpoint", str(DESK_CHECKPOINT),
+                 "--format", "json", "--out", str(out)]) == 0
+    (record,) = json.loads(out.read_text())["results"]
+    assert (record["best_value"], record["best_x"]) == (want.best_value, want.best_x.tolist())
+    assert main(["exact", "--instances", str(path)]) == 1
+    assert "a covering row from" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["exact", "solve", "bench"])

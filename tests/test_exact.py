@@ -7,7 +7,8 @@ from blkp import exact, knapsack
 from blkp.exact import collect_labels, lowest_residual, solve_exact
 from blkp.instance import BlkpInstance, GenConfig, generate
 from blkp.knapsack import (DpTooLarge, MAX_DP_CELLS, UINT32_MAX, CoverTable, Mode,
-                           combined_profits, evaluate_bilevel, follower_response, knapsack_row)
+                           combined_profits, evaluate_bilevel, follower_response, knapsack_row,
+                           reply_table)
 
 from _forms import each_form, force
 from _oracles import bilevel_brute, follower_brute, pool_brute, random_instance
@@ -196,7 +197,7 @@ def assert_matches_brute(inst, mode):
     assert dict(zip(weights, res.pool_values.tolist())) == pool_brute(inst, mode)
 
     zeros = np.zeros(inst.n1, dtype=np.int64)
-    follower = follower_response(inst, zeros, mode)
+    follower = reply_table(inst, mode)
     for r in range(inst.b + 1):
         at_r = BlkpInstance(inst.n1, inst.n2, inst.a1, inst.d1, inst.a2, inst.d2, inst.c, r)
         _, z, leader_value = follower_brute(at_r, zeros, mode)
@@ -231,11 +232,11 @@ def test_follower_table_is_read_from_the_lowest_reachable_residual(monkeypatch):
     force(monkeypatch, "row")
     asked = []
 
-    def recording(inst, x_bar, mode, min_residual=0):
-        asked.append(min_residual)
-        return follower_response(inst, x_bar, mode, min_residual)
+    def recording(inst, mode, lowest=0):
+        asked.append(lowest)
+        return reply_table(inst, mode, lowest)
 
-    monkeypatch.setattr(exact, "follower_response", recording)
+    monkeypatch.setattr(exact, "reply_table", recording)
     inst = BlkpInstance(2, 3, a1=[2, 3], d1=[4, 1], a2=[1, 1, 2], d2=[1, 2, 3],
                         c=[2, 2, 1], b=7)
     for b, lowest, node_count in ((7, 2, 3 * 3 + 2 * 6), (5, 0, 3 * 5 + 2 * 6),
@@ -247,12 +248,13 @@ def test_follower_table_is_read_from_the_lowest_reachable_residual(monkeypatch):
 
 
 def test_node_count_is_a_lists_selections(monkeypatch):
-    # a list holds 2^n selections whatever the capacity: 2^3 follower and 2^2 leader
+    # a list holds 2^n selections whatever the capacity: 2^3 follower and 2^2
+    # leader; at b = 0 no follower item fits, and the follower's list holds 2^0
     force(monkeypatch, "list")
     inst = BlkpInstance(2, 3, a1=[2, 3], d1=[4, 1], a2=[1, 1, 2], d2=[1, 2, 3],
                         c=[2, 2, 1], b=7)
-    for b in (0, 3, 7):
-        assert solve_exact(replace(inst, b=b)).node_count == 2 ** 3 + 2 ** 2
+    for b, follower in ((0, 2 ** 0), (3, 2 ** 3), (7, 2 ** 3)):
+        assert solve_exact(replace(inst, b=b)).node_count == follower + 2 ** 2
 
 
 @pytest.mark.parametrize("mode", list(Mode))
@@ -267,9 +269,9 @@ def test_rows_capped_at_total_weight(monkeypatch, mode):
         inst = replace(inst, b=int(rng.integers(side + 1, inst.total_weight + 1)))
         # the covering row keeps the follower items no heavier than b
         kept = inst.a2[inst.a2 <= inst.b]
-        follower = follower_response(inst, np.zeros(inst.n1, dtype=np.int64), mode)
+        follower = reply_table(inst, mode)
         assert follower.table.take.shape == (len(kept), min(inst.b, int(kept.sum())) + 1)
-        assert follower.residual_capacity == inst.b
+        assert follower.b == inst.b
         res = assert_matches_brute(inst, mode)
         # read from the lowest residual, the covering row writes min(top, b) + 1
         # cells per kept item, top = W - lowest with W the kept weights' sum
@@ -314,7 +316,7 @@ def test_follower_row_dtype_boundary(monkeypatch, mode, target, c, d2):
         inst = BlkpInstance(2, n2, a1=[2, 6], d1=[7, 9], a2=a2, d2=d2, c=c, b=b)
         combined, _m = combined_profits(inst, mode)
         assert int(combined.sum()) == target
-        follower = follower_response(inst, np.zeros(2, dtype=np.int64), mode)
+        follower = reply_table(inst, mode)
         assert isinstance(follower.table, CoverTable)
         wide = target + 1 + int(combined.max()) > UINT32_MAX
         assert follower.table.row.dtype == (np.uint64 if wide else np.uint32)

@@ -9,7 +9,8 @@ from blkp.exact import lowest_residual
 from blkp.knapsack import (INT64_MAX, LIST_MAX_ITEMS, MAX_DP_CELLS, UINT32_MAX, CoverTable,
                            DpTooLarge, InfeasibleLeader, ListTable, Mode, OverflowRiskError,
                            at_most_table, best_of_each_weight, combined_profits, cover_row,
-                           evaluate_bilevel, follower_response, knapsack_max, knapsack_row, trace)
+                           evaluate_bilevel, follower_response, knapsack_max, knapsack_row,
+                           reply_table, trace)
 
 from _forms import each_form, force
 from _oracles import all_subsets, follower_brute, knapsack_brute, random_instance
@@ -72,12 +73,12 @@ def test_knapsack_overflow_guard(monkeypatch):
 
 def test_knapsack_table_size_guard():
     # 16 items, more than a list serves: read at capacity c alone, the
-    # covering row's take cells, 16 * (min(W - c, c) + 1) with each weight
-    # clipped to c + 1, are refused past the budget before any table is
-    # allocated; 14 of them are a list, refused at no capacity
+    # covering row's take cells, 16 * (min(W - c, c) + 1), are refused past
+    # the budget before any table is allocated; 14 of them are a list,
+    # refused at no capacity
     weights = np.full(16, 10 ** 7)
     with pytest.raises(DpTooLarge, match="n=16 .* 100000016 cells"):
-        knapsack_max([1] * 16, weights, MAX_DP_CELLS // 16)
+        knapsack_max([1] * 16, np.full(16, MAX_DP_CELLS // 16), MAX_DP_CELLS // 16)
     # the tables run the rule on the capped cells: 15 unit weights at capacity
     # MAX_DP_CELLS build a 15 x 16 table (removing t items costs t), 15
     # weights of 1e7 are refused
@@ -312,11 +313,12 @@ def cover_shape(weights, capacity, lo):
     return len(kept), min(covered - min(lo, capped), capped) + 1
 
 
-def test_cover_row_matches_enumeration():
+def test_cover_row_matches_enumeration(monkeypatch):
     # every value and selection from min_capacity up is the best selection
     # with the smallest k: ties in profit, zero profits, items heavier than
     # b, b at and above the total weight, min_capacity 0, mid-row and at b,
     # and both widths; the take table is one window per item
+    force(monkeypatch, "row")
     rng = np.random.default_rng(29)
     cases = [
         ([3, 3, 3], [2, 2, 2], 4),        # ties: every pair of items is worth 6
@@ -337,7 +339,7 @@ def test_cover_row_matches_enumeration():
         for scale in (1, 2 ** 32):                        # uint32 as drawn, uint64 scaled
             profits = np.asarray(drawn, dtype=np.int64) * scale
             for lo in (0, int(rng.integers(0, b + 1)), b):
-                table = cover_row(profits, weights, b, lo)
+                table = at_most_table(profits, weights, b, lo)
                 kept = profits[weights <= b]  # the width is the kept items' rule
                 wide = int(kept.sum()) + 1 + int(kept.max(initial=0)) > UINT32_MAX
                 assert table.row.dtype == (np.uint64 if wide else np.uint32)
@@ -386,9 +388,11 @@ def test_form_picks_the_fewest_cells():
     assert knapsack.table_form(np.full(8, 100), 300, 300) == ("list", 300)
     assert knapsack.table_form(np.full(8, 100), 300) == ("list", 300)
     assert knapsack.table_form(np.full(8, 50), 300, 300) == ("row", 300)
-    # a weight heavier than the capacity counts as capacity + 1: W = 101 + 95,
-    # so 97 cells per item from capacity 100
-    assert knapsack.table_form(np.array([10 ** 9] + [5] * 19), 100, 100) == ("row", 100)
+    # a weight heavier than the capacity: at most c it is not counted, W = 95,
+    # so 19 items of 1 cell from capacity 100; exactly c it counts as
+    # capacity + 1, W = 101 + 95
+    assert knapsack.table_form(np.array([10 ** 9] + [5] * 19), 100, 100) == ("row", 95)
+    assert knapsack.table_form(np.array([10 ** 9] + [5] * 19), 100) == ("row", 100)
     # a row past the budget is refused with its cells: W = 1.5e8, 15 x (b + 1)
     # cells from 0, 15 x (W - b + 1) from b, and 15 x (b + 1) exactly b
     weights, b = np.full(15, 10 ** 7), 14 * 10 ** 7
@@ -418,7 +422,7 @@ def test_follower_row_where_the_capacity_is_short(monkeypatch, mode, alpha):
         for lo in {0, lowest_residual(inst), int(rng.integers(0, inst.b + 1))}:
             if inst.b + lo >= int(inst.a2.sum()):
                 continue
-            resp = follower_response(inst, zeros, mode, min_residual=lo)
+            resp = reply_table(inst, mode, lo)
             assert isinstance(resp.table, CoverTable)
             assert resp.table.take.shape == cover_shape(inst.a2, inst.b, lo)
             for r in range(lo, inst.b + 1):
@@ -445,8 +449,8 @@ def test_cover_row_drops_items_heavier_than_the_capacity(monkeypatch, mode):
             continue
         zeros = np.zeros(inst.n1, dtype=np.int64)
         for lo in {0, lowest_residual(inst), inst.b}:
-            resp = follower_response(inst, zeros, mode, min_residual=lo)
-            assert resp.table.kept == np.flatnonzero(~heavy).tolist()
+            resp = reply_table(inst, mode, lo)
+            assert resp.table.kept.tolist() == (~heavy).tolist()
             assert resp.table.take.shape == cover_shape(inst.a2, inst.b, lo)
             for r in range(lo, inst.b + 1):
                 y, _z, leader_value = follower_brute(replace(inst, b=r), zeros, mode)
@@ -454,7 +458,7 @@ def test_cover_row_drops_items_heavier_than_the_capacity(monkeypatch, mode):
                 assert resp.reply(r).tolist() == y.tolist()
         checked += 1
     # every item heavier than the capacity: the row keeps none
-    table = cover_row(np.array([3, 4]), np.array([5, 6]), 4)
+    table = at_most_table(np.array([3, 4]), np.array([5, 6]), 4)
     assert table.take.shape == (0, 1) and table.selection(4).tolist() == [0, 0]
     assert table.values(4) == 0
 
@@ -481,7 +485,6 @@ def test_follower_residual_zero(monkeypatch):
         assert resp.y.tolist() == [0]
         assert resp.z_star == 0
         assert resp.leader_value == 3
-        assert resp.residual_capacity == 0
 
 
 def test_follower_single_item(monkeypatch):
@@ -577,8 +580,8 @@ def test_follower_reply_table_matches_brute_force(mode, monkeypatch):
                   for _ in range(60)]
         for inst in cases:
             zeros = np.zeros(inst.n1, dtype=np.int64)
-            resp = follower_response(inst, zeros, mode)
-            assert resp.residual_capacity == inst.b
+            resp = reply_table(inst, mode)
+            assert (resp.b, resp.lowest) == (inst.b, 0)
             for r in range(inst.b + 1):
                 # the follower at residual r faces the same items under capacity r
                 at_r = BlkpInstance(inst.n1, inst.n2, inst.a1, inst.d1, inst.a2, inst.d2,
@@ -589,7 +592,7 @@ def test_follower_reply_table_matches_brute_force(mode, monkeypatch):
                 assert int(inst.c @ y) == z
                 assert int(inst.d2 @ y) == leader_value
                 assert int(inst.a2 @ y) <= r
-            assert np.array_equal(resp.reply(inst.b), resp.y)
+            assert np.array_equal(resp.reply(inst.b), follower_response(inst, zeros, mode).y)
             every_r = np.arange(inst.b + 1)
             assert np.array_equal(resp.leader_profit(every_r),
                                   [resp.leader_profit(r) for r in every_r])
@@ -603,9 +606,9 @@ def test_follower_reply_table_matches_brute_force(mode, monkeypatch):
 
 
 @pytest.mark.parametrize("mode", list(Mode))
-def test_follower_reply_table_from_min_residual(mode, monkeypatch):
+def test_reply_table_from_lowest(mode, monkeypatch):
     for _ in each_form(monkeypatch):
-        # the narrowed table answers every r from min_residual up as the full one
+        # the narrowed table answers every r from lowest up as the full one
         # does, and refuses every r below it
         rng = np.random.default_rng(26)
         for k in range(80):
@@ -613,16 +616,11 @@ def test_follower_reply_table_from_min_residual(mode, monkeypatch):
                                    value_max=int(rng.choice([3, 30])))
             if k % 4 == 0:  # a residual above the follower's total weight
                 inst = replace(inst, b=int(rng.integers(inst.a2.sum(), inst.total_weight + 1)))
-            x = rng.integers(0, 2, inst.n1) if k % 3 == 0 else np.zeros(inst.n1, dtype=np.int64)
-            if int(inst.a1 @ x) > inst.b:
-                x = np.zeros(inst.n1, dtype=np.int64)
-            full = follower_response(inst, x, mode)
-            top = full.residual_capacity
+            full = reply_table(inst, mode)
+            top = inst.b
             for lo in (0, int(rng.integers(0, top + 1)), top):
-                resp = follower_response(inst, x, mode, min_residual=lo)
-                assert resp.min_residual == lo
-                assert (resp.z_star, resp.leader_value) == (full.z_star, full.leader_value)
-                assert np.array_equal(resp.y, full.y)
+                resp = reply_table(inst, mode, lo)
+                assert resp.lowest == lo
                 every_r = np.arange(lo, top + 1)
                 assert np.array_equal(resp.leader_profit(every_r), full.leader_profit(every_r))
                 for r in every_r:
@@ -636,8 +634,8 @@ def test_follower_reply_table_from_min_residual(mode, monkeypatch):
                     with pytest.raises(ValueError, match=bounds):
                         resp.leader_profit(np.array([top, lo - 1]))
             for bad in (-1, top + 1):
-                with pytest.raises(ValueError, match="min_residual must lie"):
-                    follower_response(inst, x, mode, min_residual=bad)
+                with pytest.raises(ValueError, match="lowest must lie"):
+                    reply_table(inst, mode, bad)
 
 
 @pytest.mark.parametrize("r", [3.5, 2.0, True, np.float64(2), np.uint64(2), np.array([2])],
@@ -646,12 +644,12 @@ def test_non_integer_residual_refused_in_both_forms(monkeypatch, r):
     # unchecked, the row would fail inside numpy and the list answer
     inst = BlkpInstance(1, 3, [1], [1], [2, 1, 1], [4, 1, 1], [2, 1, 1], 4)
     for _ in each_form(monkeypatch):
-        resp = follower_response(inst, [0])
+        resp = reply_table(inst, Mode.OPTIMISTIC)
         bounds = "r must lie in \\[0, 4\\] and be an integer"
         with pytest.raises(ValueError, match=bounds):
             resp.reply(r)
-        with pytest.raises(ValueError, match="min_residual must lie in \\[0, 4\\] and be an integer"):
-            follower_response(inst, [0], min_residual=r)
+        with pytest.raises(ValueError, match="lowest must lie in \\[0, 4\\] and be an integer"):
+            reply_table(inst, Mode.OPTIMISTIC, r)
         if np.ndim(r):  # an array is one residual too many for reply alone
             assert resp.leader_profit(r).tolist() == [resp.leader_profit(2)]
             continue
@@ -663,10 +661,91 @@ def test_non_integer_residual_refused_in_both_forms(monkeypatch, r):
         for good in (np.int64(2), np.int32(2), np.array(2)):
             assert resp.reply(good).tolist() == resp.reply(2).tolist()
             assert resp.leader_profit(good) == resp.leader_profit(2)
-            narrowed = follower_response(inst, [0], min_residual=good)
-            assert narrowed.min_residual == 2 and narrowed.z_star == resp.z_star
+            narrowed = reply_table(inst, Mode.OPTIMISTIC, good)
+            assert narrowed.lowest == 2 and narrowed.reply(4).tolist() == resp.reply(4).tolist()
         every_r = np.arange(5)
         assert resp.leader_profit(every_r).tolist() == [resp.leader_profit(c) for c in range(5)]
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_reply_table_matches_enumeration(mode, monkeypatch):
+    # in each form, from lowest 0, the lowest residual any leader leaves, a
+    # drawn one and b: L(r), the reply and the score of a leader weighing
+    # b - r answer as enumeration does at every r in
+    # range; a residual below lowest, a float or a bool is refused
+    rng = np.random.default_rng(34)
+    cases = [random_instance(rng, int(rng.integers(1, 5)), int(rng.integers(1, 8)),
+                             value_max=int(rng.choice([3, 30])), alpha=(0.2, 0.9))
+             for _ in range(30)]
+    for _ in each_form(monkeypatch):
+        for inst in cases:
+            zeros = np.zeros(inst.n1, dtype=np.int64)
+            for lo in {0, lowest_residual(inst), int(rng.integers(0, inst.b + 1)), inst.b}:
+                table = reply_table(inst, mode, lo)
+                every_r = np.arange(lo, inst.b + 1)
+                d1_sums = rng.integers(0, 100, len(every_r))
+                want = []
+                for r, d1 in zip(every_r.tolist(), d1_sums.tolist()):
+                    y, z, leader_value = follower_brute(replace(inst, b=r), zeros, mode)
+                    assert table.leader_profit(r) == leader_value
+                    assert table.reply(r).tolist() == y.tolist()
+                    assert table.score(d1, inst.b - r) == d1 + leader_value
+                    want.append(d1 + leader_value)
+                scores = table.score(d1_sums, inst.b - every_r)
+                assert scores.dtype == np.int64 and scores.tolist() == want
+                for bad in ([lo - 1] if lo else []) + [inst.b + 1, float(lo), True]:
+                    with pytest.raises(ValueError, match="r must lie in"):
+                        table.reply(bad)
+                    with pytest.raises(ValueError, match="r must lie in"):
+                        table.leader_profit(bad)
+                with pytest.raises(ValueError, match="r must lie in"):
+                    table.score(0, inst.b - lo + 1)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_reply_table_over_the_items_that_fit(mode, monkeypatch):
+    # 20 follower items, 14 or fewer no heavier than b: in each form the
+    # table holds those alone, so a list holds at most 2^14 selections, and
+    # every residual answers as enumerating them does, each item heavier
+    # than b a 0 in the reply
+    rng = np.random.default_rng(33)
+    b = 40
+    for fit in (1, 9, 14):
+        a2 = np.concatenate([rng.integers(1, 11, fit), rng.integers(b + 1, 3 * b, 20 - fit)])
+        inst = BlkpInstance(1, 20, [5], [3], rng.permutation(a2), rng.integers(1, 30, 20),
+                            rng.integers(1, 30, 20), b)
+        fits = inst.a2 <= b
+        for form in each_form(monkeypatch):
+            for lo in (0, b - 7, b):
+                table = reply_table(inst, mode, lo)
+                assert isinstance(table.table, ListTable if form == "list" else CoverTable)
+                assert table.table.kept.tolist() == fits.tolist()
+                if form == "list":
+                    assert table.table.entries == 2 ** fit
+                for r in range(lo, b + 1):
+                    # the fitting items alone, under a leader item that leaves r
+                    at_r = BlkpInstance(1, fit, [r + 1], [1], inst.a2[fits], inst.d2[fits],
+                                        inst.c[fits], r)
+                    y, z, leader_value = follower_brute(at_r, [0], mode)
+                    reply = table.reply(r)
+                    assert reply[fits].tolist() == y.tolist() and not reply[~fits].any()
+                    assert table.leader_profit(r) == leader_value and int(inst.c @ reply) == z
+
+
+def test_table_form_counts_the_items_that_fit(monkeypatch):
+    # at most c, the rule counts the items no heavier than c, as the table
+    # holds them: 14 items of weight 1e5 fit 7e5 beside 6 of 1e6, and are a
+    # list; 15 are more than a list serves
+    for fit, form in ((14, "list"), (15, "row")):
+        weights = np.array([10 ** 5] * fit + [10 ** 6] * (20 - fit))
+        assert knapsack.table_form(weights, 7 * 10 ** 5, 0) == (form, 7 * 10 ** 5)
+    # 10 items of weight 1000 and 10 of weight 10 at capacity 95: the row
+    # holds 10 x 6 cells, within a budget of 1e3 that 20 x 96 would pass
+    monkeypatch.setattr(knapsack, "MAX_DP_CELLS", 10 ** 3)
+    profits, weights = np.arange(1, 21), np.array([1000] * 10 + [10] * 10)
+    value, sel = knapsack_max(profits, weights, 95)
+    assert (value, sel.tolist()) == (144, [0] * 11 + [1] * 9)
+    assert at_most_table(profits, weights, 95, 95).take.shape == (10, 6)
 
 
 def test_combined_profits_equal_the_python_int_formula():

@@ -6,7 +6,7 @@ import pytest
 from blkp import search
 from blkp.exact import solve_exact
 from blkp.instance import BlkpInstance, GenConfig, generate
-from blkp.knapsack import Mode, evaluate_bilevel, follower_response
+from blkp.knapsack import Mode, evaluate_bilevel, follower_response, reply_table
 from blkp.pnanet import ModelParams, PnaConfig
 from blkp.search import SearchConfig, distinct_row_count, solution_search, solve_heuristic
 
@@ -224,15 +224,13 @@ def test_search_equals_the_full_table_reference(monkeypatch, mode):
         cases.append((inst, rng.uniform(0, 1, inst.n1), cfg))
     lowest = []
 
-    def recording(inst, x_bar, mode, min_residual=0):
-        lowest.append(min_residual)
-        return follower_response(inst, x_bar, mode, min_residual)
+    def recording(inst, mode, lo=0):
+        lowest.append(lo)
+        return reply_table(inst, mode, lo)
 
-    monkeypatch.setattr(search, "follower_response", recording)
+    monkeypatch.setattr(search, "reply_table", recording)
     got = [solution_search(*case) for case in cases]
-    monkeypatch.setattr(search, "follower_response",
-                        lambda inst, x_bar, mode, min_residual=0:
-                        follower_response(inst, x_bar, mode))
+    monkeypatch.setattr(search, "reply_table", lambda inst, mode, lo=0: reply_table(inst, mode))
     want = [solution_search(*case) for case in cases]
     for res, ref, (inst, _values, _cfg), lo in zip(got, want, cases, lowest):
         assert res.best_x.tolist() == ref.best_x.tolist()
