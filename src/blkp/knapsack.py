@@ -10,8 +10,9 @@ optimistic mode, minimized in pessimistic mode). Its `ReplyTable`
 answers every residual r in [lowest, b]: the reply, its leader profit
 L(r), and the bilevel value d1 . x + L(b - a1 . x) of leaders given by
 their d1 and a1 sums (`score`). The table holds or fills only the cells
-a residual from lowest up can reach. `follower_response` reads one table
-at one leader's residual.
+a residual from lowest up can reach. `follower_response` answers one
+leader with the table of the instance at capacity r = b - a1 . x, read
+at r alone.
 
 Two tables are built: `at_most_table`, the best selection weighing at
 most c (a reply table, `knapsack_max`), and `best_of_each_weight`, the
@@ -32,9 +33,10 @@ one row or a list:
   (`ListTable`). Its cost does not depend on the capacity.
 
 An item heavier than the capacity is in no selection that fits, so
-`at_most_table` drops it before the form is chosen: `table_form`, the
-covering row and the list all see the same items, and each selection
-holds a 0 for a dropped one.
+`table_form` drops it from an at-most table before the form is chosen
+and returns the mask of the items kept: the covering row and the list
+are built over those items, and each selection holds a 0 for a dropped
+one.
 
 Every form answers with the same bits: at every capacity, the best
 selection with the smallest k. The dense DP keeps a cell on a tie and
@@ -279,14 +281,15 @@ def _use_list(n: int, length: int) -> bool:
 
 
 def table_form(weights, capacity: int, min_capacity: int | None = None):
-    """(form, capped capacity) of the table over items `weights` up to capacity.
+    """(form, capped capacity, kept) of the table over items `weights` up to capacity.
 
     The one size rule of every table, run once per table. An at-most
     table gives the lowest capacity it is read at, min_capacity, and
-    counts only the items no heavier than the capacity, the ones
-    `at_most_table` keeps; an exact-weight table gives None. W is the sum
-    of the weights counted, each clipped to capacity + 1, and the capped
-    capacity min(capacity, W): no selection weighs more.
+    counts only the items no heavier than the capacity: kept is their
+    bool mask, the items `at_most_table` builds over, or None when every
+    item fits; an exact-weight table gives None and counts every item. W
+    is the sum of the weights counted, each clipped to capacity + 1, and
+    the capped capacity min(capacity, W): no selection weighs more.
 
     - A W past int64 raises OverflowRiskError, in any form: the list
       sums the clipped weights in int64.
@@ -298,9 +301,8 @@ def table_form(weights, capacity: int, min_capacity: int | None = None):
     - A row allocates n times its cells per item; past MAX_DP_CELLS it
       raises DpTooLarge, naming n and the cells.
     """
-    weights = weights.tolist()
-    if min_capacity is not None:
-        weights = [w for w in weights if w <= capacity]
+    kept = None if min_capacity is None or (weights <= capacity).all() else weights <= capacity
+    weights = (weights if kept is None else weights[kept]).tolist()
     n = len(weights)
     covered = sum(_clip(weights, capacity + 1))
     if covered > INT64_MAX:
@@ -310,12 +312,12 @@ def table_form(weights, capacity: int, min_capacity: int | None = None):
     if min_capacity is not None:
         length = min(covered - min(min_capacity, capacity), capacity) + 1
     if _use_list(n, length):
-        return "list", capacity
+        return "list", capacity, kept
     if n * length > MAX_DP_CELLS:
         covering = "" if min_capacity is None else f", a covering row from {min_capacity},"
         raise DpTooLarge(f"DP table for n={n} items up to capacity {capacity}{covering} needs "
                          f"{n * length} cells, above the budget of {MAX_DP_CELLS:.0e}")
-    return "row", capacity
+    return "row", capacity, kept
 
 
 def _subset_sums(profits, weights, capacity: int):
@@ -415,24 +417,23 @@ def _spread(selection: np.ndarray, kept) -> np.ndarray:
 def at_most_table(profits, weights, capacity: int, min_capacity: int = 0):
     """The best selection weighing at most c, and its profit, for every c up to capacity.
 
-    An item heavier than the capacity is in no selection: it is dropped
-    first, and each selection holds a 0 for it. `table_form` then sizes
-    the table over the items kept and picks the form: a `CoverTable`, the
-    row of `cover_row`, promised for c >= min_capacity alone, or a
+    An item heavier than the capacity is in no selection: `table_form`
+    sizes the table over the items it keeps and picks the form, and each
+    selection holds a 0 for a dropped item. The form is a `CoverTable`,
+    the row of `cover_row`, promised for c >= min_capacity alone, or a
     `ListTable`, which answers every c. Of the best selections at c, both
     return the one with the smallest k.
     """
-    kept = weights <= capacity
-    if not kept.all():
+    form, capped, kept = table_form(weights, capacity, min_capacity)
+    if kept is not None:
         profits, weights = profits[kept], weights[kept]
-    form, capped = table_form(weights, capacity, min_capacity)
     if form == "row":
         table = cover_row(profits, weights, capacity, min_capacity)
     else:
         w_sum, p_sum = _subset_sums(profits, weights, capped)
         order = np.argsort(-p_sum, kind="stable")
         table = ListTable(order, p_sum[order], -np.minimum.accumulate(w_sum[order]), len(weights))
-    return table if len(weights) == len(kept) else replace(table, kept=kept)
+    return table if kept is None else replace(table, kept=kept)
 
 
 def best_of_each_weight(profits, weights, capacity: int):
@@ -447,7 +448,7 @@ def best_of_each_weight(profits, weights, capacity: int):
     first entry per weight is the best selection with the smallest k, as
     traced.
     """
-    form, capped = table_form(weights, capacity)
+    form, capped, _ = table_form(weights, capacity)
     if form == "list":
         w_sum, p_sum = _subset_sums(profits, weights, capped)
         order = np.lexsort((-p_sum, w_sum))
@@ -535,7 +536,7 @@ class ReplyTable:
 
     mode: Mode
     m: int       # the lexicographic multiplier M of `combined_profits`
-    b: int
+    b: int       # the capacity: the highest residual the table answers
     lowest: int  # the lowest residual the table answers
     table: CoverTable | ListTable = field(repr=False)  # combined values, follower items
 
@@ -573,7 +574,7 @@ class ReplyTable:
         return d1_sums + self.leader_profit(self.b - weights)
 
 
-def reply_table(inst, mode: Mode, lowest: int = 0) -> ReplyTable:
+def reply_table(inst, mode: Mode, lowest: int = 0, b: int | None = None) -> ReplyTable:
     """The follower's reply table for one (instance, mode), answering every residual in [lowest, b].
 
     The follower maximizes its profit c . y under the residual capacity
@@ -581,24 +582,32 @@ def reply_table(inst, mode: Mode, lowest: int = 0) -> ReplyTable:
     minimizes (pessimistic) the leader's profit d2 . y. Both stages
     collapse into one at-most knapsack over `combined_profits` up to b, a
     covering row or a subset list (`at_most_table`); the row leaves out
-    the cells only a residual below `lowest` would read. A `lowest`
-    outside [0, b] or not an integer raises ValueError.
+    the cells only a residual below `lowest` would read. b is the
+    instance's capacity unless given: a table at a lower b is the
+    instance's at that capacity, and holds no item heavier than b. A `b`
+    outside [0, inst.b] or a `lowest` outside [0, b], or either not an
+    integer, raises ValueError.
     """
     mode = Mode(mode)
-    lowest = int(ReplyTable._check("lowest", lowest, 0, inst.b, scalar=True))
+    b = inst.b if b is None else int(ReplyTable._check("b", b, 0, inst.b, scalar=True))
+    lowest = int(ReplyTable._check("lowest", lowest, 0, b, scalar=True))
     combined, m = combined_profits(inst, mode)
-    return ReplyTable(mode, m, inst.b, lowest, at_most_table(combined, inst.a2, inst.b, lowest))
+    return ReplyTable(mode, m, b, lowest, at_most_table(combined, inst.a2, b, lowest))
 
 
 def follower_response(inst, x_bar, mode: Mode = Mode.OPTIMISTIC) -> FollowerResponse:
-    """The follower's reply to a fixed leader vector: `reply_table` read at its residual."""
+    """The follower's reply to a fixed leader vector, read at the residual r it leaves.
+
+    The table is the instance's at capacity r, read at r alone: it holds
+    no follower item heavier than r and no cell past r.
+    """
     x_bar = binary_vector(x_bar, inst.n1, "x_bar")
-    weight = int(inst.a1 @ x_bar)
-    if weight > inst.b:
-        raise InfeasibleLeader(f"leader weight exceeds capacity by {weight - inst.b}")
-    table = reply_table(inst, mode, inst.b - weight)  # read at that residual alone
-    y = table.reply(table.lowest)
-    return FollowerResponse(int(inst.c @ y), int(table.score(int(inst.d1 @ x_bar), weight)), y)
+    r = inst.b - int(inst.a1 @ x_bar)
+    if r < 0:
+        raise InfeasibleLeader(f"leader weight exceeds capacity by {-r}")
+    table = reply_table(inst, mode, r, b=r)
+    y = table.reply(r)
+    return FollowerResponse(int(inst.c @ y), int(inst.d1 @ x_bar) + int(table.leader_profit(r)), y)
 
 
 @dataclass

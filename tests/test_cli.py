@@ -512,7 +512,7 @@ def test_cli_and_library_agree_where_only_the_covering_row_fits(tmp_path, checkp
     # (b + 1) from residual 0; only the first fits the budget, and both answer
     fits = covering_instance(15 * 10 ** 7 - 1000)
     lowest = fits.b - 1
-    assert table_form(fits.a2, fits.b, lowest) == ("row", fits.b)
+    assert table_form(fits.a2, fits.b, lowest) == ("row", fits.b, None)
     with pytest.raises(DpTooLarge):  # read from residual 0, no row fits
         table_form(fits.a2, fits.b, 0)
     res = solve_exact(fits)

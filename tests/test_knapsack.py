@@ -89,8 +89,8 @@ def test_knapsack_table_size_guard():
     for build in (at_most_table, best_of_each_weight):
         with pytest.raises(DpTooLarge, match=f"n=15 .* {15 * (MAX_DP_CELLS + 1)} cells"):
             build(ones, 10 ** 7 * ones, MAX_DP_CELLS)
-    assert knapsack.table_form(weights, MAX_DP_CELLS // 16 - 1) == ("row", 6_249_999)
-    assert knapsack.table_form(weights[:14], MAX_DP_CELLS) == ("list", MAX_DP_CELLS)
+    assert knapsack.table_form(weights, MAX_DP_CELLS // 16 - 1) == ("row", 6_249_999, None)
+    assert knapsack.table_form(weights[:14], MAX_DP_CELLS) == ("list", MAX_DP_CELLS, None)
     value, sel = knapsack_max([1] * 14, weights[:14], MAX_DP_CELLS)
     assert (value, sel.tolist()) == (10, [1] * 10 + [0] * 4)
     assert knapsack_max([1], [1], 10) == (1, np.array([1]))
@@ -380,19 +380,20 @@ def test_form_picks_the_fewest_cells():
     # W - min(lo, capped), and capped + 1 exactly c; the list is weighed
     # against them. 50 items of weight 10 up to capacity 300 (W = 500):
     weights = np.full(50, 10)
-    assert knapsack.table_form(weights, 300, 0) == ("row", 300)  # 301 cells
-    assert knapsack.table_form(weights, 300) == ("row", 300)     # exact weight: 301
+    assert knapsack.table_form(weights, 300, 0) == ("row", 300, None)  # 301 cells
+    assert knapsack.table_form(weights, 300) == ("row", 300, None)     # exact weight: 301
     # 2^8 selections against 301 cells (W = 800, top 800 or 500), then
     # against 101 (W = 400, top 100): more entries than the row's take table
-    assert knapsack.table_form(np.full(8, 100), 300, 0) == ("list", 300)
-    assert knapsack.table_form(np.full(8, 100), 300, 300) == ("list", 300)
-    assert knapsack.table_form(np.full(8, 100), 300) == ("list", 300)
-    assert knapsack.table_form(np.full(8, 50), 300, 300) == ("row", 300)
+    assert knapsack.table_form(np.full(8, 100), 300, 0) == ("list", 300, None)
+    assert knapsack.table_form(np.full(8, 100), 300, 300) == ("list", 300, None)
+    assert knapsack.table_form(np.full(8, 100), 300) == ("list", 300, None)
+    assert knapsack.table_form(np.full(8, 50), 300, 300) == ("row", 300, None)
     # a weight heavier than the capacity: at most c it is not counted, W = 95,
     # so 19 items of 1 cell from capacity 100; exactly c it counts as
-    # capacity + 1, W = 101 + 95
-    assert knapsack.table_form(np.array([10 ** 9] + [5] * 19), 100, 100) == ("row", 95)
-    assert knapsack.table_form(np.array([10 ** 9] + [5] * 19), 100) == ("row", 100)
+    # capacity + 1, W = 101 + 95; only the at-most table returns a mask
+    form, capped, kept = knapsack.table_form(np.array([10 ** 9] + [5] * 19), 100, 100)
+    assert (form, capped, kept.tolist()) == ("row", 95, [False] + [True] * 19)
+    assert knapsack.table_form(np.array([10 ** 9] + [5] * 19), 100) == ("row", 100, None)
     # a row past the budget is refused with its cells: W = 1.5e8, 15 x (b + 1)
     # cells from 0, 15 x (W - b + 1) from b, and 15 x (b + 1) exactly b
     weights, b = np.full(15, 10 ** 7), 14 * 10 ** 7
@@ -403,7 +404,7 @@ def test_form_picks_the_fewest_cells():
                                              f"{covering} needs {cells} cells, above"):
             knapsack.table_form(weights, b, lo)
     b = 145 * 10 ** 6
-    assert knapsack.table_form(weights, b, b - 10) == ("row", b)  # 15 x (5e6 + 11) cells
+    assert knapsack.table_form(weights, b, b - 10) == ("row", b, None)  # 15 x (5e6 + 11) cells
 
 
 @pytest.mark.parametrize("mode", list(Mode))
@@ -510,6 +511,26 @@ def test_follower_infeasible_leader():
     with pytest.raises(InfeasibleLeader):
         follower_response(BlkpInstance(2, 1, [2, 2], [1, 1], [1], [1], [1], 3),
                           [1, 1])
+
+
+def test_follower_response_reads_a_table_at_its_own_residual():
+    # a leader that leaves r = 1 of b = 1.4e8 + 1: the table at capacity r
+    # holds the one follower item of weight 1 in 1 x 1 cells, where a table
+    # up to b read from r would hold 15 x (1e7 + 1) and is refused
+    a2, b = [1] + [10 ** 7] * 14, 14 * 10 ** 7 + 1
+    inst = BlkpInstance(1, 15, [b - 1], [2], a2, list(range(1, 16)), [3] * 15, b)
+    for mode in Mode:
+        with pytest.raises(DpTooLarge, match="n=15 items"):
+            reply_table(inst, mode, 1)
+        table = reply_table(inst, mode, 1, b=1)
+        assert (table.b, table.lowest, table.table.entries) == (1, 1, 1)
+        resp = follower_response(inst, [1], mode)
+        assert (resp.z_star, resp.leader_value, resp.y.tolist()) == (3, 3, [1] + [0] * 14)
+    for bad in (-1, 3, 1.0, True):  # b outside [0, inst.b] or not an integer
+        with pytest.raises(ValueError, match="b must lie in \\[0, 2\\]"):
+            reply_table(tiny_instance(), Mode.OPTIMISTIC, 0, b=bad)
+    with pytest.raises(ValueError, match="lowest must lie in \\[0, 1\\]"):
+        reply_table(tiny_instance(), Mode.OPTIMISTIC, 2, b=1)
 
 
 def test_follower_matches_brute_force_both_modes(monkeypatch):
@@ -738,7 +759,8 @@ def test_table_form_counts_the_items_that_fit(monkeypatch):
     # list; 15 are more than a list serves
     for fit, form in ((14, "list"), (15, "row")):
         weights = np.array([10 ** 5] * fit + [10 ** 6] * (20 - fit))
-        assert knapsack.table_form(weights, 7 * 10 ** 5, 0) == (form, 7 * 10 ** 5)
+        got, capped, kept = knapsack.table_form(weights, 7 * 10 ** 5, 0)
+        assert (got, capped, kept.tolist()) == (form, 7 * 10 ** 5, (weights < 10 ** 6).tolist())
     # 10 items of weight 1000 and 10 of weight 10 at capacity 95: the row
     # holds 10 x 6 cells, within a budget of 1e3 that 20 x 96 would pass
     monkeypatch.setattr(knapsack, "MAX_DP_CELLS", 10 ** 3)
