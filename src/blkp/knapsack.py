@@ -50,7 +50,8 @@ int64 sum is formed. It refuses weights whose sum, each clipped to the
 capacity + 1, passes int64 (`OverflowRiskError`), in any form. An
 at-most table counts only the items no heavier than its capacity. From
 the item count and the row's take cells per item, `_use_list` weighs the
-list against the row. A row whose take table passes `MAX_DP_CELLS` is
+list against the row: for n <= LIST_MAX_ITEMS the fitted cost alone
+picks the form. A row whose take table passes `MAX_DP_CELLS` is
 refused (`DpTooLarge`, naming its cells). A list is refused by nothing
 else: it holds n * 2^n entries, n <= 14, whatever the capacity. The
 builders then refuse a profit sum past int64 (`OverflowRiskError`). The
@@ -271,13 +272,25 @@ def _use_list(n: int, length: int) -> bool:
         14    about 10     about 14     14.5
 
     At n = 8 and 4096 cells, for example, the list takes 24 and 26 us and
-    the row 49 and 74 us. The list's n x 2^n bit matrix must also have no
-    more entries than the row's take table (2^n <= length), and n stays
-    within LIST_MAX_ITEMS.
+    the row 49 and 74 us. Below 2^n cells, the width of many tables read
+    at one capacity, build plus one read takes (list / row, in us, at
+    most c read at c alone, medians over 2 to 2^n - 1 cells):
+
+        n     at most c    exactly c
+        3     11 / 21      11 / 22
+        4     11 / 23      10 / 26
+        5     12 / 26      11 / 30
+        6     13 / 30      12 / 35
+        7     15 / 32      15 / 40
+        8     20 / 36      21 / 45
+
+    and this rule picks the list at every length from 3 to 8 items. It
+    picks the row at n = 1 and 2 below 16031 and 3061 cells, and at n = 9
+    below 569, though the list measured 3 to 17 us faster there: the
+    fitted row has no fixed cost. n stays within LIST_MAX_ITEMS.
     """
-    if n > LIST_MAX_ITEMS or 2 ** n > length:
-        return False
-    return _LIST_US + _LIST_NS * n * 2 ** n / 1e3 < n * (_ROW_US + _ROW_NS * length / 1e3)
+    return n <= LIST_MAX_ITEMS and (
+        _LIST_US + _LIST_NS * n * 2 ** n / 1e3 < n * (_ROW_US + _ROW_NS * length / 1e3))
 
 
 def table_form(weights, capacity: int, min_capacity: int | None = None):

@@ -383,11 +383,12 @@ def test_form_picks_the_fewest_cells():
     assert knapsack.table_form(weights, 300, 0) == ("row", 300, None)  # 301 cells
     assert knapsack.table_form(weights, 300) == ("row", 300, None)     # exact weight: 301
     # 2^8 selections against 301 cells (W = 800, top 800 or 500), then
-    # against 101 (W = 400, top 100): more entries than the row's take table
+    # against 101 (W = 400, top 100): at 8 items the list costs less than
+    # a row of any length
     assert knapsack.table_form(np.full(8, 100), 300, 0) == ("list", 300, None)
     assert knapsack.table_form(np.full(8, 100), 300, 300) == ("list", 300, None)
     assert knapsack.table_form(np.full(8, 100), 300) == ("list", 300, None)
-    assert knapsack.table_form(np.full(8, 50), 300, 300) == ("row", 300, None)
+    assert knapsack.table_form(np.full(8, 50), 300, 300) == ("list", 300, None)
     # a weight heavier than the capacity: at most c it is not counted, W = 95,
     # so 19 items of 1 cell from capacity 100; exactly c it counts as
     # capacity + 1, W = 101 + 95; only the at-most table returns a mask
@@ -468,10 +469,53 @@ def test_use_list_rule():
     use = knapsack._use_list
     assert use(8, 4000) and use(6, 100_000)            # the label workload's tables
     assert not use(10, 5000) and not use(50, 10 ** 6)  # the search's follower rows
-    for n in range(1, LIST_MAX_ITEMS + 3):
-        # never more entries than the row's take table, never more than LIST_MAX_ITEMS items
-        assert not use(n, 2 ** n - 1)
+    for n in range(1, LIST_MAX_ITEMS + 3):  # never more than LIST_MAX_ITEMS items
         assert use(n, MAX_DP_CELLS // n) == (n <= LIST_MAX_ITEMS)
+    # the cost alone: 3-8 items are a list from one cell, and 1, 2 and
+    # 9-14 items a row at every length below 2^n
+    for n in range(3, 9):
+        assert all(use(n, length) for length in range(1, 2 ** n))
+    for n in (1, 2, *range(9, LIST_MAX_ITEMS + 1)):
+        assert not any(use(n, length) for length in range(1, 2 ** n))
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_a_narrow_table_of_few_items_is_a_list(monkeypatch, mode):
+    # 3-8 follower items, each no heavier than the residual r a leader
+    # leaves, read at r over fewer than 2^n covering cells: the table at
+    # capacity r and the one knapsack_max reads are lists, and both answer
+    # as enumeration does
+    built = []
+
+    def record(*args):
+        built.append(at_most_table(*args))
+        return built[-1]
+
+    monkeypatch.setattr(knapsack, "at_most_table", record)
+    rng = np.random.default_rng(33)
+    for n2 in range(3, 9):
+        checked = 0
+        while checked < 6:
+            inst = random_instance(rng, int(rng.integers(1, 5)), n2,
+                                   value_max=int(rng.choice([3, 12, 30])))
+            x = rng.integers(0, 2, inst.n1)
+            r = inst.b - int(inst.a1 @ x)
+            if r < 0:
+                continue
+            kept, cells = cover_shape(inst.a2, r, r)
+            if kept < n2 or cells >= 2 ** n2:
+                continue
+            assert isinstance(reply_table(inst, mode, r, b=r).table, ListTable)
+            built.clear()
+            resp = follower_response(inst, x, mode)
+            y, z_star, leader_value = follower_brute(inst, x, mode)
+            assert (resp.z_star, resp.leader_value, resp.y.tolist()) == (
+                z_star, leader_value, y.tolist())
+            value, selection = knapsack_max(inst.c, inst.a2, r)
+            assert value == knapsack_brute(inst.c, inst.a2, r)
+            assert (value, selection.tolist()) == at_most_brute(inst.c, inst.a2, r)
+            assert [type(table) for table in built] == [ListTable, ListTable]
+            checked += 1
 
 
 def test_subsets_rows_are_the_bits_of_k():
