@@ -3,14 +3,14 @@
 A command that solves reads every instance file before it solves any,
 and asks `blkp.knapsack.table_form` about each item set it tables up to
 b: a1 and a2 for `exact`, `label` and `bench`, a2 for `solve`. a1 is
-the leader's exact-weight table; a2 the follower's at-most table, a
-covering row or a list. `exact`, `label` and `bench` ask about it from
-`blkp.exact.lowest_residual`, the lowest residual any leader leaves, as
-`solve_exact` asks for it; `solve` from b, the least table any search
-builds. A table that rule refuses is refused then, naming the file. One
-timed loop (`_solve_each`) runs every solver call; a solver's refusal of
-its input, a DP row past the budget or profits past the 64-bit range,
-is reported with the file's path.
+the leader's exact-weight table, read from 0; a2 the follower's at-most
+table, a covering row or a list. `exact`, `label` and `bench` ask about
+it from `blkp.exact.lowest_residual`, the lowest residual any leader
+leaves, as `solve_exact` asks for it; `solve` from b, the least table
+any search builds. A table that rule refuses is refused then, naming
+the file. One timed loop (`_solve_each`) runs every solver call; a
+solver's refusal of its input, a DP row past the budget or profits past
+the 64-bit range, is reported with the file's path.
 
 The bench subcommand compares deterministic rounding (theta 0.5, one
 sample), the sampling heuristic, and the exact oracle over a directory of
@@ -57,9 +57,10 @@ def _instance_files(path: str):
     raise CliError(f"no such file or directory: {path}")
 
 
-# The tables `solve_exact` builds up to b: (weights, the lowest residual the
-# follower's at-most table is read from, None for the leader's exact-weight one)
-_EXACT_TABLES = (("a1", None), ("a2", exact_mod.lowest_residual))
+# The tables `solve_exact` builds up to b: (weights, the lowest capacity the
+# table is read from: 0 for the leader's exact-weight table, the lowest
+# residual for the follower's at-most one)
+_EXACT_TABLES = (("a1", lambda inst: 0), ("a2", exact_mod.lowest_residual))
 
 
 def _load_instances(path: str, tabled=()):
@@ -73,7 +74,7 @@ def _load_instances(path: str, tabled=()):
         try:
             inst = inst_mod.read_instance(f)
             for name, lowest in tabled:
-                table_form(getattr(inst, name), inst.b, lowest and lowest(inst))
+                table_form(getattr(inst, name), inst.b, lowest(inst))
         except (inst_mod.InstanceError, DpTooLarge) as exc:
             raise CliError(f"{f}: {exc}") from exc
         out.append((f, inst))

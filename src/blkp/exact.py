@@ -5,9 +5,9 @@ r = b - a1 . x (Brotcorne, Hanafi & Mansi, Oper. Res. Lett. 2009):
 
 1. One follower table, `blkp.knapsack.reply_table`, gives for every
    reachable residual r the follower's tie-broken reply and its leader
-   profit L(r). No leader weighs more than min(b, sum(a1)), so the table
-   is asked only for the residuals from `lowest_residual` =
-   b - min(b, sum(a1)) up.
+   profit L(r). No leader weighs more than min(b, W1), W1 the weight of
+   the leader items no heavier than b, so the table is asked only for
+   the residuals from `lowest_residual` = b - min(b, W1) up.
 2. One exact-weight leader table, `blkp.knapsack.best_of_each_weight`,
    gives G(W) = max d1 . x subject to a1 . x = W, and its best vector.
 
@@ -18,21 +18,22 @@ weight, the best leader vector of that weight, best value first. Training
 labels are the optimum plus the best vectors of the next k best leader
 weights, a definition that depends on the instance alone.
 
-Each table is a DP row or a list of all 2^n selections, whichever
-`blkp.knapsack.table_form` finds cheaper for its item count and the
-row's take cells, and both forms give the same bits. It sizes each
-table on its own: a row past the cell budget raises `DpTooLarge`, and a
-list is refused only for a weight sum past int64. So a solve holds at
-most two tables of that budget each, and a side of at most 14 items is
-answered at any b. The follower's row is a covering row: with W =
-sum(a2), each weight clipped to b + 1, and top = W - lowest_residual,
-each item writes at most min(top, b, W) + 1 cells, and the value row
-spans top + max(a2) + 1. The leader's is the dense exact-weight row,
-min(b, sum(a1)) + 1 cells per item, since no heavier leader weight is
-reachable. The leader row is traced eagerly by the vectorised `trace`,
-while a list already holds its best vectors. So a result holds no
-table, and the optimum's reply is read from the follower table once.
-The bilevel values are summed in int64.
+Each table holds only its items no heavier than b, and is a DP row or
+a list of all 2^n selections of them, whichever
+`blkp.knapsack.table_form` finds cheaper for their count and the row's
+take cells, and both forms give the same bits. It sizes each table on
+its own: a row past the cell budget raises `DpTooLarge`, and a list is
+refused by nothing. So a solve holds at most two tables of that budget
+each, and a side of at most 14 items that fit b is answered at any b.
+The follower's row is a covering row: with W the weight of the follower
+items no heavier than b and top = W - lowest_residual, each item writes
+at most min(top, b, W) + 1 cells, and the value row spans at most
+2 * top + 2. The leader's is the dense exact-weight row, min(b, W1) + 1
+cells per item, since no heavier leader weight is reachable. The leader
+row is traced eagerly by the vectorised `trace`, while a list already
+holds its best vectors. So a result holds no table, and the optimum's
+reply is read from the follower table once. The bilevel values are
+summed in int64.
 """
 
 from __future__ import annotations
@@ -59,8 +60,8 @@ class ExactResult:
 
 
 def lowest_residual(inst) -> int:
-    """b - min(b, sum(a1)): no leader selection leaves a smaller residual."""
-    return inst.b - min(inst.b, sum(inst.a1.tolist()))
+    """b - min(b, W), W the weight of the leader items no heavier than b: the least residual."""
+    return inst.b - min(inst.b, sum(inst.a1[inst.a1 <= inst.b].tolist()))
 
 
 def solve_exact(inst, mode: Mode = Mode.OPTIMISTIC) -> ExactResult:

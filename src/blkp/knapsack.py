@@ -32,11 +32,11 @@ one row or a list:
   the lowest bit, with their weights and profits summed in int64
   (`ListTable`). Its cost does not depend on the capacity.
 
-An item heavier than the capacity is in no selection that fits, so
-`table_form` drops it from an at-most table before the form is chosen
-and returns the mask of the items kept: the covering row and the list
-are built over those items, and each selection holds a 0 for a dropped
-one.
+Every table holds only the items no heavier than its capacity: a
+heavier one is in no selection that fits. `table_form` drops the others
+before the form is chosen and returns the mask of the items kept; every
+row and list is built over those items, and each selection holds a 0
+for a dropped one. W below is the weight sum of the kept items.
 
 Every form answers with the same bits: at every capacity, the best
 selection with the smallest k. The dense DP keeps a cell on a tie and
@@ -45,18 +45,21 @@ tie, which is the same choice seen from the other side, and reads back
 from the last item too; the list ranks the selections by value
 descending, then k ascending, with stable sorts.
 
-One rule sizes every table, `table_form`, run once per table before any
-int64 sum is formed. It refuses weights whose sum, each clipped to the
-capacity + 1, passes int64 (`OverflowRiskError`), in any form. An
-at-most table counts only the items no heavier than its capacity. From
-the item count and the row's take cells per item, `_use_list` weighs the
-list against the row: for n <= LIST_MAX_ITEMS the fitted cost alone
-picks the form. A row whose take table passes `MAX_DP_CELLS` is
-refused (`DpTooLarge`, naming its cells). A list is refused by nothing
-else: it holds n * 2^n entries, n <= 14, whatever the capacity. The
-builders then refuse a profit sum past int64 (`OverflowRiskError`). The
-CLI asks `table_form` the same question up front, so no other module
-restates a cell count.
+One rule sizes every table, `table_form`, run once per table: both
+kinds count n kept items of min(W - r0, capped) + 1 take cells each,
+capped = min(capacity, W) and r0 the lowest capacity read, 0 for an
+exact-weight table. From these, `_use_list` weighs the list against the
+row: for n <= LIST_MAX_ITEMS the fitted cost alone picks the form. A row
+whose take table passes `MAX_DP_CELLS` is refused (`DpTooLarge`, naming
+its cells). A list is refused by nothing else: it holds n * 2^n entries,
+n <= 14, whatever the capacity. The CLI asks `table_form` the same
+question up front, so no other module restates a cell count.
+
+Every weight and profit sum a table forms fits int64, refused where raw
+numbers enter: `BlkpInstance` bounds the weights and the leader's
+profits, `combined_profits` the follower's, and `knapsack_max` the sums
+of the items that fit its capacity (`OverflowRiskError`). So the
+builders check no sum.
 
 A row's take table is only as long as the cells its items write:
 
@@ -129,8 +132,9 @@ class FollowerResponse:
 
 
 def knapsack_row(profits, weights, capacity: int):
-    """The exact-weight DP row over weights 0..min(capacity, sum(weights)), and its take table.
+    """The exact-weight DP row over weights 0..capacity, and its take table.
 
+    Every weight is at most the capacity, as `table_form` keeps them.
     row[c] is the best profit of a selection weighing exactly c; a weight
     no selection reaches keeps the sentinel -1 - sum(profits) or a value
     above it, still below zero. take[i, c] records whether item i
@@ -138,23 +142,18 @@ def knapsack_row(profits, weights, capacity: int):
     taking the item.
 
     The row is int32 when sum(profits) fits, else int64: it holds
-    -1 - sum..sum, so every value the recurrence forms fits either way. A
-    profit sum past int64 raises OverflowRiskError; the size of the table
-    is left to `table_form`, which `best_of_each_weight` runs first.
+    -1 - sum..sum, so every value the recurrence forms fits either way.
+    The profit sum fits int64, as the callers bound it; the size of the
+    table is left to `table_form`, which `best_of_each_weight` runs first.
     """
     profits, weights = profits.tolist(), weights.tolist()
     total = sum(profits)
-    if total > INT64_MAX:
-        raise OverflowRiskError("sum of profits exceeds the 64-bit accumulator bound")
-    capacity = min(capacity, sum(weights))
     dtype = np.int32 if total <= INT32_MAX else np.int64
     row = np.full(capacity + 1, -1 - total, dtype=dtype)
     row[0] = 0
     take = np.zeros((len(weights), capacity + 1), dtype=bool)
     scratch = np.empty(capacity + 1, dtype=dtype)
     for i, (w, p) in enumerate(zip(weights, profits)):
-        if w > capacity:
-            continue
         cand = scratch[: capacity + 1 - w]
         np.add(row[: capacity + 1 - w], p, out=cand)
         np.greater(cand, row[w:], out=take[i, w:])
@@ -173,16 +172,11 @@ def trace(take, weights, caps) -> np.ndarray:
     return selections
 
 
-def _clip(weights: list, limit: int) -> list:
-    """The weights, each clipped to limit; the list itself when none passes it."""
-    return weights if not weights or max(weights) <= limit else [min(w, limit) for w in weights]
-
-
 def cover_row(profits, weights, capacity: int, min_capacity: int = 0) -> CoverTable:
     """The at-most table for capacities min_capacity..capacity, built over removed weights.
 
-    W is the items' weight sum and capped = min(capacity, W);
-    `at_most_table` has dropped the items heavier than the capacity. A
+    W is the items' weight sum and capped = min(capacity, W); every
+    weight is at most the capacity, as `table_form` keeps them. A
     selection fits c iff the items it leaves out weigh at least W - c, so
     row[t] is the least profit of a removed set weighing at least t, for
     t in 0..top = W - min(min_capacity, capped), and the best profit at c
@@ -206,17 +200,15 @@ def cover_row(profits, weights, capacity: int, min_capacity: int = 0) -> CoverTa
 
     Unreached cells hold the sentinel sum(profits) + 1, so the largest
     sum formed is sum(profits) + 1 + max(profits): the row is uint32
-    while that fits, else uint64, which holds it whenever the profit sum
-    fits int64. A profit sum past int64 raises OverflowRiskError.
+    while that fits, else uint64, which holds it since the profit sum
+    fits int64, as the callers bound it.
     """
     profits, weights = profits.tolist(), weights.tolist()
     total = sum(profits)
-    if total > INT64_MAX:
-        raise OverflowRiskError("sum of profits exceeds the 64-bit accumulator bound")
     covered = sum(weights)
     capped = min(capacity, covered)
     top = covered - min(min_capacity, capped)
-    weights = _clip(weights, top + 1)
+    weights = [min(w, top + 1) for w in weights]
     lowest, rest, done = covered - capped, sum(weights), 0
     pad = max(weights, default=0)
     sentinel = total + 1
@@ -293,59 +285,45 @@ def _use_list(n: int, length: int) -> bool:
         _LIST_US + _LIST_NS * n * 2 ** n / 1e3 < n * (_ROW_US + _ROW_NS * length / 1e3))
 
 
-def table_form(weights, capacity: int, min_capacity: int | None = None):
+def table_form(weights, capacity: int, min_capacity: int = 0):
     """(form, capped capacity, kept) of the table over items `weights` up to capacity.
 
-    The one size rule of every table, run once per table. An at-most
-    table gives the lowest capacity it is read at, min_capacity, and
-    counts only the items no heavier than the capacity: kept is their
-    bool mask, the items `at_most_table` builds over, or None when every
-    item fits; an exact-weight table gives None and counts every item. W
-    is the sum of the weights counted, each clipped to capacity + 1, and
-    the capped capacity min(capacity, W): no selection weighs more.
+    The one size rule of every table, run once per table, read at the
+    capacities from min_capacity up; an exact-weight table is read from
+    0. The table holds only the items no heavier than the capacity: kept
+    is their bool mask, or None when every item fits. W is the sum of the
+    kept weights, and the capped capacity min(capacity, W): no selection
+    weighs more.
 
-    - A W past int64 raises OverflowRiskError, in any form: the list
-      sums the clipped weights in int64.
-    - The row's take cells per item are capped + 1 for an exact-weight
-      row, and min(top, capped) + 1 for a covering row, top =
-      W - min(min_capacity, capped); `_use_list` picks "list" or "row"
-      from them and n.
+    - The row's take cells per item are min(W - min(min_capacity, capped),
+      capped) + 1: the covering row's window, and the dense row's
+      capped + 1 cells when read from 0. `_use_list` picks "list" or
+      "row" from them and n.
     - A list (n <= LIST_MAX_ITEMS) is refused by nothing else.
     - A row allocates n times its cells per item; past MAX_DP_CELLS it
       raises DpTooLarge, naming n and the cells.
     """
-    kept = None if min_capacity is None or (weights <= capacity).all() else weights <= capacity
+    kept = None if max(weights.tolist(), default=0) <= capacity else weights <= capacity
     weights = (weights if kept is None else weights[kept]).tolist()
-    n = len(weights)
-    covered = sum(_clip(weights, capacity + 1))
-    if covered > INT64_MAX:
-        raise OverflowRiskError("sum of weights clipped to the capacity exceeds the 64-bit range")
-    capacity = min(capacity, covered)
-    length = capacity + 1
-    if min_capacity is not None:
-        length = min(covered - min(min_capacity, capacity), capacity) + 1
+    n, covered = len(weights), sum(weights)
+    capped = min(capacity, covered)
+    length = min(covered - min(min_capacity, capped), capped) + 1
     if _use_list(n, length):
-        return "list", capacity, kept
+        return "list", capped, kept
     if n * length > MAX_DP_CELLS:
-        covering = "" if min_capacity is None else f", a covering row from {min_capacity},"
-        raise DpTooLarge(f"DP table for n={n} items up to capacity {capacity}{covering} needs "
-                         f"{n * length} cells, above the budget of {MAX_DP_CELLS:.0e}")
-    return "row", capacity, kept
+        raise DpTooLarge(f"DP table for n={n} items up to capacity {capped}, read from "
+                         f"{min_capacity}, needs {n * length} cells, above the budget of "
+                         f"{MAX_DP_CELLS:.0e}")
+    return "row", capped, kept
 
 
-def _subset_sums(profits, weights, capacity: int):
+def _subset_sums(profits, weights):
     """The int64 weight and profit sums of every selection k, in the order of `subsets`.
 
-    An item heavier than the capacity fits in no selection; clipped to
-    capacity + 1 it still fits in none. At capacity INT64_MAX, where
-    capacity + 1 has no int64, no weight is heavier and none is clipped.
-    `table_form` has bounded the clipped weight sum within int64, and the
-    profit sum is refused past it here.
+    Both sums fit int64: the callers bound them.
     """
-    if sum(profits.tolist()) > INT64_MAX:
-        raise OverflowRiskError("sum of profits exceeds the 64-bit accumulator bound")
     bits = subsets(len(weights))
-    return bits @ np.minimum(weights, min(capacity + 1, INT64_MAX)), bits @ profits
+    return bits @ weights, bits @ profits
 
 
 @dataclass
@@ -360,9 +338,9 @@ class CoverTable:
 
     row: np.ndarray      # least removed profits at removed weights 0..top
     take: np.ndarray     # (n, min(top, capped) + 1) remove table, item i from lo_i
-    weights: list        # the clipped weights, Python ints
+    weights: list        # the weights, each clipped to top + 1, Python ints
     total: int           # the profit sum
-    covered: int         # the clipped weight sum
+    covered: int         # the weight sum
     lowest: int          # covered - capped: the least removed weight read
     kept: np.ndarray | None = None  # bool, per item: whether the row holds it; None: all
 
@@ -418,21 +396,21 @@ class ListTable:
         return _spread(best, self.kept)
 
 
-def _spread(selection: np.ndarray, kept) -> np.ndarray:
-    """A selection over a table's kept items as one over all items, a 0 for each dropped one."""
+def _spread(selections: np.ndarray, kept) -> np.ndarray:
+    """Selections over a table's kept items (last axis) as ones over all items, 0 where dropped."""
     if kept is None:
-        return selection
-    full = np.zeros(len(kept), dtype=np.int64)
-    full[kept] = selection
+        return selections
+    full = np.zeros(selections.shape[:-1] + kept.shape, dtype=selections.dtype)
+    full[..., kept] = selections
     return full
 
 
 def at_most_table(profits, weights, capacity: int, min_capacity: int = 0):
     """The best selection weighing at most c, and its profit, for every c up to capacity.
 
-    An item heavier than the capacity is in no selection: `table_form`
-    sizes the table over the items it keeps and picks the form, and each
-    selection holds a 0 for a dropped item. The form is a `CoverTable`,
+    `table_form` sizes the table over the items it keeps and picks the
+    form, and each selection holds a 0 for a dropped item. The form is a
+    `CoverTable`,
     the row of `cover_row`, promised for c >= min_capacity alone, or a
     `ListTable`, which answers every c. Of the best selections at c, both
     return the one with the smallest k.
@@ -443,7 +421,7 @@ def at_most_table(profits, weights, capacity: int, min_capacity: int = 0):
     if form == "row":
         table = cover_row(profits, weights, capacity, min_capacity)
     else:
-        w_sum, p_sum = _subset_sums(profits, weights, capped)
+        w_sum, p_sum = _subset_sums(profits, weights)
         order = np.argsort(-p_sum, kind="stable")
         table = ListTable(order, p_sum[order], -np.minimum.accumulate(w_sum[order]), len(weights))
     return table if kept is None else replace(table, kept=kept)
@@ -455,15 +433,18 @@ def best_of_each_weight(profits, weights, capacity: int):
     Returns (weights, profits, selections, entries): the reached weights in
     ascending order (int64), the best profit of each (int64), the first
     best selection of each as an (R, n) int8 matrix, and the entries of
-    the table built. `table_form` sizes it and picks the form: the
-    exact-weight row of `knapsack_row` read back by `trace`, or the subset
-    list sorted by weight, then profit descending, then k ascending, whose
-    first entry per weight is the best selection with the smallest k, as
-    traced.
+    the table built. `table_form` sizes it over the items it keeps and
+    picks the form: the exact-weight row of `knapsack_row` read back by
+    `trace`, or the subset list sorted by weight, then profit descending,
+    then k ascending, whose first entry per weight is the best selection
+    with the smallest k, as traced. Each selection holds a 0 for a
+    dropped item.
     """
-    form, capped, _ = table_form(weights, capacity)
+    form, capped, kept = table_form(weights, capacity)
+    if kept is not None:
+        profits, weights = profits[kept], weights[kept]
     if form == "list":
-        w_sum, p_sum = _subset_sums(profits, weights, capped)
+        w_sum, p_sum = _subset_sums(profits, weights)
         order = np.lexsort((-p_sum, w_sum))
         w_sorted = w_sum[order]
         first = np.empty(len(order), dtype=bool)
@@ -471,11 +452,12 @@ def best_of_each_weight(profits, weights, capacity: int):
         np.not_equal(w_sorted[1:], w_sorted[:-1], out=first[1:])
         first &= w_sorted <= capped
         best = order[first]
-        return (w_sorted[first], p_sum[best], subsets(len(weights))[best].astype(np.int8),
-                len(order))
+        selections = _spread(subsets(len(weights))[best].astype(np.int8), kept)
+        return w_sorted[first], p_sum[best], selections, len(order)
     row, take = knapsack_row(profits, weights, capped)
     reached = np.flatnonzero(row >= 0)
-    return reached, row[reached].astype(np.int64), trace(take, weights, reached), take.size
+    selections = _spread(trace(take, weights, reached), kept)
+    return reached, row[reached].astype(np.int64), selections, take.size
 
 
 def knapsack_max(profits, weights, capacity: int):
@@ -486,7 +468,9 @@ def knapsack_max(profits, weights, capacity: int):
     is deterministic. Every entry and the capacity must be an integer
     within int64, by `instance.integer` (2.0 counts): a fraction, bool,
     string, larger value or ragged sequence is refused with a ValueError
-    naming profits, weights or capacity.
+    naming profits, weights or capacity. The weights and the profits of
+    the items no heavier than the capacity, the items the table holds,
+    must each sum within int64, or OverflowRiskError is raised.
     """
     for name, v in (("profits", profits), ("weights", weights)):
         try:
@@ -504,6 +488,11 @@ def knapsack_max(profits, weights, capacity: int):
         raise ValueError("profits must be non-negative")
     if (weights < 1).any():
         raise ValueError("weights must be positive")
+    fits = weights <= capacity
+    if sum(weights[fits].tolist()) > INT64_MAX:
+        raise OverflowRiskError("sum of weights that fit the capacity exceeds the 64-bit range")
+    if sum(profits[fits].tolist()) > INT64_MAX:
+        raise OverflowRiskError("sum of profits exceeds the 64-bit accumulator bound")
     table = at_most_table(profits, weights, capacity, capacity)  # read at capacity alone
     return int(table.values(capacity)), table.selection(capacity)
 
@@ -636,16 +625,18 @@ def evaluate_bilevel(inst, x, y, mode: Mode = Mode.OPTIMISTIC) -> BilevelEvaluat
 
     Feasible: shared capacity holds and y attains the follower's optimal
     profit. Consistent: additionally y matches the mode's tie-break
-    optimum on the leader profit of follower items.
+    optimum on the leader profit of follower items. The reply is read, as
+    `follower_response` reads it, from the table at the residual r the
+    leader leaves.
     """
     x = binary_vector(x, inst.n1, "x")
     y = binary_vector(y, inst.n2, "y")
     leader_obj = int(inst.d1 @ x) + int(inst.d2 @ y)
     follower_obj = int(inst.c @ y)
-    weight = int(inst.a1 @ x) + int(inst.a2 @ y)
-    if weight > inst.b:
+    r = inst.b - int(inst.a1 @ x)
+    if int(inst.a2 @ y) > r:
         return BilevelEvaluation(False, False, leader_obj, follower_obj)
-    resp = follower_response(inst, x, mode)
-    feasible = follower_obj == resp.z_star
-    consistent = feasible and int(inst.d2 @ y) == int(inst.d2 @ resp.y)
+    table = reply_table(inst, mode, r, b=r)
+    feasible = follower_obj == int(inst.c @ table.reply(r))
+    consistent = feasible and int(inst.d2 @ y) == int(table.leader_profit(r))
     return BilevelEvaluation(feasible, consistent, leader_obj, follower_obj)

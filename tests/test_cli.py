@@ -470,7 +470,7 @@ def test_oversized_instance_errors(tmp_path, capsys):
     write_instance(oversized_instance(), tmp_path / "big.json")
     rc = main(["exact", "--instances", str(tmp_path / "big.json")])
     assert rc == 1
-    assert ("n=15 items up to capacity 100000000, a covering row from 99999999, needs "
+    assert ("n=15 items up to capacity 100000000, read from 99999999, needs "
             "1500000015 cells") in capsys.readouterr().err
 
 
@@ -527,7 +527,7 @@ def test_cli_and_library_agree_where_only_the_covering_row_fits(tmp_path, checkp
     # b = 1.4e8: the covering row needs 15 x (1e7 + 2) cells, and both refuse
     # it with the same message
     refused = covering_instance(14 * 10 ** 7)
-    with pytest.raises(DpTooLarge, match="a covering row from 139999999, needs 150000030 cells"):
+    with pytest.raises(DpTooLarge, match="read from 139999999, needs 150000030 cells"):
         solve_exact(refused)
     with pytest.raises(DpTooLarge) as library:  # a search's table is read from residual b
         table_form(refused.a2, refused.b, refused.b if command == "solve" else refused.b - 1)
@@ -535,6 +535,18 @@ def test_cli_and_library_agree_where_only_the_covering_row_fits(tmp_path, checkp
     write_instance(refused, path)
     assert main([command, flag, str(path)] + extra) == 1
     assert f"error: {path}: {library.value}" in capsys.readouterr().err
+
+
+def test_exact_answers_where_a_leader_item_is_heavier_than_b(tmp_path):
+    # the item of 2e8 fits no leader at b = 1.4e8: the pre-check and the
+    # solve both table the 14 that fit, a list of 2^14 selections
+    inst = BlkpInstance(15, 1, [2 * 10 ** 8] + [10 ** 7] * 14, list(range(1, 16)), [10 ** 7],
+                        [1], [1], 14 * 10 ** 7)
+    path, out = tmp_path / "heavy.json", tmp_path / "out.json"
+    write_instance(inst, path)
+    assert main(["exact", "--instances", str(path), "--format", "json", "--out", str(out)]) == 0
+    (record,) = json.loads(out.read_text())["records"]
+    assert (record["opt_value"], record["node_count"]) == (119, 2 ** 14 + 2)
 
 
 DESK_CHECKPOINT = Path(__file__).resolve().parent.parent / "perfbench" / "desk_checkpoint.json"
@@ -547,7 +559,7 @@ def test_solve_asks_for_the_table_a_search_builds(tmp_path, monkeypatch, capsys)
     from blkp import exact, knapsack
     monkeypatch.setattr(knapsack, "MAX_DP_CELLS", 9 * 10 ** 4)
     inst = generate(GenConfig(10, 20, seed=1))
-    with pytest.raises(DpTooLarge, match=f"a covering row from {exact.lowest_residual(inst)},"):
+    with pytest.raises(DpTooLarge, match=f"read from {exact.lowest_residual(inst)},"):
         table_form(inst.a2, inst.b, exact.lowest_residual(inst))
     params, norm, _meta = load_checkpoint(DESK_CHECKPOINT)
     want = solve_heuristic(inst, params, SearchConfig(), norm)
@@ -558,7 +570,7 @@ def test_solve_asks_for_the_table_a_search_builds(tmp_path, monkeypatch, capsys)
     (record,) = json.loads(out.read_text())["results"]
     assert (record["best_value"], record["best_x"]) == (want.best_value, want.best_x.tolist())
     assert main(["exact", "--instances", str(path)]) == 1
-    assert "a covering row from" in capsys.readouterr().err
+    assert f"read from {exact.lowest_residual(inst)}," in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["exact", "solve", "bench"])

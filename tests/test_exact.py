@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -7,8 +8,9 @@ from blkp import exact, knapsack
 from blkp.exact import collect_labels, lowest_residual, solve_exact
 from blkp.instance import BlkpInstance, GenConfig, generate
 from blkp.knapsack import (DpTooLarge, MAX_DP_CELLS, UINT32_MAX, CoverTable, Mode,
-                           combined_profits, evaluate_bilevel, follower_response, knapsack_row,
-                           reply_table)
+                           combined_profits, evaluate_bilevel, follower_response, knapsack_max,
+                           knapsack_row, reply_table)
+from blkp.search import SearchConfig, solution_search
 
 from _forms import each_form, force
 from _oracles import bilevel_brute, follower_brute, pool_brute, random_instance
@@ -227,8 +229,9 @@ def test_follower_table_is_read_from_the_lowest_reachable_residual(monkeypatch):
     # a1 sums to 5, a2 to 4: the follower table is asked for the residuals
     # from b - min(b, 5) up. Its covering row writes min(W - that, b) + 1
     # cells per item, W = 4 the weights, beside the dense leader row's
-    # min(b, 5) + 1; at b = 0 every follower item is heavier than b, and
-    # the row keeps none
+    # min(b, W1) + 1, W1 the weight of the leader items no heavier than b:
+    # at b = 2 the row keeps one leader item, and at b = 0 neither row
+    # keeps any
     force(monkeypatch, "row")
     asked = []
 
@@ -240,7 +243,8 @@ def test_follower_table_is_read_from_the_lowest_reachable_residual(monkeypatch):
     inst = BlkpInstance(2, 3, a1=[2, 3], d1=[4, 1], a2=[1, 1, 2], d2=[1, 2, 3],
                         c=[2, 2, 1], b=7)
     for b, lowest, node_count in ((7, 2, 3 * 3 + 2 * 6), (5, 0, 3 * 5 + 2 * 6),
-                                  (3, 0, 3 * 4 + 2 * 4), (0, 0, 0 * 1 + 2 * 1)):
+                                  (3, 0, 3 * 4 + 2 * 4), (2, 0, 3 * 3 + 1 * 3),
+                                  (0, 0, 0 * 1 + 0 * 1)):
         at_b = replace(inst, b=b)
         assert lowest_residual(at_b) == lowest
         res = assert_matches_brute(at_b, Mode.OPTIMISTIC)
@@ -248,13 +252,15 @@ def test_follower_table_is_read_from_the_lowest_reachable_residual(monkeypatch):
 
 
 def test_node_count_is_a_lists_selections(monkeypatch):
-    # a list holds 2^n selections whatever the capacity: 2^3 follower and 2^2
-    # leader; at b = 0 no follower item fits, and the follower's list holds 2^0
+    # a list holds 2^n selections of its n items whatever the capacity: 2^3
+    # follower and 2^2 leader; an item heavier than b is in neither list, so
+    # at b = 2 the leader's list holds 2^1, and at b = 0 both hold 2^0
     force(monkeypatch, "list")
     inst = BlkpInstance(2, 3, a1=[2, 3], d1=[4, 1], a2=[1, 1, 2], d2=[1, 2, 3],
                         c=[2, 2, 1], b=7)
-    for b, follower in ((0, 2 ** 0), (3, 2 ** 3), (7, 2 ** 3)):
-        assert solve_exact(replace(inst, b=b)).node_count == follower + 2 ** 2
+    for b, follower, leader in ((0, 2 ** 0, 2 ** 0), (2, 2 ** 3, 2 ** 1), (3, 2 ** 3, 2 ** 2),
+                                (7, 2 ** 3, 2 ** 2)):
+        assert solve_exact(replace(inst, b=b)).node_count == follower + leader
 
 
 @pytest.mark.parametrize("mode", list(Mode))
@@ -336,3 +342,64 @@ def test_leader_row_dtype_boundary(monkeypatch, mode, d1, dtype):
                             c=[3, 3, 2], b=b)
         assert_matches_brute(inst, mode)
     assert set(seen) == {np.dtype(dtype)}
+
+
+def heavy_leader_instance():
+    """15 leader items, one heavier than b: the 14 that fit are a list of 2^14 selections."""
+    return BlkpInstance(15, 1, [2 * 10 ** 8] + [10 ** 7] * 14, list(range(1, 16)), [10 ** 7],
+                        [1], [1], 14 * 10 ** 7)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_a_leader_item_heavier_than_b_is_not_tabled(mode):
+    # counted, the heavy item made the leader's row 15 x (b + 1) cells, past
+    # the budget; dropped, the list holds 2^14 selections and the follower's
+    # one item a list of 2
+    inst = heavy_leader_instance()
+    res = solve_exact(inst, mode)
+    x, y, value = bilevel_brute(inst, mode)
+    assert (res.opt_value, res.opt_x.tolist(), res.opt_y.tolist()) == (value, x.tolist(),
+                                                                      y.tolist())
+    assert res.opt_value == 119 and res.node_count == 2 ** 14 + 2
+    assert not res.pool[:, 0].any()
+
+
+def test_lowest_residual_counts_the_leader_items_that_fit():
+    # a1 = [2, 3, 9]: at b = 7 the item of 9 fits no leader, so the lowest
+    # residual is 7 - 5 = 2, not 7 - min(7, 14) = 0
+    inst = BlkpInstance(3, 1, a1=[2, 3, 9], d1=[1, 1, 1], a2=[4], d2=[1], c=[1], b=7)
+    assert lowest_residual(inst) == 2
+    assert lowest_residual(replace(inst, b=9)) == 0
+    assert lowest_residual(replace(inst, b=1)) == 1
+
+
+# sha256 of the oracle's answers on 300 random instances of 1-8 items a side,
+# both modes, b drawn from 0 up to the total weight, so that often below
+# max(a1): solve_exact's value, opt_x, opt_y, pool and pool_values, and the
+# answers of follower_response, knapsack_max and solution_search on them.
+# node_count, the size of the tables built, is left out: it pins the answers,
+# not the tables' forms
+EXACT_SHA256 = "4fc3a0d82e422849253cb9c202fc5d1adfed6efe4d8a246edf2ef396ae2d2594"
+
+
+def test_exact_bits_are_pinned():
+    digest = hashlib.sha256()
+    rng = np.random.default_rng(34)
+    for _ in range(300):
+        inst = random_instance(rng, int(rng.integers(1, 9)), int(rng.integers(1, 9)))
+        inst = replace(inst, b=int(rng.integers(0, inst.total_weight + 1)))
+        values = rng.uniform(0, 1, inst.n1)
+        for mode in Mode:
+            res = solve_exact(inst, mode)
+            digest.update(str(res.opt_value).encode() + res.opt_x.tobytes() + res.opt_y.tobytes()
+                          + res.pool.tobytes() + res.pool_values.tobytes())
+            for x in res.pool[:3]:
+                resp = follower_response(inst, x, mode)
+                digest.update(f"{resp.z_star} {resp.leader_value}".encode() + resp.y.tobytes())
+            search = solution_search(inst, values, SearchConfig(mode=mode, seed=inst.n1))
+            digest.update(search.best_x.tobytes() + search.best_y.tobytes()
+                          + str(search.best_value).encode())
+        for profits, weights in ((inst.d1, inst.a1), (inst.c, inst.a2)):
+            value, selection = knapsack_max(profits, weights, inst.b)
+            digest.update(str(value).encode() + selection.tobytes())
+    assert digest.hexdigest() == EXACT_SHA256

@@ -89,7 +89,8 @@ def test_knapsack_table_size_guard():
     for build in (at_most_table, best_of_each_weight):
         with pytest.raises(DpTooLarge, match=f"n=15 .* {15 * (MAX_DP_CELLS + 1)} cells"):
             build(ones, 10 ** 7 * ones, MAX_DP_CELLS)
-    assert knapsack.table_form(weights, MAX_DP_CELLS // 16 - 1) == ("row", 6_249_999, None)
+    fitting = np.full(16, 10 ** 6)  # 16 x (capacity + 1) cells, the budget itself
+    assert knapsack.table_form(fitting, MAX_DP_CELLS // 16 - 1) == ("row", 6_249_999, None)
     assert knapsack.table_form(weights[:14], MAX_DP_CELLS) == ("list", MAX_DP_CELLS, None)
     value, sel = knapsack_max([1] * 14, weights[:14], MAX_DP_CELLS)
     assert (value, sel.tolist()) == (10, [1] * 10 + [0] * 4)
@@ -117,6 +118,24 @@ def test_list_weight_sums_cannot_wrap(monkeypatch):
         # the same weights past a small capacity are clipped to it, and fit
         value, sel = knapsack_max([1, 1, 1], [2 ** 62, 2 ** 62, 1], 5)
         assert (value, sel.tolist()) == (1, [0, 0, 1])
+
+
+def test_knapsack_max_refuses_the_sums_of_the_items_that_fit(monkeypatch):
+    # the weights and profits of the items no heavier than the capacity past
+    # int64 are refused, in either form; an item heavier than it is not
+    # summed, and a list answers where the kept sums fit
+    for _ in each_form(monkeypatch):
+        with pytest.raises(OverflowRiskError, match="^sum of weights that fit the capacity "
+                                                    "exceeds the 64-bit range$"):
+            knapsack_max([1] * 3, [2 ** 62, 2 ** 62, INT64_MAX], 2 ** 62)
+        with pytest.raises(OverflowRiskError,
+                           match="^sum of profits exceeds the 64-bit accumulator bound$"):
+            knapsack_max([INT64_MAX, 1], [1, 1], 2)
+        value, sel = knapsack_max([INT64_MAX, 1], [1, 3], 2)
+        assert (value, sel.tolist()) == (INT64_MAX, [1, 0])
+    force(monkeypatch, "list")
+    value, sel = knapsack_max([1] * 3, [2 ** 62, 2 ** 62 - 1, INT64_MAX], 2 ** 62)
+    assert (value, sel.tolist()) == (1, [1, 0, 0])
 
 
 @pytest.mark.parametrize("profits, weights, capacity, message", [
@@ -162,6 +181,13 @@ def reference_row(profits, weights, row):
     return np.array(row, dtype=np.int64), take
 
 
+def kept_row(profits, weights, capacity):
+    """knapsack_row over the items no heavier than the capacity, as `table_form` keeps them."""
+    kept = weights <= capacity
+    profits, weights = profits[kept], weights[kept]
+    return knapsack_row(profits, weights, min(capacity, int(weights.sum()))), profits, weights
+
+
 def test_knapsack_row_matches_reference_recurrence():
     rng = np.random.default_rng(22)
     cases = [
@@ -180,30 +206,30 @@ def test_knapsack_row_matches_reference_recurrence():
         weights = np.asarray(weights, dtype=np.int64)
         for scale in (1, 2 ** 32):                        # int32 as drawn, int64 scaled
             profits = np.asarray(drawn, dtype=np.int64) * scale
+            (row, take), profits, kept = kept_row(profits, weights, b)
             init = np.full(b + 1, -1 - int(profits.sum()), dtype=np.int64)
             init[0] = 0                                       # weight exactly c
-            want_row, want_take = reference_row(profits, weights, init)
-            row, take = knapsack_row(profits, weights, b)
+            want_row, want_take = reference_row(profits, kept, init)
             assert row.dtype == (np.int64 if scale > 1 and profits.sum() > 0 else np.int32)
             assert np.array_equal(take, want_take[:, :len(row)])
             assert np.array_equal(row, want_row[:len(row)])
 
 
 def test_knapsack_row_builds_its_row():
-    # length: the capacity, capped at the items' total weight
+    # length: the capacity, capped at the kept items' total weight
     profits, weights = np.array([3, 5, 1]), np.array([2, 4, 3])
     for capacity in (0, 4, 8, 9, 10, 50):
-        row, take = knapsack_row(profits, weights, capacity)
-        assert len(row) == min(capacity, 9) + 1
-        assert take.shape == (3, len(row))
+        (row, take), _, kept = kept_row(profits, weights, capacity)
+        assert len(row) == min(capacity, int(kept.sum())) + 1
+        assert take.shape == (len(kept), len(row))
     # row[0] is the empty selection, unreachable weights stay negative
-    row, _ = knapsack_row(profits, weights, 20)
+    (row, _), _, _ = kept_row(profits, weights, 20)
     assert row[0] == 0
     assert np.flatnonzero(row >= 0).tolist() == [0, 2, 3, 4, 5, 6, 7, 9]  # not 1 or 8
     # width: int32 up to a profit sum of 2^31 - 1, int64 from 2^31
     for total, dtype in ((2 ** 31 - 1, np.int32), (2 ** 31, np.int64)):
         profits = np.array([total - 7, 7])
-        row, _ = knapsack_row(profits, np.array([1, 2]), 5)
+        (row, _), _, _ = kept_row(profits, np.array([1, 2]), 5)
         assert row.dtype == dtype
         assert (int(row[1]), int(row[2]), int(row[-1])) == (total - 7, 7, total)
 
@@ -229,12 +255,35 @@ def test_trace_matches_enumeration():
         profits = rng.integers(0, int(rng.choice([2, 40])), n)
         weights = rng.integers(1, int(rng.choice([3, 20])), n)
         b = int(rng.integers(0, 60))
-        row, take = knapsack_row(profits, weights, b)
+        (row, take), profits, weights = kept_row(profits, weights, b)
         reached = np.flatnonzero(row >= 0)
         traced = trace(take, weights, reached)
         assert traced.dtype == np.int8
         got = {int(w): (int(row[w]), sel.tolist()) for w, sel in zip(reached, traced)}
         assert got == best_of_each_brute(profits, weights, b)
+
+
+def test_exact_weight_tables_hold_only_the_items_that_fit(monkeypatch):
+    # items heavier than the capacity among them: each form answers as
+    # enumeration, each dropped item reads 0, and the entries count only
+    # the kept items, n x (min(capacity, W) + 1) cells or 2^n selections
+    rng = np.random.default_rng(34)
+    cases = [([5, 2], [7, 1], 4), ([3, 1, 4], [9, 9, 9], 8), ([2, 3], [5, 1], 0)]
+    for _ in range(100):
+        n = int(rng.integers(1, 9))
+        cases.append((rng.integers(0, 40, n), rng.integers(1, 30, n), int(rng.integers(0, 30))))
+    for form in each_form(monkeypatch):
+        for profits, weights, b in cases:
+            profits, weights = np.asarray(profits), np.asarray(weights)
+            heavy = weights > b
+            reached, values, selections, entries = best_of_each_weight(profits, weights, b)
+            got = {int(w): (int(v), sel.tolist())
+                   for w, v, sel in zip(reached, values, selections)}
+            assert got == best_of_each_brute(profits, weights, b)
+            assert selections.shape == (len(reached), len(weights))
+            assert not selections[:, heavy].any()
+            n, covered = int((~heavy).sum()), int(weights[~heavy].sum())
+            assert entries == (2 ** n if form == "list" else n * (min(b, covered) + 1))
 
 
 def test_knapsack_max_above_total_weight(monkeypatch):
@@ -290,8 +339,9 @@ def test_list_and_dense_tables_agree(monkeypatch, mode):
                     monkeypatch, lambda: best_of_each_weight(profits, weights, capacity))
                 for got, want in zip(listed[:3], dense[:3]):
                     assert got.dtype == want.dtype and np.array_equal(got, want)
-                assert dense[3] == len(weights) * (min(capacity, total) + 1)
-                assert listed[3] == 2 ** len(weights)
+                n, length = cover_shape(weights, capacity, 0)  # the kept items, capped + 1
+                assert dense[3] == n * length
+                assert listed[3] == 2 ** n
 
 
 def at_most_brute(profits, weights, capacity):
@@ -371,14 +421,16 @@ def test_cover_row_width_boundary(last, dtype):
     table = cover_row(profits, np.array([2, 1]), 2, 0)
     assert table.row.dtype == np.uint64
     assert [table.values(c) for c in range(3)] == [0, 3, INT64_MAX - 3]
+    # one past it is refused where raw profits enter, by knapsack_max
     with pytest.raises(OverflowRiskError):
-        cover_row(np.array([INT64_MAX, 1]), np.array([1, 1]), 2)
+        knapsack_max(np.array([INT64_MAX, 1]), np.array([1, 1]), 2)
 
 
 def test_form_picks_the_fewest_cells():
-    # the row's take cells per item: min(top, capped) + 1 at most c, top =
-    # W - min(lo, capped), and capped + 1 exactly c; the list is weighed
-    # against them. 50 items of weight 10 up to capacity 300 (W = 500):
+    # the row's take cells per item: min(top, capped) + 1, top =
+    # W - min(lo, capped), which is capped + 1 exactly c, read from 0; the
+    # list is weighed against them. 50 items of weight 10 up to capacity 300
+    # (W = 500):
     weights = np.full(50, 10)
     assert knapsack.table_form(weights, 300, 0) == ("row", 300, None)  # 301 cells
     assert knapsack.table_form(weights, 300) == ("row", 300, None)     # exact weight: 301
@@ -389,20 +441,17 @@ def test_form_picks_the_fewest_cells():
     assert knapsack.table_form(np.full(8, 100), 300, 300) == ("list", 300, None)
     assert knapsack.table_form(np.full(8, 100), 300) == ("list", 300, None)
     assert knapsack.table_form(np.full(8, 50), 300, 300) == ("list", 300, None)
-    # a weight heavier than the capacity: at most c it is not counted, W = 95,
-    # so 19 items of 1 cell from capacity 100; exactly c it counts as
-    # capacity + 1, W = 101 + 95; only the at-most table returns a mask
-    form, capped, kept = knapsack.table_form(np.array([10 ** 9] + [5] * 19), 100, 100)
-    assert (form, capped, kept.tolist()) == ("row", 95, [False] + [True] * 19)
-    assert knapsack.table_form(np.array([10 ** 9] + [5] * 19), 100) == ("row", 100, None)
+    # a weight heavier than the capacity is not counted, W = 95: 19 items of
+    # 1 cell from capacity 100, and of 96 cells exactly c
+    for lo in (100, 0):
+        form, capped, kept = knapsack.table_form(np.array([10 ** 9] + [5] * 19), 100, lo)
+        assert (form, capped, kept.tolist()) == ("row", 95, [False] + [True] * 19)
     # a row past the budget is refused with its cells: W = 1.5e8, 15 x (b + 1)
-    # cells from 0, 15 x (W - b + 1) from b, and 15 x (b + 1) exactly b
+    # cells from 0, either kind, and 15 x (W - b + 1) from b
     weights, b = np.full(15, 10 ** 7), 14 * 10 ** 7
-    for lo, covering, cells in ((0, ", a covering row from 0,", 15 * (b + 1)),
-                                (b, f", a covering row from {b},", 15 * (10 ** 7 + 1)),
-                                (None, "", 15 * (b + 1))):
-        with pytest.raises(DpTooLarge, match=f"^DP table for n=15 items up to capacity {b}"
-                                             f"{covering} needs {cells} cells, above"):
+    for lo, cells in ((0, 15 * (b + 1)), (b, 15 * (10 ** 7 + 1))):
+        with pytest.raises(DpTooLarge, match=f"^DP table for n=15 items up to capacity {b}, "
+                                             f"read from {lo}, needs {cells} cells, above"):
             knapsack.table_form(weights, b, lo)
     b = 145 * 10 ** 6
     assert knapsack.table_form(weights, b, b - 10) == ("row", b, None)  # 15 x (5e6 + 11) cells
