@@ -22,10 +22,10 @@ one row or a list:
 - At most c, the covering row: the table seen from the items a
   selection leaves out (Martello & Toth, *Knapsack Problems*, 1990,
   ch. 2). A selection fits c iff the items it leaves out weigh at least
-  W - c, W the items' total weight, so the row holds, for each removed
-  weight t in 0..top = W - r0, r0 the lowest capacity read, the least
-  profit removed, and the best profit at c is the profit sum minus
-  row[W - c] (`cover_row`, `CoverTable`).
+  W - c, W the kept items' total weight (see below), so the row holds,
+  for each removed weight t in 0..top = W - r0, r0 the lowest capacity
+  read, the least profit removed, and the best profit at c is the
+  profit sum minus row[W - c] (`cover_row`, `CoverTable`).
 - Exactly c, the dense row: the DP row over weights 0..min(capacity, W)
   and its n x length take table (`knapsack_row`), read back by `trace`.
 - Either kind, the list: all 2^n selections k = sum(x_i * 2^i), item 0
@@ -36,7 +36,7 @@ Every table holds only the items no heavier than its capacity: a
 heavier one is in no selection that fits. `table_form` drops the others
 before the form is chosen and returns the mask of the items kept; every
 row and list is built over those items, and each selection holds a 0
-for a dropped one. W below is the weight sum of the kept items.
+for a dropped one.
 
 Every form answers with the same bits: at every capacity, the best
 selection with the smallest k. The dense DP keeps a cell on a tie and
@@ -410,10 +410,9 @@ def at_most_table(profits, weights, capacity: int, min_capacity: int = 0):
 
     `table_form` sizes the table over the items it keeps and picks the
     form, and each selection holds a 0 for a dropped item. The form is a
-    `CoverTable`,
-    the row of `cover_row`, promised for c >= min_capacity alone, or a
-    `ListTable`, which answers every c. Of the best selections at c, both
-    return the one with the smallest k.
+    `CoverTable`, the row of `cover_row`, promised for c >= min_capacity
+    alone, or a `ListTable`, which answers every c. Of the best
+    selections at c, both return the one with the smallest k.
     """
     form, capped, kept = table_form(weights, capacity, min_capacity)
     if kept is not None:
