@@ -1,16 +1,11 @@
 """Command-line surface: generate | exact | label | train | solve | bench.
 
-A command that solves reads every instance file before it solves any,
-and asks `blkp.knapsack.table_form` about each item set it tables up to
-b: a1 and a2 for `exact`, `label` and `bench`, a2 for `solve`. a1 is
-the leader's exact-weight table, read from 0; a2 the follower's at-most
-table, a covering row or a list. `exact`, `label` and `bench` ask about
-it from `blkp.exact.lowest_residual`, the lowest residual any leader
-leaves, as `solve_exact` asks for it; `solve` from b, the least table
-any search builds. A table that rule refuses is refused then, naming
-the file. One timed loop (`_solve_each`) runs every solver call; a
-solver's refusal of its input, a DP row past the budget or profits past
-the 64-bit range, is reported with the file's path.
+A command that solves reads and validates every instance file before it
+solves any. One timed loop (`_solve_each`) runs every solver call; a
+solver's refusal of its input, a table past the cell budget of
+`blkp.knapsack.table_form` or profits past the 64-bit range, is reported
+with the file's path. Each writes only after its last solve, so a
+refusal leaves no output.
 
 The bench subcommand compares deterministic rounding (theta 0.5, one
 sample), the sampling heuristic, and the exact oracle over a directory of
@@ -34,7 +29,7 @@ from . import exact as exact_mod
 from . import instance as inst_mod
 from . import pnanet, search, trainer
 from .graphrep import DEFAULT_NORM
-from .knapsack import DpTooLarge, Mode, OverflowRiskError, table_form
+from .knapsack import DpTooLarge, Mode, OverflowRiskError
 
 
 class CliError(Exception):
@@ -57,34 +52,21 @@ def _instance_files(path: str):
     raise CliError(f"no such file or directory: {path}")
 
 
-# The tables `solve_exact` builds up to b: (weights, the lowest capacity the
-# table is read from: 0 for the leader's exact-weight table, the lowest
-# residual for the follower's at-most one)
-_EXACT_TABLES = (("a1", lambda inst: 0), ("a2", exact_mod.lowest_residual))
-
-
-def _load_instances(path: str, tabled=()):
-    """(path, instance) of every instance file, all read before any is solved.
-
-    `tabled` lists the tables the command builds, as `_EXACT_TABLES`
-    does; a table `table_form` refuses is refused here, naming its file.
-    """
+def _load_instances(path: str):
+    """(path, instance) of every instance file, all read before any is solved."""
     out = []
     for f in _instance_files(path):
         try:
-            inst = inst_mod.read_instance(f)
-            for name, lowest in tabled:
-                table_form(getattr(inst, name), inst.b, lowest(inst))
-        except (inst_mod.InstanceError, DpTooLarge) as exc:
+            out.append((f, inst_mod.read_instance(f)))
+        except inst_mod.InstanceError as exc:
             raise CliError(f"{f}: {exc}") from exc
-        out.append((f, inst))
     return out
 
 
 def _solve_each(loaded, solve, *args, **kwargs):
     """(path, result, seconds) of `solve(inst, *args, **kwargs)` on each loaded instance.
 
-    The seconds are the wall-clock time of the whole call. A DP row past
+    The seconds are the wall-clock time of the whole call. A table past
     the cell budget or profits past the 64-bit range, refused by the
     solver, are re-raised as a CliError naming the file.
     """
@@ -137,7 +119,6 @@ def _exact_record(path, result, elapsed):
         "opt_value": result.opt_value,
         "opt_x": result.opt_x.tolist(),
         "opt_y": result.opt_y.tolist(),
-        "proven_optimal": result.proven_optimal,
         "node_count": result.node_count,
         "elapsed": elapsed,
         "pool_size": len(result.pool),
@@ -146,14 +127,13 @@ def _exact_record(path, result, elapsed):
 
 def _solve_exact_all(args):
     """(path, result, seconds) of every instance, solved exactly."""
-    loaded = _load_instances(args.instances, _EXACT_TABLES)
-    return _solve_each(loaded, exact_mod.solve_exact, Mode(args.mode))
+    return _solve_each(_load_instances(args.instances), exact_mod.solve_exact, Mode(args.mode))
 
 
 def cmd_exact(args):
     records = [_exact_record(*solved) for solved in _solve_exact_all(args)]
     _emit(args, "records", records,
-          ["instance", "mode", "opt_value", "proven_optimal", "node_count", "elapsed"])
+          ["instance", "mode", "opt_value", "node_count", "elapsed"])
     return 0
 
 
@@ -221,8 +201,7 @@ def cmd_solve(args):
     params, norm, _meta = pnanet.load_checkpoint(args.checkpoint)
     scfg = search.SearchConfig(theta=args.theta, n_samples=args.n_samples,
                                mode=Mode(args.mode), seed=args.seed)
-    # a search reads its table from b minus its heaviest candidate; the least is from b
-    loaded = _load_instances(args.instance, (("a2", lambda inst: inst.b),))
+    loaded = _load_instances(args.instance)
     records = [{
         "instance": f.stem,
         "best_value": res.best_value,
@@ -291,7 +270,7 @@ def run_benchmark(loaded, params, norm, theta, n_samples, mode, seed):
 
 
 def cmd_bench(args):
-    loaded = _load_instances(args.instances, _EXACT_TABLES)
+    loaded = _load_instances(args.instances)
     params, norm, _meta = pnanet.load_checkpoint(args.checkpoint)
     rows = run_benchmark(loaded, params, norm, theta=args.theta,
                          n_samples=args.n_samples, mode=Mode(args.mode),

@@ -18,22 +18,14 @@ weight, the best leader vector of that weight, best value first. Training
 labels are the optimum plus the best vectors of the next k best leader
 weights, a definition that depends on the instance alone.
 
-Each table holds only its items no heavier than b, and is a DP row or
-a list of all 2^n selections of them, whichever
-`blkp.knapsack.table_form` finds cheaper for their count and the row's
-take cells, and both forms give the same bits. It sizes each table on
-its own: a row past the cell budget raises `DpTooLarge`, and a list is
-refused by nothing. So a solve holds at most two tables of that budget
-each, and a side of at most 14 items that fit b is answered at any b.
-The follower's row is a covering row: with W the weight of the follower
-items no heavier than b and top = W - lowest_residual, each item writes
-at most min(top, b, W) + 1 cells, and the value row spans at most
-2 * top + 2. The leader's is the dense exact-weight row, min(b, W1) + 1
-cells per item, since no heavier leader weight is reachable. The leader
-row is traced eagerly by the vectorised `trace`, while a list already
-holds its best vectors. So a result holds no table, and the optimum's
-reply is read from the follower table once. The bilevel values are
-summed in int64.
+Each table holds only its items no heavier than b.
+`blkp.knapsack.table_form` sizes each table on its own, picks its form,
+a DP row or a list of all selections, and refuses it (`DpTooLarge`)
+past the cell budget; the follower's table is built, and so refused,
+first. Both forms give the same bits. The leader row is traced eagerly
+by the vectorised `trace`, while a list already holds its best vectors.
+So a result holds no table, and the optimum's reply is read from the
+follower table once. The bilevel values are summed in int64.
 """
 
 from __future__ import annotations

@@ -52,8 +52,8 @@ exact-weight table. From these, `_use_list` weighs the list against the
 row: for n <= LIST_MAX_ITEMS the fitted cost alone picks the form. A row
 whose take table passes `MAX_DP_CELLS` is refused (`DpTooLarge`, naming
 its cells). A list is refused by nothing else: it holds n * 2^n entries,
-n <= 14, whatever the capacity. The CLI asks `table_form` the same
-question up front, so no other module restates a cell count.
+n <= 14, whatever the capacity. Only the table's builder asks, so no
+other module restates a cell count.
 
 Every weight and profit sum a table forms fits int64, refused where raw
 numbers enter: `BlkpInstance` bounds the weights and the leader's

@@ -7,9 +7,8 @@ all-zeros leader is always scored as a fallback. One
 `blkp.knapsack.reply_table` scores every feasible candidate x,
 d1 . x + L(b - a1 . x) (`score`), and gives the winner's reply. Only the
 residuals from b minus the heaviest feasible candidate's weight up to b
-are read, so the table is asked for those alone: its covering row spans
-sum(a2) minus the lowest of them, and each item writes only its window
-of that.
+are read, so the table is asked for those alone, and
+`blkp.knapsack.table_form` sizes it.
 """
 
 from __future__ import annotations
@@ -64,10 +63,8 @@ def distinct_row_count(xs) -> int:
 def solution_search(inst, final_values, cfg: SearchConfig) -> SearchResult:
     """Best of the rounded samples and the all-zeros leader.
 
-    The scoring table is sized by `blkp.knapsack.table_form` over the
-    follower items at capacity b, read from the lowest candidate
-    residual: it is a covering row or a list, whichever is cheaper, and a
-    row past the cell budget raises DpTooLarge. Final
+    The scoring table is read from the lowest candidate residual, and a
+    table `blkp.knapsack.table_form` refuses raises DpTooLarge. Final
     values that are not a 1-D array of n1 finite numbers raise
     ValueError.
     """

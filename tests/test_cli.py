@@ -86,7 +86,8 @@ def test_exact_subcommand(instance_dir, tmp_path):
     assert rc == 0
     records = json.loads(out.read_text())["records"]
     assert len(records) == 6
-    assert all(r["proven_optimal"] for r in records)
+    assert set(records[0]) == {"instance", "mode", "opt_value", "opt_x", "opt_y", "node_count",
+                               "elapsed", "pool_size"}
 
 
 def test_label_and_train_and_solve(instance_dir, tmp_path):
@@ -445,8 +446,7 @@ def test_instance_without_labels_errors(instance_dir, tmp_path, capsys):
 def test_table_goes_to_stdout_without_an_out_path(instance_dir, capsys, out):
     assert main(["exact", "--instances", str(instance_dir)] + out) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split("\t") == ["instance", "mode", "opt_value", "proven_optimal",
-                                    "node_count", "elapsed"]
+    assert lines[0].split("\t") == ["instance", "mode", "opt_value", "node_count", "elapsed"]
     assert len(lines) == 1 + 6
 
 
@@ -474,26 +474,43 @@ def test_oversized_instance_errors(tmp_path, capsys):
             "1500000015 cells") in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["exact", "solve", "bench"])
-def test_oversized_instance_in_directory_refused_before_any_solve(tmp_path, checkpoint, capsys,
-                                                                  monkeypatch, command):
-    from blkp import cli, instance
+@pytest.mark.parametrize("command", ["exact", "label", "solve", "bench"])
+def test_oversized_instance_in_directory_names_the_file_and_writes_nothing(tmp_path, checkpoint,
+                                                                          capsys, command):
+    # the good instance is solved first; the solver's own refusal of the
+    # oversized one ends the command before anything is written
     d = tmp_path / "mixed"
     d.mkdir()
-    instance.write_instance(instance.generate(instance.GenConfig(3, 3, seed=1)), d / "a_good.json")
-    instance.write_instance(oversized_instance(), d / "b_big.json")
-    solved = []
-    monkeypatch.setattr(cli.exact_mod, "solve_exact", lambda *a, **k: solved.append(a))
-    monkeypatch.setattr(cli.search, "solve_heuristic", lambda *a, **k: solved.append(a))
+    write_instance(generate(GenConfig(3, 3, seed=1)), d / "a_good.json")
+    big = oversized_instance()
+    write_instance(big, d / "b_big.json")
+    with pytest.raises(DpTooLarge) as library:
+        if command == "solve":
+            params, norm, _meta = load_checkpoint(checkpoint)
+            solve_heuristic(big, params, SearchConfig(), norm)
+        else:  # bench solves a group exactly before it searches
+            solve_exact(big)
     out = tmp_path / "out.tsv"
     flag = "--instance" if command == "solve" else "--instances"
     args = [command, flag, str(d), "--out", str(out)]
-    if command != "exact":
+    if command in ("solve", "bench"):
         args += ["--checkpoint", str(checkpoint)]
     assert main(args) == 1
-    assert f"error: {d / 'b_big.json'}: DP table" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {d / 'b_big.json'}: {library.value}\n"
     assert not out.exists()
-    assert solved == []
+
+
+def test_exact_names_the_follower_table_where_both_are_past_the_budget(tmp_path, capsys):
+    # 16 leader and 15 follower items of 1e7 at b = 1.4e8: both rows are
+    # past the budget, and the follower's, built first, is the one named
+    inst = BlkpInstance(16, 15, [10 ** 7] * 16, [1] * 16, [10 ** 7] * 15, [1] * 15, [1] * 15,
+                        14 * 10 ** 7)
+    path = tmp_path / "both.json"
+    write_instance(inst, path)
+    assert main(["exact", "--instances", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: DP table for n=15 items up to capacity 140000000, read from 0, "
+        "needs 2100000015 cells, above the budget of 1e+08\n")
 
 
 def covering_instance(b):
@@ -524,13 +541,15 @@ def test_cli_and_library_agree_where_only_the_covering_row_fits(tmp_path, checkp
     if command == "exact":
         (record,) = json.loads(out.read_text())["records"]
         assert (record["opt_value"], record["node_count"]) == (res.opt_value, res.node_count)
-    # b = 1.4e8: the covering row needs 15 x (1e7 + 2) cells, and both refuse
-    # it with the same message
+    # b = 1.4e8: the covering row needs 15 x (1e7 + 2) cells, and the CLI
+    # reports the library's own refusal
     refused = covering_instance(14 * 10 ** 7)
-    with pytest.raises(DpTooLarge, match="read from 139999999, needs 150000030 cells"):
-        solve_exact(refused)
-    with pytest.raises(DpTooLarge) as library:  # a search's table is read from residual b
-        table_form(refused.a2, refused.b, refused.b if command == "solve" else refused.b - 1)
+    with pytest.raises(DpTooLarge, match="read from 139999999, needs 150000030 cells") as library:
+        if command == "solve":
+            params, norm, _meta = load_checkpoint(checkpoint)
+            solve_heuristic(refused, params, SearchConfig(), norm)
+        else:
+            solve_exact(refused)
     path = tmp_path / "refused.json"
     write_instance(refused, path)
     assert main([command, flag, str(path)] + extra) == 1
@@ -538,8 +557,8 @@ def test_cli_and_library_agree_where_only_the_covering_row_fits(tmp_path, checkp
 
 
 def test_exact_answers_where_a_leader_item_is_heavier_than_b(tmp_path):
-    # the item of 2e8 fits no leader at b = 1.4e8: the pre-check and the
-    # solve both table the 14 that fit, a list of 2^14 selections
+    # the item of 2e8 fits no leader at b = 1.4e8: the solve tables the 14
+    # that fit, a list of 2^14 selections
     inst = BlkpInstance(15, 1, [2 * 10 ** 8] + [10 ** 7] * 14, list(range(1, 16)), [10 ** 7],
                         [1], [1], 14 * 10 ** 7)
     path, out = tmp_path / "heavy.json", tmp_path / "out.json"

@@ -44,3 +44,24 @@ def test_every_exception_the_library_raises_is_exported():
     missing = [cls.__name__ for cls in raised
                if getattr(blkp, cls.__name__, None) is not cls or cls.__name__ not in blkp.__all__]
     assert missing == []
+
+
+def test_only_knapsack_knows_how_a_table_is_sized():
+    # a table is sized and refused only where it is built; docstrings may
+    # point at `table_form`, but no other module imports or reads it
+    private = {"table_form", "MAX_DP_CELLS", "LIST_MAX_ITEMS", "_use_list"}
+    files = sorted(path for path in SRC.glob("*.py") if path.name != "knapsack.py")
+    assert files
+    found = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name.split(".")[-1] for alias in node.names]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names if name in private]
+    assert found == []
