@@ -128,8 +128,10 @@ def own_major_pairs(n_own, n_other):
 
 def build_graph(inst, norm: NormalizationScheme = DEFAULT_NORM) -> TripartiteGraph:
     s = norm.value_scale
-    leader = np.stack([inst.a1 / s, inst.d1 / s], axis=1)
-    follower = np.stack([inst.a2 / s, inst.d2 / s, inst.c / s], axis=1)
+    leader = np.empty((inst.n1, 2))
+    follower = np.empty((inst.n2, 3))
+    for out, raw in zip((*leader.T, *follower.T), (inst.a1, inst.d1, inst.a2, inst.d2, inst.c)):
+        np.divide(raw, s, out=out)
     cap = inst.b / inst.total_weight
     return TripartiteGraph(leader_feats=leader, follower_feats=follower,
                            cap_feats=np.array([cap], dtype=np.float64),

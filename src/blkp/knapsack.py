@@ -49,11 +49,12 @@ One rule sizes every table, `table_form`, run once per table: both
 kinds count n kept items of min(W - r0, capped) + 1 take cells each,
 capped = min(capacity, W) and r0 the lowest capacity read, 0 for an
 exact-weight table. From these, `_use_list` weighs the list against the
-row: for n <= LIST_MAX_ITEMS the fitted cost alone picks the form. A row
-whose take table passes `MAX_DP_CELLS` is refused (`DpTooLarge`, naming
-its cells). A list is refused by nothing else: it holds n * 2^n entries,
-n <= 14, whatever the capacity. Only the table's builder asks, so no
-other module restates a cell count.
+row: 1 or 2 items are always a list, and up to LIST_MAX_ITEMS items the
+fitted cost alone picks the form. A row whose take table passes
+`MAX_DP_CELLS` is refused (`DpTooLarge`, naming its cells). A list is
+refused by nothing else: it holds n * 2^n entries, n <= 14, whatever the
+capacity. Only the table's builder asks, so no other module restates a
+cell count.
 
 Every weight and profit sum a table forms fits int64, refused where raw
 numbers enter: `BlkpInstance` bounds the weights and the leader's
@@ -69,16 +70,19 @@ A row's take table is only as long as the cells its items write:
   max(lowest - rest_i, 0) to min(done_i, top), lowest = W - capped,
   rest_i the weight of the items after it and done_i that of items
   0..i. Each window holds at most min(top, capped) + 1 cells, and so
-  does each take row, written from column 0; a read-back recomputes the
-  window's start as it walks. The value row spans max(w) + top + 1
-  cells and is filled once.
+  does each take row, written from column 0. The take table is
+  allocated unfilled: a cell past its item's window is never written
+  and never read, since the walk back from any capacity the table
+  answers stays inside every window. The windows are worked out once,
+  before the loop, and the table keeps their starts for the walk. The
+  value row spans max(w) + top + 1 cells and is filled once.
 
 A dense row is int32 when every value it can hold fits, otherwise int64;
 a covering row, which holds no negative value, is uint32 when its
 largest sum fits, otherwise uint64. Values read out of a row are widened
 to int64 before any sum. `knapsack_row` and `cover_row` each run the
 recurrence in place through one scratch row, so an item allocates
-nothing.
+nothing; `cover_row` passes each profit as a scalar of the row's dtype.
 """
 
 from __future__ import annotations
@@ -86,6 +90,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -196,37 +201,49 @@ def cover_row(profits, weights, capacity: int, min_capacity: int = 0) -> CoverTa
     most a later item reads below a cell; done_i is the weight of items
     0..i, above which a cell keeps the sentinel and no read-back from a
     capacity in range goes. A window holds at most min(top, capped) + 1
-    cells, the take table's width.
+    cells, the take table's width. Every window is worked out before the
+    loop, and each profit is passed to `np.add` as a scalar of the row's
+    dtype.
+
+    take is allocated unfilled: row i holds item i's window in columns
+    0..hi_i - lo_i - 1 and whatever memory held past them. No read-back
+    from a capacity in [min_capacity, capacity] reads past a window, so
+    no unfilled cell reaches a value or a selection.
 
     Unreached cells hold the sentinel sum(profits) + 1, so the largest
     sum formed is sum(profits) + 1 + max(profits): the row is uint32
     while that fits, else uint64, which holds it since the profit sum
     fits int64, as the callers bound it.
     """
-    profits, weights = profits.tolist(), weights.tolist()
-    total = sum(profits)
+    plist, weights = profits.tolist(), weights.tolist()
+    total = sum(plist)
     covered = sum(weights)
     capped = min(capacity, covered)
     top = covered - min(min_capacity, capped)
-    weights = [min(w, top + 1) for w in weights]
-    lowest, rest, done = covered - capped, sum(weights), 0
+    weights = [w if w <= top else top + 1 for w in weights]
     pad = max(weights, default=0)
     sentinel = total + 1
-    dtype = np.uint32 if sentinel + max(profits, default=0) <= UINT32_MAX else np.uint64
+    dtype = np.uint32 if sentinel + max(plist, default=0) <= UINT32_MAX else np.uint64
     row = np.full(pad + top + 1, sentinel, dtype=dtype)
     row[: pad + 1] = 0
     width = min(top, capped) + 1
-    take = np.zeros((len(weights), width), dtype=bool)
+    take = np.empty((len(weights), width), dtype=bool)
     scratch = np.empty(width, dtype=dtype)
-    for i, (w, p) in enumerate(zip(weights, profits)):
-        rest -= w  # the weight of the items after i: the most they read below a cell
-        done += w  # the weight of items 0..i: no removal of them reaches a higher cell
-        lo, hi = max(lowest - rest, 0), min(done, top) + 1
-        cells, cand = row[pad + lo: pad + hi], scratch[: hi - lo]
+    # item i's window: done_i is the weight of items 0..i, rest_i =
+    # sum(weights) - done_i, lo_i = max(lowest - rest_i, 0), hi_i =
+    # min(done_i, top) + 1; `body` is the row past the zero prefix
+    lowest = covered - capped
+    shift = sum(weights) - lowest
+    done = list(accumulate(weights))
+    starts = [d - shift if d > shift else 0 for d in done]
+    ends = [(d if d < top else top) + 1 for d in done]
+    body = row[pad:]
+    for i, (w, p, lo, hi) in enumerate(zip(weights, profits.astype(dtype), starts, ends)):
+        cells, cand = body[lo:hi], scratch[: hi - lo]
         np.add(row[pad + lo - w: pad + hi - w], p, out=cand)
         np.less_equal(cand, cells, out=take[i, : hi - lo])
         np.minimum(cells, cand, out=cells)
-    return CoverTable(row[pad:], take, weights, total, covered, lowest)
+    return CoverTable(body, take, weights, starts, total, covered)
 
 
 # The most items a subset list is built for; `_use_list` refuses more. The
@@ -276,12 +293,15 @@ def _use_list(n: int, length: int) -> bool:
         7     15 / 32      15 / 40
         8     20 / 36      21 / 45
 
-    and this rule picks the list at every length from 3 to 8 items. It
-    picks the row at n = 1 and 2 below 16031 and 3061 cells, and at n = 9
-    below 569, though the list measured 3 to 17 us faster there: the
-    fitted row has no fixed cost. n stays within LIST_MAX_ITEMS.
+    and this rule picks the list at every length from 3 to 8 items. The
+    fitted row has no fixed cost, so for 1 and 2 items it would pick the
+    row below 16031 and 3061 cells, where a list of 2 or 4 selections
+    measured faster (10.5 against 13.5 us at n = 1, 10.6 against 17.6 us
+    at n = 2): 1 or 2 items are always a list. It picks the row at n = 9
+    below 569 cells, though the list measured 3 to 17 us faster there.
+    n stays within LIST_MAX_ITEMS.
     """
-    return n <= LIST_MAX_ITEMS and (
+    return n <= 2 or n <= LIST_MAX_ITEMS and (
         _LIST_US + _LIST_NS * n * 2 ** n / 1e3 < n * (_ROW_US + _ROW_NS * length / 1e3))
 
 
@@ -333,15 +353,17 @@ class CoverTable:
     Capacity c reads removed weight t = max(covered - c, 0), the least
     weight the items left out must have. take[i, j] is removed weight
     lo_i + j, lo_i = max(lowest - rest_i, 0) with rest_i the weight of
-    the items after i. Item i here is the row's i-th kept item.
+    the items after i, for j below the window's width; the cells past it
+    are never written and never read. Item i here is the row's i-th kept
+    item.
     """
 
     row: np.ndarray      # least removed profits at removed weights 0..top
     take: np.ndarray     # (n, min(top, capped) + 1) remove table, item i from lo_i
     weights: list        # the weights, each clipped to top + 1, Python ints
+    starts: list         # lo_i, the removed weight of item i's column 0, Python ints
     total: int           # the profit sum
     covered: int         # the weight sum
-    lowest: int          # covered - capped: the least removed weight read
     kept: np.ndarray | None = None  # bool, per item: whether the row holds it; None: all
 
     @property
@@ -354,15 +376,14 @@ class CoverTable:
 
     def selection(self, cap: int) -> np.ndarray:
         """The int64 best selection at one capacity: every kept item not removed."""
-        weights, take = self.weights, self.take
+        weights, starts, take = self.weights, self.starts, self.take
         selection = np.ones(len(weights), dtype=np.int64)
-        t, start = max(self.covered - cap, 0), self.lowest  # start: lowest - rest_i
+        t = max(self.covered - cap, 0)
         for i in range(len(weights) - 1, -1, -1):
-            w = weights[i]
-            if take.item(i, t - start if start > 0 else t):
+            if take.item(i, t - starts[i]):
                 selection[i] = 0
+                w = weights[i]
                 t = t - w if t > w else 0
-            start -= w
         return _spread(selection, self.kept)
 
 
@@ -564,7 +585,11 @@ class ReplyTable:
 
     def leader_profit(self, r):
         """L(r) = d2 . reply(r) at a residual r, or an int64 array of them."""
-        value = self.table.values(self._check("r", r, self.lowest, self.b))
+        return self._leader_profit(self._check("r", r, self.lowest, self.b))
+
+    def _leader_profit(self, r):
+        """`leader_profit` of residuals the caller has already kept within [lowest, b]."""
+        value = self.table.values(r)
         return value % self.m if self.mode is Mode.OPTIMISTIC else -value % self.m
 
     def score(self, d1_sums, weights):

@@ -3,12 +3,15 @@
 Each of N samples rounds the leader vector from the per-item
 probabilities: values in [0, theta] are fixed to 0, values in
 [1 - theta, 1] are fixed to 1, the rest are Bernoulli draws, and the
-all-zeros leader is always scored as a fallback. One
-`blkp.knapsack.reply_table` scores every feasible candidate x,
-d1 . x + L(b - a1 . x) (`score`), and gives the winner's reply. Only the
-residuals from b minus the heaviest feasible candidate's weight up to b
-are read, so the table is asked for those alone, and
-`blkp.knapsack.table_form` sizes it.
+all-zeros leader is always scored as a fallback, last. The candidates
+fill one (N + 1, n1) array, and the rows for N samples are the first N
+rows for N + 1. One `blkp.knapsack.reply_table` scores every feasible
+candidate x, d1 . x + L(b - a1 . x), and gives the winner's reply; the
+search worked out the residuals b - a1 . x itself, so it reads the table
+without the range check its public readers make. Only the residuals
+from b minus the heaviest feasible candidate's weight up to b are read,
+so the table is asked for those alone, and `blkp.knapsack.table_form`
+sizes it.
 """
 
 from __future__ import annotations
@@ -60,6 +63,29 @@ def distinct_row_count(xs) -> int:
     return len({row.tobytes() for row in xs})
 
 
+def _candidates(final_values, cfg: SearchConfig) -> np.ndarray:
+    """The (N + 1, n1) int64 leaders a search scores: N rounded samples, then all zeros.
+
+    Each sample draws its free items from one generator seeded by
+    cfg.seed, row by row, so the rows for N samples are the first N rows
+    for N + 1.
+    """
+    # the fix-to-1 interval is checked first, so a value of exactly 0.5 at
+    # theta = 0.5 rounds to 1: theta = 0.5 leaves no item free and every
+    # sample is the deterministic rounding at 0.5
+    fix1 = final_values >= 1.0 - cfg.theta
+    free = ~fix1 & (final_values > cfg.theta)
+    # the all-zeros leader goes last: it always fits, and argmax keeps the
+    # first best row, so earlier samples win ties and it wins only when
+    # strictly better than every sample
+    xs = np.zeros((cfg.n_samples + 1, len(final_values)), dtype=np.int64)
+    samples = xs[:-1]
+    samples[:] = fix1
+    rng = np.random.default_rng(cfg.seed)
+    samples[:, free] = rng.random((cfg.n_samples, int(free.sum()))) < final_values[free]
+    return xs
+
+
 def solution_search(inst, final_values, cfg: SearchConfig) -> SearchResult:
     """Best of the rounded samples and the all-zeros leader.
 
@@ -73,30 +99,18 @@ def solution_search(inst, final_values, cfg: SearchConfig) -> SearchResult:
         raise ValueError(f"final_values must have length {inst.n1}, as a 1-D array")
     if not np.isfinite(final_values).all():
         raise ValueError("final_values must be finite")
-    rng = np.random.default_rng(cfg.seed)
-
-    # the fix-to-1 interval is checked first, so a value of exactly 0.5 at
-    # theta = 0.5 rounds to 1: theta = 0.5 leaves no item free and every
-    # sample is the deterministic rounding at 0.5
-    fix1 = final_values >= 1.0 - cfg.theta
-    free = ~fix1 & (final_values > cfg.theta)
-    samples = np.tile(fix1.astype(np.int64), (cfg.n_samples, 1))
-    samples[:, free] = rng.random((cfg.n_samples, int(free.sum()))) < final_values[free]
-
-    # the all-zeros leader goes last: it always fits, and argmax keeps the
-    # first best row, so earlier samples win ties and it wins only when
-    # strictly better than every sample
-    xs = np.vstack([samples, np.zeros((1, inst.n1), dtype=np.int64)])
+    xs = _candidates(final_values, cfg)
     weights = xs @ inst.a1
     feasible = weights <= inst.b
     xs, weights = xs[feasible], weights[feasible]
     follower = reply_table(inst, cfg.mode, inst.b - int(weights.max()))
-    scores = follower.score(xs @ inst.d1, weights)
+    # every residual lies in the table's [lowest, b]: the scores skip its range check
+    scores = xs @ inst.d1 + follower._leader_profit(inst.b - weights)
     best = int(np.argmax(scores))
     return SearchResult(
         best_x=xs[best], best_y=follower.reply(inst.b - int(weights[best])),
-        best_value=int(scores[best]), samples_evaluated=len(samples),
-        samples_infeasible=int((~feasible).sum()),
+        best_value=int(scores[best]), samples_evaluated=cfg.n_samples,
+        samples_infeasible=cfg.n_samples + 1 - len(xs),  # the all-zeros leader always fits
         distinct_x_count=distinct_row_count(xs),
     )
 

@@ -263,6 +263,20 @@ def test_node_count_is_a_lists_selections(monkeypatch):
         assert solve_exact(replace(inst, b=b)).node_count == follower + leader
 
 
+def test_one_kept_item_is_a_list_of_two_selections():
+    # seven leader items heavier than b leave one: its table is the list of
+    # 2 selections, not a row of b + 1 = 9743 cells; the follower's one item
+    # is a list of 2 as well
+    inst = BlkpInstance(8, 1, [9742] + [20000] * 7, [5] * 8, [1], [1], [1], 9742)
+    weights, profits, selections, entries = knapsack.best_of_each_weight(inst.d1, inst.a1, inst.b)
+    assert (weights.tolist(), profits.tolist(), entries) == ([0, 9742], [0, 5], 2)
+    assert selections.tolist() == [[0] * 8, [1] + [0] * 7]
+    for mode in Mode:
+        res = solve_exact(inst, mode)
+        assert res.node_count == 2 + 2
+        assert res.opt_value == bilevel_brute(inst, mode)[2]
+
+
 @pytest.mark.parametrize("mode", list(Mode))
 def test_rows_capped_at_total_weight(monkeypatch, mode):
     # b above the follower's total weight, then above the leader's

@@ -403,6 +403,57 @@ def test_cover_row_matches_enumeration(monkeypatch):
                     assert table.values(c) == value
 
 
+def cover_windows(weights, capacity, lo):
+    """Each kept item's window width: the take columns [0, width) a covering row writes.
+
+    Worked out from the windows the module docstring states, not read from
+    a table: item i writes the removed weights max(lowest - rest_i, 0) to
+    min(done_i, top), each weight clipped to top + 1.
+    """
+    kept = [w for w in np.asarray(weights).tolist() if w <= capacity]
+    covered = sum(kept)
+    capped = min(capacity, covered)
+    top = covered - min(lo, capped)
+    clipped = [min(w, top + 1) for w in kept]
+    lowest, rest, done, widths = covered - capped, sum(clipped), 0, []
+    for w in clipped:
+        rest -= w
+        done += w
+        widths.append(min(done, top) + 1 - max(lowest - rest, 0))
+    return widths
+
+
+def test_take_cells_outside_each_window_reach_no_answer(monkeypatch):
+    # the take table is allocated unfilled: a cell outside its item's window
+    # holds whatever memory held. Set every such cell to True, then to False:
+    # no value and no selection changes at any capacity from lo to b, and
+    # each equals enumeration; both row widths, heavy items dropped or not
+    force(monkeypatch, "row")
+    rng = np.random.default_rng(36)
+    seen = {"uint32": 0, "uint64": 0, "dropped": 0, "poisoned": 0}
+    for _ in range(160):
+        n = int(rng.integers(1, 9))
+        weights = rng.integers(1, int(rng.choice([4, 12, 40])), n)
+        b = int(rng.integers(0, int(weights.sum()) + 3))
+        profits = rng.integers(0, int(rng.choice([3, 40])), n) * int(rng.choice([1, 2 ** 32]))
+        for lo in sorted({0, int(rng.integers(0, b + 1)), b}):
+            table = at_most_table(profits, weights, b, lo)
+            widths = cover_windows(weights, b, lo)
+            assert len(widths) == len(table.take) and max(widths, default=0) <= table.take.shape[1]
+            outside = np.arange(table.take.shape[1]) >= np.array(widths, dtype=np.int64)[:, None]
+            caps = np.arange(lo, b + 1)
+            want = [at_most_brute(profits, weights, c) for c in caps.tolist()]
+            for poison in (True, False):
+                table.take[outside] = poison
+                assert table.values(caps).tolist() == [value for value, _ in want]
+                assert [table.selection(c).tolist() for c in caps.tolist()] == [
+                    selection for _, selection in want]
+            seen[table.row.dtype.name] += 1
+            seen["dropped"] += table.kept is not None
+            seen["poisoned"] += bool(outside.any())
+    assert min(seen.values()) >= 20, seen
+
+
 @pytest.mark.parametrize("last, dtype", [(0, np.uint32), (1, np.uint64)])
 def test_cover_row_width_boundary(last, dtype):
     # the largest sum the row forms is sum + 1 + max: 2^32 - 1 fits uint32,
@@ -520,11 +571,14 @@ def test_use_list_rule():
     assert not use(10, 5000) and not use(50, 10 ** 6)  # the search's follower rows
     for n in range(1, LIST_MAX_ITEMS + 3):  # never more than LIST_MAX_ITEMS items
         assert use(n, MAX_DP_CELLS // n) == (n <= LIST_MAX_ITEMS)
-    # the cost alone: 3-8 items are a list from one cell, and 1, 2 and
-    # 9-14 items a row at every length below 2^n
+    # 1 and 2 items are a list at every length; past them the cost alone:
+    # 3-8 items are a list from one cell, and 9-14 items a row at every
+    # length below 2^n
+    for n in (1, 2):
+        assert all(use(n, length) for length in (1, 2 ** n, 3061, 16031, MAX_DP_CELLS))
     for n in range(3, 9):
         assert all(use(n, length) for length in range(1, 2 ** n))
-    for n in (1, 2, *range(9, LIST_MAX_ITEMS + 1)):
+    for n in range(9, LIST_MAX_ITEMS + 1):
         assert not any(use(n, length) for length in range(1, 2 ** n))
 
 
@@ -608,15 +662,16 @@ def test_follower_infeasible_leader():
 
 def test_follower_response_reads_a_table_at_its_own_residual():
     # a leader that leaves r = 1 of b = 1.4e8 + 1: the table at capacity r
-    # holds the one follower item of weight 1 in 1 x 1 cells, where a table
-    # up to b read from r would hold 15 x (1e7 + 1) and is refused
+    # holds the one follower item of weight 1, a list of its 2 selections,
+    # where a table up to b read from r would hold 15 x (1e7 + 1) cells
+    # and is refused
     a2, b = [1] + [10 ** 7] * 14, 14 * 10 ** 7 + 1
     inst = BlkpInstance(1, 15, [b - 1], [2], a2, list(range(1, 16)), [3] * 15, b)
     for mode in Mode:
         with pytest.raises(DpTooLarge, match="n=15 items"):
             reply_table(inst, mode, 1)
         table = reply_table(inst, mode, 1, b=1)
-        assert (table.b, table.lowest, table.table.entries) == (1, 1, 1)
+        assert (table.b, table.lowest, table.table.entries) == (1, 1, 2)
         resp = follower_response(inst, [1], mode)
         assert (resp.z_star, resp.leader_value, resp.y.tolist()) == (3, 3, [1] + [0] * 14)
     for bad in (-1, 3, 1.0, True):  # b outside [0, inst.b] or not an integer

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -98,6 +99,25 @@ def test_monotone_in_sample_count():
                               SearchConfig(theta=0.1, n_samples=n, seed=8))
         best.append(res.best_value)
     assert best == sorted(best)
+
+
+def test_candidates_for_n_samples_are_a_prefix_of_n_plus_one():
+    # under one seed, the rows scored for N samples are the first N rows
+    # scored for N + 1, and the all-zeros leader comes last
+    rng = np.random.default_rng(36)
+    for _ in range(60):
+        values = rng.choice([0.0, 0.2, 0.5, 0.8, 1.0, *rng.uniform(0, 1, 4)],
+                            int(rng.integers(1, 15)))
+        for theta in (0.0, 0.2, 0.5):
+            cfg = SearchConfig(theta=theta, n_samples=int(rng.integers(1, 20)),
+                               seed=int(rng.integers(0, 1000)))
+            rows = search._candidates(values, cfg)
+            more = search._candidates(values, replace(cfg, n_samples=cfg.n_samples + 1))
+            assert rows.dtype == more.dtype == np.int64
+            assert rows.shape == (cfg.n_samples + 1, len(values))
+            assert np.array_equal(rows[:-1], more[:-2])
+            assert not rows[-1].any() and not more[-1].any()
+            assert set(np.unique(rows).tolist()) <= {0, 1}
 
 
 def test_search_deterministic():
