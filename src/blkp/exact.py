@@ -11,12 +11,14 @@ r = b - a1 . x (Brotcorne, Hanafi & Mansi, Oper. Res. Lett. 2009):
 2. One exact-weight leader table, `blkp.knapsack.best_of_each_weight`,
    gives G(W) = max d1 . x subject to a1 . x = W, and its best vector.
 
-Every reachable leader weight W yields the bilevel value G(W) + L(b - W),
-the table's `score` of the sums G(W) and W; the optimum is the best of
-them. The pool holds one entry per reachable
-weight, the best leader vector of that weight, best value first. Training
-labels are the optimum plus the best vectors of the next k best leader
-weights, a definition that depends on the instance alone.
+Every reachable leader weight W yields the bilevel value G(W) + L(b - W);
+the optimum is the best of them. Each W is at most min(b, W1), so b - W
+lies in [`lowest_residual`, b], the table's range, by construction, and
+L is read without the range check that `score` makes for outside
+callers. The pool holds one entry per reachable weight, the best leader
+vector of that weight, best value first. Training labels are the
+optimum plus the best vectors of the next k best leader weights, a
+definition that depends on the instance alone.
 
 Each table holds only its items no heavier than b.
 `blkp.knapsack.table_form` sizes each table on its own, picks its form,
@@ -53,20 +55,26 @@ class ExactResult:
 
 def lowest_residual(inst) -> int:
     """b - min(b, W), W the weight of the leader items no heavier than b: the least residual."""
-    return inst.b - min(inst.b, sum(inst.a1[inst.a1 <= inst.b].tolist()))
+    b = inst.b
+    return b - min(b, sum([w for w in inst.a1.tolist() if w <= b]))
 
 
 def solve_exact(inst, mode: Mode = Mode.OPTIMISTIC) -> ExactResult:
-    """Bilevel optimum and the per-weight pool; a table costs O(n * b), or O(n * 2^n) as a list."""
+    """Bilevel optimum and the per-weight pool; a table costs O(n * b), or O(n * 2^n) as a list.
+
+    The leaders' values G(W) + L(b - W) read L unchecked: every reached
+    W <= min(b, W1) leaves a residual in the follower table's range.
+    """
     # phase 1: L(r) and the reply for every reachable residual r
     follower = reply_table(inst, mode, lowest_residual(inst))
 
     # phase 2: G(W) at every reachable leader weight W, ascending
     weights, best_d1, leaders, leader_entries = best_of_each_weight(inst.d1, inst.a1, inst.b)
 
-    values = follower.score(best_d1, weights)
-    order = np.argsort(-values, kind="stable")  # ties toward the lighter leader
-    pool = leaders[order]
+    # every residual lies in the table's [lowest, b]: the values skip its range check
+    values = best_d1 + follower._leader_profit(inst.b - weights)
+    order = (-values).argsort(kind="stable")  # ties toward the lighter leader
+    pool = leaders.take(order, axis=0)  # faster than leaders[order], the same rows
 
     return ExactResult(
         opt_x=pool[0].astype(np.int64), opt_y=follower.reply(inst.b - int(weights[order[0]])),
@@ -81,4 +89,4 @@ def collect_labels(result: ExactResult, k: int = 10) -> list:
     small. A negative or non-integer k raises ValueError.
     """
     check_int("k", k, 0)  # true would run as 1, and 2.5 fail inside the slice
-    return [(x, int(v)) for x, v in zip(result.pool[:k + 1], result.pool_values[:k + 1])]
+    return list(zip(result.pool[:k + 1], result.pool_values[:k + 1].tolist()))

@@ -9,10 +9,12 @@ profit, the secondary term breaks ties by leader profit (maximized in
 optimistic mode, minimized in pessimistic mode). Its `ReplyTable`
 answers every residual r in [lowest, b]: the reply, its leader profit
 L(r), and the bilevel value d1 . x + L(b - a1 . x) of leaders given by
-their d1 and a1 sums (`score`). The table holds or fills only the cells
-a residual from lowest up can reach. `follower_response` answers one
-leader with the table of the instance at capacity r = b - a1 . x, read
-at r alone.
+their d1 and a1 sums (`score`), which refuses a residual out of range.
+`blkp.exact` and `blkp.search` work out their residuals within range
+themselves and read L through `_leader_profit`, unchecked. The table
+holds or fills only the cells a residual from lowest up can reach.
+`follower_response` answers one leader with the table of the instance
+at capacity r = b - a1 . x, read at r alone.
 
 Two tables are built: `at_most_table`, the best selection weighing at
 most c (a reply table, `knapsack_max`), and `best_of_each_weight`, the
@@ -247,7 +249,8 @@ def cover_row(profits, weights, capacity: int, min_capacity: int = 0) -> CoverTa
 
 
 # The most items a subset list is built for; `_use_list` refuses more. The
-# cache of `subsets` then holds fewer than 14 * 2^15 int64 entries, 3.5 MiB.
+# cache of `subsets` then holds fewer than 14 * 2^15 int64 entries, 3.5 MiB,
+# and that of its int8 copy 0.4 MiB.
 LIST_MAX_ITEMS = 14
 
 # `_use_list`'s cost model, in microseconds and nanoseconds
@@ -260,6 +263,14 @@ def subsets(n: int) -> np.ndarray:
     """The read-only (2^n, n) int64 0/1 matrix whose row k holds the bits of k, item 0 lowest."""
     k = np.arange(2 ** n, dtype=np.int64)
     bits = (k[:, None] >> np.arange(n)) & 1
+    bits.flags.writeable = False
+    return bits
+
+
+@lru_cache(maxsize=None)  # bounded as `subsets`
+def _subsets_int8(n: int) -> np.ndarray:
+    """`subsets(n)` as a read-only int8 matrix, the dtype of the exact-weight selections."""
+    bits = subsets(n).astype(np.int8)
     bits.flags.writeable = False
     return bits
 
@@ -323,9 +334,10 @@ def table_form(weights, capacity: int, min_capacity: int = 0):
     - A row allocates n times its cells per item; past MAX_DP_CELLS it
       raises DpTooLarge, naming n and the cells.
     """
-    kept = None if max(weights.tolist(), default=0) <= capacity else weights <= capacity
-    weights = (weights if kept is None else weights[kept]).tolist()
-    n, covered = len(weights), sum(weights)
+    listed = weights.tolist()
+    kept = None if max(listed, default=0) <= capacity else weights <= capacity
+    listed = listed if kept is None else [w for w in listed if w <= capacity]
+    n, covered = len(listed), sum(listed)
     capped = min(capacity, covered)
     length = min(covered - min(min_capacity, capped), capped) + 1
     if _use_list(n, length):
@@ -442,7 +454,7 @@ def at_most_table(profits, weights, capacity: int, min_capacity: int = 0):
         table = cover_row(profits, weights, capacity, min_capacity)
     else:
         w_sum, p_sum = _subset_sums(profits, weights)
-        order = np.argsort(-p_sum, kind="stable")
+        order = (-p_sum).argsort(kind="stable")
         table = ListTable(order, p_sum[order], -np.minimum.accumulate(w_sum[order]), len(weights))
     return table if kept is None else replace(table, kept=kept)
 
@@ -457,8 +469,10 @@ def best_of_each_weight(profits, weights, capacity: int):
     picks the form: the exact-weight row of `knapsack_row` read back by
     `trace`, or the subset list sorted by weight, then profit descending,
     then k ascending, whose first entry per weight is the best selection
-    with the smallest k, as traced. Each selection holds a 0 for a
-    dropped item.
+    with the smallest k, as traced. The list masks out the weights past
+    the capacity only when it is below W, the kept items' weight sum;
+    otherwise every selection fits. Its selections are rows of the cached
+    int8 `subsets`. Each selection holds a 0 for a dropped item.
     """
     form, capped, kept = table_form(weights, capacity)
     if kept is not None:
@@ -470,9 +484,11 @@ def best_of_each_weight(profits, weights, capacity: int):
         first = np.empty(len(order), dtype=bool)
         first[0] = True
         np.not_equal(w_sorted[1:], w_sorted[:-1], out=first[1:])
-        first &= w_sorted <= capped
+        if capped < w_sorted[-1]:  # the full selection weighs W; below it some do not fit
+            first &= w_sorted <= capped
         best = order[first]
-        selections = _spread(subsets(len(weights))[best].astype(np.int8), kept)
+        # take gathers rows several times faster than fancy indexing
+        selections = _spread(_subsets_int8(len(weights)).take(best, axis=0), kept)
         return w_sorted[first], p_sum[best], selections, len(order)
     row, take = knapsack_row(profits, weights, capped)
     reached = np.flatnonzero(row >= 0)

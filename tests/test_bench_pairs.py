@@ -1,6 +1,7 @@
 """tools/bench_pairs.py runs both trees once per seed, alternating, and reports the pairs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -57,8 +58,35 @@ def test_pairs_alternate_and_report_medians(tmp_path, monkeypatch, capsys):
     assert "seed 2 (change first): throughput_per_s 200 -> 220, op_ms_p50 2 -> 2" in out
     # medians over seeds 1, 2, 3, 5, and the parent's interquartile range
     line = next(row for row in out.splitlines() if row.startswith("throughput_per_s"))
-    assert line.split() == ["throughput_per_s", "250", "275", "+10.0%", "325"]
+    # neither tree has a BENCHMARK.json, so no metric has a better side
+    assert line.split() == ["throughput_per_s", "250", "275", "+10.0%", "325", "n/a"]
     assert (tree_files(parent), tree_files(change)) == before
+
+
+def write_directions(tree, better):
+    (tree / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": name, "better": way} for name, way in better.items()]}))
+
+
+def test_wins_count_the_pairs_the_change_read_better(tmp_path, monkeypatch, capsys):
+    tool = load_tool()
+    monkeypatch.setenv("PAIRS_LOG", str(tmp_path / "log.txt"))
+    # the change is slower on seed 1 alone; op_ms_p50 is 2.0 on both sides
+    parent = fake_tree(tmp_path, "parent", 100)
+    change = fake_tree(tmp_path, "change", "(90 if int(seed) == 1 else 110)")
+    write_directions(parent, {"throughput_per_s": "higher", "op_ms_p50": "lower"})
+    # the change's own file is not read: with it, throughput would read 1/4
+    write_directions(change, {"throughput_per_s": "lower"})
+    assert tool.main([str(parent), str(change), "--workload", "w", "--seeds", "1-4"]) == 0
+    rows = {row.split()[0]: row.split()[-1] for row in capsys.readouterr().out.splitlines()
+            if row.startswith(("throughput_per_s", "op_ms_p50"))}
+    assert rows == {"throughput_per_s": "3/4", "op_ms_p50": "0/4"}  # a tie counts for neither
+    # a metric the parent's file does not list reads n/a
+    write_directions(parent, {"throughput_per_s": "higher"})
+    assert tool.main([str(parent), str(change), "--workload", "w", "--seeds", "1"]) == 0
+    line = next(row for row in capsys.readouterr().out.splitlines()
+                if row.startswith("op_ms_p50"))
+    assert line.split()[-1] == "n/a"
 
 
 def test_a_run_that_is_not_correct_exits_1(tmp_path, monkeypatch, capsys):

@@ -174,6 +174,7 @@ def test_collect_labels_ordering_and_k_zero():
     only_opt = collect_labels(res, k=0)
     assert len(only_opt) == 1
     assert only_opt[0][1] == res.opt_value
+    assert all(type(v) is int for _, v in labels)
 
 
 def test_collect_labels_rejects_negative_k():
@@ -385,6 +386,21 @@ def test_lowest_residual_counts_the_leader_items_that_fit():
     assert lowest_residual(inst) == 2
     assert lowest_residual(replace(inst, b=9)) == 0
     assert lowest_residual(replace(inst, b=1)) == 1
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_pool_residuals_lie_in_the_follower_tables_range(mode, monkeypatch):
+    # solve_exact reads L(b - W) without the table's range check; the
+    # checked `score` raises if a pool leader's residual leaves [lowest, b]
+    for _ in each_form(monkeypatch):
+        rng = np.random.default_rng(37)
+        for _ in range(60):
+            inst = random_instance(rng, int(rng.integers(1, 9)), int(rng.integers(1, 9)))
+            inst = replace(inst, b=int(rng.integers(0, inst.total_weight + 1)))
+            res = solve_exact(inst, mode)
+            table = reply_table(inst, mode, lowest_residual(inst))
+            scores = table.score(res.pool @ inst.d1, res.pool @ inst.a1)
+            assert scores.tolist() == res.pool_values.tolist()
 
 
 # sha256 of the oracle's answers on 300 random instances of 1-8 items a side,

@@ -304,6 +304,9 @@ def test_batch_loss_ragged_matches_per_instance_reference():
 # forward's, the backward's or Adam's arithmetic, down to the last bit,
 # changes it
 HISTORY_SHA256 = "a830273510c9898d18be2eecc8a40431b53761ea592847fdcf66bf1f60d84f9f"
+# sha256 of the trained weights of the same run: the losses can round a
+# gradient sum reordered by an ulp away, the weights keep it
+PARAMS_SHA256 = "1c1be023efeab24fa963d9fa664c19fb9bd1d701b2de45f2d628a3e390809fb2"
 
 
 def test_training_history_bits_are_pinned():
@@ -315,3 +318,4 @@ def test_training_history_bits_are_pinned():
     result = train(instances, train_set, val_set, PnaConfig(), cfg)
     assert len(result.history) == 4
     assert hashlib.sha256(np.array(result.history).tobytes()).hexdigest() == HISTORY_SHA256
+    assert hashlib.sha256(result.params.flat.tobytes()).hexdigest() == PARAMS_SHA256

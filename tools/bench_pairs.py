@@ -7,10 +7,13 @@ For each seed, runs `perfbench/run.py --workload W --seed S --seconds T
 --trace 0` once in each tree, from that tree's root, with the tree that
 runs first alternating from seed to seed (the parent first on the first
 seed). Prints every pair, then for each end-to-end metric the median of
-each side and the interquartile range of the parent's runs. Exits 1 if
-any run exits non-zero, prints no result line, or reports itself not
-`correct`. Python writes no bytecode into either tree, and `--trace 0`
-writes no trace, so neither tree gains a file.
+each side, the interquartile range of the parent's runs and how many
+pairs the change read better. Which way is better comes from the parent
+tree's BENCHMARK.json (`end_to_end[].better`, "higher" or "lower"); a
+tie counts for neither side, and a metric it does not list reads "n/a".
+Exits 1 if any run exits non-zero, prints no result line, or reports
+itself not `correct`. Python writes no bytecode into either tree, and
+`--trace 0` writes no trace, so neither tree gains a file.
 """
 
 import argparse
@@ -61,19 +64,34 @@ def quartile_range(values):
     return q3 - q1
 
 
-def summary(pairs):
-    """Lines of each metric's medians, change and parent interquartile range over `pairs`.
+def directions(tree):
+    """{metric: +1 if higher is better, -1 if lower} of `tree`'s BENCHMARK.json end-to-end list."""
+    path = tree / "BENCHMARK.json"
+    if not path.exists():
+        return {}
+    sign = {"higher": 1, "lower": -1}
+    return {m["name"]: sign[m["better"]] for m in json.loads(path.read_text())["end_to_end"]}
 
-    `pairs` holds (parent metrics, change metrics) dicts of complete pairs.
+
+def summary(pairs, better):
+    """Lines of each metric's medians, change, parent interquartile range and wins over `pairs`.
+
+    `pairs` holds (parent metrics, change metrics) dicts of complete pairs;
+    `better` maps a metric to its `directions` sign. A win is a pair the
+    change read strictly better; a metric without a sign reads "n/a".
     """
     lines = [f"{'metric':<18} {'parent median':>15} {'change median':>15} {'change':>8} "
-             f"{'parent IQR':>12}"]
+             f"{'parent IQR':>12} {'better':>7}"]
     for name in (n for n in pairs[0][0] if n in pairs[0][1]):
         parent = [p[name] for p, _ in pairs]
         change = [c[name] for _, c in pairs]
         mp, mc = statistics.median(parent), statistics.median(change)
         pct = f"{100 * (mc - mp) / mp:+.1f}%" if mp else "n/a"
-        lines.append(f"{name:<18} {mp:>15.6g} {mc:>15.6g} {pct:>8} {quartile_range(parent):>12.4g}")
+        sign = better.get(name)
+        wins = "n/a" if sign is None else \
+            f"{sum(sign * (c - p) > 0 for p, c in zip(parent, change))}/{len(pairs)}"
+        lines.append(f"{name:<18} {mp:>15.6g} {mc:>15.6g} {pct:>8} "
+                     f"{quartile_range(parent):>12.4g} {wins:>7}")
     return lines
 
 
@@ -110,7 +128,7 @@ def main(argv=None):
             print(f"seed {seed} ({order[0]} first): {shown}", flush=True)
     if pairs:
         print(f"\n{args.workload}: {len(pairs)} pairs of {args.seconds:g} s runs")
-        print("\n".join(summary(pairs)))
+        print("\n".join(summary(pairs, directions(trees["parent"]))))
     if failures:
         print(f"{len(failures)} run(s) failed or were not correct", file=sys.stderr)
         return 1
