@@ -7,12 +7,12 @@ r = b - a1 . x it leaves (Brotcorne, Hanafi & Mansi, Oper. Res. Lett.
 lexicographically combined profits: the primary term ranks by follower
 profit, the secondary term breaks ties by leader profit (maximized in
 optimistic mode, minimized in pessimistic mode). Its `ReplyTable`
-answers every residual r in [lowest, b]: the reply, its leader profit
-L(r), and the bilevel value d1 . x + L(b - a1 . x) of leaders given by
-their d1 and a1 sums (`score`), which refuses a residual out of range.
-`blkp.exact` and `blkp.search` work out their residuals within range
-themselves and read L through `_leader_profit`, unchecked. The table
-holds or fills only the cells a residual from lowest up can reach.
+answers every residual r in [lowest, b] with the reply and its leader
+profit L(r), and refuses a residual out of range. The table holds or
+fills only the cells a residual from lowest up can reach.
+`score_leaders` builds the table for a set of leaders, given by their
+d1 and a1 sums, and scores them d1 . x + L(b - a1 . x): the exact
+oracle and the search both score through it.
 `follower_response` answers one leader with the table of the instance
 at capacity r = b - a1 . x, read at r alone.
 
@@ -562,10 +562,9 @@ class ReplyTable:
     """The follower's reply to every leader, by the residual r = b - a1 . x it leaves.
 
     `reply_table` builds it, one per (instance, mode). `reply(r)` and
-    `leader_profit(r)` answer every integer residual r in [lowest, b], in
-    every form, and `leader_profit` an array of them too; any other r, a
-    float, a bool or an array given to `reply` among them, raises
-    ValueError.
+    `leader_profit(r)` answer one integer residual r in [lowest, b], in
+    every form; any other r, a float, a bool or an array among them,
+    raises ValueError.
 
     The table's value at r is M * z + d2_sum (optimistic) or
     M * z - d2_sum (pessimistic), with 0 <= d2_sum < M: value mod M
@@ -579,41 +578,33 @@ class ReplyTable:
     table: CoverTable | ListTable = field(repr=False)  # combined values, follower items
 
     @staticmethod
-    def _check(name: str, r, lo: int, hi: int, scalar: bool = False):
-        """r, refused with ValueError naming it unless it holds signed integers in [lo, hi].
+    def _check(name: str, r, lo: int, hi: int) -> int:
+        """r as an int, refused with ValueError naming it unless one signed integer in [lo, hi].
 
         A Python int in range, the common case, is returned as it is,
-        without numpy; anything else as an array: a numpy signed integer
-        or, unless one `scalar` is needed, an array of them passes, a
-        float, a bool or an unsigned integer does not.
+        without numpy; a numpy signed integer or a 0-d array of one
+        passes, a float, a bool, an unsigned integer or an array with an
+        axis does not.
         """
         if type(r) is int and lo <= r <= hi:
             return r
         a = np.asarray(r)
-        if a.dtype.kind == "i" and not (scalar and a.ndim) and (
-                not a.size or lo <= a.min() and a.max() <= hi):
-            return a
+        if a.dtype.kind == "i" and not a.ndim and lo <= a <= hi:
+            return int(a)
         raise ValueError(f"{name} must lie in [{lo}, {hi}] and be an integer, got {r}")
 
     def reply(self, r: int) -> np.ndarray:
         """The tie-broken reply y at residual capacity r."""
-        return self.table.selection(int(self._check("r", r, self.lowest, self.b, scalar=True)))
+        return self.table.selection(self._check("r", r, self.lowest, self.b))
 
-    def leader_profit(self, r):
-        """L(r) = d2 . reply(r) at a residual r, or an int64 array of them."""
+    def leader_profit(self, r: int):
+        """L(r) = d2 . reply(r) at residual capacity r, an int64."""
         return self._leader_profit(self._check("r", r, self.lowest, self.b))
 
     def _leader_profit(self, r):
-        """`leader_profit` of residuals the caller has already kept within [lowest, b]."""
+        """`leader_profit` of a residual or an array of them, kept in [lowest, b] by the caller."""
         value = self.table.values(r)
         return value % self.m if self.mode is Mode.OPTIMISTIC else -value % self.m
-
-    def score(self, d1_sums, weights):
-        """d1_sums + L(b - weights): the bilevel value of leaders by their d1 . x and a1 . x.
-
-        Scalars or int64 arrays; a weight above b - lowest raises ValueError.
-        """
-        return d1_sums + self.leader_profit(self.b - weights)
 
 
 def reply_table(inst, mode: Mode, lowest: int = 0, b: int | None = None) -> ReplyTable:
@@ -631,10 +622,24 @@ def reply_table(inst, mode: Mode, lowest: int = 0, b: int | None = None) -> Repl
     integer, raises ValueError.
     """
     mode = Mode(mode)
-    b = inst.b if b is None else int(ReplyTable._check("b", b, 0, inst.b, scalar=True))
-    lowest = int(ReplyTable._check("lowest", lowest, 0, b, scalar=True))
+    b = inst.b if b is None else ReplyTable._check("b", b, 0, inst.b)
+    lowest = ReplyTable._check("lowest", lowest, 0, b)
     combined, m = combined_profits(inst, mode)
     return ReplyTable(mode, m, b, lowest, at_most_table(combined, inst.a2, b, lowest))
+
+
+def score_leaders(inst, mode: Mode, d1_sums, weights):
+    """The reply table for leaders of a1 sums `weights`, and their values d1_sums + L(b - weights).
+
+    weights is a non-empty int64 array of sums a1 . x >= 0, d1_sums the
+    leaders' d1 . x alongside. The table is built from
+    the residual b minus the heaviest weight, so every residual the
+    leaders leave lies in its range by construction, and L is read
+    unchecked: the library's one such read. A weight above b leaves a
+    residual below 0, which `reply_table` refuses.
+    """
+    table = reply_table(inst, mode, inst.b - int(weights[weights.argmax()]))
+    return table, d1_sums + table._leader_profit(inst.b - weights)
 
 
 def follower_response(inst, x_bar, mode: Mode = Mode.OPTIMISTIC) -> FollowerResponse:

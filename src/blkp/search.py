@@ -5,13 +5,11 @@ probabilities: values in [0, theta] are fixed to 0, values in
 [1 - theta, 1] are fixed to 1, the rest are Bernoulli draws, and the
 all-zeros leader is always scored as a fallback, last. The candidates
 fill one (N + 1, n1) array, and the rows for N samples are the first N
-rows for N + 1. One `blkp.knapsack.reply_table` scores every feasible
-candidate x, d1 . x + L(b - a1 . x), and gives the winner's reply; the
-search worked out the residuals b - a1 . x itself, so it reads the table
-without the range check its public readers make. Only the residuals
-from b minus the heaviest feasible candidate's weight up to b are read,
-so the table is asked for those alone, and `blkp.knapsack.table_form`
-sizes it.
+rows for N + 1. `blkp.knapsack.score_leaders` scores every feasible
+candidate x, d1 . x + L(b - a1 . x), through one reply table built for
+the residuals from b minus the heaviest feasible candidate's weight up
+to b alone, which `blkp.knapsack.table_form` sizes; the same table gives
+the winner's reply.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ import numpy as np
 from .graphrep import DEFAULT_NORM, NormalizationScheme
 from .instance import check_int, is_number
 # follower_response stays bound here: perfbench/tracing.py's patch table wraps it by name
-from .knapsack import Mode, follower_response, reply_table  # noqa: F401
+from .knapsack import Mode, follower_response, score_leaders  # noqa: F401
 from .pnanet import forward
 
 _MODES = tuple(Mode)  # a member or its string value; a tuple compares without hashing
@@ -103,9 +101,7 @@ def solution_search(inst, final_values, cfg: SearchConfig) -> SearchResult:
     weights = xs @ inst.a1
     feasible = weights <= inst.b
     xs, weights = xs[feasible], weights[feasible]
-    follower = reply_table(inst, cfg.mode, inst.b - int(weights.max()))
-    # every residual lies in the table's [lowest, b]: the scores skip its range check
-    scores = xs @ inst.d1 + follower._leader_profit(inst.b - weights)
+    follower, scores = score_leaders(inst, cfg.mode, xs @ inst.d1, weights)
     best = int(np.argmax(scores))
     return SearchResult(
         best_x=xs[best], best_y=follower.reply(inst.b - int(weights[best])),

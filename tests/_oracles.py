@@ -112,6 +112,18 @@ def search_brute(inst, final_values, cfg):
     return best[0], best[1], len(samples), infeasible, len(seen)
 
 
+def lowest_residual(inst):
+    """b - min(b, W1), W1 the weight of the leader items no heavier than b: a lower bound on the
+    residual a leader leaves."""
+    return inst.b - min(inst.b, int(inst.a1[inst.a1 <= inst.b].sum()))
+
+
+def heaviest_leader(inst):
+    """The heaviest leader weight a1 . x <= b, by enumeration."""
+    weights = all_subsets(inst.n1) @ inst.a1
+    return int(weights[weights <= inst.b].max())
+
+
 def random_instance(rng, n1, n2, value_max=30, alpha=(0.4, 0.9)):
     """Small random instance for oracle comparisons."""
     from blkp.instance import BlkpInstance

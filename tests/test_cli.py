@@ -17,6 +17,8 @@ from blkp.pnanet import ModelParams, PnaConfig, load_checkpoint, save_checkpoint
 from blkp.search import SearchConfig, solve_heuristic
 from blkp.trainer import TrainConfig
 
+from _oracles import lowest_residual
+
 
 @pytest.fixture
 def instance_dir(tmp_path):
@@ -500,17 +502,17 @@ def test_oversized_instance_in_directory_names_the_file_and_writes_nothing(tmp_p
     assert not out.exists()
 
 
-def test_exact_names_the_follower_table_where_both_are_past_the_budget(tmp_path, capsys):
+def test_exact_names_the_leader_table_where_both_are_past_the_budget(tmp_path, capsys):
     # 16 leader and 15 follower items of 1e7 at b = 1.4e8: both rows are
-    # past the budget, and the follower's, built first, is the one named
+    # past the budget, and the leader's, built first, is the one named
     inst = BlkpInstance(16, 15, [10 ** 7] * 16, [1] * 16, [10 ** 7] * 15, [1] * 15, [1] * 15,
                         14 * 10 ** 7)
     path = tmp_path / "both.json"
     write_instance(inst, path)
     assert main(["exact", "--instances", str(path)]) == 1
     assert capsys.readouterr().err == (
-        f"error: {path}: DP table for n=15 items up to capacity 140000000, read from 0, "
-        "needs 2100000015 cells, above the budget of 1e+08\n")
+        f"error: {path}: DP table for n=16 items up to capacity 140000000, read from 0, "
+        "needs 2240000016 cells, above the budget of 1e+08\n")
 
 
 def covering_instance(b):
@@ -575,11 +577,12 @@ def test_solve_asks_for_the_table_a_search_builds(tmp_path, monkeypatch, capsys)
     # the search reads its follower table from b minus its heaviest candidate,
     # never below: at a budget of 9e4 cells the table from the lowest residual
     # any leader leaves is refused, and `solve` still answers as the library does
-    from blkp import exact, knapsack
+    from blkp import knapsack
     monkeypatch.setattr(knapsack, "MAX_DP_CELLS", 9 * 10 ** 4)
     inst = generate(GenConfig(10, 20, seed=1))
-    with pytest.raises(DpTooLarge, match=f"read from {exact.lowest_residual(inst)},"):
-        table_form(inst.a2, inst.b, exact.lowest_residual(inst))
+    lowest = lowest_residual(inst)
+    with pytest.raises(DpTooLarge, match=f"read from {lowest},"):
+        table_form(inst.a2, inst.b, lowest)
     params, norm, _meta = load_checkpoint(DESK_CHECKPOINT)
     want = solve_heuristic(inst, params, SearchConfig(), norm)
     path, out = tmp_path / "inst.json", tmp_path / "out.json"
@@ -589,7 +592,7 @@ def test_solve_asks_for_the_table_a_search_builds(tmp_path, monkeypatch, capsys)
     (record,) = json.loads(out.read_text())["results"]
     assert (record["best_value"], record["best_x"]) == (want.best_value, want.best_x.tolist())
     assert main(["exact", "--instances", str(path)]) == 1
-    assert f"read from {exact.lowest_residual(inst)}," in capsys.readouterr().err
+    assert f"read from {lowest}," in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["exact", "solve", "bench"])

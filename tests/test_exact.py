@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from blkp import exact, knapsack
-from blkp.exact import collect_labels, lowest_residual, solve_exact
+from blkp import knapsack
+from blkp.exact import collect_labels, solve_exact
 from blkp.instance import BlkpInstance, GenConfig, generate
 from blkp.knapsack import (DpTooLarge, MAX_DP_CELLS, UINT32_MAX, CoverTable, Mode,
                            combined_profits, evaluate_bilevel, follower_response, knapsack_max,
@@ -13,7 +13,8 @@ from blkp.knapsack import (DpTooLarge, MAX_DP_CELLS, UINT32_MAX, CoverTable, Mod
 from blkp.search import SearchConfig, solution_search
 
 from _forms import each_form, force
-from _oracles import bilevel_brute, follower_brute, pool_brute, random_instance
+from _oracles import (bilevel_brute, follower_brute, heaviest_leader, lowest_residual,
+                      pool_brute, random_instance)
 
 
 def test_tiny_instance_optimum(monkeypatch):
@@ -208,10 +209,6 @@ def assert_matches_brute(inst, mode):
         assert follower.leader_profit(r) == leader_value
         assert int(inst.c @ y) == z and int(inst.d2 @ y) == leader_value
         assert int(inst.a2 @ y) <= r
-    every_r = np.arange(inst.b + 1)
-    assert follower.leader_profit(every_r).dtype == np.int64
-    assert follower.leader_profit(every_r).tolist() == [
-        follower.leader_profit(r) for r in every_r]
     return res
 
 
@@ -226,28 +223,34 @@ def test_node_count_is_the_capped_tables_cells(monkeypatch):
     assert solve_exact(replace(inst, b=3)).node_count == 3 * 4 + 2 * 4
 
 
-def test_follower_table_is_read_from_the_lowest_reachable_residual(monkeypatch):
-    # a1 sums to 5, a2 to 4: the follower table is asked for the residuals
-    # from b - min(b, 5) up. Its covering row writes min(W - that, b) + 1
-    # cells per item, W = 4 the weights, beside the dense leader row's
-    # min(b, W1) + 1, W1 the weight of the leader items no heavier than b:
-    # at b = 2 the row keeps one leader item, and at b = 0 neither row
-    # keeps any
-    force(monkeypatch, "row")
+def record_lowest(monkeypatch):
+    """The lowest residual of every reply table built, in order, until the test ends."""
     asked = []
 
     def recording(inst, mode, lowest=0):
         asked.append(lowest)
         return reply_table(inst, mode, lowest)
 
-    monkeypatch.setattr(exact, "reply_table", recording)
+    monkeypatch.setattr(knapsack, "reply_table", recording)
+    return asked
+
+
+def test_follower_table_is_read_from_the_lowest_reachable_residual(monkeypatch):
+    # a1 = [2, 3], a2 sums to 4: the follower table is asked for the
+    # residuals from b minus the heaviest leader weight up to b. Its covering
+    # row writes min(W - that, b) + 1 cells per item, W = 4 the weights,
+    # beside the dense leader row's min(b, W1) + 1, W1 the weight of the
+    # leader items no heavier than b: at b = 2 the row keeps one leader
+    # item, and at b = 0 neither row keeps any
+    force(monkeypatch, "row")
+    asked = record_lowest(monkeypatch)
     inst = BlkpInstance(2, 3, a1=[2, 3], d1=[4, 1], a2=[1, 1, 2], d2=[1, 2, 3],
                         c=[2, 2, 1], b=7)
     for b, lowest, node_count in ((7, 2, 3 * 3 + 2 * 6), (5, 0, 3 * 5 + 2 * 6),
                                   (3, 0, 3 * 4 + 2 * 4), (2, 0, 3 * 3 + 1 * 3),
                                   (0, 0, 0 * 1 + 0 * 1)):
         at_b = replace(inst, b=b)
-        assert lowest_residual(at_b) == lowest
+        assert b - heaviest_leader(at_b) == lowest
         res = assert_matches_brute(at_b, Mode.OPTIMISTIC)
         assert asked[-1] == lowest and res.node_count == node_count
 
@@ -282,6 +285,12 @@ def test_one_kept_item_is_a_list_of_two_selections():
 def test_rows_capped_at_total_weight(monkeypatch, mode):
     # b above the follower's total weight, then above the leader's
     force(monkeypatch, "row")
+    # a1 = [12, 12, 1, 3] at b = 18: no leader weighs more than 16, so the
+    # follower's row is read from 2, 2 x (9 - 2 + 1) cells, not from
+    # 18 - min(18, 28) = 0, 2 x 10, beside the leader's 4 x 19
+    inst = BlkpInstance(4, 2, a1=[12, 12, 1, 3], d1=[3, 3, 7, 5], a2=[6, 3], d2=[12, 9],
+                        c=[8, 2], b=18)
+    assert assert_matches_brute(inst, mode).node_count == 2 * 8 + 4 * 19
     rng = np.random.default_rng(12)
     for k in range(60):
         inst = random_instance(rng, int(rng.integers(1, 6)), int(rng.integers(1, 6)),
@@ -294,9 +303,10 @@ def test_rows_capped_at_total_weight(monkeypatch, mode):
         assert follower.table.take.shape == (len(kept), min(inst.b, int(kept.sum())) + 1)
         assert follower.b == inst.b
         res = assert_matches_brute(inst, mode)
-        # read from the lowest residual, the covering row writes min(top, b) + 1
-        # cells per kept item, top = W - lowest with W the kept weights' sum
-        top = int(kept.sum()) - lowest_residual(inst)
+        # read from b minus the heaviest leader, the covering row writes
+        # min(top, b) + 1 cells per kept item, top = W - that residual with
+        # W the kept weights' sum
+        top = int(kept.sum()) - (inst.b - heaviest_leader(inst))
         assert res.node_count == (len(kept) * (min(top, inst.b) + 1)
                                   + inst.n1 * (min(inst.b, int(inst.a1.sum())) + 1))
 
@@ -379,28 +389,52 @@ def test_a_leader_item_heavier_than_b_is_not_tabled(mode):
     assert not res.pool[:, 0].any()
 
 
-def test_lowest_residual_counts_the_leader_items_that_fit():
-    # a1 = [2, 3, 9]: at b = 7 the item of 9 fits no leader, so the lowest
-    # residual is 7 - 5 = 2, not 7 - min(7, 14) = 0
+def test_lowest_residual_counts_the_leader_items_that_fit(monkeypatch):
+    # a1 = [2, 3, 9]: at b = 7 the item of 9 fits no leader, so the follower
+    # table is read from 7 - 5 = 2, not 7 - min(7, 14) = 0
     inst = BlkpInstance(3, 1, a1=[2, 3, 9], d1=[1, 1, 1], a2=[4], d2=[1], c=[1], b=7)
-    assert lowest_residual(inst) == 2
-    assert lowest_residual(replace(inst, b=9)) == 0
-    assert lowest_residual(replace(inst, b=1)) == 1
+    asked = record_lowest(monkeypatch)
+    for b in (7, 9, 1):
+        solve_exact(replace(inst, b=b))
+    assert asked == [2, 0, 1]
 
 
 @pytest.mark.parametrize("mode", list(Mode))
-def test_pool_residuals_lie_in_the_follower_tables_range(mode, monkeypatch):
-    # solve_exact reads L(b - W) without the table's range check; the
-    # checked `score` raises if a pool leader's residual leaves [lowest, b]
-    for _ in each_form(monkeypatch):
+def test_tables_no_wider_than_the_drop_rule_bound(mode, monkeypatch):
+    # the follower table starts at b minus the heaviest reached leader
+    # weight, never below b - min(b, W1): the tables hold at most the leader
+    # table's entries plus those of the follower table from that bound, and
+    # a row, unlike a list, often fewer
+    for form in each_form(monkeypatch):
         rng = np.random.default_rng(37)
+        narrower = 0
         for _ in range(60):
             inst = random_instance(rng, int(rng.integers(1, 9)), int(rng.integers(1, 9)))
             inst = replace(inst, b=int(rng.integers(0, inst.total_weight + 1)))
             res = solve_exact(inst, mode)
-            table = reply_table(inst, mode, lowest_residual(inst))
-            scores = table.score(res.pool @ inst.d1, res.pool @ inst.a1)
-            assert scores.tolist() == res.pool_values.tolist()
+            bound = (knapsack.best_of_each_weight(inst.d1, inst.a1, inst.b)[3]
+                     + reply_table(inst, mode, lowest_residual(inst)).table.entries)
+            assert res.node_count <= bound
+            narrower += res.node_count < bound
+        assert narrower > 0 if form == "row" else narrower == 0
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_a_table_the_drop_rule_bound_refuses_is_answered(mode, monkeypatch):
+    # a1 = [10, 10] at b = 19: no leader weighs more than 10, so the
+    # follower's row is read from 9, 3 x (18 - 9 + 1) cells, not from
+    # 19 - min(19, 20) = 0, 3 x 19; at a budget of 50 cells the second is
+    # refused and the first answers, beside the leader's 2 x 20
+    force(monkeypatch, "row")
+    monkeypatch.setattr(knapsack, "MAX_DP_CELLS", 50)
+    inst = BlkpInstance(2, 3, a1=[10, 10], d1=[4, 3], a2=[6, 6, 6], d2=[2, 5, 1], c=[3, 3, 3],
+                        b=19)
+    with pytest.raises(DpTooLarge, match="read from 0, needs 57 cells"):
+        knapsack.table_form(inst.a2, inst.b, lowest_residual(inst))
+    res = solve_exact(inst, mode)
+    x, y, value = bilevel_brute(inst, mode)
+    assert (res.opt_value, res.opt_x.tolist()) == (value, x.tolist())
+    assert res.node_count == 3 * 10 + 2 * 20
 
 
 # sha256 of the oracle's answers on 300 random instances of 1-8 items a side,

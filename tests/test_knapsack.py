@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 
 from blkp import knapsack
+from blkp.exact import solve_exact
 from blkp.instance import BlkpInstance
-from blkp.exact import lowest_residual
 from blkp.knapsack import (INT64_MAX, LIST_MAX_ITEMS, MAX_DP_CELLS, UINT32_MAX, CoverTable,
                            DpTooLarge, InfeasibleLeader, ListTable, Mode, OverflowRiskError,
                            at_most_table, best_of_each_weight, combined_profits, cover_row,
                            evaluate_bilevel, follower_response, knapsack_max, knapsack_row,
-                           reply_table, trace)
+                           reply_table, score_leaders, trace)
 
 from _forms import each_form, force
-from _oracles import all_subsets, follower_brute, knapsack_brute, random_instance
+from _oracles import (all_subsets, follower_brute, knapsack_brute, lowest_residual,
+                      random_instance)
 
 
 def tiny_instance():
@@ -762,9 +763,6 @@ def test_follower_reply_table_matches_brute_force(mode, monkeypatch):
                 assert int(inst.d2 @ y) == leader_value
                 assert int(inst.a2 @ y) <= r
             assert np.array_equal(resp.reply(inst.b), follower_response(inst, zeros, mode).y)
-            every_r = np.arange(inst.b + 1)
-            assert np.array_equal(resp.leader_profit(every_r),
-                                  [resp.leader_profit(r) for r in every_r])
             for r in (-1, inst.b + 1):
                 with pytest.raises(ValueError, match="r must lie"):
                     resp.reply(r)
@@ -790,9 +788,8 @@ def test_reply_table_from_lowest(mode, monkeypatch):
             for lo in (0, int(rng.integers(0, top + 1)), top):
                 resp = reply_table(inst, mode, lo)
                 assert resp.lowest == lo
-                every_r = np.arange(lo, top + 1)
-                assert np.array_equal(resp.leader_profit(every_r), full.leader_profit(every_r))
-                for r in every_r:
+                for r in range(lo, top + 1):
+                    assert resp.leader_profit(r) == full.leader_profit(r)
                     assert np.array_equal(resp.reply(r), full.reply(r))
                 if lo > 0:
                     bounds = f"r must lie in \\[{lo}, {top}\\]"
@@ -810,7 +807,8 @@ def test_reply_table_from_lowest(mode, monkeypatch):
 @pytest.mark.parametrize("r", [3.5, 2.0, True, np.float64(2), np.uint64(2), np.array([2])],
                          ids=["fraction", "integral_float", "bool", "float64", "uint64", "array"])
 def test_non_integer_residual_refused_in_both_forms(monkeypatch, r):
-    # unchecked, the row would fail inside numpy and the list answer
+    # unchecked, the row would fail inside numpy and the list answer; an
+    # array is refused too, one residual being all either reader answers
     inst = BlkpInstance(1, 3, [1], [1], [2, 1, 1], [4, 1, 1], [2, 1, 1], 4)
     for _ in each_form(monkeypatch):
         resp = reply_table(inst, Mode.OPTIMISTIC)
@@ -819,9 +817,6 @@ def test_non_integer_residual_refused_in_both_forms(monkeypatch, r):
             resp.reply(r)
         with pytest.raises(ValueError, match="lowest must lie in \\[0, 4\\] and be an integer"):
             reply_table(inst, Mode.OPTIMISTIC, r)
-        if np.ndim(r):  # an array is one residual too many for reply alone
-            assert resp.leader_profit(r).tolist() == [resp.leader_profit(2)]
-            continue
         with pytest.raises(ValueError, match=bounds):
             resp.leader_profit(r)
         with pytest.raises(ValueError, match=bounds):
@@ -832,16 +827,13 @@ def test_non_integer_residual_refused_in_both_forms(monkeypatch, r):
             assert resp.leader_profit(good) == resp.leader_profit(2)
             narrowed = reply_table(inst, Mode.OPTIMISTIC, good)
             assert narrowed.lowest == 2 and narrowed.reply(4).tolist() == resp.reply(4).tolist()
-        every_r = np.arange(5)
-        assert resp.leader_profit(every_r).tolist() == [resp.leader_profit(c) for c in range(5)]
 
 
 @pytest.mark.parametrize("mode", list(Mode))
 def test_reply_table_matches_enumeration(mode, monkeypatch):
     # in each form, from lowest 0, the lowest residual any leader leaves, a
-    # drawn one and b: L(r), the reply and the score of a leader weighing
-    # b - r answer as enumeration does at every r in
-    # range; a residual below lowest, a float or a bool is refused
+    # drawn one and b: L(r) and the reply answer as enumeration does at
+    # every r in range; a residual below lowest, a float or a bool is refused
     rng = np.random.default_rng(34)
     cases = [random_instance(rng, int(rng.integers(1, 5)), int(rng.integers(1, 8)),
                              value_max=int(rng.choice([3, 30])), alpha=(0.2, 0.9))
@@ -851,24 +843,66 @@ def test_reply_table_matches_enumeration(mode, monkeypatch):
             zeros = np.zeros(inst.n1, dtype=np.int64)
             for lo in {0, lowest_residual(inst), int(rng.integers(0, inst.b + 1)), inst.b}:
                 table = reply_table(inst, mode, lo)
-                every_r = np.arange(lo, inst.b + 1)
-                d1_sums = rng.integers(0, 100, len(every_r))
-                want = []
-                for r, d1 in zip(every_r.tolist(), d1_sums.tolist()):
+                for r in range(lo, inst.b + 1):
                     y, z, leader_value = follower_brute(replace(inst, b=r), zeros, mode)
                     assert table.leader_profit(r) == leader_value
                     assert table.reply(r).tolist() == y.tolist()
-                    assert table.score(d1, inst.b - r) == d1 + leader_value
-                    want.append(d1 + leader_value)
-                scores = table.score(d1_sums, inst.b - every_r)
-                assert scores.dtype == np.int64 and scores.tolist() == want
                 for bad in ([lo - 1] if lo else []) + [inst.b + 1, float(lo), True]:
                     with pytest.raises(ValueError, match="r must lie in"):
                         table.reply(bad)
                     with pytest.raises(ValueError, match="r must lie in"):
                         table.leader_profit(bad)
-                with pytest.raises(ValueError, match="r must lie in"):
-                    table.score(0, inst.b - lo + 1)
+
+
+def leader_sets(rng, inst):
+    """Leader vectors of one instance, an (R, n1) int64 matrix in random order:
+    the all-zeros leader, random feasible ones, two of them repeated, and one
+    weighing exactly b if any does."""
+    subs = all_subsets(inst.n1)
+    feasible = subs[subs @ inst.a1 <= inst.b]
+    drawn = feasible[rng.integers(0, len(feasible), int(rng.integers(1, 8)))]
+    at_b = feasible[feasible @ inst.a1 == inst.b][:1]
+    xs = np.concatenate([np.zeros((1, inst.n1), dtype=np.int64), drawn, drawn[:2], at_b])
+    return xs[rng.permutation(len(xs))]
+
+
+def assert_scores_match_brute(inst, mode, xs):
+    weights, d1_sums = xs @ inst.a1, xs @ inst.d1
+    table, values = score_leaders(inst, mode, d1_sums, weights)
+    assert (table.b, table.lowest) == (inst.b, inst.b - int(weights.max()))
+    assert values.dtype == np.int64
+    want = [follower_brute(inst, x, mode) for x in xs]
+    assert values.tolist() == [value for _y, _z, value in want]
+    for w, (y, _z, _value) in zip(weights.tolist(), want):
+        assert table.reply(inst.b - w).tolist() == y.tolist()
+    # a weight above b is refused by the table's own range
+    with pytest.raises(ValueError, match="lowest must lie in"):
+        score_leaders(inst, mode, d1_sums, np.append(weights, inst.b + 1))
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_score_leaders_matches_brute_force(mode, monkeypatch):
+    # in each form, a table built for a set of leaders answers from b minus
+    # the heaviest of them, and scores each as enumeration does: drawn sets
+    # with weight 0, exactly b and repeated weights among them, and the
+    # exact oracle's pool; b runs from 0 to the total weight, so often
+    # below max(a1), and also sits on a leader's weight
+    rng = np.random.default_rng(35)
+    cases = []
+    for k in range(40):
+        inst = random_instance(rng, int(rng.integers(1, 7)), int(rng.integers(1, 7)),
+                               value_max=int(rng.choice([3, 30])))
+        if k % 2:
+            inst = replace(inst, b=int(rng.integers(0, inst.total_weight + 1)))
+        elif k % 4 == 0:  # b on a leader's weight
+            inst = replace(inst, b=int(all_subsets(inst.n1)[int(rng.integers(0, 2 ** inst.n1))]
+                                       @ inst.a1))
+        cases.append((inst, leader_sets(rng, inst)))
+    assert any(inst.b in (xs @ inst.a1).tolist() for inst, xs in cases)
+    for _ in each_form(monkeypatch):
+        for inst, drawn in cases:
+            assert_scores_match_brute(inst, mode, drawn)
+            assert_scores_match_brute(inst, mode, solve_exact(inst, mode).pool.astype(np.int64))
 
 
 @pytest.mark.parametrize("mode", list(Mode))

@@ -46,10 +46,8 @@ def test_every_exception_the_library_raises_is_exported():
     assert missing == []
 
 
-def test_only_knapsack_knows_how_a_table_is_sized():
-    # a table is sized and refused only where it is built; docstrings may
-    # point at `table_form`, but no other module imports or reads it
-    private = {"table_form", "MAX_DP_CELLS", "LIST_MAX_ITEMS", "_use_list"}
+def names_outside_knapsack(private):
+    """Each use of a name in `private` by a module other than knapsack.py, as "file:line: name"."""
     files = sorted(path for path in SRC.glob("*.py") if path.name != "knapsack.py")
     assert files
     found = []
@@ -64,4 +62,18 @@ def test_only_knapsack_knows_how_a_table_is_sized():
             else:
                 continue
             found += [f"{path.name}:{node.lineno}: {name}" for name in names if name in private]
-    assert found == []
+    return found
+
+
+def test_only_knapsack_knows_how_a_table_is_sized():
+    # a table is sized and refused only where it is built; docstrings may
+    # point at `table_form`, but no other module imports or reads it
+    assert names_outside_knapsack({"table_form", "MAX_DP_CELLS", "LIST_MAX_ITEMS",
+                                   "_use_list"}) == []
+
+
+def test_only_knapsack_reads_a_reply_table_unchecked():
+    # `score_leaders` reads L without the range check, safe since it built
+    # the table for exactly the weights it reads; every other module
+    # scores through it or reads the checked `leader_profit`
+    assert names_outside_knapsack({"_leader_profit"}) == []

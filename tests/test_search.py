@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from blkp import search
+from blkp import knapsack, search
 from blkp.exact import solve_exact
 from blkp.instance import BlkpInstance, GenConfig, generate
 from blkp.knapsack import Mode, evaluate_bilevel, follower_response, reply_table
@@ -248,9 +248,9 @@ def test_search_equals_the_full_table_reference(monkeypatch, mode):
         lowest.append(lo)
         return reply_table(inst, mode, lo)
 
-    monkeypatch.setattr(search, "reply_table", recording)
+    monkeypatch.setattr(knapsack, "reply_table", recording)
     got = [solution_search(*case) for case in cases]
-    monkeypatch.setattr(search, "reply_table", lambda inst, mode, lo=0: reply_table(inst, mode))
+    monkeypatch.setattr(knapsack, "reply_table", lambda inst, mode, lo=0: reply_table(inst, mode))
     want = [solution_search(*case) for case in cases]
     for res, ref, (inst, _values, _cfg), lo in zip(got, want, cases, lowest):
         assert res.best_x.tolist() == ref.best_x.tolist()
