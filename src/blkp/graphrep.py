@@ -2,10 +2,11 @@
 
 Connectivity is implicit and never materialized: every leader node is
 adjacent to every follower node, the capacity node is adjacent to all item
-nodes, and there are no intra-group edges or edge features. Only the
-normalized node features are stored. A batch of graphs is their disjoint
-union: the rows of every graph stacked, with per-graph sizes, so one
-network pass serves the whole batch.
+nodes, and there are no intra-group edges or edge features. A graph holds
+what the network reads: its normalized node features, its per-graph sizes
+and, through them, one pair index (`TripartiteGraph.pairs`). A batch of
+graphs is their disjoint union: the rows of every graph stacked, with
+per-graph sizes, so one network pass serves the whole batch.
 """
 
 from __future__ import annotations
@@ -59,7 +60,8 @@ class TripartiteGraph:
 
     Leader rows and follower rows of every graph are stacked in graph
     order; `n1s`/`n2s` hold the per-graph sizes and `cap_feats` the
-    capacity feature of each graph. `build_graph` makes a union of one.
+    capacity feature of each graph. `pairs` is the union's pair index, the
+    one the network reads. `build_graph` makes a union of one.
     """
 
     leader_feats: np.ndarray    # (N1, 2): weight, leader profit
@@ -67,7 +69,6 @@ class TripartiteGraph:
     cap_feats: np.ndarray       # (K,)
     n1s: np.ndarray             # (K,) leader rows per graph
     n2s: np.ndarray             # (K,) follower rows per graph
-    norm: NormalizationScheme
 
     @property
     def n1(self) -> int:
@@ -78,14 +79,9 @@ class TripartiteGraph:
         return self.follower_feats.shape[0]
 
     @property
-    def leader_pairs(self):
-        """`own_major_pairs` of the leader-major pairs."""
-        return _pair_index(tuple(self.n1s.tolist()), tuple(self.n2s.tolist()))[0]
-
-    @property
-    def follower_pairs(self):
-        """`own_major_pairs` of the follower-major pairs."""
-        return _pair_index(tuple(self.n1s.tolist()), tuple(self.n2s.tolist()))[1]
+    def pairs(self):
+        """`own_major_pairs` of the leader-major and of the follower-major pairs."""
+        return _pair_index(tuple(self.n1s.tolist()), tuple(self.n2s.tolist()))
 
 
 @lru_cache(maxsize=8)
@@ -135,18 +131,15 @@ def build_graph(inst, norm: NormalizationScheme = DEFAULT_NORM) -> TripartiteGra
     cap = inst.b / inst.total_weight
     return TripartiteGraph(leader_feats=leader, follower_feats=follower,
                            cap_feats=np.array([cap], dtype=np.float64),
-                           n1s=np.array([inst.n1]), n2s=np.array([inst.n2]), norm=norm)
+                           n1s=np.array([inst.n1]), n2s=np.array([inst.n2]))
 
 
 def graph_union(graphs) -> TripartiteGraph:
     """The disjoint union of graphs (themselves unions) in the given order."""
     graphs = list(graphs)
-    norm = graphs[0].norm
-    if any(g.norm != norm for g in graphs):
-        raise ValueError("graphs of a union must share one normalization scheme")
     return TripartiteGraph(
         leader_feats=np.concatenate([g.leader_feats for g in graphs]),
         follower_feats=np.concatenate([g.follower_feats for g in graphs]),
         cap_feats=np.concatenate([g.cap_feats for g in graphs]),
         n1s=np.concatenate([g.n1s for g in graphs]),
-        n2s=np.concatenate([g.n2s for g in graphs]), norm=norm)
+        n2s=np.concatenate([g.n2s for g in graphs]))

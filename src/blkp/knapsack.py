@@ -666,22 +666,20 @@ class BilevelEvaluation:
 
 
 def evaluate_bilevel(inst, x, y, mode: Mode = Mode.OPTIMISTIC) -> BilevelEvaluation:
-    """Judge a candidate (x, y) pair.
+    """Judge a candidate (x, y) pair against the mode's `follower_response` to x.
 
     Feasible: shared capacity holds and y attains the follower's optimal
-    profit. Consistent: additionally y matches the mode's tie-break
-    optimum on the leader profit of follower items. The reply is read, as
-    `follower_response` reads it, from the table at the residual r the
-    leader leaves.
+    profit, the reply's z_star. Consistent: additionally the leader's
+    value at (x, y) is the reply's, so y matches the mode's tie-break
+    optimum on the leader profit of follower items.
     """
     x = binary_vector(x, inst.n1, "x")
     y = binary_vector(y, inst.n2, "y")
     leader_obj = int(inst.d1 @ x) + int(inst.d2 @ y)
     follower_obj = int(inst.c @ y)
-    r = inst.b - int(inst.a1 @ x)
-    if int(inst.a2 @ y) > r:
+    if int(inst.a1 @ x) + int(inst.a2 @ y) > inst.b:
         return BilevelEvaluation(False, False, leader_obj, follower_obj)
-    table = reply_table(inst, mode, r, b=r)
-    feasible = follower_obj == int(inst.c @ table.reply(r))
-    consistent = feasible and int(inst.d2 @ y) == int(table.leader_profit(r))
+    reply = follower_response(inst, x, mode)
+    feasible = follower_obj == reply.z_star
+    consistent = feasible and leader_obj == reply.leader_value
     return BilevelEvaluation(feasible, consistent, leader_obj, follower_obj)

@@ -13,7 +13,7 @@ backward reads and a backward that adds the weights' gradients:
 - `pool`/`pool_grad`: the network's one pooling of each run of
   consecutive rows (`Segments`, one per node's messages, of any mix of
   lengths): the `AGGREGATORS` mean, max and min at each of the
-  `SCALERS`, scaler-major, written into a given array if asked (the
+  `SCALERS`, scaler-major, written into the caller's array (the
   update's input, in `pnanet`). The rows are gathered once into a
   block, row j of every segment side by side: max and min reduce the
   block along its first axis, and their backward finds each winning row
@@ -124,23 +124,21 @@ SCALERS = (1.0, 0.7, 1.0 / 0.7)
 _SCALERS = np.array(SCALERS)
 
 
-def pool(x, seg: Segments, out=None):
-    """The network's pooling of each segment of x's rows, and what `pool_grad` reads.
+def pool(x, seg: Segments, out):
+    """Write the network's pooling of x's row segments into `out`; return what `pool_grad` reads.
 
     A segment's row is its `AGGREGATORS` side by side, repeated at each of
     the `SCALERS` (1, a, 1/a) times that scaler, scaler-major: [mean, max,
-    min, a*mean, a*max, a*min, mean/a, max/a, min/a]. The rows are written
-    into `out` if given, a (segments, pooled width) array or view whose
-    rows each lie contiguous, as a column slice's do: the scaled copies
-    are written through a (segments, scaler, 3 * width) view of it. The
-    mean stays on `np.add.reduceat`: the block's padding rows would enter
-    a sum. Max and min reduce x's rows gathered once into the block
-    `x[seg.block_rows]`, which `pool_grad` reads with the two extremes.
+    min, a*mean, a*max, a*min, mean/a, max/a, min/a]. `out` is the
+    caller's (segments, pooled width) array or view whose rows each lie
+    contiguous, as a column slice's do: the scaled copies are written
+    through a (segments, scaler, 3 * width) view of it. The mean stays on
+    `np.add.reduceat`: the block's padding rows would enter a sum. Max and
+    min reduce x's rows gathered once into the block `x[seg.block_rows]`,
+    which `pool_grad` reads with the two extremes.
     """
     block = x.take(seg.block_rows, axis=0)
     w = x.shape[1]
-    if out is None:
-        out = np.empty((len(seg.counts), len(AGGREGATORS) * len(SCALERS) * w))
     mean, hi, lo = out[:, :w], out[:, w:2 * w], out[:, 2 * w:3 * w]
     np.add.reduceat(x, seg.starts, axis=0, out=mean)
     np.divide(mean, seg.counts[:, None], out=mean)
@@ -149,7 +147,7 @@ def pool(x, seg: Segments, out=None):
     # (segments, scaler, aggregator columns), a view: base times 1.0 is base
     scaled = out.reshape(len(out), len(SCALERS), -1)
     np.multiply(scaled[:, :1], _SCALERS[1:, None], out=scaled[:, 1:])
-    return out, (block, hi, lo)
+    return block, hi, lo
 
 
 def pool_grad(g, x, saved, seg: Segments):

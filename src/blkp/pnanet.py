@@ -186,7 +186,7 @@ def _half_round(own, other, pairs, params: ModelParams, block: str, extra=None, 
         first = seg.starts[lo]
         msgs, msg_acts = msg.run((own[lo:hi], other),
                                  (other_rows[first:first + chunk.rows], chunk), keep)
-        _, saved = pool(msgs, chunk, pooled[lo:hi])
+        saved = pool(msgs, chunk, pooled[lo:hi])
     out, upd_acts = upd.run(x, keep=keep)
     return out, (msgs, msg_acts, saved, upd_acts) if keep else None
 
@@ -216,7 +216,8 @@ def _rounds(graph: TripartiteGraph, pairs, params: ModelParams, keep):
     with its graph's capacity feature as an extra column, then
     `cfg.iterations` weight-shared rounds update both from the same input
     generation; the last skips the followers' update, which nothing reads.
-    Leaders are group 0; `keep` is `_half_round`'s.
+    Leaders are group 0; `pairs` is the graph's `pairs`, read once by the
+    caller, and `pairs[own]` is group own's index; `keep` is `_half_round`'s.
     """
     rounds = params.cfg.iterations
     rows = [graph.leader_feats, graph.follower_feats]
@@ -241,7 +242,7 @@ def forward_tensor(graph: TripartiteGraph, params: ModelParams) -> Tensor:
     reverse pass until the `Tensor` is dropped.
     """
     rounds = params.cfg.iterations
-    pairs = (graph.leader_pairs, graph.follower_pairs)
+    pairs = graph.pairs
     leaders, steps = _rounds(graph, pairs, params, keep=True)
     decoder = params.mlps["decoder"]
     out, decoder_acts = decoder.run(leaders)  # (N1, 1) in (0, 1)
@@ -263,8 +264,7 @@ def forward_tensor(graph: TripartiteGraph, params: ModelParams) -> Tensor:
 
 def predict(graph: TripartiteGraph, params: ModelParams) -> np.ndarray:
     """`forward_tensor(graph, params).data`, bit for bit, keeping no record: (N1, 1)."""
-    pairs = (graph.leader_pairs, graph.follower_pairs)
-    leaders, _ = _rounds(graph, pairs, params, keep=False)
+    leaders, _ = _rounds(graph, graph.pairs, params, keep=False)
     return params.mlps["decoder"].run(leaders, keep=False)[0]
 
 

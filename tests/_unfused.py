@@ -405,13 +405,14 @@ def forward_tensor(graph, params, inputs=None) -> Tensor:
         inputs = network_inputs(graph)
     lf, ff, cap_l, cap_f = inputs
     rounds = params.cfg.iterations
-    x = half_round(lf, ff, graph.leader_pairs, params, "leader_enc", (cap_l,))
+    leader_pairs, follower_pairs = graph.pairs
+    x = half_round(lf, ff, leader_pairs, params, "leader_enc", (cap_l,))
     if rounds:
-        y = half_round(ff, lf, graph.follower_pairs, params, "follower_enc", (cap_f,))
+        y = half_round(ff, lf, follower_pairs, params, "follower_enc", (cap_f,))
     for r in range(rounds):
-        x_next = half_round(x, y, graph.leader_pairs, params, "leader_mp")
+        x_next = half_round(x, y, leader_pairs, params, "leader_mp")
         if r < rounds - 1:
-            y = half_round(y, x, graph.follower_pairs, params, "follower_mp")
+            y = half_round(y, x, follower_pairs, params, "follower_mp")
         x = x_next
     return mlp_apply(params.mlps["decoder"], x)
 

@@ -62,12 +62,6 @@ def test_union_stacks_graphs_in_order():
     assert u.cap_feats.tolist() == [g.cap_feats[0] for g in graphs]
 
 
-def test_union_rejects_mixed_normalization():
-    inst = generate(GenConfig(2, 2, seed=1))
-    with pytest.raises(ValueError, match="normalization"):
-        graph_union([build_graph(inst), build_graph(inst, NormalizationScheme(value_scale=10.0))])
-
-
 def test_own_major_pairs_stay_within_each_graph():
     other_rows, seg, by_other, other_starts = own_major_pairs(np.array([2, 1]), np.array([3, 2]))
     own_rows = np.repeat(np.arange(len(seg.counts)), seg.counts)
@@ -94,17 +88,18 @@ def test_other_major_order_is_the_transposed_index(n_own, n_other):
 
 def test_unions_of_one_shape_share_read_only_pairs():
     a, b = (build_graph(generate(GenConfig(3, 4, seed=s))) for s in (1, 2))
-    for pa, pb in ((a.leader_pairs, b.leader_pairs), (a.follower_pairs, b.follower_pairs)):
+    assert a.pairs is b.pairs
+    for pa, pb in zip(a.pairs, b.pairs):
         assert all(x is y for x, y in zip(pa, pb)) and len(pa) == 4
         for arr in (pa[0], pa[1].counts, pa[1].starts, pa[1].block_rows, pa[2], pa[3]):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0
     ab, ba = graph_union([a, b]), graph_union([b, a])
-    assert ab.leader_pairs[0] is ba.leader_pairs[0]
-    assert ab.leader_pairs[0] is not a.leader_pairs[0]
+    assert ab.pairs[0][0] is ba.pairs[0][0]
+    assert ab.pairs[0][0] is not a.pairs[0][0]
     c = build_graph(generate(GenConfig(4, 3, seed=3)))  # the transposed shape
-    assert c.leader_pairs[0] is not a.leader_pairs[0]
-    assert np.array_equal(c.leader_pairs[0], a.follower_pairs[0])
+    assert c.pairs[0][0] is not a.pairs[0][0]
+    assert np.array_equal(c.pairs[0][0], a.pairs[1][0])
 
 
 def test_normalization_version_is_not_a_field():

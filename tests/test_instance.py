@@ -191,3 +191,14 @@ def test_numpy_integer_scalars_are_stored_as_int(tmp_path):
     path = tmp_path / "inst.json"
     write_instance(inst, path)
     assert read_instance(path) == inst
+
+
+def test_scalar_item_vector_rejected():
+    with pytest.raises(InstanceError, match=r"^a1: length \(\) does not match count 1$"):
+        BlkpInstance(1, 1, a1=5, d1=[1], a2=[1], d2=[1], c=[1], b=1)
+
+
+def test_equality_with_a_non_instance_is_not_implemented():
+    inst = BlkpInstance(1, 1, a1=[1], d1=[1], a2=[1], d2=[1], c=[1], b=1)
+    assert inst.__eq__(3) is NotImplemented
+    assert not inst == 3 and inst != 3

@@ -506,7 +506,8 @@ def test_segment_pna_ties_go_to_first_row():
 def _pool_bits(x, counts):
     """`ndiff.pool`'s output and gradient, the reference's, and the gradient g they take."""
     seg = Segments(counts)
-    out, saved = ndiff.pool(x, seg)
+    out = np.empty((len(counts), len(ndiff.AGGREGATORS) * len(ndiff.SCALERS) * x.shape[1]))
+    saved = ndiff.pool(x, seg, out)
     g = np.random.default_rng(15).normal(size=out.shape)
     grad = ndiff.pool_grad(g, x, saved, seg)
     t = Node(x)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blkp import ndiff, pnanet
+from blkp import graphrep, ndiff, pnanet
 from blkp.graphrep import DEFAULT_NORM, build_graph, graph_union
 from blkp.instance import BlkpInstance, GenConfig, generate
 from blkp.ndiff import SCALERS
@@ -29,7 +29,10 @@ def permute_leaders(inst, perm):
 def aggregate(msgs):
     """One segment of messages pooled into one row, as the network pools them."""
     msgs = np.asarray(msgs, dtype=np.float64)
-    return ndiff.pool(msgs, ndiff.Segments([len(msgs)]))[0][0]
+    seg = ndiff.Segments([len(msgs)])
+    out = np.empty((1, len(ndiff.AGGREGATORS) * len(SCALERS) * msgs.shape[1]))
+    ndiff.pool(msgs, seg, out)
+    return out[0]
 
 
 def test_aggregate_default_layout():
@@ -67,11 +70,12 @@ def reference_leader_embeddings(graph, params):
         return _unfused.half_round(own, other, pairs, params, block, extra)
 
     lf, ff, cap_l, cap_f = _unfused.network_inputs(graph)
-    x = half_round(lf, ff, graph.leader_pairs, "leader_enc", (cap_l,))
-    y = half_round(ff, lf, graph.follower_pairs, "follower_enc", (cap_f,))
+    leader_pairs, follower_pairs = graph.pairs
+    x = half_round(lf, ff, leader_pairs, "leader_enc", (cap_l,))
+    y = half_round(ff, lf, follower_pairs, "follower_enc", (cap_f,))
     for _ in range(params.cfg.iterations):
-        x, y = (half_round(x, y, graph.leader_pairs, "leader_mp"),
-                half_round(y, x, graph.follower_pairs, "follower_mp"))
+        x, y = (half_round(x, y, leader_pairs, "leader_mp"),
+                half_round(y, x, follower_pairs, "follower_mp"))
     return x
 
 
@@ -480,6 +484,28 @@ def test_inference_creates_no_tensor_and_batch_loss_two(monkeypatch):
     assert value == float(loss.data) and not created
 
 
+def test_each_forward_reads_the_pair_index_once(monkeypatch):
+    # the graph hands its one pair index over whole: one read of the cache
+    # per forward, for both groups' half-rounds and the reverse pass
+    calls = []
+    pair_index = graphrep._pair_index
+
+    def counted(*args):
+        calls.append(args)
+        return pair_index(*args)
+
+    monkeypatch.setattr(graphrep, "_pair_index", counted)
+    params = ModelParams(PnaConfig(), seed=26)
+    inst = generate(GenConfig(6, 7, seed=27))
+    graph = build_graph(inst)
+    for fn, arg in ((forward, inst), (predict, graph), (forward_tensor, graph)):
+        calls.clear()
+        out = fn(arg, params)
+        assert calls == [((6,), (7,))]
+    _unfused.tsum(_unfused.node(out)).backward()
+    assert calls == [((6,), (7,))]
+
+
 def random_params(iterations, seed):
     """Parameters of the given round count with every weight and bias drawn nonzero."""
     params = ModelParams(PnaConfig(iterations=iterations), seed=seed)
@@ -522,7 +548,7 @@ def test_chunked_predict_bit_equals_the_training_forward(monkeypatch, iterations
     graphs.append(build_graph(generate(GenConfig(10, 10, seed=9))))
     want = [forward_tensor(graph, params).data for graph in graphs]
     monkeypatch.setattr(pnanet, "CHUNK_PAIRS", chunk_pairs)
-    assert len(pnanet._chunks(graphs[-1].leader_pairs[1])) == {1: 5, 25: 5, 64: 2}[chunk_pairs]
+    assert len(pnanet._chunks(graphs[-1].pairs[0][1])) == {1: 5, 25: 5, 64: 2}[chunk_pairs]
     for graph, data in zip(graphs, want):
         assert np.array_equal(predict(graph, params), data)
 
@@ -532,7 +558,7 @@ def test_forward_memory_is_bounded_by_the_chunk(monkeypatch):
     # chunked forward holds a few chunks' arrays, the unchunked one many more
     params = random_params(2, 110)
     inst = generate(GenConfig(200, 200, seed=111))
-    build_graph(inst).leader_pairs  # the union shape's pair index, cached, outside the trace
+    build_graph(inst).pairs  # the union shape's pair index, cached, outside the trace
 
     def peak():
         tracemalloc.start()
@@ -580,7 +606,7 @@ def test_half_round_node_bit_equals_six_nodes(block, leader_major, extras):
     params = ModelParams(PnaConfig(), seed=23)
     graph = graph_union(build_graph(generate(GenConfig(n1, n2, seed=60 + i)))
                         for i, (n1, n2) in enumerate(UNION_SIZES))
-    pairs = graph.leader_pairs if leader_major else graph.follower_pairs
+    pairs = graph.pairs[0 if leader_major else 1]
     n_own, n_other = (graph.n1, graph.n2) if leader_major else (graph.n2, graph.n1)
     msg, upd = params.mlps["msg_" + block], params.mlps["upd_" + block]
     k_own = upd.layers[0][0].shape[0] - extras - pnanet.AGGREGATED_WIDTH
